@@ -6,8 +6,10 @@
 //! ```
 //! where `experiment` is one or more of `table1`, `fig6`, `fig7`, `fig8`, `fig9a`,
 //! `fig9b`, `fig9c`, `fig9d`, `fig10`, `local_vs_outsource`, `security`, `engine`, or
-//! `all` (default). Row counts are scaled down from the paper (see EXPERIMENTS.md);
-//! set the environment variable `F2_REPORT_SCALE` to an integer ≥ 1 to multiply them.
+//! `all` (default). Row counts are scaled down from the paper's so every experiment
+//! finishes in minutes — the curves' shapes, not the absolute sizes, are the
+//! reproduction target; set the environment variable `F2_REPORT_SCALE` to an integer
+//! ≥ 1 to multiply them.
 //! Setting `F2_REPORT_SMOKE=1` shrinks the `engine` experiment to a seconds-long
 //! serializer check (CI runs it on every push).
 //!
@@ -588,7 +590,7 @@ struct StreamingPhases {
 /// `run_streaming` runs into an in-memory sink. Every run's stream is reloaded and
 /// decrypted against the plaintext, so a fast-but-corrupt stream cannot pass.
 fn streaming_breakdown(f2_phases: &F2Phases) -> StreamingPhases {
-    use f2_engine::stream::read_outcome;
+    use f2_engine::stream::load_streamed_outcome;
     use f2_engine::{Engine, EngineConfig};
     use f2_io::TableSource;
     let table = Dataset::Synthetic.generate(F2_PHASE_ROWS, 42);
@@ -603,7 +605,7 @@ fn streaming_breakdown(f2_phases: &F2Phases) -> StreamingPhases {
             .run_streaming(&scheme, &mut TableSource::new(&table), &mut stream)
             .expect("streaming encryption");
         let wall = start.elapsed();
-        let loaded = read_outcome(&scheme, &stream).expect("stream loads");
+        let (loaded, _) = load_streamed_outcome(&scheme, &stream[..]).expect("stream loads");
         let recovered = scheme.decrypt(&loaded).expect("stream decrypts");
         assert!(recovered.multiset_eq(&table), "streaming round-trip failed");
         if best.as_ref().is_none_or(|(w, _)| wall < *w) {
@@ -673,7 +675,7 @@ struct ObservabilityOverhead {
 /// byte-identical (artifact neutrality) and the instrumented stream is
 /// reloaded and decrypted, so a cheap-but-wrong telemetry path cannot pass.
 fn observability_overhead() -> ObservabilityOverhead {
-    use f2_engine::stream::read_outcome;
+    use f2_engine::stream::load_streamed_outcome;
     use f2_engine::{Engine, EngineConfig};
     use f2_io::TableSource;
     let table = Dataset::Synthetic.generate(F2_PHASE_ROWS, 42);
@@ -711,7 +713,7 @@ fn observability_overhead() -> ObservabilityOverhead {
     journal.set_enabled(true);
     let (off_stream, on_stream) = streams.expect("at least one run");
     assert_eq!(off_stream, on_stream, "telemetry changed the stream bytes");
-    let loaded = read_outcome(&scheme, &on_stream).expect("stream loads");
+    let (loaded, _) = load_streamed_outcome(&scheme, &on_stream[..]).expect("stream loads");
     let recovered = scheme.decrypt(&loaded).expect("stream decrypts");
     assert!(recovered.multiset_eq(&table), "observability round-trip failed");
     let plain_bytes = table.size_bytes();

@@ -1,12 +1,14 @@
 //! # f2-bench — harness reproducing the F² evaluation (paper §5)
 //!
 //! The `report` binary regenerates every table and figure of the paper's evaluation
-//! section on generated workloads (see DESIGN.md §4 for the experiment index), and the
+//! section on generated workloads (its usage line lists the experiments), and the
 //! Criterion benches under `benches/` provide statistically sound timings for the same
 //! measurements. Absolute numbers differ from the paper (different hardware, Java vs
 //! Rust, generated vs dumped data); the *shapes* — which step dominates on which
 //! dataset, how overhead reacts to α and to data size, how F² compares to the AES and
-//! Paillier baselines — are the reproduction target and are recorded in EXPERIMENTS.md.
+//! Paillier baselines — are the reproduction target. The report prints them rather
+//! than recording them in a file: only its `engine` experiment writes one
+//! (`BENCH_report.json`).
 //!
 //! All timing goes through one generic entry point, [`measure_scheme_on`], which
 //! accepts **any** [`Scheme`] backend; [`backend_registry`] enumerates the paper's

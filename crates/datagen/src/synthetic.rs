@@ -14,7 +14,7 @@
 //! The paper states sizes of three and six attributes for the two MASs; with only seven
 //! attributes and a single-attribute overlap that arithmetic does not close (3 + 6 − 1
 //! = 8), so we use sizes three and five — the overlap structure and EC counts, which are
-//! what drive the measured behaviour, are preserved. Documented in EXPERIMENTS.md.
+//! what drive the measured behaviour, are preserved.
 
 use f2_relation::{Attribute, DataType, Record, Schema, Table, Value};
 use rand::rngs::StdRng;

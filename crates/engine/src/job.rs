@@ -1,63 +1,58 @@
-//! Push-model streaming jobs: open a stream, append chunks as they arrive,
-//! finish (or crash and resume) — the engine layer under a long-running service.
+//! Push-model streaming jobs — the one writer of every `F2WS` v2 stream: open
+//! a stream, append chunks as they arrive, finish (or crash and resume).
 //!
-//! [`Engine::run_streaming`] is pull-model: it owns the loop and drains a
-//! [`RowSource`](f2_io::RowSource) to completion in one call. A server cannot
-//! use that shape — rows arrive from a client one request at a time, with
-//! arbitrary gaps (and possibly a process restart) between them. [`StreamJob`]
-//! inverts control while reusing the exact same per-chunk encoder, so the bytes
-//! a job writes are **byte-identical** to what `run_streaming` would have
-//! produced over the same rows, scheme, and engine configuration:
+//! lint: chunk-seed-authority — the writer derives each appended chunk's seed
+//! via [`chunk_seed`], exactly as the in-memory pipeline does.
+//!
+//! Every v2 stream the engine writes goes through a [`StreamJob`]:
 //!
 //! * [`Engine::begin_job`] truncates a [`StreamStore`] and writes the preamble
 //!   and header frame.
 //! * [`StreamJob::append_chunk`] encrypts one chunk and appends its frame —
 //!   the caller must push full `chunk_rows` chunks until the final short one,
 //!   exactly like a source on the pull path (violations are typed errors).
-//! * [`StreamJob::finish`] writes the trailer and end marker and returns the
-//!   same [`StreamOutcome`] the pull path reports.
-//! * [`Engine::resume_job`] reopens a store torn by a crash or disconnect:
-//!   it scans the intact prefix (the same validation as
-//!   [`Engine::resume_streaming`]), truncates the tear, and returns a job
-//!   positioned at the next chunk index. Unlike `resume_streaming` it needs
-//!   **no source**: backends with derivable per-chunk reports rebuild their
-//!   running totals arithmetically, and F² rebuilds them by decrypting each
-//!   stored prefix chunk and re-encrypting it under its recorded seed,
-//!   verifying the re-encryption CRC-matches the stored frame (which proves
-//!   the store, owner state, and key material all still agree). The caller
-//!   re-sends rows from [`StreamJob::rows`] onward.
+//! * [`StreamJob::finish`] writes the trailer and end marker and reports the
+//!   stream's [`StreamOutcome`].
+//! * [`Engine::resume_job`] reopens a store torn by a crash or disconnect and
+//!   returns a job positioned at the next chunk index; the caller re-sends
+//!   rows from [`StreamJob::rows`] onward. It is the source-free entry point of
+//!   the one resume protocol (scan → replay → truncate → continue) described in
+//!   [`crate::resume`].
+//!
+//! [`Engine::run_streaming`] is the same job driven by a pull loop over a
+//! [`RowSource`], and [`Engine::resume_streaming`] the same reopen followed by
+//! that pull loop, so a pushed stream is **byte-identical** to a pulled one over
+//! the same rows, scheme, and engine configuration — there is only one encoder.
 //!
 //! This is the substrate `f2_server` builds its crash-resumable, multi-tenant
 //! job sessions on; it is equally usable directly for incremental encryption
 //! pipelines that materialize rows in batches.
 
-use crate::persist::{decode_table, encode_table, put_schema, StatefulScheme};
-use crate::pipeline::{merge_reports, ChunkRecord, Engine};
-use crate::resume::StreamPrefix;
-use crate::stream::{
-    encode_chunk, finish_stream, put_chunk_record, take_chunk_record, StreamOutcome,
-    StreamProgress, FRAME_CHUNK, FRAME_HEADER,
-};
-use crate::wire::{Reader, Writer};
+use crate::persist::StatefulScheme;
+use crate::pipeline::{chunk_seed, merge_reports, ChunkRecord, Engine};
+use crate::stream::{encode_chunk, encode_header, encode_trailer, StreamOutcome};
+use crate::stream::{FRAME_CHUNK, FRAME_HEADER, FRAME_TRAILER};
 use f2_core::{ChunkedScheme, EncryptionReport, F2Error, Result, SchemeOutcome};
-use f2_io::frame::{crc32, FrameReader, FrameSink};
-use f2_io::{RetryPolicy, RetryingWriter, StreamStore, TableChunk};
+use f2_io::frame::FrameSink;
+use f2_io::{IoError, RetryPolicy, RetryingWriter, RowSource, StreamStore, TableChunk};
 use f2_relation::Schema;
-use std::io::{Seek, SeekFrom};
+use std::io::{SeekFrom, Write};
+use std::time::Instant;
 
-/// An open push-model encryption stream over a [`StreamStore`].
+/// An open push-model encryption stream over a writer (a [`StreamStore`] for
+/// jobs opened with [`Engine::begin_job`] or [`Engine::resume_job`]).
 ///
-/// Created by [`Engine::begin_job`] or [`Engine::resume_job`]; see the
-/// [module docs](self) for the contract. The job owns the store (through the
-/// engine's retrying writer) until [`StreamJob::finish`] closes the stream.
-pub struct StreamJob<T: StreamStore> {
+/// See the [module docs](self) for the contract. The job owns the writer
+/// (through the engine's retrying writer) until [`StreamJob::finish`] closes
+/// the stream.
+pub struct StreamJob<W: Write> {
     seed: u64,
     chunk_rows: usize,
-    sink: FrameSink<RetryingWriter<T>>,
+    sink: FrameSink<RetryingWriter<W>>,
     progress: StreamProgress,
 }
 
-impl<T: StreamStore> std::fmt::Debug for StreamJob<T> {
+impl<W: Write> std::fmt::Debug for StreamJob<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamJob")
             .field("chunk_rows", &self.chunk_rows)
@@ -69,29 +64,70 @@ impl<T: StreamStore> std::fmt::Debug for StreamJob<T> {
     }
 }
 
+/// Running totals of one stream: what a fresh job starts from zero and a
+/// resumed one rebuilds from the stored prefix.
+pub(crate) struct StreamProgress {
+    pub(crate) chunks: Vec<ChunkRecord>,
+    pub(crate) rows: usize,
+    pub(crate) encrypted_rows: usize,
+    pub(crate) report: EncryptionReport,
+}
+
+impl StreamProgress {
+    pub(crate) fn start() -> Self {
+        StreamProgress {
+            chunks: Vec::new(),
+            rows: 0,
+            encrypted_rows: 0,
+            report: EncryptionReport::default(),
+        }
+    }
+
+    /// Account for one more chunk and its report.
+    pub(crate) fn push(&mut self, record: ChunkRecord, report: &EncryptionReport) {
+        self.rows = record.rows.end;
+        self.encrypted_rows = record.output_rows.end;
+        merge_reports(&mut self.report, report);
+        self.chunks.push(record);
+    }
+}
+
 impl Engine {
     /// Start a fresh push-model stream in `store` (truncating whatever it
     /// held), writing the preamble and header frame for `scheme` and `schema`.
-    /// The header pins the engine seed and `chunk_rows`, exactly as
-    /// [`Engine::run_streaming`] writes it.
+    /// The header pins the engine seed and `chunk_rows`.
     pub fn begin_job<S, T>(&self, scheme: &S, schema: &Schema, mut store: T) -> Result<StreamJob<T>>
     where
         S: ChunkedScheme + StatefulScheme + ?Sized,
         T: StreamStore,
     {
+        truncate_store(&mut store, 0)?;
+        self.open_job(scheme, schema, store)
+    }
+
+    /// Start a stream at the current position of `writer`: the preamble and
+    /// header frame of every fresh v2 stream are written here.
+    pub(crate) fn open_job<S, W>(
+        &self,
+        scheme: &S,
+        schema: &Schema,
+        writer: W,
+    ) -> Result<StreamJob<W>>
+    where
+        S: ChunkedScheme + StatefulScheme + ?Sized,
+        W: Write,
+    {
         if schema.arity() == 0 {
             return Err(F2Error::UnsupportedInput("schema has no attributes".into()));
         }
-        store.set_len(0).map_err(io_err)?;
-        seek_to(&mut store, 0)?;
-        let retry = self.retry().cloned().unwrap_or_else(RetryPolicy::disabled);
-        let mut sink = FrameSink::new(retry.writer(store)).map_err(F2Error::from)?;
-        let mut header = Writer::raw();
-        header.put_str(scheme.name());
-        header.put_u64(self.config().seed);
-        header.put_usize(self.config().chunk_rows);
-        put_schema(&mut header, schema);
-        sink.write_frame(FRAME_HEADER, &header.finish()).map_err(F2Error::from)?;
+        // Transient write failures are absorbed *below* the frame layer: a failed
+        // raw `write` is guaranteed to have written nothing, so retrying it is
+        // exact, whereas retrying a whole `write_frame` could duplicate the bytes
+        // a partially-successful `write_all` already pushed out.
+        let mut sink = FrameSink::new(self.retry_policy().writer(writer))?;
+        let header =
+            encode_header(scheme.name(), self.config().seed, self.config().chunk_rows, schema);
+        sink.write_frame(FRAME_HEADER, &header)?;
         Ok(StreamJob {
             seed: self.config().seed,
             chunk_rows: self.config().chunk_rows,
@@ -99,85 +135,131 @@ impl Engine {
             progress: StreamProgress::start(),
         })
     }
-
-    /// Reopen an interrupted push-model stream in `store`, returning a job
-    /// positioned after the last intact chunk frame; everything past it
-    /// (torn bytes, or the trailer of a finished stream) is truncated away.
-    /// The caller continues by appending rows from [`StreamJob::rows`] onward
-    /// — appends then produce a stream byte-identical to an uninterrupted one.
-    ///
-    /// A store torn before its first chunk frame starts over from scratch
-    /// (exactly [`Engine::begin_job`]); a readable header that contradicts the
-    /// scheme, engine configuration, or `schema` is an error, not damage. No
-    /// source is needed: see the [module docs](self) for how each backend's
-    /// running report is rebuilt, and the CRC cross-check that catches a
-    /// store/key mismatch before any new bytes are written.
-    pub fn resume_job<S, T>(
-        &self,
-        scheme: &S,
-        schema: &Schema,
-        mut store: T,
-    ) -> Result<StreamJob<T>>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-        T: StreamStore,
-    {
-        crate::obs::resumes().inc();
-        seek_to(&mut store, 0)?;
-        let Some(prefix) = self.scan_prefix(scheme, schema, &mut store)? else {
-            // Nothing usable survives a torn preamble or header frame.
-            return self.begin_job(scheme, schema, store);
-        };
-        let mut progress = StreamProgress::start();
-        replay_stored_prefix(scheme, &prefix, &mut store, &mut progress)?;
-        store.set_len(prefix.bytes).map_err(io_err)?;
-        seek_to(&mut store, prefix.bytes)?;
-        let retry = self.retry().cloned().unwrap_or_else(RetryPolicy::disabled);
-        let sink = FrameSink::resume(retry.writer(store), prefix.bytes, prefix.frames);
-        Ok(StreamJob {
-            seed: self.config().seed,
-            chunk_rows: self.config().chunk_rows,
-            sink,
-            progress,
-        })
-    }
 }
 
-impl<T: StreamStore> StreamJob<T> {
+impl<W: Write> StreamJob<W> {
+    /// Continue a stream whose first `bytes` bytes (`frames` frames, preamble
+    /// excluded) `writer` already holds and `progress` already accounts for;
+    /// `writer` must be positioned right after them.
+    pub(crate) fn resumed(
+        engine: &Engine,
+        writer: W,
+        bytes: u64,
+        frames: u64,
+        progress: StreamProgress,
+    ) -> Self {
+        StreamJob {
+            seed: engine.config().seed,
+            chunk_rows: engine.config().chunk_rows,
+            sink: FrameSink::resume(engine.retry_policy().writer(writer), bytes, frames),
+            progress,
+        }
+    }
+
     /// Encrypt `chunk` and append its frame, returning the chunk's provenance
-    /// record. The pull path's invariants apply: every chunk must hold
-    /// `1..=chunk_rows` rows, and a short chunk must be the stream's last —
-    /// an append after a short chunk is a typed error, never silent damage.
+    /// record. Every chunk must hold `1..=chunk_rows` rows, and a short chunk
+    /// must be the stream's last — an append after a short chunk is a typed
+    /// error, never silent damage (chunk boundaries would diverge from the
+    /// in-memory path's).
     pub fn append_chunk<S>(&mut self, scheme: &S, chunk: &TableChunk<'_>) -> Result<&ChunkRecord>
     where
         S: ChunkedScheme + StatefulScheme + ?Sized,
     {
-        encode_chunk(
-            scheme,
-            self.seed,
-            self.chunk_rows,
-            chunk,
-            &mut self.sink,
-            &mut self.progress,
-        )?;
-        // encode_chunk pushed exactly one record on success.
+        let chunk_len = chunk.row_count();
+        let index = self.progress.chunks.len();
+        let chunk_rows = self.chunk_rows;
+        if chunk_len == 0 || chunk_len > chunk_rows {
+            return Err(F2Error::UnsupportedInput(format!(
+                "source produced a {chunk_len}-row chunk (expected 1..={chunk_rows})"
+            )));
+        }
+        if self.progress.chunks.last().is_some_and(|prev| prev.rows.len() != chunk_rows) {
+            return Err(F2Error::UnsupportedInput(
+                "source produced a short chunk before the final one \
+                 (chunk boundaries would diverge from the in-memory path)"
+                    .into(),
+            ));
+        }
+        let seed = chunk_seed(self.seed, index as u64);
+        let start = Instant::now();
+        let outcome = encrypt_chunk(scheme, seed, chunk)?;
+        let wall = start.elapsed();
+        let (rows, encrypted_rows) = (self.progress.rows, self.progress.encrypted_rows);
+        let record = ChunkRecord {
+            index,
+            rows: rows..rows + chunk_len,
+            output_rows: encrypted_rows..encrypted_rows + outcome.encrypted.row_count(),
+            seed,
+            worker: 0,
+            wall,
+        };
+        let payload = {
+            let _serialize = f2_obs::span!("engine.chunk.serialize");
+            encode_chunk(scheme, &record, &outcome)?
+        };
+        {
+            let _write = f2_obs::span!("engine.chunk.write");
+            self.sink.write_frame(FRAME_CHUNK, &payload)?;
+        }
+        crate::obs::chunk_encrypted(chunk_len, record.output_rows.len(), wall);
+        // Attribute this chunk's volume to the active request trace, if any (the
+        // server runs each request under one); no-ops otherwise.
+        f2_obs::ctx::add_count("rows", chunk_len as u64);
+        f2_obs::ctx::add_count("encrypted_rows", record.output_rows.len() as u64);
+        f2_obs::ctx::add_count("chunk_bytes", payload.len() as u64);
+        f2_obs::trace_event(
+            "engine.chunk",
+            &[
+                ("index", index as u64),
+                ("rows", chunk_len as u64),
+                ("encrypted_rows", record.output_rows.len() as u64),
+                ("stream_bytes", self.sink.bytes_written()),
+            ],
+        );
+        self.progress.push(record, &outcome.report);
+        // `outcome` (the only live copy of the chunk's ciphertext) drops on return.
         self.progress
             .chunks
             .last()
             .ok_or_else(|| F2Error::UnsupportedInput("chunk was encoded but not recorded".into()))
     }
 
+    /// Pull chunks from `source` until it is exhausted, appending each — the
+    /// pull loop of [`Engine::run_streaming`] and [`Engine::resume_streaming`].
+    /// Each pulled chunk (the only live copy of its plaintext) drops before the
+    /// next pull.
+    pub(crate) fn pump<S>(
+        &mut self,
+        scheme: &S,
+        source: &mut dyn RowSource,
+        retry: &RetryPolicy,
+    ) -> Result<()>
+    where
+        S: ChunkedScheme + StatefulScheme + ?Sized,
+    {
+        let chunk_rows = self.chunk_rows;
+        while pull(source, chunk_rows, retry, |chunk| match chunk {
+            Some(chunk) => self.append_chunk(scheme, &chunk).map(|_| true),
+            None => Ok(false),
+        })? {}
+        Ok(())
+    }
+
     /// Write the trailer and end marker, close the stream, and report the
-    /// totals — identical in content to [`Engine::run_streaming`]'s outcome.
+    /// totals.
     pub fn finish(self) -> Result<StreamOutcome> {
-        finish_stream(self.sink, self.progress).map(|(outcome, _)| outcome)
+        self.finish_into_store().map(|(outcome, _)| outcome)
     }
 
     /// Like [`StreamJob::finish`], but also hand the store back — for callers
     /// that need to sync, inspect, or reuse it after the stream closes.
-    pub fn finish_into_store(self) -> Result<(StreamOutcome, T)> {
-        finish_stream(self.sink, self.progress)
-            .map(|(outcome, writer)| (outcome, writer.into_inner()))
+    pub fn finish_into_store(mut self) -> Result<(StreamOutcome, W)> {
+        self.sink.write_frame(FRAME_TRAILER, &encode_trailer(&self.progress))?;
+        let (writer, bytes_written) = self.sink.finish()?;
+        crate::obs::stream_bytes_total().add(bytes_written);
+        let StreamProgress { chunks, rows, encrypted_rows, report } = self.progress;
+        let outcome = StreamOutcome { chunks, rows, encrypted_rows, bytes_written, report };
+        Ok((outcome, writer.into_inner()))
     }
 
     /// Plaintext rows encrypted so far — the row index the next append's
@@ -213,92 +295,56 @@ impl<T: StreamStore> StreamJob<T> {
     }
 }
 
-/// Rebuild the running [`StreamProgress`] for a validated prefix using only
-/// the store. Backends whose per-chunk reports are derivable from the row
-/// count rebuild arithmetically; F² decrypts each stored chunk, re-encrypts
-/// it under its recorded seed, and requires the re-encryption to CRC-match
-/// the stored frame payload before trusting its report.
-fn replay_stored_prefix<S, T>(
+/// Encrypt one chunk under `seed`. Owned chunks (e.g. freshly parsed CSV rows)
+/// go straight through `encrypt` — materialising a view of an already-owned
+/// table would just clone its rows again; borrowed chunks take the zero-copy
+/// view path. The two are byte-identical by the `encrypt_view` contract
+/// (pinned by `tests/stream_parity.rs`).
+pub(crate) fn encrypt_chunk<S>(
     scheme: &S,
-    prefix: &StreamPrefix,
-    store: &mut T,
-    progress: &mut StreamProgress,
-) -> Result<()>
+    seed: u64,
+    chunk: &TableChunk<'_>,
+) -> Result<SchemeOutcome>
 where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-    T: StreamStore,
+    S: ChunkedScheme + ?Sized,
 {
-    let rederived: Option<Vec<_>> =
-        prefix.records.iter().map(|r| scheme.rederive_chunk_report(r.rows.len())).collect();
-    if let Some(reports) = rederived {
-        for (record, report) in prefix.records.iter().zip(&reports) {
-            merge_reports(&mut progress.report, report);
-            progress.rows = record.rows.end;
-            progress.encrypted_rows = record.output_rows.end;
-            progress.chunks.push(record.clone());
-        }
-        return Ok(());
+    let reseeded = scheme.reseeded(seed);
+    match chunk {
+        TableChunk::Owned(table) => reseeded.encrypt(table),
+        TableChunk::Borrowed(view) => reseeded.encrypt_view(view),
     }
+}
 
-    seek_to(store, 0)?;
-    let mut frames = FrameReader::new(&mut *store).map_err(F2Error::from)?;
-    // scan_prefix already validated the header frame; skip past it.
-    let header = frames.next_frame().map_err(F2Error::from)?;
-    if header.as_ref().map(|f| f.frame_type) != Some(FRAME_HEADER) {
-        return Err(F2Error::UnsupportedInput(
-            "stream changed between prefix scan and replay (header frame vanished)".into(),
-        ));
-    }
-    for (record, &stored_crc) in prefix.records.iter().zip(&prefix.payload_crcs) {
-        let frame = frames
-            .next_frame()
-            .map_err(F2Error::from)?
-            .filter(|f| f.frame_type == FRAME_CHUNK)
-            .ok_or_else(|| {
-                F2Error::UnsupportedInput(
-                    "stream changed between prefix scan and replay (chunk frame vanished)".into(),
-                )
-            })?;
-        let mut r = Reader::raw(&frame.payload);
-        let _ = take_chunk_record(&mut r)?;
-        let state_blob = r.bytes().map_err(F2Error::from)?.to_vec();
-        let encrypted = decode_table(r.bytes().map_err(F2Error::from)?)?;
-        r.finish().map_err(F2Error::from)?;
-        let stored = SchemeOutcome {
-            encrypted,
-            state: scheme.load_state(&state_blob)?,
-            report: EncryptionReport::default(),
+/// Pull the next chunk of at most `rows` rows from `source` under `retry` and
+/// hand it (`None` once the source is exhausted) to `use_chunk`. Retrying a
+/// pull is sound only because a failed `next_chunk` consumes nothing (see the
+/// soundness notes in `f2_io::retry`); the budget is per pull, not per stream.
+/// The chunk borrows the source, so it is lent to a closure rather than
+/// returned — for the same reason [`RetryPolicy::run`] cannot wrap the pull.
+pub(crate) fn pull<T>(
+    source: &mut dyn RowSource,
+    rows: usize,
+    retry: &RetryPolicy,
+    use_chunk: impl FnOnce(Option<TableChunk<'_>>) -> Result<T>,
+) -> Result<T> {
+    let mut attempts = retry.begin();
+    loop {
+        let attempt = {
+            // Span covers source I/O plus chunk assembly (e.g. CSV parsing).
+            let _pull = f2_obs::span!("engine.chunk.pull");
+            source.next_chunk(rows)
         };
-        // `Scheme::decrypt` restores original row order (provenance rows are
-        // sorted by source index), so re-encrypting its output under the
-        // chunk's recorded seed must reproduce the stored bytes exactly.
-        let plain = scheme.decrypt(&stored)?;
-        let reencrypted = scheme.reseeded(record.seed).encrypt(&plain)?;
-        let mut payload = Writer::raw();
-        put_chunk_record(&mut payload, record);
-        payload.put_bytes(&scheme.save_state(&reencrypted)?);
-        payload.put_bytes(&encode_table(&reencrypted.encrypted));
-        if crc32(&payload.finish()) != stored_crc {
-            return Err(F2Error::UnsupportedInput(format!(
-                "chunk {} re-encryption differs from the stored stream — the store was \
-                 written under different key material or scheme parameters than the \
-                 resuming scheme holds",
-                record.index
-            )));
+        match attempt {
+            Ok(chunk) => return use_chunk(chunk),
+            Err(error) => attempts.absorb(error)?,
         }
-        merge_reports(&mut progress.report, &reencrypted.report);
-        progress.rows = record.rows.end;
-        progress.encrypted_rows = record.output_rows.end;
-        progress.chunks.push(record.clone());
     }
-    Ok(())
 }
 
-fn io_err(error: std::io::Error) -> F2Error {
-    F2Error::from(f2_io::IoError::Io(error))
-}
-
-fn seek_to<T: Seek>(store: &mut T, pos: u64) -> Result<()> {
-    store.seek(SeekFrom::Start(pos)).map_err(io_err)?;
+/// Cut `store` to `len` bytes and position it there, where a (re)opened job
+/// writes next.
+pub(crate) fn truncate_store<T: StreamStore>(store: &mut T, len: u64) -> Result<()> {
+    store.set_len(len).map_err(IoError::Io)?;
+    store.seek(SeekFrom::Start(len)).map_err(IoError::Io)?;
     Ok(())
 }

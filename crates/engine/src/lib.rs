@@ -19,13 +19,24 @@
 //! * [`wire`] — the versioned, length-prefixed binary wire format (`F2WS`). Corrupt
 //!   or truncated input decodes to an error, never a panic.
 //! * [`persist`] — [`StatefulScheme`]: `save_state` / `load_state` over the wire
-//!   format, implemented for all four backends, plus whole-outcome round-tripping
-//!   ([`save_outcome`] / [`load_outcome`]) so a table encrypted in one process can be
-//!   decrypted in another.
+//!   format, implemented for all four backends.
+//! * [`job`] — [`StreamJob`], the one writer of `F2WS` v2 streams: a header, one
+//!   checksummed frame per encrypted chunk (carrying that chunk's owner state), and
+//!   a trailer. [`Engine::run_streaming`] drives a job from a
+//!   [`RowSource`](f2_io::RowSource), [`Engine::begin_job`] lets a caller push
+//!   chunks, and the frame layout lives in [`stream`].
+//! * [`resume`] — one crash-safe resume protocol (scan → replay → truncate →
+//!   continue) behind two entry points: [`Engine::resume_streaming`] with the
+//!   original source, [`Engine::resume_job`] without one.
+//! * [`stream`] and [`lossy`] — the readers: [`load_streamed_outcome`] and
+//!   [`decrypt_streaming`] for intact streams, [`decrypt_streaming_lossy`] for
+//!   damaged ones. A v2 stream is the one on-disk format, so a table encrypted in
+//!   one process decrypts in another.
 //!
 //! ```
 //! use f2_core::{Scheme, F2};
-//! use f2_engine::{load_outcome, save_outcome, Engine, EngineConfig, StatefulScheme};
+//! use f2_engine::{load_streamed_outcome, Engine, EngineConfig};
+//! use f2_io::TableSource;
 //! use f2_relation::table;
 //!
 //! let data = table! {
@@ -34,11 +45,11 @@
 //!     ["10001", "NewYork"], ["10001", "NewYork"],
 //! };
 //! let scheme = F2::builder().alpha(0.5).seed(7).build().unwrap();
-//! let engine = Engine::new(EngineConfig { workers: 2, chunk_rows: 2, seed: 7 }).unwrap();
-//! let run = engine.encrypt(&scheme, &data).unwrap();
-//! // The outcome survives the trip through the wire format …
-//! let blob = save_outcome(&scheme, &run.outcome).unwrap();
-//! let restored = load_outcome(&scheme, &blob).unwrap();
+//! let engine = Engine::new(EngineConfig { workers: 1, chunk_rows: 2, seed: 7 }).unwrap();
+//! // The outcome survives the trip through a v2 stream …
+//! let mut stream = Vec::new();
+//! engine.run_streaming(&scheme, &mut TableSource::new(&data), &mut stream).unwrap();
+//! let (restored, _chunks) = load_streamed_outcome(&scheme, &stream[..]).unwrap();
 //! // … and decrypts through the ordinary Scheme::decrypt.
 //! assert!(scheme.decrypt(&restored).unwrap().multiset_eq(&data));
 //! ```
@@ -57,9 +68,9 @@ pub use f2_io::wire;
 
 pub use job::StreamJob;
 pub use lossy::{decrypt_streaming_lossy, DamageReport};
-pub use persist::{load_outcome, save_outcome, StatefulScheme};
+pub use persist::StatefulScheme;
 pub use pipeline::{chunk_seed, ChunkRecord, Engine, EngineConfig, EngineOutcome};
-pub use stream::{decrypt_streaming, load_streamed_outcome, read_outcome, StreamOutcome};
+pub use stream::{decrypt_streaming, load_streamed_outcome, StreamOutcome};
 pub use wire::{Reader, WireError, Writer};
 
 /// The engine's error type — an alias for [`f2_core::F2Error`], under the name

@@ -22,10 +22,10 @@
 //! chunks; and a damaged preamble fails the whole call — the 7-byte preamble
 //! is what identifies the stream format in the first place.
 
-use crate::persist::{decode_table, take_report, StatefulScheme};
-use crate::stream::{take_chunk_record, FRAME_CHUNK, FRAME_HEADER, FRAME_TRAILER};
-use crate::wire::Reader;
-use f2_core::{ChunkedScheme, EncryptionReport, F2Error, Result, SchemeOutcome};
+use crate::persist::StatefulScheme;
+use crate::stream::{decode_chunk, decode_header, decode_trailer, decrypt_chunk};
+use crate::stream::{FRAME_CHUNK, FRAME_HEADER, FRAME_TRAILER};
+use f2_core::{ChunkedScheme, F2Error, Result};
 use f2_io::frame::{Frame, FrameReader};
 use f2_io::SkippedRange;
 use f2_relation::Table;
@@ -129,13 +129,13 @@ where
         }
         match frame.frame_type {
             FRAME_HEADER => {
-                // Validate the scheme name when the header is intact — a
+                // Validate the scheme name when the header decodes — a
                 // wrong-scheme salvage would "recover" garbage rows.
-                let mut r = Reader::raw(&frame.payload);
-                if let Ok(name) = r.str() {
-                    if name != scheme.name() {
+                if let Ok(header) = decode_header(&frame.payload) {
+                    if header.scheme != scheme.name() {
                         return Err(F2Error::UnsupportedInput(format!(
-                            "stream was produced by the `{name}` scheme, salvage holds `{}`",
+                            "stream was produced by the `{}` scheme, salvage holds `{}`",
+                            header.scheme,
                             scheme.name()
                         )));
                     }
@@ -154,17 +154,9 @@ where
                 None => report.chunks_lost += 1,
             },
             FRAME_TRAILER => {
-                let mut r = Reader::raw(&frame.payload);
-                let parsed = (|| -> Result<(usize, usize)> {
-                    let chunks = r.usize().map_err(F2Error::from)?;
-                    let rows = r.usize().map_err(F2Error::from)?;
-                    let _encrypted_rows = r.usize().map_err(F2Error::from)?;
-                    let _report = take_report(&mut r)?;
-                    Ok((chunks, rows))
-                })();
-                if let Ok((chunks, rows)) = parsed {
-                    report.chunks_total = Some(chunks);
-                    trailer_rows = Some(rows);
+                if let Ok(trailer) = decode_trailer(&frame.payload) {
+                    report.chunks_total = Some(trailer.chunks);
+                    trailer_rows = Some(trailer.rows);
                     report.trailer_recovered = true;
                 }
             }
@@ -214,19 +206,7 @@ fn salvage_chunk<S>(scheme: &S, frame: &Frame) -> Option<(usize, Table)>
 where
     S: ChunkedScheme + StatefulScheme + ?Sized,
 {
-    let mut r = Reader::raw(&frame.payload);
-    let record = take_chunk_record(&mut r).ok()?;
-    let state_blob = r.bytes().ok()?.to_vec();
-    let encrypted = decode_table(r.bytes().ok()?).ok()?;
-    r.finish().ok()?;
-    if encrypted.row_count() != record.output_rows.len() {
-        return None;
-    }
-    let chunk_outcome = SchemeOutcome {
-        encrypted,
-        state: scheme.load_state(&state_blob).ok()?,
-        report: EncryptionReport::default(),
-    };
-    let plain = scheme.decrypt(&chunk_outcome).ok()?;
+    let (record, state, encrypted) = decode_chunk(&frame.payload).ok()?;
+    let plain = decrypt_chunk(scheme, state, encrypted).ok()?;
     Some((record.index, plain))
 }

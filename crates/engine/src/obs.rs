@@ -74,26 +74,27 @@ fn encrypted_rows_total() -> &'static Counter {
     })
 }
 
-/// Bytes of finished v2 streams, preamble and frame headers included.
+/// Bytes of finished v2 streams, preamble and frame headers included — every
+/// stream job counts, pulled (`run_streaming`) or pushed (server jobs).
 pub(crate) fn stream_bytes_total() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| {
         f2_obs::global().counter(
             "f2_engine_stream_bytes_total",
-            "Bytes of finished F2WS v2 streams written by run_streaming.",
+            "Bytes of finished F2WS v2 streams written by engine stream jobs.",
             &[],
         )
     })
 }
 
-/// Streams picked back up by `Engine::resume_streaming` (header-damaged
-/// restarts-from-scratch included).
+/// Streams reopened by `Engine::resume_streaming` or `Engine::resume_job`
+/// (header-damaged restarts-from-scratch and refused resumes included).
 pub(crate) fn resumes() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| {
         f2_obs::global().counter(
             "f2_engine_resume_total",
-            "Interrupted F2WS v2 streams resumed by Engine::resume_streaming.",
+            "Interrupted F2WS v2 streams reopened for resume (with or without a source).",
             &[],
         )
     })

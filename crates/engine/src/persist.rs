@@ -1,17 +1,20 @@
-//! Owner-state persistence: [`StatefulScheme`] and whole-outcome round-tripping.
+//! Owner-state persistence: [`StatefulScheme`] and the field codecs the `F2WS`
+//! v2 stream frames are built from.
 //!
 //! lint: untrusted-input — decoders below parse persisted blobs that may be
 //! corrupt or hostile; the panic-freedom rules are enforced by `f2-lint`.
 //!
-//! A [`SchemeOutcome`](f2_core::SchemeOutcome) carries its owner state behind an
-//! in-process `Box<dyn Any>` — it cannot be cloned, persisted, or shipped anywhere.
-//! This module makes it durable: every backend implements [`StatefulScheme`], whose
+//! A [`SchemeOutcome`] carries its owner state behind an in-process
+//! `Box<dyn Any>` — it cannot be cloned, persisted, or shipped anywhere. This
+//! module makes it durable: every backend implements [`StatefulScheme`], whose
 //! `save_state` / `load_state` serialize the backend's owner state over the
-//! [`wire`](crate::wire) format, and [`save_outcome`] / [`load_outcome`] bundle the
-//! encrypted table, the owner state, and the encryption report into one blob. The key
-//! material is deliberately **not** part of any blob — the loader must hold a scheme
-//! built from the same keys (that is the outsourcing model: the state blob can sit
-//! next to the ciphertext on untrusted storage, the keys never leave the owner).
+//! [`wire`](crate::wire) format. Every chunk frame of a v2 stream embeds its
+//! chunk's state blob next to the [`encode_table`] blob of its ciphertext (see
+//! [`crate::stream`]), so a stream written in one process decrypts in another.
+//! The key material is deliberately **not** part of any blob — the loader must
+//! hold a scheme built from the same keys (that is the outsourcing model: the
+//! state blob can sit next to the ciphertext on untrusted storage, the keys never
+//! leave the owner).
 
 use crate::wire::{Reader, WireError, WireResult, Writer};
 use f2_core::scheme::CellWiseState;
@@ -28,8 +31,6 @@ pub const KIND_F2_STATE: u8 = 1;
 pub const KIND_CELL_WISE_STATE: u8 = 2;
 /// Wire kind tag: an encrypted table.
 pub const KIND_TABLE: u8 = 3;
-/// Wire kind tag: a whole [`SchemeOutcome`].
-pub const KIND_OUTCOME: u8 = 4;
 
 /// A [`Scheme`] whose owner state round-trips through the wire format, so encryption
 /// and decryption can happen in different processes.
@@ -107,27 +108,6 @@ macro_rules! cell_wise_stateful {
 }
 
 cell_wise_stateful!(DetScheme, ProbScheme, PaillierScheme);
-
-/// Serialize a whole [`SchemeOutcome`] — encrypted table, owner state, report — into
-/// one durable blob. The inverse is [`load_outcome`].
-pub fn save_outcome(scheme: &dyn StatefulScheme, outcome: &SchemeOutcome) -> Result<Vec<u8>> {
-    let mut w = Writer::versioned(KIND_OUTCOME);
-    w.put_bytes(&encode_table(&outcome.encrypted));
-    w.put_bytes(&scheme.save_state(outcome)?);
-    put_report(&mut w, &outcome.report);
-    Ok(w.finish())
-}
-
-/// Reconstruct a [`SchemeOutcome`] from a [`save_outcome`] blob. The scheme only
-/// contributes its state codec — the keys needed for decryption stay inside it.
-pub fn load_outcome(scheme: &dyn StatefulScheme, bytes: &[u8]) -> Result<SchemeOutcome> {
-    let mut r = Reader::versioned(bytes, KIND_OUTCOME)?;
-    let encrypted = decode_table(r.bytes()?)?;
-    let state = scheme.load_state(r.bytes()?)?;
-    let report = take_report(&mut r)?;
-    r.finish()?;
-    Ok(SchemeOutcome { encrypted, state, report })
-}
 
 /// Serialize a table (schema + rows) as a standalone wire blob.
 pub fn encode_table(table: &Table) -> Vec<u8> {
@@ -420,18 +400,5 @@ mod tests {
         w.put_u32(0); // no MAS sets
         w.put_u64(u64::MAX); // origin count
         assert!(f2.load_state(&w.finish()).is_err());
-    }
-
-    #[test]
-    fn outcome_blob_preserves_the_report() {
-        let t = fixture();
-        let scheme = F2::builder().alpha(0.5).seed(4).build().unwrap();
-        let outcome = scheme.encrypt(&t).unwrap();
-        let blob = save_outcome(&scheme, &outcome).unwrap();
-        let restored = load_outcome(&scheme, &blob).unwrap();
-        assert_eq!(restored.encrypted, outcome.encrypted);
-        assert_eq!(restored.report.overhead, outcome.report.overhead);
-        assert_eq!(restored.report.mas_count, outcome.report.mas_count);
-        assert!(scheme.decrypt(&restored).unwrap().multiset_eq(&t));
     }
 }

@@ -1,67 +1,78 @@
-//! Crash-safe resume of an interrupted `F2WS` v2 stream.
+//! Crash-safe resume of an interrupted `F2WS` v2 stream: one protocol, two
+//! entry points.
 //!
-//! lint: untrusted-input — the scan below decodes a possibly damaged stream.
+//! lint: untrusted-input — the scan and replay below decode a possibly damaged
+//! stream.
 //!
 //! A streaming encryption job that dies mid-write leaves a *prefix* of a valid
 //! stream behind: the preamble, the header frame, some number of complete
-//! chunk frames, and usually a torn frame at the tail. [`Engine::resume_streaming`]
-//! turns that wreckage back into exactly the stream an uninterrupted run would
-//! have produced:
+//! chunk frames, and usually a torn frame at the tail. Resume turns that
+//! wreckage back into exactly the stream an uninterrupted run would have
+//! produced, in four steps:
 //!
 //! 1. **Scan** — walk the store's frames, validating the header against the
-//!    engine configuration, scheme, and source, and each chunk record's
+//!    engine configuration, scheme, and schema, and each chunk record's
 //!    continuity and seed, until the first damage (torn or checksum-failing
-//!    frame) or the trailer.
-//! 2. **Truncate** — cut the store back to the end of the last complete chunk
-//!    frame; a torn tail is unusable by construction, and a surviving trailer
-//!    is rewritten rather than trusted (its totals must cover the whole run).
-//! 3. **Replay** — advance the source past the rows the prefix already
-//!    covers. Backends whose per-chunk report is a pure function of the row
-//!    count ([`ChunkedScheme::rederive_chunk_report`]) skip straight over
-//!    them — and when the source is also a
-//!    [`SeekableSource`](f2_io::SeekableSource), the skip is a single
-//!    `seek_to_row` with **zero** prefix pulls; F² (whose report depends on
-//!    the data) re-encrypts the prefix chunks — deterministic under the
-//!    stored chunk seeds — and verifies them against the stored frames'
-//!    payload checksums, refusing to extend a stream whose source has changed
-//!    since the interrupted run.
-//! 4. **Continue** — encrypt and append the remaining chunks, the trailer,
-//!    and the end frame through the same code path as
-//!    [`Engine::run_streaming`].
+//!    frame) or the trailer. Only each chunk's record is decoded, never its
+//!    table.
+//! 2. **Replay** — rebuild the running report of the chunks the prefix holds.
+//!    Backends whose per-chunk report is a pure function of the row count
+//!    ([`ChunkedScheme::rederive_chunk_report`]) rebuild it arithmetically. F²
+//!    (whose report depends on the data) re-encrypts every prefix chunk under
+//!    its stored, seed-verified chunk seed and requires the rebuilt frame
+//!    payload to CRC-match the stored one. The plaintext it re-encrypts comes
+//!    from the source when one is given — proving the source unchanged since
+//!    the interrupted run — and otherwise from decrypting the stored chunk —
+//!    proving the store, owner state, and key material still agree.
+//! 3. **Truncate** — only once the replay has accepted the prefix, cut the
+//!    store back to the end of the last complete chunk frame; a torn tail is
+//!    unusable by construction, and a surviving trailer is rewritten rather
+//!    than trusted (its totals must cover the whole run). A refused resume
+//!    therefore leaves the store exactly as it found it.
+//! 4. **Continue** — hand back a [`StreamJob`] positioned at the next chunk,
+//!    so the remaining chunks, the trailer, and the end frame go through the
+//!    one writer every stream uses.
+//!
+//! The two entry points differ only in where the rows come from:
+//! [`Engine::resume_streaming`] continues by pulling the original source
+//! (skipping the prefix by one seek when the backend's reports are derivable
+//! and the source is a [`SeekableSource`](f2_io::SeekableSource), otherwise by
+//! pulling it), while [`Engine::resume_job`] takes no source and leaves the
+//! caller to append rows from [`StreamJob::rows`] onward.
 //!
 //! The result is **byte-identical** to the uninterrupted stream at every
-//! interruption point (pinned per backend by `tests/resume_golden.rs`):
-//! chunk seeds are pure functions of the engine seed and chunk index,
-//! ciphertexts are deterministic given those seeds, and the persisted trailer
-//! zeroes its run-varying timings. A store damaged before its first chunk
-//! frame (torn preamble or header) has no usable prefix and is restarted from
-//! scratch. Resumes are counted in `f2_engine_resume_total`.
+//! interruption point (pinned per backend by `tests/resume_golden.rs` and
+//! `tests/job_push.rs`): chunk seeds are pure functions of the engine seed and
+//! chunk index, ciphertexts are deterministic given those seeds, and the
+//! persisted trailer zeroes its run-varying timings. A store damaged before its
+//! first chunk frame (torn preamble or header) has no usable prefix and is
+//! restarted from scratch. Resumes are counted in `f2_engine_resume_total`.
 
-use crate::persist::{encode_table, take_schema, StatefulScheme};
-use crate::pipeline::{merge_reports, ChunkRecord, Engine};
+use crate::job::{encrypt_chunk, pull, truncate_store, StreamJob, StreamProgress};
+use crate::persist::StatefulScheme;
+use crate::pipeline::{ChunkRecord, Engine};
 use crate::stream::{
-    finish_stream, pump_chunks, put_chunk_record, take_chunk_record, verify_chunk_seed,
-    StreamOutcome, StreamProgress, FRAME_CHUNK, FRAME_HEADER,
+    decode_chunk, decode_chunk_record, decode_header, decrypt_chunk, encode_chunk,
+    verify_chunk_seed, StreamOutcome, FRAME_CHUNK, FRAME_HEADER,
 };
-use crate::wire::{Reader, Writer};
 use f2_core::{ChunkedScheme, F2Error, Result};
-use f2_io::frame::{crc32, FrameReader, FrameSink};
+use f2_io::frame::{crc32, FrameReader};
 use f2_io::{IoError, RetryPolicy, RowSource, StreamStore, TableChunk};
 use f2_relation::Schema;
 use std::io::{Read, Seek, SeekFrom};
 
 /// The validated prefix of an interrupted stream: everything before the first
 /// damaged byte (or before the trailer, for a stream that only lost its tail).
-pub(crate) struct StreamPrefix {
+struct StreamPrefix {
     /// Complete chunk records in order, continuity- and seed-verified.
-    pub(crate) records: Vec<ChunkRecord>,
+    records: Vec<ChunkRecord>,
     /// CRC32 of each chunk frame's (decompressed) payload — what F²'s replay
     /// verification compares its re-encryptions against.
-    pub(crate) payload_crcs: Vec<u32>,
+    payload_crcs: Vec<u32>,
     /// Store offset one past the last complete chunk frame: the resume point.
-    pub(crate) bytes: u64,
+    bytes: u64,
     /// Frames in the prefix (header + chunks) — seeds the resumed sink's count.
-    pub(crate) frames: u64,
+    frames: u64,
 }
 
 impl Engine {
@@ -69,13 +80,14 @@ impl Engine {
     /// producing a stream **byte-identical** to the one an uninterrupted run
     /// over the same `scheme`, `source`, and engine configuration would have
     /// written. `source` must be the original source, rewound to its first
-    /// row — resume replays (or, for F², re-encrypts and verifies) the rows
-    /// the surviving prefix already covers before continuing with the rest.
+    /// row: resume skips (or, for F², re-encrypts and verifies) the rows the
+    /// surviving prefix already covers before continuing with the rest.
     ///
     /// The engine seed and `chunk_rows` must match the interrupted run's; a
     /// readable header that contradicts them (or the scheme, or the source
-    /// schema) is an error rather than damage. A store torn before its first
-    /// chunk frame is truncated to zero and re-encrypted from scratch.
+    /// schema) is an error rather than damage, and every refusal leaves the
+    /// store untouched. A store torn before its first chunk frame is truncated
+    /// to zero and re-encrypted from scratch.
     pub fn resume_streaming<S, T>(
         &self,
         scheme: &S,
@@ -86,47 +98,63 @@ impl Engine {
         S: ChunkedScheme + StatefulScheme + ?Sized,
         T: StreamStore,
     {
-        crate::obs::resumes().inc();
-        let retry = self.retry().cloned().unwrap_or_else(RetryPolicy::disabled);
         let schema = source.schema().clone();
-        seek_to(store, 0)?;
-        let prefix = match self.scan_prefix(scheme, &schema, &mut *store)? {
-            Some(prefix) => prefix,
-            None => {
-                // Nothing usable survives a torn preamble or header frame:
-                // start the stream over from the first byte.
-                store.set_len(0).map_err(io_err)?;
-                seek_to(store, 0)?;
-                return self.run_streaming(scheme, source, &mut *store);
-            }
+        let mut job = self.reopen(scheme, &schema, store, Some(&mut *source))?;
+        job.pump(scheme, source, &self.retry_policy())?;
+        job.finish()
+    }
+
+    /// Reopen an interrupted push-model stream in `store`, returning a job
+    /// positioned after the last intact chunk frame; everything past it
+    /// (torn bytes, or the trailer of a finished stream) is truncated away.
+    /// The caller continues by appending rows from [`StreamJob::rows`] onward
+    /// — appends then produce a stream byte-identical to an uninterrupted one.
+    ///
+    /// A store torn before its first chunk frame starts over from scratch
+    /// (exactly [`Engine::begin_job`]); a readable header that contradicts the
+    /// scheme, engine configuration, or `schema` is an error, not damage. No
+    /// source is needed: F² verifies its prefix by decrypting and
+    /// re-encrypting the stored chunks (see the [module docs](self)), which
+    /// catches a store/key mismatch before any byte of the store changes.
+    pub fn resume_job<S, T>(&self, scheme: &S, schema: &Schema, store: T) -> Result<StreamJob<T>>
+    where
+        S: ChunkedScheme + StatefulScheme + ?Sized,
+        T: StreamStore,
+    {
+        self.reopen(scheme, schema, store, None)
+    }
+
+    /// The one reopen behind both entry points: scan → replay → truncate.
+    fn reopen<S, T>(
+        &self,
+        scheme: &S,
+        schema: &Schema,
+        mut store: T,
+        source: Option<&mut dyn RowSource>,
+    ) -> Result<StreamJob<T>>
+    where
+        S: ChunkedScheme + StatefulScheme + ?Sized,
+        T: StreamStore,
+    {
+        crate::obs::resumes().inc();
+        store.seek(SeekFrom::Start(0)).map_err(IoError::Io)?;
+        let Some(prefix) = self.scan_prefix(scheme, schema, &mut store)? else {
+            // Nothing usable survives a torn preamble or header frame.
+            return self.begin_job(scheme, schema, store);
         };
-        store.set_len(prefix.bytes).map_err(io_err)?;
-        seek_to(store, prefix.bytes)?;
-
-        let mut progress = StreamProgress::start();
-        self.replay_prefix(scheme, source, &retry, &prefix, &mut progress)?;
-
-        let mut sink = FrameSink::resume(retry.writer(&mut *store), prefix.bytes, prefix.frames);
-        pump_chunks(
-            scheme,
-            self.config().seed,
-            self.config().chunk_rows,
-            source,
-            &retry,
-            &mut sink,
-            &mut progress,
-        )?;
-        finish_stream(sink, progress).map(|(outcome, _)| outcome)
+        let progress = replay_prefix(scheme, &prefix, &mut store, source, &self.retry_policy())?;
+        truncate_store(&mut store, prefix.bytes)?;
+        Ok(StreamJob::resumed(self, store, prefix.bytes, prefix.frames, progress))
     }
 
     /// Scan the store for its intact prefix. `Ok(None)` means no usable prefix
     /// (torn preamble or header frame); a readable header that contradicts the
-    /// engine configuration, scheme, or source schema is a hard error — the
-    /// caller would otherwise splice two different runs into one stream.
-    pub(crate) fn scan_prefix<S>(
+    /// engine configuration, scheme, or schema is a hard error — the caller
+    /// would otherwise splice two different runs into one stream.
+    fn scan_prefix<S>(
         &self,
         scheme: &S,
-        source_schema: &Schema,
+        schema: &Schema,
         reader: impl Read,
     ) -> Result<Option<StreamPrefix>>
     where
@@ -137,24 +165,17 @@ impl Engine {
             Ok(Some(frame)) if frame.frame_type == FRAME_HEADER => frame,
             Ok(_) | Err(_) => return Ok(None),
         };
-        let parsed = (|| -> Result<(String, u64, usize, Schema)> {
-            let mut r = Reader::raw(&header.payload);
-            let name = r.str().map_err(F2Error::from)?.to_string();
-            let seed = r.u64().map_err(F2Error::from)?;
-            let chunk_rows = r.usize().map_err(F2Error::from)?;
-            let schema = take_schema(&mut r)?;
-            r.finish().map_err(F2Error::from)?;
-            Ok((name, seed, chunk_rows, schema))
-        })();
         // The frame passed its CRC, so an undecodable header is a producer bug,
         // not transport damage — but either way there is no prefix to keep.
-        let Ok((name, seed, chunk_rows, schema)) = parsed else { return Ok(None) };
-        if name != scheme.name() {
+        let Ok(header) = decode_header(&header.payload) else { return Ok(None) };
+        if header.scheme != scheme.name() {
             return Err(F2Error::UnsupportedInput(format!(
-                "stream was produced by the `{name}` scheme, resume holds `{}`",
+                "stream was produced by the `{}` scheme, resume holds `{}`",
+                header.scheme,
                 scheme.name()
             )));
         }
+        let (seed, chunk_rows) = (header.seed, header.chunk_rows);
         if seed != self.config().seed || chunk_rows != self.config().chunk_rows {
             return Err(F2Error::UnsupportedInput(format!(
                 "stream was produced with seed {seed} / chunk_rows {chunk_rows}, the resuming \
@@ -163,7 +184,7 @@ impl Engine {
                 self.config().chunk_rows
             )));
         }
-        if &schema != source_schema {
+        if &header.schema != schema {
             return Err(F2Error::UnsupportedInput(
                 "stream header schema disagrees with the source — resume needs the original \
                  source"
@@ -188,8 +209,7 @@ impl Engine {
                 // this offset is rewritten by the resumed run.
                 _ => break,
             };
-            let mut r = Reader::raw(&frame.payload);
-            let Ok(record) = take_chunk_record(&mut r) else { break };
+            let Ok(record) = decode_chunk_record(&frame.payload) else { break };
             let next_row = records.last().map_or(0, |prev| prev.rows.end);
             let next_output = records.last().map_or(0, |prev| prev.output_rows.end);
             if record.index != records.len()
@@ -208,120 +228,137 @@ impl Engine {
         }
         Ok(Some(StreamPrefix { records, payload_crcs, bytes, frames: frame_count }))
     }
+}
 
-    /// Advance `source` past the rows the prefix covers, rebuilding the running
-    /// report (and, for F², verifying the stored frames against the source) and
-    /// seeding `progress` so the continued run picks up at the right chunk.
-    fn replay_prefix<S>(
-        &self,
-        scheme: &S,
-        source: &mut dyn RowSource,
-        retry: &RetryPolicy,
-        prefix: &StreamPrefix,
-        progress: &mut StreamProgress,
-    ) -> Result<()>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-    {
-        // Seekable fast path: when every prefix chunk's report is a pure
-        // function of its row count *and* the source can seek, there is
-        // nothing to replay — merge the rederived reports and jump the source
-        // straight to the resume row. F² stays on the slow path by design
-        // (`rederive_chunk_report` is `None`): its reports depend on the data,
-        // and the replay's CRC comparison is what proves the source unchanged.
-        let rederived: Option<Vec<_>> =
-            prefix.records.iter().map(|r| scheme.rederive_chunk_report(r.rows.len())).collect();
-        if let Some(reports) = rederived {
+/// Rebuild the running totals of a scanned prefix, verifying it where the
+/// backend's reports depend on the data — the one replay behind both entry
+/// points. `source`, when given, is advanced past the prefix; `store` is read
+/// again only for F² without a source.
+fn replay_prefix<S, T>(
+    scheme: &S,
+    prefix: &StreamPrefix,
+    store: &mut T,
+    source: Option<&mut dyn RowSource>,
+    retry: &RetryPolicy,
+) -> Result<StreamProgress>
+where
+    S: ChunkedScheme + StatefulScheme + ?Sized,
+    T: Read + Seek,
+{
+    let covered = prefix.records.last().map_or(0, |last| last.rows.end);
+    let mut progress = StreamProgress::start();
+    let rederived: Option<Vec<_>> =
+        prefix.records.iter().map(|r| scheme.rederive_chunk_report(r.rows.len())).collect();
+    if let Some(reports) = rederived {
+        // Nothing to verify: merge the rederived reports and skip the source
+        // past the prefix — by one seek when it can, by pulling otherwise.
+        // F² never takes this path (`rederive_chunk_report` is `None`): its
+        // reports depend on the data, and its replay is the verification.
+        if let Some(source) = source {
             if let Some(seekable) = source.as_seekable() {
-                let resume_row = prefix.records.last().map_or(0, |last| last.rows.end);
-                seekable.seek_to_row(resume_row).map_err(|e| {
+                seekable.seek_to_row(covered).map_err(|e| {
                     F2Error::UnsupportedInput(format!(
-                        "source ended (or refused to seek) before the {resume_row} rows the \
+                        "source ended (or refused to seek) before the {covered} rows the \
                          stream prefix covers — resume needs the original source: {e}"
                     ))
                 })?;
-                for (record, report) in prefix.records.iter().zip(&reports) {
-                    merge_reports(&mut progress.report, report);
-                    progress.rows = record.rows.end;
-                    progress.encrypted_rows = record.output_rows.end;
-                    progress.chunks.push(record.clone());
+            } else {
+                for record in &prefix.records {
+                    pull_prefix_chunk(source, record, covered, retry, |_| Ok(()))?;
                 }
-                return Ok(());
             }
         }
-
-        let mut pulls = retry.begin();
-        let mut remaining = prefix.records.iter().zip(&prefix.payload_crcs);
-        let mut current = remaining.next();
-        while let Some((record, &stored_crc)) = current {
-            let want = record.rows.len();
-            // The same inline retry loop as `pump_chunks` — the pulled chunk
-            // borrows the source, so `RetryPolicy::run` cannot wrap the pull.
-            let chunk = match source.next_chunk(want) {
-                Err(error) => {
-                    pulls.absorb(error).map_err(F2Error::from)?;
-                    continue;
-                }
-                Ok(None) => {
-                    return Err(F2Error::UnsupportedInput(format!(
-                        "source ended at row {} but the stream prefix covers {} rows — resume \
-                         needs the original source, rewound to its first row",
-                        record.rows.start,
-                        prefix.records.last().map_or(0, |last| last.rows.end)
-                    )));
-                }
-                Ok(Some(chunk)) => chunk,
-            };
-            if chunk.row_count() != want {
-                return Err(F2Error::UnsupportedInput(format!(
-                    "source produced {} rows where the stream prefix recorded {want} — resume \
-                     needs the original source",
-                    chunk.row_count()
-                )));
-            }
-            match scheme.rederive_chunk_report(want) {
-                Some(report) => merge_reports(&mut progress.report, &report),
-                None => {
-                    // F²: the per-chunk report depends on the data, so the
-                    // chunk is re-encrypted (deterministic under the stored,
-                    // seed-verified chunk seed). Comparing the rebuilt frame
-                    // payload's checksum against the stored frame's doubles as
-                    // proof that the source still holds the rows the prefix
-                    // was built from.
-                    let reseeded = scheme.reseeded(record.seed);
-                    let outcome = match &chunk {
-                        TableChunk::Owned(table) => reseeded.encrypt(table)?,
-                        TableChunk::Borrowed(view) => reseeded.encrypt_view(view)?,
-                    };
-                    let mut payload = Writer::raw();
-                    put_chunk_record(&mut payload, record);
-                    payload.put_bytes(&scheme.save_state(&outcome)?);
-                    payload.put_bytes(&encode_table(&outcome.encrypted));
-                    if crc32(&payload.finish()) != stored_crc {
-                        return Err(F2Error::UnsupportedInput(format!(
-                            "chunk {} re-encrypted from the source does not match the stored \
-                             stream — the source changed since the interrupted run",
-                            record.index
-                        )));
-                    }
-                    merge_reports(&mut progress.report, &outcome.report);
-                }
-            }
-            progress.rows = record.rows.end;
-            progress.encrypted_rows = record.output_rows.end;
-            progress.chunks.push(record.clone());
-            current = remaining.next();
-            pulls = retry.begin();
+        for (record, report) in prefix.records.iter().zip(&reports) {
+            progress.push(record.clone(), report);
         }
-        Ok(())
+        return Ok(progress);
     }
+
+    // F²: the plaintext to re-encrypt comes from the source when there is one,
+    // otherwise from decrypting the stored chunk. `Scheme::decrypt` restores
+    // original row order (provenance rows are sorted by source index), so
+    // either way re-encrypting under the chunk's recorded seed must reproduce
+    // the stored bytes exactly.
+    let mut plaintext = match source {
+        Some(source) => Plaintext::Source(source),
+        None => {
+            store.seek(SeekFrom::Start(0)).map_err(IoError::Io)?;
+            let mut frames = FrameReader::new(store)?;
+            // scan_prefix already validated the header frame; skip past it.
+            next_stored_frame(&mut frames, FRAME_HEADER)?;
+            Plaintext::Store(frames)
+        }
+    };
+    for (record, &stored_crc) in prefix.records.iter().zip(&prefix.payload_crcs) {
+        let reencrypted = match &mut plaintext {
+            Plaintext::Source(source) => pull_prefix_chunk(*source, record, covered, retry, |c| {
+                encrypt_chunk(scheme, record.seed, c)
+            })?,
+            Plaintext::Store(frames) => {
+                let frame = next_stored_frame(frames, FRAME_CHUNK)?;
+                let (_, state, encrypted) = decode_chunk(&frame)?;
+                let plain = decrypt_chunk(scheme, state, encrypted)?;
+                scheme.reseeded(record.seed).encrypt(&plain)?
+            }
+        };
+        if crc32(&encode_chunk(scheme, record, &reencrypted)?) != stored_crc {
+            let cause = match plaintext {
+                Plaintext::Source(_) => {
+                    "re-encrypted from the source does not match the stored stream — the \
+                     source changed since the interrupted run"
+                }
+                Plaintext::Store(_) => {
+                    "re-encryption differs from the stored stream — the store was written \
+                     under different key material or scheme parameters than the resuming \
+                     scheme holds"
+                }
+            };
+            return Err(F2Error::UnsupportedInput(format!("chunk {} {cause}", record.index)));
+        }
+        progress.push(record.clone(), &reencrypted.report);
+    }
+    Ok(progress)
 }
 
-fn io_err(error: std::io::Error) -> F2Error {
-    F2Error::from(IoError::Io(error))
+/// Where F²'s replay gets the plaintext of each prefix chunk.
+enum Plaintext<'a, R: Read> {
+    /// The original source, pulled again.
+    Source(&'a mut dyn RowSource),
+    /// The stored chunk frames, decrypted.
+    Store(FrameReader<R>),
 }
 
-fn seek_to<T: Seek + ?Sized>(store: &mut T, offset: u64) -> Result<()> {
-    store.seek(SeekFrom::Start(offset)).map_err(io_err)?;
-    Ok(())
+/// Pull one prefix chunk's rows again and hand them to `use_chunk`: the source
+/// must still hold exactly the rows `record` covers at that position.
+fn pull_prefix_chunk<T>(
+    source: &mut dyn RowSource,
+    record: &ChunkRecord,
+    covered: usize,
+    retry: &RetryPolicy,
+    use_chunk: impl FnOnce(&TableChunk<'_>) -> Result<T>,
+) -> Result<T> {
+    let want = record.rows.len();
+    pull(source, want, retry, |chunk| match chunk {
+        None => Err(F2Error::UnsupportedInput(format!(
+            "source ended at row {} but the stream prefix covers {covered} rows — resume needs \
+             the original source, rewound to its first row",
+            record.rows.start
+        ))),
+        Some(chunk) if chunk.row_count() != want => Err(F2Error::UnsupportedInput(format!(
+            "source produced {} rows where the stream prefix recorded {want} — resume needs the \
+             original source",
+            chunk.row_count()
+        ))),
+        Some(chunk) => use_chunk(&chunk),
+    })
+}
+
+/// The payload of the store's next frame, which the scan saw as `frame_type`.
+fn next_stored_frame<R: Read>(frames: &mut FrameReader<R>, frame_type: u8) -> Result<Vec<u8>> {
+    match frames.next_frame()? {
+        Some(frame) if frame.frame_type == frame_type => Ok(frame.payload),
+        _ => Err(F2Error::UnsupportedInput(
+            "stream changed between prefix scan and replay (a scanned frame vanished)".into(),
+        )),
+    }
 }

@@ -1,21 +1,23 @@
 //! End-to-end streaming encryption: source in, checksummed `F2WS` v2 stream out,
-//! bounded peak memory in between.
+//! bounded peak memory in between — and the one codec of that stream's frames.
 //!
-//! lint: untrusted-input — the stream readers below decode wire-derived frames.
+//! lint: untrusted-input — the frame codec and stream readers below decode
+//! wire-derived frames.
 //! lint: chunk-seed-authority — this module may derive per-chunk seeds via
 //! [`chunk_seed`]; everywhere else must go through the pipeline entry points.
 //!
 //! [`Engine::run_streaming`] is the constant-memory sibling of [`Engine::encrypt`]:
 //! instead of materialising the whole plaintext and the whole ciphertext, it pulls
 //! one chunk at a time from a [`RowSource`], encrypts it with the chunk seed the
-//! in-memory path would use ([`chunk_seed`]), and appends the result to a
-//! [`FrameSink`] before pulling the next chunk — at no point does more than one
-//! chunk of plaintext or ciphertext exist in memory (the **single-in-flight**
-//! guarantee; the source side is equally bounded, see `f2_io::CsvSource`). Because
-//! chunk seeds are a pure function of the engine seed and the chunk index, the
-//! stream's chunks carry **exactly** the ciphertext bytes and owner states of the
-//! in-memory path at any worker count, so the two paths are interchangeable
-//! artifact-for-artifact.
+//! in-memory path would use ([`chunk_seed`]), and appends the result to the stream
+//! before pulling the next chunk — at no point does more than one chunk of
+//! plaintext or ciphertext exist in memory (the **single-in-flight** guarantee; the
+//! source side is equally bounded, see `f2_io::CsvSource`). It is a
+//! [`StreamJob`](crate::StreamJob) — the one writer of v2 streams — driven by a
+//! pull loop. Because chunk seeds are a pure function of the engine seed and the
+//! chunk index, the stream's chunks carry **exactly** the ciphertext bytes and
+//! owner states of the in-memory path at any worker count, so the two paths are
+//! interchangeable artifact-for-artifact.
 //!
 //! The stream layout (each item one checksummed frame, see [`f2_io::frame`]):
 //!
@@ -25,6 +27,10 @@
 //! TRAILER  chunk/row totals + merged encryption report
 //! ```
 //!
+//! Every frame payload is encoded and decoded here and nowhere else: the writer,
+//! the resume scan and replay, the readers, and lossy salvage all go through the
+//! codec functions below.
+//!
 //! Reading back:
 //!
 //! * [`load_streamed_outcome`] — reassemble the whole [`SchemeOutcome`] (table +
@@ -32,21 +38,20 @@
 //! * [`decrypt_streaming`] — decrypt **chunk by chunk**, handing each recovered
 //!   plaintext chunk to a callback: constant-memory decryption for datasets that
 //!   never fit in RAM (per-chunk owner states are chunk-local, so no merged state is
-//!   needed);
-//! * [`read_outcome`] — version-sniffing loader accepting both a v1 single-blob
-//!   [`save_outcome`](crate::save_outcome) file and a v2 stream.
+//!   needed).
 
+use crate::job::StreamProgress;
 use crate::persist::{
     decode_table, encode_table, put_report, put_schema, take_report, take_schema, StatefulScheme,
 };
-use crate::pipeline::{chunk_seed, merge_reports, ChunkRecord, Engine};
+use crate::pipeline::{chunk_seed, ChunkRecord, Engine};
 use crate::wire::{Reader, Writer};
 use f2_core::{ChunkState, ChunkedScheme, EncryptionReport, F2Error, Result, SchemeOutcome};
-use f2_io::frame::{FrameReader, FrameSink};
-use f2_io::{sniff_version, RetryPolicy, RowSource, TableChunk};
-use f2_relation::Table;
+use f2_io::frame::FrameReader;
+use f2_io::RowSource;
+use f2_relation::{Schema, Table};
 use std::io::{Read, Write};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Frame type: the stream header (must be the first frame).
 pub const FRAME_HEADER: u8 = 1;
@@ -55,7 +60,8 @@ pub const FRAME_CHUNK: u8 = 2;
 /// Frame type: the trailer (must be the last frame before the end marker).
 pub const FRAME_TRAILER: u8 = 3;
 
-/// Result of one [`Engine::run_streaming`] run.
+/// Totals of one finished stream ([`Engine::run_streaming`],
+/// [`Engine::resume_streaming`], or [`StreamJob::finish`](crate::StreamJob::finish)).
 #[derive(Debug)]
 pub struct StreamOutcome {
     /// Per-chunk provenance, identical in content to the in-memory path's records
@@ -94,179 +100,10 @@ impl Engine {
         S: ChunkedScheme + StatefulScheme + ?Sized,
         W: Write,
     {
-        let schema = source.schema().clone();
-        if schema.arity() == 0 {
-            return Err(F2Error::UnsupportedInput("source has no attributes".into()));
-        }
-        let chunk_rows = self.config().chunk_rows;
-        let seed = self.config().seed;
-        let retry = self.retry().cloned().unwrap_or_else(RetryPolicy::disabled);
-        // Transient write failures are absorbed *below* the frame layer: a failed
-        // raw `write` is guaranteed to have written nothing, so retrying it is
-        // exact, whereas retrying a whole `write_frame` could duplicate the bytes
-        // a partially-successful `write_all` already pushed out.
-        let mut sink = FrameSink::new(retry.writer(writer)).map_err(F2Error::from)?;
-
-        let mut header = Writer::raw();
-        header.put_str(scheme.name());
-        header.put_u64(seed);
-        header.put_usize(chunk_rows);
-        put_schema(&mut header, &schema);
-        sink.write_frame(FRAME_HEADER, &header.finish()).map_err(F2Error::from)?;
-
-        let mut progress = StreamProgress::start();
-        pump_chunks(scheme, seed, chunk_rows, source, &retry, &mut sink, &mut progress)?;
-        finish_stream(sink, progress).map(|(outcome, _)| outcome)
+        let mut job = self.open_job(scheme, source.schema(), writer)?;
+        job.pump(scheme, source, &self.retry_policy())?;
+        job.finish()
     }
-}
-
-/// Running totals of one streaming run. `run_streaming` starts from zero;
-/// `resume_streaming` seeds it with the recovered prefix before pumping the
-/// remaining chunks through the same code path.
-pub(crate) struct StreamProgress {
-    pub(crate) chunks: Vec<ChunkRecord>,
-    pub(crate) rows: usize,
-    pub(crate) encrypted_rows: usize,
-    pub(crate) report: EncryptionReport,
-}
-
-impl StreamProgress {
-    pub(crate) fn start() -> Self {
-        StreamProgress {
-            chunks: Vec::new(),
-            rows: 0,
-            encrypted_rows: 0,
-            report: EncryptionReport::default(),
-        }
-    }
-}
-
-/// Pull chunks from `source` until it is exhausted, encrypting each and
-/// appending its frame to `sink` — the shared main loop of `run_streaming` and
-/// `resume_streaming`. Pulls run under `retry`: retrying a pull is sound only
-/// because a failed `next_chunk` consumes nothing (see the soundness notes in
-/// `f2_io::retry`). The retry loop is inlined rather than wrapped in
-/// [`RetryPolicy::run`] because the pulled chunk borrows the source, so the
-/// borrow may not escape to a retrying closure's caller.
-pub(crate) fn pump_chunks<S, W>(
-    scheme: &S,
-    seed: u64,
-    chunk_rows: usize,
-    source: &mut dyn RowSource,
-    retry: &RetryPolicy,
-    sink: &mut FrameSink<W>,
-    progress: &mut StreamProgress,
-) -> Result<()>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-    W: Write,
-{
-    let mut pulls = retry.begin();
-    loop {
-        let attempt = {
-            // Span covers source I/O plus chunk assembly (e.g. CSV parsing).
-            let _pull = f2_obs::span!("engine.chunk.pull");
-            source.next_chunk(chunk_rows)
-        };
-        let chunk = match attempt {
-            Ok(None) => return Ok(()),
-            Ok(Some(chunk)) => chunk,
-            Err(error) => {
-                pulls.absorb(error).map_err(F2Error::from)?;
-                continue;
-            }
-        };
-        encode_chunk(scheme, seed, chunk_rows, &chunk, sink, progress)?;
-        // The pull budget is per-chunk, not per-stream: a success resets it.
-        pulls = retry.begin();
-        // `chunk` (the only live copy of the chunk's plaintext) drops here,
-        // before the next chunk is pulled.
-    }
-}
-
-/// Encrypt one pulled chunk and append its frame: the shared per-chunk step of
-/// `run_streaming` and `resume_streaming`.
-pub(crate) fn encode_chunk<S, W>(
-    scheme: &S,
-    seed: u64,
-    chunk_rows: usize,
-    chunk: &TableChunk<'_>,
-    sink: &mut FrameSink<W>,
-    progress: &mut StreamProgress,
-) -> Result<()>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-    W: Write,
-{
-    let chunk_len = chunk.row_count();
-    let index = progress.chunks.len();
-    if chunk_len == 0 || chunk_len > chunk_rows {
-        return Err(F2Error::UnsupportedInput(format!(
-            "source produced a {chunk_len}-row chunk (expected 1..={chunk_rows})"
-        )));
-    }
-    if progress.chunks.last().is_some_and(|prev| prev.rows.len() != chunk_rows) {
-        return Err(F2Error::UnsupportedInput(
-            "source produced a short chunk before the final one \
-             (chunk boundaries would diverge from the in-memory path)"
-                .into(),
-        ));
-    }
-    let chunk_seed_value = chunk_seed(seed, index as u64);
-    let start = Instant::now();
-    // Owned chunks (e.g. freshly parsed CSV rows) go straight through
-    // `encrypt` — materialising a view of an already-owned table would just
-    // clone its rows again; borrowed chunks take the zero-copy view path.
-    // The two are byte-identical by the `encrypt_view` contract (pinned by
-    // `tests/stream_parity.rs`).
-    let reseeded = scheme.reseeded(chunk_seed_value);
-    let outcome = match chunk {
-        TableChunk::Owned(table) => reseeded.encrypt(table)?,
-        TableChunk::Borrowed(view) => reseeded.encrypt_view(view)?,
-    };
-    let wall = start.elapsed();
-    let record = ChunkRecord {
-        index,
-        rows: progress.rows..progress.rows + chunk_len,
-        output_rows: progress.encrypted_rows
-            ..progress.encrypted_rows + outcome.encrypted.row_count(),
-        seed: chunk_seed_value,
-        worker: 0,
-        wall,
-    };
-    let frame_payload = {
-        let _serialize = f2_obs::span!("engine.chunk.serialize");
-        let mut payload = Writer::raw();
-        put_chunk_record(&mut payload, &record);
-        payload.put_bytes(&scheme.save_state(&outcome)?);
-        payload.put_bytes(&encode_table(&outcome.encrypted));
-        payload.finish()
-    };
-    {
-        let _write = f2_obs::span!("engine.chunk.write");
-        sink.write_frame(FRAME_CHUNK, &frame_payload).map_err(F2Error::from)?;
-    }
-    crate::obs::chunk_encrypted(chunk_len, record.output_rows.len(), wall);
-    // Attribute this chunk's volume to the active request trace, if any (the
-    // server runs each request under one); no-ops otherwise.
-    f2_obs::ctx::add_count("rows", chunk_len as u64);
-    f2_obs::ctx::add_count("encrypted_rows", record.output_rows.len() as u64);
-    f2_obs::ctx::add_count("chunk_bytes", frame_payload.len() as u64);
-    f2_obs::trace_event(
-        "engine.chunk",
-        &[
-            ("index", index as u64),
-            ("rows", chunk_len as u64),
-            ("encrypted_rows", record.output_rows.len() as u64),
-            ("stream_bytes", sink.bytes_written()),
-        ],
-    );
-    progress.rows = record.rows.end;
-    progress.encrypted_rows = record.output_rows.end;
-    merge_reports(&mut progress.report, &outcome.report);
-    progress.chunks.push(record);
-    Ok(())
-    // `outcome` (the only live copy of the chunk's ciphertext) drops here.
 }
 
 /// Validate that a stored chunk record carries the seed this engine would have
@@ -282,68 +119,180 @@ pub(crate) fn verify_chunk_seed(engine_seed: u64, index: u64, stored: u64) -> Re
     Ok(())
 }
 
-/// Write the trailer and end frames and close out the stream — the shared
-/// epilogue of `run_streaming` and `resume_streaming`.
-pub(crate) fn finish_stream<W: Write>(
-    mut sink: FrameSink<W>,
-    progress: StreamProgress,
-) -> Result<(StreamOutcome, W)> {
-    let StreamProgress { chunks, rows, encrypted_rows, report } = progress;
-    let mut trailer = Writer::raw();
-    trailer.put_usize(chunks.len());
-    trailer.put_usize(rows);
-    trailer.put_usize(encrypted_rows);
+// ── frame codec ────────────────────────────────────────────────────────────────────
+
+fn malformed(message: &str) -> F2Error {
+    F2Error::UnsupportedInput(format!("malformed F2WS stream: {message}"))
+}
+
+/// The decoded header frame of one stream.
+#[derive(Debug)]
+pub(crate) struct StreamHeader {
+    pub(crate) scheme: String,
+    pub(crate) seed: u64,
+    pub(crate) chunk_rows: usize,
+    pub(crate) schema: Schema,
+}
+
+/// Lay out the header frame's payload.
+pub(crate) fn encode_header(
+    scheme: &str,
+    seed: u64,
+    chunk_rows: usize,
+    schema: &Schema,
+) -> Vec<u8> {
+    let mut w = Writer::raw();
+    w.put_str(scheme);
+    w.put_u64(seed);
+    w.put_usize(chunk_rows);
+    put_schema(&mut w, schema);
+    w.finish()
+}
+
+/// Inverse of [`encode_header`].
+pub(crate) fn decode_header(payload: &[u8]) -> Result<StreamHeader> {
+    let mut r = Reader::raw(payload);
+    let scheme = r.str()?;
+    let seed = r.u64()?;
+    let chunk_rows = r.usize()?;
+    let schema = take_schema(&mut r)?;
+    r.finish()?;
+    Ok(StreamHeader { scheme, seed, chunk_rows, schema })
+}
+
+/// Lay out one chunk frame's payload: the chunk's record, its owner state, and
+/// its encrypted rows.
+pub(crate) fn encode_chunk<S>(
+    scheme: &S,
+    record: &ChunkRecord,
+    outcome: &SchemeOutcome,
+) -> Result<Vec<u8>>
+where
+    S: StatefulScheme + ?Sized,
+{
+    let mut w = Writer::raw();
+    put_chunk_record(&mut w, record);
+    w.put_bytes(&scheme.save_state(outcome)?);
+    w.put_bytes(&encode_table(&outcome.encrypted));
+    Ok(w.finish())
+}
+
+/// Inverse of [`encode_chunk`]: the record, the owner-state blob, and the
+/// encrypted rows, whose count must match the record's output range.
+pub(crate) fn decode_chunk(payload: &[u8]) -> Result<(ChunkRecord, &[u8], Table)> {
+    let mut r = Reader::raw(payload);
+    let record = take_chunk_record(&mut r)?;
+    let state = r.bytes()?;
+    let encrypted = decode_table(r.bytes()?)?;
+    r.finish()?;
+    if encrypted.row_count() != record.output_rows.len() {
+        return Err(malformed("chunk row count disagrees with its record"));
+    }
+    Ok((record, state, encrypted))
+}
+
+/// Decode only a chunk frame's leading record — what the resume scan reads,
+/// leaving the owner state and the table undecoded.
+pub(crate) fn decode_chunk_record(payload: &[u8]) -> Result<ChunkRecord> {
+    take_chunk_record(&mut Reader::raw(payload))
+}
+
+/// Decrypt one decoded chunk with its own (chunk-local) owner state.
+pub(crate) fn decrypt_chunk<S>(scheme: &S, state: &[u8], encrypted: Table) -> Result<Table>
+where
+    S: ChunkedScheme + StatefulScheme + ?Sized,
+{
+    let outcome = SchemeOutcome {
+        encrypted,
+        state: scheme.load_state(state)?,
+        report: EncryptionReport::default(),
+    };
+    scheme.decrypt(&outcome)
+}
+
+/// The decoded trailer frame: the stream's totals and its merged report.
+pub(crate) struct Trailer {
+    pub(crate) chunks: usize,
+    pub(crate) rows: usize,
+    pub(crate) encrypted_rows: usize,
+    pub(crate) report: EncryptionReport,
+}
+
+/// Lay out the trailer frame's payload for a finished stream.
+pub(crate) fn encode_trailer(progress: &StreamProgress) -> Vec<u8> {
+    let mut w = Writer::raw();
+    w.put_usize(progress.chunks.len());
+    w.put_usize(progress.rows);
+    w.put_usize(progress.encrypted_rows);
     // Persist the structural report (row overheads, MAS/EC counts) with the
     // wall-clock step timings zeroed: like `ChunkRecord::wall`, timings vary run
     // to run and would make equal datasets produce byte-different streams.
-    let mut persisted = report.clone();
+    let mut persisted = progress.report.clone();
     persisted.timings = Default::default();
-    put_report(&mut trailer, &persisted);
-    sink.write_frame(FRAME_TRAILER, &trailer.finish()).map_err(F2Error::from)?;
-    let (writer, bytes_written) = sink.finish().map_err(F2Error::from)?;
-    crate::obs::stream_bytes_total().add(bytes_written);
-    Ok((StreamOutcome { chunks, rows, encrypted_rows, bytes_written, report }, writer))
+    put_report(&mut w, &persisted);
+    w.finish()
 }
 
-/// The parsed header frame of one stream.
-#[derive(Debug)]
-struct StreamHeader {
-    seed: u64,
-    schema: f2_relation::Schema,
+/// Inverse of [`encode_trailer`].
+pub(crate) fn decode_trailer(payload: &[u8]) -> Result<Trailer> {
+    let mut r = Reader::raw(payload);
+    let chunks = r.usize()?;
+    let rows = r.usize()?;
+    let encrypted_rows = r.usize()?;
+    let report = take_report(&mut r)?;
+    r.finish()?;
+    Ok(Trailer { chunks, rows, encrypted_rows, report })
 }
+
+// Scheduling diagnostics (`worker`, `wall`) are deliberately NOT part of the wire
+// format: they vary run to run, and persisting them would make two streams of the
+// same dataset byte-different — breaking reproducible artifacts and the frozen v2
+// golden vectors. Loaded records report `worker = 0` and `wall = 0`.
+
+fn put_chunk_record(w: &mut Writer, record: &ChunkRecord) {
+    w.put_usize(record.index);
+    w.put_usize(record.rows.start);
+    w.put_usize(record.rows.end);
+    w.put_usize(record.output_rows.start);
+    w.put_usize(record.output_rows.end);
+    w.put_u64(record.seed);
+}
+
+fn take_chunk_record(r: &mut Reader<'_>) -> Result<ChunkRecord> {
+    let index = r.usize()?;
+    let rows = r.usize()?..r.usize()?;
+    let output_rows = r.usize()?..r.usize()?;
+    let seed = r.u64()?;
+    if rows.start > rows.end || output_rows.start > output_rows.end {
+        return Err(malformed("chunk record has a reversed row range"));
+    }
+    Ok(ChunkRecord { index, rows, output_rows, seed, worker: 0, wall: Duration::ZERO })
+}
+
+// ── readers ────────────────────────────────────────────────────────────────────────
 
 /// Drive a [`FrameReader`] over a stream, dispatching each frame: the header is
 /// validated against `scheme`, every chunk goes to `on_chunk` (in order, with its
-/// decoded record, owner state blob, and encrypted rows), and the trailer's totals
-/// and report come back to the caller. Shared by [`load_streamed_outcome`] and
+/// decoded record, owner state blob, and encrypted rows), and the header and
+/// trailer come back to the caller. Shared by [`load_streamed_outcome`] and
 /// [`decrypt_streaming`] so both enforce the same structure.
 fn walk_stream<R: Read>(
     scheme_name: &str,
     reader: R,
     mut on_chunk: impl FnMut(ChunkRecord, &[u8], Table) -> Result<()>,
-) -> Result<(StreamHeader, usize, usize, usize, EncryptionReport)> {
-    let mut frames = FrameReader::new(reader).map_err(F2Error::from)?;
-    let malformed = |m: &str| F2Error::UnsupportedInput(format!("malformed F2WS stream: {m}"));
-
-    let first = frames
-        .next_frame()
-        .map_err(F2Error::from)?
-        .ok_or_else(|| malformed("empty stream (no header frame)"))?;
+) -> Result<(StreamHeader, Trailer)> {
+    let mut frames = FrameReader::new(reader)?;
+    let first = frames.next_frame()?.ok_or_else(|| malformed("empty stream (no header frame)"))?;
     if first.frame_type != FRAME_HEADER {
         return Err(malformed("stream does not start with a header frame"));
     }
-    let mut r = Reader::raw(&first.payload);
-    let name = r.str().map_err(F2Error::from)?;
-    if name != scheme_name {
+    let header = decode_header(&first.payload)?;
+    if header.scheme != scheme_name {
         return Err(F2Error::UnsupportedInput(format!(
-            "stream was produced by the `{name}` scheme, loader holds `{scheme_name}`"
+            "stream was produced by the `{}` scheme, loader holds `{scheme_name}`",
+            header.scheme
         )));
     }
-    let seed = r.u64().map_err(F2Error::from)?;
-    let _chunk_rows = r.usize().map_err(F2Error::from)?;
-    let schema = take_schema(&mut r)?;
-    r.finish().map_err(F2Error::from)?;
-    let header = StreamHeader { seed, schema };
 
     let mut chunk_count = 0usize;
     // Running end positions: chunk ranges must tile the plaintext and output tables
@@ -354,13 +303,11 @@ fn walk_stream<R: Read>(
     let mut next_output_row = 0usize;
     let trailer = loop {
         let frame = frames
-            .next_frame()
-            .map_err(F2Error::from)?
+            .next_frame()?
             .ok_or_else(|| malformed("stream ended without a trailer frame"))?;
         match frame.frame_type {
             FRAME_CHUNK => {
-                let mut r = Reader::raw(&frame.payload);
-                let record = take_chunk_record(&mut r)?;
+                let (record, state, encrypted) = decode_chunk(&frame.payload)?;
                 if record.index != chunk_count {
                     return Err(malformed(&format!(
                         "chunk {} arrived at position {chunk_count}",
@@ -374,34 +321,25 @@ fn walk_stream<R: Read>(
                         record.index, record.rows, record.output_rows
                     )));
                 }
-                let state_blob = r.bytes().map_err(F2Error::from)?.to_vec();
-                let encrypted = decode_table(r.bytes().map_err(F2Error::from)?)?;
-                r.finish().map_err(F2Error::from)?;
-                if encrypted.row_count() != record.output_rows.len() {
-                    return Err(malformed("chunk row count disagrees with its record"));
-                }
                 next_row = record.rows.end;
                 next_output_row = record.output_rows.end;
-                on_chunk(record, &state_blob, encrypted)?;
+                on_chunk(record, state, encrypted)?;
                 chunk_count += 1;
             }
-            FRAME_TRAILER => break frame,
+            FRAME_TRAILER => break decode_trailer(&frame.payload)?,
             other => return Err(malformed(&format!("unknown frame type {other}"))),
         }
     };
-    let mut r = Reader::raw(&trailer.payload);
-    let chunks = r.usize().map_err(F2Error::from)?;
-    let rows = r.usize().map_err(F2Error::from)?;
-    let encrypted_rows = r.usize().map_err(F2Error::from)?;
-    let report = take_report(&mut r)?;
-    r.finish().map_err(F2Error::from)?;
-    if chunks != chunk_count || rows != next_row || encrypted_rows != next_output_row {
+    if trailer.chunks != chunk_count
+        || trailer.rows != next_row
+        || trailer.encrypted_rows != next_output_row
+    {
         return Err(malformed("trailer totals disagree with the chunk frames"));
     }
-    if frames.next_frame().map_err(F2Error::from)?.is_some() {
+    if frames.next_frame()?.is_some() {
         return Err(malformed("frames after the trailer"));
     }
-    Ok((header, chunks, rows, encrypted_rows, report))
+    Ok((header, trailer))
 }
 
 /// Reassemble a whole [`SchemeOutcome`] (plus the per-chunk provenance) from a v2
@@ -419,39 +357,34 @@ where
     let mut encrypted: Option<Table> = None;
     let mut chunk_states: Vec<ChunkState> = Vec::new();
     let mut records: Vec<ChunkRecord> = Vec::new();
-    let (header, _, rows, encrypted_rows, report) =
-        walk_stream(scheme.name(), reader, |record, state_blob, chunk_table| {
-            chunk_states.push(ChunkState {
-                row_offset: record.rows.start,
-                output_offset: record.output_rows.start,
-                state: scheme.load_state(state_blob)?,
-            });
-            match &mut encrypted {
-                None => encrypted = Some(chunk_table),
-                Some(table) => table.append(chunk_table)?,
-            }
-            records.push(record);
-            Ok(())
-        })?;
+    let (header, trailer) = walk_stream(scheme.name(), reader, |record, state, chunk_table| {
+        chunk_states.push(ChunkState {
+            row_offset: record.rows.start,
+            output_offset: record.output_rows.start,
+            state: scheme.load_state(state)?,
+        });
+        match &mut encrypted {
+            None => encrypted = Some(chunk_table),
+            Some(table) => table.append(chunk_table)?,
+        }
+        records.push(record);
+        Ok(())
+    })?;
     let outcome = match encrypted {
         Some(encrypted) => {
             // walk_stream already forced the chunk ranges to tile gaplessly and the
             // trailer totals to match them.
-            debug_assert_eq!(encrypted.row_count(), encrypted_rows);
+            debug_assert_eq!(encrypted.row_count(), trailer.encrypted_rows);
             let state = scheme.merge_chunk_states(chunk_states)?;
-            SchemeOutcome { encrypted, state, report }
+            SchemeOutcome { encrypted, state, report: trailer.report }
         }
         None => {
-            if rows != 0 {
-                return Err(F2Error::UnsupportedInput(
-                    "malformed F2WS stream: rows recorded but no chunk frames".into(),
-                ));
+            if trailer.rows != 0 {
+                return Err(malformed("rows recorded but no chunk frames"));
             }
             // Empty dataset: reconstruct the same empty outcome the in-memory path
             // produces for an empty table (chunk-0 seed, backend-shaped state).
-            scheme
-                .reseeded(chunk_seed(header.seed, 0))
-                .encrypt(&Table::empty(header.schema.clone()))?
+            scheme.reseeded(chunk_seed(header.seed, 0)).encrypt(&Table::empty(header.schema))?
         }
     };
     Ok((outcome, records))
@@ -471,65 +404,18 @@ where
     R: Read,
 {
     let mut emitted = 0usize;
-    let (_, _, rows, _, _) = walk_stream(scheme.name(), reader, |_, state_blob, chunk_table| {
-        let chunk_outcome = SchemeOutcome {
-            encrypted: chunk_table,
-            state: scheme.load_state(state_blob)?,
-            report: EncryptionReport::default(),
-        };
-        let plain = scheme.decrypt(&chunk_outcome)?;
+    let (_, trailer) = walk_stream(scheme.name(), reader, |_, state, chunk_table| {
+        let plain = decrypt_chunk(scheme, state, chunk_table)?;
         emitted += plain.row_count();
         emit(plain)
     })?;
-    if emitted != rows {
-        return Err(F2Error::UnsupportedInput(format!(
-            "malformed F2WS stream: decrypted {emitted} rows, trailer promises {rows}"
+    if emitted != trailer.rows {
+        return Err(malformed(&format!(
+            "decrypted {emitted} rows, trailer promises {}",
+            trailer.rows
         )));
     }
     Ok(emitted)
-}
-
-/// Load an encrypted outcome from either `F2WS` format: a **v1 single blob**
-/// (written by [`save_outcome`](crate::save_outcome) — the pre-stream format, still
-/// fully supported) or a **v2 frame stream** (written by [`Engine::run_streaming`]).
-pub fn read_outcome<S>(scheme: &S, bytes: &[u8]) -> Result<SchemeOutcome>
-where
-    S: ChunkedScheme + StatefulScheme,
-{
-    match sniff_version(bytes).map_err(F2Error::from)? {
-        1 => crate::persist::load_outcome(scheme, bytes),
-        2 => Ok(load_streamed_outcome(scheme, bytes)?.0),
-        other => Err(F2Error::UnsupportedInput(format!("unknown F2WS version {other}"))),
-    }
-}
-
-// ── ChunkRecord codec ──────────────────────────────────────────────────────────────
-//
-// Scheduling diagnostics (`worker`, `wall`) are deliberately NOT part of the wire
-// format: they vary run to run, and persisting them would make two streams of the
-// same dataset byte-different — breaking reproducible artifacts and the frozen v2
-// golden vectors. Loaded records report `worker = 0` and `wall = 0`.
-
-pub(crate) fn put_chunk_record(w: &mut Writer, record: &ChunkRecord) {
-    w.put_usize(record.index);
-    w.put_usize(record.rows.start);
-    w.put_usize(record.rows.end);
-    w.put_usize(record.output_rows.start);
-    w.put_usize(record.output_rows.end);
-    w.put_u64(record.seed);
-}
-
-pub(crate) fn take_chunk_record(r: &mut Reader<'_>) -> Result<ChunkRecord> {
-    let index = r.usize().map_err(F2Error::from)?;
-    let rows = r.usize().map_err(F2Error::from)?..r.usize().map_err(F2Error::from)?;
-    let output_rows = r.usize().map_err(F2Error::from)?..r.usize().map_err(F2Error::from)?;
-    let seed = r.u64().map_err(F2Error::from)?;
-    if rows.start > rows.end || output_rows.start > output_rows.end {
-        return Err(F2Error::UnsupportedInput(
-            "malformed F2WS stream: chunk record has a reversed row range".into(),
-        ));
-    }
-    Ok(ChunkRecord { index, rows, output_rows, seed, worker: 0, wall: Duration::ZERO })
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! through the wire format into a *fresh* scheme instance (simulating a second
 //! process that only holds the key material).
 
-use f2_core::{ChunkedScheme, DetScheme, PaillierScheme, ProbScheme, F2};
+use f2_core::{ChunkedScheme, DetScheme, PaillierScheme, ProbScheme, SchemeOutcome, F2};
 use f2_crypto::MasterKey;
 use f2_datagen::Dataset;
-use f2_engine::{load_outcome, save_outcome, Engine, EngineConfig, StatefulScheme};
+use f2_engine::{Engine, EngineConfig, StatefulScheme};
 use f2_relation::{table, Table};
 
 /// A backend paired with a factory for a fresh, independently constructed instance
@@ -119,13 +119,17 @@ fn saved_state_decrypts_in_a_fresh_scheme_instance() {
             .expect("valid config")
             .encrypt(scheme, &t)
             .expect("engine encrypt");
-        // `save_outcome` in this process …
+        // `save_state` in this process …
         let stateful = (backend.fresh)();
-        let blob = save_outcome(stateful.as_ref(), &run.outcome).expect("save outcome");
-        // … `load_outcome` + decrypt in a "second process": a scheme instance that
+        let blob = stateful.save_state(&run.outcome).expect("save state");
+        // … `load_state` + decrypt in a "second process": a scheme instance that
         // shares nothing with the encryptor but its construction parameters.
         let second = (backend.fresh)();
-        let restored = load_outcome(second.as_ref(), &blob).expect("load outcome");
+        let restored = SchemeOutcome {
+            encrypted: run.outcome.encrypted,
+            state: second.load_state(&blob).expect("load state"),
+            report: run.outcome.report,
+        };
         let recovered = second.decrypt(&restored).expect("decrypt in fresh instance");
         assert!(recovered.multiset_eq(&t), "{}: persisted state lost rows", second.name());
     }

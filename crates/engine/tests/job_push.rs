@@ -166,8 +166,11 @@ fn a_job_store_written_under_other_keys_is_refused_for_f2() {
 
     let ours =
         F2::builder().alpha(0.5).seed(41).master_key(MasterKey::from_seed(8)).build().unwrap();
-    let cut = frame_boundaries(&full)[3] as usize; // two intact chunk frames
-    let err = engine.resume_job(&ours, t.schema(), Cursor::new(full[..cut].to_vec())).unwrap_err();
+    // Two intact chunk frames and the third torn mid-frame.
+    let boundaries = frame_boundaries(&full);
+    let cut = (boundaries[3] + boundaries[4]) as usize / 2;
+    let mut store = Cursor::new(full[..cut].to_vec());
+    let err = engine.resume_job(&ours, t.schema(), &mut store).unwrap_err();
     let message = err.to_string();
     assert!(
         message.contains("key material")
@@ -175,6 +178,8 @@ fn a_job_store_written_under_other_keys_is_refused_for_f2() {
             || message.contains("state"),
         "expected a key-mismatch error, got: {message}"
     );
+    // A refused resume touches nothing: the torn tail is still there.
+    assert_eq!(store.get_ref(), &full[..cut], "a refused resume modified the store");
 }
 
 #[test]

@@ -7,19 +7,25 @@
 //! run-varying timings, so an interrupted-then-resumed run and a clean run are
 //! indistinguishable on disk.
 //!
+//! The grid runs twice per backend: from the original (seekable) table, and
+//! from a non-seekable source with transient pull faults under a retrying
+//! engine, so the prefix is skipped or replayed by pulling and the retries
+//! fire during replay as well as after it.
+//!
 //! Also pinned here: the guard rails — resuming with the wrong engine
 //! configuration, the wrong scheme, or a source that changed since the
-//! interrupted run must error rather than splice two different runs together.
+//! interrupted run must error rather than splice two different runs together,
+//! and must leave the store as it found it.
 
 use f2_core::{ChunkedScheme, DetScheme, PaillierScheme, ProbScheme, F2};
 use f2_crypto::MasterKey;
 use f2_engine::{Engine, EngineConfig, StatefulScheme};
 use f2_io::{
-    CsvOptions, CsvSource, FaultKind, FaultPlan, FaultyWriter, FrameReader, IoResult, RowSource,
-    SeekableSource, TableChunk, TableSource,
+    CsvOptions, CsvSource, FaultKind, FaultPlan, FaultySource, FaultyWriter, FrameReader, IoResult,
+    RetryPolicy, RowSource, SeekableSource, TableChunk, TableSource,
 };
 use f2_relation::{Schema, Table, Value};
-use std::io::Cursor;
+use std::io::{Cursor, ErrorKind};
 
 /// A [`TableSource`] wrapper that counts pulls and seeks — proof of which
 /// resume path ran.
@@ -98,12 +104,30 @@ fn cut_grid(stream: &[u8]) -> Vec<usize> {
     cuts
 }
 
-/// Resume from every cut of the uninterrupted stream and demand byte identity.
+/// Pull indices at which [`flaky`] sources fail once with a transient error:
+/// one lone fault and a back-to-back pair early on, where resume replays the
+/// prefix, and one later, where it continues past it.
+const FLAKY_PULLS: [u64; 4] = [0, 2, 3, 6];
+
+/// A non-seekable source over `t` whose pulls fail transiently at
+/// [`FLAKY_PULLS`]. `FaultySource` does not forward `as_seekable`, so resume
+/// skips (or, for F², replays) the prefix by pulling it.
+fn flaky(t: &Table) -> FaultySource<TableSource<'_>> {
+    let plan = FLAKY_PULLS.iter().fold(FaultPlan::new(), |plan, &at| {
+        plan.with(at, FaultKind::Transient(ErrorKind::TimedOut))
+    });
+    FaultySource::new(TableSource::new(t), plan)
+}
+
+/// Resume from every cut of the uninterrupted stream and demand byte identity,
+/// once from the seekable table and once from a [`flaky`] non-seekable source
+/// under a retrying engine.
 fn assert_resume_is_byte_exact<S>(label: &str, scheme: &S, t: &Table)
 where
     S: ChunkedScheme + StatefulScheme,
 {
     let engine = engine();
+    let retrying = engine.clone().with_retry(RetryPolicy::no_backoff(4));
     let mut full = Vec::new();
     let clean = engine.run_streaming(scheme, &mut TableSource::new(t), &mut full).unwrap();
     for cut in cut_grid(&full) {
@@ -118,6 +142,17 @@ where
         );
         assert_eq!(outcome.rows, clean.rows, "{label}@{cut}: row total diverged");
         assert_eq!(outcome.chunks.len(), clean.chunks.len(), "{label}@{cut}: chunk count diverged");
+
+        let mut store = Cursor::new(full[..cut].to_vec());
+        let mut source = flaky(t);
+        retrying
+            .resume_streaming(scheme, &mut source, &mut store)
+            .unwrap_or_else(|e| panic!("{label}: flaky resume from cut {cut} failed: {e}"));
+        assert_eq!(store.get_ref(), &full, "{label}: flaky resume from cut {cut} diverged");
+        // Every chunk is pulled exactly once — by the replay or by the
+        // continuation — plus the exhausting pull, and every fault fired once.
+        let pulls = clean.chunks.len() + 1 + FLAKY_PULLS.len();
+        assert_eq!(source.attempts(), pulls as u64, "{label}@{cut}: unexpected pull count");
     }
 }
 
@@ -230,8 +265,9 @@ fn resume_refuses_a_changed_source_for_f2() {
     let mut full = Vec::new();
     engine.run_streaming(&scheme, &mut TableSource::new(&t), &mut full).unwrap();
     let boundaries = frame_boundaries(&full);
-    // Keep two complete chunk frames (preamble, header, chunk 0, chunk 1).
-    let cut = boundaries[3] as usize;
+    // Keep two complete chunk frames (preamble, header, chunk 0, chunk 1) and
+    // tear the third mid-frame.
+    let cut = (boundaries[3] + boundaries[4]) as usize / 2;
 
     let mut changed = t.clone();
     changed.set_cell(2, 0, Value::Int(999_999_999)).unwrap();
@@ -239,6 +275,8 @@ fn resume_refuses_a_changed_source_for_f2() {
     let err =
         engine.resume_streaming(&scheme, &mut TableSource::new(&changed), &mut store).unwrap_err();
     assert!(err.to_string().contains("source changed"), "{err}");
+    // A refused resume touches nothing: the torn tail is still there.
+    assert_eq!(store.get_ref(), &full[..cut], "a refused resume modified the store");
 }
 
 #[test]

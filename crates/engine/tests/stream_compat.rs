@@ -13,7 +13,7 @@
 
 use f2_core::{DetScheme, Scheme};
 use f2_crypto::MasterKey;
-use f2_engine::stream::{decrypt_streaming, load_streamed_outcome, read_outcome};
+use f2_engine::stream::{decrypt_streaming, load_streamed_outcome};
 use f2_engine::{Engine, EngineConfig};
 use f2_io::TableSource;
 use f2_relation::{table, Table};
@@ -70,11 +70,7 @@ fn version_2_stream_stays_decodable() {
     assert_eq!(outcome.encrypted.row_count(), 5);
     assert!(scheme.decrypt(&outcome).expect("decrypts").multiset_eq(&reference_table()));
 
-    // The unified reader dispatches it as a v2 stream …
-    let via_reader = read_outcome(&scheme, &golden).expect("read_outcome accepts v2");
-    assert_eq!(via_reader.encrypted, outcome.encrypted);
-
-    // … and the chunk-wise streaming decryptor recovers the same rows.
+    // The chunk-wise streaming decryptor recovers the same rows.
     let mut rows = 0;
     decrypt_streaming(&scheme, &golden[..], |chunk| {
         rows += chunk.row_count();

@@ -3,15 +3,15 @@
 //! * `run_streaming` produces **artifact-identical** output to the in-memory
 //!   `Engine::encrypt` path — same ciphertext bytes, same serialized owner state —
 //!   for all four backends and across the whole worker grid;
-//! * a version-1 `F2WS` single blob still loads through the unified reader;
+//! * a v2 stream reloads to the in-memory outcome, and junk is rejected;
 //! * a corrupted v2 frame fails with a checksum error, never a panic;
 //! * the streaming path is single-in-flight: it never holds more than one chunk of
 //!   plaintext rows (`chunk_rows`) at a time.
 
 use f2_core::{ChunkedScheme, DetScheme, PaillierScheme, ProbScheme, Scheme, F2};
 use f2_crypto::MasterKey;
-use f2_engine::stream::{decrypt_streaming, load_streamed_outcome, read_outcome};
-use f2_engine::{save_outcome, Engine, EngineConfig, StatefulScheme};
+use f2_engine::stream::{decrypt_streaming, load_streamed_outcome};
+use f2_engine::{Engine, EngineConfig, StatefulScheme};
 use f2_io::{CsvOptions, CsvSource, IoResult, RowSource, TableChunk, TableSource};
 use f2_relation::csv::to_csv_string;
 use f2_relation::{Schema, Table};
@@ -83,28 +83,24 @@ fn csv_source_and_table_source_produce_the_same_stream() {
 }
 
 #[test]
-fn v1_blobs_and_v2_streams_load_through_the_same_reader() {
+fn v2_streams_reload_to_the_in_memory_outcome_and_junk_is_rejected() {
     let t = fixture(11);
     let scheme = F2::builder().alpha(0.5).seed(9).build().unwrap();
     let engine = Engine::new(EngineConfig { workers: 2, chunk_rows: 4, seed: 9 }).unwrap();
     let run = engine.encrypt(&scheme, &t).unwrap();
 
-    // v1: the single-blob format of PR 2.
-    let v1 = save_outcome(&scheme, &run.outcome).unwrap();
-    let from_v1 = read_outcome(&scheme, &v1).unwrap();
-    assert_eq!(from_v1.encrypted, run.outcome.encrypted);
-    assert!(scheme.decrypt(&from_v1).unwrap().multiset_eq(&t));
-
-    // v2: the frame stream.
     let mut v2 = Vec::new();
     engine.run_streaming(&scheme, &mut TableSource::new(&t), &mut v2).unwrap();
-    let from_v2 = read_outcome(&scheme, &v2).unwrap();
+    let (from_v2, _) = load_streamed_outcome(&scheme, &v2[..]).unwrap();
     assert_eq!(from_v2.encrypted, run.outcome.encrypted);
     assert!(scheme.decrypt(&from_v2).unwrap().multiset_eq(&t));
 
-    // Junk is rejected with an error, not a panic.
-    assert!(read_outcome(&scheme, b"not a stream").is_err());
-    assert!(read_outcome(&scheme, &[]).is_err());
+    // Junk — a version-1 blob included, which is not a stream — is rejected
+    // with an error, not a panic.
+    assert!(load_streamed_outcome(&scheme, &b"not a stream"[..]).is_err());
+    assert!(load_streamed_outcome(&scheme, &[][..]).is_err());
+    let v1_state = scheme.save_state(&run.outcome).unwrap();
+    assert!(load_streamed_outcome(&scheme, &v1_state[..]).is_err());
 }
 
 #[test]

@@ -4,11 +4,11 @@
 //! lint: untrusted-input — this module parses attacker-controllable bytes; the
 //! panic-freedom rules (`no-unwrap`, `slice-index`, …) are enforced by `f2-lint`.
 //!
-//! Version 1 of `F2WS` (see [`crate::wire`]) is a *single blob*: the whole encrypted
-//! outcome is serialized in memory and written at once — fine for owner states,
-//! a dead end for datasets larger than RAM. Version 2 keeps the same 7-byte preamble
-//! (`F2WS` magic, little-endian `u16` version, kind tag) so readers can sniff either
-//! format, but the payload is a **sequence of frames**, each independently
+//! Version 1 of `F2WS` (see [`crate::wire`]) is a *single blob* serialized in memory
+//! and written at once — fine for owner states and one chunk's table, a dead end for
+//! datasets larger than RAM. Version 2 is the on-disk format of encrypted datasets:
+//! it keeps the same 7-byte preamble (`F2WS` magic, little-endian `u16` version,
+//! kind tag), but the payload is a **sequence of frames**, each independently
 //! checksummed and sized, so a producer can append frames as chunks finish and a
 //! consumer can process them one at a time in constant memory:
 //!
@@ -41,7 +41,8 @@ use std::sync::OnceLock;
 /// `F2WS` format version of framed streams (version 1 is the single-blob format).
 pub const STREAM_VERSION: u16 = 2;
 
-/// Kind tag of a framed stream (the v1 kind tags 1–4 identify single blobs).
+/// Kind tag of a framed stream (the v1 kind tags 1–4 identify single blobs; 4,
+/// the retired whole-outcome blob, stays reserved).
 pub const KIND_STREAM: u8 = 5;
 
 /// Frame type closing a stream. All other type values are producer-defined.
@@ -234,7 +235,7 @@ impl<W: Write> FrameSink<W> {
     /// complete frame of a stream whose preamble was already written, and the
     /// counters pick up from `bytes_already` / `frames_already`. No preamble is
     /// emitted — this is the append constructor crash-safe resume
-    /// (`f2_engine::Engine::resume_streaming`) builds on, so the resumed stream's
+    /// (`f2_engine::Engine::resume_job`) builds on, so the resumed stream's
     /// byte totals match an uninterrupted run exactly.
     pub fn resume(writer: W, bytes_already: u64, frames_already: u64) -> Self {
         FrameSink { writer, bytes_written: bytes_already, frames: frames_already }
@@ -342,7 +343,7 @@ pub struct FrameReader<R: Read> {
 
 impl<R: Read> FrameReader<R> {
     /// Open a stream: reads and validates the preamble. A v1 single blob fails here
-    /// with [`IoError::UnsupportedVersion`]`(1)` — route those to the v1 loader.
+    /// with [`IoError::UnsupportedVersion`]`(1)`.
     pub fn new(mut reader: R) -> IoResult<Self> {
         let mut preamble = [0u8; 7];
         reader
@@ -545,19 +546,6 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// The `F2WS` version a byte buffer claims, after validating the magic: `1` for
-/// single blobs, `2` for frame streams. This is the dispatch point for readers that
-/// accept both formats.
-pub fn sniff_version(bytes: &[u8]) -> IoResult<u16> {
-    let &[m0, m1, m2, m3, v0, v1, ..] = bytes else {
-        return Err(IoError::Truncated("buffer shorter than the F2WS preamble".into()));
-    };
-    if [m0, m1, m2, m3] != MAGIC {
-        return Err(IoError::BadMagic);
-    }
-    Ok(u16::from_le_bytes([v0, v1]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -667,8 +655,6 @@ mod tests {
             FrameReader::new(&b"F2WS\x01\x00\x04"[..]),
             Err(IoError::UnsupportedVersion(1))
         ));
-        assert_eq!(sniff_version(&clean).unwrap(), 2);
-        assert!(sniff_version(&clean[..3]).is_err());
     }
 
     #[test]

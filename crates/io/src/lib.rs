@@ -45,7 +45,7 @@ pub mod wire;
 
 pub use error::{IoError, IoResult};
 pub use fault::{Fault, FaultKind, FaultPlan, FaultyReader, FaultySource, FaultyWriter};
-pub use frame::{crc32, sniff_version, Frame, FrameReader, FrameSink};
+pub use frame::{crc32, Frame, FrameReader, FrameSink};
 pub use recover::{SkippedRange, StreamStore};
 pub use retry::{RetryPolicy, RetryState, RetryingReader, RetryingWriter};
 pub use source::{CsvOptions, CsvSource, RowSource, SeekableSource, TableChunk, TableSource};

@@ -213,16 +213,24 @@ impl<R: Read> FrameReader<R> {
 // ── StreamStore ────────────────────────────────────────────────────────────────────
 
 /// Random-access storage a frame stream can be repaired *in place* on: read,
-/// write, seek, and truncate. Crash-safe resume
-/// (`f2_engine::Engine::resume_streaming`) scans a store, truncates the trailing
-/// partial frame of an interrupted run, and appends from there. [`std::fs::File`]
-/// is the production implementation; `Cursor<Vec<u8>>` the in-memory one.
+/// write, seek, and truncate. Crash-safe resume (`f2_engine::Engine::resume_job`
+/// and `resume_streaming`) scans a store, verifies its intact prefix, truncates
+/// the trailing partial frame of an interrupted run, and appends from there.
+/// [`std::fs::File`] is the production implementation; `Cursor<Vec<u8>>` the
+/// in-memory one. A `&mut` borrow of a store is a store too, so a caller can
+/// lend one to a job and keep it afterwards.
 pub trait StreamStore: Read + Write + Seek {
     /// Truncate (or zero-extend) the store to exactly `len` bytes.
     fn set_len(&mut self, len: u64) -> std::io::Result<()>;
 }
 
 impl<S: StreamStore + ?Sized> StreamStore for Box<S> {
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        (**self).set_len(len)
+    }
+}
+
+impl<S: StreamStore + ?Sized> StreamStore for &mut S {
     fn set_len(&mut self, len: u64) -> std::io::Result<()> {
         (**self).set_len(len)
     }

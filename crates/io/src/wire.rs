@@ -4,7 +4,7 @@
 //! or adversarial blob; `f2-lint` forbids panics, raw indexing, and truncating
 //! casts here.
 //!
-//! Every persisted artifact (owner states, encrypted tables, whole outcomes) starts
+//! Every persisted blob (owner states, encrypted tables) starts
 //! with the 4-byte magic `F2WS`, a little-endian `u16` format version, and a one-byte
 //! *kind* tag identifying the payload. All integers are little-endian; variable-length
 //! payloads (byte strings, UTF-8 strings) are `u32`-length-prefixed. [`Reader`] checks

@@ -60,9 +60,7 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_never_panic_the_reader(bytes in vec(0u8..=255, 0..512)) {
-        // Byte soup must surface as an `IoError`, never a panic — in the version
-        // sniffer and in the full frame reader alike.
-        let _ = f2_io::sniff_version(&bytes);
+        // Byte soup must surface as an `IoError`, never a panic.
         let _ = read_stream(&bytes);
     }
 

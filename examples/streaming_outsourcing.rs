@@ -1,14 +1,16 @@
-//! Streaming outsourcing: encrypt a large relation through the chunked,
-//! multi-threaded engine, persist the encrypted table *and* the owner state to disk,
-//! then play the data owner's second process — a fresh scheme instance that holds
-//! nothing but its construction parameters loads both artifacts and recovers the
-//! original table exactly.
+//! Streaming outsourcing: encrypt a large relation chunk by chunk into an `F2WS`
+//! v2 stream file — the encrypted table *and* the per-chunk owner states in one
+//! checksummed file — then play the data owner's second process: a fresh scheme
+//! instance that holds nothing but its construction parameters loads the file and
+//! recovers the original table exactly.
 //!
 //! Run with `cargo run --release --example streaming_outsourcing`.
 
 use f2::datagen::Dataset;
-use f2::engine::{load_outcome, save_outcome};
-use f2::{Engine, EngineConfig, Scheme, F2};
+use f2::engine::load_streamed_outcome;
+use f2::{Engine, EngineConfig, Scheme, TableSource, F2};
+use std::fs::File;
+use std::io::{BufReader, BufWriter};
 
 fn main() {
     // ── Process 1: the data owner prepares the outsourcing ─────────────────────────
@@ -27,50 +29,51 @@ fn main() {
         .build()
         .expect("valid parameters");
 
-    // Shard into 512-row chunks and encrypt on 4 workers. Chunk seeds derive from the
-    // engine seed, so the ciphertext is identical whatever the worker count. (F²'s
-    // α-security is then flattened per 512-row chunk, not table-wide — see the
-    // EngineConfig::chunk_rows docs for the trade-off.)
-    let engine = Engine::new(EngineConfig { workers: 4, chunk_rows: 512, seed: 2026 })
+    // Stream 512-row chunks into a file, one chunk in memory at a time. Chunk seeds
+    // derive from the engine seed, so the ciphertext is identical to the in-memory
+    // `Engine::encrypt` at any worker count. (F²'s α-security is then flattened per
+    // 512-row chunk, not table-wide — see the EngineConfig::chunk_rows docs for the
+    // trade-off.)
+    let engine = Engine::new(EngineConfig { workers: 1, chunk_rows: 512, seed: 2026 })
         .expect("valid engine config");
-    let run = engine.encrypt(&scheme, &data).expect("streaming encryption");
+    // Everything the owner needs later goes into one self-describing stream: the
+    // encrypted chunks, each with its owner state, and the encryption report. No key
+    // material is inside — the file can sit on untrusted storage next to the
+    // outsourced table.
+    let path = std::env::temp_dir().join("f2_streaming_outsourcing.f2ws");
+    let file = BufWriter::new(File::create(&path).expect("create stream file"));
+    let run = engine
+        .run_streaming(&scheme, &mut TableSource::new(&data), file)
+        .expect("streaming encryption");
 
     println!(
         "\nEncrypted in {} chunks → {} rows ({} artificial):",
         run.chunks.len(),
-        run.outcome.encrypted.row_count(),
-        run.outcome.report.overhead.added_rows(),
+        run.encrypted_rows,
+        run.report.overhead.added_rows(),
     );
     for record in run.chunks.iter().take(4) {
         println!(
-            "  chunk {:>2}: rows {:>4}..{:<4} → output {:>4}..{:<4}  worker {}  {:?}",
+            "  chunk {:>2}: rows {:>4}..{:<4} → output {:>4}..{:<4}  {:?}",
             record.index,
             record.rows.start,
             record.rows.end,
             record.output_rows.start,
             record.output_rows.end,
-            record.worker,
             record.wall,
         );
     }
     println!("  … ({} chunks total)", run.chunks.len());
-
-    // Persist everything the owner needs later: one self-describing blob holding the
-    // encrypted table, the owner state, and the encryption report. No key material is
-    // inside — the blob can sit on untrusted storage next to the outsourced table.
-    let blob = save_outcome(&scheme, &run.outcome).expect("serialize outcome");
-    let path = std::env::temp_dir().join("f2_streaming_outsourcing.f2ws");
-    std::fs::write(&path, &blob).expect("write blob");
-    println!("\nPersisted outcome: {} bytes → {}", blob.len(), path.display());
-    drop((scheme, run, blob)); // end of "process 1" — nothing in-memory survives
+    println!("\nPersisted stream: {} bytes → {}", run.bytes_written, path.display());
+    drop((scheme, run)); // end of "process 1" — nothing in-memory survives
 
     // ── Process 2: a fresh owner process, later ────────────────────────────────────
     // Rebuild the scheme from the same parameters (in production: read the key file),
-    // load the blob, and decrypt.
+    // load the stream, and decrypt.
     let owner =
         F2::builder().alpha(0.5).split_factor(2).seed(2026).build().expect("valid parameters");
-    let loaded = std::fs::read(&path).expect("read blob");
-    let restored = load_outcome(&owner, &loaded).expect("deserialize outcome");
+    let file = BufReader::new(File::open(&path).expect("open stream file"));
+    let (restored, _chunks) = load_streamed_outcome(&owner, file).expect("load stream");
     let recovered = owner.decrypt(&restored).expect("decrypt with restored state");
 
     assert!(recovered.multiset_eq(&data));

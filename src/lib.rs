@@ -30,8 +30,8 @@
 //!   per-chunk nonce domains, and reassembles a deterministic outcome —
 //!   or streams source → encrypted file end to end in bounded memory
 //!   ([`Engine::run_streaming`], `engine::stream::decrypt_streaming`); the
-//!   [`StatefulScheme`] extension persists owner state over the versioned
-//!   `f2_engine::wire` format so decryption can happen in a later process; crashed
+//!   [`StatefulScheme`] extension persists each chunk's owner state inside the
+//!   `F2WS` v2 stream so decryption can happen in a later process; crashed
 //!   streaming jobs resume byte-exactly ([`Engine::resume_streaming`]), damaged
 //!   streams salvage chunk-wise ([`decrypt_streaming_lossy`] → [`DamageReport`]),
 //!   and worker panics surface as typed [`EngineError::WorkerPanicked`] errors
@@ -96,13 +96,13 @@
 //!
 //! ## Streaming outsourcing
 //!
-//! For large relations, drive any backend through the chunked, multi-threaded
-//! [`Engine`] and persist the owner state to disk (see
+//! For large relations, drive any backend through the chunked [`Engine`] and
+//! stream the encrypted table, with its owner state, to disk (see
 //! `examples/streaming_outsourcing.rs` for the full two-process story):
 //!
 //! ```
-//! use f2::{Engine, EngineConfig, Scheme, StatefulScheme, F2};
-//! use f2::engine::{load_outcome, save_outcome};
+//! use f2::{Engine, EngineConfig, Scheme, TableSource, F2};
+//! use f2::engine::load_streamed_outcome;
 //! use f2::relation::table;
 //!
 //! let data = table! {
@@ -111,10 +111,10 @@
 //!     ["10001", "NewYork"], ["10001", "NewYork"],
 //! };
 //! let scheme = F2::builder().alpha(0.5).seed(42).build().unwrap();
-//! let engine = Engine::new(EngineConfig { workers: 2, chunk_rows: 2, seed: 42 }).unwrap();
-//! let run = engine.encrypt(&scheme, &data).unwrap();
-//! let blob = save_outcome(&scheme, &run.outcome).unwrap(); // → ships to disk/server
-//! let restored = load_outcome(&scheme, &blob).unwrap();    // → later process
+//! let engine = Engine::new(EngineConfig { workers: 1, chunk_rows: 2, seed: 42 }).unwrap();
+//! let mut stream = Vec::new(); // → a file, or the server
+//! engine.run_streaming(&scheme, &mut TableSource::new(&data), &mut stream).unwrap();
+//! let (restored, _chunks) = load_streamed_outcome(&scheme, &stream[..]).unwrap(); // → later process
 //! assert!(scheme.decrypt(&restored).unwrap().multiset_eq(&data));
 //! ```
 

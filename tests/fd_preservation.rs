@@ -13,7 +13,8 @@ use f2_datagen::{CustomerConfig, CustomerGenerator, Dataset};
 /// non-trivial FD with a **non-empty** left-hand side holds in the original table iff
 /// it holds in the encrypted table. Constant attributes (FDs of the form `∅ → A`) are
 /// intentionally *not* preserved — frequency hiding requires splitting a constant's
-/// single value into several ciphertexts (see EXPERIMENTS.md, "Deviations").
+/// single value into several ciphertexts, so the encrypted attribute is no longer
+/// constant.
 fn assert_fds_preserved(plain: &Table, alpha: f64, split: usize, seed: u64) {
     let encryptor = F2Encryptor::new(
         F2Config::new(alpha, split).unwrap().with_seed(seed),
