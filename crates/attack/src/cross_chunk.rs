@@ -166,7 +166,7 @@ impl CrossChunkExperiment {
 mod tests {
     use super::*;
     use crate::FrequencyAttacker;
-    use f2_core::{ChunkState, ChunkedScheme, F2Scheme, F2};
+    use f2_core::{ChunkState, F2Scheme, OwnerState, Scheme, F2};
     use f2_relation::{Record, Schema, Value};
 
     /// A table whose dominant value recurs in every chunk: chunk-local flattening
@@ -217,7 +217,7 @@ mod tests {
             report.get_or_insert(outcome.report);
         }
         let encrypted = encrypted.unwrap();
-        let state = scheme.merge_chunk_states(chunk_states).unwrap();
+        let state = OwnerState::merge(chunk_states).unwrap();
         let outcome = SchemeOutcome { encrypted, state, report: report.unwrap() };
         (outcome, plain_ranges, output_ranges)
     }

@@ -18,7 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use f2_core::{ChunkedScheme, DetScheme, EncryptionReport, PaillierScheme, ProbScheme, Scheme, F2};
+use f2_core::{DetScheme, EncryptionReport, PaillierScheme, ProbScheme, Scheme, F2};
 use f2_crypto::MasterKey;
 use f2_datagen::Dataset;
 use f2_engine::{Engine, EngineConfig};
@@ -188,7 +188,7 @@ pub const ENGINE_WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 /// framing comparison lives in [`backend_registry`] and its per-phase breakdown in
 /// the report's `paillier` section. (It *is* engine-capable: each chunk worker's
 /// `encrypt` call batches the chunk through one blinding pool.)
-pub fn engine_backends(alpha: f64, split: usize, seed: u64) -> Vec<Box<dyn ChunkedScheme>> {
+pub fn engine_backends(alpha: f64, split: usize, seed: u64) -> Vec<Box<dyn Scheme>> {
     let master = MasterKey::from_seed(seed);
     vec![
         Box::new(
@@ -205,7 +205,7 @@ pub fn engine_backends(alpha: f64, split: usize, seed: u64) -> Vec<Box<dyn Chunk
     ]
 }
 
-/// Measurement of one [`Engine`] run over some [`ChunkedScheme`].
+/// Measurement of one [`Engine`] run over some [`Scheme`].
 #[derive(Debug, Clone)]
 pub struct EngineMeasurement {
     /// The backend's [`Scheme::name`].
@@ -235,7 +235,7 @@ impl EngineMeasurement {
 
 /// Run the streaming engine once over `table` and record pipeline-level throughput.
 pub fn measure_engine(
-    scheme: &dyn ChunkedScheme,
+    scheme: &dyn Scheme,
     table: &Table,
     workers: usize,
     chunk_rows: usize,

@@ -14,7 +14,7 @@ pub struct F2Config {
     /// Seed for the encryption RNG (nonce generation, fake-value shuffling). Two runs
     /// with the same seed, key and input produce identical ciphertext tables.
     pub seed: u64,
-    /// Safety refinement (see DESIGN.md §5): never split an equivalence class so far
+    /// Safety refinement: never split an equivalence class so far
     /// that an instance retains fewer than this many *real* rows. The paper's proof of
     /// Theorem 3.7 implicitly relies on split instances still witnessing FD violations
     /// for attributes outside the MAS; keeping ≥ 2 real rows per instance guarantees it.

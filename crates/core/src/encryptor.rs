@@ -96,7 +96,8 @@ impl CtArena {
 pub struct EncryptionOutcome {
     /// The encrypted table to be outsourced to the server.
     pub encrypted: Table,
-    /// Owner-side provenance (never shared with the server).
+    /// Owner-side provenance. It says which rows are real, so it stays with the
+    /// owner: outsource only [`EncryptionOutcome::encrypted`].
     pub provenance: Provenance,
     /// Per-step timings and overhead measurements.
     pub report: EncryptionReport,

@@ -75,8 +75,8 @@ pub use fake::FreshValueGenerator;
 pub use provenance::{Provenance, RowOrigin};
 pub use report::{EncryptionReport, OverheadBreakdown, StepTimings};
 pub use scheme::{
-    CellWiseState, ChunkState, ChunkedScheme, DetScheme, F2Builder, F2OwnerState, F2Scheme,
-    OwnerState, PaillierFraming, PaillierScheme, ProbScheme, Scheme, SchemeOutcome, F2,
+    CellWiseState, ChunkState, DetScheme, F2Builder, F2OwnerState, F2Scheme, OwnerState,
+    PaillierFraming, PaillierScheme, ProbScheme, Scheme, SchemeOutcome, F2,
 };
 
 /// Result alias for F² operations.

@@ -8,10 +8,15 @@
 //! can be written once against `&dyn Scheme` and run unchanged over every backend —
 //! including future ones (sharded, cached, async).
 //!
-//! * [`Scheme`] — `name` / `encrypt` / `decrypt`, plus the ground-truth row mapping
-//!   ([`Scheme::real_rows`]) the α-security experiment needs;
-//! * [`SchemeOutcome`] — what every backend produces: the encrypted table, an opaque
+//! * [`Scheme`] — `name` / `encrypt` / `decrypt`, the ground-truth row mapping
+//!   ([`Scheme::real_rows`]) the α-security experiment needs, and the chunking hooks
+//!   the streaming engine drives ([`Scheme::reseeded`], [`Scheme::encrypt_view`],
+//!   [`Scheme::rederive_chunk_report`]);
+//! * [`SchemeOutcome`] — what every backend produces: the encrypted table, its
 //!   [`OwnerState`], and an [`EncryptionReport`];
+//! * [`OwnerState`] — the two owner-state shapes the backends keep (F²'s provenance
+//!   and MAS sets, a cell-wise baseline's schema); per-chunk states fold together
+//!   through [`OwnerState::merge`];
 //! * [`F2Scheme`] (built fluently via [`F2::builder`]), [`DetScheme`], [`ProbScheme`],
 //!   [`PaillierScheme`] — the four backends of the paper.
 //!
@@ -43,17 +48,26 @@ use f2_crypto::{
 use f2_relation::{AttrSet, Record, Schema, Table, TableView, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::any::Any;
-use std::fmt;
 use std::time::Instant;
 
 /// A pluggable encryption backend: anything that can outsource a table and take it
-/// back.
+/// back, whole or chunk by chunk.
 ///
 /// Implementations must satisfy the round-trip law: for every supported table `t`,
 /// `decrypt(&encrypt(&t)?)?` is multiset-equal to `t`. (Multiset rather than sequence
 /// equality because F² reorders and augments rows; cell-wise backends preserve order.)
-pub trait Scheme {
+///
+/// The streaming engine (`f2_engine`) shards a table into row-range chunks and
+/// encrypts them concurrently. Two chunks with identical rows would otherwise feed
+/// identical RNG streams to the probabilistic ciphers (the per-table fingerprint
+/// defense can't tell them apart), so every chunk is encrypted by a
+/// [`Scheme::reseeded`] clone whose seed is derived from the engine seed and the chunk
+/// index — disjoint nonce domains by construction. After the workers finish, the
+/// per-chunk owner states are folded back into one table-level state by
+/// [`OwnerState::merge`], so the merged outcome decrypts through the ordinary
+/// [`Scheme::decrypt`] of the *original* scheme (decryption never depends on
+/// encryption-time seeds).
+pub trait Scheme: Send + Sync {
     /// Short stable identifier used in reports and benchmark labels.
     fn name(&self) -> &str;
 
@@ -72,38 +86,12 @@ pub trait Scheme {
     fn real_rows(&self, outcome: &SchemeOutcome) -> Result<Vec<(usize, usize)>> {
         Ok((0..outcome.encrypted.row_count()).map(|r| (r, r)).collect())
     }
-}
 
-/// One encrypted chunk's owner state, positioned inside the merged table, as handed to
-/// [`ChunkedScheme::merge_chunk_states`].
-#[derive(Debug)]
-pub struct ChunkState {
-    /// Index (in the *original* table) of the chunk's first row.
-    pub row_offset: usize,
-    /// Index (in the *merged encrypted* table) of the chunk's first output row.
-    pub output_offset: usize,
-    /// The chunk's own owner state, exactly as its `encrypt` call produced it.
-    pub state: OwnerState,
-}
-
-/// Extension of [`Scheme`] required by the streaming engine (`f2_engine`): the backend
-/// must support per-chunk randomness re-derivation and owner-state merging.
-///
-/// The engine shards a table into row-range chunks and encrypts them concurrently.
-/// Two chunks with identical rows would otherwise feed identical RNG streams to the
-/// probabilistic ciphers (the per-table fingerprint defense can't tell them apart), so
-/// every chunk is encrypted by a [`ChunkedScheme::reseeded`] clone whose seed is
-/// derived from the engine seed and the chunk index — disjoint nonce domains by
-/// construction. After the workers finish, the per-chunk owner states are folded back
-/// into one table-level state by [`ChunkedScheme::merge_chunk_states`], so the merged
-/// outcome decrypts through the ordinary [`Scheme::decrypt`] of the *original* scheme
-/// (decryption never depends on encryption-time seeds).
-pub trait ChunkedScheme: Scheme + Send + Sync {
     /// A scheme identical to this one except that its encryption-time randomness is
     /// derived from `seed`. Deterministic backends (no encryption-time randomness)
     /// return an unchanged clone. Key material is shared, never re-derived: a reseeded
     /// scheme's output stays decryptable by the original.
-    fn reseeded(&self, seed: u64) -> Box<dyn ChunkedScheme>;
+    fn reseeded(&self, seed: u64) -> Box<dyn Scheme>;
 
     /// Encrypt one **borrowed chunk** of a larger table — the zero-copy entry point
     /// the engine drives. Must produce exactly the bytes `Scheme::encrypt` would
@@ -118,10 +106,6 @@ pub trait ChunkedScheme: Scheme + Send + Sync {
     fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
         self.encrypt(&view.to_table())
     }
-
-    /// Fold per-chunk owner states (in chunk order) into the owner state of the
-    /// concatenated table. Errors if any state was not produced by this backend.
-    fn merge_chunk_states(&self, chunks: Vec<ChunkState>) -> Result<OwnerState>;
 
     /// Reconstruct the **persisted** (timing-free) [`EncryptionReport`] contribution
     /// of an already-encrypted chunk of `rows` input rows, without re-encrypting it —
@@ -140,6 +124,18 @@ pub trait ChunkedScheme: Scheme + Send + Sync {
     }
 }
 
+/// One encrypted chunk's owner state, positioned inside the merged table, as handed to
+/// [`OwnerState::merge`].
+#[derive(Debug)]
+pub struct ChunkState {
+    /// Index (in the *original* table) of the chunk's first row.
+    pub row_offset: usize,
+    /// Index (in the *merged encrypted* table) of the chunk's first output row.
+    pub output_offset: usize,
+    /// The chunk's own owner state, exactly as its `encrypt` call produced it.
+    pub state: OwnerState,
+}
+
 /// The persisted report shape shared by every cell-wise baseline: the whole chunk is
 /// original rows, no artificial rows, no planning statistics (timings are zeroed on
 /// the wire anyway).
@@ -148,28 +144,6 @@ fn cell_wise_chunk_report(rows: usize) -> EncryptionReport {
         overhead: OverheadBreakdown { original_rows: rows, ..OverheadBreakdown::default() },
         ..EncryptionReport::default()
     }
-}
-
-/// Merge chunk states for cell-wise backends: each chunk only carries the plaintext
-/// schema, so merging checks that all chunks agree and returns the shared schema.
-fn merge_cell_wise_states(scheme: &str, chunks: Vec<ChunkState>) -> Result<OwnerState> {
-    let mut schema: Option<Schema> = None;
-    for chunk in chunks {
-        let state: &CellWiseState =
-            chunk.state.downcast_ref().ok_or_else(|| wrong_state(scheme))?;
-        match &schema {
-            None => schema = Some(state.plaintext_schema.clone()),
-            Some(s) if *s == state.plaintext_schema => {}
-            Some(_) => {
-                return Err(F2Error::UnsupportedInput(
-                    "chunk owner states disagree on the plaintext schema".into(),
-                ))
-            }
-        }
-    }
-    let schema =
-        schema.ok_or_else(|| F2Error::UnsupportedInput("cannot merge zero chunk states".into()))?;
-    Ok(OwnerState::new(CellWiseState { plaintext_schema: schema }))
 }
 
 /// Deterministic fingerprint of a relation's schema and contents.
@@ -202,13 +176,14 @@ fn table_fingerprint(schema: &Schema, rows: &[Record]) -> u64 {
 /// Result of encrypting one table with any [`Scheme`].
 ///
 /// Generalizes [`EncryptionOutcome`]: the parts every backend shares are first-class
-/// fields, while backend-specific secrets (provenance, MAS sets, …) live behind the
-/// opaque [`OwnerState`].
+/// fields, while backend-specific secrets (provenance, MAS sets, …) live in the
+/// [`OwnerState`].
 #[derive(Debug)]
 pub struct SchemeOutcome {
     /// The encrypted table to be outsourced to the server.
     pub encrypted: Table,
-    /// Opaque owner-side state needed for decryption (never shared with the server).
+    /// Owner-side state needed for decryption. It says which rows are real, so it
+    /// stays with the owner: outsource only [`SchemeOutcome::encrypted`].
     pub state: OwnerState,
     /// Per-step timings and overhead measurements.
     pub report: EncryptionReport,
@@ -217,31 +192,65 @@ pub struct SchemeOutcome {
 impl SchemeOutcome {
     /// The F²-specific owner state, if this outcome was produced by [`F2Scheme`].
     pub fn f2_state(&self) -> Option<&F2OwnerState> {
-        self.state.downcast_ref()
+        match &self.state {
+            OwnerState::F2(state) => Some(state),
+            OwnerState::CellWise(_) => None,
+        }
     }
 }
 
-/// Type-erased owner-side state of a [`SchemeOutcome`].
-///
-/// Each backend stores whatever it needs to invert its encryption; third-party
-/// backends can stash their own types here without touching this crate.
-pub struct OwnerState(Box<dyn Any + Send + Sync>);
+/// Owner-side state of a [`SchemeOutcome`]: what its backend needs, besides the key,
+/// to invert the encryption. The two variants are the only state shapes the backends
+/// keep; `f2_engine::persist` holds their wire codec.
+#[derive(Debug)]
+pub enum OwnerState {
+    /// An [`F2Scheme`] outcome's provenance, MAS sets, and plaintext schema.
+    F2(F2OwnerState),
+    /// A cell-wise baseline's plaintext schema.
+    CellWise(CellWiseState),
+}
 
 impl OwnerState {
-    /// Wrap a backend-specific state value.
-    pub fn new<T: Any + Send + Sync>(state: T) -> Self {
-        OwnerState(Box::new(state))
+    /// Fold per-chunk owner states (in chunk order) into the owner state of the
+    /// concatenated table. Errors on zero chunks, on chunks that disagree on the
+    /// plaintext schema, and on chunks of different backends.
+    pub fn merge(chunks: Vec<ChunkState>) -> Result<OwnerState> {
+        let mut merged = match chunks.first().map(|chunk| &chunk.state) {
+            None => return Err(F2Error::UnsupportedInput("cannot merge zero chunk states".into())),
+            Some(OwnerState::F2(state)) => OwnerState::F2(F2OwnerState {
+                provenance: crate::Provenance::default(),
+                mas_sets: Vec::new(),
+                plaintext_schema: state.plaintext_schema.clone(),
+            }),
+            Some(OwnerState::CellWise(state)) => OwnerState::CellWise(state.clone()),
+        };
+        for chunk in &chunks {
+            if chunk.state.plaintext_schema() != merged.plaintext_schema() {
+                return Err(F2Error::UnsupportedInput(
+                    "chunk owner states disagree on the plaintext schema".into(),
+                ));
+            }
+            match (&mut merged, &chunk.state) {
+                (OwnerState::F2(merged), OwnerState::F2(state)) => {
+                    merged.append_chunk(state, chunk.row_offset, chunk.output_offset)
+                }
+                // A cell-wise state is just the schema, already checked above.
+                (OwnerState::CellWise(_), OwnerState::CellWise(_)) => {}
+                _ => {
+                    return Err(F2Error::UnsupportedInput(
+                        "chunk owner states come from different backends".into(),
+                    ))
+                }
+            }
+        }
+        Ok(merged)
     }
 
-    /// Borrow the state as `T`, if that is what this outcome carries.
-    pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
-        self.0.downcast_ref()
-    }
-}
-
-impl fmt::Debug for OwnerState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("OwnerState(<opaque>)")
+    fn plaintext_schema(&self) -> &Schema {
+        match self {
+            OwnerState::F2(state) => &state.plaintext_schema,
+            OwnerState::CellWise(state) => &state.plaintext_schema,
+        }
     }
 }
 
@@ -256,12 +265,51 @@ pub struct F2OwnerState {
     pub plaintext_schema: Schema,
 }
 
+impl F2OwnerState {
+    /// Append one chunk's state, whose first row sits at `row_offset` of the
+    /// plaintext and `output_offset` of the merged encrypted table.
+    fn append_chunk(&mut self, state: &F2OwnerState, row_offset: usize, output_offset: usize) {
+        // MAS sets are discovered per chunk; the merged list concatenates them so
+        // that each chunk's `mas_index` values stay resolvable after offsetting.
+        let mas_offset = self.mas_sets.len();
+        self.mas_sets.extend_from_slice(&state.mas_sets);
+        // Row indices are chunk-local on both sides: original-row indices shift by
+        // the chunk's position in the plaintext, output-row indices by the number
+        // of encrypted rows emitted by earlier chunks.
+        for origin in &state.provenance.origins {
+            self.provenance.origins.push(match *origin {
+                crate::RowOrigin::Real { original_row } => {
+                    crate::RowOrigin::Real { original_row: original_row + row_offset }
+                }
+                crate::RowOrigin::ScaleCopy { mas_index } => {
+                    crate::RowOrigin::ScaleCopy { mas_index: mas_index + mas_offset }
+                }
+                crate::RowOrigin::GroupFake { mas_index } => {
+                    crate::RowOrigin::GroupFake { mas_index: mas_index + mas_offset }
+                }
+                crate::RowOrigin::ConflictCompanion { original_row } => {
+                    crate::RowOrigin::ConflictCompanion { original_row: original_row + row_offset }
+                }
+                crate::RowOrigin::FalsePositive { mas_index } => {
+                    crate::RowOrigin::FalsePositive { mas_index: mas_index + mas_offset }
+                }
+            });
+        }
+        for (original_row, patches) in &state.provenance.patches {
+            self.provenance.patches.insert(
+                original_row + row_offset,
+                patches.iter().map(|&(attr, out_row)| (attr, out_row + output_offset)).collect(),
+            );
+        }
+    }
+}
+
 impl From<EncryptionOutcome> for SchemeOutcome {
     fn from(outcome: EncryptionOutcome) -> Self {
         SchemeOutcome {
             encrypted: outcome.encrypted,
             report: outcome.report,
-            state: OwnerState::new(F2OwnerState {
+            state: OwnerState::F2(F2OwnerState {
                 provenance: outcome.provenance,
                 mas_sets: outcome.mas_sets,
                 plaintext_schema: outcome.plaintext_schema,
@@ -315,7 +363,7 @@ fn encrypt_cell_wise(
     };
     Ok(SchemeOutcome {
         encrypted,
-        state: OwnerState::new(CellWiseState { plaintext_schema: schema.clone() }),
+        state: OwnerState::CellWise(CellWiseState { plaintext_schema: schema.clone() }),
         report,
     })
 }
@@ -326,7 +374,7 @@ fn decrypt_cell_wise(
     outcome: &SchemeOutcome,
     mut decrypt_cell: impl FnMut(usize, &Value) -> Result<Value>,
 ) -> Result<Table> {
-    let state: &CellWiseState = outcome.state.downcast_ref().ok_or_else(|| wrong_state(scheme))?;
+    let OwnerState::CellWise(state) = &outcome.state else { return Err(wrong_state(scheme)) };
     if state.plaintext_schema.arity() != outcome.encrypted.arity() {
         return Err(F2Error::UnsupportedInput(
             "owner-state schema arity differs from the encrypted table".into(),
@@ -455,7 +503,7 @@ impl F2Scheme {
 
     /// Run the underlying encryptor, keeping the concrete [`EncryptionOutcome`]
     /// (useful when the caller needs direct access to provenance and MAS sets without
-    /// downcasting).
+    /// matching on the [`OwnerState`]).
     pub fn encrypt_concrete(&self, table: &Table) -> Result<EncryptionOutcome> {
         self.encryptor.encrypt(table)
     }
@@ -465,76 +513,6 @@ impl F2Scheme {
     /// re-derive from `seed`.
     pub fn with_seed(&self, seed: u64) -> Self {
         F2Scheme::new(self.config().with_seed(seed), self.encryptor.master().clone())
-    }
-}
-
-impl ChunkedScheme for F2Scheme {
-    fn reseeded(&self, seed: u64) -> Box<dyn ChunkedScheme> {
-        Box::new(self.with_seed(seed))
-    }
-
-    fn merge_chunk_states(&self, chunks: Vec<ChunkState>) -> Result<OwnerState> {
-        if chunks.is_empty() {
-            return Err(F2Error::UnsupportedInput("cannot merge zero chunk states".into()));
-        }
-        let mut provenance = crate::Provenance::default();
-        let mut mas_sets: Vec<AttrSet> = Vec::new();
-        let mut schema: Option<Schema> = None;
-        for chunk in &chunks {
-            let state: &F2OwnerState =
-                chunk.state.downcast_ref().ok_or_else(|| wrong_state(self.name()))?;
-            match &schema {
-                None => schema = Some(state.plaintext_schema.clone()),
-                Some(s) if *s == state.plaintext_schema => {}
-                Some(_) => {
-                    return Err(F2Error::UnsupportedInput(
-                        "chunk owner states disagree on the plaintext schema".into(),
-                    ))
-                }
-            }
-            // MAS sets are discovered per chunk; the merged list concatenates them so
-            // that each chunk's `mas_index` values stay resolvable after offsetting.
-            let mas_offset = mas_sets.len();
-            mas_sets.extend_from_slice(&state.mas_sets);
-            // Row indices are chunk-local on both sides: original-row indices shift by
-            // the chunk's position in the plaintext, output-row indices by the number
-            // of encrypted rows emitted by earlier chunks.
-            for origin in &state.provenance.origins {
-                provenance.origins.push(match *origin {
-                    crate::RowOrigin::Real { original_row } => {
-                        crate::RowOrigin::Real { original_row: original_row + chunk.row_offset }
-                    }
-                    crate::RowOrigin::ScaleCopy { mas_index } => {
-                        crate::RowOrigin::ScaleCopy { mas_index: mas_index + mas_offset }
-                    }
-                    crate::RowOrigin::GroupFake { mas_index } => {
-                        crate::RowOrigin::GroupFake { mas_index: mas_index + mas_offset }
-                    }
-                    crate::RowOrigin::ConflictCompanion { original_row } => {
-                        crate::RowOrigin::ConflictCompanion {
-                            original_row: original_row + chunk.row_offset,
-                        }
-                    }
-                    crate::RowOrigin::FalsePositive { mas_index } => {
-                        crate::RowOrigin::FalsePositive { mas_index: mas_index + mas_offset }
-                    }
-                });
-            }
-            for (original_row, patches) in &state.provenance.patches {
-                provenance.patches.insert(
-                    original_row + chunk.row_offset,
-                    patches
-                        .iter()
-                        .map(|&(attr, out_row)| (attr, out_row + chunk.output_offset))
-                        .collect(),
-                );
-            }
-        }
-        Ok(OwnerState::new(F2OwnerState {
-            provenance,
-            mas_sets,
-            plaintext_schema: schema.expect("at least one chunk"),
-        }))
     }
 }
 
@@ -559,6 +537,10 @@ impl Scheme for F2Scheme {
     fn real_rows(&self, outcome: &SchemeOutcome) -> Result<Vec<(usize, usize)>> {
         let state = outcome.f2_state().ok_or_else(|| wrong_state(self.name()))?;
         Ok(state.provenance.real_rows())
+    }
+
+    fn reseeded(&self, seed: u64) -> Box<dyn Scheme> {
+        Box::new(self.with_seed(seed))
     }
 }
 
@@ -603,12 +585,10 @@ impl Scheme for DetScheme {
         let ciphers = self.ciphers(outcome.encrypted.arity());
         decrypt_cell_wise(self.name(), outcome, |attr, cell| Ok(ciphers[attr].decrypt_value(cell)?))
     }
-}
 
-impl ChunkedScheme for DetScheme {
     // lint: allow(reseed-uses-seed) — deterministic encryption draws no
     // encryption-time randomness, so there is nothing to reseed
-    fn reseeded(&self, _seed: u64) -> Box<dyn ChunkedScheme> {
+    fn reseeded(&self, _seed: u64) -> Box<dyn Scheme> {
         Box::new(self.clone())
     }
 
@@ -616,10 +596,6 @@ impl ChunkedScheme for DetScheme {
         // Zero-copy: encrypt straight off the borrowed rows.
         let ciphers = self.ciphers(view.arity());
         encrypt_cell_wise(view.schema(), view.rows(), |attr, v| Ok(ciphers[attr].encrypt_value(v)))
-    }
-
-    fn merge_chunk_states(&self, chunks: Vec<ChunkState>) -> Result<OwnerState> {
-        merge_cell_wise_states(self.name(), chunks)
     }
 
     fn rederive_chunk_report(&self, rows: usize) -> Option<EncryptionReport> {
@@ -689,10 +665,8 @@ impl Scheme for ProbScheme {
         let ciphers = self.ciphers(outcome.encrypted.arity());
         decrypt_cell_wise(self.name(), outcome, |attr, cell| Ok(ciphers[attr].decrypt_cell(cell)?))
     }
-}
 
-impl ChunkedScheme for ProbScheme {
-    fn reseeded(&self, seed: u64) -> Box<dyn ChunkedScheme> {
+    fn reseeded(&self, seed: u64) -> Box<dyn Scheme> {
         Box::new(self.with_seed(seed))
     }
 
@@ -700,10 +674,6 @@ impl ChunkedScheme for ProbScheme {
         // Zero-copy: the fingerprint and the cell loop both run off the borrowed
         // rows, so the output is byte-identical to encrypting a materialised copy.
         self.encrypt_rows(view.schema(), view.rows())
-    }
-
-    fn merge_chunk_states(&self, chunks: Vec<ChunkState>) -> Result<OwnerState> {
-        merge_cell_wise_states(self.name(), chunks)
     }
 
     fn rederive_chunk_report(&self, rows: usize) -> Option<EncryptionReport> {
@@ -895,7 +865,7 @@ impl PaillierScheme {
         };
         SchemeOutcome {
             encrypted,
-            state: OwnerState::new(CellWiseState { plaintext_schema: schema.clone() }),
+            state: OwnerState::CellWise(CellWiseState { plaintext_schema: schema.clone() }),
             report,
         }
     }
@@ -1017,8 +987,9 @@ impl PaillierScheme {
 
     /// Inverse of [`PaillierScheme::encrypt_packed`].
     fn decrypt_packed(&self, outcome: &SchemeOutcome) -> Result<Table> {
-        let state: &CellWiseState =
-            outcome.state.downcast_ref().ok_or_else(|| wrong_state(self.name()))?;
+        let OwnerState::CellWise(state) = &outcome.state else {
+            return Err(wrong_state(self.name()));
+        };
         let arity = outcome.encrypted.arity();
         if state.plaintext_schema.arity() != arity {
             return Err(F2Error::UnsupportedInput(
@@ -1076,10 +1047,8 @@ impl Scheme for PaillierScheme {
             PaillierFraming::PackedRows => self.decrypt_packed(outcome),
         }
     }
-}
 
-impl ChunkedScheme for PaillierScheme {
-    fn reseeded(&self, seed: u64) -> Box<dyn ChunkedScheme> {
+    fn reseeded(&self, seed: u64) -> Box<dyn Scheme> {
         Box::new(self.with_seed(seed))
     }
 
@@ -1089,10 +1058,6 @@ impl ChunkedScheme for PaillierScheme {
             PaillierFraming::PerCell => self.encrypt_per_cell(view.schema(), view.rows()),
             PaillierFraming::PackedRows => self.encrypt_packed(view.schema(), view.rows()),
         }
-    }
-
-    fn merge_chunk_states(&self, chunks: Vec<ChunkState>) -> Result<OwnerState> {
-        merge_cell_wise_states(self.name(), chunks)
     }
 
     fn rederive_chunk_report(&self, rows: usize) -> Option<EncryptionReport> {
@@ -1240,7 +1205,7 @@ mod tests {
     fn reseeding_keeps_outcomes_decryptable_by_the_original_scheme() {
         let t = fixture();
         let master = MasterKey::from_seed(12);
-        let schemes: Vec<Box<dyn ChunkedScheme>> = vec![
+        let schemes: Vec<Box<dyn Scheme>> = vec![
             Box::new(F2::builder().alpha(0.5).seed(12).master_key(master.clone()).build().unwrap()),
             Box::new(DetScheme::new(master.clone())),
             Box::new(ProbScheme::new(master, 12)),
@@ -1279,7 +1244,7 @@ mod tests {
     fn encrypt_view_is_byte_identical_to_encrypting_the_materialised_chunk() {
         let t = fixture();
         let master = MasterKey::from_seed(21);
-        let schemes: Vec<Box<dyn ChunkedScheme>> = vec![
+        let schemes: Vec<Box<dyn Scheme>> = vec![
             Box::new(F2::builder().alpha(0.5).seed(21).master_key(master.clone()).build().unwrap()),
             Box::new(DetScheme::new(master.clone())),
             Box::new(ProbScheme::new(master, 21)),
@@ -1309,29 +1274,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_chunk_states_validates_inputs() {
+    fn owner_state_merge_validates_inputs() {
         let t = fixture();
         let f2 = F2::builder().seed(3).build().unwrap();
         let det = DetScheme::new(MasterKey::from_seed(3));
-        assert!(f2.merge_chunk_states(vec![]).is_err());
-        assert!(det.merge_chunk_states(vec![]).is_err());
-        // Foreign states are rejected, not misinterpreted.
-        let det_state = det.encrypt(&t).unwrap().state;
-        assert!(f2
-            .merge_chunk_states(vec![ChunkState {
-                row_offset: 0,
-                output_offset: 0,
-                state: det_state
-            }])
-            .is_err());
-        let f2_state = f2.encrypt(&t).unwrap().state;
-        assert!(det
-            .merge_chunk_states(vec![ChunkState {
-                row_offset: 0,
-                output_offset: 0,
-                state: f2_state
-            }])
-            .is_err());
+        assert!(OwnerState::merge(vec![]).is_err());
+        // States of different backends are rejected, not misinterpreted.
+        let chunk = |state| ChunkState { row_offset: 0, output_offset: 0, state };
+        let mixed =
+            vec![chunk(f2.encrypt(&t).unwrap().state), chunk(det.encrypt(&t).unwrap().state)];
+        assert!(OwnerState::merge(mixed).is_err());
+        let mixed =
+            vec![chunk(det.encrypt(&t).unwrap().state), chunk(f2.encrypt(&t).unwrap().state)];
+        assert!(OwnerState::merge(mixed).is_err());
     }
 
     #[test]
@@ -1342,17 +1297,12 @@ mod tests {
         let chunk_b = scheme.reseeded(2).encrypt(&t).unwrap();
         let a_rows = chunk_a.encrypted.row_count();
         let a_mas = chunk_a.f2_state().unwrap().mas_sets.len();
-        let merged = scheme
-            .merge_chunk_states(vec![
-                ChunkState { row_offset: 0, output_offset: 0, state: chunk_a.state },
-                ChunkState {
-                    row_offset: t.row_count(),
-                    output_offset: a_rows,
-                    state: chunk_b.state,
-                },
-            ])
-            .unwrap();
-        let state: &F2OwnerState = merged.downcast_ref().unwrap();
+        let merged = OwnerState::merge(vec![
+            ChunkState { row_offset: 0, output_offset: 0, state: chunk_a.state },
+            ChunkState { row_offset: t.row_count(), output_offset: a_rows, state: chunk_b.state },
+        ])
+        .unwrap();
+        let OwnerState::F2(state) = merged else { panic!("an F² owner state") };
         assert_eq!(state.mas_sets.len(), 2 * a_mas);
         let real = crate::Provenance {
             origins: state.provenance.origins.clone(),

@@ -8,7 +8,7 @@
 //! we evaluate the cost of every candidate `j` directly, which is O(k²) for a group of
 //! `k` classes and subsumes both cases.
 //!
-//! One refinement over the paper (documented in DESIGN.md): the effective per-class
+//! One refinement over the paper: the effective per-class
 //! split factor is capped so that every instance of a class of size ≥ 2 keeps at least
 //! `min_real_rows` original rows. This preserves the witnesses of FD violations for
 //! attributes outside the MAS, which the paper's Theorem 3.7 argument needs.

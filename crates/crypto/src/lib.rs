@@ -1,7 +1,7 @@
 //! # f2-crypto — cryptographic substrate for the F² encryption scheme
 //!
 //! The paper relies on three cryptographic building blocks, all implemented here from
-//! scratch (the offline crate set contains no cryptography crates — see DESIGN.md):
+//! scratch (the offline crate set contains no cryptography crates):
 //!
 //! * **AES-128** ([`aes`]) — the block cipher underlying both the deterministic
 //!   baseline ("the AES baseline approach uses the well-known AES algorithm for the

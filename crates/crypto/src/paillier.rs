@@ -21,7 +21,7 @@
 //!
 //! The default modulus size is 512 bits — small by modern deployment standards but
 //! large enough that the *relative* cost of Paillier versus AES-based encryption
-//! matches the paper's qualitative result (see DESIGN.md, substitutions table).
+//! matches the paper's qualitative result.
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;

@@ -13,7 +13,7 @@
 //! *structural* properties (schema shape, per-attribute domain cardinalities, overlap
 //! structure of the maximal attribute sets, planted FDs), scaled to row counts that are
 //! practical on a development machine. The benchmark harness sweeps the row count, so
-//! the paper's size-scaling figures keep their shape. See DESIGN.md ("Substitutions").
+//! the paper's size-scaling figures keep their shape.
 //!
 //! * [`orders`] — a TPC-H-style `ORDERS` table: 9 attributes, several small-domain
 //!   columns (`OrderStatus` with 3 values, `OrderPriority` with 5, a constant

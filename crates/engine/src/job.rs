@@ -28,11 +28,10 @@
 //! job sessions on; it is equally usable directly for incremental encryption
 //! pipelines that materialize rows in batches.
 
-use crate::persist::StatefulScheme;
 use crate::pipeline::{chunk_seed, merge_reports, ChunkRecord, Engine};
 use crate::stream::{encode_chunk, encode_header, encode_trailer, StreamOutcome};
 use crate::stream::{FRAME_CHUNK, FRAME_HEADER, FRAME_TRAILER};
-use f2_core::{ChunkedScheme, EncryptionReport, F2Error, Result, SchemeOutcome};
+use f2_core::{EncryptionReport, F2Error, Result, Scheme, SchemeOutcome};
 use f2_io::frame::FrameSink;
 use f2_io::{IoError, RetryPolicy, RetryingWriter, RowSource, StreamStore, TableChunk};
 use f2_relation::Schema;
@@ -96,27 +95,24 @@ impl Engine {
     /// Start a fresh push-model stream in `store` (truncating whatever it
     /// held), writing the preamble and header frame for `scheme` and `schema`.
     /// The header pins the engine seed and `chunk_rows`.
-    pub fn begin_job<S, T>(&self, scheme: &S, schema: &Schema, mut store: T) -> Result<StreamJob<T>>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-        T: StreamStore,
-    {
+    pub fn begin_job<T: StreamStore>(
+        &self,
+        scheme: &dyn Scheme,
+        schema: &Schema,
+        mut store: T,
+    ) -> Result<StreamJob<T>> {
         truncate_store(&mut store, 0)?;
         self.open_job(scheme, schema, store)
     }
 
     /// Start a stream at the current position of `writer`: the preamble and
     /// header frame of every fresh v2 stream are written here.
-    pub(crate) fn open_job<S, W>(
+    pub(crate) fn open_job<W: Write>(
         &self,
-        scheme: &S,
+        scheme: &dyn Scheme,
         schema: &Schema,
         writer: W,
-    ) -> Result<StreamJob<W>>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-        W: Write,
-    {
+    ) -> Result<StreamJob<W>> {
         if schema.arity() == 0 {
             return Err(F2Error::UnsupportedInput("schema has no attributes".into()));
         }
@@ -161,10 +157,11 @@ impl<W: Write> StreamJob<W> {
     /// must be the stream's last — an append after a short chunk is a typed
     /// error, never silent damage (chunk boundaries would diverge from the
     /// in-memory path's).
-    pub fn append_chunk<S>(&mut self, scheme: &S, chunk: &TableChunk<'_>) -> Result<&ChunkRecord>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-    {
+    pub fn append_chunk(
+        &mut self,
+        scheme: &dyn Scheme,
+        chunk: &TableChunk<'_>,
+    ) -> Result<&ChunkRecord> {
         let chunk_len = chunk.row_count();
         let index = self.progress.chunks.len();
         let chunk_rows = self.chunk_rows;
@@ -195,7 +192,7 @@ impl<W: Write> StreamJob<W> {
         };
         let payload = {
             let _serialize = f2_obs::span!("engine.chunk.serialize");
-            encode_chunk(scheme, &record, &outcome)?
+            encode_chunk(&record, &outcome)?
         };
         {
             let _write = f2_obs::span!("engine.chunk.write");
@@ -228,15 +225,12 @@ impl<W: Write> StreamJob<W> {
     /// pull loop of [`Engine::run_streaming`] and [`Engine::resume_streaming`].
     /// Each pulled chunk (the only live copy of its plaintext) drops before the
     /// next pull.
-    pub(crate) fn pump<S>(
+    pub(crate) fn pump(
         &mut self,
-        scheme: &S,
+        scheme: &dyn Scheme,
         source: &mut dyn RowSource,
         retry: &RetryPolicy,
-    ) -> Result<()>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-    {
+    ) -> Result<()> {
         let chunk_rows = self.chunk_rows;
         while pull(source, chunk_rows, retry, |chunk| match chunk {
             Some(chunk) => self.append_chunk(scheme, &chunk).map(|_| true),
@@ -300,14 +294,11 @@ impl<W: Write> StreamJob<W> {
 /// table would just clone its rows again; borrowed chunks take the zero-copy
 /// view path. The two are byte-identical by the `encrypt_view` contract
 /// (pinned by `tests/stream_parity.rs`).
-pub(crate) fn encrypt_chunk<S>(
-    scheme: &S,
+pub(crate) fn encrypt_chunk(
+    scheme: &dyn Scheme,
     seed: u64,
     chunk: &TableChunk<'_>,
-) -> Result<SchemeOutcome>
-where
-    S: ChunkedScheme + ?Sized,
-{
+) -> Result<SchemeOutcome> {
     let reseeded = scheme.reseeded(seed);
     match chunk {
         TableChunk::Owned(table) => reseeded.encrypt(table),

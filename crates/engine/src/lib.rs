@@ -3,12 +3,12 @@
 //! The paper's outsourcing story (§2.1) assumes the data owner encrypts a large
 //! relation *once* and ships it to the server. The [`Scheme`](f2_core::Scheme)
 //! backends encrypt a whole in-memory table single-threaded and keep their owner
-//! state behind an in-process `Box<dyn Any>` — fine for the evaluation harness, a
-//! dead end for production outsourcing. This crate adds the missing engine layer:
+//! state in memory — fine for the evaluation harness, a dead end for production
+//! outsourcing. This crate adds the missing engine layer:
 //!
 //! * [`pipeline`] — [`Engine`]: shards a table into row-range chunks, fans the chunks
 //!   out to scoped worker threads each driving any
-//!   [`ChunkedScheme`](f2_core::ChunkedScheme) backend, and reassembles a
+//!   [`Scheme`](f2_core::Scheme) backend, and reassembles a
 //!   deterministic, order-stable encrypted table with per-chunk provenance
 //!   ([`ChunkRecord`]). Every chunk is encrypted under a seed derived from the engine
 //!   seed and the chunk index, so parallel chunks never share a nonce stream and the
@@ -18,8 +18,9 @@
 //!   a chunk size for a security-sensitive deployment.
 //! * [`wire`] — the versioned, length-prefixed binary wire format (`F2WS`). Corrupt
 //!   or truncated input decodes to an error, never a panic.
-//! * [`persist`] — [`StatefulScheme`]: `save_state` / `load_state` over the wire
-//!   format, implemented for all four backends.
+//! * [`persist`] — [`encode_state`](persist::encode_state) /
+//!   [`decode_state`](persist::decode_state): the owner-state codec over the wire
+//!   format, for both state shapes of the four backends.
 //! * [`job`] — [`StreamJob`], the one writer of `F2WS` v2 streams: a header, one
 //!   checksummed frame per encrypted chunk (carrying that chunk's owner state), and
 //!   a trailer. [`Engine::run_streaming`] drives a job from a
@@ -68,7 +69,6 @@ pub use f2_io::wire;
 
 pub use job::StreamJob;
 pub use lossy::{decrypt_streaming_lossy, DamageReport};
-pub use persist::StatefulScheme;
 pub use pipeline::{chunk_seed, ChunkRecord, Engine, EngineConfig, EngineOutcome};
 pub use stream::{decrypt_streaming, load_streamed_outcome, StreamOutcome};
 pub use wire::{Reader, WireError, Writer};

@@ -22,10 +22,9 @@
 //! chunks; and a damaged preamble fails the whole call — the 7-byte preamble
 //! is what identifies the stream format in the first place.
 
-use crate::persist::StatefulScheme;
 use crate::stream::{decode_chunk, decode_header, decode_trailer, decrypt_chunk};
 use crate::stream::{FRAME_CHUNK, FRAME_HEADER, FRAME_TRAILER};
-use f2_core::{ChunkedScheme, F2Error, Result};
+use f2_core::{F2Error, Result, Scheme};
 use f2_io::frame::{Frame, FrameReader};
 use f2_io::SkippedRange;
 use f2_relation::Table;
@@ -83,15 +82,11 @@ impl DamageReport {
 /// does not decode or decrypt — are counted, never propagated; the only errors
 /// returned are a damaged preamble, a header naming a different scheme, a
 /// non-transport I/O failure from the reader, or an error from `emit` itself.
-pub fn decrypt_streaming_lossy<S, R>(
-    scheme: &S,
+pub fn decrypt_streaming_lossy<R: Read>(
+    scheme: &dyn Scheme,
     reader: R,
     mut emit: impl FnMut(Table) -> Result<()>,
-) -> Result<DamageReport>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-    R: Read,
-{
+) -> Result<DamageReport> {
     let mut frames = FrameReader::new(reader).map_err(F2Error::from)?;
     let mut report = DamageReport::default();
     // Highest chunk index seen plus one — with no trailer, index gaps are the
@@ -200,12 +195,9 @@ where
 }
 
 /// Decode and decrypt one chunk frame; `None` means the chunk is lost even
-/// though its frame's checksum verified (undecodable payload, state blob the
-/// scheme rejects, or ciphertext that fails to decrypt).
-fn salvage_chunk<S>(scheme: &S, frame: &Frame) -> Option<(usize, Table)>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-{
+/// though its frame's checksum verified (undecodable payload or state blob, a
+/// state of another backend, or ciphertext that fails to decrypt).
+fn salvage_chunk(scheme: &dyn Scheme, frame: &Frame) -> Option<(usize, Table)> {
     let (record, state, encrypted) = decode_chunk(&frame.payload).ok()?;
     let plain = decrypt_chunk(scheme, state, encrypted).ok()?;
     Some((record.index, plain))

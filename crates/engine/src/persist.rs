@@ -1,27 +1,24 @@
-//! Owner-state persistence: [`StatefulScheme`] and the field codecs the `F2WS`
-//! v2 stream frames are built from.
+//! Owner-state persistence: the [`OwnerState`] codec and the field codecs the
+//! `F2WS` v2 stream frames are built from.
 //!
 //! lint: untrusted-input — decoders below parse persisted blobs that may be
 //! corrupt or hostile; the panic-freedom rules are enforced by `f2-lint`.
 //!
-//! A [`SchemeOutcome`] carries its owner state behind an in-process
-//! `Box<dyn Any>` — it cannot be cloned, persisted, or shipped anywhere. This
-//! module makes it durable: every backend implements [`StatefulScheme`], whose
-//! `save_state` / `load_state` serialize the backend's owner state over the
-//! [`wire`](crate::wire) format. Every chunk frame of a v2 stream embeds its
-//! chunk's state blob next to the [`encode_table`] blob of its ciphertext (see
-//! [`crate::stream`]), so a stream written in one process decrypts in another.
-//! The key material is deliberately **not** part of any blob — the loader must
-//! hold a scheme built from the same keys (that is the outsourcing model: the
-//! state blob can sit next to the ciphertext on untrusted storage, the keys never
-//! leave the owner).
+//! [`encode_state`] and [`decode_state`] carry an [`OwnerState`] over the
+//! [`wire`](crate::wire) format; the blob's kind tag names the variant
+//! ([`KIND_F2_STATE`] or [`KIND_CELL_WISE_STATE`]), so decoding needs neither a
+//! scheme nor a key. Every chunk frame of a v2 stream embeds its chunk's state
+//! blob next to the [`encode_table`] blob of its ciphertext (see
+//! [`crate::stream`]), so a stream written in one process decrypts in another —
+//! through the `decrypt` of a scheme built from the same keys, which also refuses
+//! a state of another backend. The key material is deliberately **not** part of
+//! any blob. The state *is* in the clear, though: F²'s provenance tells real rows
+//! from artificial ones. Keep state blobs and the streams that carry them with
+//! the owner; outsource only the encrypted table.
 
 use crate::wire::{Reader, WireError, WireResult, Writer};
 use f2_core::scheme::CellWiseState;
-use f2_core::{
-    DetScheme, EncryptionReport, F2OwnerState, F2Scheme, OwnerState, PaillierScheme, ProbScheme,
-    Provenance, Result, RowOrigin, Scheme, SchemeOutcome,
-};
+use f2_core::{EncryptionReport, F2OwnerState, OwnerState, Provenance, Result, RowOrigin};
 use f2_relation::{AttrSet, Attribute, DataType, Record, Schema, Table, Value};
 use std::time::Duration;
 
@@ -32,82 +29,54 @@ pub const KIND_CELL_WISE_STATE: u8 = 2;
 /// Wire kind tag: an encrypted table.
 pub const KIND_TABLE: u8 = 3;
 
-/// A [`Scheme`] whose owner state round-trips through the wire format, so encryption
-/// and decryption can happen in different processes.
-pub trait StatefulScheme: Scheme {
-    /// Serialize `outcome`'s owner state. Errors if the outcome was produced by a
-    /// different backend.
-    fn save_state(&self, outcome: &SchemeOutcome) -> Result<Vec<u8>>;
-
-    /// Reconstruct an owner state previously produced by [`StatefulScheme::save_state`]
-    /// (possibly by another process). Corrupt or truncated input errors, never panics.
-    fn load_state(&self, bytes: &[u8]) -> Result<OwnerState>;
-}
-
-fn foreign_outcome(scheme: &str) -> f2_core::F2Error {
-    f2_core::F2Error::UnsupportedInput(format!(
-        "outcome was not produced by the `{scheme}` scheme (owner state type mismatch)"
-    ))
-}
-
-impl StatefulScheme for F2Scheme {
-    fn save_state(&self, outcome: &SchemeOutcome) -> Result<Vec<u8>> {
-        let state = outcome.f2_state().ok_or_else(|| foreign_outcome(self.name()))?;
-        let mut w = Writer::versioned(KIND_F2_STATE);
-        put_schema(&mut w, &state.plaintext_schema);
-        let mas_count = u32::try_from(state.mas_sets.len()).map_err(|_| {
-            f2_core::F2Error::UnsupportedInput(
-                "owner state holds more than u32::MAX MAS sets".into(),
-            )
-        })?;
-        w.put_u32(mas_count);
-        for mas in &state.mas_sets {
-            w.put_u64(mas.bits());
+/// Serialize an owner state as a standalone wire blob.
+pub fn encode_state(state: &OwnerState) -> Result<Vec<u8>> {
+    match state {
+        OwnerState::F2(state) => {
+            let mut w = Writer::versioned(KIND_F2_STATE);
+            put_schema(&mut w, &state.plaintext_schema);
+            let mas_count = u32::try_from(state.mas_sets.len()).map_err(|_| {
+                f2_core::F2Error::UnsupportedInput(
+                    "owner state holds more than u32::MAX MAS sets".into(),
+                )
+            })?;
+            w.put_u32(mas_count);
+            for mas in &state.mas_sets {
+                w.put_u64(mas.bits());
+            }
+            put_provenance(&mut w, &state.provenance);
+            Ok(w.finish())
         }
-        put_provenance(&mut w, &state.provenance);
-        Ok(w.finish())
-    }
-
-    fn load_state(&self, bytes: &[u8]) -> Result<OwnerState> {
-        let mut r = Reader::versioned(bytes, KIND_F2_STATE)?;
-        let plaintext_schema = take_schema(&mut r)?;
-        let mas_count = r.count_u32(8)?; // 8 bytes per AttrSet
-        let mut mas_sets = Vec::with_capacity(mas_count);
-        for _ in 0..mas_count {
-            mas_sets.push(AttrSet::from_bits(r.u64()?));
+        OwnerState::CellWise(state) => {
+            let mut w = Writer::versioned(KIND_CELL_WISE_STATE);
+            put_schema(&mut w, &state.plaintext_schema);
+            Ok(w.finish())
         }
-        let provenance = take_provenance(&mut r)?;
-        r.finish()?;
-        Ok(OwnerState::new(F2OwnerState { provenance, mas_sets, plaintext_schema }))
     }
 }
 
-/// Shared `StatefulScheme` implementation for the cell-wise baselines, whose owner
-/// state is just the plaintext schema.
-macro_rules! cell_wise_stateful {
-    ($($scheme:ty),+) => {$(
-        impl StatefulScheme for $scheme {
-            fn save_state(&self, outcome: &SchemeOutcome) -> Result<Vec<u8>> {
-                let state: &CellWiseState = outcome
-                    .state
-                    .downcast_ref()
-                    .ok_or_else(|| foreign_outcome(self.name()))?;
-                let mut w = Writer::versioned(KIND_CELL_WISE_STATE);
-                put_schema(&mut w, &state.plaintext_schema);
-                Ok(w.finish())
-            }
-
-            fn load_state(&self, bytes: &[u8]) -> Result<OwnerState> {
-                let mut r = Reader::versioned(bytes, KIND_CELL_WISE_STATE)?;
-                let plaintext_schema = take_schema(&mut r)?;
-                r.finish()?;
-                Ok(OwnerState::new(CellWiseState { plaintext_schema }))
-            }
+/// Inverse of [`encode_state`]: the kind tag picks the variant. Corrupt or
+/// truncated input errors, never panics.
+pub fn decode_state(bytes: &[u8]) -> Result<OwnerState> {
+    let mut r = match Reader::versioned(bytes, KIND_F2_STATE) {
+        Err(WireError::WrongKind { got: KIND_CELL_WISE_STATE, .. }) => {
+            let mut r = Reader::versioned(bytes, KIND_CELL_WISE_STATE)?;
+            let plaintext_schema = take_schema(&mut r)?;
+            r.finish()?;
+            return Ok(OwnerState::CellWise(CellWiseState { plaintext_schema }));
         }
-    )+};
+        opened => opened?,
+    };
+    let plaintext_schema = take_schema(&mut r)?;
+    let mas_count = r.count_u32(8)?; // 8 bytes per AttrSet
+    let mut mas_sets = Vec::with_capacity(mas_count);
+    for _ in 0..mas_count {
+        mas_sets.push(AttrSet::from_bits(r.u64()?));
+    }
+    let provenance = take_provenance(&mut r)?;
+    r.finish()?;
+    Ok(OwnerState::F2(F2OwnerState { provenance, mas_sets, plaintext_schema }))
 }
-
-cell_wise_stateful!(DetScheme, ProbScheme, PaillierScheme);
 
 /// Serialize a table (schema + rows) as a standalone wire blob.
 pub fn encode_table(table: &Table) -> Vec<u8> {
@@ -319,7 +288,7 @@ pub(crate) fn take_report(r: &mut Reader<'_>) -> Result<EncryptionReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f2_core::{Scheme, F2};
+    use f2_core::{DetScheme, Scheme, SchemeOutcome, F2};
     use f2_crypto::MasterKey;
     use f2_relation::table;
 
@@ -348,10 +317,10 @@ mod tests {
         let t = fixture();
         let scheme = F2::builder().alpha(0.5).seed(9).build().unwrap();
         let outcome = scheme.encrypt(&t).unwrap();
-        let blob = scheme.save_state(&outcome).unwrap();
+        let blob = encode_state(&outcome.state).unwrap();
         let restored = SchemeOutcome {
             encrypted: outcome.encrypted.clone(),
-            state: scheme.load_state(&blob).unwrap(),
+            state: decode_state(&blob).unwrap(),
             report: EncryptionReport::default(),
         };
         assert!(scheme.decrypt(&restored).unwrap().multiset_eq(&t));
@@ -363,19 +332,29 @@ mod tests {
     }
 
     #[test]
-    fn save_state_rejects_foreign_outcomes() {
+    fn foreign_states_decode_and_the_other_scheme_refuses_them() {
         let t = fixture();
         let det = DetScheme::new(MasterKey::from_seed(2));
         let f2 = F2::builder().seed(2).build().unwrap();
         let det_outcome = det.encrypt(&t).unwrap();
         let f2_outcome = f2.encrypt(&t).unwrap();
-        assert!(f2.save_state(&det_outcome).is_err());
-        assert!(det.save_state(&f2_outcome).is_err());
-        // A cell-wise blob does not load as an F² state and vice versa.
-        let det_blob = det.save_state(&det_outcome).unwrap();
-        let f2_blob = f2.save_state(&f2_outcome).unwrap();
-        assert!(f2.load_state(&det_blob).is_err());
-        assert!(det.load_state(&f2_blob).is_err());
+        // The codec needs no scheme: each blob decodes to the variant its kind names …
+        let det_state = decode_state(&encode_state(&det_outcome.state).unwrap()).unwrap();
+        let f2_state = decode_state(&encode_state(&f2_outcome.state).unwrap()).unwrap();
+        assert!(matches!(det_state, OwnerState::CellWise(_)));
+        assert!(matches!(f2_state, OwnerState::F2(_)));
+        // … and the holder of the other backend's keys refuses it at decryption.
+        let swapped = |encrypted: &Table, state| SchemeOutcome {
+            encrypted: encrypted.clone(),
+            state,
+            report: EncryptionReport::default(),
+        };
+        let err = f2.decrypt(&swapped(&f2_outcome.encrypted, det_state)).unwrap_err();
+        assert!(err.to_string().contains("owner state type mismatch"), "{err}");
+        let err = det.decrypt(&swapped(&det_outcome.encrypted, f2_state)).unwrap_err();
+        assert!(err.to_string().contains("owner state type mismatch"), "{err}");
+        // A blob of another kind is not an owner state at all.
+        assert!(decode_state(&encode_table(&t)).is_err());
     }
 
     #[test]
@@ -384,8 +363,7 @@ mod tests {
         let mut w = Writer::versioned(KIND_F2_STATE);
         w.put_u16(0); // zero-arity schema
         w.put_u32(u32::MAX);
-        let f2 = F2::builder().seed(1).build().unwrap();
-        assert!(f2.load_state(&w.finish()).is_err());
+        assert!(decode_state(&w.finish()).is_err());
 
         // A table blob promising 2⁶⁴−1 rows of a zero-arity schema must error, not
         // loop pushing empty records until OOM.
@@ -399,6 +377,6 @@ mod tests {
         w.put_u16(0);
         w.put_u32(0); // no MAS sets
         w.put_u64(u64::MAX); // origin count
-        assert!(f2.load_state(&w.finish()).is_err());
+        assert!(decode_state(&w.finish()).is_err());
     }
 }

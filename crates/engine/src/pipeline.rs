@@ -6,7 +6,7 @@
 //!
 //! [`Engine::encrypt`] shards the plaintext table into row-range chunks, hands the
 //! chunks to a pool of scoped worker threads — each driving the caller's
-//! [`ChunkedScheme`] backend through a per-chunk [`ChunkedScheme::reseeded`] clone —
+//! [`Scheme`] backend through a per-chunk [`Scheme::reseeded`] clone —
 //! and reassembles the encrypted chunks **in chunk order** into one table-level
 //! [`SchemeOutcome`]. Because every chunk's seed is a pure function of the engine seed
 //! and the chunk index ([`chunk_seed`]), the merged output is byte-identical whatever
@@ -15,7 +15,7 @@
 //! original scheme — the merged owner state is indistinguishable from a single-shot
 //! one as far as the decryptor is concerned.
 
-use f2_core::{ChunkState, ChunkedScheme, EncryptionReport, F2Error, Result, SchemeOutcome};
+use f2_core::{ChunkState, EncryptionReport, F2Error, OwnerState, Result, Scheme, SchemeOutcome};
 use f2_io::RetryPolicy;
 use f2_relation::Table;
 use std::ops::Range;
@@ -46,8 +46,8 @@ pub struct EngineConfig {
     /// backends are indifferent (deterministic AES leaks frequencies regardless; the
     /// probabilistic ciphers hide them regardless). Pick `chunk_rows ≥ row count` to
     /// recover the paper's table-wide guarantee, or treat chunks as independently
-    /// outsourced relations; quantifying the cross-chunk leakage with the attack
-    /// harness is tracked in ROADMAP.md.
+    /// outsourced relations; `f2_attack::CrossChunkExperiment` measures the
+    /// cross-chunk leakage with the attack harness.
     ///
     /// **FD scope for F²:** FD preservation is per chunk too. Each chunk is
     /// encrypted under its own seed and removes only the false-positive FDs it
@@ -167,7 +167,7 @@ impl Engine {
     }
 
     /// Encrypt `table` with `scheme`, chunked and (for `workers > 1`) in parallel.
-    pub fn encrypt(&self, scheme: &dyn ChunkedScheme, table: &Table) -> Result<EngineOutcome> {
+    pub fn encrypt(&self, scheme: &dyn Scheme, table: &Table) -> Result<EngineOutcome> {
         if table.arity() == 0 {
             return Err(F2Error::UnsupportedInput("table has no attributes".into()));
         }
@@ -224,13 +224,12 @@ impl Engine {
             });
         }
 
-        self.assemble(scheme, &ranges, slots)
+        self.assemble(&ranges, slots)
     }
 
     /// Reassemble per-chunk outcomes (in chunk order) into one table-level outcome.
     fn assemble(
         &self,
-        scheme: &dyn ChunkedScheme,
         ranges: &[Range<usize>],
         slots: Vec<Mutex<Option<Result<ChunkSlot>>>>,
     ) -> Result<EngineOutcome> {
@@ -266,7 +265,7 @@ impl Engine {
             merge_reports(&mut report, &outcome.report);
         }
         let encrypted = encrypted.expect("tables with rows produce at least one chunk");
-        let state = scheme.merge_chunk_states(chunk_states)?;
+        let state = OwnerState::merge(chunk_states)?;
         Ok(EngineOutcome { outcome: SchemeOutcome { encrypted, state, report }, chunks })
     }
 }

@@ -17,7 +17,7 @@
 //!    table.
 //! 2. **Replay** — rebuild the running report of the chunks the prefix holds.
 //!    Backends whose per-chunk report is a pure function of the row count
-//!    ([`ChunkedScheme::rederive_chunk_report`]) rebuild it arithmetically. F²
+//!    ([`Scheme::rederive_chunk_report`]) rebuild it arithmetically. F²
 //!    (whose report depends on the data) re-encrypts every prefix chunk under
 //!    its stored, seed-verified chunk seed and requires the rebuilt frame
 //!    payload to CRC-match the stored one. The plaintext it re-encrypts comes
@@ -49,13 +49,12 @@
 //! restarted from scratch. Resumes are counted in `f2_engine_resume_total`.
 
 use crate::job::{encrypt_chunk, pull, truncate_store, StreamJob, StreamProgress};
-use crate::persist::StatefulScheme;
 use crate::pipeline::{ChunkRecord, Engine};
 use crate::stream::{
     decode_chunk, decode_chunk_record, decode_header, decrypt_chunk, encode_chunk,
     verify_chunk_seed, StreamOutcome, FRAME_CHUNK, FRAME_HEADER,
 };
-use f2_core::{ChunkedScheme, F2Error, Result};
+use f2_core::{F2Error, Result, Scheme};
 use f2_io::frame::{crc32, FrameReader};
 use f2_io::{IoError, RetryPolicy, RowSource, StreamStore, TableChunk};
 use f2_relation::Schema;
@@ -88,16 +87,12 @@ impl Engine {
     /// schema) is an error rather than damage, and every refusal leaves the
     /// store untouched. A store torn before its first chunk frame is truncated
     /// to zero and re-encrypted from scratch.
-    pub fn resume_streaming<S, T>(
+    pub fn resume_streaming<T: StreamStore>(
         &self,
-        scheme: &S,
+        scheme: &dyn Scheme,
         source: &mut dyn RowSource,
         store: &mut T,
-    ) -> Result<StreamOutcome>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-        T: StreamStore,
-    {
+    ) -> Result<StreamOutcome> {
         let schema = source.schema().clone();
         let mut job = self.reopen(scheme, &schema, store, Some(&mut *source))?;
         job.pump(scheme, source, &self.retry_policy())?;
@@ -116,26 +111,23 @@ impl Engine {
     /// source is needed: F² verifies its prefix by decrypting and
     /// re-encrypting the stored chunks (see the [module docs](self)), which
     /// catches a store/key mismatch before any byte of the store changes.
-    pub fn resume_job<S, T>(&self, scheme: &S, schema: &Schema, store: T) -> Result<StreamJob<T>>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-        T: StreamStore,
-    {
+    pub fn resume_job<T: StreamStore>(
+        &self,
+        scheme: &dyn Scheme,
+        schema: &Schema,
+        store: T,
+    ) -> Result<StreamJob<T>> {
         self.reopen(scheme, schema, store, None)
     }
 
     /// The one reopen behind both entry points: scan → replay → truncate.
-    fn reopen<S, T>(
+    fn reopen<T: StreamStore>(
         &self,
-        scheme: &S,
+        scheme: &dyn Scheme,
         schema: &Schema,
         mut store: T,
         source: Option<&mut dyn RowSource>,
-    ) -> Result<StreamJob<T>>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-        T: StreamStore,
-    {
+    ) -> Result<StreamJob<T>> {
         crate::obs::resumes().inc();
         store.seek(SeekFrom::Start(0)).map_err(IoError::Io)?;
         let Some(prefix) = self.scan_prefix(scheme, schema, &mut store)? else {
@@ -151,15 +143,12 @@ impl Engine {
     /// (torn preamble or header frame); a readable header that contradicts the
     /// engine configuration, scheme, or schema is a hard error — the caller
     /// would otherwise splice two different runs into one stream.
-    fn scan_prefix<S>(
+    fn scan_prefix(
         &self,
-        scheme: &S,
+        scheme: &dyn Scheme,
         schema: &Schema,
         reader: impl Read,
-    ) -> Result<Option<StreamPrefix>>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-    {
+    ) -> Result<Option<StreamPrefix>> {
         let Ok(mut frames) = FrameReader::new(reader) else { return Ok(None) };
         let header = match frames.next_frame() {
             Ok(Some(frame)) if frame.frame_type == FRAME_HEADER => frame,
@@ -234,17 +223,13 @@ impl Engine {
 /// backend's reports depend on the data — the one replay behind both entry
 /// points. `source`, when given, is advanced past the prefix; `store` is read
 /// again only for F² without a source.
-fn replay_prefix<S, T>(
-    scheme: &S,
+fn replay_prefix<T: Read + Seek>(
+    scheme: &dyn Scheme,
     prefix: &StreamPrefix,
     store: &mut T,
     source: Option<&mut dyn RowSource>,
     retry: &RetryPolicy,
-) -> Result<StreamProgress>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-    T: Read + Seek,
-{
+) -> Result<StreamProgress> {
     let covered = prefix.records.last().map_or(0, |last| last.rows.end);
     let mut progress = StreamProgress::start();
     let rederived: Option<Vec<_>> =
@@ -301,7 +286,7 @@ where
                 scheme.reseeded(record.seed).encrypt(&plain)?
             }
         };
-        if crc32(&encode_chunk(scheme, record, &reencrypted)?) != stored_crc {
+        if crc32(&encode_chunk(record, &reencrypted)?) != stored_crc {
             let cause = match plaintext {
                 Plaintext::Source(_) => {
                     "re-encrypted from the source does not match the stored stream — the \

@@ -42,11 +42,12 @@
 
 use crate::job::StreamProgress;
 use crate::persist::{
-    decode_table, encode_table, put_report, put_schema, take_report, take_schema, StatefulScheme,
+    decode_state, decode_table, encode_state, encode_table, put_report, put_schema, take_report,
+    take_schema,
 };
 use crate::pipeline::{chunk_seed, ChunkRecord, Engine};
 use crate::wire::{Reader, Writer};
-use f2_core::{ChunkState, ChunkedScheme, EncryptionReport, F2Error, Result, SchemeOutcome};
+use f2_core::{ChunkState, EncryptionReport, F2Error, OwnerState, Result, Scheme, SchemeOutcome};
 use f2_io::frame::FrameReader;
 use f2_io::RowSource;
 use f2_relation::{Schema, Table};
@@ -90,16 +91,12 @@ impl Engine {
     /// The source must hand out **full chunks** (`chunk_rows` rows until the final
     /// partial chunk), which every `f2_io` source does; a short chunk mid-stream
     /// would shift chunk boundaries away from the in-memory path's and is rejected.
-    pub fn run_streaming<S, W>(
+    pub fn run_streaming<W: Write>(
         &self,
-        scheme: &S,
+        scheme: &dyn Scheme,
         source: &mut dyn RowSource,
         writer: W,
-    ) -> Result<StreamOutcome>
-    where
-        S: ChunkedScheme + StatefulScheme + ?Sized,
-        W: Write,
-    {
+    ) -> Result<StreamOutcome> {
         let mut job = self.open_job(scheme, source.schema(), writer)?;
         job.pump(scheme, source, &self.retry_policy())?;
         job.finish()
@@ -162,17 +159,10 @@ pub(crate) fn decode_header(payload: &[u8]) -> Result<StreamHeader> {
 
 /// Lay out one chunk frame's payload: the chunk's record, its owner state, and
 /// its encrypted rows.
-pub(crate) fn encode_chunk<S>(
-    scheme: &S,
-    record: &ChunkRecord,
-    outcome: &SchemeOutcome,
-) -> Result<Vec<u8>>
-where
-    S: StatefulScheme + ?Sized,
-{
+pub(crate) fn encode_chunk(record: &ChunkRecord, outcome: &SchemeOutcome) -> Result<Vec<u8>> {
     let mut w = Writer::raw();
     put_chunk_record(&mut w, record);
-    w.put_bytes(&scheme.save_state(outcome)?);
+    w.put_bytes(&encode_state(&outcome.state)?);
     w.put_bytes(&encode_table(&outcome.encrypted));
     Ok(w.finish())
 }
@@ -197,14 +187,12 @@ pub(crate) fn decode_chunk_record(payload: &[u8]) -> Result<ChunkRecord> {
     take_chunk_record(&mut Reader::raw(payload))
 }
 
-/// Decrypt one decoded chunk with its own (chunk-local) owner state.
-pub(crate) fn decrypt_chunk<S>(scheme: &S, state: &[u8], encrypted: Table) -> Result<Table>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-{
+/// Decrypt one decoded chunk with its own (chunk-local) owner state; `scheme`'s
+/// `decrypt` refuses a state of another backend.
+pub(crate) fn decrypt_chunk(scheme: &dyn Scheme, state: &[u8], encrypted: Table) -> Result<Table> {
     let outcome = SchemeOutcome {
         encrypted,
-        state: scheme.load_state(state)?,
+        state: decode_state(state)?,
         report: EncryptionReport::default(),
     };
     scheme.decrypt(&outcome)
@@ -344,16 +332,13 @@ fn walk_stream<R: Read>(
 
 /// Reassemble a whole [`SchemeOutcome`] (plus the per-chunk provenance) from a v2
 /// stream: chunks are appended in order and their owner states merged through
-/// [`ChunkedScheme::merge_chunk_states`] — the same fold the in-memory path runs, so
-/// the loaded outcome is artifact-identical to [`Engine::encrypt`]'s.
-pub fn load_streamed_outcome<S, R>(
-    scheme: &S,
+/// [`OwnerState::merge`] — the same fold the in-memory path runs, so the loaded
+/// outcome is artifact-identical to [`Engine::encrypt`]'s. The owner states are not
+/// checked against `scheme` here: its `decrypt` refuses a state of another backend.
+pub fn load_streamed_outcome<R: Read>(
+    scheme: &dyn Scheme,
     reader: R,
-) -> Result<(SchemeOutcome, Vec<ChunkRecord>)>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-    R: Read,
-{
+) -> Result<(SchemeOutcome, Vec<ChunkRecord>)> {
     let mut encrypted: Option<Table> = None;
     let mut chunk_states: Vec<ChunkState> = Vec::new();
     let mut records: Vec<ChunkRecord> = Vec::new();
@@ -361,7 +346,7 @@ where
         chunk_states.push(ChunkState {
             row_offset: record.rows.start,
             output_offset: record.output_rows.start,
-            state: scheme.load_state(state)?,
+            state: decode_state(state)?,
         });
         match &mut encrypted {
             None => encrypted = Some(chunk_table),
@@ -375,7 +360,7 @@ where
             // walk_stream already forced the chunk ranges to tile gaplessly and the
             // trailer totals to match them.
             debug_assert_eq!(encrypted.row_count(), trailer.encrypted_rows);
-            let state = scheme.merge_chunk_states(chunk_states)?;
+            let state = OwnerState::merge(chunk_states)?;
             SchemeOutcome { encrypted, state, report: trailer.report }
         }
         None => {
@@ -394,15 +379,11 @@ where
 /// its own (chunk-local) owner state and handed to `emit` as a plaintext [`Table`],
 /// so peak memory is one chunk regardless of the dataset size. Returns the total
 /// number of plaintext rows emitted.
-pub fn decrypt_streaming<S, R>(
-    scheme: &S,
+pub fn decrypt_streaming<R: Read>(
+    scheme: &dyn Scheme,
     reader: R,
     mut emit: impl FnMut(Table) -> Result<()>,
-) -> Result<usize>
-where
-    S: ChunkedScheme + StatefulScheme + ?Sized,
-    R: Read,
-{
+) -> Result<usize> {
     let mut emitted = 0usize;
     let (_, trailer) = walk_stream(scheme.name(), reader, |_, state, chunk_table| {
         let plain = decrypt_chunk(scheme, state, chunk_table)?;
@@ -422,7 +403,8 @@ where
 mod tests {
     use super::*;
     use crate::pipeline::EngineConfig;
-    use f2_core::{Scheme, F2};
+    use f2_core::F2;
+    use f2_io::frame::FrameSink;
     use f2_io::TableSource;
     use f2_relation::table;
 
@@ -454,8 +436,8 @@ mod tests {
         let (loaded, records) = load_streamed_outcome(&scheme, &stream[..]).unwrap();
         assert_eq!(loaded.encrypted, in_memory.outcome.encrypted);
         assert_eq!(
-            scheme.save_state(&loaded).unwrap(),
-            scheme.save_state(&in_memory.outcome).unwrap()
+            encode_state(&loaded.state).unwrap(),
+            encode_state(&in_memory.outcome.state).unwrap()
         );
         for (streamed, in_mem) in records.iter().zip(&in_memory.chunks) {
             assert_eq!(streamed.rows, in_mem.rows);
@@ -512,5 +494,43 @@ mod tests {
         let det = f2_core::DetScheme::new(f2_crypto::MasterKey::from_seed(3));
         let err = load_streamed_outcome(&det, &stream[..]).unwrap_err();
         assert!(err.to_string().contains("`f2`"), "{err}");
+    }
+
+    #[test]
+    fn a_foreign_owner_state_in_an_intact_frame_is_refused_at_decryption() {
+        // A CRC-valid stream whose header names `f2` while its chunk frames and
+        // trailer come from a deterministic-AES stream over the same table.
+        let t = fixture();
+        let f2 = F2::builder().alpha(0.5).seed(3).build().unwrap();
+        let det = f2_core::DetScheme::new(f2_crypto::MasterKey::from_seed(3));
+        let engine = Engine::new(EngineConfig { workers: 1, chunk_rows: 4, seed: 3 }).unwrap();
+        let frames_of = |scheme: &dyn Scheme| {
+            let mut stream = Vec::new();
+            engine.run_streaming(scheme, &mut TableSource::new(&t), &mut stream).unwrap();
+            let mut reader = FrameReader::new(&stream[..]).unwrap();
+            let mut frames = Vec::new();
+            while let Some(frame) = reader.next_frame().unwrap() {
+                frames.push(frame);
+            }
+            frames
+        };
+        let (f2_frames, det_frames) = (frames_of(&f2), frames_of(&det));
+        let mut sink = FrameSink::new(Vec::new()).unwrap();
+        sink.write_frame(FRAME_HEADER, &f2_frames[0].payload).unwrap();
+        for frame in &det_frames[1..] {
+            sink.write_frame(frame.frame_type, &frame.payload).unwrap();
+        }
+        let (spliced, _) = sink.finish().unwrap();
+        let chunks = det_frames.iter().filter(|f| f.frame_type == FRAME_CHUNK).count();
+        assert_eq!(chunks, 2);
+
+        // Chunk-wise decryption fails, and salvage counts every chunk lost.
+        assert!(decrypt_streaming(&f2, &spliced[..], |_| Ok(())).is_err());
+        let damage = crate::decrypt_streaming_lossy(&f2, &spliced[..], |_| Ok(())).unwrap();
+        assert_eq!((damage.chunks_recovered, damage.chunks_lost), (0, chunks));
+        // The keyless codec loads the outcome; the F² holder's decrypt refuses it.
+        let (outcome, _) = load_streamed_outcome(&f2, &spliced[..]).unwrap();
+        let err = f2.decrypt(&outcome).unwrap_err();
+        assert!(err.to_string().contains("owner state type mismatch"), "{err}");
     }
 }

@@ -5,17 +5,18 @@
 //! through the wire format into a *fresh* scheme instance (simulating a second
 //! process that only holds the key material).
 
-use f2_core::{ChunkedScheme, DetScheme, PaillierScheme, ProbScheme, SchemeOutcome, F2};
+use f2_core::{DetScheme, PaillierScheme, ProbScheme, Scheme, SchemeOutcome, F2};
 use f2_crypto::MasterKey;
 use f2_datagen::Dataset;
-use f2_engine::{Engine, EngineConfig, StatefulScheme};
+use f2_engine::persist::{decode_state, encode_state};
+use f2_engine::{Engine, EngineConfig};
 use f2_relation::{table, Table};
 
 /// A backend paired with a factory for a fresh, independently constructed instance
 /// holding the same key material (the "second process").
 struct Backend {
-    scheme: Box<dyn ChunkedScheme>,
-    fresh: Box<dyn Fn() -> Box<dyn StatefulScheme>>,
+    scheme: Box<dyn Scheme>,
+    fresh: Box<dyn Fn() -> Box<dyn Scheme>>,
 }
 
 fn backends() -> Vec<Backend> {
@@ -119,15 +120,14 @@ fn saved_state_decrypts_in_a_fresh_scheme_instance() {
             .expect("valid config")
             .encrypt(scheme, &t)
             .expect("engine encrypt");
-        // `save_state` in this process …
-        let stateful = (backend.fresh)();
-        let blob = stateful.save_state(&run.outcome).expect("save state");
-        // … `load_state` + decrypt in a "second process": a scheme instance that
+        // `encode_state` in this process …
+        let blob = encode_state(&run.outcome.state).expect("save state");
+        // … `decode_state` + decrypt in a "second process": a scheme instance that
         // shares nothing with the encryptor but its construction parameters.
         let second = (backend.fresh)();
         let restored = SchemeOutcome {
             encrypted: run.outcome.encrypted,
-            state: second.load_state(&blob).expect("load state"),
+            state: decode_state(&blob).expect("load state"),
             report: run.outcome.report,
         };
         let recovered = second.decrypt(&restored).expect("decrypt in fresh instance");

@@ -6,7 +6,7 @@
 //! [`EngineError::WorkerPanicked`], never a poisoned engine or an aborted
 //! process.
 
-use f2_core::{ChunkState, ChunkedScheme, DetScheme, OwnerState, Scheme, SchemeOutcome, F2};
+use f2_core::{DetScheme, Scheme, SchemeOutcome, F2};
 use f2_crypto::MasterKey;
 use f2_engine::{Engine, EngineConfig, EngineError};
 use f2_io::{FaultKind, FaultPlan, FaultySource, FaultyWriter, RetryPolicy, TableSource};
@@ -17,11 +17,7 @@ fn fixture(rows: usize) -> Table {
     f2_datagen::Dataset::Orders.generate(rows, 77)
 }
 
-fn clean_stream<S: ChunkedScheme + f2_engine::StatefulScheme>(
-    engine: &Engine,
-    scheme: &S,
-    t: &Table,
-) -> Vec<u8> {
+fn clean_stream<S: Scheme>(engine: &Engine, scheme: &S, t: &Table) -> Vec<u8> {
     let mut stream = Vec::new();
     engine.run_streaming(scheme, &mut TableSource::new(t), &mut stream).unwrap();
     stream
@@ -131,10 +127,7 @@ impl Scheme for PanickyScheme {
     fn decrypt(&self, outcome: &SchemeOutcome) -> f2_core::Result<Table> {
         self.inner.decrypt(outcome)
     }
-}
-
-impl ChunkedScheme for PanickyScheme {
-    fn reseeded(&self, _seed: u64) -> Box<dyn ChunkedScheme> {
+    fn reseeded(&self, _seed: u64) -> Box<dyn Scheme> {
         // Deterministic backend: no encryption-time randomness to re-derive.
         Box::new(self.clone())
     }
@@ -145,9 +138,6 @@ impl ChunkedScheme for PanickyScheme {
             self.panic_at_row
         );
         self.inner.encrypt_view(view)
-    }
-    fn merge_chunk_states(&self, chunks: Vec<ChunkState>) -> f2_core::Result<OwnerState> {
-        self.inner.merge_chunk_states(chunks)
     }
 }
 

@@ -5,9 +5,9 @@
 //! which is the property the encryption service builds its crash-resumable
 //! sessions on (a reconnecting client re-sends rows from `job.rows()` onward).
 
-use f2_core::{ChunkedScheme, DetScheme, PaillierScheme, ProbScheme, F2};
+use f2_core::{DetScheme, PaillierScheme, ProbScheme, Scheme, F2};
 use f2_crypto::MasterKey;
-use f2_engine::{Engine, EngineConfig, StatefulScheme, StreamJob};
+use f2_engine::{Engine, EngineConfig, StreamJob};
 use f2_io::{FrameReader, RowSource, StreamStore, TableChunk, TableSource};
 use f2_relation::Table;
 use std::io::Cursor;
@@ -50,7 +50,7 @@ fn cut_grid(stream: &[u8]) -> Vec<usize> {
 
 /// Push every chunk of `t` from `from_row` onward into `job` and finish,
 /// returning the outcome and the store.
-fn push_rest<S: ChunkedScheme + StatefulScheme, T: StreamStore>(
+fn push_rest<S: Scheme, T: StreamStore>(
     scheme: &S,
     t: &Table,
     mut job: StreamJob<T>,
@@ -63,7 +63,7 @@ fn push_rest<S: ChunkedScheme + StatefulScheme, T: StreamStore>(
     job.finish_into_store().unwrap()
 }
 
-fn assert_push_matches_pull<S: ChunkedScheme + StatefulScheme>(label: &str, scheme: &S, t: &Table) {
+fn assert_push_matches_pull<S: Scheme>(label: &str, scheme: &S, t: &Table) {
     let engine = engine();
     let mut full = Vec::new();
     let pull = engine.run_streaming(scheme, &mut TableSource::new(t), &mut full).unwrap();
@@ -91,11 +91,7 @@ fn a_push_job_writes_the_exact_pull_path_stream_for_every_backend() {
     assert_push_matches_pull("paillier", &PaillierScheme::new(64, 41).unwrap(), &t);
 }
 
-fn assert_job_resume_is_byte_exact<S: ChunkedScheme + StatefulScheme>(
-    label: &str,
-    scheme: &S,
-    t: &Table,
-) {
+fn assert_job_resume_is_byte_exact<S: Scheme>(label: &str, scheme: &S, t: &Table) {
     let engine = engine();
     let mut full = Vec::new();
     engine.run_streaming(scheme, &mut TableSource::new(t), &mut full).unwrap();

@@ -17,9 +17,9 @@
 //! interrupted run must error rather than splice two different runs together,
 //! and must leave the store as it found it.
 
-use f2_core::{ChunkedScheme, DetScheme, PaillierScheme, ProbScheme, F2};
+use f2_core::{DetScheme, PaillierScheme, ProbScheme, Scheme, F2};
 use f2_crypto::MasterKey;
-use f2_engine::{Engine, EngineConfig, StatefulScheme};
+use f2_engine::{Engine, EngineConfig};
 use f2_io::{
     CsvOptions, CsvSource, FaultKind, FaultPlan, FaultySource, FaultyWriter, FrameReader, IoResult,
     RetryPolicy, RowSource, SeekableSource, TableChunk, TableSource,
@@ -124,7 +124,7 @@ fn flaky(t: &Table) -> FaultySource<TableSource<'_>> {
 /// under a retrying engine.
 fn assert_resume_is_byte_exact<S>(label: &str, scheme: &S, t: &Table)
 where
-    S: ChunkedScheme + StatefulScheme,
+    S: Scheme,
 {
     let engine = engine();
     let retrying = engine.clone().with_retry(RetryPolicy::no_backoff(4));

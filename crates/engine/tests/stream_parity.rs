@@ -8,10 +8,11 @@
 //! * the streaming path is single-in-flight: it never holds more than one chunk of
 //!   plaintext rows (`chunk_rows`) at a time.
 
-use f2_core::{ChunkedScheme, DetScheme, PaillierScheme, ProbScheme, Scheme, F2};
+use f2_core::{DetScheme, PaillierScheme, ProbScheme, Scheme, F2};
 use f2_crypto::MasterKey;
+use f2_engine::persist::encode_state;
 use f2_engine::stream::{decrypt_streaming, load_streamed_outcome};
-use f2_engine::{Engine, EngineConfig, StatefulScheme};
+use f2_engine::{Engine, EngineConfig};
 use f2_io::{CsvOptions, CsvSource, IoResult, RowSource, TableChunk, TableSource};
 use f2_relation::csv::to_csv_string;
 use f2_relation::{Schema, Table};
@@ -24,7 +25,7 @@ fn fixture(rows: usize) -> Table {
 
 /// The acceptance check of the tentpole: streaming and in-memory paths produce the
 /// same ciphertext and owner state at every worker count, for one backend.
-fn assert_stream_parity<S: ChunkedScheme + StatefulScheme>(label: &str, scheme: &S, t: &Table) {
+fn assert_stream_parity<S: Scheme>(label: &str, scheme: &S, t: &Table) {
     let mut stream = Vec::new();
     let streaming_engine =
         Engine::new(EngineConfig { workers: 1, chunk_rows: 5, seed: 41 }).unwrap();
@@ -40,8 +41,8 @@ fn assert_stream_parity<S: ChunkedScheme + StatefulScheme>(label: &str, scheme: 
             "{label}@{workers}: ciphertext diverged"
         );
         assert_eq!(
-            scheme.save_state(&loaded).unwrap(),
-            scheme.save_state(&in_memory.outcome).unwrap(),
+            encode_state(&loaded.state).unwrap(),
+            encode_state(&in_memory.outcome.state).unwrap(),
             "{label}@{workers}: owner state diverged"
         );
     }
@@ -99,7 +100,7 @@ fn v2_streams_reload_to_the_in_memory_outcome_and_junk_is_rejected() {
     // with an error, not a panic.
     assert!(load_streamed_outcome(&scheme, &b"not a stream"[..]).is_err());
     assert!(load_streamed_outcome(&scheme, &[][..]).is_err());
-    let v1_state = scheme.save_state(&run.outcome).unwrap();
+    let v1_state = encode_state(&run.outcome.state).unwrap();
     assert!(load_streamed_outcome(&scheme, &v1_state[..]).is_err());
 }
 

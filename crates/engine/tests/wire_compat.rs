@@ -8,10 +8,9 @@
 //! disk next to outsourced tables and must stay loadable.
 
 use f2_core::scheme::CellWiseState;
-use f2_core::{DetScheme, F2OwnerState, OwnerState, Provenance, RowOrigin, SchemeOutcome, F2};
-use f2_crypto::MasterKey;
-use f2_engine::StatefulScheme;
-use f2_relation::{AttrSet, Attribute, DataType, Schema, Table};
+use f2_core::{F2OwnerState, OwnerState, Provenance, RowOrigin};
+use f2_engine::persist::{decode_state, encode_state};
+use f2_relation::{AttrSet, Attribute, DataType, Schema};
 
 /// Version-1 F² owner-state blob for [`reference_f2_state`].
 const GOLDEN_F2_STATE: &str = "463257530100010200030000005a69700203000000506f700002000000010000000000\
@@ -56,35 +55,24 @@ fn reference_f2_state() -> F2OwnerState {
 #[test]
 fn version_1_f2_state_blob_stays_decodable_and_canonical() {
     let golden = unhex(GOLDEN_F2_STATE);
-    let scheme = F2::builder().seed(1).build().expect("valid scheme");
-    let loaded = scheme.load_state(&golden).expect("version-1 blob decodes");
-    let state: &F2OwnerState = loaded.downcast_ref().expect("an F2 owner state");
+    let loaded = decode_state(&golden).expect("version-1 blob decodes");
+    let OwnerState::F2(state) = loaded else { panic!("an F2 owner state") };
     let reference = reference_f2_state();
     assert_eq!(state.provenance, reference.provenance);
     assert_eq!(state.mas_sets, reference.mas_sets);
     assert_eq!(state.plaintext_schema, reference.plaintext_schema);
 
     // Canonical encoding: re-encoding the decoded state reproduces the golden bytes.
-    let outcome = SchemeOutcome {
-        encrypted: Table::empty(reference.plaintext_schema.encrypted()),
-        state: OwnerState::new(reference),
-        report: Default::default(),
-    };
-    assert_eq!(scheme.save_state(&outcome).expect("save"), golden);
+    assert_eq!(encode_state(&OwnerState::F2(reference)).expect("save"), golden);
 }
 
 #[test]
 fn version_1_cell_wise_state_blob_stays_decodable_and_canonical() {
     let golden = unhex(GOLDEN_CELL_WISE_STATE);
-    let scheme = DetScheme::new(MasterKey::from_seed(1));
-    let loaded = scheme.load_state(&golden).expect("version-1 blob decodes");
-    let state: &CellWiseState = loaded.downcast_ref().expect("a cell-wise owner state");
+    let loaded = decode_state(&golden).expect("version-1 blob decodes");
+    let OwnerState::CellWise(state) = loaded else { panic!("a cell-wise owner state") };
     assert_eq!(state.plaintext_schema, reference_schema());
 
-    let outcome = SchemeOutcome {
-        encrypted: Table::empty(reference_schema().encrypted()),
-        state: OwnerState::new(CellWiseState { plaintext_schema: reference_schema() }),
-        report: Default::default(),
-    };
-    assert_eq!(scheme.save_state(&outcome).expect("save"), golden);
+    let state = OwnerState::CellWise(CellWiseState { plaintext_schema: reference_schema() });
+    assert_eq!(encode_state(&state).expect("save"), golden);
 }

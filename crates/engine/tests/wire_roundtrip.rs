@@ -3,8 +3,7 @@
 //! error — never a panic and never a silently wrong value.
 
 use f2_core::{Scheme, SchemeOutcome, F2};
-use f2_engine::persist::{decode_table, encode_table};
-use f2_engine::StatefulScheme;
+use f2_engine::persist::{decode_state, decode_table, encode_state, encode_table};
 use f2_relation::{Record, Schema, Table, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -92,24 +91,24 @@ proptest! {
         };
         let scheme = F2::builder().alpha(0.5).seed(seed).build().expect("valid");
         let outcome = scheme.encrypt(&table).expect("encrypt");
-        let blob = scheme.save_state(&outcome).expect("save");
+        let blob = encode_state(&outcome.state).expect("save");
 
         // Exact roundtrip first.
         let restored = SchemeOutcome {
             encrypted: outcome.encrypted.clone(),
-            state: scheme.load_state(&blob).expect("load own blob"),
+            state: decode_state(&blob).expect("load own blob"),
             report: Default::default(),
         };
         prop_assert!(scheme.decrypt(&restored).expect("decrypt").multiset_eq(&table));
 
         // Truncation errors, never panics.
         let cut = (blob.len() as u64 * cut_per_mille / 1000) as usize;
-        prop_assert!(scheme.load_state(&blob[..cut]).is_err());
+        prop_assert!(decode_state(&blob[..cut]).is_err());
 
         // Byte flips never panic (they may decode if the flip hits a benign spot).
         let mut corrupt = blob.clone();
         let pos = (seed % blob.len() as u64) as usize;
         corrupt[pos] ^= flip_mask;
-        let _ = scheme.load_state(&corrupt);
+        let _ = decode_state(&corrupt);
     }
 }

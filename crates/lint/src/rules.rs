@@ -825,8 +825,8 @@ impl Checker<'_> {
                     RESEED_USES_SEED,
                     line,
                     "reseeded".to_string(),
-                    "`reseeded` must derive its state from the seed parameter; a ChunkedScheme \
-                     that ignores it reuses randomness across chunks"
+                    "`reseeded` must derive its state from the seed parameter; a Scheme that \
+                     ignores it reuses randomness across chunks"
                         .to_string(),
                 );
             }

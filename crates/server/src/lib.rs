@@ -82,6 +82,8 @@ pub mod transport;
 pub use client::{AppendAck, Client, FinishAck, JobOpened, ResumeAck};
 pub use deadline::{DeadlineGuard, DeadlineWheel};
 pub use error::{ServerError, ServerResult};
+/// The backend a tenant's jobs encrypt with: any [`Scheme`](f2_core::Scheme).
+pub use f2_core::Scheme as ServerScheme;
 pub use http::{Health, HealthSource, HttpServer, HttpServerHandle, HttpState, StaticHealth};
 pub use pipe::{duplex, PipeEnd};
 pub use proto::{Request, Response};
@@ -89,7 +91,7 @@ pub use server::{
     channel_acceptor, Acceptor, ChannelAcceptor, ServerConfig, Service, ServiceHandle, TcpAcceptor,
 };
 pub use session::{
-    BoxStore, DirStores, MemoryStores, SchemeProvider, ServerScheme, StaticTenants, StoreProvider,
+    BoxStore, DirStores, MemoryStores, SchemeProvider, StaticTenants, StoreProvider,
 };
 pub use transport::{Hangup, Transport};
 

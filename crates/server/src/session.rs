@@ -25,8 +25,8 @@
 
 use crate::error::{ServerError, ServerResult};
 use crate::StreamStore;
-use f2_core::ChunkedScheme;
-use f2_engine::{chunk_seed, Engine, EngineConfig, StatefulScheme, StreamJob};
+use f2_core::Scheme;
+use f2_engine::{chunk_seed, Engine, EngineConfig, StreamJob};
 use f2_relation::Schema;
 use std::collections::HashMap;
 use std::io::{Cursor, Read, Seek, SeekFrom, Write};
@@ -37,24 +37,18 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// A boxed job store, as the session layer handles them.
 pub type BoxStore = Box<dyn StreamStore + Send>;
 
-/// What a scheme must provide to serve jobs: chunked encryption plus owner
-/// state persistence. Blanket-implemented, so every engine backend qualifies.
-pub trait ServerScheme: ChunkedScheme + StatefulScheme {}
-
-impl<S: ChunkedScheme + StatefulScheme + ?Sized> ServerScheme for S {}
-
 /// Maps tenant names to their encryption schemes (each tenant holds its own
 /// key material). `None` means the tenant does not exist.
 pub trait SchemeProvider: Send + Sync {
     /// The scheme serving `tenant`, if the tenant is known.
-    fn scheme(&self, tenant: &str) -> Option<Arc<dyn ServerScheme>>;
+    fn scheme(&self, tenant: &str) -> Option<Arc<dyn Scheme>>;
 }
 
 /// A fixed tenant table, built up front. The common provider for tests and
 /// the example service.
 #[derive(Default)]
 pub struct StaticTenants {
-    map: HashMap<String, Arc<dyn ServerScheme>>,
+    map: HashMap<String, Arc<dyn Scheme>>,
 }
 
 impl StaticTenants {
@@ -66,14 +60,14 @@ impl StaticTenants {
 
     /// Register `scheme` under `tenant`, replacing any previous registration.
     #[must_use]
-    pub fn with_tenant(mut self, tenant: impl Into<String>, scheme: Arc<dyn ServerScheme>) -> Self {
+    pub fn with_tenant(mut self, tenant: impl Into<String>, scheme: Arc<dyn Scheme>) -> Self {
         self.map.insert(tenant.into(), scheme);
         self
     }
 }
 
 impl SchemeProvider for StaticTenants {
-    fn scheme(&self, tenant: &str) -> Option<Arc<dyn ServerScheme>> {
+    fn scheme(&self, tenant: &str) -> Option<Arc<dyn Scheme>> {
         self.map.get(tenant).map(Arc::clone)
     }
 }
@@ -228,7 +222,7 @@ impl StoreProvider for DirStores {
 /// A job the service holds live in memory, ready for appends.
 pub(crate) struct LoadedJob {
     pub(crate) tenant: String,
-    pub(crate) scheme: Arc<dyn ServerScheme>,
+    pub(crate) scheme: Arc<dyn Scheme>,
     pub(crate) schema: Schema,
     pub(crate) job: StreamJob<BoxStore>,
 }

@@ -11,11 +11,9 @@
 //! - a drain loses zero accepted jobs, and shed / deadline / drain events
 //!   are visible in the *served* Prometheus snapshot.
 
-use f2_core::{
-    ChunkState, ChunkedScheme, DetScheme, EncryptionReport, OwnerState, Scheme, SchemeOutcome, F2,
-};
+use f2_core::{DetScheme, EncryptionReport, Scheme, SchemeOutcome, F2};
 use f2_crypto::MasterKey;
-use f2_engine::{chunk_seed, Engine, EngineConfig, StatefulScheme};
+use f2_engine::{chunk_seed, Engine, EngineConfig};
 use f2_io::TableSource;
 use f2_io::{FaultPlan, FaultyReader, FaultyWriter, RetryPolicy, RowSource};
 use f2_relation::{Table, TableView};
@@ -437,10 +435,8 @@ impl Scheme for SlowScheme {
     fn real_rows(&self, outcome: &SchemeOutcome) -> f2_core::Result<Vec<(usize, usize)>> {
         self.inner.real_rows(outcome)
     }
-}
 
-impl ChunkedScheme for SlowScheme {
-    fn reseeded(&self, _seed: u64) -> Box<dyn ChunkedScheme> {
+    fn reseeded(&self, _seed: u64) -> Box<dyn Scheme> {
         // Deterministic backend: reseeding is the identity.
         Box::new(SlowScheme { inner: Arc::clone(&self.inner), delay: self.delay })
     }
@@ -450,22 +446,8 @@ impl ChunkedScheme for SlowScheme {
         self.inner.encrypt_view(view)
     }
 
-    fn merge_chunk_states(&self, chunks: Vec<ChunkState>) -> f2_core::Result<OwnerState> {
-        self.inner.merge_chunk_states(chunks)
-    }
-
     fn rederive_chunk_report(&self, rows: usize) -> Option<EncryptionReport> {
         self.inner.rederive_chunk_report(rows)
-    }
-}
-
-impl StatefulScheme for SlowScheme {
-    fn save_state(&self, outcome: &SchemeOutcome) -> f2_core::Result<Vec<u8>> {
-        self.inner.save_state(outcome)
-    }
-
-    fn load_state(&self, bytes: &[u8]) -> f2_core::Result<OwnerState> {
-        self.inner.load_state(bytes)
     }
 }
 

@@ -38,8 +38,9 @@ fn main() {
         .expect("valid engine config");
     // Everything the owner needs later goes into one self-describing stream: the
     // encrypted chunks, each with its owner state, and the encryption report. No key
-    // material is inside — the file can sit on untrusted storage next to the
-    // outsourced table.
+    // material is inside, but every chunk's owner state is in the clear, and its
+    // provenance tells real rows from artificial ones. So the stream stays with the
+    // owner; only the encrypted table is outsourced.
     let path = std::env::temp_dir().join("f2_streaming_outsourcing.f2ws");
     let file = BufWriter::new(File::create(&path).expect("create stream file"));
     let run = engine

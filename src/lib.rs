@@ -26,12 +26,12 @@
 //!   fault-injection harness ([`FaultPlan`] and friends) that makes failure paths
 //!   testable;
 //! * [`engine`] — the streaming outsourcing layer: [`Engine`] shards a table into
-//!   chunks, encrypts them on parallel workers over any [`ChunkedScheme`] backend with
+//!   chunks, encrypts them on parallel workers over any [`Scheme`] backend with
 //!   per-chunk nonce domains, and reassembles a deterministic outcome —
 //!   or streams source → encrypted file end to end in bounded memory
-//!   ([`Engine::run_streaming`], `engine::stream::decrypt_streaming`); the
-//!   [`StatefulScheme`] extension persists each chunk's owner state inside the
-//!   `F2WS` v2 stream so decryption can happen in a later process; crashed
+//!   ([`Engine::run_streaming`], `engine::stream::decrypt_streaming`); each
+//!   chunk's [`OwnerState`] persists inside the owner-side `F2WS` v2 stream so
+//!   decryption can happen in a later process; crashed
 //!   streaming jobs resume byte-exactly ([`Engine::resume_streaming`]), damaged
 //!   streams salvage chunk-wise ([`decrypt_streaming_lossy`] → [`DamageReport`]),
 //!   and worker panics surface as typed [`EngineError::WorkerPanicked`] errors
@@ -133,13 +133,13 @@ pub use f2_relation as relation;
 pub use f2_server as server;
 
 pub use f2_core::{
-    ChunkState, ChunkedScheme, DetScheme, EncryptionOutcome, EncryptionReport, F2Builder, F2Config,
-    F2Decryptor, F2Encryptor, F2Error, F2OwnerState, F2Scheme, OwnerState, PaillierFraming,
-    PaillierScheme, ProbScheme, Provenance, RowOrigin, Scheme, SchemeOutcome, F2,
+    ChunkState, DetScheme, EncryptionOutcome, EncryptionReport, F2Builder, F2Config, F2Decryptor,
+    F2Encryptor, F2Error, F2OwnerState, F2Scheme, OwnerState, PaillierFraming, PaillierScheme,
+    ProbScheme, Provenance, RowOrigin, Scheme, SchemeOutcome, F2,
 };
 pub use f2_engine::{
     decrypt_streaming_lossy, ChunkRecord, DamageReport, Engine, EngineConfig, EngineError,
-    EngineOutcome, StatefulScheme, StreamOutcome,
+    EngineOutcome, StreamOutcome,
 };
 pub use f2_io::{
     CsvOptions, CsvSource, FaultKind, FaultPlan, FaultyReader, FaultySource, FaultyWriter,
