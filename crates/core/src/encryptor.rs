@@ -162,7 +162,7 @@ impl F2Encryptor {
             .map(|&m| {
                 let partition = f2_relation::Partition::compute(table, m);
                 mas_witnesses.push((m, partition.classes().iter().map(|c| c.rows[0]).collect()));
-                build_mas_plan_from(&partition, Some(table.columnar()), &self.config, &mut fresh)
+                build_mas_plan_from(&partition, table.columnar(), &self.config, &mut fresh)
             })
             .collect();
 

@@ -501,13 +501,6 @@ impl F2Scheme {
         self.encryptor.config()
     }
 
-    /// Run the underlying encryptor, keeping the concrete [`EncryptionOutcome`]
-    /// (useful when the caller needs direct access to provenance and MAS sets without
-    /// matching on the [`OwnerState`]).
-    pub fn encrypt_concrete(&self, table: &Table) -> Result<EncryptionOutcome> {
-        self.encryptor.encrypt(table)
-    }
-
     /// The same scheme with a different RNG seed: the master key (and thus
     /// decryptability) is unchanged, only nonce generation and fake-value shuffling
     /// re-derive from `seed`.

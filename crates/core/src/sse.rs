@@ -7,7 +7,7 @@
 //! ciphertexts and resolves conflicts between overlapping MASs.
 
 use crate::config::F2Config;
-use crate::ecg::{group_equivalence_classes, Ecg};
+use crate::ecg::Ecg;
 use crate::fake::FreshValueGenerator;
 use crate::split::plan_split;
 use f2_relation::{AttrSet, Partition, RowId, Table, Value};
@@ -87,43 +87,38 @@ pub fn build_mas_plan(
     config: &F2Config,
     fresh: &mut FreshValueGenerator,
 ) -> MasPlan {
-    build_mas_plan_from(&Partition::compute(table, mas), Some(table.columnar()), config, fresh)
+    build_mas_plan_from(&Partition::compute(table, mas), table.columnar(), config, fresh)
 }
 
 /// [`build_mas_plan`] over an already-computed MAS partition — the encryptor computes
 /// each `π_M` once and shares it between this planner and the false-positive step.
-/// When the table's columnar index is supplied, the grouping step reads witness ids
-/// straight off the column dictionaries instead of re-interning representatives.
+/// The grouping step reads witness ids straight off the table's column dictionaries
+/// instead of re-interning representatives.
 pub fn build_mas_plan_from(
     partition: &Partition,
-    columnar: Option<&f2_relation::ColumnarIndex>,
+    columnar: &f2_relation::ColumnarIndex,
     config: &F2Config,
     fresh: &mut FreshValueGenerator,
 ) -> MasPlan {
     let mas = partition.attrs();
     let ec_count = partition.class_count();
-    let groups: Vec<Ecg> = match columnar {
-        Some(columnar) => {
-            // Column-dictionary ids are value-sorted, exactly the contract the
-            // interned grouping needs; the witness row of each class carries them.
-            let positions: Vec<(Vec<u32>, usize)> = mas
-                .iter()
-                .map(|a| {
-                    let col = columnar.column(a);
-                    let ids = partition.classes().iter().map(|c| col.ids()[c.rows[0]]).collect();
-                    (ids, col.distinct_count())
-                })
-                .collect();
-            crate::ecg::group_equivalence_classes_interned(
-                partition.classes(),
-                &positions,
-                config.ecg_size(),
-                mas.len(),
-                fresh,
-            )
-        }
-        None => group_equivalence_classes(partition.classes(), config.ecg_size(), mas.len(), fresh),
-    };
+    // Column-dictionary ids are value-sorted, exactly the contract the interned
+    // grouping needs; the witness row of each class carries them.
+    let positions: Vec<(Vec<u32>, usize)> = mas
+        .iter()
+        .map(|a| {
+            let col = columnar.column(a);
+            let ids = partition.classes().iter().map(|c| col.ids()[c.rows[0]]).collect();
+            (ids, col.distinct_count())
+        })
+        .collect();
+    let groups: Vec<Ecg> = crate::ecg::group_equivalence_classes_interned(
+        partition.classes(),
+        &positions,
+        config.ecg_size(),
+        mas.len(),
+        fresh,
+    );
     let mut instances = Vec::new();
     for (ecg_index, group) in groups.iter().enumerate() {
         let sizes: Vec<usize> = group.members.iter().map(|m| m.size()).collect();

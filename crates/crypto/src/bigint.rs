@@ -396,11 +396,6 @@ impl BigUint {
         self.mul(other).rem(modulus)
     }
 
-    /// `(self + other) mod modulus`.
-    pub fn add_mod(&self, other: &BigUint, modulus: &BigUint) -> BigUint {
-        self.add(other).rem(modulus)
-    }
-
     /// `self^exponent mod modulus`.
     ///
     /// Odd moduli take the Montgomery/REDC fast path ([`crate::Montgomery`]):

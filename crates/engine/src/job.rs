@@ -204,15 +204,6 @@ impl<W: Write> StreamJob<W> {
         f2_obs::ctx::add_count("rows", chunk_len as u64);
         f2_obs::ctx::add_count("encrypted_rows", record.output_rows.len() as u64);
         f2_obs::ctx::add_count("chunk_bytes", payload.len() as u64);
-        f2_obs::trace_event(
-            "engine.chunk",
-            &[
-                ("index", index as u64),
-                ("rows", chunk_len as u64),
-                ("encrypted_rows", record.output_rows.len() as u64),
-                ("stream_bytes", self.sink.bytes_written()),
-            ],
-        );
         self.progress.push(record, &outcome.report);
         // `outcome` (the only live copy of the chunk's ciphertext) drops on return.
         self.progress

@@ -9,8 +9,8 @@
 //! the chunk size, not the dataset size. Two sources ship here:
 //!
 //! * [`CsvSource`] — a **streaming CSV/TSV parser**: RFC-4180 quoting (including
-//!   quoted delimiters, escaped `""` quotes, and newlines *inside* quoted fields —
-//!   which the line-oriented `f2_relation::csv` reader does not handle), a header
+//!   quoted delimiters, escaped `""` quotes, and line breaks *inside* quoted
+//!   fields, through the record reader it shares with `f2_relation::csv`), a header
 //!   row, and either an explicit [`Schema`] or per-column **type inference** from a
 //!   bounded sample of leading rows ([`INFERENCE_SAMPLE_ROWS`]). Rows are parsed as
 //!   they are pulled; the only buffering beyond one chunk is the inference sample.
@@ -25,16 +25,16 @@
 //! * **Retry-safety.** The engine's pull-retry assumes a failed `next_chunk`
 //!   consumed nothing — true for [`TableSource`], but a transient read error in
 //!   the middle of a CSV record discards the record's partially consumed bytes.
-//!   [`CsvSource::with_retry`] / [`CsvSource::open_with_retry`] absorb transient
-//!   errors *below* the parser (a [`RetryingReader`] under the [`BufRead`]
-//!   buffer), so the parser only ever sees healed reads.
+//!   [`CsvSource::with_retry`] absorbs transient errors *below* the parser (a
+//!   [`RetryingReader`] under the [`BufRead`] buffer), so the parser only ever
+//!   sees healed reads.
 //! * **Seekability.** [`SeekableSource`] lets crash-safe resume
 //!   (`f2_engine::Engine::resume_streaming`) skip the already-encrypted prefix
 //!   by seeking to the resume row instead of re-pulling from row 0.
 
 use crate::error::{IoError, IoResult};
 use crate::retry::{RetryPolicy, RetryingReader};
-use f2_relation::csv::{parse_typed_field, split_record};
+use f2_relation::csv::{parse_typed_field, read_record, split_record};
 use f2_relation::{Attribute, DataType, Record, Schema, Table, TableView, Value};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read};
@@ -249,20 +249,6 @@ impl CsvSource<BufReader<std::fs::File>> {
     }
 }
 
-impl CsvSource<BufReader<RetryingReader<std::fs::File>>> {
-    /// Open a file as a CSV/TSV source with transient read errors absorbed
-    /// *below* the parser. See [`CsvSource::with_retry`] for why the layering
-    /// matters.
-    pub fn open_with_retry(
-        path: impl AsRef<Path>,
-        options: CsvOptions,
-        policy: RetryPolicy,
-    ) -> IoResult<Self> {
-        let file = std::fs::File::open(path)?;
-        Self::with_retry(file, options, policy)
-    }
-}
-
 impl<R: Read> CsvSource<BufReader<RetryingReader<R>>> {
     /// Wrap an unbuffered reader with a [`RetryingReader`] *under* the
     /// [`BufRead`] buffer, making the source safe to pull-retry.
@@ -368,39 +354,19 @@ impl<R: BufRead> CsvSource<R> {
         Ok(())
     }
 
-    /// Read one raw record: handles quoted delimiters, escaped quotes, and newlines
-    /// inside quoted fields (a record may span several physical lines). Returns the
-    /// 1-based line the record started on plus its unescaped fields, or `None` at
-    /// end of input.
+    /// Read one raw record through [`read_record`]: handles quoted delimiters,
+    /// escaped quotes, and line breaks inside quoted fields (a record may span
+    /// several physical lines). Returns the 1-based line the record started on
+    /// plus its unescaped fields, or `None` at end of input.
     fn read_raw_record(&mut self, skip_blank: bool) -> IoResult<Option<(u64, Vec<String>)>> {
-        let quotes_in = |s: &str| s.bytes().filter(|&b| b == b'"').count();
         let mut raw = String::new();
         loop {
-            raw.clear();
             let started_at = self.line + 1;
-            if self.reader.read_line(&mut raw)? == 0 {
+            let lines = read_record(&mut self.reader, &mut raw)?;
+            if lines == 0 {
                 return Ok(None);
             }
-            self.line += 1;
-            trim_newline(&mut raw);
-            // An odd number of quote characters means a quoted field swallowed the
-            // line break: keep appending physical lines until quotes balance. The
-            // parity is tracked incrementally (only each newly appended segment is
-            // scanned), so a stray unmatched quote stays O(input), not O(input²).
-            let mut odd_quotes = quotes_in(&raw) % 2 == 1;
-            while odd_quotes {
-                raw.push('\n');
-                let appended_from = raw.len();
-                if self.reader.read_line(&mut raw)? == 0 {
-                    return Err(IoError::Csv {
-                        line: started_at,
-                        message: "unterminated quoted field at end of input".into(),
-                    });
-                }
-                self.line += 1;
-                trim_newline(&mut raw);
-                odd_quotes ^= quotes_in(raw.get(appended_from..).unwrap_or("")) % 2 == 1;
-            }
+            self.line += lines as u64;
             if raw.is_empty() && skip_blank {
                 // A blank line cannot be a row of a multi-column table.
                 continue;
@@ -568,16 +534,6 @@ impl<R: BufRead> SeekableSource for CsvSource<R> {
 
 fn arity_error(line: u64, got: usize, expected: usize) -> IoError {
     IoError::Csv { line, message: format!("row has {got} fields, expected {expected}") }
-}
-
-/// Strip one trailing `\n` (and a preceding `\r`, for CRLF input) in place.
-fn trim_newline(line: &mut String) {
-    if line.ends_with('\n') {
-        line.pop();
-        if line.ends_with('\r') {
-            line.pop();
-        }
-    }
 }
 
 /// The narrowest [`DataType`] every sampled (non-empty) field of a column fits:

@@ -1,18 +1,18 @@
 //! Property tests for the streaming CSV source: whatever `f2_relation::csv` writes,
-//! [`CsvSource`] parses back — chunk by chunk, at any chunk size, through quoting,
-//! escapes, embedded newlines, and every typed column — and hostile inputs error
-//! instead of panicking.
+//! [`CsvSource`] and `read_csv` parse back — chunk by chunk, at any chunk size,
+//! through quoting, escapes, embedded line breaks, and every typed column — and
+//! hostile inputs error instead of panicking.
 
 use f2_io::{CsvOptions, CsvSource, RowSource};
-use f2_relation::csv::to_csv_string;
+use f2_relation::csv::{from_csv_string, to_csv_string};
 use f2_relation::{Attribute, DataType, Record, Schema, Table, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// Character set exercising the quoting rules: delimiters, quotes, newlines, tabs,
-/// unicode. `\r` is excluded — CSV line endings are CRLF-normalized on read, so a
-/// bare carriage return inside a field does not survive a round trip (same as v1).
-const CHARSET: &[char] = &['a', 'Z', '0', '9', ' ', ',', '"', '\n', '\'', 'é', '|', '\t', '_', '-'];
+/// Character set exercising the quoting rules: delimiters, quotes, line breaks,
+/// carriage returns, tabs, unicode.
+const CHARSET: &[char] =
+    &['a', 'Z', '0', '9', ' ', ',', '"', '\n', '\r', '\'', 'é', '|', '\t', '_', '-'];
 
 /// Non-empty text payloads over [`CHARSET`] (an empty field reads back as NULL).
 fn text_value() -> impl Strategy<Value = String> {
@@ -20,19 +20,15 @@ fn text_value() -> impl Strategy<Value = String> {
         .prop_map(|indices| indices.into_iter().map(|i| CHARSET[i]).collect())
 }
 
-/// One typed cell per column type, from a sampled integer.
-fn cell_for(dt: DataType, payload: i64, nullable: bool) -> Value {
+/// One typed cell per column type, from a sampled integer (and, for decimals, a
+/// sampled scale).
+fn cell_for(dt: DataType, payload: i64, scale: u8, nullable: bool) -> Value {
     if nullable && payload % 7 == 0 {
         return Value::Null;
     }
     match dt {
         DataType::Int => Value::Int(payload),
-        // Bounded digits and scale ≥ 1: the CSV rendering of a decimal re-parses to
-        // the same (digits, scale) only when the textual form carries a fraction.
-        DataType::Decimal => Value::Decimal {
-            digits: payload.rem_euclid(1_000_000_000_000),
-            scale: 1 + payload.rem_euclid(3) as u8,
-        },
+        DataType::Decimal => Value::Decimal { digits: payload, scale },
         DataType::Date => Value::Date(payload as i32),
         DataType::Bytes => Value::bytes(payload.to_le_bytes().to_vec()),
         DataType::Text | DataType::Any => Value::text(format!("t{payload}")),
@@ -64,6 +60,7 @@ proptest! {
             .collect();
         let table = Table::new(schema.clone(), records).expect("consistent arity");
         let csv = to_csv_string(&table);
+        prop_assert_eq!(&from_csv_string(&schema, &csv).expect("own output parses"), &table);
         let mut source = CsvSource::new(csv.as_bytes(), CsvOptions::csv().with_schema(schema))
             .expect("own output parses");
         let parsed = drain_concat(&mut source, chunk_rows);
@@ -72,7 +69,7 @@ proptest! {
 
     #[test]
     fn typed_tables_roundtrip_with_explicit_schemas(
-        payloads in vec((0u64..=u64::MAX, 0u8..2), 1..40),
+        payloads in vec((0u64..=u64::MAX, 0u8..=u8::MAX, 0u8..2), 1..40),
         chunk_rows in 1usize..9,
     ) {
         let types =
@@ -83,15 +80,16 @@ proptest! {
         .expect("schema");
         let records: Vec<Record> = payloads
             .iter()
-            .map(|&(payload, nullable)| {
+            .map(|&(payload, scale, nullable)| {
                 let payload = payload as i64;
                 Record::new(
-                    types.iter().map(|&dt| cell_for(dt, payload, nullable == 1)).collect(),
+                    types.iter().map(|&dt| cell_for(dt, payload, scale, nullable == 1)).collect(),
                 )
             })
             .collect();
         let table = Table::new(schema.clone(), records).expect("consistent arity");
         let csv = to_csv_string(&table);
+        prop_assert_eq!(&from_csv_string(&schema, &csv).expect("own output parses"), &table);
         let mut source = CsvSource::new(csv.as_bytes(), CsvOptions::csv().with_schema(schema))
             .expect("own output parses");
         prop_assert_eq!(drain_concat(&mut source, chunk_rows), table);
@@ -161,6 +159,9 @@ proptest! {
         let cut = (0..=cut).rev().find(|&i| csv.is_char_boundary(i)).unwrap_or(0);
         // A truncated document either parses to a prefix of the rows or errors —
         // it must never panic and never invent cells.
+        if let Ok(parsed) = from_csv_string(&schema, &csv[..cut]) {
+            prop_assert!(parsed.row_count() <= table.row_count());
+        }
         match CsvSource::new(&csv.as_bytes()[..cut], CsvOptions::csv().with_schema(schema)) {
             Err(_) => {}
             Ok(mut source) => loop {

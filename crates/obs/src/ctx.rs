@@ -23,8 +23,6 @@
 //! into planning or encryption.
 
 use std::cell::RefCell;
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,19 +69,6 @@ impl IdSource {
     #[must_use]
     pub fn seeded(seed: u64) -> IdSource {
         IdSource { state: Arc::new(AtomicU64::new(seed)) }
-    }
-
-    /// A source seeded from ambient entropy (hasher randomness + the clock).
-    #[must_use]
-    pub fn from_entropy() -> IdSource {
-        let mut hasher = RandomState::new().build_hasher();
-        hasher.write_u128(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.as_nanos())
-                .unwrap_or(0),
-        );
-        IdSource::seeded(hasher.finish())
     }
 
     /// The next id in the sequence. Never zero (zero is reserved as "absent"

@@ -2,7 +2,7 @@
 //!
 //! The workspace's only runtime visibility used to be the offline
 //! `BENCH_report.json` snapshot; this crate is the live counterpart. It provides
-//! three layers, all std-only (no serde, no tracing stack), in the same spirit as
+//! four layers, all std-only (no serde, no tracing stack), in the same spirit as
 //! `f2-lint`'s hand-rolled tooling:
 //!
 //! 1. **Metrics registry** ([`Registry`]) — atomic [`Counter`]s, [`Gauge`]s, and
@@ -17,8 +17,7 @@
 //!    `f2_span_seconds` family on the global registry.
 //! 3. **Exporters** — deterministic-ordered Prometheus text exposition and JSON
 //!    snapshots targeting any [`std::io::Write`] (the encoders `f2_server`'s
-//!    HTTP `/metrics` endpoint mounts directly), plus an env-gated (`F2_TRACE`)
-//!    human/JSONL event sink on stderr for streaming runs.
+//!    HTTP `/metrics` endpoint mounts directly).
 //! 4. **Request traces** ([`ctx`], [`TraceJournal`]) — a per-thread trace
 //!    context ([`TraceCtx`]) that existing `span!` sites attribute to with zero
 //!    signature churn, feeding a bounded lock-free journal of completed request
@@ -54,7 +53,6 @@ mod metrics;
 mod registry;
 mod snapshot;
 mod span;
-mod trace;
 
 pub use ctx::{IdSource, TraceCtx, TraceGuard};
 pub use journal::{journal, Stage, TraceEntry, TraceJournal, DEFAULT_JOURNAL_CAPACITY};
@@ -65,16 +63,16 @@ pub use metrics::{
 pub use registry::{global, install_process_metrics, Registry};
 pub use snapshot::{MetricsSample, MetricsSnapshot};
 pub use span::Span;
-pub use trace::{trace_enabled, trace_event};
 
 /// Time a lexical scope into the global registry's `f2_span_seconds` histogram.
 ///
 /// `span!("engine.chunk.encrypt")` returns an RAII guard; when it drops, the
 /// elapsed wall-clock is recorded under the label `span="engine.chunk.encrypt"`
-/// and, when `F2_TRACE` is set, echoed to the trace sink. The histogram handle is
-/// registered once per call site and cached in a `OnceLock`, so steady-state cost
-/// is one static load plus the recording itself — and when the global registry is
-/// disabled (and tracing is off) the guard skips the clock reads entirely.
+/// and attributed to the thread's active request trace, if any. The histogram
+/// handle is registered once per call site and cached in a `OnceLock`, so
+/// steady-state cost is one static load plus the recording itself — and when the
+/// global registry is disabled and no request trace is active the guard skips the
+/// clock reads entirely.
 ///
 /// The span name must be a `'static` dotted path; hierarchy lives in the name
 /// (`<crate>.<unit>.<stage>`), not in runtime parent/child links.

@@ -1,19 +1,18 @@
 //! RAII span timers.
 //!
 //! A [`Span`] reads the clock on entry and records the elapsed nanoseconds into
-//! its histogram on drop. When the owning registry is disabled, tracing is off,
-//! *and* no request trace is active on this thread, `enter` skips the clock read
-//! entirely and drop is a no-op — the span costs a few relaxed loads, preserving
-//! the registry's ~0-overhead guarantee. With a request trace active (see
-//! [`crate::ctx`]), drop also attributes the elapsed time to the current
-//! request's per-stage breakdown.
+//! its histogram on drop. When the owning registry is disabled *and* no request
+//! trace is active on this thread, `enter` skips the clock read entirely and drop
+//! is a no-op — the span costs a few relaxed loads, preserving the registry's
+//! ~0-overhead guarantee. With a request trace active (see [`crate::ctx`]), drop
+//! also attributes the elapsed time to the current request's per-stage breakdown.
 
 use std::time::Instant;
 
 use crate::metrics::Histogram;
-use crate::trace;
 
-/// An in-flight timed region; records into its histogram when dropped.
+/// An in-flight timed region; when dropped, records into its histogram and
+/// attributes its duration to the thread's active request trace, if any.
 ///
 /// Usually constructed through the [`span!`](crate::span!) macro, which owns the
 /// histogram registration; `enter` is public for callers that manage their own
@@ -27,11 +26,11 @@ pub struct Span {
 
 impl Span {
     /// Start timing `name` into `hist`. Reads the clock only when the histogram
-    /// records or tracing is on.
+    /// records or a request trace is active on this thread.
     #[must_use]
     pub fn enter(name: &'static str, hist: &Histogram) -> Span {
         let recording = hist.is_enabled();
-        if recording || trace::trace_enabled() || crate::ctx::active() {
+        if recording || crate::ctx::active() {
             Span { name, start: Some(Instant::now()), hist: recording.then(|| hist.clone()) }
         } else {
             Span { name, start: None, hist: None }
@@ -48,7 +47,6 @@ impl Drop for Span {
             hist.record(ns);
         }
         crate::ctx::record_stage(self.name, ns);
-        trace::emit_span(self.name, ns);
     }
 }
 
@@ -75,7 +73,7 @@ mod tests {
         let hist = reg.histogram("f2_span_seconds", "spans", &[("span", "t")], Unit::Seconds);
         {
             let s = Span::enter("t", &hist);
-            assert!(s.start.is_none() || trace::trace_enabled());
+            assert!(s.start.is_none());
         }
         assert_eq!(hist.count(), 0);
     }

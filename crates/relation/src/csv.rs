@@ -39,14 +39,15 @@ pub fn to_csv_string(table: &Table) -> String {
 /// Parse a CSV document (with header) into a table, interpreting cells according to
 /// the provided schema's data types.
 pub fn read_csv<R: Read>(schema: &Schema, input: R) -> Result<Table> {
-    let reader = BufReader::new(input);
-    let mut lines = reader.lines();
-    let header = match lines.next() {
-        Some(Ok(h)) => h,
-        Some(Err(e)) => return Err(RelationError::Csv(e.to_string())),
-        None => return Err(RelationError::Csv("empty input".into())),
+    let mut reader = BufReader::new(input);
+    let mut raw = String::new();
+    let mut next_record = |raw: &mut String| {
+        read_record(&mut reader, raw).map_err(|e| RelationError::Csv(e.to_string()))
     };
-    let header_fields = split_line(&header)?;
+    if next_record(&mut raw)? == 0 {
+        return Err(RelationError::Csv("empty input".into()));
+    }
+    let header_fields = split_line(&raw)?;
     if header_fields.len() != schema.arity() {
         return Err(RelationError::Csv(format!(
             "header has {} fields, schema has {}",
@@ -55,14 +56,13 @@ pub fn read_csv<R: Read>(schema: &Schema, input: R) -> Result<Table> {
         )));
     }
     let mut table = Table::empty(schema.clone());
-    for line in lines {
-        let line = line.map_err(|e| RelationError::Csv(e.to_string()))?;
-        if line.is_empty() && schema.arity() != 1 {
+    while next_record(&mut raw)? > 0 {
+        if raw.is_empty() && schema.arity() != 1 {
             // A blank line cannot be a row of a multi-column table; for single-column
             // tables it legitimately encodes a NULL cell.
             continue;
         }
-        let fields = split_line(&line)?;
+        let fields = split_line(&raw)?;
         if fields.len() != schema.arity() {
             return Err(RelationError::Csv(format!(
                 "row has {} fields, expected {}",
@@ -119,7 +119,7 @@ fn parse_value(field: &str, attr: &crate::Attribute) -> Result<Value> {
         DataType::Int => field.parse::<i64>().map(Value::Int).map_err(|_| type_err()),
         DataType::Decimal => {
             let (whole, frac) = field.split_once('.').unwrap_or((field, ""));
-            let scale = frac.len() as u8;
+            let scale = u8::try_from(frac.len()).map_err(|_| type_err())?;
             let digits: i64 = format!("{whole}{frac}").parse().map_err(|_| type_err())?;
             Ok(Value::Decimal { digits, scale })
         }
@@ -145,11 +145,46 @@ fn parse_value(field: &str, attr: &crate::Attribute) -> Result<Value> {
 }
 
 fn quote(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
+    if field.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
         field.to_owned()
     }
+}
+
+/// Read one CSV/TSV record's raw text into `raw` (cleared first) and return how
+/// many physical lines it spans — 0 at end of input. The record reader shared by
+/// [`read_csv`] and the streaming `f2_io::CsvSource`.
+///
+/// A quoted field may hold line breaks: while the record's quote count is odd, the
+/// next physical line is appended, and every line terminator inside the quoted
+/// field is kept verbatim. Only the record's own terminator (`\n` or `\r\n`) is
+/// trimmed. A quoted field still open at end of input is returned as read, for
+/// [`split_record`] to reject. Each physical line costs one `read_line` and one
+/// scan of its bytes for quotes.
+pub fn read_record<R: BufRead>(reader: &mut R, raw: &mut String) -> std::io::Result<usize> {
+    raw.clear();
+    let mut lines = 0;
+    let mut in_quotes = false;
+    loop {
+        let from = raw.len();
+        if reader.read_line(raw)? == 0 {
+            break;
+        }
+        lines += 1;
+        let line = raw.as_bytes().get(from..).unwrap_or_default();
+        in_quotes ^= line.iter().filter(|&&b| b == b'"').count() % 2 == 1;
+        if !in_quotes {
+            break;
+        }
+    }
+    if raw.ends_with('\n') {
+        raw.pop();
+        if raw.ends_with('\r') {
+            raw.pop();
+        }
+    }
+    Ok(lines)
 }
 
 /// Split one logical CSV/TSV record into unescaped fields: RFC-4180 quoting with a
@@ -271,6 +306,36 @@ mod tests {
     fn unterminated_quote_is_rejected() {
         let schema = Schema::from_names(["A"]).unwrap();
         assert!(from_csv_string(&schema, "A\n\"oops\n").is_err());
+    }
+
+    #[test]
+    fn line_breaks_and_carriage_returns_in_cells_roundtrip() {
+        let schema = Schema::from_names(["A", "B"]).unwrap();
+        let t = Table::new(
+            schema.clone(),
+            vec![record!["a\r\nb", "c\r"], record!["d\ne", "\r"], record!["plain", "f"]],
+        )
+        .unwrap();
+        let csv = to_csv_string(&t);
+        assert!(csv.contains("\"c\r\""), "a trailing carriage return is quoted: {csv:?}");
+        assert_eq!(from_csv_string(&schema, &csv).unwrap(), t);
+        // CRLF record terminators are trimmed; CRLF inside a quoted field is kept.
+        let crlf = "A,B\r\n\"x\r\ny\",z\r\n";
+        let back = from_csv_string(&schema, crlf).unwrap();
+        assert_eq!(back.rows(), &[record!["x\r\ny", "z"]]);
+    }
+
+    #[test]
+    fn decimal_fractions_longer_than_a_u8_scale_are_rejected() {
+        let schema = Schema::new(vec![Attribute::new("d", DataType::Decimal)]).unwrap();
+        let widest = format!("d\n0.{}1\n", "0".repeat(254));
+        let t = from_csv_string(&schema, &widest).unwrap();
+        assert_eq!(t.cell(0, 0).unwrap(), &Value::Decimal { digits: 1, scale: u8::MAX });
+        let too_wide = format!("d\n0.{}1\n", "0".repeat(255));
+        assert!(matches!(
+            from_csv_string(&schema, &too_wide),
+            Err(RelationError::TypeError { .. })
+        ));
     }
 
     #[test]

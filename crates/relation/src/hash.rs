@@ -8,7 +8,7 @@
 //! seed-reproducibility guarantees of the pipeline rely on.
 //!
 //! **Keying:** the fold itself is the keyless FxHash recipe, but every
-//! [`FastHasher`] starts from a **per-process random key** ([`process_hash_seed`],
+//! [`FastHasher`] starts from a **per-process random key** (`process_hash_seed`,
 //! drawn once from `std`'s ambient `RandomState` entropy), so a party who controls
 //! the *plaintext table contents* cannot precompute values that collide in the
 //! dictionary-build and fresh-value maps and degrade them toward O(n²) probing.
@@ -17,10 +17,8 @@
 //! (dictionary ids are reassigned in value order, partition classes are sorted), so
 //! pipelines stay byte-identical across processes with different keys — which the
 //! golden-digest tests in `crates/core/tests/interned_plan_equiv.rs` pin down.
-//! Deterministic runs (differential fuzzing, hash-sensitive benchmarks) can pin the
-//! key with [`fix_hash_seed`] or the `F2_HASH_SEED` environment variable before the
-//! first map is built. Public API types (frequency histograms, `all_values`) keep
-//! `std`'s default hasher.
+//! Public API types (frequency histograms, `all_values`) keep `std`'s default
+//! hasher.
 //!
 //! (`f2_crypto::entropy_seed` would be the natural seed source, but `f2_crypto`
 //! depends on this crate, so the seed is drawn from the same ambient entropy via
@@ -30,28 +28,11 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
-/// The process-wide hash key, initialised on first use.
-static HASH_SEED: OnceLock<u64> = OnceLock::new();
-
-/// The per-process random key every [`FastHasher`] starts from.
-///
-/// Resolution order, decided once on first call: the value pinned by
-/// [`fix_hash_seed`] (if it won the race), else the `F2_HASH_SEED` environment
-/// variable (decimal or `0x`-prefixed hex), else fresh ambient entropy.
-pub fn process_hash_seed() -> u64 {
+/// The per-process random key every [`FastHasher`] starts from, drawn once from
+/// ambient entropy on first use.
+fn process_hash_seed() -> u64 {
+    static HASH_SEED: OnceLock<u64> = OnceLock::new();
     *HASH_SEED.get_or_init(|| {
-        if let Ok(raw) = std::env::var("F2_HASH_SEED") {
-            let raw = raw.trim();
-            let parsed = match raw.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => raw.parse().ok(),
-            };
-            // The variable exists to *pin* determinism; silently falling back to
-            // random entropy on a typo would defeat exactly that, so fail loudly.
-            return parsed.unwrap_or_else(|| {
-                panic!("F2_HASH_SEED must be a decimal or 0x-prefixed hex u64, got `{raw}`")
-            });
-        }
         // Two independently keyed SipHash states: ambient entropy without an
         // f2_crypto dependency (which would be circular — crypto builds on this
         // crate).
@@ -59,13 +40,6 @@ pub fn process_hash_seed() -> u64 {
         let t = std::collections::hash_map::RandomState::new();
         s.hash_one(0x5eed_u64) ^ t.hash_one(0xf00d_u64).rotate_left(32)
     })
-}
-
-/// Pin the process hash key (for deterministic test runs). Returns `false` if the
-/// key was already fixed — by an earlier call, the `F2_HASH_SEED` variable, or a map
-/// built before this call — and the requested value lost the race.
-pub fn fix_hash_seed(seed: u64) -> bool {
-    HASH_SEED.set(seed).is_ok() || process_hash_seed() == seed
 }
 
 /// FxHash-style streaming hasher with a splitmix64 finaliser, keyed per process.
@@ -178,10 +152,6 @@ mod tests {
         };
         let seed = process_hash_seed();
         assert_ne!(digest(seed, 42), digest(seed ^ 1, 42));
-        // fix_hash_seed after first use reports whether the value matches the one in
-        // effect (the seed itself can no longer change).
-        assert!(fix_hash_seed(seed));
-        assert!(!fix_hash_seed(seed ^ 1));
         assert_eq!(process_hash_seed(), seed);
     }
 

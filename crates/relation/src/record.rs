@@ -40,22 +40,12 @@ impl Record {
         &self.values
     }
 
-    /// Consume the record, returning its cells.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
-    }
-
     /// Project the record onto an attribute set: the paper's `r[X]`.
     ///
     /// Values are returned in ascending attribute-index order, so two records have
     /// equal projections iff they agree on every attribute of `attrs`.
     pub fn project(&self, attrs: AttrSet) -> Vec<Value> {
         attrs.iter().filter_map(|a| self.values.get(a).cloned()).collect()
-    }
-
-    /// Like [`Record::project`] but returns references (no cloning).
-    pub fn project_ref(&self, attrs: AttrSet) -> Vec<&Value> {
-        attrs.iter().filter_map(|a| self.values.get(a)).collect()
     }
 
     /// True if `self` and `other` agree on every attribute in `attrs`

@@ -244,10 +244,17 @@ impl fmt::Display for Value {
             Value::Null => write!(f, ""),
             Value::Int(i) => write!(f, "{i}"),
             Value::Decimal { digits, scale } => {
-                let pow = 10i64.pow(u32::from(*scale));
-                let whole = digits / pow;
-                let frac = (digits % pow).abs();
-                write!(f, "{whole}.{frac:0width$}", width = *scale as usize)
+                // The magnitude's digit string, zero-padded so a digit precedes
+                // the point; no power of ten is computed, so every scale prints.
+                let scale = usize::from(*scale);
+                let magnitude = format!("{:0width$}", digits.unsigned_abs(), width = scale + 1);
+                let (whole, frac) = magnitude.split_at(magnitude.len() - scale);
+                let sign = if *digits < 0 { "-" } else { "" };
+                if frac.is_empty() {
+                    write!(f, "{sign}{whole}")
+                } else {
+                    write!(f, "{sign}{whole}.{frac}")
+                }
             }
             Value::Text(s) => write!(f, "{s}"),
             Value::Date(d) => write!(f, "@{d}"),
@@ -332,6 +339,19 @@ mod tests {
     fn decimal_display() {
         assert_eq!(Value::money(123456).to_string(), "1234.56");
         assert_eq!(Value::money(5).to_string(), "0.05");
+    }
+
+    #[test]
+    fn decimal_display_keeps_sign_and_scale() {
+        let dec = |digits, scale| Value::Decimal { digits, scale }.to_string();
+        assert_eq!(dec(-5, 1), "-0.5");
+        assert_eq!(dec(-1999, 2), "-19.99");
+        assert_eq!(dec(5, 0), "5");
+        assert_eq!(dec(-5, 0), "-5");
+        assert_eq!(dec(0, 3), "0.000");
+        assert_eq!(dec(i64::MIN, 1), "-922337203685477580.8");
+        assert_eq!(dec(7, 21), format!("0.{}7", "0".repeat(20)));
+        assert_eq!(dec(1, u8::MAX), format!("0.{}1", "0".repeat(254)));
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn run_connection(
         let ctx = wire_ctx.unwrap_or_else(|| core.ids.next_ctx());
         let trace = f2_obs::journal().begin(ctx, request_kind(frame.frame_type));
         let deadline =
-            core.wheel.register(started + core.config.request_deadline, Arc::clone(hangup));
+            core.deadlines.register(started + core.config.request_deadline, Arc::clone(hangup));
         let outcome = catch_unwind(AssertUnwindSafe(|| match decoded {
             Ok((request, _)) => dispatch(core, request),
             Err(e) => Err(e),
@@ -159,7 +159,8 @@ fn request_kind(frame_type: u8) -> &'static str {
 }
 
 /// Post-request accounting off the completed trace entry: per-tenant counters
-/// and the slow-request log.
+/// and the slow-request counter (the journal behind `/tracez` keeps the slowest
+/// requests' per-stage breakdowns).
 fn account(core: &Core, entry: &f2_obs::TraceEntry, elapsed: Duration) {
     if let Some(tenant) = entry.tenant.as_deref() {
         let tenant_metrics = obs::tenant_metrics(tenant, core.config.tenant_label_cap);
@@ -169,15 +170,6 @@ fn account(core: &Core, entry: &f2_obs::TraceEntry, elapsed: Duration) {
     }
     if elapsed >= core.config.slow_request_threshold {
         obs::slow_requests_total().inc();
-        let mut fields: Vec<(&str, u64)> = vec![
-            ("trace_id", entry.trace_id),
-            ("request_id", entry.request_id),
-            ("total_us", u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)),
-        ];
-        for stage in &entry.stages {
-            fields.push((stage.name, stage.total_ns / 1_000));
-        }
-        f2_obs::trace_event("server.slow_request", &fields);
     }
 }
 

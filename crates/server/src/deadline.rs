@@ -1,12 +1,14 @@
-//! A monotonic hashed deadline wheel.
+//! Per-request deadlines, watched by one thread.
 //!
 //! Every request registers its absolute deadline (an [`Instant`], so wall
 //! clock jumps cannot fire or starve it) together with the connection's
-//! [`Hangup`] handle. A single detached ticker thread advances a cursor over
-//! [`BUCKETS`] fixed buckets every [`tick`](DeadlineWheel::tick); an entry
-//! lands in the bucket its deadline hashes to, so each tick scans only the
-//! entries due roughly now — the classic hashed-timing-wheel trade of O(1)
-//! insert/cancel against one-revolution firing granularity.
+//! [`Hangup`] handle. A single watchdog thread sleeps until the earliest armed
+//! deadline — indefinitely while none is armed — fires every entry that is
+//! due, and sleeps again; registering a deadline that becomes the earliest
+//! wakes it early. At most one deadline per worker is armed at a time (a
+//! request arms one, a connection has one request in flight, a worker serves
+//! one connection), so a scan of the armed entries is all the bookkeeping the
+//! service needs.
 //!
 //! Firing sets the entry's `expired` flag and hangs the connection up, which
 //! errors the blocked I/O out promptly; the request loop then reports
@@ -16,15 +18,7 @@
 use crate::transport::Hangup;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
-
-/// Number of wheel buckets. A deadline further out than one revolution
-/// (`BUCKETS * tick`) is still honored — it just shares a bucket with nearer
-/// deadlines and is skipped (not fired) until its instant passes.
-pub const BUCKETS: usize = 64;
-
-/// Default tick granularity. Deadlines fire at most one tick late.
-pub const DEFAULT_TICK: Duration = Duration::from_millis(10);
+use std::time::Instant;
 
 struct Entry {
     id: u64,
@@ -33,68 +27,39 @@ struct Entry {
     hangup: Arc<dyn Hangup>,
 }
 
-struct WheelState {
-    buckets: Vec<Vec<Entry>>,
+struct State {
+    armed: Vec<Entry>,
     next_id: u64,
     shutdown: bool,
 }
 
 struct Inner {
-    state: Mutex<WheelState>,
-    ticker: Condvar,
-    epoch: Instant,
-    tick: Duration,
+    state: Mutex<State>,
+    watchdog: Condvar,
 }
 
-impl Inner {
-    fn bucket_for(&self, at: Instant) -> usize {
-        let ticks =
-            at.saturating_duration_since(self.epoch).as_nanos() / self.tick.as_nanos().max(1);
-        // lint: allow(truncating-cast) — reduced mod BUCKETS, always in range.
-        (ticks % BUCKETS as u128) as usize
-    }
-}
-
-/// The wheel. Dropping it stops the ticker thread; outstanding guards keep
-/// their `expired` flags but nothing fires after shutdown.
-pub struct DeadlineWheel {
+/// The armed deadlines and their watchdog. Dropping it stops the watchdog
+/// thread; outstanding guards keep their `expired` flags but nothing fires
+/// after shutdown.
+pub struct Deadlines {
     inner: Arc<Inner>,
-    ticker: Option<std::thread::JoinHandle<()>>,
+    watchdog: Option<std::thread::JoinHandle<()>>,
 }
 
-impl DeadlineWheel {
-    /// A wheel ticking at [`DEFAULT_TICK`].
+impl Deadlines {
+    /// No deadlines armed, and a watchdog waiting for the first.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_tick(DEFAULT_TICK)
-    }
-
-    /// A wheel with an explicit tick (tests use a coarse one to prove
-    /// deadlines fire, a fine one to prove they don't fire early).
-    #[must_use]
-    pub fn with_tick(tick: Duration) -> Self {
         let inner = Arc::new(Inner {
-            state: Mutex::new(WheelState {
-                buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
-                next_id: 1,
-                shutdown: false,
-            }),
-            ticker: Condvar::new(),
-            epoch: Instant::now(),
-            tick: tick.max(Duration::from_millis(1)),
+            state: Mutex::new(State { armed: Vec::new(), next_id: 1, shutdown: false }),
+            watchdog: Condvar::new(),
         });
-        let ticker_inner = Arc::clone(&inner);
-        let ticker = std::thread::Builder::new()
-            .name("f2-deadline-wheel".into())
-            .spawn(move || run_ticker(&ticker_inner))
+        let watchdog_inner = Arc::clone(&inner);
+        let watchdog = std::thread::Builder::new()
+            .name("f2-deadlines".into())
+            .spawn(move || run_watchdog(&watchdog_inner))
             .ok();
-        DeadlineWheel { inner, ticker }
-    }
-
-    /// The wheel's tick granularity.
-    #[must_use]
-    pub fn tick(&self) -> Duration {
-        self.inner.tick
+        Deadlines { inner, watchdog }
     }
 
     /// Arm a deadline: at `at`, set the guard's expired flag and hang up the
@@ -102,72 +67,74 @@ impl DeadlineWheel {
     #[must_use]
     pub fn register(&self, at: Instant, hangup: Arc<dyn Hangup>) -> DeadlineGuard {
         let expired = Arc::new(AtomicBool::new(false));
-        let bucket = self.inner.bucket_for(at);
         let mut state = self.inner.state.lock().unwrap_or_else(PoisonError::into_inner);
         let id = state.next_id;
         state.next_id = state.next_id.wrapping_add(1);
-        if let Some(slot) = state.buckets.get_mut(bucket) {
-            slot.push(Entry { id, at, expired: Arc::clone(&expired), hangup });
-        }
+        let earliest = state.armed.iter().all(|entry| at < entry.at);
+        state.armed.push(Entry { id, at, expired: Arc::clone(&expired), hangup });
         drop(state);
-        DeadlineGuard { inner: Arc::clone(&self.inner), id, bucket, expired }
+        if earliest {
+            // The watchdog sleeps until the previous earliest deadline (or
+            // indefinitely); this one is due sooner.
+            self.inner.watchdog.notify_one();
+        }
+        DeadlineGuard { inner: Arc::clone(&self.inner), id, expired }
     }
 }
 
-impl Default for DeadlineWheel {
+impl Default for Deadlines {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Drop for DeadlineWheel {
+impl Drop for Deadlines {
     fn drop(&mut self) {
         self.inner.state.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
-        self.inner.ticker.notify_all();
-        if let Some(handle) = self.ticker.take() {
+        self.inner.watchdog.notify_all();
+        if let Some(handle) = self.watchdog.take() {
             let _ = handle.join();
         }
     }
 }
 
-fn run_ticker(inner: &Inner) {
-    let mut cursor = 0_usize;
+fn run_watchdog(inner: &Inner) {
     let mut state = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
         if state.shutdown {
             return;
         }
-        let (guard, _) =
-            inner.ticker.wait_timeout(state, inner.tick).unwrap_or_else(PoisonError::into_inner);
-        state = guard;
-        if state.shutdown {
-            return;
-        }
         let now = Instant::now();
-        // Fire everything due in the cursor bucket; keep the rest (entries
-        // whose deadline is a revolution or more away).
-        if let Some(slot) = state.buckets.get_mut(cursor % BUCKETS) {
-            let mut due = Vec::new();
-            slot.retain(|entry| {
-                if entry.at <= now {
-                    entry.expired.store(true, Ordering::SeqCst);
-                    due.push(Arc::clone(&entry.hangup));
-                    false
-                } else {
-                    true
-                }
-            });
-            if !due.is_empty() {
-                // Hang up outside the lock: a hangup may take a transport
-                // mutex held by code that is about to touch the wheel.
-                drop(state);
-                for hangup in due {
-                    hangup.hangup();
-                }
-                state = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut due = Vec::new();
+        state.armed.retain(|entry| {
+            if entry.at <= now {
+                entry.expired.store(true, Ordering::SeqCst);
+                due.push(Arc::clone(&entry.hangup));
+                false
+            } else {
+                true
             }
+        });
+        if !due.is_empty() {
+            // Hang up outside the lock: a hangup may take a transport mutex
+            // held by code that is about to register or cancel a deadline.
+            drop(state);
+            for hangup in due {
+                hangup.hangup();
+            }
+            state = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
+            continue;
         }
-        cursor = cursor.wrapping_add(1);
+        state = match state.armed.iter().map(|entry| entry.at).min() {
+            Some(next) => {
+                inner
+                    .watchdog
+                    .wait_timeout(state, next.saturating_duration_since(now))
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+            None => inner.watchdog.wait(state).unwrap_or_else(PoisonError::into_inner),
+        };
     }
 }
 
@@ -175,7 +142,6 @@ fn run_ticker(inner: &Inner) {
 pub struct DeadlineGuard {
     inner: Arc<Inner>,
     id: u64,
-    bucket: usize,
     expired: Arc<AtomicBool>,
 }
 
@@ -190,15 +156,14 @@ impl DeadlineGuard {
 impl Drop for DeadlineGuard {
     fn drop(&mut self) {
         let mut state = self.inner.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(slot) = state.buckets.get_mut(self.bucket) {
-            slot.retain(|entry| entry.id != self.id);
-        }
+        state.armed.retain(|entry| entry.id != self.id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     struct FlagHangup(Arc<AtomicBool>);
 
@@ -210,9 +175,9 @@ mod tests {
 
     #[test]
     fn an_expired_deadline_fires_and_hangs_up() {
-        let wheel = DeadlineWheel::with_tick(Duration::from_millis(2));
+        let deadlines = Deadlines::new();
         let hung = Arc::new(AtomicBool::new(false));
-        let guard = wheel.register(
+        let guard = deadlines.register(
             Instant::now() + Duration::from_millis(5),
             Arc::new(FlagHangup(Arc::clone(&hung))),
         );
@@ -226,9 +191,9 @@ mod tests {
 
     #[test]
     fn a_cancelled_deadline_never_fires() {
-        let wheel = DeadlineWheel::with_tick(Duration::from_millis(2));
+        let deadlines = Deadlines::new();
         let hung = Arc::new(AtomicBool::new(false));
-        let guard = wheel.register(
+        let guard = deadlines.register(
             Instant::now() + Duration::from_millis(30),
             Arc::new(FlagHangup(Arc::clone(&hung))),
         );
@@ -239,16 +204,42 @@ mod tests {
     }
 
     #[test]
-    fn a_far_deadline_survives_a_full_revolution_unfired() {
-        let wheel = DeadlineWheel::with_tick(Duration::from_millis(1));
+    fn a_far_deadline_does_not_fire_early() {
+        let deadlines = Deadlines::new();
         let hung = Arc::new(AtomicBool::new(false));
-        let guard = wheel.register(
+        let guard = deadlines.register(
             Instant::now() + Duration::from_secs(600),
             Arc::new(FlagHangup(Arc::clone(&hung))),
         );
-        // One full revolution is BUCKETS ticks ≈ 64ms at this tick.
         std::thread::sleep(Duration::from_millis(200));
         assert!(!guard.expired(), "far deadline fired early");
         assert!(!hung.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn a_near_deadline_armed_after_a_far_one_fires_on_time() {
+        // The watchdog is asleep until the far deadline when the near one is
+        // armed; registering the new earliest deadline must wake it.
+        let deadlines = Deadlines::new();
+        let far_hung = Arc::new(AtomicBool::new(false));
+        let far = deadlines.register(
+            Instant::now() + Duration::from_secs(600),
+            Arc::new(FlagHangup(Arc::clone(&far_hung))),
+        );
+        std::thread::sleep(Duration::from_millis(20));
+        let near_hung = Arc::new(AtomicBool::new(false));
+        let armed = Instant::now();
+        let near = deadlines.register(
+            armed + Duration::from_millis(10),
+            Arc::new(FlagHangup(Arc::clone(&near_hung))),
+        );
+        while !near.expired() && armed.elapsed() < Duration::from_secs(2) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(near.expired(), "near deadline waited behind the far one");
+        assert!(near_hung.load(Ordering::SeqCst), "hangup was not invoked");
+        assert!(armed.elapsed() >= Duration::from_millis(10), "near deadline fired early");
+        assert!(!far.expired(), "far deadline fired with the near one");
+        assert!(!far_hung.load(Ordering::SeqCst));
     }
 }

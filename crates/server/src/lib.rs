@@ -12,8 +12,9 @@
 //! - **Supervision** ([`server`]): a bounded worker pool behind a bounded
 //!   admission queue; past the high-water mark connections are shed with a
 //!   typed [`Overloaded`](ServerError::Overloaded) reply and a retry-after
-//!   hint. Every request runs under a deadline from a monotonic
-//!   [`deadline`] wheel; idle connections are reaped by I/O timeout.
+//!   hint. Every request runs under a monotonic deadline that one
+//!   [`deadline`] watchdog thread fires; idle connections are reaped by I/O
+//!   timeout.
 //! - **Crash-safe tenancy** ([`session`]): each tenant's scheme encrypts its
 //!   own jobs; a job's durable state is its stream — every acknowledged
 //!   chunk is already persisted with its owner-state blob, so a dropped
@@ -80,7 +81,7 @@ pub mod session;
 pub mod transport;
 
 pub use client::{AppendAck, Client, FinishAck, JobOpened, ResumeAck};
-pub use deadline::{DeadlineGuard, DeadlineWheel};
+pub use deadline::{DeadlineGuard, Deadlines};
 pub use error::{ServerError, ServerResult};
 /// The backend a tenant's jobs encrypt with: any [`Scheme`](f2_core::Scheme).
 pub use f2_core::Scheme as ServerScheme;

@@ -190,3 +190,36 @@ pub(crate) fn register_server_families() {
         let _ = http_requests_total(route);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tenants_past_the_label_cap_fold_into_other() {
+        // The tenant cache is shared by the whole process, so other tests may
+        // have labeled tenants already: whatever they did, at most `cap` of
+        // these 40 get a label of their own, and the rest share `_other`.
+        let cap = 32;
+        let tenants: Vec<String> = (0..40).map(|i| format!("label-cap-probe-{i}")).collect();
+        for tenant in &tenants {
+            tenant_metrics(tenant, cap).rows.add(1);
+        }
+        let snapshot = f2_obs::MetricsSnapshot::parse(&f2_obs::global().prometheus_string());
+        let labels: Vec<&str> = snapshot
+            .samples()
+            .iter()
+            .filter(|s| s.name == "f2_server_tenant_rows_total")
+            .flat_map(|s| s.labels.iter())
+            .filter(|(k, _)| k == "tenant")
+            .map(|(_, v)| v.as_str())
+            .collect();
+        let folded = tenants.iter().filter(|t| !labels.contains(&t.as_str())).count();
+        assert!(folded >= 8, "only {folded} of 40 tenants folded into _other");
+        assert!(labels.contains(&"_other"), "no _other sample: {labels:?}");
+        let own = labels.iter().filter(|&&l| l != "_other").count();
+        assert!(own <= cap, "{own} tenant labels exceed the cap of {cap}");
+        let other = snapshot.value_with("f2_server_tenant_rows_total", &[("tenant", "_other")]);
+        assert!(other.unwrap_or(0.0) >= 8.0, "_other counted {other:?} rows");
+    }
+}

@@ -6,7 +6,7 @@
 //! admission queue, or — past the high-water mark — is shed on the spot with
 //! a typed [`Overloaded`](crate::ServerError::Overloaded) reply carrying a
 //! retry-after hint. Workers pop connections and run them to completion; the
-//! per-request deadline wheel and the idle I/O timeout bound how long any one
+//! per-request deadline watchdog and the idle I/O timeout bound how long any one
 //! connection can hold a worker.
 //!
 //! Shutdown ([`ServiceHandle::shutdown`]) flips one flag: the accept loop
@@ -17,7 +17,7 @@
 //! work.
 
 use crate::conn;
-use crate::deadline::{DeadlineWheel, DEFAULT_TICK};
+use crate::deadline::Deadlines;
 use crate::error::ServerError;
 use crate::obs;
 use crate::proto;
@@ -41,9 +41,6 @@ pub struct ServerConfig {
     /// Per-request deadline; an expired request hangs the connection up and
     /// replies [`DeadlineExpired`](ServerError::DeadlineExpired).
     pub request_deadline: Duration,
-    /// Granularity of the deadline wheel (deadlines fire at most one tick
-    /// late).
-    pub deadline_tick: Duration,
     /// Idle/half-open reaping: a connection silent this long is dropped.
     pub idle_timeout: Duration,
     /// How long a drain waits for in-flight connections before hanging them
@@ -61,8 +58,8 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Retry policy wrapped around every connection's socket I/O.
     pub retry: RetryPolicy,
-    /// Requests slower than this emit a structured `server.slow_request`
-    /// trace event with their per-stage breakdown.
+    /// Requests at least this slow count into `f2_server_slow_requests_total`;
+    /// `/tracez` keeps the slowest requests' per-stage breakdowns.
     pub slow_request_threshold: Duration,
     /// Distinct tenants that get their own label on the per-tenant metric
     /// families; tenants past the cap aggregate under `tenant="_other"`.
@@ -75,7 +72,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_depth: 64,
             request_deadline: Duration::from_secs(10),
-            deadline_tick: DEFAULT_TICK,
             idle_timeout: Duration::from_secs(30),
             drain_deadline: Duration::from_secs(5),
             retry_after: Duration::from_millis(200),
@@ -95,7 +91,7 @@ pub(crate) struct Core {
     pub(crate) schemes: Arc<dyn SchemeProvider>,
     pub(crate) stores: Arc<dyn StoreProvider>,
     pub(crate) sessions: Sessions,
-    pub(crate) wheel: DeadlineWheel,
+    pub(crate) deadlines: Deadlines,
     pub(crate) conns: ConnRegistry,
     /// Mints request/trace ids for requests that arrive without a wire trace
     /// context. Seeded from the service seed, so replayed workloads trace
@@ -335,7 +331,7 @@ impl Service {
         stores: Arc<dyn StoreProvider>,
     ) -> Self {
         let sessions = Sessions::new(config.seed, config.chunk_rows.max(1), 1);
-        let wheel = DeadlineWheel::with_tick(config.deadline_tick);
+        let deadlines = Deadlines::new();
         let ids = f2_obs::IdSource::seeded(config.seed ^ 0x7261_6365_5F69_6473);
         Service {
             core: Arc::new(Core {
@@ -343,7 +339,7 @@ impl Service {
                 schemes,
                 stores,
                 sessions,
-                wheel,
+                deadlines,
                 conns: ConnRegistry::new(),
                 ids,
                 queue: Queue::new(),

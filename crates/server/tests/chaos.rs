@@ -51,7 +51,6 @@ fn chaos_config() -> ServerConfig {
         workers: 4,
         queue_depth: 64,
         request_deadline: Duration::from_secs(5),
-        deadline_tick: Duration::from_millis(10),
         idle_timeout: Duration::from_millis(500),
         drain_deadline: Duration::from_millis(500),
         retry_after: Duration::from_millis(25),
@@ -465,7 +464,6 @@ fn an_expired_deadline_hangs_up_but_never_corrupts_the_job() {
     let config = ServerConfig {
         workers: 2,
         request_deadline: Duration::from_millis(40),
-        deadline_tick: Duration::from_millis(5),
         idle_timeout: Duration::from_secs(2),
         retry: RetryPolicy::no_backoff(2),
         chunk_rows: 8,

@@ -40,7 +40,7 @@
 //!   push-model jobs: a typed, CRC-checked request protocol ([`server::proto`](f2_server::proto)),
 //!   a bounded worker pool with admission-queue load shedding (typed
 //!   [`Overloaded`](f2_server::ServerError::Overloaded) replies), per-request
-//!   deadlines from a monotonic deadline wheel, crash-resumable per-tenant jobs
+//!   deadlines fired by one watchdog thread, crash-resumable per-tenant jobs
 //!   (every acknowledged chunk persists with its owner state; panics park the
 //!   job, reconnecting clients resume byte-identically), and a graceful,
 //!   deadline-bound drain (see `docs/SERVER.md`);
