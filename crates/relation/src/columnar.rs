@@ -25,12 +25,28 @@
 //!   never be observed. Cloning a table shares the already-built index (it is
 //!   immutable behind an `Arc`).
 //!
+//! # Build cost
+//!
+//! A cold [`ColumnarIndex::build`] runs [`intern_values`] once per attribute, which
+//! reads each cell once: one keyed [`FastHasher`] hash per cell, kept beside the value
+//! in the dedupe map so that growing the map re-hashes nothing and a probe compares a
+//! `u64` before any value. A value seen for the first time is cloned and given its
+//! order key while its bytes are in cache. Then the distinct values are sorted by
+//! that key, a `(variant rank, u64 prefix)` pair (`Value::order_key`) that never
+//! contradicts [`Value`]'s order: `a < b` implies `key(a) ≤ key(b)`, and equal values
+//! have equal keys. [`Value::cmp`] runs only within a run of tied keys — Texts or Bytes
+//! that agree on their first 8 bytes, Decimals past 56 bits — so on ciphertext
+//! (`Bytes` cells, nearly all distinct) the sort compares integers and follows no
+//! pointer.
+//!
 //! The generic value-keyed implementations are retained as equivalence oracles and
 //! exercised against this module by the property tests in
 //! `crates/relation/tests/interned_equiv.rs`.
 
-use crate::hash::{fast_map_with_capacity, FastMap};
+use crate::hash::{fast_map_with_capacity, FastHasher, FastMap};
 use crate::{AttrSet, EquivalenceClass, Partition, RowId, StrippedPartition, Table, Value};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// One attribute's dictionary: its distinct values in ascending order, plus the
 /// column-major `row → id` array.
@@ -80,33 +96,95 @@ impl ColumnDictionary {
     }
 }
 
+/// A cell borrowed for interning, carrying its keyed [`FastHasher`] hash: the dedupe
+/// map re-hashes on growth and probes by this `u64`, and compares the values only
+/// when two hashes agree.
+struct HashedCell<'a> {
+    hash: u64,
+    value: &'a Value,
+}
+
+impl Hash for HashedCell<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for HashedCell<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.value == other.value
+    }
+}
+
+impl Eq for HashedCell<'_> {}
+
+/// The dedupe map's hasher: it hands on a [`HashedCell`]'s cached hash unchanged,
+/// so neither a probe nor a growth step hashes anything again. It computes no hash
+/// of its own, so the map's collision resistance is the keyed [`FastHasher`]'s.
+#[derive(Default)]
+struct CachedHash(u64);
+
+impl Hasher for CachedHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a HashedCell hashes as one u64")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 /// Intern a sequence of values: returns the dense id of every element (in sequence
 /// order) plus the dictionary (`id → value`, ascending [`Value`] order, so id
 /// comparisons order exactly like value comparisons).
+///
+/// Cost (see the [module docs](self#build-cost)): one keyed [`FastHasher`] hash per
+/// element, kept in the dedupe map so growth re-hashes nothing; then a sort of the
+/// distinct values' integer order keys. The keys never contradict value order
+/// (`a < b` implies `key(a) ≤ key(b)`), so sorting them and then each run of tied
+/// keys by [`Value::cmp`] yields exactly the value order.
 pub fn intern_values<'a, I>(values: I) -> (Vec<u32>, Vec<Value>)
 where
     I: Iterator<Item = &'a Value>,
 {
     let (lo, _) = values.size_hint();
-    let mut first: FastMap<&Value, u32> = fast_map_with_capacity(lo.min(4096));
-    let mut distinct: Vec<&Value> = Vec::new();
+    let hasher = BuildHasherDefault::<FastHasher>::default();
+    let mut first: HashMap<HashedCell<'a>, u32, BuildHasherDefault<CachedHash>> =
+        HashMap::with_capacity_and_hasher(lo.min(4096), BuildHasherDefault::default());
+    // The distinct values in first-encounter order, and per value the sort key
+    // `rank << 96 | prefix << 32 | first-encounter id`.
+    let mut distinct: Vec<Value> = Vec::new();
+    let mut keys: Vec<u128> = Vec::new();
     let mut ids: Vec<u32> = Vec::with_capacity(lo);
-    for v in values {
+    for value in values {
         let next = distinct.len() as u32;
-        let id = *first.entry(v).or_insert_with(|| {
-            distinct.push(v);
+        let cell = HashedCell { hash: hasher.hash_one(value), value };
+        let id = *first.entry(cell).or_insert_with(|| {
+            let (rank, prefix) = value.order_key();
+            keys.push(u128::from(rank) << 96 | u128::from(prefix) << 32 | u128::from(next));
+            distinct.push(value.clone());
             next
         });
         ids.push(id);
     }
+    // Free the map before the remap tables are allocated.
+    drop(first);
     // Reassign ids in ascending value order.
-    let mut order: Vec<u32> = (0..distinct.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| distinct[a as usize].cmp(distinct[b as usize]));
+    let first_id = |key: &u128| *key as u32 as usize;
+    keys.sort_unstable();
+    for tied in keys.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+        tied.sort_unstable_by(|a, b| distinct[first_id(a)].cmp(&distinct[first_id(b)]));
+    }
     let mut remap = vec![0u32; distinct.len()];
     let mut values_sorted = Vec::with_capacity(distinct.len());
-    for (new_id, &old_id) in order.iter().enumerate() {
-        remap[old_id as usize] = new_id as u32;
-        values_sorted.push(distinct[old_id as usize].clone());
+    for (new_id, key) in keys.iter().enumerate() {
+        remap[first_id(key)] = new_id as u32;
+        // Each value moves out exactly once; the `Null` left behind is dropped unread.
+        values_sorted.push(std::mem::replace(&mut distinct[first_id(key)], Value::Null));
     }
     for id in &mut ids {
         *id = remap[*id as usize];
@@ -133,7 +211,10 @@ pub struct ColumnarIndex {
 }
 
 impl ColumnarIndex {
-    /// Build the index: one dictionary per attribute, O(n·m) hashing total.
+    /// Build the index: one dictionary per attribute, each from [`intern_values`] —
+    /// one keyed hash per cell (n·m in all), then per attribute a sort of its
+    /// distinct values' integer order keys, with [`Value::cmp`] only on tied keys
+    /// (see the [module docs](self#build-cost)).
     pub fn build(table: &Table) -> Self {
         let columns = (0..table.arity()).map(|a| ColumnDictionary::build(table, a)).collect();
         ColumnarIndex { columns, row_count: table.row_count() }
@@ -407,5 +488,17 @@ mod tests {
         let (ids, dict) = intern_values(vals.iter());
         assert_eq!(dict, vec![Value::Int(1), Value::Int(3), Value::Int(5)]);
         assert_eq!(ids, vec![2, 0, 2, 1]);
+
+        // The order-key edge set, reversed and then every other one again, against
+        // a sort-and-dedup oracle.
+        let edges = crate::value::order_key_edges();
+        let vals: Vec<Value> = edges.iter().rev().chain(edges.iter().step_by(2)).cloned().collect();
+        let (ids, dict) = intern_values(vals.iter());
+        let mut oracle = vals.clone();
+        oracle.sort();
+        oracle.dedup();
+        assert_eq!(dict, oracle);
+        let looked_up: Vec<Value> = ids.iter().map(|&id| dict[id as usize].clone()).collect();
+        assert_eq!(looked_up, vals);
     }
 }

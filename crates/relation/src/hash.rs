@@ -1,22 +1,24 @@
-//! Fast, deterministic hashing for the planning hot paths.
+//! Fast, per-process-keyed hashing for the planning hot paths.
 //!
 //! The interned planning layers key their maps by dense integers (`u32`/`u64` group
 //! ids, `AttrSet` bit patterns) or cell values; `std`'s default SipHash is
 //! DoS-resistant but an order of magnitude slower than the planning loops can
 //! afford. [`FastHasher`] is an FxHash-style multiply-rotate fold with a strong
-//! 64-bit finaliser — deterministic across runs and platforms, which the
-//! seed-reproducibility guarantees of the pipeline rely on.
+//! 64-bit finaliser. Its digests differ from process to process (see *Keying*), so
+//! outputs are deterministic only because every map built through it is either
+//! membership-only or has its output re-sorted by value: dictionary ids are
+//! reassigned in value order, partition classes are sorted. That rule is what lets
+//! [`crate::columnar::intern_values`] keep each cell's hash in its dedupe map: a
+//! hash only rules out unequal values early and never decides which id a value gets.
 //!
 //! **Keying:** the fold itself is the keyless FxHash recipe, but every
 //! [`FastHasher`] starts from a **per-process random key** (`process_hash_seed`,
 //! drawn once from `std`'s ambient `RandomState` entropy), so a party who controls
 //! the *plaintext table contents* cannot precompute values that collide in the
 //! dictionary-build and fresh-value maps and degrade them toward O(n²) probing.
-//! Nothing observable depends on the key: every map keyed through this hasher is
-//! either a pure membership/lookup structure or has its output canonically re-sorted
-//! (dictionary ids are reassigned in value order, partition classes are sorted), so
-//! pipelines stay byte-identical across processes with different keys — which the
-//! golden-digest tests in `crates/core/tests/interned_plan_equiv.rs` pin down.
+//! Nothing observable depends on the key, so pipelines stay byte-identical across
+//! processes with different keys — which the golden-digest tests in
+//! `crates/core/tests/interned_plan_equiv.rs` pin down.
 //! Public API types (frequency histograms, `all_values`) keep `std`'s default
 //! hasher.
 //!

@@ -238,6 +238,74 @@ impl Ord for Value {
     }
 }
 
+impl Value {
+    /// A `(variant rank, u64 prefix)` key that never contradicts [`Ord`]: `a < b`
+    /// implies `a.order_key() <= b.order_key()`, and `a == b` implies equal keys.
+    /// Sorting by the key and calling [`Value::cmp`] only when two keys tie orders
+    /// exactly like `Value::cmp`, without following a pointer per comparison.
+    ///
+    /// Ints and Dates map exactly (sign bit flipped). A Decimal puts its scale in
+    /// the top byte and its digits, clamped to 56 bits, below it. Texts and Bytes
+    /// take their first 8 bytes big-endian, zero-padded, so a proper prefix never
+    /// keys above its extension, and two keys tie only when the padded first 8 bytes
+    /// agree (`ab` and `ab\0`, say).
+    pub(crate) fn order_key(&self) -> (u8, u64) {
+        const HALF_56: i64 = 1 << 55;
+        let flip = |i: i64| (i as u64) ^ (1 << 63);
+        let head = |b: &[u8]| {
+            let mut word = [0u8; 8];
+            let n = b.len().min(8);
+            word[..n].copy_from_slice(&b[..n]);
+            u64::from_be_bytes(word)
+        };
+        let prefix = match self {
+            Value::Null => 0,
+            Value::Int(i) => flip(*i),
+            Value::Decimal { digits, scale } => {
+                let low = ((*digits).clamp(-HALF_56, HALF_56 - 1) + HALF_56) as u64;
+                (u64::from(*scale) << 56) | low
+            }
+            Value::Text(s) => head(s.as_bytes()),
+            Value::Date(d) => flip(i64::from(*d)),
+            Value::Bytes(b) => head(b),
+        };
+        (self.type_rank(), prefix)
+    }
+}
+
+/// Values at the edges of [`Value::order_key`]: every variant, extreme and negative
+/// numbers, Decimals of scales 0–3 (and past the key's 56-bit digit range), Texts and
+/// Bytes that share their first 8 bytes or differ only at byte 9, byte strings that
+/// differ only by trailing zeros, the empty Text and Bytes, and `0xFF`-led Bytes.
+#[cfg(test)]
+pub(crate) fn order_key_edges() -> Vec<Value> {
+    let mut edges = vec![Value::Null];
+    edges.extend([i64::MIN, -1, 0, i64::MAX].map(Value::Int));
+    for scale in 0..=3 {
+        for digits in [i64::MIN, -(1 << 55) - 1, -(1 << 55), -1, 0, 1, (1 << 55) - 1, 1 << 55] {
+            edges.push(Value::Decimal { digits, scale });
+        }
+    }
+    edges.extend([i32::MIN, -1, 0, 19_000].map(Value::Date));
+    for text in ["", "a", "abcdefgh", "abcdefgh1", "abcdefgh2", "abcdefgi"] {
+        edges.push(Value::text(text));
+    }
+    let bytes: [&[u8]; 10] = [
+        b"",
+        b"ab",
+        b"ab\0",
+        b"ab\0\0",
+        b"abcdefgh",
+        b"abcdefgh\x01",
+        b"abcdefgh\x02",
+        b"abcdefgi",
+        b"\xff",
+        b"\xff\xff\xff\xff\xff\xff\xff\xff\xff",
+    ];
+    edges.extend(bytes.map(|b| Value::bytes(b.to_vec())));
+    edges
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -333,6 +401,29 @@ mod tests {
         assert_eq!(vs[1], Value::Int(1));
         assert_eq!(vs[2], Value::Int(3));
         assert_eq!(vs[3], Value::text("a"));
+    }
+
+    #[test]
+    fn order_key_never_contradicts_value_order() {
+        let edges = order_key_edges();
+        for a in &edges {
+            for b in &edges {
+                let (ka, kb) = (a.order_key(), b.order_key());
+                match a.cmp(b) {
+                    Ordering::Less => assert!(ka <= kb, "{a:?} < {b:?} but {ka:?} > {kb:?}"),
+                    Ordering::Equal => assert_eq!(ka, kb, "{a:?} == {b:?}"),
+                    Ordering::Greater => assert!(ka >= kb, "{a:?} > {b:?} but {ka:?} < {kb:?}"),
+                }
+            }
+        }
+        // A constant key would pass the loop above; this one must also separate
+        // values that differ within their first 8 bytes.
+        assert!(Value::text("abcdefgh").order_key() < Value::text("abcdefgi").order_key());
+        assert!(Value::Int(-1).order_key() < Value::Int(0).order_key());
+        assert_eq!(
+            Value::bytes(b"ab".to_vec()).order_key(),
+            Value::bytes(b"ab\0".to_vec()).order_key()
+        );
     }
 
     #[test]

@@ -5,22 +5,49 @@
 //! table and attribute set, `Partition::compute` must produce exactly the classes —
 //! same representatives, same rows, same order — as `Partition::compute_generic`,
 //! and the direct stripped path must match `compute_generic().stripped()`. Tables are
-//! drawn with small value pools (including cross-type collisions and `Null`) so
-//! duplicate projections are common.
+//! drawn with small value pools (including cross-type collisions, `Null`, ciphertext-
+//! shaped `Bytes` and the order key's edge cases) so duplicate projections are common.
 
 use f2_relation::{AttrSet, Partition, Record, Schema, StrippedPartition, Table, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// A value from a deliberately tiny, mixed-type pool — selector + payload sampling
-/// keeps cross-row collisions frequent.
+/// A value from a deliberately small, mixed-type pool. Even selectors draw from four
+/// hot values so duplicate projections stay common; odd selectors draw from the
+/// whole pool: `Null`, cross-type look-alikes of zero, ciphertext-shaped `Bytes`, and
+/// the edge cases of the dictionary's order key — extreme and negative Ints,
+/// Decimals of several scales, a negative Date, the empty Text and Bytes, Texts and
+/// Bytes that share their first 8 bytes or differ only at byte 9, byte strings that
+/// differ only by trailing zeros, and `0xFF`-led Bytes.
 fn value_from(selector: u8) -> Value {
-    match selector % 16 {
+    let pick = if selector.is_multiple_of(2) { selector / 2 % 4 } else { selector / 2 % 26 };
+    match pick {
         0 => Value::Null,
-        s @ 1..=5 => Value::Int(i64::from(s) % 4),
-        s @ 6..=9 => Value::Decimal { digits: i64::from(s) % 3, scale: 2 },
-        s @ 10..=13 => Value::text(["a", "b", "c"][s as usize % 3]),
-        s => Value::Date(i32::from(s) % 3),
+        1 => Value::Int(-1),
+        2 => Value::text(""),
+        3 => Value::bytes(b"ab".to_vec()),
+        4 => Value::Int(i64::MIN),
+        5 => Value::Int(0),
+        6 => Value::Int(i64::MAX),
+        7 => Value::Decimal { digits: 0, scale: 0 },
+        8 => Value::Decimal { digits: -1, scale: 1 },
+        9 => Value::Decimal { digits: 5, scale: 1 },
+        10 => Value::Decimal { digits: i64::MIN, scale: 2 },
+        11 => Value::Decimal { digits: 5, scale: 2 },
+        12 => Value::Decimal { digits: -5, scale: 3 },
+        13 => Value::Date(-1),
+        14 => Value::Date(0),
+        15 => Value::text("a"),
+        16 => Value::text("abcdefgh1"),
+        17 => Value::text("abcdefgh2"),
+        18 => Value::bytes(Vec::new()),
+        19 => Value::bytes(b"ab\0".to_vec()),
+        20 => Value::bytes(b"ab\0\0".to_vec()),
+        21 => Value::bytes(b"abcdefgh".to_vec()),
+        22 => Value::bytes(b"abcdefgh\x01".to_vec()),
+        23 => Value::bytes(b"abcdefgh\x02".to_vec()),
+        24 => Value::bytes(vec![0xFF]),
+        _ => Value::bytes(vec![0xFF; 9]),
     }
 }
 

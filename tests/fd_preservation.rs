@@ -5,8 +5,8 @@
 use f2::crypto::MasterKey;
 use f2::fd::oracle::brute_force_fds;
 use f2::fd::tane::discover_fds;
-use f2::relation::table;
-use f2::{F2Config, F2Encryptor, Table};
+use f2::relation::{table, Partition};
+use f2::{AttrSet, F2Config, F2Encryptor, Table};
 use f2_datagen::{CustomerConfig, CustomerGenerator, Dataset};
 
 /// Check FD preservation the way the paper's Theorem 3.7 guarantees it: every
@@ -21,6 +21,7 @@ fn assert_fds_preserved(plain: &Table, alpha: f64, split: usize, seed: u64) {
         MasterKey::from_seed(seed),
     );
     let outcome = encryptor.encrypt(plain).unwrap();
+    assert_interned_partitions_match_generic(&outcome.encrypted);
     let plain_fds = discover_fds(plain);
     let cipher_fds = discover_fds(&outcome.encrypted);
     // Every plaintext FD (with non-empty LHS) must still hold on the ciphertext.
@@ -41,6 +42,22 @@ fn assert_fds_preserved(plain: &Table, alpha: f64, split: usize, seed: u64) {
             "false-positive FD {} introduced (alpha={alpha}, split={split})",
             fd.display(plain.schema())
         );
+    }
+}
+
+/// The interned dictionaries, built cold over the `Value::Bytes` ciphertext, must
+/// partition exactly like the value-keyed oracle on every non-empty attribute subset.
+/// The FD oracles cannot check this: they call `Partition::compute` themselves.
+fn assert_interned_partitions_match_generic(encrypted: &Table) {
+    // A fresh copy, so no index built during encryption is reused.
+    let cold = Table::new(encrypted.schema().clone(), encrypted.rows().to_vec()).unwrap();
+    assert!(cold.arity() <= 5, "at most 31 attribute subsets");
+    for bits in 1..1u64 << cold.arity() {
+        let attrs = AttrSet::from_bits(bits);
+        let (interned, generic) =
+            (Partition::compute(&cold, attrs), Partition::compute_generic(&cold, attrs));
+        assert_eq!(interned.classes(), generic.classes(), "partition of {attrs:?}");
+        assert_eq!(interned.row_count(), generic.row_count());
     }
 }
 
