@@ -81,14 +81,24 @@ pub fn decode_state(bytes: &[u8]) -> Result<OwnerState> {
 /// Serialize a table (schema + rows) as a standalone wire blob.
 pub fn encode_table(table: &Table) -> Vec<u8> {
     let mut w = Writer::versioned(KIND_TABLE);
-    put_schema(&mut w, table.schema());
+    put_table_body(&mut w, table);
+    w.finish()
+}
+
+/// Append `table`'s blob — the [`encode_table`] bytes — behind a `u32` length,
+/// written in place: no per-cell buffer and no separate blob are built.
+pub fn put_table(w: &mut Writer, table: &Table) {
+    w.put_blob(KIND_TABLE, |w| put_table_body(w, table));
+}
+
+fn put_table_body(w: &mut Writer, table: &Table) {
+    put_schema(w, table.schema());
     w.put_usize(table.row_count());
     for (_, rec) in table.iter() {
         for v in rec.values() {
-            w.put_bytes(&v.encode());
+            w.put_value(v);
         }
     }
-    w.finish()
 }
 
 /// Inverse of [`encode_table`].
@@ -310,6 +320,31 @@ mod tests {
         assert_eq!(decode_table(&blob).unwrap(), t);
         assert!(decode_table(&blob[..blob.len() - 1]).is_err());
         assert!(decode_table(&[]).is_err());
+    }
+
+    #[test]
+    fn put_table_writes_the_encode_table_bytes_in_place() {
+        let values = vec![
+            Value::Null,
+            Value::Int(i64::MIN),
+            Value::Decimal { digits: -5, scale: 3 },
+            Value::Text(String::new()),
+            Value::Date(-1),
+            Value::Bytes(vec![7u8; 40].into()),
+        ];
+        let schema = Schema::new(
+            (0..values.len()).map(|i| Attribute::new(format!("c{i}"), DataType::Any)).collect(),
+        )
+        .unwrap();
+        let mixed =
+            Table::new(schema, vec![Record::new(values.clone()), Record::new(values)]).unwrap();
+        for table in [fixture(), mixed, Table::empty(fixture().schema().clone())] {
+            let mut in_place = Writer::raw();
+            put_table(&mut in_place, &table);
+            let mut buffered = Writer::raw();
+            buffered.put_bytes(&encode_table(&table));
+            assert_eq!(in_place.finish(), buffered.finish());
+        }
     }
 
     #[test]

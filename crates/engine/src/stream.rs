@@ -42,7 +42,7 @@
 
 use crate::job::StreamProgress;
 use crate::persist::{
-    decode_state, decode_table, encode_state, encode_table, put_report, put_schema, take_report,
+    decode_state, decode_table, encode_state, put_report, put_schema, put_table, take_report,
     take_schema,
 };
 use crate::pipeline::{chunk_seed, ChunkRecord, Engine};
@@ -163,7 +163,7 @@ pub(crate) fn encode_chunk(record: &ChunkRecord, outcome: &SchemeOutcome) -> Res
     let mut w = Writer::raw();
     put_chunk_record(&mut w, record);
     w.put_bytes(&encode_state(&outcome.state)?);
-    w.put_bytes(&encode_table(&outcome.encrypted));
+    put_table(&mut w, &outcome.encrypted);
     Ok(w.finish())
 }
 

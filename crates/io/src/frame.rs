@@ -28,6 +28,18 @@
 //! * **Bounded allocation.** Both `wire_len` and `raw_len` are validated against
 //!   [`MAX_FRAME_BYTES`] before any buffer is sized, so a corrupted length errors
 //!   instead of attempting a multi-gigabyte allocation.
+//! * **One shape.** A sink sets no flag bit but `FLAG_RLE`, writes the end frame
+//!   empty, and compresses only when that makes the payload strictly shorter;
+//!   [`FrameReader::next_frame`] refuses a checksum-valid frame of any other
+//!   shape, and [`FrameReader::recover`] skips it, by the same rule.
+//! * **Cost.** Writing a frame makes one skip-ahead RLE pass over the payload
+//!   (two unequal neighbours rule out a run at three start positions at once, so
+//!   incompressible bytes are passed over three at a time) and one slicing-by-8
+//!   CRC-32 pass over the header and the wire bytes (eight table lookups per
+//!   8-byte word); reading makes the CRC pass, plus one decompression for a
+//!   compressed frame. How the passes run is not part of the format: a frame's
+//!   bytes are fixed by its type and payload, and `tests/frame_proptest.rs` pins
+//!   both kernels to bytewise reference implementations.
 //!
 //! What the frames *mean* (header / chunk / trailer layout) is defined by the
 //! producer — the streaming engine (`f2_engine::stream`) for encrypted outcomes.
@@ -61,26 +73,60 @@ pub(crate) const FRAME_HEADER_BYTES: usize = 1 + 1 + 4 + 4 + 4;
 
 // ── CRC32 ──────────────────────────────────────────────────────────────────────────
 
-/// Fold `bytes` into a raw (pre-inversion) CRC-32 state.
-fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            #[allow(clippy::cast_possible_truncation)]
-            // lint: allow(truncating-cast) — enumerate index over a 256-entry table
-            let mut crc = i as u32;
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// The slicing-by-8 tables: `[0]` is the classic bytewise table of [`CRC_POLY`],
+/// and `[k]` advances each of its entries over `k` further zero bytes, so eight
+/// lookups fold one little-endian 8-byte word into the CRC state at once.
+fn crc_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut base = [0u32; 256];
+        for (byte, slot) in (0u8..=255).zip(&mut base) {
+            let mut crc = u32::from(byte);
             for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+                crc = if crc & 1 != 0 { (crc >> 1) ^ CRC_POLY } else { crc >> 1 };
             }
             *slot = crc;
         }
-        table
-    });
-    #[allow(clippy::indexing_slicing)]
-    for &b in bytes {
-        // lint: allow(slice-index, truncating-cast) — index masked to 8 bits into a fixed 256-entry table
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
+        let mut tables = [base; 8];
+        let mut prev = base;
+        for table in tables.iter_mut().skip(1) {
+            for (slot, &entry) in table.iter_mut().zip(&prev) {
+                let [low, ..] = entry.to_le_bytes();
+                *slot = (entry >> 8) ^ lookup(&base, low);
+            }
+            prev = *table;
+        }
+        tables
+    })
+}
+
+/// Entry `index` of a 256-entry table: a `u8` index is always in range.
+fn lookup(table: &[u32; 256], index: u8) -> u32 {
+    table.get(usize::from(index)).copied().unwrap_or(0)
+}
+
+/// Fold `bytes` into a raw (pre-inversion) CRC-32 state: eight bytes per step
+/// through the slicing-by-8 tables, then the tail one byte at a time.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = crc_tables();
+    let (words, tail) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+        let [c0, c1, c2, c3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        crc = lookup(t7, c0)
+            ^ lookup(t6, c1)
+            ^ lookup(t5, c2)
+            ^ lookup(t4, c3)
+            ^ lookup(t3, b4)
+            ^ lookup(t2, b5)
+            ^ lookup(t1, b6)
+            ^ lookup(t0, b7);
+    }
+    for &b in tail {
+        let [low, ..] = crc.to_le_bytes();
+        crc = (crc >> 8) ^ lookup(t0, low ^ b);
     }
     crc
 }
@@ -100,6 +146,32 @@ pub(crate) fn frame_crc(header_prefix: &[u8], wire: &[u8]) -> u32 {
 fn decoded_len(v: u32) -> IoResult<usize> {
     usize::try_from(v)
         .map_err(|_| IoError::Malformed("frame length exceeds the platform word size".into()))
+}
+
+/// Why no [`FrameSink`] writes a frame header with these fields, or `None` when
+/// one could: it sets no flag bit but [`FLAG_RLE`], an end frame is empty, a raw
+/// frame's wire and raw lengths agree, and a compressed frame is strictly shorter
+/// on the wire than raw. The one shape rule of both readers:
+/// [`FrameReader::next_frame`] refuses a checksum-valid frame that breaks it, and
+/// [`FrameReader::recover`] skips a candidate that breaks it before computing
+/// any CRC. (Length caps are checked separately, before anything is allocated.)
+pub(crate) fn header_flaw(
+    frame_type: u8,
+    flags: u8,
+    wire_len: usize,
+    raw_len: usize,
+) -> Option<&'static str> {
+    if flags & !FLAG_RLE != 0 {
+        Some("frame sets flag bits no writer sets")
+    } else if frame_type == FRAME_END && (wire_len != 0 || raw_len != 0) {
+        Some("end frame carries a payload")
+    } else if flags & FLAG_RLE == 0 && wire_len != raw_len {
+        Some("uncompressed frame declares a different raw length")
+    } else if flags & FLAG_RLE != 0 && wire_len >= raw_len {
+        Some("compressed frame is no shorter than its raw length")
+    } else {
+        None
+    }
 }
 
 // ── varint-RLE compression ─────────────────────────────────────────────────────────
@@ -132,46 +204,91 @@ fn take_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     None
 }
 
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(mut v: u64) -> usize {
+    let mut len = 1;
+    while v >= 0x80 {
+        v >>= 7;
+        len += 1;
+    }
+    len
+}
+
 /// Shortest run worth a run token (a run token costs ≥ 2 bytes).
 const MIN_RUN: usize = 4;
 
+/// Start and byte of the first run of [`MIN_RUN`] equal bytes at or after `at`.
+///
+/// Skip-ahead: a run starting at `at`, `at + 1` or `at + 2` must contain bytes
+/// `at + 2` and `at + 3`, so when those differ the search moves on three bytes;
+/// likewise two when bytes `at + 1` and `at + 2` differ.
+fn next_run(raw: &[u8], mut at: usize) -> Option<(usize, u8)> {
+    while let Some(&[b0, b1, b2, b3]) = raw.get(at..).and_then(<[u8]>::first_chunk::<MIN_RUN>) {
+        if b2 != b3 {
+            at += 3;
+        } else if b1 != b2 {
+            at += 2;
+        } else if b0 != b1 {
+            at += 1;
+        } else {
+            return Some((at, b0));
+        }
+    }
+    None
+}
+
+/// Bytes of a literal token carrying `literals` (none for an empty stretch).
+fn literal_token_len(literals: &[u8]) -> usize {
+    if literals.is_empty() {
+        0
+    } else {
+        varint_len((literals.len() as u64) << 1) + literals.len()
+    }
+}
+
+/// Append a literal token carrying `literals` (nothing for an empty stretch).
+fn put_literals(out: &mut Vec<u8>, literals: &[u8]) {
+    if !literals.is_empty() {
+        put_varint(out, (literals.len() as u64) << 1);
+        out.extend_from_slice(literals);
+    }
+}
+
 /// Compress `raw` with the varint-RLE byte scheme: a token stream where each token
 /// is a varint `t` — even `t` announces `t/2` literal bytes (following verbatim),
-/// odd `t` announces `t/2` copies of the single following byte. Returns `None` when
-/// the compressed form is not strictly smaller (the caller stores raw).
+/// odd `t` announces `t/2` copies of the single following byte. Every maximal run
+/// of at least four equal bytes becomes a run token, and the stretches between
+/// runs become literal tokens. Returns `None` when the compressed form is not
+/// strictly smaller (the caller stores raw).
 ///
 /// The scheme targets the long zero/padding runs of fixed-width ciphertext frames
 /// and length-prefixed table encodings; incompressible payloads cost nothing because
 /// they are stored raw.
 pub fn rle_compress(raw: &[u8]) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(raw.len() / 2);
+    // A useful output is shorter than `raw`, so it fits this one buffer; each
+    // token is measured before it is written, and the first one that would not
+    // fit settles the answer before any of its bytes are copied.
+    let mut out = Vec::with_capacity(raw.len());
     let mut literal_start = 0usize;
-    let mut i = 0usize;
-    let flush_literals = |out: &mut Vec<u8>, start: usize, end: usize| {
-        if let Some(chunk) = raw.get(start..end) {
-            if !chunk.is_empty() {
-                put_varint(out, (chunk.len() as u64) << 1);
-                out.extend_from_slice(chunk);
-            }
+    while let Some((start, byte)) = next_run(raw, literal_start) {
+        let tail = raw.get(start..).unwrap_or(&[]);
+        let run = tail.iter().position(|&b| b != byte).unwrap_or(tail.len());
+        let literals = raw.get(literal_start..start).unwrap_or(&[]);
+        let run_token = ((run as u64) << 1) | 1;
+        if out.len() + literal_token_len(literals) + varint_len(run_token) + 1 >= raw.len() {
+            return None;
         }
-    };
-    while let Some(&b) = raw.get(i) {
-        let run = 1 + raw.iter().skip(i + 1).take_while(|&&x| x == b).count();
-        if run >= MIN_RUN {
-            flush_literals(&mut out, literal_start, i);
-            put_varint(&mut out, ((run as u64) << 1) | 1);
-            out.push(b);
-            i += run;
-            literal_start = i;
-        } else {
-            i += run;
-        }
-        if out.len() >= raw.len() {
-            return None; // already no smaller — bail out early
-        }
+        put_literals(&mut out, literals);
+        put_varint(&mut out, run_token);
+        out.push(byte);
+        literal_start = start + run;
     }
-    flush_literals(&mut out, literal_start, raw.len());
-    (out.len() < raw.len()).then_some(out)
+    let literals = raw.get(literal_start..).unwrap_or(&[]);
+    if out.len() + literal_token_len(literals) >= raw.len() {
+        return None;
+    }
+    put_literals(&mut out, literals);
+    Some(out)
 }
 
 /// Decompress a [`rle_compress`] token stream, validating that it produces exactly
@@ -447,6 +564,14 @@ impl<R: Read> FrameReader<R> {
         self.consumed -= bytes.len() as u64;
     }
 
+    /// Hand a failed frame's header and (possibly partial) payload back.
+    fn unread_frame(&mut self, header: &[u8], wire: &[u8]) {
+        let mut salvage = Vec::with_capacity(header.len() + wire.len());
+        salvage.extend_from_slice(header);
+        salvage.extend_from_slice(wire);
+        self.unread(&salvage);
+    }
+
     /// The next frame, or `None` once the end frame has been consumed. Reaching EOF
     /// *before* the end frame is a truncation error: every well-formed stream is
     /// explicitly terminated.
@@ -481,10 +606,7 @@ impl<R: Read> FrameReader<R> {
         let got = self.fill(&mut wire)?;
         if got < wire_len {
             wire.truncate(got);
-            let mut salvage = Vec::with_capacity(FRAME_HEADER_BYTES + wire.len());
-            salvage.extend_from_slice(&header);
-            salvage.extend_from_slice(&wire);
-            self.unread(&salvage);
+            self.unread_frame(&header, &wire);
             crate::obs::truncation_errors().inc();
             return Err(IoError::Truncated(format!(
                 "stream ended inside the payload of frame {}",
@@ -494,10 +616,7 @@ impl<R: Read> FrameReader<R> {
         let prefix = [frame_type, flags, w0, w1, w2, w3, r0, r1, r2, r3];
         let computed = frame_crc(&prefix, &wire);
         if computed != stored_crc {
-            let mut salvage = Vec::with_capacity(FRAME_HEADER_BYTES + wire.len());
-            salvage.extend_from_slice(&header);
-            salvage.extend_from_slice(&wire);
-            self.unread(&salvage);
+            self.unread_frame(&header, &wire);
             crate::obs::checksum_errors().inc();
             return Err(IoError::Checksum {
                 frame: self.frame_index,
@@ -505,26 +624,20 @@ impl<R: Read> FrameReader<R> {
                 computed,
             });
         }
+        if let Some(why) = header_flaw(frame_type, flags, wire_len, raw_len) {
+            // Handed back like damage: recovery applies the same rule, so it
+            // skips this frame from its first byte and counts it as damage.
+            self.unread_frame(&header, &wire);
+            return Err(IoError::Malformed(format!("frame {}: {why}", self.frame_index)));
+        }
         self.frame_index += 1;
         crate::obs::frames_read().inc();
         crate::obs::bytes_read().add((FRAME_HEADER_BYTES + wire_len) as u64);
         if frame_type == FRAME_END {
-            if wire_len != 0 || raw_len != 0 {
-                return Err(IoError::Malformed("end frame carries a payload".into()));
-            }
             self.ended = true;
             return Ok(None);
         }
-        let payload = if flags & FLAG_RLE != 0 {
-            rle_decompress(&wire, raw_len)?
-        } else {
-            if raw_len != wire_len {
-                return Err(IoError::Malformed(
-                    "uncompressed frame declares a different raw length".into(),
-                ));
-            }
-            wire
-        };
+        let payload = if flags & FLAG_RLE != 0 { rle_decompress(&wire, raw_len)? } else { wire };
         Ok(Some(Frame { frame_type, payload }))
     }
 
@@ -556,6 +669,68 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    #[test]
+    fn frame_crc_continues_crc32_across_the_header_split() {
+        let bytes: Vec<u8> = (0..=255u8).cycle().skip(3).step_by(5).take(300).collect();
+        for split in [0, 1, 7, 8, 9, 10, 17, 64, 299, 300] {
+            let (prefix, wire) = bytes.split_at(split);
+            assert_eq!(frame_crc(prefix, wire), crc32(&bytes), "split at {split}");
+        }
+    }
+
+    /// One frame with these fields and a CRC that verifies.
+    fn crc_valid_frame(frame_type: u8, flags: u8, wire: &[u8], raw_len: u32) -> Vec<u8> {
+        let mut frame = vec![frame_type, flags];
+        frame.extend_from_slice(&u32::try_from(wire.len()).unwrap().to_le_bytes());
+        frame.extend_from_slice(&raw_len.to_le_bytes());
+        let crc = frame_crc(&frame, wire);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        frame.extend_from_slice(wire);
+        frame
+    }
+
+    #[test]
+    fn checksum_valid_frames_no_sink_writes_are_refused_by_both_readers() {
+        let preamble = [&MAGIC[..], &STREAM_VERSION.to_le_bytes(), &[KIND_STREAM]].concat();
+        let good = crc_valid_frame(2, 0, b"intact", 6);
+        let end = crc_valid_frame(FRAME_END, 0, &[], 0);
+        let flawed = [
+            // A flag bit no writer sets, on an otherwise well-formed raw frame.
+            crc_valid_frame(2, 0x02, b"sixbyt", 6),
+            // RLE tokens that decode ("ab" as one literal token) but are no
+            // shorter than the raw payload.
+            crc_valid_frame(2, FLAG_RLE, &[0x04, b'a', b'b'], 2),
+            crc_valid_frame(2, FLAG_RLE, &[0x05, b'z'], 2),
+            // A raw frame whose lengths disagree, and an end frame with a payload.
+            crc_valid_frame(2, 0, b"abc", 4),
+            crc_valid_frame(FRAME_END, 0, b"x", 1),
+        ];
+        for frame in &flawed {
+            // In line, `next_frame` refuses it and hands its bytes back …
+            let stream = [preamble.as_slice(), frame, &good, &end].concat();
+            let mut reader = FrameReader::new(&stream[..]).unwrap();
+            assert!(matches!(reader.next_frame(), Err(IoError::Malformed(_))), "{frame:?}");
+            assert_eq!(reader.bytes_consumed(), 7);
+            // … and recovery, applying the same rule, skips exactly that frame.
+            assert_eq!(reader.recover().unwrap().unwrap().payload, b"intact");
+            let skipped = crate::recover::SkippedRange { start: 7, end: 7 + frame.len() as u64 };
+            assert_eq!(reader.skipped_ranges(), &[skipped]);
+            assert!(reader.next_frame().unwrap().is_none());
+
+            // Behind garbage, recovery passes over it the same way.
+            let stream = [preamble.as_slice(), b"\xFF\xFF\xFF", frame, &good, &end].concat();
+            let mut reader = FrameReader::new(&stream[..]).unwrap();
+            assert!(reader.next_frame().is_err());
+            assert_eq!(reader.recover().unwrap().unwrap().payload, b"intact");
+            assert!(reader.next_frame().unwrap().is_none());
+        }
+        // The well-formed frames themselves read cleanly.
+        let stream = [preamble.as_slice(), &good, &end].concat();
+        let mut reader = FrameReader::new(&stream[..]).unwrap();
+        assert_eq!(reader.next_frame().unwrap().unwrap().payload, b"intact");
+        assert!(reader.next_frame().unwrap().is_none());
     }
 
     #[test]

@@ -24,7 +24,8 @@
 
 use crate::error::{IoError, IoResult};
 use crate::frame::{
-    frame_crc, rle_decompress, Frame, FrameReader, FLAG_RLE, FRAME_END, FRAME_HEADER_BYTES,
+    frame_crc, header_flaw, rle_decompress, Frame, FrameReader, FLAG_RLE, FRAME_END,
+    FRAME_HEADER_BYTES,
 };
 use std::io::{Read, Seek, Write};
 
@@ -86,15 +87,11 @@ impl<R: Read> FrameReader<R> {
             let raw_len =
                 usize::try_from(u32::from_le_bytes([r0, r1, r2, r3])).unwrap_or(usize::MAX);
             let stored_crc = u32::from_le_bytes([c0, c1, c2, c3]);
-            // Cheap plausibility gates before the CRC: unknown flag bits, lengths
-            // over the cap, a non-empty end frame, or length fields inconsistent
-            // with the compression flag cannot be a frame this sink wrote.
-            let plausible = flags <= FLAG_RLE
-                && wire_len <= self.frame_cap
+            // Cheap plausibility gates before the CRC: lengths over the cap, or a
+            // shape `next_frame` refuses, cannot be a frame this sink wrote.
+            let plausible = wire_len <= self.frame_cap
                 && raw_len <= self.frame_cap
-                && (frame_type != FRAME_END || (wire_len == 0 && raw_len == 0))
-                && (flags & FLAG_RLE != 0 || wire_len == raw_len)
-                && (flags & FLAG_RLE == 0 || wire_len < raw_len);
+                && header_flaw(frame_type, flags, wire_len, raw_len).is_none();
             if !plausible {
                 self.skip_byte();
                 continue;

@@ -12,6 +12,7 @@
 //! [`WireError`]s — never as panics or over-allocation (a length prefix is validated
 //! against the remaining bytes before anything is allocated).
 
+use f2_relation::Value;
 use std::fmt;
 
 /// Magic bytes opening every wire blob.
@@ -88,10 +89,15 @@ impl Writer {
     /// Start a blob of the given kind: magic, version, kind tag.
     pub fn versioned(kind: u8) -> Self {
         let mut w = Writer { buf: Vec::with_capacity(64) };
-        w.buf.extend_from_slice(&MAGIC);
-        w.put_u16(VERSION);
-        w.put_u8(kind);
+        w.put_preamble(kind);
         w
+    }
+
+    /// Append the blob preamble: magic, version, kind tag.
+    fn put_preamble(&mut self, kind: u8) {
+        self.buf.extend_from_slice(&MAGIC);
+        self.put_u16(VERSION);
+        self.put_u8(kind);
     }
 
     /// Start a bare payload with no header — for content that lives *inside* an
@@ -137,6 +143,38 @@ impl Writer {
     /// Append a `u32`-length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_bytes(s.as_bytes());
+    }
+
+    /// Append a table cell: the [`Value::encode`] bytes behind a `u32` length,
+    /// encoded in place — `put_bytes(&value.encode())` without the per-cell
+    /// buffer.
+    pub fn put_value(&mut self, value: &Value) {
+        self.put_prefixed(|w| value.encode_into(&mut w.buf));
+    }
+
+    /// Append a versioned blob of `kind` behind a `u32` length, written in
+    /// place: `fill` writes the blob's body after its preamble — the bytes of
+    /// `put_bytes` over a [`Writer::versioned`] blob, without building one.
+    pub fn put_blob(&mut self, kind: u8, fill: impl FnOnce(&mut Writer)) {
+        self.put_prefixed(|w| {
+            w.put_preamble(kind);
+            fill(w);
+        });
+    }
+
+    /// The in-place primitive behind [`Writer::put_value`] and
+    /// [`Writer::put_blob`]: reserve a `u32` length prefix, let `fill` append
+    /// the field, then back-patch the prefix with the field's length.
+    fn put_prefixed(&mut self, fill: impl FnOnce(&mut Writer)) {
+        let at = self.buf.len();
+        self.put_u32(0);
+        fill(self);
+        let len = self.buf.len() - at - 4;
+        // lint: allow(no-unwrap) — encoder-side invariant, as in `put_bytes`
+        let len = u32::try_from(len).expect("payload under 4 GiB");
+        if let Some(prefix) = self.buf.get_mut(at..at + 4) {
+            prefix.copy_from_slice(&len.to_le_bytes());
+        }
     }
 
     /// Finish the blob.
@@ -297,6 +335,34 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), &[1, 2, 3]);
         assert_eq!(r.str().unwrap(), "héllo");
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn in_place_fields_match_their_buffered_bytes() {
+        let values = [
+            Value::Null,
+            Value::Int(-7),
+            Value::Decimal { digits: 12_345, scale: 2 },
+            Value::Text("héllo".into()),
+            Value::Date(19_000),
+            Value::Bytes(vec![0u8; 300].into()),
+        ];
+        let (mut in_place, mut buffered) = (Writer::raw(), Writer::raw());
+        in_place.put_u8(9);
+        buffered.put_u8(9);
+        in_place.put_blob(3, |w| {
+            w.put_u64(values.len() as u64);
+            for v in &values {
+                w.put_value(v);
+            }
+        });
+        let mut blob = Writer::versioned(3);
+        blob.put_u64(values.len() as u64);
+        for v in &values {
+            blob.put_bytes(&v.encode());
+        }
+        buffered.put_bytes(&blob.finish());
+        assert_eq!(in_place.finish(), buffered.finish());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Property tests for the `F2WS` v2 frame stream: arbitrary frame sequences round
 //! trip exactly (through the RLE compressor when it engages), every truncation
-//! errors, and every single-bit flip is caught by the frame checksums.
+//! errors, and every single-bit flip is caught by the frame checksums. The
+//! word-at-a-time CRC-32 and RLE kernels are checked against plain bytewise
+//! reference implementations, kept below as oracles.
 
-use f2_io::{Frame, FrameReader, FrameSink, IoResult};
+use f2_io::frame::{rle_compress, rle_decompress};
+use f2_io::{crc32, Frame, FrameReader, FrameSink, IoResult};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -12,6 +15,129 @@ fn payload() -> impl Strategy<Value = Vec<u8>> {
     vec((0u8..=255, 0usize..48), 0..12).prop_map(|segments| {
         segments.into_iter().flat_map(|(b, n)| std::iter::repeat_n(b, n)).collect()
     })
+}
+
+/// Oracle: the bytewise table-driven CRC-32 (reflected polynomial `0xEDB88320`).
+fn reference_crc32(bytes: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        let mut crc = i as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+        *slot = crc;
+    }
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    !crc
+}
+
+fn reference_put_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            break;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Oracle: the bytewise varint-RLE compressor, which measures the run at every
+/// maximal-run start and checks the output length after every run token.
+fn reference_rle_compress(raw: &[u8]) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity(raw.len() / 2);
+    let mut literal_start = 0usize;
+    let mut i = 0usize;
+    let flush_literals = |out: &mut Vec<u8>, start: usize, end: usize| {
+        if let Some(chunk) = raw.get(start..end) {
+            if !chunk.is_empty() {
+                reference_put_varint(out, (chunk.len() as u64) << 1);
+                out.extend_from_slice(chunk);
+            }
+        }
+    };
+    while let Some(&b) = raw.get(i) {
+        let run = 1 + raw.iter().skip(i + 1).take_while(|&&x| x == b).count();
+        if run >= 4 {
+            flush_literals(&mut out, literal_start, i);
+            reference_put_varint(&mut out, ((run as u64) << 1) | 1);
+            out.push(b);
+            i += run;
+            literal_start = i;
+        } else {
+            i += run;
+        }
+        if out.len() >= raw.len() {
+            return None;
+        }
+    }
+    flush_literals(&mut out, literal_start, raw.len());
+    (out.len() < raw.len()).then_some(out)
+}
+
+/// `rle_compress` agrees with the oracle token for token, and what it keeps
+/// decompresses back to `raw`.
+fn assert_rle_matches_reference(raw: &[u8]) {
+    let packed = rle_compress(raw);
+    assert_eq!(packed, reference_rle_compress(raw), "payload {raw:?}");
+    if let Some(packed) = packed {
+        assert_eq!(rle_decompress(&packed, raw.len()).expect("own tokens decode"), raw);
+    }
+}
+
+/// `n` bytes with no two neighbours equal, so they contain no run at all.
+fn noise(n: usize) -> Vec<u8> {
+    (0..n).map(|i| (i * 7 + 1) as u8).collect()
+}
+
+#[test]
+fn crc32_matches_the_bytewise_reference_at_every_length_and_offset() {
+    let bytes: Vec<u8> = (0..72u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
+    for start in 0..8 {
+        for len in 0..=64 {
+            let slice = &bytes[start..start + len];
+            assert_eq!(crc32(slice), reference_crc32(slice), "start {start}, len {len}");
+        }
+    }
+}
+
+#[test]
+fn rle_edge_cases_match_the_bytewise_reference() {
+    let mut cases: Vec<Vec<u8>> = Vec::new();
+    // Runs of exactly 3, 4 and 5 bytes at the start, middle and end of noise.
+    for run in 3..=5 {
+        let run = vec![0xAAu8; run];
+        cases.push([run.clone(), noise(20)].concat());
+        cases.push([noise(10), run.clone(), noise(10)].concat());
+        cases.push([noise(20), run].concat());
+    }
+    // A 3-run straight into a 4-run of another byte, alone and inside noise.
+    cases.push([vec![1u8; 3], vec![2u8; 4]].concat());
+    cases.push([noise(6), vec![1u8; 3], vec![2u8; 4], noise(6)].concat());
+    // One byte repeated, at lengths around the run threshold and beyond.
+    for len in [1, 2, 3, 4, 5, 8, 9, 64, 200, 1000] {
+        cases.push(vec![0x5Au8; len]);
+    }
+    for case in &cases {
+        assert_rle_matches_reference(case);
+    }
+
+    // Tokens exactly as long as the input stay raw: a 4-run saves two bytes
+    // and each literal token costs one, or two once it carries 64 bytes.
+    let exact = [noise(5), vec![0u8; 4], noise(7)].concat();
+    let exact_wide = [vec![0u8; 4], noise(64)].concat();
+    for case in [&exact, &exact_wide] {
+        assert_rle_matches_reference(case);
+        assert_eq!(rle_compress(case), None, "{} bytes", case.len());
+    }
+    // One byte shorter on the wire than raw, and it compresses.
+    let one_shorter = [vec![0u8; 4], noise(63)].concat();
+    assert_rle_matches_reference(&one_shorter);
+    assert_eq!(rle_compress(&one_shorter).map(|p| p.len()), Some(one_shorter.len() - 1));
 }
 
 fn write_stream(frames: &[(u8, Vec<u8>)]) -> Vec<u8> {
@@ -33,6 +159,36 @@ fn read_stream(bytes: &[u8]) -> IoResult<Vec<Frame>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn crc32_matches_the_bytewise_reference(bytes in payload()) {
+        prop_assert_eq!(crc32(&bytes), reference_crc32(&bytes));
+    }
+
+    #[test]
+    fn rle_compress_matches_the_bytewise_reference(bytes in payload()) {
+        let packed = rle_compress(&bytes);
+        prop_assert_eq!(&packed, &reference_rle_compress(&bytes));
+        if let Some(packed) = packed {
+            prop_assert_eq!(rle_decompress(&packed, bytes.len()).expect("own tokens decode"), bytes);
+        }
+    }
+
+    #[test]
+    fn stored_frame_checksums_match_the_bytewise_reference(bytes in payload()) {
+        // Each frame's stored CRC covers its ten header bytes before the
+        // checksum, then its wire payload.
+        let stream = write_stream(&[(1, bytes)]);
+        let mut rest = &stream[7..];
+        for _ in 0..2 {
+            let wire_len = u32::from_le_bytes(rest[2..6].try_into().unwrap()) as usize;
+            let stored = u32::from_le_bytes(rest[10..14].try_into().unwrap());
+            let covered = [&rest[..10], &rest[14..14 + wire_len]].concat();
+            prop_assert_eq!(stored, reference_crc32(&covered));
+            rest = &rest[14 + wire_len..];
+        }
+        prop_assert!(rest.is_empty());
+    }
 
     #[test]
     fn frame_sequences_roundtrip_exactly(

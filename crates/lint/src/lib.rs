@@ -26,7 +26,7 @@
 //! Suppression inside source is per-line and must carry a reason:
 //!
 //! ```text
-//! // lint: allow(slice-index) — index masked to 8 bits into a fixed 256-entry table
+//! // lint: allow(truncating-cast) — value masked to 7 bits first
 //! ```
 //!
 //! Scope annotations opt files into rule families: `//! lint: untrusted-input`

@@ -20,7 +20,7 @@
 //! that [`decode_error`] turns back into the exact [`ServerError`] variant.
 
 use crate::error::{ServerError, ServerResult};
-use f2_engine::persist::{decode_table, encode_table, put_schema, take_schema};
+use f2_engine::persist::{decode_table, put_schema, put_table, take_schema};
 use f2_engine::wire::{Reader, Writer};
 use f2_obs::TraceCtx;
 use f2_relation::{Schema, Table};
@@ -141,7 +141,7 @@ impl Request {
                 let mut w = Writer::raw();
                 w.put_u64(*token);
                 w.put_u64(*chunk_index);
-                w.put_bytes(&encode_table(table));
+                put_table(&mut w, table);
                 (REQ_APPEND, w.finish())
             }
             Request::Finish { token } => {
