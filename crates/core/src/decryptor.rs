@@ -7,10 +7,10 @@
 //! resolution replaced with fresh values are patched back from their companion rows.
 
 use crate::fake::is_artificial_value;
-use crate::provenance::Provenance;
-use crate::{EncryptionOutcome, F2Error, Result};
+use crate::provenance::{Provenance, RowOrigin};
+use crate::{EncryptionOutcome, F2Error, OwnerState, Result};
 use f2_crypto::{MasterKey, ProbabilisticCipher};
-use f2_relation::{Record, Schema, Table, Value};
+use f2_relation::{Record, Schema, Table};
 
 /// The F² decryptor.
 #[derive(Debug, Clone)]
@@ -61,7 +61,9 @@ impl F2Decryptor {
         Ok(out)
     }
 
-    /// Recover the original table exactly, using the owner's provenance.
+    /// Recover the original table exactly, using the owner's provenance. The `Real`
+    /// rows must name each original row `0..n` exactly once; they come back in that
+    /// order, each patched from its conflict companions.
     pub fn recover_original(
         &self,
         encrypted: &Table,
@@ -83,8 +85,16 @@ impl F2Decryptor {
         }
         let ciphers = self.ciphers(arity);
         let real = provenance.real_rows();
-        let mut rows: Vec<(usize, Vec<Value>)> = Vec::with_capacity(real.len());
+        let n = real.len();
+        let mut rows: Vec<Option<Record>> = (0..n).map(|_| None).collect();
         for (out_row, original_row) in real {
+            // n distinct slots below n for n real rows: every slot gets filled.
+            let Some(slot) = rows.get_mut(original_row).filter(|slot| slot.is_none()) else {
+                return Err(F2Error::ProvenanceMismatch(format!(
+                    "real rows must name each original row 0..{n} once, but output row \
+                     {out_row} names row {original_row} out of range or again"
+                )));
+            };
             let rec = encrypted.row(out_row)?;
             let mut values = Vec::with_capacity(arity);
             for (a, cell) in rec.values().iter().enumerate() {
@@ -97,16 +107,64 @@ impl F2Decryptor {
                     values[attr] = ciphers[attr].decrypt_cell(companion_cell)?;
                 }
             }
-            rows.push((original_row, values));
+            *slot = Some(Record::new(values));
         }
-        rows.sort_by_key(|(orig, _)| *orig);
-        let records = rows.into_iter().map(|(_, v)| Record::new(v)).collect();
+        let records = rows.into_iter().flatten().collect();
         Ok(Table::new(plaintext_schema.clone(), records)?)
     }
 
     /// Convenience: recover the original table from a full [`EncryptionOutcome`].
     pub fn recover_from_outcome(&self, outcome: &EncryptionOutcome) -> Result<Table> {
         self.recover_original(&outcome.encrypted, &outcome.provenance, &outcome.plaintext_schema)
+    }
+}
+
+impl OwnerState {
+    /// The output rows that decrypting a `row_count`-row table under this state
+    /// reads, in ascending order, and the state re-indexed onto just those rows:
+    /// decrypting the selected rows, in that order, under the returned state
+    /// recovers exactly what decrypting the whole table under `self` recovers.
+    ///
+    /// For F² these are every `Real` row and every conflict companion a patch
+    /// points to — all [`F2Decryptor::recover_original`] reads; scale copies, fake
+    /// classes and false-positive records are never read. A cell-wise state reads
+    /// every row: the selection is `None`, and the state is returned unchanged.
+    ///
+    /// Makes the checks decryption makes before reading a row: an F² provenance
+    /// must describe exactly `row_count` rows, and every companion row must lie
+    /// below `row_count`.
+    pub fn select_read_rows(self, row_count: usize) -> Result<(Option<Vec<usize>>, OwnerState)> {
+        let mut state = match self {
+            OwnerState::F2(state) => state,
+            OwnerState::CellWise(_) => return Ok((None, self)),
+        };
+        let provenance = &mut state.provenance;
+        if provenance.len() != row_count {
+            return Err(F2Error::ProvenanceMismatch(format!(
+                "provenance describes {} rows but the table has {row_count}",
+                provenance.len()
+            )));
+        }
+        let mut read: Vec<bool> = provenance.origins.iter().map(RowOrigin::is_real).collect();
+        for &(_, companion_row) in provenance.patches.values().flatten() {
+            *read.get_mut(companion_row).ok_or_else(|| {
+                F2Error::ProvenanceMismatch(format!(
+                    "a patch reads companion row {companion_row} of a {row_count}-row table"
+                ))
+            })? = true;
+        }
+        let rows: Vec<usize> =
+            read.iter().enumerate().filter_map(|(row, &keep)| keep.then_some(row)).collect();
+        let origins = std::mem::take(&mut provenance.origins);
+        provenance.origins = origins
+            .into_iter()
+            .zip(&read)
+            .filter_map(|(origin, &keep)| keep.then_some(origin))
+            .collect();
+        for (_, companion_row) in provenance.patches.values_mut().flatten() {
+            *companion_row = rows.partition_point(|&row| row < *companion_row);
+        }
+        Ok((Some(rows), OwnerState::F2(state)))
     }
 }
 
@@ -180,6 +238,92 @@ mod tests {
         assert!(dec.recover_original(&out.encrypted, &bad, &out.plaintext_schema).is_err());
         let bad_schema = Schema::from_names(["A"]).unwrap();
         assert!(dec.recover_original(&out.encrypted, &out.provenance, &bad_schema).is_err());
+    }
+
+    #[test]
+    fn real_rows_must_name_each_original_row_once() {
+        use crate::{Scheme, SchemeOutcome, F2};
+        let t = table! {
+            ["Zip", "City", "Name"];
+            ["07030", "Hoboken", "alice"],
+            ["07030", "Hoboken", "bob"],
+            ["10001", "NewYork", "carol"],
+            ["10001", "NewYork", "dave"],
+        };
+        let scheme = F2::builder().alpha(0.5).seed(7).build().unwrap();
+        let retagged = |claim: usize| {
+            let mut outcome: SchemeOutcome = scheme.encrypt(&t).unwrap();
+            let OwnerState::F2(state) = &mut outcome.state else { unreachable!() };
+            let last = state
+                .provenance
+                .origins
+                .iter_mut()
+                .find(|origin| matches!(origin, RowOrigin::Real { original_row: 3 }));
+            *last.unwrap() = RowOrigin::Real { original_row: claim };
+            outcome
+        };
+        assert_eq!(scheme.decrypt(&retagged(3)).unwrap(), t);
+        for claim in [0, 4, 1_000_000] {
+            let err = scheme.decrypt(&retagged(claim)).unwrap_err();
+            assert!(matches!(err, F2Error::ProvenanceMismatch(_)), "claim {claim}: {err}");
+        }
+    }
+
+    #[test]
+    fn selected_rows_are_the_real_rows_and_their_companions() {
+        // Overlapping MASs (the paper's §3.3.2 example) force conflict companions.
+        let t = table! {
+            ["A", "B", "C"];
+            ["a3", "b2", "c1"],
+            ["a1", "b2", "c1"],
+            ["a2", "b2", "c1"],
+            ["a2", "b2", "c2"],
+            ["a3", "b2", "c2"],
+            ["a1", "b1", "c3"],
+        };
+        let enc = F2Encryptor::new(F2Config::new(0.5, 2).unwrap(), MasterKey::from_seed(5));
+        let dec = F2Decryptor::new(MasterKey::from_seed(5));
+        let out = enc.encrypt(&t).unwrap();
+        let n = out.encrypted.row_count();
+        let state = || {
+            OwnerState::F2(crate::F2OwnerState {
+                provenance: out.provenance.clone(),
+                mas_sets: out.mas_sets.clone(),
+                plaintext_schema: out.plaintext_schema.clone(),
+            })
+        };
+        let (rows, selected) = state().select_read_rows(n).unwrap();
+        let (Some(rows), OwnerState::F2(selected)) = (rows, selected) else { unreachable!() };
+        let mut expected: Vec<usize> = out.provenance.real_rows().iter().map(|r| r.0).collect();
+        expected.extend(out.provenance.patches.values().flatten().map(|&(_, row)| row));
+        expected.sort_unstable();
+        expected.dedup();
+        assert_eq!(rows, expected);
+        assert!(rows.len() < n, "the fixture carries artificial rows");
+        assert!(!out.provenance.patches.is_empty(), "the fixture carries conflict companions");
+        let subset = Table::new(
+            out.encrypted.schema().clone(),
+            rows.iter().map(|&r| out.encrypted.row(r).unwrap().clone()).collect(),
+        )
+        .unwrap();
+        assert_eq!(
+            dec.recover_original(&subset, &selected.provenance, &out.plaintext_schema).unwrap(),
+            dec.recover_from_outcome(&out).unwrap()
+        );
+
+        // The checks decryption makes come first: the row count …
+        let err = state().select_read_rows(n + 1).unwrap_err();
+        assert!(matches!(err, F2Error::ProvenanceMismatch(_)), "{err}");
+        // … and every companion in range.
+        let mut bad = state();
+        let OwnerState::F2(f2) = &mut bad else { unreachable!() };
+        f2.provenance.patches.insert(0, vec![(0, n)]);
+        let err = bad.select_read_rows(n).unwrap_err();
+        assert!(matches!(err, F2Error::ProvenanceMismatch(_)), "{err}");
+        // A cell-wise state reads every row.
+        let cell_wise =
+            OwnerState::CellWise(crate::CellWiseState { plaintext_schema: t.schema().clone() });
+        assert_eq!(cell_wise.select_read_rows(3).unwrap().0, None);
     }
 
     #[test]

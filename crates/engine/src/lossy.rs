@@ -195,10 +195,12 @@ pub fn decrypt_streaming_lossy<R: Read>(
 }
 
 /// Decode and decrypt one chunk frame; `None` means the chunk is lost even
-/// though its frame's checksum verified (undecodable payload or state blob, a
-/// state of another backend, or ciphertext that fails to decrypt).
+/// though its frame's checksum verified (undecodable payload, state blob or
+/// cell, a state of another backend or one that disagrees with the chunk's
+/// rows, ciphertext that fails to decrypt, or fewer or more plaintext rows
+/// than the chunk's record covers).
 fn salvage_chunk(scheme: &dyn Scheme, frame: &Frame) -> Option<(usize, Table)> {
-    let (record, state, encrypted) = decode_chunk(&frame.payload).ok()?;
-    let plain = decrypt_chunk(scheme, state, encrypted).ok()?;
+    let (record, state, table) = decode_chunk(&frame.payload).ok()?;
+    let plain = decrypt_chunk(scheme, &record, state, table).ok()?;
     Some((record.index, plain))
 }

@@ -103,25 +103,48 @@ fn put_table_body(w: &mut Writer, table: &Table) {
 
 /// Inverse of [`encode_table`].
 pub fn decode_table(bytes: &[u8]) -> Result<Table> {
+    decode_table_rows(bytes, None).map(|(table, _)| table)
+}
+
+/// [`decode_table`] that builds only the rows `selected` names — ascending row
+/// indices, or every row for `None` — and returns them with the blob's row count.
+/// Every other cell is still read and checked ([`Value::is_valid_encoding`]), so a
+/// blob refused under one selection is refused under every selection; a selected
+/// row the blob does not hold (or a selection out of order) is refused too.
+pub fn decode_table_rows(bytes: &[u8], selected: Option<&[usize]>) -> Result<(Table, usize)> {
+    let undecodable = || WireError::Malformed("cell encoding does not decode to a value".into());
     let mut r = Reader::versioned(bytes, KIND_TABLE)?;
     let schema = take_schema(&mut r)?;
+    let arity = schema.arity();
     // Every cell carries at least its 4-byte length prefix; `arity.max(1)` keeps the
     // bound meaningful for zero-arity tables (whose rows consume no input at all, so
     // any claimed row count beyond the remaining bytes is corrupt).
-    let rows = r.count_u64(schema.arity().max(1) * 4)?;
-    let mut records = Vec::with_capacity(rows.min(1 << 20));
-    for _ in 0..rows {
-        let mut values = Vec::with_capacity(schema.arity());
-        for _ in 0..schema.arity() {
-            let encoding = r.bytes()?;
-            values.push(Value::decode(encoding).ok_or_else(|| {
-                WireError::Malformed("cell encoding does not decode to a value".into())
-            })?);
+    let rows = r.count_u64(arity.max(1) * 4)?;
+    let mut wanted = selected.map(|rows| rows.iter().copied().peekable());
+    let mut records = Vec::with_capacity(selected.map_or(rows, <[usize]>::len).min(1 << 20));
+    for row in 0..rows {
+        if wanted.as_mut().is_none_or(|wanted| wanted.next_if_eq(&row).is_some()) {
+            let mut values = Vec::with_capacity(arity);
+            for _ in 0..arity {
+                values.push(Value::decode(r.bytes()?).ok_or_else(undecodable)?);
+            }
+            records.push(Record::new(values));
+        } else {
+            for _ in 0..arity {
+                if !Value::is_valid_encoding(r.bytes()?) {
+                    return Err(undecodable().into());
+                }
+            }
         }
-        records.push(Record::new(values));
     }
     r.finish()?;
-    Ok(Table::new(schema, records)?)
+    if wanted.is_some_and(|mut wanted| wanted.peek().is_some()) {
+        return Err(WireError::Malformed(format!(
+            "row selection is not ascending or reaches past the table's {rows} rows"
+        ))
+        .into());
+    }
+    Ok((Table::new(schema, records)?, rows))
 }
 
 // ── field codecs ───────────────────────────────────────────────────────────────────

@@ -23,7 +23,10 @@
 //!    payload to CRC-match the stored one. The plaintext it re-encrypts comes
 //!    from the source when one is given — proving the source unchanged since
 //!    the interrupted run — and otherwise from decrypting the stored chunk —
-//!    proving the store, owner state, and key material still agree.
+//!    proving the store, owner state, and key material still agree. That
+//!    decryption is the readers' one chunk-decrypt step (see [`crate::stream`]):
+//!    it builds only the rows decryption reads, checks every cell, and refuses a
+//!    chunk whose decrypted rows disagree with its record.
 //! 3. **Truncate** — only once the replay has accepted the prefix, cut the
 //!    store back to the end of the last complete chunk frame; a torn tail is
 //!    unusable by construction, and a surviving trailer is rewritten rather
@@ -281,8 +284,8 @@ fn replay_prefix<T: Read + Seek>(
             })?,
             Plaintext::Store(frames) => {
                 let frame = next_stored_frame(frames, FRAME_CHUNK)?;
-                let (_, state, encrypted) = decode_chunk(&frame)?;
-                let plain = decrypt_chunk(scheme, state, encrypted)?;
+                let (stored, state, table) = decode_chunk(&frame)?;
+                let plain = decrypt_chunk(scheme, &stored, state, table)?;
                 scheme.reseeded(record.seed).encrypt(&plain)?
             }
         };

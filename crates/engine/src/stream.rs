@@ -34,15 +34,26 @@
 //! Reading back:
 //!
 //! * [`load_streamed_outcome`] — reassemble the whole [`SchemeOutcome`] (table +
-//!   merged owner state + report) for in-memory decryption;
+//!   merged owner state + report) for in-memory decryption; it decodes every row;
 //! * [`decrypt_streaming`] — decrypt **chunk by chunk**, handing each recovered
 //!   plaintext chunk to a callback: constant-memory decryption for datasets that
 //!   never fit in RAM (per-chunk owner states are chunk-local, so no merged state is
 //!   needed).
+//!
+//! The readers that decrypt — [`decrypt_streaming`], lossy salvage
+//! ([`crate::lossy`]) and the source-free resume replay ([`crate::resume`]) — share
+//! one chunk-decrypt step: decode the owner state, select the rows its decryption
+//! reads ([`OwnerState::select_read_rows`]), decode just those rows, decrypt. For
+//! F² that builds only the real rows and their conflict companions, skipping the
+//! scale copies, fake classes and false-positive records that make up most of a
+//! chunk at small α. Every other cell is still read and checked, so a malformed
+//! chunk is refused whether or not decryption would have read the bad cell, and a
+//! chunk that decrypts to other than its record's plaintext row count is refused
+//! before any caller sees it.
 
 use crate::job::StreamProgress;
 use crate::persist::{
-    decode_state, decode_table, encode_state, put_report, put_schema, put_table, take_report,
+    decode_state, decode_table_rows, encode_state, put_report, put_schema, put_table, take_report,
     take_schema,
 };
 use crate::pipeline::{chunk_seed, ChunkRecord, Engine};
@@ -168,17 +179,29 @@ pub(crate) fn encode_chunk(record: &ChunkRecord, outcome: &SchemeOutcome) -> Res
 }
 
 /// Inverse of [`encode_chunk`]: the record, the owner-state blob, and the
-/// encrypted rows, whose count must match the record's output range.
-pub(crate) fn decode_chunk(payload: &[u8]) -> Result<(ChunkRecord, &[u8], Table)> {
+/// undecoded table blob ([`decode_chunk_table`] decodes it).
+pub(crate) fn decode_chunk(payload: &[u8]) -> Result<(ChunkRecord, &[u8], &[u8])> {
     let mut r = Reader::raw(payload);
     let record = take_chunk_record(&mut r)?;
     let state = r.bytes()?;
-    let encrypted = decode_table(r.bytes()?)?;
+    let table = r.bytes()?;
     r.finish()?;
-    if encrypted.row_count() != record.output_rows.len() {
+    Ok((record, state, table))
+}
+
+/// Decode a chunk's table blob, building only the `selected` rows (every row for
+/// `None`) and checking every cell; the blob's row count must match the record's
+/// output range.
+fn decode_chunk_table(
+    record: &ChunkRecord,
+    table: &[u8],
+    selected: Option<&[usize]>,
+) -> Result<Table> {
+    let (encrypted, rows) = decode_table_rows(table, selected)?;
+    if rows != record.output_rows.len() {
         return Err(malformed("chunk row count disagrees with its record"));
     }
-    Ok((record, state, encrypted))
+    Ok(encrypted)
 }
 
 /// Decode only a chunk frame's leading record — what the resume scan reads,
@@ -187,15 +210,32 @@ pub(crate) fn decode_chunk_record(payload: &[u8]) -> Result<ChunkRecord> {
     take_chunk_record(&mut Reader::raw(payload))
 }
 
-/// Decrypt one decoded chunk with its own (chunk-local) owner state; `scheme`'s
-/// `decrypt` refuses a state of another backend.
-pub(crate) fn decrypt_chunk(scheme: &dyn Scheme, state: &[u8], encrypted: Table) -> Result<Table> {
-    let outcome = SchemeOutcome {
-        encrypted,
-        state: decode_state(state)?,
-        report: EncryptionReport::default(),
-    };
-    scheme.decrypt(&outcome)
+/// Decrypt one chunk with its own (chunk-local) owner state — the one chunk-decrypt
+/// step of every reader that decrypts ([`decrypt_streaming`], lossy salvage, and
+/// the source-free resume replay). Only the rows decryption reads are built
+/// ([`OwnerState::select_read_rows`]: F²'s real rows and conflict companions),
+/// though every cell is checked; `scheme`'s `decrypt` refuses a state of another
+/// backend, and a chunk that decrypts to other than the record's plaintext row
+/// count is refused before any caller sees it.
+pub(crate) fn decrypt_chunk(
+    scheme: &dyn Scheme,
+    record: &ChunkRecord,
+    state: &[u8],
+    table: &[u8],
+) -> Result<Table> {
+    let (rows, state) = decode_state(state)?.select_read_rows(record.output_rows.len())?;
+    let encrypted = decode_chunk_table(record, table, rows.as_deref())?;
+    let plain =
+        scheme.decrypt(&SchemeOutcome { encrypted, state, report: EncryptionReport::default() })?;
+    if plain.row_count() != record.rows.len() {
+        return Err(malformed(&format!(
+            "chunk {} decrypts to {} rows, its record covers {}",
+            record.index,
+            plain.row_count(),
+            record.rows.len()
+        )));
+    }
+    Ok(plain)
 }
 
 /// The decoded trailer frame: the stream's totals and its merged report.
@@ -261,13 +301,13 @@ fn take_chunk_record(r: &mut Reader<'_>) -> Result<ChunkRecord> {
 
 /// Drive a [`FrameReader`] over a stream, dispatching each frame: the header is
 /// validated against `scheme`, every chunk goes to `on_chunk` (in order, with its
-/// decoded record, owner state blob, and encrypted rows), and the header and
+/// decoded record, owner state blob, and undecoded table blob), and the header and
 /// trailer come back to the caller. Shared by [`load_streamed_outcome`] and
 /// [`decrypt_streaming`] so both enforce the same structure.
 fn walk_stream<R: Read>(
     scheme_name: &str,
     reader: R,
-    mut on_chunk: impl FnMut(ChunkRecord, &[u8], Table) -> Result<()>,
+    mut on_chunk: impl FnMut(ChunkRecord, &[u8], &[u8]) -> Result<()>,
 ) -> Result<(StreamHeader, Trailer)> {
     let mut frames = FrameReader::new(reader)?;
     let first = frames.next_frame()?.ok_or_else(|| malformed("empty stream (no header frame)"))?;
@@ -295,7 +335,7 @@ fn walk_stream<R: Read>(
             .ok_or_else(|| malformed("stream ended without a trailer frame"))?;
         match frame.frame_type {
             FRAME_CHUNK => {
-                let (record, state, encrypted) = decode_chunk(&frame.payload)?;
+                let (record, state, table) = decode_chunk(&frame.payload)?;
                 if record.index != chunk_count {
                     return Err(malformed(&format!(
                         "chunk {} arrived at position {chunk_count}",
@@ -311,7 +351,7 @@ fn walk_stream<R: Read>(
                 }
                 next_row = record.rows.end;
                 next_output_row = record.output_rows.end;
-                on_chunk(record, state, encrypted)?;
+                on_chunk(record, state, table)?;
                 chunk_count += 1;
             }
             FRAME_TRAILER => break decode_trailer(&frame.payload)?,
@@ -342,7 +382,8 @@ pub fn load_streamed_outcome<R: Read>(
     let mut encrypted: Option<Table> = None;
     let mut chunk_states: Vec<ChunkState> = Vec::new();
     let mut records: Vec<ChunkRecord> = Vec::new();
-    let (header, trailer) = walk_stream(scheme.name(), reader, |record, state, chunk_table| {
+    let (header, trailer) = walk_stream(scheme.name(), reader, |record, state, table| {
+        let chunk_table = decode_chunk_table(&record, table, None)?;
         chunk_states.push(ChunkState {
             row_offset: record.rows.start,
             output_offset: record.output_rows.start,
@@ -385,8 +426,8 @@ pub fn decrypt_streaming<R: Read>(
     mut emit: impl FnMut(Table) -> Result<()>,
 ) -> Result<usize> {
     let mut emitted = 0usize;
-    let (_, trailer) = walk_stream(scheme.name(), reader, |_, state, chunk_table| {
-        let plain = decrypt_chunk(scheme, state, chunk_table)?;
+    let (_, trailer) = walk_stream(scheme.name(), reader, |record, state, table| {
+        let plain = decrypt_chunk(scheme, &record, state, table)?;
         emitted += plain.row_count();
         emit(plain)
     })?;
@@ -402,8 +443,9 @@ pub fn decrypt_streaming<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::decode_table;
     use crate::pipeline::EngineConfig;
-    use f2_core::F2;
+    use f2_core::{F2Scheme, RowOrigin, F2};
     use f2_io::frame::FrameSink;
     use f2_io::TableSource;
     use f2_relation::table;
@@ -532,5 +574,206 @@ mod tests {
         let (outcome, _) = load_streamed_outcome(&f2, &spliced[..]).unwrap();
         let err = f2.decrypt(&outcome).unwrap_err();
         assert!(err.to_string().contains("owner state type mismatch"), "{err}");
+    }
+
+    fn orders() -> Table {
+        f2_datagen::Dataset::Orders.generate(600, 42)
+    }
+
+    fn orders_engine() -> Engine {
+        Engine::new(EngineConfig { workers: 1, chunk_rows: 256, seed: 11 }).unwrap()
+    }
+
+    /// An F² stream of 600 Orders rows in 256-row chunks at α = 0.5.
+    fn orders_stream() -> (F2Scheme, Vec<u8>) {
+        let scheme = F2::builder().alpha(0.5).seed(11).build().unwrap();
+        let mut stream = Vec::new();
+        orders_engine()
+            .run_streaming(&scheme, &mut TableSource::new(&orders()), &mut stream)
+            .unwrap();
+        (scheme, stream)
+    }
+
+    /// A chunk frame payload laid out exactly as `encode_chunk` lays it out, except
+    /// that the cell at `bad_cell` (row, attribute) is written as the undecodable
+    /// encoding `[9]` (tag 9 names no `Value` variant).
+    fn chunk_payload(
+        record: &ChunkRecord,
+        state: &OwnerState,
+        table: &Table,
+        bad_cell: Option<(usize, usize)>,
+    ) -> Vec<u8> {
+        let mut blob = Writer::versioned(crate::persist::KIND_TABLE);
+        put_schema(&mut blob, table.schema());
+        blob.put_usize(table.row_count());
+        for (row, rec) in table.iter() {
+            for (attr, value) in rec.values().iter().enumerate() {
+                if bad_cell == Some((row, attr)) {
+                    blob.put_bytes(&[9]);
+                } else {
+                    blob.put_value(value);
+                }
+            }
+        }
+        let mut w = Writer::raw();
+        put_chunk_record(&mut w, record);
+        w.put_bytes(&encode_state(state).unwrap());
+        w.put_bytes(&blob.finish());
+        w.finish()
+    }
+
+    /// Re-frame `stream` with chunk 0's payload rebuilt by `edit` from its decoded
+    /// record, owner state, and table: every frame stays CRC-valid.
+    fn with_chunk_0(
+        stream: &[u8],
+        edit: impl FnOnce(&mut ChunkRecord, &mut OwnerState, &mut Table) -> Option<(usize, usize)>,
+    ) -> Vec<u8> {
+        let mut reader = FrameReader::new(stream).unwrap();
+        let mut sink = FrameSink::new(Vec::new()).unwrap();
+        let mut edit = Some(edit);
+        while let Some(frame) = reader.next_frame().unwrap() {
+            let mut payload = frame.payload;
+            if frame.frame_type == FRAME_CHUNK {
+                if let Some(edit) = edit.take() {
+                    let (mut record, state, table) = decode_chunk(&payload).unwrap();
+                    let (mut state, mut table) =
+                        (decode_state(state).unwrap(), decode_table(table).unwrap());
+                    assert_eq!(chunk_payload(&record, &state, &table, None), payload);
+                    let bad_cell = edit(&mut record, &mut state, &mut table);
+                    payload = chunk_payload(&record, &state, &table, bad_cell);
+                }
+            }
+            sink.write_frame(frame.frame_type, &payload).unwrap();
+        }
+        sink.finish().unwrap().0
+    }
+
+    fn provenance(state: &mut OwnerState) -> &mut f2_core::Provenance {
+        match state {
+            OwnerState::F2(state) => &mut state.provenance,
+            OwnerState::CellWise(_) => panic!("an F² stream carries F² states"),
+        }
+    }
+
+    #[test]
+    fn a_chunk_that_decrypts_to_fewer_rows_than_its_record_is_refused_before_emit() {
+        let (scheme, stream) = orders_stream();
+        // Retag chunk 0's last real row as a scale copy: the Real rows still name
+        // 0..255 once each, so the chunk decrypts, but to 255 of its 256 rows.
+        let damaged = with_chunk_0(&stream, |_, state, _| {
+            let origins = &mut provenance(state).origins;
+            let last = origins
+                .iter_mut()
+                .max_by_key(|origin| match origin {
+                    RowOrigin::Real { original_row } => Some(*original_row),
+                    _ => None,
+                })
+                .unwrap();
+            *last = RowOrigin::ScaleCopy { mas_index: 0 };
+            None
+        });
+        let mut emitted = Vec::new();
+        let err = decrypt_streaming(&scheme, &damaged[..], |chunk| {
+            emitted.push(chunk.row_count());
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("decrypts to 255 rows"), "{err}");
+        assert!(emitted.is_empty(), "emit saw {emitted:?}");
+
+        let mut emitted = Vec::new();
+        let damage = crate::decrypt_streaming_lossy(&scheme, &damaged[..], |chunk| {
+            emitted.push(chunk.row_count());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(emitted, [256, 88]);
+        assert_eq!((damage.chunks_recovered, damage.chunks_lost), (2, 1));
+        assert_eq!(damage.rows_lost, Some(256));
+        assert!(!damage.is_lossless());
+    }
+
+    #[test]
+    fn malformed_chunks_in_intact_frames_are_refused_and_counted_lost() {
+        let (scheme, stream) = orders_stream();
+        type Edit = fn(&mut ChunkRecord, &mut OwnerState, &mut Table) -> Option<(usize, usize)>;
+        let cases: [(&str, Edit); 5] = [
+            // An undecodable cell in an artificial row, which decryption never reads.
+            ("artificial-row cell", |_, state, _| {
+                let row = provenance(state).origins.iter().position(|o| {
+                    matches!(o, RowOrigin::ScaleCopy { .. } | RowOrigin::GroupFake { .. })
+                });
+                Some((row.unwrap(), 1))
+            }),
+            ("real-row cell", |_, state, _| {
+                Some((provenance(state).origins.iter().position(RowOrigin::is_real).unwrap(), 0))
+            }),
+            ("table rows disagree with the record", |_, state, table| {
+                let rows = table.row_count() - 1;
+                *table = table.truncated(rows);
+                provenance(state).origins.truncate(rows);
+                None
+            }),
+            ("provenance length", |_, state, _| {
+                provenance(state).origins.push(RowOrigin::ScaleCopy { mas_index: 0 });
+                None
+            }),
+            ("companion out of range", |record, state, _| {
+                provenance(state).patches.insert(0, vec![(0, record.output_rows.len())]);
+                None
+            }),
+        ];
+        for (case, edit) in cases {
+            let damaged = with_chunk_0(&stream, edit);
+            let mut emitted = 0;
+            let result = decrypt_streaming(&scheme, &damaged[..], |_| {
+                emitted += 1;
+                Ok(())
+            });
+            assert!(result.is_err(), "{case}: decrypt_streaming accepted the chunk");
+            assert_eq!(emitted, 0, "{case}");
+            let damage = crate::decrypt_streaming_lossy(&scheme, &damaged[..], |_| Ok(())).unwrap();
+            assert_eq!((damage.chunks_recovered, damage.chunks_lost), (2, 1), "{case}");
+            assert!(!damage.is_lossless(), "{case}");
+            // The source-free resume replays chunk 0 through the same step and
+            // refuses it, leaving the store as it found it.
+            let mut store = std::io::Cursor::new(damaged.clone());
+            let resumed = orders_engine().resume_job(&scheme, orders().schema(), &mut store);
+            assert!(resumed.is_err(), "{case}: resume_job accepted the chunk");
+            assert!(store.into_inner() == damaged, "{case}");
+        }
+    }
+
+    #[test]
+    fn a_cell_wise_chunk_claiming_a_huge_output_range_is_refused_without_allocating_it() {
+        let key = f2_crypto::MasterKey::from_seed(41);
+        let schemes: [Box<dyn Scheme>; 2] = [
+            Box::new(f2_core::DetScheme::new(key.clone())),
+            Box::new(f2_core::ProbScheme::new(key, 5)),
+        ];
+        for scheme in &schemes {
+            let mut stream = Vec::new();
+            orders_engine()
+                .run_streaming(scheme.as_ref(), &mut TableSource::new(&orders()), &mut stream)
+                .unwrap();
+            // Chunk 0 may start at output row 0 and end anywhere: the record alone
+            // must not size anything before the table blob's row count refutes it.
+            let damaged = with_chunk_0(&stream, |record, _, _| {
+                record.output_rows = 0..usize::MAX / 2;
+                None
+            });
+            let mut emitted = 0;
+            let err = decrypt_streaming(scheme.as_ref(), &damaged[..], |_| {
+                emitted += 1;
+                Ok(())
+            })
+            .unwrap_err();
+            assert!(err.to_string().contains("row count disagrees"), "{}: {err}", scheme.name());
+            assert_eq!(emitted, 0, "{}", scheme.name());
+            let damage =
+                crate::decrypt_streaming_lossy(scheme.as_ref(), &damaged[..], |_| Ok(())).unwrap();
+            assert_eq!((damage.chunks_recovered, damage.chunks_lost), (2, 1), "{}", scheme.name());
+            assert!(!damage.is_lossless(), "{}", scheme.name());
+        }
     }
 }

@@ -1,9 +1,13 @@
 //! Property tests for the `F2WS` wire format: randomly generated tables and owner
-//! states round-trip exactly, and corrupt or truncated blobs always decode to an
-//! error — never a panic and never a silently wrong value.
+//! states round-trip exactly, corrupt or truncated blobs always decode to an
+//! error — never a panic and never a silently wrong value — and the selective
+//! table decoder builds exactly the selected rows of what the full decoder builds,
+//! refusing every blob the full decoder refuses.
 
 use f2_core::{Scheme, SchemeOutcome, F2};
-use f2_engine::persist::{decode_state, decode_table, encode_state, encode_table};
+use f2_engine::persist::{
+    decode_state, decode_table, decode_table_rows, encode_state, encode_table,
+};
 use f2_relation::{Record, Schema, Table, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -30,8 +34,90 @@ fn table_from(arity: usize, cells: Vec<(u8, i64)>) -> Table {
     Table::new(schema, records).expect("consistent arity")
 }
 
+/// The rows of a `rows`-row table a sampled mask selects: row `i` when bit `i % 64`
+/// is set.
+fn selection(rows: usize, mask: u64) -> Vec<usize> {
+    (0..rows).filter(|row| mask >> (row % 64) & 1 == 1).collect()
+}
+
+/// `table`'s `rows`, in order, as a table of their own.
+fn only_rows(table: &Table, rows: &[usize]) -> Table {
+    let records = rows.iter().map(|&row| table.row(row).expect("row in range").clone()).collect();
+    Table::new(table.schema().clone(), records).expect("same schema")
+}
+
+/// The selections every damaged blob is decoded under: none, a sampled one, all.
+fn selections(rows: usize, mask: u64) -> [Vec<usize>; 3] {
+    [Vec::new(), selection(rows, mask), (0..rows).collect()]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn selective_decode_builds_exactly_the_selected_rows(
+        arity in 1usize..6,
+        cells in vec((0u8..=255, 0u64..=u64::MAX), 0..60),
+        mask in 0u64..=u64::MAX,
+    ) {
+        let cells: Vec<(u8, i64)> = cells.into_iter().map(|(v, p)| (v, p as i64)).collect();
+        let table = table_from(arity, cells);
+        let blob = encode_table(&table);
+        for rows in selections(table.row_count(), mask) {
+            let (selected, count) = decode_table_rows(&blob, Some(&rows)).expect("own encoding");
+            prop_assert_eq!(count, table.row_count());
+            prop_assert_eq!(selected, only_rows(&table, &rows));
+        }
+        let (all, count) = decode_table_rows(&blob, None).expect("own encoding");
+        prop_assert_eq!((all, count), (table.clone(), table.row_count()));
+        // A selection the table cannot satisfy is refused, not truncated.
+        let past_the_end = [table.row_count()];
+        prop_assert!(decode_table_rows(&blob, Some(&past_the_end)).is_err());
+        if table.row_count() >= 2 {
+            prop_assert!(decode_table_rows(&blob, Some(&[1, 0])).is_err());
+            prop_assert!(decode_table_rows(&blob, Some(&[1, 1])).is_err());
+        }
+    }
+
+    #[test]
+    fn damaged_tables_are_refused_under_every_selection(
+        arity in 1usize..5,
+        cells in vec((0u8..=255, 0u64..=u64::MAX), 4..40),
+        cut_per_mille in 0u64..1000,
+        flip_pos in 0u64..u64::MAX,
+        flip_mask in 1u8..=255,
+        mask in 0u64..=u64::MAX,
+    ) {
+        let cells: Vec<(u8, i64)> = cells.into_iter().map(|(v, p)| (v, p as i64)).collect();
+        let table = table_from(arity, cells);
+        let blob = encode_table(&table);
+        let cut = (blob.len() as u64 * cut_per_mille / 1000) as usize;
+        prop_assert!(decode_table(&blob[..cut]).is_err());
+        for rows in selections(table.row_count(), mask) {
+            prop_assert!(decode_table_rows(&blob[..cut], Some(&rows)).is_err());
+        }
+
+        let mut corrupt = blob.clone();
+        let pos = (flip_pos % blob.len() as u64) as usize;
+        corrupt[pos] ^= flip_mask;
+        match decode_table(&corrupt) {
+            Err(_) => {
+                for rows in selections(table.row_count(), mask) {
+                    prop_assert!(decode_table_rows(&corrupt, Some(&rows)).is_err());
+                }
+            }
+            // A flip the full decoder accepts (inside a byte string, say): every
+            // selection of its rows builds exactly those rows.
+            Ok(decoded) => {
+                for rows in selections(decoded.row_count(), mask) {
+                    let (selected, count) =
+                        decode_table_rows(&corrupt, Some(&rows)).expect("full decode accepted it");
+                    prop_assert_eq!(count, decoded.row_count());
+                    prop_assert_eq!(selected, only_rows(&decoded, &rows));
+                }
+            }
+        }
+    }
 
     #[test]
     fn tables_roundtrip_exactly(

@@ -180,6 +180,20 @@ impl Value {
             _ => None,
         }
     }
+
+    /// True exactly when [`Value::decode`] accepts `buf`, checked without building
+    /// the value: nothing is allocated.
+    pub fn is_valid_encoding(buf: &[u8]) -> bool {
+        match buf.split_first() {
+            Some((0, rest)) => rest.is_empty(),
+            Some((1, rest)) => rest.len() == 8,
+            Some((2, rest)) => rest.len() == 9,
+            Some((3, rest)) => std::str::from_utf8(rest).is_ok(),
+            Some((4, rest)) => rest.len() == 4,
+            Some((5, _)) => true,
+            _ => false,
+        }
+    }
 }
 
 impl PartialEq for Value {
@@ -469,6 +483,38 @@ mod tests {
         assert_eq!(Value::decode(&[]), None);
         assert_eq!(Value::decode(&[9, 1, 2]), None);
         assert_eq!(Value::decode(&[1, 1, 2]), None); // short int
+    }
+
+    #[test]
+    fn is_valid_encoding_accepts_exactly_what_decode_accepts() {
+        let mut checked = 0;
+        for tag in 0..=u8::MAX {
+            for len in 0..=12u8 {
+                let mut buf = vec![tag];
+                buf.extend((0..len).map(|i| b'a' + i));
+                assert_eq!(
+                    Value::is_valid_encoding(&buf),
+                    Value::decode(&buf).is_some(),
+                    "{buf:?}"
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 256 * 13);
+        for text in ["", "héllo", "日本", "\u{10FFFF}"] {
+            let enc = Value::text(text).encode();
+            assert!(Value::is_valid_encoding(&enc));
+            assert_eq!(Value::decode(&enc), Some(Value::text(text)));
+        }
+        // Invalid UTF-8: a lone continuation byte, a truncated sequence, an
+        // overlong encoding and a surrogate half.
+        for bad in [&[0x80][..], &[0xE6, 0x97], &[0xC0, 0xAF], &[0xED, 0xA0, 0x80]] {
+            let mut enc = vec![3];
+            enc.extend_from_slice(bad);
+            assert!(!Value::is_valid_encoding(&enc), "{enc:?}");
+            assert_eq!(Value::decode(&enc), None);
+        }
+        assert!(!Value::is_valid_encoding(&[]));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use f2::crypto::MasterKey;
 use f2::relation::table;
-use f2::{DetScheme, PaillierScheme, ProbScheme, Scheme, Table, F2};
+use f2::{DetScheme, PaillierScheme, ProbScheme, Scheme, SchemeOutcome, Table, F2};
 use f2_datagen::Dataset;
 
 /// Hand-written fixtures: FD-rich, skewed, and heterogeneous value shapes.
@@ -125,6 +125,63 @@ fn f2_conforms_across_the_alpha_split_grid_on_datagen() {
             }
         }
     }
+}
+
+/// Decrypt `outcome` from only the rows [`OwnerState::select_read_rows`] names,
+/// under the state it re-indexes onto them, and check that this recovers what
+/// decrypting the whole outcome recovers. Returns the conflict companions read.
+fn assert_selected_rows_decrypt_alike(
+    scheme: &dyn Scheme,
+    outcome: SchemeOutcome,
+    label: &str,
+) -> usize {
+    let whole = scheme.decrypt(&outcome).unwrap_or_else(|e| panic!("{label}: decrypt: {e}"));
+    let real: Vec<usize> =
+        scheme.real_rows(&outcome).unwrap().iter().map(|&(out, _)| out).collect();
+    let SchemeOutcome { encrypted, state, report } = outcome;
+    let (rows, state) = state
+        .select_read_rows(encrypted.row_count())
+        .unwrap_or_else(|e| panic!("{label}: select: {e}"));
+    // `None` selects every row. The selection is ascending, holds every real row,
+    // and adds only companions.
+    let rows = rows.unwrap_or_else(|| (0..encrypted.row_count()).collect());
+    assert!(rows.windows(2).all(|pair| pair[0] < pair[1]), "{label}: {rows:?}");
+    assert!(real.iter().all(|row| rows.binary_search(row).is_ok()), "{label}");
+    let companions = rows.len() - real.len();
+    let selected = Table::new(
+        encrypted.schema().clone(),
+        rows.iter().map(|&row| encrypted.row(row).unwrap().clone()).collect(),
+    )
+    .unwrap();
+    let partial = scheme
+        .decrypt(&SchemeOutcome { encrypted: selected, state, report })
+        .unwrap_or_else(|e| panic!("{label}: decrypt of the selected rows: {e}"));
+    assert_eq!(partial, whole, "{label}: selected rows decrypt differently");
+    companions
+}
+
+#[test]
+fn f2_decrypts_alike_from_only_the_rows_it_reads_across_the_alpha_split_grid() {
+    let mut tables: Vec<(Table, String)> =
+        fixtures().into_iter().enumerate().map(|(i, t)| (t, format!("fixture#{i}"))).collect();
+    tables.extend(datagen_tables(40).into_iter().map(|(t, name)| (t, name.to_string())));
+    let mut companions = 0;
+    for (t, name) in &tables {
+        for alpha in ALPHA_GRID {
+            for split in SPLIT_GRID {
+                let scheme =
+                    F2::builder().alpha(alpha).split_factor(split).seed(13).build().unwrap();
+                let outcome = scheme.encrypt(t).unwrap();
+                let label = format!("{name} α={alpha} ϖ={split}");
+                companions += assert_selected_rows_decrypt_alike(&scheme, outcome, &label);
+            }
+        }
+    }
+    assert!(companions > 0, "the grid must exercise conflict patches");
+    // Cell-wise states read every row.
+    let det = DetScheme::new(MasterKey::from_seed(41));
+    let outcome = det.encrypt(&fixtures()[0]).unwrap();
+    assert_eq!(assert_selected_rows_decrypt_alike(&det, outcome, "deterministic-aes"), 0);
 }
 
 #[test]

@@ -1,0 +1,91 @@
+//! Reading a v2 stream back, for F² and the two symmetric baselines.
+//!
+//! `decrypt_streaming` must hand back every chunk exactly as the plaintext rows
+//! its record covers, in order; salvage of an intact stream must call it
+//! lossless; and a store cut inside its second chunk frame must resume — with no
+//! source, replaying the stored prefix through the same chunk decryption — to
+//! the uninterrupted stream's bytes.
+
+use f2::crypto::MasterKey;
+use f2::engine::stream::decrypt_streaming;
+use f2::io::FrameReader;
+use f2::{
+    decrypt_streaming_lossy, DetScheme, Engine, EngineConfig, ProbScheme, RowSource, Scheme, Table,
+    TableSource, F2,
+};
+use f2_datagen::Dataset;
+use std::io::Cursor;
+
+const SEED: u64 = 7;
+
+fn engine() -> Engine {
+    Engine::new(EngineConfig { workers: 1, chunk_rows: 128, seed: SEED }).expect("valid config")
+}
+
+/// Byte offsets of `stream`'s frame boundaries, from the end of the preamble.
+fn frame_boundaries(stream: &[u8]) -> Vec<u64> {
+    let mut reader = FrameReader::new(stream).expect("own stream");
+    let mut offsets = vec![reader.bytes_consumed()];
+    while reader.next_frame().expect("own stream").is_some() {
+        offsets.push(reader.bytes_consumed());
+    }
+    offsets
+}
+
+fn read_back(scheme: &dyn Scheme, plain: &Table) {
+    let name = scheme.name();
+    let mut stream = Vec::new();
+    let outcome = engine()
+        .run_streaming(scheme, &mut TableSource::new(plain), &mut stream)
+        .unwrap_or_else(|e| panic!("{name}: encrypt: {e}"));
+    assert_eq!(outcome.chunks.len(), 4, "{name}");
+    if name == "f2" {
+        // Conflict companions: decryption must read patches, not just real rows.
+        assert!(outcome.report.overhead.syn_rows > 0, "{name}: no SYN rows to patch from");
+    }
+
+    let mut chunks = Vec::new();
+    let rows = decrypt_streaming(scheme, &stream[..], |chunk| {
+        chunks.push(chunk);
+        Ok(())
+    })
+    .unwrap_or_else(|e| panic!("{name}: decrypt_streaming: {e}"));
+    assert_eq!(rows, plain.row_count(), "{name}");
+    assert_eq!(chunks.len(), outcome.chunks.len(), "{name}");
+    for (chunk, record) in chunks.iter().zip(&outcome.chunks) {
+        let covered = plain.rows().get(record.rows.clone()).expect("record within the table");
+        let expected = Table::new(plain.schema().clone(), covered.to_vec()).unwrap();
+        assert_eq!(chunk, &expected, "{name}: chunk {}", record.index);
+    }
+
+    let damage = decrypt_streaming_lossy(scheme, &stream[..], |_| Ok(()))
+        .unwrap_or_else(|e| panic!("{name}: salvage: {e}"));
+    assert!(damage.is_lossless(), "{name}: {damage:?}");
+    assert_eq!(damage.chunks_recovered, outcome.chunks.len(), "{name}");
+    assert_eq!(damage.rows_recovered, plain.row_count(), "{name}");
+
+    // Cut inside the second chunk frame (frame 0 is the header) and resume.
+    let boundaries = frame_boundaries(&stream);
+    let cut = usize::try_from((boundaries[2] + boundaries[3]) / 2).unwrap();
+    let store = Cursor::new(stream[..cut].to_vec());
+    let mut job = engine()
+        .resume_job(scheme, plain.schema(), store)
+        .unwrap_or_else(|e| panic!("{name}: resume_job: {e}"));
+    assert_eq!(job.rows(), 128, "{name}: the first chunk survives the cut");
+    let mut source = TableSource::new(plain);
+    source.as_seekable().expect("tables seek").seek_to_row(job.rows()).unwrap();
+    while let Some(chunk) = source.next_chunk(job.chunk_rows()).unwrap() {
+        job.append_chunk(scheme, &chunk).unwrap_or_else(|e| panic!("{name}: append: {e}"));
+    }
+    let (_, store) = job.finish_into_store().unwrap();
+    assert!(store.into_inner() == stream, "{name}: the resumed stream differs");
+}
+
+#[test]
+fn streams_read_back_chunk_by_chunk_salvage_losslessly_and_resume_byte_identically() {
+    let plain = Dataset::Orders.generate(512, 42);
+    let f2 = F2::builder().alpha(0.2).split_factor(2).seed(SEED).build().unwrap();
+    read_back(&f2, &plain);
+    read_back(&DetScheme::new(MasterKey::from_seed(SEED)), &plain);
+    read_back(&ProbScheme::new(MasterKey::from_seed(SEED), SEED), &plain);
+}
