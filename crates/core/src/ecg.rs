@@ -197,6 +197,14 @@ pub fn group_equivalence_classes_interned(
             }
         }
     };
+    let mut open = OpenClasses {
+        live: buckets
+            .iter()
+            .map(|(offsets, _)| offsets.windows(2).map(|w| w[1] - w[0]).collect())
+            .collect(),
+        unassigned: t,
+        open: vec![0; positions.len()],
+    };
     let mut groups = Vec::new();
     for (pos, &start) in order.iter().enumerate() {
         if assigned[start] {
@@ -204,19 +212,20 @@ pub fn group_equivalence_classes_interned(
         }
         let mut group = Ecg { members: vec![EcEntry::real(&classes[start])] };
         assigned[start] = true;
+        open.begin_group();
         // Greedily add the closest-size collision-free classes.
-        if k > 1 {
+        if open.admit(positions, start) && k > 1 {
             epoch += 1;
             block_for(start, epoch, &mut blocked);
             for &cand in order.iter().skip(pos + 1) {
-                if group.len() >= k {
-                    break;
-                }
                 if assigned[cand] || blocked[cand] == epoch {
                     continue;
                 }
                 group.members.push(EcEntry::real(&classes[cand]));
                 assigned[cand] = true;
+                if !open.admit(positions, cand) || group.len() >= k {
+                    break;
+                }
                 block_for(cand, epoch, &mut blocked);
             }
         }
@@ -230,6 +239,40 @@ pub fn group_equivalence_classes_interned(
         groups.push(group);
     }
     groups
+}
+
+/// The classes that could still join the group under assembly, counted per MAS
+/// position: `open[p]` is the number of unassigned classes whose value at position
+/// `p` no member holds. Once it is 0 at some position, every unassigned class
+/// collides with the group there, so the scan for members can stop early with the
+/// same result.
+struct OpenClasses {
+    /// `live[p][id]`: unassigned classes carrying value `id` at position `p`.
+    live: Vec<Vec<u32>>,
+    unassigned: usize,
+    open: Vec<usize>,
+}
+
+impl OpenClasses {
+    /// Start a group: no member holds any value yet.
+    fn begin_group(&mut self) {
+        self.open.fill(self.unassigned);
+    }
+
+    /// Admit class `m`, unassigned and colliding with no member, to the group: it
+    /// leaves the unassigned classes, and every class sharing one of its values is
+    /// no longer open at that position. True while another class could still join.
+    fn admit(&mut self, positions: &[(Vec<u32>, usize)], m: usize) -> bool {
+        self.unassigned -= 1;
+        for ((ids, _), (live, open)) in
+            positions.iter().zip(self.live.iter_mut().zip(&mut self.open))
+        {
+            let id = ids[m] as usize;
+            *open -= live[id] as usize;
+            live[id] -= 1;
+        }
+        self.open.iter().all(|&o| o > 0)
+    }
 }
 
 /// The original O(t²) pairwise-scan implementation, retained as the equivalence

@@ -26,12 +26,14 @@ use crate::provenance::{Provenance, RowOrigin};
 use crate::report::{EncryptionReport, OverheadBreakdown, StepTimings};
 use crate::sse::{build_mas_plan_from, MasPlan};
 use crate::{F2Error, Result};
-use f2_crypto::{CellScratch, MasterKey, ProbabilisticCipher};
+use f2_crypto::ciphertext::NONCE_LEN;
+use f2_crypto::{MasterKey, ProbabilisticCipher};
 use f2_fd::mas::find_mas;
-use f2_relation::{AttrSet, Record, Schema, Table, Value};
+use f2_relation::{AttrSet, Bytes, Record, Schema, Table, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Where an already-assigned ciphertext cell of an original row came from.
@@ -66,28 +68,73 @@ impl CellSlot {
     }
 }
 
-/// The ciphertext arena of one assembly run: cells and artificial rows store dense
-/// `u32` ids into it, and the output records are materialised by O(1) `Bytes` clones
-/// when the table is assembled at the end.
-#[derive(Debug, Default)]
+/// The ciphertext arena of one `encrypt` call: every distinct ciphertext is
+/// appended to one buffer, and cells and artificial rows store dense `u32` ids into
+/// it. [`CtArena::freeze`] turns the buffer into one shared allocation, so the
+/// output records hold `Bytes` slices of it: building, cloning and dropping a
+/// chunk's cells costs one allocation, not one per ciphertext.
+#[derive(Debug)]
 struct CtArena {
-    cts: Vec<Value>,
+    buf: Vec<u8>,
+    /// `ends[id]` is where ciphertext `id` ends in `buf`; it starts where `id - 1`
+    /// ends.
+    ends: Vec<usize>,
+    /// The plaintext encoding of the ciphertext being appended.
+    plain: Vec<u8>,
 }
 
 impl CtArena {
-    fn with_capacity(cap: usize) -> CtArena {
-        CtArena { cts: Vec::with_capacity(cap) }
+    fn with_capacity(cts: usize) -> CtArena {
+        CtArena {
+            buf: Vec::with_capacity(cts * (NONCE_LEN + 16)),
+            ends: Vec::with_capacity(cts),
+            plain: Vec::new(),
+        }
     }
 
-    fn push(&mut self, ct: Value) -> u32 {
-        let id = self.cts.len();
+    /// Encrypt `value` into the arena.
+    fn push(&mut self, cipher: &ProbabilisticCipher, value: &Value, rng: &mut StdRng) -> u32 {
+        self.plain.clear();
+        value.encode_into(&mut self.plain);
+        self.seal(cipher, rng)
+    }
+
+    /// Encrypt the generator's next fresh value into the arena.
+    fn push_fresh(
+        &mut self,
+        cipher: &ProbabilisticCipher,
+        fresh: &mut FreshValueGenerator,
+        rng: &mut StdRng,
+    ) -> u32 {
+        self.plain.clear();
+        fresh.next_encoded(&mut self.plain);
+        self.seal(cipher, rng)
+    }
+
+    fn seal(&mut self, cipher: &ProbabilisticCipher, rng: &mut StdRng) -> u32 {
+        let id = self.ends.len();
         assert!(id < UNASSIGNED as usize, "ciphertext arena overflow");
-        self.cts.push(ct);
+        cipher.append_cell(&self.plain, rng, &mut self.buf);
+        self.ends.push(self.buf.len());
         id as u32
     }
 
-    fn get(&self, id: u32) -> &Value {
-        &self.cts[id as usize]
+    fn freeze(self) -> FrozenArena {
+        FrozenArena { buf: Bytes::from(self.buf), ends: self.ends }
+    }
+}
+
+/// A [`CtArena`] whose buffer is shared: each ciphertext is a slice of it.
+struct FrozenArena {
+    buf: Bytes,
+    ends: Vec<usize>,
+}
+
+impl FrozenArena {
+    fn get(&self, id: u32) -> Value {
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        Value::Bytes(self.buf.slice(start..self.ends[id]))
     }
 }
 
@@ -172,15 +219,15 @@ impl F2Encryptor {
         // fresh fills of uncovered cells and artificial-row remainders.
         let instance_cts: usize = plans.iter().map(|p| p.instances.len() * p.mas.len()).sum();
         let mut arena = CtArena::with_capacity(instance_cts + n * arity / 2);
-        let mut scratch = CellScratch::default();
         let mut cells: Vec<CellSlot> = vec![CellSlot::EMPTY; n * arity];
         // Artificial rows under construction: arity-strided per-attribute ciphertext
         // ids (UNASSIGNED = filled with a fresh value in the finalisation pass).
         let mut extra_cells: Vec<u32> = Vec::new();
         let mut extra_origins: Vec<RowOrigin> = Vec::new();
-        // Extra rows belonging to each (mas, instance), so singleton-adoption overwrites
-        // can be propagated to the instance's scale copies.
-        let mut instance_extras: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
+        // Extra rows of each real singleton instance — the only instances a later
+        // MAS's class can make adopt its ciphertext — so the adoption reaches the
+        // instance's scale copies too.
+        let mut instance_extras: HashMap<(usize, usize), Range<usize>> = HashMap::new();
         let mut patches: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
         let mut syn_rows = 0usize;
         let mut group_rows = 0usize;
@@ -195,11 +242,7 @@ impl F2Encryptor {
                 // One ciphertext per attribute, shared by every row of the instance.
                 inst_cts.clear();
                 for (&a, v) in attrs.iter().zip(inst.values.iter()) {
-                    inst_cts.push(arena.push(ciphers[a].encrypt_value_to_cell_buffered(
-                        v,
-                        &mut rng,
-                        &mut scratch,
-                    )));
+                    inst_cts.push(arena.push(&ciphers[a], v, &mut rng));
                 }
                 let multi = inst.ec_real_size > 1;
 
@@ -220,13 +263,8 @@ impl F2Encryptor {
                         // does not partially join this instance.
                         for &a in &attrs {
                             if !cells[r * arity + a].is_assigned() {
-                                let fv = fresh.next_value();
                                 cells[r * arity + a] = CellSlot {
-                                    ct: arena.push(ciphers[a].encrypt_value_to_cell_buffered(
-                                        &fv,
-                                        &mut rng,
-                                        &mut scratch,
-                                    )),
+                                    ct: arena.push_fresh(&ciphers[a], &mut fresh, &mut rng),
                                     source: CellSource::Fresh,
                                 };
                                 // The row's real ciphertext for this attribute lives on
@@ -262,7 +300,7 @@ impl F2Encryptor {
                                 slot.source
                             {
                                 if let Some(extras) = instance_extras.get(&(mas, instance)) {
-                                    for &er in extras {
+                                    for er in extras.clone() {
                                         extra_cells[er * arity + a] = inst_cts[pos];
                                     }
                                 }
@@ -294,7 +332,10 @@ impl F2Encryptor {
                 }
                 let extra_count = inst.scale_copies + inst.fake_rows;
                 if extra_count > 0 {
-                    let slot = instance_extras.entry((mi, ii)).or_default();
+                    if !multi && !inst.rows.is_empty() {
+                        let first = extra_origins.len();
+                        instance_extras.insert((mi, ii), first..first + extra_count);
+                    }
                     for c in 0..extra_count {
                         let base = extra_cells.len();
                         extra_cells.resize(base + arity, UNASSIGNED);
@@ -308,7 +349,6 @@ impl F2Encryptor {
                             group_rows += 1;
                             RowOrigin::GroupFake { mas_index: mi }
                         };
-                        slot.push(extra_origins.len());
                         extra_origins.push(origin);
                     }
                 }
@@ -321,22 +361,16 @@ impl F2Encryptor {
             for a in 0..arity {
                 let slot = &mut cells[r * arity + a];
                 if !slot.is_assigned() {
-                    let ct = ciphers[a].encrypt_value_to_cell_buffered(
-                        table.cell(r, a)?,
-                        &mut rng,
-                        &mut scratch,
-                    );
-                    *slot = CellSlot { ct: arena.push(ct), source: CellSource::Fresh };
+                    let ct = arena.push(&ciphers[a], table.cell(r, a)?, &mut rng);
+                    *slot = CellSlot { ct, source: CellSource::Fresh };
                 }
             }
         }
         for er in 0..extra_origins.len() {
             for a in 0..arity {
                 if extra_cells[er * arity + a] == UNASSIGNED {
-                    let fv = fresh.next_value();
-                    extra_cells[er * arity + a] = arena.push(
-                        ciphers[a].encrypt_value_to_cell_buffered(&fv, &mut rng, &mut scratch),
-                    );
+                    extra_cells[er * arity + a] =
+                        arena.push_fresh(&ciphers[a], &mut fresh, &mut rng);
                 }
             }
         }
@@ -358,11 +392,7 @@ impl F2Encryptor {
             let base1 = extra_cells.len();
             extra_cells.resize(base1 + arity, UNASSIGNED);
             for (a, v) in pair.row1.iter().enumerate() {
-                extra_cells[base1 + a] = arena.push(ciphers[a].encrypt_value_to_cell_buffered(
-                    v,
-                    &mut rng,
-                    &mut scratch,
-                ));
+                extra_cells[base1 + a] = arena.push(&ciphers[a], v, &mut rng);
             }
             let base2 = extra_cells.len();
             extra_cells.resize(base2 + arity, UNASSIGNED);
@@ -370,7 +400,7 @@ impl F2Encryptor {
                 extra_cells[base2 + a] = if pair.shared_attrs.contains(a) {
                     extra_cells[base1 + a]
                 } else {
-                    arena.push(ciphers[a].encrypt_value_to_cell_buffered(v, &mut rng, &mut scratch))
+                    arena.push(&ciphers[a], v, &mut rng)
                 };
             }
             extra_origins.push(RowOrigin::FalsePositive { mas_index: pair.mas_index });
@@ -381,23 +411,18 @@ impl F2Encryptor {
 
         // ---- Assemble the output table ----------------------------------------------
         let encrypted_schema = table.schema().encrypted();
+        let arena = arena.freeze();
         let mut records = Vec::with_capacity(n + extra_origins.len());
         let mut origins = Vec::with_capacity(n + extra_origins.len());
         for r in 0..n {
             records.push(Record::new(
-                cells[r * arity..(r + 1) * arity]
-                    .iter()
-                    .map(|slot| arena.get(slot.ct).clone())
-                    .collect(),
+                cells[r * arity..(r + 1) * arity].iter().map(|slot| arena.get(slot.ct)).collect(),
             ));
             origins.push(RowOrigin::Real { original_row: r });
         }
         for (er, origin) in extra_origins.into_iter().enumerate() {
             records.push(Record::new(
-                extra_cells[er * arity..(er + 1) * arity]
-                    .iter()
-                    .map(|&id| arena.get(id).clone())
-                    .collect(),
+                extra_cells[er * arity..(er + 1) * arity].iter().map(|&id| arena.get(id)).collect(),
             ));
             origins.push(origin);
         }

@@ -137,6 +137,42 @@ proptest! {
     }
 }
 
+/// A constant MAS column lets no two classes share a group, and a 3-valued one
+/// closes every group after at most three members: grouping may stop scanning
+/// early there, but must still form exactly the oracle's groups.
+#[test]
+fn ecg_grouping_with_constant_and_three_valued_columns_matches_generic_oracle() {
+    let schema = Schema::from_names(["Const", "Three", "Many"]).expect("small schema");
+    let records = (0..90i64)
+        .map(|i| {
+            Record::new(vec![Value::text("c"), Value::Int(i % 3), Value::Int(i * i % 13 + i % 2)])
+        })
+        .collect();
+    let table = Table::new(schema, records).expect("consistent arity");
+    for bits in [0b011u64, 0b101, 0b110, 0b111, 0b001, 0b010] {
+        let attrs = AttrSet::from_bits(bits);
+        let partition = Partition::compute(&table, attrs);
+        for k in 1..=5 {
+            let mut fresh_fast = FreshValueGenerator::for_table(&table);
+            let mut fresh_generic = FreshValueGenerator::for_table(&table);
+            let fast =
+                group_equivalence_classes(partition.classes(), k, attrs.len(), &mut fresh_fast);
+            let generic = group_equivalence_classes_generic(
+                partition.classes(),
+                k,
+                attrs.len(),
+                &mut fresh_generic,
+            );
+            assert_eq!(fast, generic, "attrs {bits:#b}, k {k}");
+            assert_eq!(fresh_fast.issued(), fresh_generic.issued(), "attrs {bits:#b}, k {k}");
+            if attrs.contains(0) && k > 1 {
+                // No two classes share a group over the constant column.
+                assert_eq!(fast.len(), partition.class_count(), "attrs {bits:#b}, k {k}");
+            }
+        }
+    }
+}
+
 /// FNV-1a over every cell of the table, row-major, length-prefixed.
 fn table_digest(t: &Table) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;

@@ -49,15 +49,8 @@ impl Ciphertext {
 
     /// Parse a flat byte string back into a ciphertext.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < NONCE_LEN {
-            return Err(CryptoError::InvalidCiphertext(format!(
-                "ciphertext of {} bytes is shorter than the {NONCE_LEN}-byte nonce",
-                bytes.len()
-            )));
-        }
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce.copy_from_slice(&bytes[..NONCE_LEN]);
-        Ok(Ciphertext { nonce, body: bytes[NONCE_LEN..].to_vec() })
+        let (nonce, body) = split_cell(bytes)?;
+        Ok(Ciphertext { nonce: *nonce, body: body.to_vec() })
     }
 
     /// Total serialized length.
@@ -69,6 +62,16 @@ impl Ciphertext {
     pub fn is_empty(&self) -> bool {
         false
     }
+}
+
+/// Split a flat `r ‖ body` byte string into its nonce and body, without copying.
+pub(crate) fn split_cell(bytes: &[u8]) -> Result<(&[u8; NONCE_LEN], &[u8])> {
+    bytes.split_first_chunk().ok_or_else(|| {
+        CryptoError::InvalidCiphertext(format!(
+            "ciphertext of {} bytes is shorter than the {NONCE_LEN}-byte nonce",
+            bytes.len()
+        ))
+    })
 }
 
 #[cfg(test)]

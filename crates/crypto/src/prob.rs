@@ -5,7 +5,7 @@
 //! an equivalence class into several ciphertext instances (Requirement 2 of
 //! Definition 3.1). Decryption recomputes `F_k(r)` from the stored `r` and XORs it away.
 
-use crate::ciphertext::{Ciphertext, NONCE_LEN};
+use crate::ciphertext::{split_cell, Ciphertext, NONCE_LEN};
 use crate::error::CryptoError;
 use crate::keys::SecretKey;
 use crate::prf::Prf;
@@ -18,6 +18,9 @@ use rand::Rng;
 pub struct ProbabilisticCipher {
     prf: Prf,
 }
+
+/// Plaintext bodies up to this many bytes decrypt into a stack buffer.
+const INLINE_PLAIN: usize = 128;
 
 /// Reusable buffers for [`ProbabilisticCipher::encrypt_value_to_cell_buffered`]:
 /// holds the encoded plaintext and the framed cell between cells so per-cell
@@ -67,10 +70,10 @@ impl ProbabilisticCipher {
     }
 
     /// [`ProbabilisticCipher::encrypt_value_to_cell`] with a caller-owned scratch
-    /// buffer: the value is encoded into the reused scratch, the nonce and masked
-    /// body are written straight into the one allocation that becomes the cell, and
-    /// nothing else touches the heap. Bulk encryptors (the F² assembly loop, the
-    /// cell-wise probabilistic backend) call this in a loop with one scratch.
+    /// buffer: the value is encoded into the reused scratch and framed by
+    /// [`ProbabilisticCipher::append_cell`], and the cell copies the frame into the
+    /// one allocation it keeps. The cell-wise probabilistic backend calls this in a
+    /// loop with one scratch.
     ///
     /// Output is byte-identical to the unbuffered path (same RNG draws, same
     /// `nonce ‖ body` framing).
@@ -83,12 +86,21 @@ impl ProbabilisticCipher {
         scratch.plain.clear();
         value.encode_into(&mut scratch.plain);
         scratch.cell.clear();
-        scratch.cell.resize(NONCE_LEN + scratch.plain.len(), 0);
+        self.append_cell(&scratch.plain, rng, &mut scratch.cell);
+        Value::bytes(bytes::Bytes::copy_from_slice(&scratch.cell))
+    }
+
+    /// Append the cell `r ‖ F_k(r) ⊕ p` to `out`, where `p` is `plaintext` (a
+    /// [`Value::encode`] byte string) and `r` is drawn fresh from `rng`. This is the
+    /// one cell encoder: every cell this cipher produces is framed here. Bulk
+    /// encryptors append many cells to one buffer and hand them out as slices of it.
+    pub fn append_cell(&self, plaintext: &[u8], rng: &mut impl Rng, out: &mut Vec<u8>) {
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill_bytes(&mut nonce);
-        scratch.cell[..NONCE_LEN].copy_from_slice(&nonce);
-        self.prf.mask_into(&nonce, &scratch.plain, &mut scratch.cell[NONCE_LEN..]);
-        Value::bytes(bytes::Bytes::copy_from_slice(&scratch.cell))
+        let body = out.len() + NONCE_LEN;
+        out.extend_from_slice(&nonce);
+        out.resize(body + plaintext.len(), 0);
+        self.prf.mask_into(&nonce, plaintext, &mut out[body..]);
     }
 
     /// Decrypt a ciphertext back to the original [`Value`].
@@ -97,12 +109,24 @@ impl ProbabilisticCipher {
     }
 
     /// Decrypt a ciphertext cell (as stored in the encrypted table) back to a [`Value`].
+    /// The body is unmasked straight from the cell's bytes into a stack buffer; only
+    /// a long body takes a heap buffer.
     pub fn decrypt_cell(&self, cell: &Value) -> Result<Value> {
         let bytes = cell
             .as_bytes()
             .ok_or_else(|| CryptoError::InvalidCiphertext("cell is not a byte string".into()))?;
-        let ct = Ciphertext::from_bytes(bytes)?;
-        self.decrypt_value(&ct)
+        let (nonce, body) = split_cell(bytes)?;
+        let mut inline = [0u8; INLINE_PLAIN];
+        let mut heap = Vec::new();
+        let plain = match inline.get_mut(..body.len()) {
+            Some(plain) => plain,
+            None => {
+                heap.resize(body.len(), 0);
+                &mut heap[..]
+            }
+        };
+        self.prf.mask_into(nonce, body, plain);
+        Value::decode(plain).ok_or(CryptoError::DecryptionFailed)
     }
 }
 
@@ -179,6 +203,49 @@ mod tests {
         assert_eq!(c.decrypt_cell(&cell).unwrap(), v);
         assert!(c.decrypt_cell(&Value::text("not bytes")).is_err());
         assert!(c.decrypt_cell(&Value::bytes(vec![1, 2])).is_err());
+    }
+
+    #[test]
+    fn append_cell_frames_like_the_cell_forms() {
+        // Cells appended back to back to one buffer are the bytes the one-cell
+        // forms produce from the same RNG draws.
+        let c = cipher();
+        let values = [Value::Null, Value::text("x".repeat(200)), Value::Int(7), Value::text("")];
+        let (mut a, mut b) = (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
+        let mut buf = vec![0xAA];
+        let mut ends = vec![buf.len()];
+        for v in &values {
+            c.append_cell(&v.encode(), &mut a, &mut buf);
+            ends.push(buf.len());
+        }
+        assert_eq!(buf[0], 0xAA, "earlier bytes stay");
+        for (v, span) in values.iter().zip(ends.windows(2)) {
+            let cell = &buf[span[0]..span[1]];
+            assert_eq!(Some(cell), c.encrypt_value_to_cell(v, &mut b).as_bytes());
+            assert_eq!(c.decrypt_cell(&Value::bytes(cell.to_vec())).unwrap(), *v);
+        }
+    }
+
+    #[test]
+    fn decrypt_cell_reads_long_bodies_and_keeps_its_errors() {
+        let c = cipher();
+        let mut rng = StdRng::seed_from_u64(7);
+        for len in [INLINE_PLAIN - 2, INLINE_PLAIN - 1, INLINE_PLAIN, 1000] {
+            let v = Value::text("y".repeat(len));
+            assert_eq!(c.decrypt_cell(&c.encrypt_value_to_cell(&v, &mut rng)).unwrap(), v);
+        }
+        let short = c.decrypt_cell(&Value::bytes(vec![0u8; NONCE_LEN - 1])).unwrap_err();
+        assert_eq!(short, Ciphertext::from_bytes(&[0u8; NONCE_LEN - 1]).unwrap_err());
+        assert!(matches!(short, CryptoError::InvalidCiphertext(_)));
+        assert!(matches!(
+            c.decrypt_cell(&Value::Int(1)).unwrap_err(),
+            CryptoError::InvalidCiphertext(_)
+        ));
+        // A nonce with an empty body unmasks to no bytes, which is no encoding.
+        assert_eq!(
+            c.decrypt_cell(&Value::bytes(vec![0u8; NONCE_LEN])).unwrap_err(),
+            CryptoError::DecryptionFailed
+        );
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod view;
 
 pub use attrset::AttrSet;
 pub use builder::TableBuilder;
+pub use bytes::Bytes;
 pub use columnar::{ColumnDictionary, ColumnarIndex};
 pub use error::RelationError;
 pub use hash::{FastMap, FastSet};

@@ -37,6 +37,11 @@ pub enum Value {
     Bytes(Bytes),
 }
 
+// A cell is three words plus the tag: `Bytes` is a buffer pointer and length
+// plus a `u32` view offset and length. Tables hold one `Value` per cell, so a
+// wider variant would grow every table in memory.
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
+
 impl Value {
     /// Build a text value.
     pub fn text(s: impl Into<String>) -> Self {
@@ -134,10 +139,7 @@ impl Value {
                 out.extend_from_slice(&digits.to_le_bytes());
                 out.push(*scale);
             }
-            Value::Text(s) => {
-                out.push(3);
-                out.extend_from_slice(s.as_bytes());
-            }
+            Value::Text(s) => Value::encode_text_into(s, out),
             Value::Date(d) => {
                 out.push(4);
                 out.extend_from_slice(&d.to_le_bytes());
@@ -147,6 +149,13 @@ impl Value {
                 out.extend_from_slice(b);
             }
         }
+    }
+
+    /// Append the [`Value::encode`] bytes of `Value::Text(text)` to `out`, without
+    /// building the value.
+    pub fn encode_text_into(text: &str, out: &mut Vec<u8>) {
+        out.push(3);
+        out.extend_from_slice(text.as_bytes());
     }
 
     /// Inverse of [`Value::encode`]. Returns `None` on malformed input.

@@ -89,3 +89,56 @@ fn streams_read_back_chunk_by_chunk_salvage_losslessly_and_resume_byte_identical
     read_back(&DetScheme::new(MasterKey::from_seed(SEED)), &plain);
     read_back(&ProbScheme::new(MasterKey::from_seed(SEED), SEED), &plain);
 }
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+
+/// FNV-1a over every cell of `table`, row-major, each encoding length-prefixed.
+fn table_digest(table: &Table) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET, &(table.row_count() as u64).to_le_bytes());
+    for (_, record) in table.iter() {
+        for value in record.values() {
+            let encoded = value.encode();
+            h = fnv1a(h, &(encoded.len() as u64).to_le_bytes());
+            h = fnv1a(h, &encoded);
+        }
+    }
+    h
+}
+
+/// The F² stream and the in-memory engine output are pinned byte for byte at the
+/// benchmark's settings (512-row chunks, α = 0.2, ϖ = 2): every cell of the real
+/// rows, fake classes, conflict companions and false-positive pairs.
+#[test]
+fn f2_chunk_bytes_match_their_pinned_digests() {
+    let plain = Dataset::Orders.generate(1024, 42);
+    let f2 = F2::builder().alpha(0.2).split_factor(2).seed(SEED).build().unwrap();
+    let engine =
+        Engine::new(EngineConfig { workers: 1, chunk_rows: 512, seed: SEED }).expect("valid");
+
+    let mut stream = Vec::new();
+    let streamed =
+        engine.run_streaming(&f2, &mut TableSource::new(&plain), &mut stream).expect("streams");
+    let overhead = &streamed.report.overhead;
+    assert!(overhead.group_rows > 0 && overhead.syn_rows > 0 && overhead.fp_rows > 0);
+    let in_memory = engine.encrypt(&f2, &plain).expect("encrypts");
+    let encrypted = &in_memory.outcome.encrypted;
+    assert_eq!(
+        (stream.len(), fnv1a(FNV_OFFSET, &stream)),
+        (9_380_198, 0xf659_9a60_952d_f39f),
+        "stream bytes drifted"
+    );
+    assert_eq!(
+        (encrypted.row_count(), table_digest(encrypted)),
+        (30_297, 0x491b_15a8_9a60_9027),
+        "Engine::encrypt output drifted"
+    );
+}
