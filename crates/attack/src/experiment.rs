@@ -8,7 +8,7 @@
 //! `Pr[Exp^freq = 1]`, which α-security upper-bounds by α.
 
 use crate::{Adversary, AdversaryKnowledge};
-use f2_core::{EncryptionOutcome, F2Error, Scheme, SchemeOutcome};
+use f2_core::{F2Error, Scheme, SchemeOutcome};
 use f2_relation::{AttrSet, Table, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,38 +80,6 @@ impl AttackExperiment {
         Ok(Self::from_parts(plain, &outcome.encrypted, attrs, ground_truth))
     }
 
-    /// Build the experiment for an F² encryption outcome: the ground truth pairs each
-    /// original row's ciphertext combination with its plaintext combination.
-    pub fn for_f2_outcome(plain: &Table, outcome: &EncryptionOutcome, attrs: AttrSet) -> Self {
-        let ground_truth = outcome
-            .provenance
-            .real_rows()
-            .into_iter()
-            .map(|(out_row, orig_row)| {
-                let cipher =
-                    outcome.encrypted.row(out_row).expect("provenance row exists").project(attrs);
-                let plain_combo = plain.row(orig_row).expect("original row exists").project(attrs);
-                (cipher, plain_combo)
-            })
-            .collect();
-        Self::from_parts(plain, &outcome.encrypted, attrs, ground_truth)
-    }
-
-    /// Build the experiment for any cell-wise encryption where output row `i`
-    /// corresponds to plaintext row `i` (e.g. the deterministic AES baseline).
-    pub fn for_row_aligned(plain: &Table, encrypted: &Table, attrs: AttrSet) -> Self {
-        assert_eq!(plain.row_count(), encrypted.row_count());
-        let ground_truth = (0..plain.row_count())
-            .map(|r| {
-                (
-                    encrypted.row(r).expect("row").project(attrs),
-                    plain.row(r).expect("row").project(attrs),
-                )
-            })
-            .collect();
-        Self::from_parts(plain, encrypted, attrs, ground_truth)
-    }
-
     /// Number of `(ciphertext, plaintext)` ground-truth pairs the game samples from.
     pub fn ground_truth_len(&self) -> usize {
         self.ground_truth.len()
@@ -160,8 +128,8 @@ impl AttackExperiment {
 mod tests {
     use super::*;
     use crate::{FrequencyAttacker, KerckhoffsAttacker};
-    use f2_core::{F2Config, F2Encryptor};
-    use f2_crypto::{DeterministicCipher, MasterKey};
+    use f2_core::{DetScheme, Scheme, F2};
+    use f2_crypto::MasterKey;
     use f2_relation::{Record, Schema};
 
     /// A skewed single-MAS table: one dominant value, several rare ones.
@@ -184,32 +152,12 @@ mod tests {
         Table::new(schema, rows).unwrap()
     }
 
-    fn deterministic_encrypt(plain: &Table) -> Table {
-        let master = MasterKey::from_seed(3);
-        let ciphers: Vec<DeterministicCipher> = (0..plain.arity())
-            .map(|a| DeterministicCipher::new(&master.deterministic_key(a)))
-            .collect();
-        let records = plain
-            .rows()
-            .iter()
-            .map(|r| {
-                Record::new(
-                    r.values()
-                        .iter()
-                        .enumerate()
-                        .map(|(a, v)| ciphers[a].encrypt_value(v))
-                        .collect(),
-                )
-            })
-            .collect();
-        Table::new(plain.schema().encrypted(), records).unwrap()
-    }
-
     #[test]
     fn frequency_attack_breaks_deterministic_encryption() {
         let plain = skewed_table();
-        let encrypted = deterministic_encrypt(&plain);
-        let exp = AttackExperiment::for_row_aligned(&plain, &encrypted, AttrSet::all(2));
+        let det = DetScheme::new(MasterKey::from_seed(3));
+        let encrypted = det.encrypt(&plain).unwrap();
+        let exp = AttackExperiment::for_scheme(&plain, &det, &encrypted, AttrSet::all(2)).unwrap();
         let outcome = exp.run(&FrequencyAttacker, 400, 1);
         // The dominant value (12 of 20 rows) is always identified, so the success rate
         // is well above one half.
@@ -220,10 +168,15 @@ mod tests {
     fn f2_bounds_attack_success_by_alpha() {
         let plain = skewed_table();
         let alpha = 0.5;
-        let enc = F2Encryptor::new(F2Config::new(alpha, 2).unwrap(), MasterKey::from_seed(9));
-        let out = enc.encrypt(&plain).unwrap();
-        let mas = out.mas_sets[0];
-        let exp = AttackExperiment::for_f2_outcome(&plain, &out, mas);
+        let f2 = F2::builder()
+            .alpha(alpha)
+            .split_factor(2)
+            .master_key(MasterKey::from_seed(9))
+            .build()
+            .unwrap();
+        let out = f2.encrypt(&plain).unwrap();
+        let mas = out.f2_state().unwrap().mas_sets[0];
+        let exp = AttackExperiment::for_scheme(&plain, &f2, &out, mas).unwrap();
         for adversary in [&FrequencyAttacker as &dyn Adversary, &KerckhoffsAttacker] {
             let outcome = exp.run(adversary, 600, 2);
             // Allow statistical slack over the exact α bound.
@@ -238,12 +191,10 @@ mod tests {
 
     #[test]
     fn for_scheme_runs_the_same_game_over_any_backend() {
-        use f2_core::{DetScheme, Scheme, F2};
         let plain = skewed_table();
         let attrs = AttrSet::all(2);
 
-        // Deterministic backend through the trait: broken exactly like the manual
-        // row-aligned construction above.
+        // Deterministic backend through the trait: broken by frequency matching.
         let det = DetScheme::new(MasterKey::from_seed(3));
         let det_outcome = det.encrypt(&plain).unwrap();
         let exp = AttackExperiment::for_scheme(&plain, &det, &det_outcome, attrs).unwrap();
@@ -262,10 +213,31 @@ mod tests {
     }
 
     #[test]
+    fn for_scheme_refuses_an_outcome_of_another_backend() {
+        let plain = skewed_table();
+        let attrs = AttrSet::all(2);
+        let det = DetScheme::new(MasterKey::from_seed(3));
+        let f2 = F2::builder().alpha(0.5).split_factor(2).seed(9).build().unwrap();
+
+        // An F² outcome handed to the deterministic backend: its identity mapping
+        // runs past the plaintext rows into F²'s artificial rows.
+        let f2_outcome = f2.encrypt(&plain).unwrap();
+        assert!(f2_outcome.encrypted.row_count() > plain.row_count());
+        let err = AttackExperiment::for_scheme(&plain, &det, &f2_outcome, attrs).unwrap_err();
+        assert!(matches!(err, F2Error::ProvenanceMismatch(_)), "{err}");
+
+        // A deterministic outcome handed to F²: the owner state is the wrong kind.
+        let det_outcome = det.encrypt(&plain).unwrap();
+        let err = AttackExperiment::for_scheme(&plain, &f2, &det_outcome, attrs).unwrap_err();
+        assert!(matches!(err, F2Error::UnsupportedInput(_)), "{err}");
+    }
+
+    #[test]
     fn empty_experiment() {
         let plain = Table::empty(Schema::from_names(["A"]).unwrap());
-        let enc = deterministic_encrypt(&plain);
-        let exp = AttackExperiment::for_row_aligned(&plain, &enc, AttrSet::all(1));
+        let det = DetScheme::new(MasterKey::from_seed(3));
+        let enc = det.encrypt(&plain).unwrap();
+        let exp = AttackExperiment::for_scheme(&plain, &det, &enc, AttrSet::all(1)).unwrap();
         let outcome = exp.run(&FrequencyAttacker, 10, 3);
         assert_eq!(outcome.trials, 0);
         assert_eq!(outcome.success_rate(), 0.0);

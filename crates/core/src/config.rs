@@ -29,12 +29,6 @@ impl F2Config {
         Ok(config)
     }
 
-    /// Override the RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Validate the configuration.
     pub fn validate(&self) -> Result<()> {
         if !(self.alpha > 0.0 && self.alpha <= 1.0) {
@@ -75,6 +69,7 @@ mod tests {
         assert_eq!(F2Config::new(1.0, 1).unwrap().ecg_size(), 1);
         assert_eq!(F2Config::new(0.33, 3).unwrap().ecg_size(), 4);
         assert_eq!(F2Config::new(0.1, 4).unwrap().ecg_size(), 10);
+        assert_eq!(F2Config::default().ecg_size(), 5);
     }
 
     #[test]
@@ -85,12 +80,5 @@ mod tests {
         assert!(F2Config::new(0.2, 0).is_err());
         let c = F2Config { min_real_rows_per_instance: 0, ..F2Config::default() };
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn seed_override() {
-        let c = F2Config::new(0.5, 2).unwrap().with_seed(99);
-        assert_eq!(c.seed, 99);
-        assert_eq!(F2Config::default().ecg_size(), 5);
     }
 }

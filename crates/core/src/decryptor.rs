@@ -1,122 +1,68 @@
-//! Decryption (data-owner side).
+//! Decryption (data-owner side), behind [`crate::F2Scheme`]'s `decrypt`.
 //!
 //! Every ciphertext cell is self-contained (`⟨r, F_k(r) ⊕ p⟩`), so cell-wise decryption
 //! only needs the master key. Recovering the *original table* additionally uses the
-//! owner's [`Provenance`]: artificial rows (scaling copies, fake equivalence classes,
-//! conflict companions, false-positive records) are dropped, and cells that conflict
-//! resolution replaced with fresh values are patched back from their companion rows.
+//! owner's [`Provenance`](crate::Provenance): artificial rows (scaling copies, fake
+//! equivalence classes, conflict companions, false-positive records) are dropped, and
+//! cells that conflict resolution replaced with fresh values are patched back from
+//! their companion rows.
 
-use crate::fake::is_artificial_value;
-use crate::provenance::{Provenance, RowOrigin};
-use crate::{EncryptionOutcome, F2Error, OwnerState, Result};
+use crate::provenance::RowOrigin;
+use crate::{F2Error, F2OwnerState, OwnerState, Result};
 use f2_crypto::{MasterKey, ProbabilisticCipher};
-use f2_relation::{Record, Schema, Table};
+use f2_relation::{Record, Table};
 
-/// The F² decryptor.
-#[derive(Debug, Clone)]
-pub struct F2Decryptor {
-    master: MasterKey,
-}
-
-impl F2Decryptor {
-    /// Create a decryptor from the owner's master key.
-    pub fn new(master: MasterKey) -> Self {
-        F2Decryptor { master }
+/// Recover the original table exactly from `encrypted` under the owner's `state`.
+/// The `Real` rows must name each original row `0..n` exactly once; they come back
+/// in that order, each patched from its conflict companions.
+pub(crate) fn recover_original(
+    master: &MasterKey,
+    encrypted: &Table,
+    state: &F2OwnerState,
+) -> Result<Table> {
+    let (provenance, plaintext_schema) = (&state.provenance, &state.plaintext_schema);
+    if provenance.len() != encrypted.row_count() {
+        return Err(F2Error::ProvenanceMismatch(format!(
+            "provenance describes {} rows but the table has {}",
+            provenance.len(),
+            encrypted.row_count()
+        )));
     }
-
-    fn ciphers(&self, arity: usize) -> Vec<ProbabilisticCipher> {
-        (0..arity).map(|a| ProbabilisticCipher::new(&self.master.attribute_key(a))).collect()
+    let arity = encrypted.arity();
+    if plaintext_schema.arity() != arity {
+        return Err(F2Error::ProvenanceMismatch(
+            "plaintext schema arity differs from the encrypted table".into(),
+        ));
     }
-
-    /// Decrypt every cell of an encrypted table. Artificial rows are retained (their
-    /// cells decrypt to reserved fresh values); use [`F2Decryptor::recover_original`]
-    /// to rebuild the original table exactly.
-    pub fn decrypt_table(&self, encrypted: &Table) -> Result<Table> {
-        let arity = encrypted.arity();
-        let ciphers = self.ciphers(arity);
-        let schema = Schema::from_names(encrypted.schema().names())?;
-        let mut records = Vec::with_capacity(encrypted.row_count());
-        for (_, rec) in encrypted.iter() {
-            let mut values = Vec::with_capacity(arity);
-            for (a, cell) in rec.values().iter().enumerate() {
-                values.push(ciphers[a].decrypt_cell(cell)?);
-            }
-            records.push(Record::new(values));
-        }
-        Ok(Table::new(schema, records)?)
-    }
-
-    /// Decrypt and drop every row that contains an artificial value. This is the
-    /// "lossy" recovery available without provenance: rows rewritten by conflict
-    /// resolution are dropped too, so the result is a subset of the original table.
-    pub fn decrypt_dropping_artificial(&self, encrypted: &Table) -> Result<Table> {
-        let decrypted = self.decrypt_table(encrypted)?;
-        let mut out = Table::empty(decrypted.schema().clone());
-        for (_, rec) in decrypted.iter() {
-            if rec.values().iter().any(is_artificial_value) {
-                continue;
-            }
-            out.push_row(rec.clone())?;
-        }
-        Ok(out)
-    }
-
-    /// Recover the original table exactly, using the owner's provenance. The `Real`
-    /// rows must name each original row `0..n` exactly once; they come back in that
-    /// order, each patched from its conflict companions.
-    pub fn recover_original(
-        &self,
-        encrypted: &Table,
-        provenance: &Provenance,
-        plaintext_schema: &Schema,
-    ) -> Result<Table> {
-        if provenance.len() != encrypted.row_count() {
+    let ciphers: Vec<ProbabilisticCipher> =
+        (0..arity).map(|a| ProbabilisticCipher::new(&master.attribute_key(a))).collect();
+    let real = provenance.real_rows();
+    let n = real.len();
+    let mut rows: Vec<Option<Record>> = (0..n).map(|_| None).collect();
+    for (out_row, original_row) in real {
+        // n distinct slots below n for n real rows: every slot gets filled.
+        let Some(slot) = rows.get_mut(original_row).filter(|slot| slot.is_none()) else {
             return Err(F2Error::ProvenanceMismatch(format!(
-                "provenance describes {} rows but the table has {}",
-                provenance.len(),
-                encrypted.row_count()
+                "real rows must name each original row 0..{n} once, but output row \
+                 {out_row} names row {original_row} out of range or again"
             )));
+        };
+        let rec = encrypted.row(out_row)?;
+        let mut values = Vec::with_capacity(arity);
+        for (a, cell) in rec.values().iter().enumerate() {
+            values.push(ciphers[a].decrypt_cell(cell)?);
         }
-        let arity = encrypted.arity();
-        if plaintext_schema.arity() != arity {
-            return Err(F2Error::ProvenanceMismatch(
-                "plaintext schema arity differs from the encrypted table".into(),
-            ));
-        }
-        let ciphers = self.ciphers(arity);
-        let real = provenance.real_rows();
-        let n = real.len();
-        let mut rows: Vec<Option<Record>> = (0..n).map(|_| None).collect();
-        for (out_row, original_row) in real {
-            // n distinct slots below n for n real rows: every slot gets filled.
-            let Some(slot) = rows.get_mut(original_row).filter(|slot| slot.is_none()) else {
-                return Err(F2Error::ProvenanceMismatch(format!(
-                    "real rows must name each original row 0..{n} once, but output row \
-                     {out_row} names row {original_row} out of range or again"
-                )));
-            };
-            let rec = encrypted.row(out_row)?;
-            let mut values = Vec::with_capacity(arity);
-            for (a, cell) in rec.values().iter().enumerate() {
-                values.push(ciphers[a].decrypt_cell(cell)?);
+        // Patch cells replaced during conflict resolution from their companions.
+        if let Some(patches) = provenance.patches.get(&original_row) {
+            for &(attr, companion_row) in patches {
+                let companion_cell = encrypted.cell(companion_row, attr)?;
+                values[attr] = ciphers[attr].decrypt_cell(companion_cell)?;
             }
-            // Patch cells replaced during conflict resolution from their companions.
-            if let Some(patches) = provenance.patches.get(&original_row) {
-                for &(attr, companion_row) in patches {
-                    let companion_cell = encrypted.cell(companion_row, attr)?;
-                    values[attr] = ciphers[attr].decrypt_cell(companion_cell)?;
-                }
-            }
-            *slot = Some(Record::new(values));
         }
-        let records = rows.into_iter().flatten().collect();
-        Ok(Table::new(plaintext_schema.clone(), records)?)
+        *slot = Some(Record::new(values));
     }
-
-    /// Convenience: recover the original table from a full [`EncryptionOutcome`].
-    pub fn recover_from_outcome(&self, outcome: &EncryptionOutcome) -> Result<Table> {
-        self.recover_original(&outcome.encrypted, &outcome.provenance, &outcome.plaintext_schema)
-    }
+    let records = rows.into_iter().flatten().collect();
+    Ok(Table::new(plaintext_schema.clone(), records)?)
 }
 
 impl OwnerState {
@@ -126,9 +72,9 @@ impl OwnerState {
     /// recovers exactly what decrypting the whole table under `self` recovers.
     ///
     /// For F² these are every `Real` row and every conflict companion a patch
-    /// points to — all [`F2Decryptor::recover_original`] reads; scale copies, fake
-    /// classes and false-positive records are never read. A cell-wise state reads
-    /// every row: the selection is `None`, and the state is returned unchanged.
+    /// points to — all that F² decryption reads; scale copies, fake classes and
+    /// false-positive records are never read. A cell-wise state reads every row:
+    /// the selection is `None`, and the state is returned unchanged.
     ///
     /// Makes the checks decryption makes before reading a row: an F² provenance
     /// must describe exactly `row_count` rows, and every companion row must lie
@@ -171,8 +117,8 @@ impl OwnerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{F2Config, F2Encryptor};
-    use f2_relation::table;
+    use crate::{F2Scheme, Scheme, SchemeOutcome, F2};
+    use f2_relation::{table, Schema};
 
     fn roundtrip_table() -> Table {
         table! {
@@ -187,15 +133,28 @@ mod tests {
         }
     }
 
+    /// An F² scheme under the default seed and master key `key`.
+    fn scheme(alpha: f64, split: usize, key: u64) -> F2Scheme {
+        F2::builder()
+            .alpha(alpha)
+            .split_factor(split)
+            .master_key(MasterKey::from_seed(key))
+            .build()
+            .unwrap()
+    }
+
+    fn f2_state(outcome: &mut SchemeOutcome) -> &mut F2OwnerState {
+        let OwnerState::F2(state) = &mut outcome.state else { unreachable!() };
+        state
+    }
+
     #[test]
     fn exact_roundtrip_with_provenance() {
         let t = roundtrip_table();
         for (alpha, split) in [(1.0, 1), (0.5, 2), (0.34, 3), (0.25, 2)] {
-            let enc =
-                F2Encryptor::new(F2Config::new(alpha, split).unwrap(), MasterKey::from_seed(5));
-            let dec = F2Decryptor::new(MasterKey::from_seed(5));
-            let out = enc.encrypt(&t).unwrap();
-            let recovered = dec.recover_from_outcome(&out).unwrap();
+            let scheme = scheme(alpha, split, 5);
+            let out = scheme.encrypt(&t).unwrap();
+            let recovered = scheme.decrypt(&out).unwrap();
             assert!(recovered.multiset_eq(&t), "roundtrip failed for alpha={alpha} split={split}");
         }
     }
@@ -203,46 +162,27 @@ mod tests {
     #[test]
     fn wrong_key_fails_or_garbles() {
         let t = roundtrip_table();
-        let enc = F2Encryptor::new(F2Config::new(0.5, 2).unwrap(), MasterKey::from_seed(5));
-        let out = enc.encrypt(&t).unwrap();
-        let wrong = F2Decryptor::new(MasterKey::from_seed(6));
-        if let Ok(recovered) = wrong.recover_from_outcome(&out) {
+        let out = scheme(0.5, 2, 5).encrypt(&t).unwrap();
+        let wrong = scheme(0.5, 2, 6);
+        if let Ok(recovered) = wrong.decrypt(&out) {
             assert!(!recovered.multiset_eq(&t));
-        }
-    }
-
-    #[test]
-    fn lossy_recovery_is_subset_of_original() {
-        let t = roundtrip_table();
-        let enc = F2Encryptor::new(F2Config::new(0.34, 2).unwrap(), MasterKey::from_seed(5));
-        let dec = F2Decryptor::new(MasterKey::from_seed(5));
-        let out = enc.encrypt(&t).unwrap();
-        let lossy = dec.decrypt_dropping_artificial(&out.encrypted).unwrap();
-        assert!(lossy.row_count() <= t.row_count());
-        let originals = t.all_values();
-        for (_, rec) in lossy.iter() {
-            for v in rec.values() {
-                assert!(originals.contains(v), "unexpected value {v:?}");
-            }
         }
     }
 
     #[test]
     fn provenance_mismatch_is_detected() {
         let t = roundtrip_table();
-        let enc = F2Encryptor::new(F2Config::new(0.5, 2).unwrap(), MasterKey::from_seed(5));
-        let dec = F2Decryptor::new(MasterKey::from_seed(5));
-        let out = enc.encrypt(&t).unwrap();
-        let mut bad = out.provenance.clone();
-        bad.origins.pop();
-        assert!(dec.recover_original(&out.encrypted, &bad, &out.plaintext_schema).is_err());
-        let bad_schema = Schema::from_names(["A"]).unwrap();
-        assert!(dec.recover_original(&out.encrypted, &out.provenance, &bad_schema).is_err());
+        let scheme = scheme(0.5, 2, 5);
+        let mut bad = scheme.encrypt(&t).unwrap();
+        f2_state(&mut bad).provenance.origins.pop();
+        assert!(scheme.decrypt(&bad).is_err());
+        let mut bad_schema = scheme.encrypt(&t).unwrap();
+        f2_state(&mut bad_schema).plaintext_schema = Schema::from_names(["A"]).unwrap();
+        assert!(scheme.decrypt(&bad_schema).is_err());
     }
 
     #[test]
     fn real_rows_must_name_each_original_row_once() {
-        use crate::{Scheme, SchemeOutcome, F2};
         let t = table! {
             ["Zip", "City", "Name"];
             ["07030", "Hoboken", "alice"],
@@ -253,8 +193,7 @@ mod tests {
         let scheme = F2::builder().alpha(0.5).seed(7).build().unwrap();
         let retagged = |claim: usize| {
             let mut outcome: SchemeOutcome = scheme.encrypt(&t).unwrap();
-            let OwnerState::F2(state) = &mut outcome.state else { unreachable!() };
-            let last = state
+            let last = f2_state(&mut outcome)
                 .provenance
                 .origins
                 .iter_mut()
@@ -281,35 +220,30 @@ mod tests {
             ["a3", "b2", "c2"],
             ["a1", "b1", "c3"],
         };
-        let enc = F2Encryptor::new(F2Config::new(0.5, 2).unwrap(), MasterKey::from_seed(5));
-        let dec = F2Decryptor::new(MasterKey::from_seed(5));
-        let out = enc.encrypt(&t).unwrap();
+        let scheme = scheme(0.5, 2, 5);
+        let out = scheme.encrypt(&t).unwrap();
         let n = out.encrypted.row_count();
-        let state = || {
-            OwnerState::F2(crate::F2OwnerState {
-                provenance: out.provenance.clone(),
-                mas_sets: out.mas_sets.clone(),
-                plaintext_schema: out.plaintext_schema.clone(),
-            })
-        };
+        let f2 = out.f2_state().unwrap();
+        let state = || OwnerState::F2(f2.clone());
         let (rows, selected) = state().select_read_rows(n).unwrap();
-        let (Some(rows), OwnerState::F2(selected)) = (rows, selected) else { unreachable!() };
-        let mut expected: Vec<usize> = out.provenance.real_rows().iter().map(|r| r.0).collect();
-        expected.extend(out.provenance.patches.values().flatten().map(|&(_, row)| row));
+        let Some(rows) = rows else { unreachable!() };
+        let mut expected: Vec<usize> = f2.provenance.real_rows().iter().map(|r| r.0).collect();
+        expected.extend(f2.provenance.patches.values().flatten().map(|&(_, row)| row));
         expected.sort_unstable();
         expected.dedup();
         assert_eq!(rows, expected);
         assert!(rows.len() < n, "the fixture carries artificial rows");
-        assert!(!out.provenance.patches.is_empty(), "the fixture carries conflict companions");
-        let subset = Table::new(
-            out.encrypted.schema().clone(),
-            rows.iter().map(|&r| out.encrypted.row(r).unwrap().clone()).collect(),
-        )
-        .unwrap();
-        assert_eq!(
-            dec.recover_original(&subset, &selected.provenance, &out.plaintext_schema).unwrap(),
-            dec.recover_from_outcome(&out).unwrap()
-        );
+        assert!(!f2.provenance.patches.is_empty(), "the fixture carries conflict companions");
+        let subset = SchemeOutcome {
+            encrypted: Table::new(
+                out.encrypted.schema().clone(),
+                rows.iter().map(|&r| out.encrypted.row(r).unwrap().clone()).collect(),
+            )
+            .unwrap(),
+            state: selected,
+            report: out.report.clone(),
+        };
+        assert_eq!(scheme.decrypt(&subset).unwrap(), scheme.decrypt(&out).unwrap());
 
         // The checks decryption makes come first: the row count …
         let err = state().select_read_rows(n + 1).unwrap_err();
@@ -324,15 +258,5 @@ mod tests {
         let cell_wise =
             OwnerState::CellWise(crate::CellWiseState { plaintext_schema: t.schema().clone() });
         assert_eq!(cell_wise.select_read_rows(3).unwrap().0, None);
-    }
-
-    #[test]
-    fn full_decrypt_keeps_all_rows() {
-        let t = roundtrip_table();
-        let enc = F2Encryptor::new(F2Config::new(0.5, 2).unwrap(), MasterKey::from_seed(5));
-        let dec = F2Decryptor::new(MasterKey::from_seed(5));
-        let out = enc.encrypt(&t).unwrap();
-        let full = dec.decrypt_table(&out.encrypted).unwrap();
-        assert_eq!(full.row_count(), out.encrypted.row_count());
     }
 }

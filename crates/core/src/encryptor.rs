@@ -1,6 +1,7 @@
-//! The F² encryption pipeline (data-owner side).
+//! The F² encryption pipeline (data-owner side), behind [`crate::F2Scheme`]'s
+//! `encrypt`.
 //!
-//! [`F2Encryptor::encrypt`] runs the four steps of the scheme end to end:
+//! [`encrypt`] runs the four steps of the scheme end to end:
 //!
 //! 1. **MAX** — discover the maximal attribute sets ([`f2_fd::mas`]);
 //! 2. **SSE** — per MAS, group the equivalence classes, choose split points, and assign
@@ -15,8 +16,9 @@
 //! 4. **FP** — insert artificial record pairs that re-violate false-positive FDs
 //!    ([`crate::fpfd`]).
 //!
-//! The output is the encrypted table (every cell an opaque byte string), the owner-side
-//! [`Provenance`], and an [`EncryptionReport`] with the per-step timings and artificial
+//! The output is a [`SchemeOutcome`]: the encrypted table (every cell an opaque byte
+//! string), the owner-side [`OwnerState::F2`] (provenance, MAS sets, plaintext
+//! schema), and an [`EncryptionReport`] with the per-step timings and artificial
 //! record counts that the benchmark harness turns into the paper's figures.
 
 use crate::config::F2Config;
@@ -25,11 +27,11 @@ use crate::fpfd::plan_false_positive_elimination_witnessed;
 use crate::provenance::{Provenance, RowOrigin};
 use crate::report::{EncryptionReport, OverheadBreakdown, StepTimings};
 use crate::sse::{build_mas_plan_from, MasPlan};
-use crate::{F2Error, Result};
+use crate::{F2Error, F2OwnerState, OwnerState, Result, SchemeOutcome};
 use f2_crypto::ciphertext::NONCE_LEN;
 use f2_crypto::{MasterKey, ProbabilisticCipher};
 use f2_fd::mas::find_mas;
-use f2_relation::{AttrSet, Bytes, Record, Schema, Table, Value};
+use f2_relation::{AttrSet, Bytes, Record, Table, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -138,326 +140,284 @@ impl FrozenArena {
     }
 }
 
-/// Result of encrypting one table with F².
-#[derive(Debug, Clone)]
-pub struct EncryptionOutcome {
-    /// The encrypted table to be outsourced to the server.
-    pub encrypted: Table,
-    /// Owner-side provenance. It says which rows are real, so it stays with the
-    /// owner: outsource only [`EncryptionOutcome::encrypted`].
-    pub provenance: Provenance,
-    /// Per-step timings and overhead measurements.
-    pub report: EncryptionReport,
-    /// The maximal attribute sets discovered in Step 1.
-    pub mas_sets: Vec<AttrSet>,
-    /// The plaintext schema (needed to rebuild the original table on decryption).
-    pub plaintext_schema: Schema,
-}
-
-/// The F² encryptor: configuration plus the data owner's master key.
-#[derive(Debug, Clone)]
-pub struct F2Encryptor {
-    config: F2Config,
-    master: MasterKey,
-}
-
-impl F2Encryptor {
-    /// Create an encryptor.
-    pub fn new(config: F2Config, master: MasterKey) -> Self {
-        F2Encryptor { config, master }
+/// Encrypt a table with the full four-step F² pipeline under `config` and the
+/// owner's master key.
+pub(crate) fn encrypt(
+    config: &F2Config,
+    master: &MasterKey,
+    table: &Table,
+) -> Result<SchemeOutcome> {
+    config.validate()?;
+    if table.arity() == 0 {
+        return Err(F2Error::UnsupportedInput("table has no attributes".into()));
     }
+    let arity = table.arity();
+    let n = table.row_count();
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let ciphers: Vec<ProbabilisticCipher> =
+        (0..arity).map(|a| ProbabilisticCipher::new(&master.attribute_key(a))).collect();
+    let mut fresh = FreshValueGenerator::for_table(table);
 
-    /// The configuration in use.
-    pub fn config(&self) -> &F2Config {
-        &self.config
-    }
+    // ---- Step 1: MAX ---------------------------------------------------------
+    let t_max = Instant::now();
+    let mas_set = find_mas(table);
+    let max_time = t_max.elapsed();
 
-    /// The master key (crate-internal: [`crate::F2Scheme`] derives its decryptor from
-    /// the single key copy held here).
-    pub(crate) fn master(&self) -> &MasterKey {
-        &self.master
-    }
+    // ---- Step 2: SSE (plans + assembly) and Step 3: SYN -----------------------
+    let t_sse = Instant::now();
+    let mut syn_time = std::time::Duration::ZERO;
+    // Each MAS partition is computed once (off the interned columnar index) and
+    // shared: the SSE planner consumes its classes, and Step 4 reuses one witness
+    // row per class for the false-positive violation checks.
+    let mut mas_witnesses: Vec<(AttrSet, Vec<usize>)> = Vec::with_capacity(mas_set.len());
+    let plans: Vec<MasPlan> = mas_set
+        .sets
+        .iter()
+        .map(|&m| {
+            let partition = f2_relation::Partition::compute(table, m);
+            mas_witnesses.push((m, partition.classes().iter().map(|c| c.rows[0]).collect()));
+            build_mas_plan_from(&partition, table.columnar(), config, &mut fresh)
+        })
+        .collect();
 
-    /// Encrypt a table with the full four-step F² pipeline.
-    pub fn encrypt(&self, table: &Table) -> Result<EncryptionOutcome> {
-        self.config.validate()?;
-        if table.arity() == 0 {
-            return Err(F2Error::UnsupportedInput("table has no attributes".into()));
-        }
-        let arity = table.arity();
-        let n = table.row_count();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let ciphers: Vec<ProbabilisticCipher> =
-            (0..arity).map(|a| ProbabilisticCipher::new(&self.master.attribute_key(a))).collect();
-        let mut fresh = FreshValueGenerator::for_table(table);
+    // Every distinct ciphertext is materialised exactly once, in the arena; the
+    // flat row-major cell buffer and the artificial rows hold dense ids into it.
+    // Capacity: one ciphertext per instance attribute plus headroom for the
+    // fresh fills of uncovered cells and artificial-row remainders.
+    let instance_cts: usize = plans.iter().map(|p| p.instances.len() * p.mas.len()).sum();
+    let mut arena = CtArena::with_capacity(instance_cts + n * arity / 2);
+    let mut cells: Vec<CellSlot> = vec![CellSlot::EMPTY; n * arity];
+    // Artificial rows under construction: arity-strided per-attribute ciphertext
+    // ids (UNASSIGNED = filled with a fresh value in the finalisation pass).
+    let mut extra_cells: Vec<u32> = Vec::new();
+    let mut extra_origins: Vec<RowOrigin> = Vec::new();
+    // Extra rows of each real singleton instance — the only instances a later
+    // MAS's class can make adopt its ciphertext — so the adoption reaches the
+    // instance's scale copies too.
+    let mut instance_extras: HashMap<(usize, usize), Range<usize>> = HashMap::new();
+    let mut patches: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
+    let mut syn_rows = 0usize;
+    let mut group_rows = 0usize;
+    let mut scale_rows = 0usize;
+    // Per-instance ciphertext ids (arena-contiguous), reused across instances.
+    let mut inst_cts: Vec<u32> = Vec::new();
+    let mut copy_cts: Vec<u32> = Vec::new();
 
-        // ---- Step 1: MAX ---------------------------------------------------------
-        let t_max = Instant::now();
-        let mas_set = find_mas(table);
-        let max_time = t_max.elapsed();
+    for (mi, plan) in plans.iter().enumerate() {
+        let attrs: Vec<usize> = plan.mas.iter().collect();
+        for (ii, inst) in plan.instances.iter().enumerate() {
+            // One ciphertext per attribute, shared by every row of the instance.
+            inst_cts.clear();
+            for (&a, v) in attrs.iter().zip(inst.values.iter()) {
+                inst_cts.push(arena.push(&ciphers[a], v, &mut rng));
+            }
+            let multi = inst.ec_real_size > 1;
 
-        // ---- Step 2: SSE (plans + assembly) and Step 3: SYN -----------------------
-        let t_sse = Instant::now();
-        let mut syn_time = std::time::Duration::ZERO;
-        // Each MAS partition is computed once (off the interned columnar index) and
-        // shared: the SSE planner consumes its classes, and Step 4 reuses one witness
-        // row per class for the false-positive violation checks.
-        let mut mas_witnesses: Vec<(AttrSet, Vec<usize>)> = Vec::with_capacity(mas_set.len());
-        let plans: Vec<MasPlan> = mas_set
-            .sets
-            .iter()
-            .map(|&m| {
-                let partition = f2_relation::Partition::compute(table, m);
-                mas_witnesses.push((m, partition.classes().iter().map(|c| c.rows[0]).collect()));
-                build_mas_plan_from(&partition, table.columnar(), &self.config, &mut fresh)
-            })
-            .collect();
-
-        // Every distinct ciphertext is materialised exactly once, in the arena; the
-        // flat row-major cell buffer and the artificial rows hold dense ids into it.
-        // Capacity: one ciphertext per instance attribute plus headroom for the
-        // fresh fills of uncovered cells and artificial-row remainders.
-        let instance_cts: usize = plans.iter().map(|p| p.instances.len() * p.mas.len()).sum();
-        let mut arena = CtArena::with_capacity(instance_cts + n * arity / 2);
-        let mut cells: Vec<CellSlot> = vec![CellSlot::EMPTY; n * arity];
-        // Artificial rows under construction: arity-strided per-attribute ciphertext
-        // ids (UNASSIGNED = filled with a fresh value in the finalisation pass).
-        let mut extra_cells: Vec<u32> = Vec::new();
-        let mut extra_origins: Vec<RowOrigin> = Vec::new();
-        // Extra rows of each real singleton instance — the only instances a later
-        // MAS's class can make adopt its ciphertext — so the adoption reaches the
-        // instance's scale copies too.
-        let mut instance_extras: HashMap<(usize, usize), Range<usize>> = HashMap::new();
-        let mut patches: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
-        let mut syn_rows = 0usize;
-        let mut group_rows = 0usize;
-        let mut scale_rows = 0usize;
-        // Per-instance ciphertext ids (arena-contiguous), reused across instances.
-        let mut inst_cts: Vec<u32> = Vec::new();
-        let mut copy_cts: Vec<u32> = Vec::new();
-
-        for (mi, plan) in plans.iter().enumerate() {
-            let attrs: Vec<usize> = plan.mas.iter().collect();
-            for (ii, inst) in plan.instances.iter().enumerate() {
-                // One ciphertext per attribute, shared by every row of the instance.
-                inst_cts.clear();
-                for (&a, v) in attrs.iter().zip(inst.values.iter()) {
-                    inst_cts.push(arena.push(&ciphers[a], v, &mut rng));
-                }
-                let multi = inst.ec_real_size > 1;
-
-                for &r in &inst.rows {
-                    // Type-2 conflict (§3.3.2): the row is already claimed on some
-                    // overlapping attribute by another MAS's multi-tuple class, and this
-                    // class is multi-tuple too.
-                    let conflict = multi
-                        && attrs.iter().any(|&a| {
-                            let slot = cells[r * arity + a];
-                            slot.is_assigned()
-                                && matches!(slot.source, CellSource::Instance { multi: true, .. })
-                        });
-                    if conflict {
-                        let t_conflict = Instant::now();
-                        // The original row keeps its earlier assignment; its unassigned
-                        // attributes of this MAS receive fresh values so its projection
-                        // does not partially join this instance.
-                        for &a in &attrs {
-                            if !cells[r * arity + a].is_assigned() {
-                                cells[r * arity + a] = CellSlot {
-                                    ct: arena.push_fresh(&ciphers[a], &mut fresh, &mut rng),
-                                    source: CellSource::Fresh,
-                                };
-                                // The row's real ciphertext for this attribute lives on
-                                // the companion row created below.
-                                patches.entry(r).or_default().push((a, n + extra_origins.len()));
-                            }
-                        }
-                        // Companion row: this MAS's instance on its attributes, fresh
-                        // values elsewhere (filled in the finalisation pass).
-                        let base = extra_cells.len();
-                        extra_cells.resize(base + arity, UNASSIGNED);
-                        for (pos, &a) in attrs.iter().enumerate() {
-                            extra_cells[base + a] = inst_cts[pos];
-                        }
-                        extra_origins.push(RowOrigin::ConflictCompanion { original_row: r });
-                        syn_rows += 1;
-                        syn_time += t_conflict.elapsed();
-                        continue;
-                    }
-                    for (pos, &a) in attrs.iter().enumerate() {
+            for &r in &inst.rows {
+                // Type-2 conflict (§3.3.2): the row is already claimed on some
+                // overlapping attribute by another MAS's multi-tuple class, and this
+                // class is multi-tuple too.
+                let conflict = multi
+                    && attrs.iter().any(|&a| {
                         let slot = cells[r * arity + a];
-                        if !slot.is_assigned() {
+                        slot.is_assigned()
+                            && matches!(slot.source, CellSource::Instance { multi: true, .. })
+                    });
+                if conflict {
+                    let t_conflict = Instant::now();
+                    // The original row keeps its earlier assignment; its unassigned
+                    // attributes of this MAS receive fresh values so its projection
+                    // does not partially join this instance.
+                    for &a in &attrs {
+                        if !cells[r * arity + a].is_assigned() {
                             cells[r * arity + a] = CellSlot {
-                                ct: inst_cts[pos],
-                                source: CellSource::Instance { mas: mi, instance: ii, multi },
+                                ct: arena.push_fresh(&ciphers[a], &mut fresh, &mut rng),
+                                source: CellSource::Fresh,
                             };
-                        } else if multi {
-                            // The earlier owner was a singleton class (or a fresh
-                            // filler): it adopts this instance's ciphertext. Any
-                            // scale copies of the earlier singleton instance adopt
-                            // it too, so its frequency stays homogeneous.
-                            if let CellSource::Instance { mas, instance, multi: false } =
-                                slot.source
-                            {
-                                if let Some(extras) = instance_extras.get(&(mas, instance)) {
-                                    for er in extras.clone() {
-                                        extra_cells[er * arity + a] = inst_cts[pos];
-                                    }
+                            // The row's real ciphertext for this attribute lives on
+                            // the companion row created below.
+                            patches.entry(r).or_default().push((a, n + extra_origins.len()));
+                        }
+                    }
+                    // Companion row: this MAS's instance on its attributes, fresh
+                    // values elsewhere (filled in the finalisation pass).
+                    let base = extra_cells.len();
+                    extra_cells.resize(base + arity, UNASSIGNED);
+                    for (pos, &a) in attrs.iter().enumerate() {
+                        extra_cells[base + a] = inst_cts[pos];
+                    }
+                    extra_origins.push(RowOrigin::ConflictCompanion { original_row: r });
+                    syn_rows += 1;
+                    syn_time += t_conflict.elapsed();
+                    continue;
+                }
+                for (pos, &a) in attrs.iter().enumerate() {
+                    let slot = cells[r * arity + a];
+                    if !slot.is_assigned() {
+                        cells[r * arity + a] = CellSlot {
+                            ct: inst_cts[pos],
+                            source: CellSource::Instance { mas: mi, instance: ii, multi },
+                        };
+                    } else if multi {
+                        // The earlier owner was a singleton class (or a fresh
+                        // filler): it adopts this instance's ciphertext. Any
+                        // scale copies of the earlier singleton instance adopt
+                        // it too, so its frequency stays homogeneous.
+                        if let CellSource::Instance { mas, instance, multi: false } = slot.source {
+                            if let Some(extras) = instance_extras.get(&(mas, instance)) {
+                                for er in extras.clone() {
+                                    extra_cells[er * arity + a] = inst_cts[pos];
                                 }
                             }
-                            cells[r * arity + a] = CellSlot {
-                                ct: inst_cts[pos],
-                                source: CellSource::Instance { mas: mi, instance: ii, multi },
-                            };
                         }
-                        // Otherwise this class is a singleton: it adopts whatever the
-                        // earlier MAS assigned (no conflict, §3.3.2).
-                    }
-                }
-
-                // Scaling copies and fake-EC rows are entirely artificial rows. They
-                // must mirror what the instance's rows actually carry: a singleton
-                // class may have *adopted* another MAS's ciphertext on the overlap
-                // (the no-conflict case of §3.3.2), in which case its copies adopt it
-                // too so the instance keeps one homogeneous value combination.
-                copy_cts.clear();
-                if inst.rows.len() == 1 && !multi {
-                    let r = inst.rows[0];
-                    for (pos, &a) in attrs.iter().enumerate() {
-                        let slot = cells[r * arity + a];
-                        copy_cts.push(if slot.is_assigned() { slot.ct } else { inst_cts[pos] });
-                    }
-                } else {
-                    copy_cts.extend_from_slice(&inst_cts);
-                }
-                let extra_count = inst.scale_copies + inst.fake_rows;
-                if extra_count > 0 {
-                    if !multi && !inst.rows.is_empty() {
-                        let first = extra_origins.len();
-                        instance_extras.insert((mi, ii), first..first + extra_count);
-                    }
-                    for c in 0..extra_count {
-                        let base = extra_cells.len();
-                        extra_cells.resize(base + arity, UNASSIGNED);
-                        for (pos, &a) in attrs.iter().enumerate() {
-                            extra_cells[base + a] = copy_cts[pos];
-                        }
-                        let origin = if c < inst.scale_copies {
-                            scale_rows += 1;
-                            RowOrigin::ScaleCopy { mas_index: mi }
-                        } else {
-                            group_rows += 1;
-                            RowOrigin::GroupFake { mas_index: mi }
+                        cells[r * arity + a] = CellSlot {
+                            ct: inst_cts[pos],
+                            source: CellSource::Instance { mas: mi, instance: ii, multi },
                         };
-                        extra_origins.push(origin);
                     }
+                    // Otherwise this class is a singleton: it adopts whatever the
+                    // earlier MAS assigned (no conflict, §3.3.2).
+                }
+            }
+
+            // Scaling copies and fake-EC rows are entirely artificial rows. They
+            // must mirror what the instance's rows actually carry: a singleton
+            // class may have *adopted* another MAS's ciphertext on the overlap
+            // (the no-conflict case of §3.3.2), in which case its copies adopt it
+            // too so the instance keeps one homogeneous value combination.
+            copy_cts.clear();
+            if inst.rows.len() == 1 && !multi {
+                let r = inst.rows[0];
+                for (pos, &a) in attrs.iter().enumerate() {
+                    let slot = cells[r * arity + a];
+                    copy_cts.push(if slot.is_assigned() { slot.ct } else { inst_cts[pos] });
+                }
+            } else {
+                copy_cts.extend_from_slice(&inst_cts);
+            }
+            let extra_count = inst.scale_copies + inst.fake_rows;
+            if extra_count > 0 {
+                if !multi && !inst.rows.is_empty() {
+                    let first = extra_origins.len();
+                    instance_extras.insert((mi, ii), first..first + extra_count);
+                }
+                for c in 0..extra_count {
+                    let base = extra_cells.len();
+                    extra_cells.resize(base + arity, UNASSIGNED);
+                    for (pos, &a) in attrs.iter().enumerate() {
+                        extra_cells[base + a] = copy_cts[pos];
+                    }
+                    let origin = if c < inst.scale_copies {
+                        scale_rows += 1;
+                        RowOrigin::ScaleCopy { mas_index: mi }
+                    } else {
+                        group_rows += 1;
+                        RowOrigin::GroupFake { mas_index: mi }
+                    };
+                    extra_origins.push(origin);
                 }
             }
         }
+    }
 
-        // Finalisation: encrypt the cells not covered by any MAS (unique attributes)
-        // and fill the artificial rows' remaining attributes with fresh values.
-        for r in 0..n {
-            for a in 0..arity {
-                let slot = &mut cells[r * arity + a];
-                if !slot.is_assigned() {
-                    let ct = arena.push(&ciphers[a], table.cell(r, a)?, &mut rng);
-                    *slot = CellSlot { ct, source: CellSource::Fresh };
-                }
+    // Finalisation: encrypt the cells not covered by any MAS (unique attributes)
+    // and fill the artificial rows' remaining attributes with fresh values.
+    for r in 0..n {
+        for a in 0..arity {
+            let slot = &mut cells[r * arity + a];
+            if !slot.is_assigned() {
+                let ct = arena.push(&ciphers[a], table.cell(r, a)?, &mut rng);
+                *slot = CellSlot { ct, source: CellSource::Fresh };
             }
         }
-        for er in 0..extra_origins.len() {
-            for a in 0..arity {
-                if extra_cells[er * arity + a] == UNASSIGNED {
-                    extra_cells[er * arity + a] =
-                        arena.push_fresh(&ciphers[a], &mut fresh, &mut rng);
-                }
+    }
+    for er in 0..extra_origins.len() {
+        for a in 0..arity {
+            if extra_cells[er * arity + a] == UNASSIGNED {
+                extra_cells[er * arity + a] = arena.push_fresh(&ciphers[a], &mut fresh, &mut rng);
             }
         }
-        let sse_time = t_sse.elapsed().saturating_sub(syn_time);
+    }
+    let sse_time = t_sse.elapsed().saturating_sub(syn_time);
 
-        // ---- Step 4: FP ------------------------------------------------------------
-        let t_fp = Instant::now();
-        let fp_plan = plan_false_positive_elimination_witnessed(
-            table,
-            &mas_witnesses,
-            self.config.ecg_size(),
-            &mut fresh,
-        );
-        let mut fp_rows = 0usize;
-        for pair in &fp_plan.pairs {
-            // Row 1: every cell freshly encrypted. Row 2: shares the *ciphertext id*
-            // on the FD's LHS so the server observes the violation; all other cells
-            // are freshly encrypted.
-            let base1 = extra_cells.len();
-            extra_cells.resize(base1 + arity, UNASSIGNED);
-            for (a, v) in pair.row1.iter().enumerate() {
-                extra_cells[base1 + a] = arena.push(&ciphers[a], v, &mut rng);
-            }
-            let base2 = extra_cells.len();
-            extra_cells.resize(base2 + arity, UNASSIGNED);
-            for (a, v) in pair.row2.iter().enumerate() {
-                extra_cells[base2 + a] = if pair.shared_attrs.contains(a) {
-                    extra_cells[base1 + a]
-                } else {
-                    arena.push(&ciphers[a], v, &mut rng)
-                };
-            }
-            extra_origins.push(RowOrigin::FalsePositive { mas_index: pair.mas_index });
-            extra_origins.push(RowOrigin::FalsePositive { mas_index: pair.mas_index });
-            fp_rows += 2;
+    // ---- Step 4: FP ------------------------------------------------------------
+    let t_fp = Instant::now();
+    let fp_plan = plan_false_positive_elimination_witnessed(
+        table,
+        &mas_witnesses,
+        config.ecg_size(),
+        &mut fresh,
+    );
+    let mut fp_rows = 0usize;
+    for pair in &fp_plan.pairs {
+        // Row 1: every cell freshly encrypted. Row 2: shares the *ciphertext id*
+        // on the FD's LHS so the server observes the violation; all other cells
+        // are freshly encrypted.
+        let base1 = extra_cells.len();
+        extra_cells.resize(base1 + arity, UNASSIGNED);
+        for (a, v) in pair.row1.iter().enumerate() {
+            extra_cells[base1 + a] = arena.push(&ciphers[a], v, &mut rng);
         }
-        let fp_time = t_fp.elapsed();
+        let base2 = extra_cells.len();
+        extra_cells.resize(base2 + arity, UNASSIGNED);
+        for (a, v) in pair.row2.iter().enumerate() {
+            extra_cells[base2 + a] = if pair.shared_attrs.contains(a) {
+                extra_cells[base1 + a]
+            } else {
+                arena.push(&ciphers[a], v, &mut rng)
+            };
+        }
+        extra_origins.push(RowOrigin::FalsePositive { mas_index: pair.mas_index });
+        extra_origins.push(RowOrigin::FalsePositive { mas_index: pair.mas_index });
+        fp_rows += 2;
+    }
+    let fp_time = t_fp.elapsed();
 
-        // ---- Assemble the output table ----------------------------------------------
-        let encrypted_schema = table.schema().encrypted();
-        let arena = arena.freeze();
-        let mut records = Vec::with_capacity(n + extra_origins.len());
-        let mut origins = Vec::with_capacity(n + extra_origins.len());
-        for r in 0..n {
-            records.push(Record::new(
-                cells[r * arity..(r + 1) * arity].iter().map(|slot| arena.get(slot.ct)).collect(),
-            ));
-            origins.push(RowOrigin::Real { original_row: r });
-        }
-        for (er, origin) in extra_origins.into_iter().enumerate() {
-            records.push(Record::new(
-                extra_cells[er * arity..(er + 1) * arity].iter().map(|&id| arena.get(id)).collect(),
-            ));
-            origins.push(origin);
-        }
-        let encrypted = Table::new(encrypted_schema, records)?;
+    // ---- Assemble the output table ----------------------------------------------
+    let encrypted_schema = table.schema().encrypted();
+    let arena = arena.freeze();
+    let mut records = Vec::with_capacity(n + extra_origins.len());
+    let mut origins = Vec::with_capacity(n + extra_origins.len());
+    for r in 0..n {
+        records.push(Record::new(
+            cells[r * arity..(r + 1) * arity].iter().map(|slot| arena.get(slot.ct)).collect(),
+        ));
+        origins.push(RowOrigin::Real { original_row: r });
+    }
+    for (er, origin) in extra_origins.into_iter().enumerate() {
+        records.push(Record::new(
+            extra_cells[er * arity..(er + 1) * arity].iter().map(|&id| arena.get(id)).collect(),
+        ));
+        origins.push(origin);
+    }
+    let encrypted = Table::new(encrypted_schema, records)?;
 
-        let timings = StepTimings { max: max_time, sse: sse_time, syn: syn_time, fp: fp_time };
-        crate::obs::record_phase_timings(&timings);
-        let report = EncryptionReport {
-            timings,
-            overhead: OverheadBreakdown {
-                original_rows: n,
-                group_rows,
-                scale_rows,
-                syn_rows,
-                fp_rows,
-            },
-            mas_count: mas_set.len(),
-            overlapping_mas_pairs: mas_set.overlapping_pairs().len(),
-            equivalence_classes: plans.iter().map(|p| p.ec_count).sum(),
-            false_positive_fds: fp_plan.max_false_positives,
-        };
-        Ok(EncryptionOutcome {
-            encrypted,
+    let timings = StepTimings { max: max_time, sse: sse_time, syn: syn_time, fp: fp_time };
+    crate::obs::record_phase_timings(&timings);
+    let report = EncryptionReport {
+        timings,
+        overhead: OverheadBreakdown { original_rows: n, group_rows, scale_rows, syn_rows, fp_rows },
+        mas_count: mas_set.len(),
+        overlapping_mas_pairs: mas_set.overlapping_pairs().len(),
+        equivalence_classes: plans.iter().map(|p| p.ec_count).sum(),
+        false_positive_fds: fp_plan.max_false_positives,
+    };
+    Ok(SchemeOutcome {
+        encrypted,
+        state: OwnerState::F2(F2OwnerState {
             provenance: Provenance { origins, patches },
-            report,
             mas_sets: mas_set.sets,
             plaintext_schema: table.schema().clone(),
-        })
-    }
+        }),
+        report,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f2_relation::table;
+    use crate::{F2Scheme, Scheme, F2};
+    use f2_relation::{table, Schema};
 
     fn small_table() -> Table {
         table! {
@@ -471,14 +431,19 @@ mod tests {
         }
     }
 
-    fn encryptor(alpha: f64, split: usize) -> F2Encryptor {
-        F2Encryptor::new(F2Config::new(alpha, split).unwrap(), MasterKey::from_seed(11))
+    fn scheme(alpha: f64, split: usize) -> F2Scheme {
+        F2::builder()
+            .alpha(alpha)
+            .split_factor(split)
+            .master_key(MasterKey::from_seed(11))
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn encrypts_to_opaque_cells() {
         let t = small_table();
-        let out = encryptor(0.5, 2).encrypt(&t).unwrap();
+        let out = scheme(0.5, 2).encrypt(&t).unwrap();
         assert_eq!(out.encrypted.arity(), 3);
         assert!(out.encrypted.row_count() >= t.row_count());
         for (_, rec) in out.encrypted.iter() {
@@ -498,10 +463,11 @@ mod tests {
     #[test]
     fn provenance_covers_every_output_row() {
         let t = small_table();
-        let out = encryptor(0.5, 2).encrypt(&t).unwrap();
-        assert_eq!(out.provenance.len(), out.encrypted.row_count());
-        assert_eq!(out.provenance.real_rows().len(), t.row_count());
-        let (scale, group, conflict, fp) = out.provenance.artificial_breakdown();
+        let out = scheme(0.5, 2).encrypt(&t).unwrap();
+        let provenance = &out.f2_state().unwrap().provenance;
+        assert_eq!(provenance.len(), out.encrypted.row_count());
+        assert_eq!(provenance.real_rows().len(), t.row_count());
+        let (scale, group, conflict, fp) = provenance.artificial_breakdown();
         let o = &out.report.overhead;
         assert_eq!(scale, o.scale_rows);
         assert_eq!(group, o.group_rows);
@@ -513,7 +479,7 @@ mod tests {
     #[test]
     fn report_is_populated() {
         let t = small_table();
-        let out = encryptor(0.5, 2).encrypt(&t).unwrap();
+        let out = scheme(0.5, 2).encrypt(&t).unwrap();
         assert!(out.report.mas_count >= 1);
         assert!(out.report.equivalence_classes >= 1);
         assert!(out.report.timings.total() > std::time::Duration::ZERO);
@@ -533,8 +499,8 @@ mod tests {
             ["a3", "b3"], ["a3", "b3"],
             ["a4", "b4"], ["a5", "b5"],
         };
-        let out = encryptor(0.5, 2).encrypt(&t).unwrap();
-        let mas = out.mas_sets[0];
+        let out = scheme(0.5, 2).encrypt(&t).unwrap();
+        let mas = out.f2_state().unwrap().mas_sets[0];
         let hist = out.encrypted.frequency_histogram(mas);
         let max_cipher_freq = hist.values().copied().max().unwrap();
         let plain_hist = t.frequency_histogram(mas);
@@ -546,20 +512,20 @@ mod tests {
     fn empty_schema_rejected_and_empty_table_ok() {
         let empty_schema = Schema::new(vec![]).unwrap();
         let t = Table::empty(empty_schema);
-        assert!(encryptor(0.5, 2).encrypt(&t).is_err());
+        assert!(scheme(0.5, 2).encrypt(&t).is_err());
 
         let t = Table::empty(Schema::from_names(["A", "B"]).unwrap());
-        let out = encryptor(0.5, 2).encrypt(&t).unwrap();
+        let out = scheme(0.5, 2).encrypt(&t).unwrap();
         assert_eq!(out.encrypted.row_count(), 0);
     }
 
     #[test]
     fn deterministic_given_seed_and_key() {
         let t = small_table();
-        let e = encryptor(0.5, 2);
+        let e = scheme(0.5, 2);
         let a = e.encrypt(&t).unwrap();
         let b = e.encrypt(&t).unwrap();
         assert_eq!(a.encrypted, b.encrypted);
-        assert_eq!(a.provenance, b.provenance);
+        assert_eq!(a.f2_state().unwrap().provenance, b.f2_state().unwrap().provenance);
     }
 }

@@ -17,19 +17,19 @@
 //!
 //! | paper step | module |
 //! |---|---|
-//! | Step 1 — find maximal attribute sets | [`f2_fd::mas`] (invoked from [`encryptor`]) |
+//! | Step 1 — find maximal attribute sets | [`f2_fd::mas`] (invoked from `encryptor`) |
 //! | Step 2.1 — group equivalence classes  | [`ecg`] |
 //! | Step 2.2 — splitting & scaling        | [`split`], [`sse`] |
-//! | Step 3 — conflict resolution          | [`encryptor`] (assembly) |
+//! | Step 3 — conflict resolution          | `encryptor` (assembly) |
 //! | Step 4 — eliminate false-positive FDs | [`fpfd`] |
 //!
 //! The primary entry point is the [`scheme`] module: every backend of the paper's
 //! evaluation — F² itself, the deterministic AES baseline, the per-cell probabilistic
 //! cipher, and Paillier — implements the pluggable [`Scheme`] trait
 //! (`name` / `encrypt` / `decrypt`), so harnesses and applications are written once
-//! against `&dyn Scheme`. The F² backend is built fluently with [`F2::builder`]; the
-//! lower-level [`F2Encryptor`] / [`F2Decryptor`] pair remains available when direct
-//! access to [`Provenance`] is needed. The server side only ever sees the encrypted
+//! against `&dyn Scheme`. The F² backend, [`F2Scheme`], is built fluently with
+//! [`F2::builder`]; its owner-side [`Provenance`] and MAS sets are reachable through
+//! [`SchemeOutcome::f2_state`]. The server side only ever sees the encrypted
 //! [`f2_relation::Table`].
 //!
 //! ```
@@ -54,9 +54,9 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod decryptor;
+mod decryptor;
 pub mod ecg;
-pub mod encryptor;
+mod encryptor;
 pub mod error;
 pub mod fake;
 pub mod fpfd;
@@ -68,8 +68,6 @@ pub mod split;
 pub mod sse;
 
 pub use config::F2Config;
-pub use decryptor::F2Decryptor;
-pub use encryptor::{EncryptionOutcome, F2Encryptor};
 pub use error::F2Error;
 pub use fake::FreshValueGenerator;
 pub use provenance::{Provenance, RowOrigin};

@@ -37,8 +37,6 @@
 //! ```
 
 use crate::config::F2Config;
-use crate::decryptor::F2Decryptor;
-use crate::encryptor::{EncryptionOutcome, F2Encryptor};
 use crate::report::{EncryptionReport, OverheadBreakdown, StepTimings};
 use crate::{F2Error, Result};
 use f2_crypto::{
@@ -175,9 +173,8 @@ fn table_fingerprint(schema: &Schema, rows: &[Record]) -> u64 {
 
 /// Result of encrypting one table with any [`Scheme`].
 ///
-/// Generalizes [`EncryptionOutcome`]: the parts every backend shares are first-class
-/// fields, while backend-specific secrets (provenance, MAS sets, …) live in the
-/// [`OwnerState`].
+/// The parts every backend shares are first-class fields, while backend-specific
+/// secrets (provenance, MAS sets, …) live in the [`OwnerState`].
 #[derive(Debug)]
 pub struct SchemeOutcome {
     /// The encrypted table to be outsourced to the server.
@@ -304,20 +301,6 @@ impl F2OwnerState {
     }
 }
 
-impl From<EncryptionOutcome> for SchemeOutcome {
-    fn from(outcome: EncryptionOutcome) -> Self {
-        SchemeOutcome {
-            encrypted: outcome.encrypted,
-            report: outcome.report,
-            state: OwnerState::F2(F2OwnerState {
-                provenance: outcome.provenance,
-                mas_sets: outcome.mas_sets,
-                plaintext_schema: outcome.plaintext_schema,
-            }),
-        }
-    }
-}
-
 /// Owner-side state shared by the cell-wise baseline schemes: they only need the
 /// plaintext schema (every cell is independently invertible with the key).
 #[derive(Debug, Clone)]
@@ -415,8 +398,7 @@ impl F2 {
     }
 }
 
-/// Fluent builder for [`F2Scheme`] (replaces the `F2Config::new(..).with_seed(..)`
-/// two-step construction).
+/// Fluent builder for [`F2Scheme`], the one way to construct it.
 ///
 /// Defaults match [`F2Config::default`]: α = 0.2, ϖ = 2, seed `0x5eed`, minimum 2 real
 /// rows per split instance, and a master key derived from the seed unless
@@ -478,34 +460,23 @@ impl F2Builder {
     pub fn build(self) -> Result<F2Scheme> {
         let config = self.config()?;
         let master = self.master.unwrap_or_else(|| MasterKey::from_seed(config.seed));
-        Ok(F2Scheme::new(config, master))
+        Ok(F2Scheme { config, master })
     }
 }
 
 /// The F² scheme of the paper as a pluggable backend: frequency-hiding and exactly
-/// FD-preserving.
+/// FD-preserving. Built by [`F2::builder`]; `encrypt` runs MAX → SSE → SYN → FP, and
+/// `decrypt` rebuilds the original table from the outcome's [`F2OwnerState`].
 #[derive(Debug, Clone)]
 pub struct F2Scheme {
-    encryptor: F2Encryptor,
+    config: F2Config,
+    master: MasterKey,
 }
 
 impl F2Scheme {
-    /// Create the scheme from an explicit configuration and master key (the fluent
-    /// path is [`F2::builder`]).
-    pub fn new(config: F2Config, master: MasterKey) -> Self {
-        F2Scheme { encryptor: F2Encryptor::new(config, master) }
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &F2Config {
-        self.encryptor.config()
-    }
-
-    /// The same scheme with a different RNG seed: the master key (and thus
-    /// decryptability) is unchanged, only nonce generation and fake-value shuffling
-    /// re-derive from `seed`.
-    pub fn with_seed(&self, seed: u64) -> Self {
-        F2Scheme::new(self.config().with_seed(seed), self.encryptor.master().clone())
+        &self.config
     }
 }
 
@@ -515,16 +486,12 @@ impl Scheme for F2Scheme {
     }
 
     fn encrypt(&self, table: &Table) -> Result<SchemeOutcome> {
-        Ok(self.encryptor.encrypt(table)?.into())
+        crate::encryptor::encrypt(&self.config, &self.master, table)
     }
 
     fn decrypt(&self, outcome: &SchemeOutcome) -> Result<Table> {
         let state = outcome.f2_state().ok_or_else(|| wrong_state(self.name()))?;
-        F2Decryptor::new(self.encryptor.master().clone()).recover_original(
-            &outcome.encrypted,
-            &state.provenance,
-            &state.plaintext_schema,
-        )
+        crate::decryptor::recover_original(&self.master, &outcome.encrypted, state)
     }
 
     fn real_rows(&self, outcome: &SchemeOutcome) -> Result<Vec<(usize, usize)>> {
@@ -533,7 +500,7 @@ impl Scheme for F2Scheme {
     }
 
     fn reseeded(&self, seed: u64) -> Box<dyn Scheme> {
-        Box::new(self.with_seed(seed))
+        Box::new(F2Scheme { config: F2Config { seed, ..self.config }, master: self.master.clone() })
     }
 }
 
@@ -620,12 +587,6 @@ impl ProbScheme {
         Self::new(master, f2_crypto::entropy_seed())
     }
 
-    /// The same scheme with a different nonce-RNG seed (the key is unchanged, so
-    /// existing ciphertexts stay decryptable).
-    pub fn with_seed(&self, seed: u64) -> Self {
-        Self::new(self.master.clone(), seed)
-    }
-
     fn ciphers(&self, arity: usize) -> Vec<ProbabilisticCipher> {
         (0..arity).map(|a| ProbabilisticCipher::new(&self.master.attribute_key(a))).collect()
     }
@@ -660,7 +621,7 @@ impl Scheme for ProbScheme {
     }
 
     fn reseeded(&self, seed: u64) -> Box<dyn Scheme> {
-        Box::new(self.with_seed(seed))
+        Box::new(ProbScheme::new(self.master.clone(), seed))
     }
 
     fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
@@ -757,12 +718,6 @@ impl PaillierScheme {
     /// The framing in use.
     pub fn framing(&self) -> PaillierFraming {
         self.framing
-    }
-
-    /// The same scheme with a different randomness seed (the key pair is unchanged, so
-    /// existing ciphertexts stay decryptable).
-    pub fn with_seed(&self, seed: u64) -> Self {
-        PaillierScheme { keypair: self.keypair.clone(), seed, framing: self.framing }
     }
 
     /// The key pair in use.
@@ -1042,7 +997,7 @@ impl Scheme for PaillierScheme {
     }
 
     fn reseeded(&self, seed: u64) -> Box<dyn Scheme> {
-        Box::new(self.with_seed(seed))
+        Box::new(PaillierScheme { keypair: self.keypair.clone(), seed, framing: self.framing })
     }
 
     fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
@@ -1214,8 +1169,8 @@ mod tests {
         let a = prob.reseeded(1).encrypt(&t).unwrap();
         let b = prob.reseeded(2).encrypt(&t).unwrap();
         assert_ne!(a.encrypted, b.encrypted);
-        // …and with_seed is the concrete-typed equivalent.
-        let c = prob.with_seed(1).encrypt(&t).unwrap();
+        // …and a reseeded scheme is the one constructed with that seed.
+        let c = ProbScheme::new(MasterKey::from_seed(12), 1).encrypt(&t).unwrap();
         assert_eq!(a.encrypted, c.encrypted);
     }
 

@@ -3,8 +3,8 @@
 //! [`build_mas_plan`] turns the partition of a MAS into a list of *ciphertext
 //! instances*: each instance has a plaintext value combination (real or fake), the set
 //! of original rows that will carry it, and the number of artificial copies the scaling
-//! phase adds. The [`crate::encryptor`] then materialises these instances as actual
-//! ciphertexts and resolves conflicts between overlapping MASs.
+//! phase adds. [`crate::F2Scheme`]'s `encrypt` then materialises these instances as
+//! actual ciphertexts and resolves conflicts between overlapping MASs.
 
 use crate::config::F2Config;
 use crate::ecg::Ecg;

@@ -1,7 +1,7 @@
 //! Equivalence suite pinning the interned planning paths (ECG inverted-index
 //! grouping, the refactored split planner, witness-based false-positive checks) to
 //! their retained generic oracles, plus the golden byte-identity regression for the
-//! flat-cell-buffer `F2Encryptor` rewrite.
+//! flat-cell-buffer rewrite of F² encryption.
 
 use f2_core::config::F2Config;
 use f2_core::ecg::{group_equivalence_classes, group_equivalence_classes_generic};
@@ -194,7 +194,7 @@ fn table_digest(t: &Table) -> u64 {
     h
 }
 
-/// Golden regression: `F2Encryptor` output must be byte-identical for a fixed seed
+/// Golden regression: F² encryption output must be byte-identical for a fixed seed
 /// across the interned-planning / flat-cell-buffer rewrite. The digests below were
 /// captured from the pre-rewrite encryptor (PR-3 tree) and must never drift — the
 /// whole optimisation stack is required to be unobservable except for speed.

@@ -43,7 +43,6 @@ pub mod prob;
 
 pub use aes::Aes128;
 pub use bigint::BigUint;
-pub use ciphertext::Ciphertext;
 pub use det::DeterministicCipher;
 pub use error::CryptoError;
 pub use keys::{entropy_seed, splitmix64, KeyMaterial, MasterKey, SecretKey};

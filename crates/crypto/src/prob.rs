@@ -5,7 +5,7 @@
 //! an equivalence class into several ciphertext instances (Requirement 2 of
 //! Definition 3.1). Decryption recomputes `F_k(r)` from the stored `r` and XORs it away.
 
-use crate::ciphertext::{split_cell, Ciphertext, NONCE_LEN};
+use crate::ciphertext::{split_cell, NONCE_LEN};
 use crate::error::CryptoError;
 use crate::keys::SecretKey;
 use crate::prf::Prf;
@@ -38,45 +38,12 @@ impl ProbabilisticCipher {
         ProbabilisticCipher { prf: Prf::new(key) }
     }
 
-    /// Encrypt raw plaintext bytes with a caller-supplied random string `r`.
-    ///
-    /// Exposed so that F² can reuse *one* ciphertext for all rows of the same
-    /// ciphertext instance (the instance is sampled once, then copied).
-    pub fn encrypt_bytes_with_nonce(&self, nonce: [u8; NONCE_LEN], plaintext: &[u8]) -> Ciphertext {
-        let body = self.prf.mask(&nonce, plaintext);
-        Ciphertext::new(nonce, body)
-    }
-
-    /// Encrypt raw plaintext bytes with a fresh random string.
-    pub fn encrypt_bytes(&self, plaintext: &[u8], rng: &mut impl Rng) -> Ciphertext {
-        let mut nonce = [0u8; NONCE_LEN];
-        rng.fill_bytes(&mut nonce);
-        self.encrypt_bytes_with_nonce(nonce, plaintext)
-    }
-
-    /// Decrypt to raw plaintext bytes.
-    pub fn decrypt_bytes(&self, ciphertext: &Ciphertext) -> Vec<u8> {
-        self.prf.mask(ciphertext.nonce(), ciphertext.body())
-    }
-
-    /// Encrypt a relational [`Value`] (the plaintext is its self-describing encoding).
-    pub fn encrypt_value(&self, value: &Value, rng: &mut impl Rng) -> Ciphertext {
-        self.encrypt_bytes(&value.encode(), rng)
-    }
-
-    /// Encrypt a relational [`Value`] and return it framed as a ciphertext cell.
-    pub fn encrypt_value_to_cell(&self, value: &Value, rng: &mut impl Rng) -> Value {
-        self.encrypt_value_to_cell_buffered(value, rng, &mut CellScratch::default())
-    }
-
-    /// [`ProbabilisticCipher::encrypt_value_to_cell`] with a caller-owned scratch
-    /// buffer: the value is encoded into the reused scratch and framed by
+    /// Encrypt a relational [`Value`] (the plaintext is its self-describing
+    /// encoding) into one ciphertext cell, through a caller-owned scratch buffer:
+    /// the value is encoded into the reused scratch and framed by
     /// [`ProbabilisticCipher::append_cell`], and the cell copies the frame into the
     /// one allocation it keeps. The cell-wise probabilistic backend calls this in a
     /// loop with one scratch.
-    ///
-    /// Output is byte-identical to the unbuffered path (same RNG draws, same
-    /// `nonce ‖ body` framing).
     pub fn encrypt_value_to_cell_buffered(
         &self,
         value: &Value,
@@ -101,11 +68,6 @@ impl ProbabilisticCipher {
         out.extend_from_slice(&nonce);
         out.resize(body + plaintext.len(), 0);
         self.prf.mask_into(&nonce, plaintext, &mut out[body..]);
-    }
-
-    /// Decrypt a ciphertext back to the original [`Value`].
-    pub fn decrypt_value(&self, ciphertext: &Ciphertext) -> Result<Value> {
-        Value::decode(&self.decrypt_bytes(ciphertext)).ok_or(CryptoError::DecryptionFailed)
     }
 
     /// Decrypt a ciphertext cell (as stored in the encrypted table) back to a [`Value`].
@@ -140,10 +102,16 @@ mod tests {
         ProbabilisticCipher::new(&SecretKey::from_bytes([3u8; 16]))
     }
 
+    /// One cell through the buffered form, with a scratch of its own.
+    fn cell(c: &ProbabilisticCipher, v: &Value, rng: &mut StdRng) -> Value {
+        c.encrypt_value_to_cell_buffered(v, rng, &mut CellScratch::default())
+    }
+
     #[test]
     fn roundtrip_values() {
         let c = cipher();
         let mut rng = StdRng::seed_from_u64(1);
+        let mut scratch = CellScratch::default();
         for v in [
             Value::Null,
             Value::Int(12345),
@@ -152,30 +120,30 @@ mod tests {
             Value::Date(42),
             Value::bytes(vec![0u8; 40]),
         ] {
-            let ct = c.encrypt_value(&v, &mut rng);
-            assert_eq!(c.decrypt_value(&ct).unwrap(), v);
+            let ct = c.encrypt_value_to_cell_buffered(&v, &mut rng, &mut scratch);
+            assert_eq!(c.decrypt_cell(&ct).unwrap(), v);
         }
     }
 
     #[test]
     fn probabilistic_encryption_hides_equality() {
-        // Same plaintext, two encryptions → different ciphertexts (frequency hiding).
+        // Same plaintext, two encryptions → different cells (frequency hiding).
         let c = cipher();
         let mut rng = StdRng::seed_from_u64(2);
         let v = Value::text("a1");
-        let e1 = c.encrypt_value(&v, &mut rng);
-        let e2 = c.encrypt_value(&v, &mut rng);
+        let e1 = cell(&c, &v, &mut rng);
+        let e2 = cell(&c, &v, &mut rng);
         assert_ne!(e1, e2);
-        assert_eq!(c.decrypt_value(&e1).unwrap(), c.decrypt_value(&e2).unwrap());
+        assert_eq!(c.decrypt_cell(&e1).unwrap(), c.decrypt_cell(&e2).unwrap());
     }
 
     #[test]
-    fn same_nonce_same_ciphertext() {
-        // F² reuses one ciphertext for all members of a ciphertext instance.
+    fn same_rng_state_same_cell() {
+        // The nonce is the cipher's only randomness: equal RNG states give equal cells.
         let c = cipher();
         let v = Value::text("instance");
-        let e1 = c.encrypt_bytes_with_nonce([9u8; 16], &v.encode());
-        let e2 = c.encrypt_bytes_with_nonce([9u8; 16], &v.encode());
+        let e1 = cell(&c, &v, &mut StdRng::seed_from_u64(9));
+        let e2 = cell(&c, &v, &mut StdRng::seed_from_u64(9));
         assert_eq!(e1, e2);
     }
 
@@ -184,10 +152,10 @@ mod tests {
         let c = cipher();
         let other = ProbabilisticCipher::new(&SecretKey::from_bytes([4u8; 16]));
         let mut rng = StdRng::seed_from_u64(3);
-        let ct = c.encrypt_value(&Value::text("secret"), &mut rng);
+        let ct = cell(&c, &Value::text("secret"), &mut rng);
         // With the wrong key the mask is wrong; decoding either fails or yields a
         // different value.
-        match other.decrypt_value(&ct) {
+        match other.decrypt_cell(&ct) {
             Ok(v) => assert_ne!(v, Value::text("secret")),
             Err(e) => assert_eq!(e, CryptoError::DecryptionFailed),
         }
@@ -198,7 +166,7 @@ mod tests {
         let c = cipher();
         let mut rng = StdRng::seed_from_u64(4);
         let v = Value::Int(-9);
-        let cell = c.encrypt_value_to_cell(&v, &mut rng);
+        let cell = cell(&c, &v, &mut rng);
         assert!(cell.is_bytes());
         assert_eq!(c.decrypt_cell(&cell).unwrap(), v);
         assert!(c.decrypt_cell(&Value::text("not bytes")).is_err());
@@ -208,10 +176,11 @@ mod tests {
     #[test]
     fn append_cell_frames_like_the_cell_forms() {
         // Cells appended back to back to one buffer are the bytes the one-cell
-        // forms produce from the same RNG draws.
+        // form produces from the same RNG draws.
         let c = cipher();
         let values = [Value::Null, Value::text("x".repeat(200)), Value::Int(7), Value::text("")];
         let (mut a, mut b) = (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
+        let mut scratch = CellScratch::default();
         let mut buf = vec![0xAA];
         let mut ends = vec![buf.len()];
         for v in &values {
@@ -221,7 +190,8 @@ mod tests {
         assert_eq!(buf[0], 0xAA, "earlier bytes stay");
         for (v, span) in values.iter().zip(ends.windows(2)) {
             let cell = &buf[span[0]..span[1]];
-            assert_eq!(Some(cell), c.encrypt_value_to_cell(v, &mut b).as_bytes());
+            let one = c.encrypt_value_to_cell_buffered(v, &mut b, &mut scratch);
+            assert_eq!(Some(cell), one.as_bytes());
             assert_eq!(c.decrypt_cell(&Value::bytes(cell.to_vec())).unwrap(), *v);
         }
     }
@@ -232,10 +202,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for len in [INLINE_PLAIN - 2, INLINE_PLAIN - 1, INLINE_PLAIN, 1000] {
             let v = Value::text("y".repeat(len));
-            assert_eq!(c.decrypt_cell(&c.encrypt_value_to_cell(&v, &mut rng)).unwrap(), v);
+            assert_eq!(c.decrypt_cell(&cell(&c, &v, &mut rng)).unwrap(), v);
         }
         let short = c.decrypt_cell(&Value::bytes(vec![0u8; NONCE_LEN - 1])).unwrap_err();
-        assert_eq!(short, Ciphertext::from_bytes(&[0u8; NONCE_LEN - 1]).unwrap_err());
+        assert_eq!(short, split_cell(&[0u8; NONCE_LEN - 1]).unwrap_err());
         assert!(matches!(short, CryptoError::InvalidCiphertext(_)));
         assert!(matches!(
             c.decrypt_cell(&Value::Int(1)).unwrap_err(),
@@ -252,8 +222,10 @@ mod tests {
     fn ciphertext_length_tracks_plaintext_length() {
         let c = cipher();
         let mut rng = StdRng::seed_from_u64(5);
-        let short = c.encrypt_value(&Value::text("ab"), &mut rng);
-        let long = c.encrypt_value(&Value::text("abcdefghijklmnop"), &mut rng);
-        assert!(long.len() > short.len());
+        let short = cell(&c, &Value::text("ab"), &mut rng);
+        let long = cell(&c, &Value::text("abcdefghijklmnop"), &mut rng);
+        let len = |v: &Value| v.as_bytes().unwrap().len();
+        assert!(len(&long) > len(&short));
+        assert_eq!(len(&long) - len(&short), "abcdefghijklmnop".len() - "ab".len());
     }
 }

@@ -146,7 +146,8 @@ pub struct DeadlineGuard {
 }
 
 impl DeadlineGuard {
-    /// Whether the deadline fired (and the connection was hung up).
+    /// Whether the deadline fired. The hangup follows the flag, outside the
+    /// watchdog's lock, so it may still be under way when this first reads `true`.
     #[must_use]
     pub fn expired(&self) -> bool {
         self.expired.load(Ordering::SeqCst)
@@ -173,6 +174,15 @@ mod tests {
         }
     }
 
+    /// Poll `flag` every `step` until it is set or `budget` has passed since
+    /// `since`; returns whether it was set.
+    fn wait_for(flag: impl Fn() -> bool, since: Instant, budget: Duration, step: Duration) -> bool {
+        while !flag() && since.elapsed() < budget {
+            std::thread::sleep(step);
+        }
+        flag()
+    }
+
     #[test]
     fn an_expired_deadline_fires_and_hangs_up() {
         let deadlines = Deadlines::new();
@@ -182,11 +192,11 @@ mod tests {
             Arc::new(FlagHangup(Arc::clone(&hung))),
         );
         let waited = Instant::now();
-        while !guard.expired() && waited.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(guard.expired(), "deadline never fired");
-        assert!(hung.load(Ordering::SeqCst), "hangup was not invoked");
+        let (budget, step) = (Duration::from_secs(2), Duration::from_millis(5));
+        assert!(wait_for(|| guard.expired(), waited, budget, step), "deadline never fired");
+        // The hangup follows the flag, outside the watchdog's lock.
+        let hung_up = wait_for(|| hung.load(Ordering::SeqCst), waited, budget, step);
+        assert!(hung_up, "hangup was not invoked");
     }
 
     #[test]
@@ -233,11 +243,12 @@ mod tests {
             armed + Duration::from_millis(10),
             Arc::new(FlagHangup(Arc::clone(&near_hung))),
         );
-        while !near.expired() && armed.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(near.expired(), "near deadline waited behind the far one");
-        assert!(near_hung.load(Ordering::SeqCst), "hangup was not invoked");
+        let (budget, step) = (Duration::from_secs(2), Duration::from_millis(1));
+        let fired = wait_for(|| near.expired(), armed, budget, step);
+        assert!(fired, "near deadline waited behind the far one");
+        // The hangup follows the flag, outside the watchdog's lock.
+        let hung_up = wait_for(|| near_hung.load(Ordering::SeqCst), armed, budget, step);
+        assert!(hung_up, "hangup was not invoked");
         assert!(armed.elapsed() >= Duration::from_millis(10), "near deadline fired early");
         assert!(!far.expired(), "far deadline fired with the near one");
         assert!(!far_hung.load(Ordering::SeqCst));

@@ -91,8 +91,7 @@
 //! or `PaillierScheme::new(512, seed)?` (hides frequencies, destroys FDs, slow) both
 //! implement [`Scheme`] — which is how the benchmark registry and the attack harness
 //! compare all of them with shared code. F²'s provenance, MAS sets and plaintext
-//! schema remain reachable via [`SchemeOutcome::f2_state`], and the lower-level
-//! [`F2Encryptor`] / [`F2Decryptor`] API is still exported for direct use.
+//! schema are reachable via [`SchemeOutcome::f2_state`].
 //!
 //! ## Streaming outsourcing
 //!
@@ -133,9 +132,9 @@ pub use f2_relation as relation;
 pub use f2_server as server;
 
 pub use f2_core::{
-    ChunkState, DetScheme, EncryptionOutcome, EncryptionReport, F2Builder, F2Config, F2Decryptor,
-    F2Encryptor, F2Error, F2OwnerState, F2Scheme, OwnerState, PaillierFraming, PaillierScheme,
-    ProbScheme, Provenance, RowOrigin, Scheme, SchemeOutcome, F2,
+    ChunkState, DetScheme, EncryptionReport, F2Builder, F2Config, F2Error, F2OwnerState, F2Scheme,
+    OwnerState, PaillierFraming, PaillierScheme, ProbScheme, Provenance, RowOrigin, Scheme,
+    SchemeOutcome, F2,
 };
 pub use f2_engine::{
     decrypt_streaming_lossy, ChunkRecord, DamageReport, Engine, EngineConfig, EngineError,

@@ -2,11 +2,10 @@
 //! the FDs of the encrypted table are exactly the FDs of the original table —
 //! nothing is lost, and no false positive is introduced.
 
-use f2::crypto::MasterKey;
 use f2::fd::oracle::brute_force_fds;
 use f2::fd::tane::discover_fds;
 use f2::relation::{table, Partition};
-use f2::{AttrSet, F2Config, F2Encryptor, Table};
+use f2::{AttrSet, Scheme, Table, F2};
 use f2_datagen::{CustomerConfig, CustomerGenerator, Dataset};
 
 /// Check FD preservation the way the paper's Theorem 3.7 guarantees it: every
@@ -16,11 +15,8 @@ use f2_datagen::{CustomerConfig, CustomerGenerator, Dataset};
 /// single value into several ciphertexts, so the encrypted attribute is no longer
 /// constant.
 fn assert_fds_preserved(plain: &Table, alpha: f64, split: usize, seed: u64) {
-    let encryptor = F2Encryptor::new(
-        F2Config::new(alpha, split).unwrap().with_seed(seed),
-        MasterKey::from_seed(seed),
-    );
-    let outcome = encryptor.encrypt(plain).unwrap();
+    let scheme = F2::builder().alpha(alpha).split_factor(split).seed(seed).build().unwrap();
+    let outcome = scheme.encrypt(plain).unwrap();
     assert_interned_partitions_match_generic(&outcome.encrypted);
     let plain_fds = discover_fds(plain);
     let cipher_fds = discover_fds(&outcome.encrypted);

@@ -2,32 +2,34 @@
 //! α-security measurements, and the overhead bounds claimed by Theorems 3.3 and 3.6.
 
 use f2::attack::{AttackExperiment, FrequencyAttacker, KerckhoffsAttacker};
-use f2::crypto::MasterKey;
-use f2::{F2Config, F2Decryptor, F2Encryptor};
+use f2::{AttrSet, F2Scheme, Scheme, SchemeOutcome, Table, F2};
 use f2_datagen::Dataset;
 use std::collections::HashMap;
 
+/// Encrypt a generated dataset the way the owner does: through the `Scheme` that
+/// `F2::builder` returns (seed 99 drives both the nonces and the master key).
 fn encrypt(
     dataset: Dataset,
     rows: usize,
     alpha: f64,
     split: usize,
-) -> (f2::Table, f2::EncryptionOutcome) {
+) -> (Table, F2Scheme, SchemeOutcome) {
     let plain = dataset.generate(rows, 77);
-    let enc = F2Encryptor::new(
-        F2Config::new(alpha, split).unwrap().with_seed(99),
-        MasterKey::from_seed(99),
-    );
-    let out = enc.encrypt(&plain).unwrap();
-    (plain, out)
+    let scheme = F2::builder().alpha(alpha).split_factor(split).seed(99).build().unwrap();
+    let out = scheme.encrypt(&plain).unwrap();
+    (plain, scheme, out)
+}
+
+/// The maximal attribute sets Step 1 found, from the owner state.
+fn mas_sets(out: &SchemeOutcome) -> &[AttrSet] {
+    &out.f2_state().expect("an F² owner state").mas_sets
 }
 
 #[test]
 fn roundtrip_on_generated_datasets() {
     for dataset in [Dataset::Orders, Dataset::Customer, Dataset::Synthetic] {
-        let (plain, out) = encrypt(dataset, 120, 0.34, 2);
-        let dec = F2Decryptor::new(MasterKey::from_seed(99));
-        let recovered = dec.recover_from_outcome(&out).unwrap();
+        let (plain, scheme, out) = encrypt(dataset, 120, 0.34, 2);
+        let recovered = scheme.decrypt(&out).unwrap();
         assert!(recovered.multiset_eq(&plain), "round-trip failed on {}", dataset.name());
     }
 }
@@ -39,9 +41,9 @@ fn ciphertext_frequencies_are_homogenised_within_ecgs() {
     // frequency class must contain at least k = ⌈1/α⌉ distinct ciphertext combinations
     // (this is exactly the property that gives α-security in §4.1).
     let alpha = 0.34;
-    let (_, out) = encrypt(Dataset::Orders, 200, alpha, 2);
+    let (_, _, out) = encrypt(Dataset::Orders, 200, alpha, 2);
     let k = (1.0f64 / alpha).ceil() as usize;
-    for &mas in &out.mas_sets {
+    for &mas in mas_sets(&out) {
         let hist = out.encrypted.frequency_histogram(mas);
         let mut by_freq: HashMap<usize, usize> = HashMap::new();
         for &f in hist.values() {
@@ -62,9 +64,9 @@ fn ciphertext_frequencies_are_homogenised_within_ecgs() {
 #[test]
 fn empirical_alpha_security_holds() {
     let alpha = 0.25;
-    let (plain, out) = encrypt(Dataset::Orders, 250, alpha, 2);
-    for &mas in out.mas_sets.iter().take(2) {
-        let exp = AttackExperiment::for_f2_outcome(&plain, &out, mas);
+    let (plain, scheme, out) = encrypt(Dataset::Orders, 250, alpha, 2);
+    for &mas in mas_sets(&out).iter().take(2) {
+        let exp = AttackExperiment::for_scheme(&plain, &scheme, &out, mas).unwrap();
         for adversary in [&FrequencyAttacker as &dyn f2::attack::Adversary, &KerckhoffsAttacker] {
             let outcome = exp.run(adversary, 800, 5);
             assert!(
@@ -80,7 +82,7 @@ fn empirical_alpha_security_holds() {
 
 #[test]
 fn overhead_bounds_from_the_theorems() {
-    let (plain, out) = encrypt(Dataset::Synthetic, 300, 0.34, 2);
+    let (plain, _, out) = encrypt(Dataset::Synthetic, 300, 0.34, 2);
     let report = &out.report;
     let n = plain.row_count();
     let h = report.overlapping_mas_pairs;
@@ -105,7 +107,7 @@ fn overhead_bounds_from_the_theorems() {
 #[test]
 fn encrypted_table_survives_csv_roundtrip() {
     // The outsourcing workflow ships the encrypted table as CSV; nothing may be lost.
-    let (_, out) = encrypt(Dataset::Customer, 80, 0.5, 2);
+    let (_, _, out) = encrypt(Dataset::Customer, 80, 0.5, 2);
     let csv = f2::relation::csv::to_csv_string(&out.encrypted);
     let back = f2::relation::csv::from_csv_string(out.encrypted.schema(), &csv).unwrap();
     assert_eq!(back, out.encrypted);
@@ -113,7 +115,7 @@ fn encrypted_table_survives_csv_roundtrip() {
 
 #[test]
 fn report_timings_are_consistent() {
-    let (_, out) = encrypt(Dataset::Orders, 150, 0.5, 2);
+    let (_, _, out) = encrypt(Dataset::Orders, 150, 0.5, 2);
     let t = &out.report.timings;
     assert!(t.total() >= t.max);
     assert!(t.total() >= t.sse);
