@@ -14,17 +14,12 @@ pub struct F2Config {
     /// Seed for the encryption RNG (nonce generation, fake-value shuffling). Two runs
     /// with the same seed, key and input produce identical ciphertext tables.
     pub seed: u64,
-    /// Safety refinement: never split an equivalence class so far
-    /// that an instance retains fewer than this many *real* rows. The paper's proof of
-    /// Theorem 3.7 implicitly relies on split instances still witnessing FD violations
-    /// for attributes outside the MAS; keeping ≥ 2 real rows per instance guarantees it.
-    pub min_real_rows_per_instance: usize,
 }
 
 impl F2Config {
     /// Create a configuration with the given α and ϖ, validating ranges.
     pub fn new(alpha: f64, split_factor: usize) -> Result<Self> {
-        let config = F2Config { alpha, split_factor, seed: 0x5eed, min_real_rows_per_instance: 2 };
+        let config = F2Config { alpha, split_factor, seed: 0x5eed };
         config.validate()?;
         Ok(config)
     }
@@ -40,9 +35,6 @@ impl F2Config {
         if self.split_factor == 0 {
             return Err(F2Error::InvalidConfig("split factor ϖ must be ≥ 1".into()));
         }
-        if self.min_real_rows_per_instance == 0 {
-            return Err(F2Error::InvalidConfig("min_real_rows_per_instance must be ≥ 1".into()));
-        }
         Ok(())
     }
 
@@ -54,7 +46,7 @@ impl F2Config {
 
 impl Default for F2Config {
     fn default() -> Self {
-        F2Config { alpha: 0.2, split_factor: 2, seed: 0x5eed, min_real_rows_per_instance: 2 }
+        F2Config { alpha: 0.2, split_factor: 2, seed: 0x5eed }
     }
 }
 
@@ -78,7 +70,5 @@ mod tests {
         assert!(F2Config::new(-0.5, 2).is_err());
         assert!(F2Config::new(1.5, 2).is_err());
         assert!(F2Config::new(0.2, 0).is_err());
-        let c = F2Config { min_real_rows_per_instance: 0, ..F2Config::default() };
-        assert!(c.validate().is_err());
     }
 }

@@ -4,8 +4,10 @@
 //! fake equivalence classes added during grouping (§3.2.1), the fresh values `v_X`,
 //! `v_Y` used by conflict resolution (§3.3), and the artificial record pairs that
 //! eliminate false-positive FDs (§3.4). The server cannot distinguish them from real
-//! values because everything is encrypted before outsourcing; the data owner recognises
-//! them after decryption by their reserved prefix.
+//! values because everything is encrypted before outsourcing. The data owner never
+//! recognises them by value either: F² decryption tells artificial rows and patched
+//! cells apart by the provenance recorded at encryption time. The reserved prefix
+//! only keeps generated values disjoint from the table's own.
 
 use f2_relation::{FastSet, Table, Value};
 
@@ -106,12 +108,6 @@ impl FakeText {
     }
 }
 
-/// Is this plaintext value one of the artificial values produced by
-/// [`FreshValueGenerator`]? (Only meaningful on the data-owner side, after decryption.)
-pub fn is_artificial_value(value: &Value) -> bool {
-    matches!(value, Value::Text(s) if s.starts_with(FAKE_PREFIX))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +120,7 @@ mod tests {
         let set: std::collections::HashSet<_> = vs.iter().collect();
         assert_eq!(set.len(), 100);
         assert_eq!(g.issued(), 100);
-        assert!(vs.iter().all(is_artificial_value));
+        assert!(vs.iter().all(|v| matches!(v, Value::Text(s) if s.starts_with(FAKE_PREFIX))));
     }
 
     #[test]
@@ -181,12 +177,5 @@ mod tests {
         }
         let mut past = FreshValueGenerator { counter: 1 << 32, reserved: FastSet::default() };
         assert_eq!(past.next_value(), Value::text(format!("{FAKE_PREFIX}100000000")));
-    }
-
-    #[test]
-    fn artificial_detection() {
-        assert!(is_artificial_value(&Value::text(format!("{FAKE_PREFIX}0001"))));
-        assert!(!is_artificial_value(&Value::text("Hoboken")));
-        assert!(!is_artificial_value(&Value::Int(3)));
     }
 }

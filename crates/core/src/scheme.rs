@@ -10,8 +10,7 @@
 //!
 //! * [`Scheme`] — `name` / `encrypt` / `decrypt`, the ground-truth row mapping
 //!   ([`Scheme::real_rows`]) the α-security experiment needs, and the chunking hooks
-//!   the streaming engine drives ([`Scheme::reseeded`], [`Scheme::encrypt_view`],
-//!   [`Scheme::rederive_chunk_report`]);
+//!   the streaming engine drives ([`Scheme::reseeded`], [`Scheme::encrypt_view`]);
 //! * [`SchemeOutcome`] — what every backend produces: the encrypted table, its
 //!   [`OwnerState`], and an [`EncryptionReport`];
 //! * [`OwnerState`] — the two owner-state shapes the backends keep (F²'s provenance
@@ -104,22 +103,6 @@ pub trait Scheme: Send + Sync {
     fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
         self.encrypt(&view.to_table())
     }
-
-    /// Reconstruct the **persisted** (timing-free) [`EncryptionReport`] contribution
-    /// of an already-encrypted chunk of `rows` input rows, without re-encrypting it —
-    /// or `None` when this backend's report carries planning statistics that only
-    /// encryption can produce.
-    ///
-    /// Crash-safe resume (`f2_engine::Engine::resume_streaming`) rebuilds a stream's
-    /// trailer from the chunk frames already on disk; the wire format stores no
-    /// per-chunk report, so the report must be re-derivable. The cell-wise baselines
-    /// override this (their report is just the input row count); F² keeps the `None`
-    /// default, making resume fall back to re-encrypting — and thereby verifying —
-    /// the already-written chunks.
-    fn rederive_chunk_report(&self, rows: usize) -> Option<EncryptionReport> {
-        let _ = rows;
-        None
-    }
 }
 
 /// One encrypted chunk's owner state, positioned inside the merged table, as handed to
@@ -132,16 +115,6 @@ pub struct ChunkState {
     pub output_offset: usize,
     /// The chunk's own owner state, exactly as its `encrypt` call produced it.
     pub state: OwnerState,
-}
-
-/// The persisted report shape shared by every cell-wise baseline: the whole chunk is
-/// original rows, no artificial rows, no planning statistics (timings are zeroed on
-/// the wire anyway).
-fn cell_wise_chunk_report(rows: usize) -> EncryptionReport {
-    EncryptionReport {
-        overhead: OverheadBreakdown { original_rows: rows, ..OverheadBreakdown::default() },
-        ..EncryptionReport::default()
-    }
 }
 
 /// Deterministic fingerprint of a relation's schema and contents.
@@ -389,7 +362,6 @@ impl F2 {
     ///     .alpha(0.2)
     ///     .split_factor(2)
     ///     .seed(7)
-    ///     .min_real_rows(2)
     ///     .build()
     ///     .unwrap();
     /// ```
@@ -400,9 +372,8 @@ impl F2 {
 
 /// Fluent builder for [`F2Scheme`], the one way to construct it.
 ///
-/// Defaults match [`F2Config::default`]: α = 0.2, ϖ = 2, seed `0x5eed`, minimum 2 real
-/// rows per split instance, and a master key derived from the seed unless
-/// [`F2Builder::master_key`] provides one.
+/// Defaults match [`F2Config::default`]: α = 0.2, ϖ = 2, seed `0x5eed`, and a master
+/// key derived from the seed unless [`F2Builder::master_key`] provides one.
 #[derive(Debug, Clone, Default)]
 pub struct F2Builder {
     config: F2Config,
@@ -435,12 +406,6 @@ impl F2Builder {
     /// ciphertext must remain decryptable across processes.
     pub fn seed_from_entropy(self) -> Self {
         self.seed(f2_crypto::entropy_seed())
-    }
-
-    /// Set the minimum number of real rows retained per split instance (must be ≥ 1).
-    pub fn min_real_rows(mut self, min_real_rows: usize) -> Self {
-        self.config.min_real_rows_per_instance = min_real_rows;
-        self
     }
 
     /// Supply the data owner's master key explicitly instead of deriving it from the
@@ -557,10 +522,6 @@ impl Scheme for DetScheme {
         let ciphers = self.ciphers(view.arity());
         encrypt_cell_wise(view.schema(), view.rows(), |attr, v| Ok(ciphers[attr].encrypt_value(v)))
     }
-
-    fn rederive_chunk_report(&self, rows: usize) -> Option<EncryptionReport> {
-        Some(cell_wise_chunk_report(rows))
-    }
 }
 
 // ─────────────────────────── Probabilistic PRF baseline ────────────────────────────
@@ -628,10 +589,6 @@ impl Scheme for ProbScheme {
         // Zero-copy: the fingerprint and the cell loop both run off the borrowed
         // rows, so the output is byte-identical to encrypting a materialised copy.
         self.encrypt_rows(view.schema(), view.rows())
-    }
-
-    fn rederive_chunk_report(&self, rows: usize) -> Option<EncryptionReport> {
-        Some(cell_wise_chunk_report(rows))
     }
 }
 
@@ -1007,10 +964,6 @@ impl Scheme for PaillierScheme {
             PaillierFraming::PackedRows => self.encrypt_packed(view.schema(), view.rows()),
         }
     }
-
-    fn rederive_chunk_report(&self, rows: usize) -> Option<EncryptionReport> {
-        Some(cell_wise_chunk_report(rows))
-    }
 }
 
 #[cfg(test)]
@@ -1060,7 +1013,6 @@ mod tests {
         assert!(F2::builder().alpha(0.0).build().is_err());
         assert!(F2::builder().alpha(1.5).build().is_err());
         assert!(F2::builder().split_factor(0).build().is_err());
-        assert!(F2::builder().min_real_rows(0).build().is_err());
         let scheme = F2::builder().alpha(0.25).split_factor(3).seed(9).build().unwrap();
         assert_eq!(scheme.config().alpha, 0.25);
         assert_eq!(scheme.config().split_factor, 3);

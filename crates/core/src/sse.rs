@@ -13,6 +13,12 @@ use crate::split::plan_split;
 use f2_relation::{AttrSet, Partition, RowId, Table, Value};
 use std::sync::Arc;
 
+/// Safety floor of the split: no equivalence class is split so far that an instance
+/// keeps fewer than this many *real* rows. The paper's proof of Theorem 3.7 relies on
+/// split instances still witnessing FD violations for attributes outside the MAS, and
+/// two real rows per instance guarantee it; a lower floor could only weaken that.
+const MIN_REAL_ROWS_PER_INSTANCE: usize = 2;
+
 /// One ciphertext instance of a MAS plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstancePlan {
@@ -122,7 +128,7 @@ pub fn build_mas_plan_from(
     let mut instances = Vec::new();
     for (ecg_index, group) in groups.iter().enumerate() {
         let sizes: Vec<usize> = group.members.iter().map(|m| m.size()).collect();
-        let plan = plan_split(&sizes, config.split_factor, config.min_real_rows_per_instance);
+        let plan = plan_split(&sizes, config.split_factor, MIN_REAL_ROWS_PER_INSTANCE);
         for (member, member_plan) in group.members.iter().zip(plan.members.iter()) {
             // Distribute the member's rows over its instances according to the planned
             // base frequencies.

@@ -136,7 +136,7 @@ fn tables() -> &'static AesTables {
 /// SubBytes/ShiftRows/MixColumns with bit-serial GF(2⁸) multiplications. Decryption
 /// (rare by comparison) keeps the byte-wise inverse rounds, with per-constant
 /// multiplication tables replacing `gf_mul` in InvMixColumns. The instance stores
-/// only the expanded key; all tables live in the process-wide [`tables`] cache.
+/// only the expanded key; all tables live in the process-wide `tables` cache.
 #[derive(Clone)]
 pub struct Aes128 {
     round_keys: [[u8; 16]; NR + 1],

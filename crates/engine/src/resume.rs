@@ -15,14 +15,12 @@
 //!    continuity and seed, until the first damage (torn or checksum-failing
 //!    frame) or the trailer. Only each chunk's record is decoded, never its
 //!    table.
-//! 2. **Replay** — rebuild the running report of the chunks the prefix holds.
-//!    Backends whose per-chunk report is a pure function of the row count
-//!    ([`Scheme::rederive_chunk_report`]) rebuild it arithmetically. F²
-//!    (whose report depends on the data) re-encrypts every prefix chunk under
-//!    its stored, seed-verified chunk seed and requires the rebuilt frame
-//!    payload to CRC-match the stored one. The plaintext it re-encrypts comes
-//!    from the source when one is given — proving the source unchanged since
-//!    the interrupted run — and otherwise from decrypting the stored chunk —
+//! 2. **Replay** — rebuild the running report of the chunks the prefix holds,
+//!    the same way for every backend: re-encrypt each prefix chunk under its
+//!    stored, seed-verified chunk seed and require the rebuilt frame payload to
+//!    CRC-match the stored one. The plaintext it re-encrypts comes from the
+//!    source when one is given — proving the source unchanged since the
+//!    interrupted run — and otherwise from decrypting the stored chunk —
 //!    proving the store, owner state, and key material still agree. That
 //!    decryption is the readers' one chunk-decrypt step (see [`crate::stream`]):
 //!    it builds only the rows decryption reads, checks every cell, and refuses a
@@ -37,11 +35,10 @@
 //!    one writer every stream uses.
 //!
 //! The two entry points differ only in where the rows come from:
-//! [`Engine::resume_streaming`] continues by pulling the original source
-//! (skipping the prefix by one seek when the backend's reports are derivable
-//! and the source is a [`SeekableSource`](f2_io::SeekableSource), otherwise by
-//! pulling it), while [`Engine::resume_job`] takes no source and leaves the
-//! caller to append rows from [`StreamJob::rows`] onward.
+//! [`Engine::resume_streaming`] pulls the original source from its first row,
+//! replaying the prefix from it and continuing past it, while
+//! [`Engine::resume_job`] takes no source, replays the prefix from the store,
+//! and leaves the caller to append rows from [`StreamJob::rows`] onward.
 //!
 //! The result is **byte-identical** to the uninterrupted stream at every
 //! interruption point (pinned per backend by `tests/resume_golden.rs` and
@@ -57,9 +54,9 @@ use crate::stream::{
     decode_chunk, decode_chunk_record, decode_header, decrypt_chunk, encode_chunk,
     verify_chunk_seed, StreamOutcome, FRAME_CHUNK, FRAME_HEADER,
 };
-use f2_core::{F2Error, Result, Scheme};
+use f2_core::{F2Error, Result, Scheme, SchemeOutcome};
 use f2_io::frame::{crc32, FrameReader};
-use f2_io::{IoError, RetryPolicy, RowSource, StreamStore, TableChunk};
+use f2_io::{IoError, RetryPolicy, RowSource, StreamStore};
 use f2_relation::Schema;
 use std::io::{Read, Seek, SeekFrom};
 
@@ -68,8 +65,8 @@ use std::io::{Read, Seek, SeekFrom};
 struct StreamPrefix {
     /// Complete chunk records in order, continuity- and seed-verified.
     records: Vec<ChunkRecord>,
-    /// CRC32 of each chunk frame's (decompressed) payload — what F²'s replay
-    /// verification compares its re-encryptions against.
+    /// CRC32 of each chunk frame's (decompressed) payload — what the replay
+    /// compares its re-encryptions against.
     payload_crcs: Vec<u32>,
     /// Store offset one past the last complete chunk frame: the resume point.
     bytes: u64,
@@ -82,8 +79,8 @@ impl Engine {
     /// producing a stream **byte-identical** to the one an uninterrupted run
     /// over the same `scheme`, `source`, and engine configuration would have
     /// written. `source` must be the original source, rewound to its first
-    /// row: resume skips (or, for F², re-encrypts and verifies) the rows the
-    /// surviving prefix already covers before continuing with the rest.
+    /// row: resume re-encrypts and verifies the rows the surviving prefix
+    /// already covers before continuing with the rest.
     ///
     /// The engine seed and `chunk_rows` must match the interrupted run's; a
     /// readable header that contradicts them (or the scheme, or the source
@@ -111,7 +108,7 @@ impl Engine {
     /// A store torn before its first chunk frame starts over from scratch
     /// (exactly [`Engine::begin_job`]); a readable header that contradicts the
     /// scheme, engine configuration, or `schema` is an error, not damage. No
-    /// source is needed: F² verifies its prefix by decrypting and
+    /// source is needed: the prefix is verified by decrypting and
     /// re-encrypting the stored chunks (see the [module docs](self)), which
     /// catches a store/key mismatch before any byte of the store changes.
     pub fn resume_job<T: StreamStore>(
@@ -222,10 +219,10 @@ impl Engine {
     }
 }
 
-/// Rebuild the running totals of a scanned prefix, verifying it where the
-/// backend's reports depend on the data — the one replay behind both entry
-/// points. `source`, when given, is advanced past the prefix; `store` is read
-/// again only for F² without a source.
+/// Rebuild the running totals of a scanned prefix by re-encrypting and
+/// CRC-checking each of its chunks — the one replay behind both entry points.
+/// `source`, when given, supplies the plaintext and is advanced past the
+/// prefix; otherwise the plaintext comes from decrypting the chunks in `store`.
 fn replay_prefix<T: Read + Seek>(
     scheme: &dyn Scheme,
     prefix: &StreamPrefix,
@@ -235,38 +232,9 @@ fn replay_prefix<T: Read + Seek>(
 ) -> Result<StreamProgress> {
     let covered = prefix.records.last().map_or(0, |last| last.rows.end);
     let mut progress = StreamProgress::start();
-    let rederived: Option<Vec<_>> =
-        prefix.records.iter().map(|r| scheme.rederive_chunk_report(r.rows.len())).collect();
-    if let Some(reports) = rederived {
-        // Nothing to verify: merge the rederived reports and skip the source
-        // past the prefix — by one seek when it can, by pulling otherwise.
-        // F² never takes this path (`rederive_chunk_report` is `None`): its
-        // reports depend on the data, and its replay is the verification.
-        if let Some(source) = source {
-            if let Some(seekable) = source.as_seekable() {
-                seekable.seek_to_row(covered).map_err(|e| {
-                    F2Error::UnsupportedInput(format!(
-                        "source ended (or refused to seek) before the {covered} rows the \
-                         stream prefix covers — resume needs the original source: {e}"
-                    ))
-                })?;
-            } else {
-                for record in &prefix.records {
-                    pull_prefix_chunk(source, record, covered, retry, |_| Ok(()))?;
-                }
-            }
-        }
-        for (record, report) in prefix.records.iter().zip(&reports) {
-            progress.push(record.clone(), report);
-        }
-        return Ok(progress);
-    }
-
-    // F²: the plaintext to re-encrypt comes from the source when there is one,
-    // otherwise from decrypting the stored chunk. `Scheme::decrypt` restores
-    // original row order (provenance rows are sorted by source index), so
-    // either way re-encrypting under the chunk's recorded seed must reproduce
-    // the stored bytes exactly.
+    // `Scheme::decrypt` restores original row order (F² provenance rows are
+    // sorted by source index), so either way re-encrypting under the chunk's
+    // recorded seed must reproduce the stored bytes exactly.
     let mut plaintext = match source {
         Some(source) => Plaintext::Source(source),
         None => {
@@ -279,9 +247,9 @@ fn replay_prefix<T: Read + Seek>(
     };
     for (record, &stored_crc) in prefix.records.iter().zip(&prefix.payload_crcs) {
         let reencrypted = match &mut plaintext {
-            Plaintext::Source(source) => pull_prefix_chunk(*source, record, covered, retry, |c| {
-                encrypt_chunk(scheme, record.seed, c)
-            })?,
+            Plaintext::Source(source) => {
+                pull_prefix_chunk(scheme, *source, record, covered, retry)?
+            }
             Plaintext::Store(frames) => {
                 let frame = next_stored_frame(frames, FRAME_CHUNK)?;
                 let (stored, state, table) = decode_chunk(&frame)?;
@@ -308,7 +276,7 @@ fn replay_prefix<T: Read + Seek>(
     Ok(progress)
 }
 
-/// Where F²'s replay gets the plaintext of each prefix chunk.
+/// Where the replay gets the plaintext of each prefix chunk.
 enum Plaintext<'a, R: Read> {
     /// The original source, pulled again.
     Source(&'a mut dyn RowSource),
@@ -316,15 +284,16 @@ enum Plaintext<'a, R: Read> {
     Store(FrameReader<R>),
 }
 
-/// Pull one prefix chunk's rows again and hand them to `use_chunk`: the source
-/// must still hold exactly the rows `record` covers at that position.
-fn pull_prefix_chunk<T>(
+/// Pull one prefix chunk's rows again and re-encrypt them under the chunk's
+/// recorded seed: the source must still hold exactly the rows `record` covers
+/// at that position.
+fn pull_prefix_chunk(
+    scheme: &dyn Scheme,
     source: &mut dyn RowSource,
     record: &ChunkRecord,
     covered: usize,
     retry: &RetryPolicy,
-    use_chunk: impl FnOnce(&TableChunk<'_>) -> Result<T>,
-) -> Result<T> {
+) -> Result<SchemeOutcome> {
     let want = record.rows.len();
     pull(source, want, retry, |chunk| match chunk {
         None => Err(F2Error::UnsupportedInput(format!(
@@ -337,7 +306,7 @@ fn pull_prefix_chunk<T>(
              original source",
             chunk.row_count()
         ))),
-        Some(chunk) => use_chunk(&chunk),
+        Some(chunk) => encrypt_chunk(scheme, record.seed, &chunk),
     })
 }
 

@@ -56,7 +56,7 @@ fn push_rest<S: Scheme, T: StreamStore>(
     mut job: StreamJob<T>,
 ) -> (f2_engine::StreamOutcome, T) {
     let mut source = TableSource::new(t);
-    source.as_seekable().expect("tables seek").seek_to_row(job.rows()).unwrap();
+    source.seek_to_row(job.rows()).unwrap();
     while let Some(chunk) = source.next_chunk(job.chunk_rows()).unwrap() {
         job.append_chunk(scheme, &chunk).unwrap();
     }
@@ -119,6 +119,8 @@ fn assert_job_resume_is_byte_exact<S: Scheme>(label: &str, scheme: &S, t: &Table
 
 #[test]
 fn an_interrupted_job_resumes_sourcelessly_and_byte_exactly_at_every_cut() {
+    // Every stored prefix chunk is decrypted and re-encrypted, and must
+    // CRC-match its frame at every cut — for both Paillier framings too.
     let t = fixture(23);
     let master = MasterKey::from_seed(41);
     assert_job_resume_is_byte_exact(
@@ -126,7 +128,11 @@ fn an_interrupted_job_resumes_sourcelessly_and_byte_exactly_at_every_cut() {
         &F2::builder().alpha(0.5).seed(41).master_key(master.clone()).build().unwrap(),
         &t,
     );
-    assert_job_resume_is_byte_exact("det", &DetScheme::new(master), &t);
+    assert_job_resume_is_byte_exact("det", &DetScheme::new(master.clone()), &t);
+    assert_job_resume_is_byte_exact("prob", &ProbScheme::new(master, 41), &t);
+    let paillier = PaillierScheme::new(64, 41).unwrap();
+    assert_job_resume_is_byte_exact("paillier", &paillier, &t);
+    assert_job_resume_is_byte_exact("paillier-packed", &paillier.clone().packed(), &t);
 }
 
 #[test]
@@ -148,34 +154,37 @@ fn resuming_a_finished_stream_reopens_after_its_last_full_chunk() {
     assert_eq!(outcome.rows, 20);
 }
 
-#[test]
-fn a_job_store_written_under_other_keys_is_refused_for_f2() {
-    // The CRC cross-check during the sourceless replay: a store produced under
-    // a different master key decrypts to garbage (or re-encrypts to different
-    // bytes), and resume_job must say so instead of splicing streams.
-    let t = fixture(23);
+/// Write a stream under `theirs`, tear it inside its third chunk frame, and
+/// demand that `resume_job` under `ours` refuses it and leaves it untouched.
+fn assert_other_keys_are_refused(label: &str, theirs: &dyn Scheme, ours: &dyn Scheme, t: &Table) {
     let engine = engine();
-    let theirs =
-        F2::builder().alpha(0.5).seed(41).master_key(MasterKey::from_seed(7)).build().unwrap();
     let mut full = Vec::new();
-    engine.run_streaming(&theirs, &mut TableSource::new(&t), &mut full).unwrap();
-
-    let ours =
-        F2::builder().alpha(0.5).seed(41).master_key(MasterKey::from_seed(8)).build().unwrap();
+    engine.run_streaming(theirs, &mut TableSource::new(t), &mut full).unwrap();
     // Two intact chunk frames and the third torn mid-frame.
     let boundaries = frame_boundaries(&full);
     let cut = (boundaries[3] + boundaries[4]) as usize / 2;
     let mut store = Cursor::new(full[..cut].to_vec());
-    let err = engine.resume_job(&ours, t.schema(), &mut store).unwrap_err();
-    let message = err.to_string();
-    assert!(
-        message.contains("key material")
-            || message.contains("decrypt")
-            || message.contains("state"),
-        "expected a key-mismatch error, got: {message}"
-    );
+    let refused = engine.resume_job(ours, t.schema(), &mut store);
+    assert!(refused.is_err(), "{label}: a store written under other keys was accepted");
     // A refused resume touches nothing: the torn tail is still there.
-    assert_eq!(store.get_ref(), &full[..cut], "a refused resume modified the store");
+    assert_eq!(store.get_ref(), &full[..cut], "{label}: a refused resume modified the store");
+}
+
+#[test]
+fn a_job_store_written_under_other_keys_is_refused_for_every_backend() {
+    // The CRC cross-check during the sourceless replay: a store produced under
+    // a different master key fails to decrypt (or re-encrypts to different
+    // bytes), and resume_job must refuse it instead of splicing streams.
+    let t = fixture(23);
+    let (theirs, ours) = (MasterKey::from_seed(7), MasterKey::from_seed(8));
+    let f2 = |master| F2::builder().alpha(0.5).seed(41).master_key(master).build().unwrap();
+    assert_other_keys_are_refused("f2", &f2(theirs.clone()), &f2(ours.clone()), &t);
+    let (det_theirs, det_ours) = (DetScheme::new(theirs.clone()), DetScheme::new(ours.clone()));
+    assert_other_keys_are_refused("det", &det_theirs, &det_ours, &t);
+    let (prob_theirs, prob_ours) = (ProbScheme::new(theirs, 41), ProbScheme::new(ours, 41));
+    assert_other_keys_are_refused("prob", &prob_theirs, &prob_ours, &t);
+    let paillier = |seed| PaillierScheme::new(64, seed).unwrap();
+    assert_other_keys_are_refused("paillier", &paillier(7), &paillier(8), &t);
 }
 
 #[test]
@@ -191,7 +200,7 @@ fn a_job_enforces_the_pull_paths_chunk_invariants() {
 
     // A short chunk is accepted once — and is final.
     let mut source = TableSource::new(&t);
-    source.as_seekable().expect("tables seek").seek_to_row(10).unwrap();
+    source.seek_to_row(10).unwrap();
     let short = source.next_chunk(5).unwrap().expect("3 rows remain");
     let owned = TableChunk::Owned(match short {
         TableChunk::Owned(table) => table,

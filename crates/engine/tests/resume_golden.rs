@@ -7,37 +7,36 @@
 //! run-varying timings, so an interrupted-then-resumed run and a clean run are
 //! indistinguishable on disk.
 //!
-//! The grid runs twice per backend: from the original (seekable) table, and
-//! from a non-seekable source with transient pull faults under a retrying
-//! engine, so the prefix is skipped or replayed by pulling and the retries
-//! fire during replay as well as after it.
+//! Every backend replays the same way: each prefix chunk is pulled from the
+//! source again, re-encrypted under its stored chunk seed, and CRC-checked
+//! against the stored frame. The grid runs twice per backend: from the
+//! original table, and from a source with transient pull faults under a
+//! retrying engine, so the retries fire during the replay as well as after it.
 //!
 //! Also pinned here: the guard rails — resuming with the wrong engine
 //! configuration, the wrong scheme, or a source that changed since the
 //! interrupted run must error rather than splice two different runs together,
-//! and must leave the store as it found it.
+//! and must leave the store as it found it, for every backend.
 
 use f2_core::{DetScheme, PaillierScheme, ProbScheme, Scheme, F2};
 use f2_crypto::MasterKey;
 use f2_engine::{Engine, EngineConfig};
 use f2_io::{
     CsvOptions, CsvSource, FaultKind, FaultPlan, FaultySource, FaultyWriter, FrameReader, IoResult,
-    RetryPolicy, RowSource, SeekableSource, TableChunk, TableSource,
+    RetryPolicy, RowSource, TableChunk, TableSource,
 };
 use f2_relation::{Schema, Table, Value};
 use std::io::{Cursor, ErrorKind};
 
-/// A [`TableSource`] wrapper that counts pulls and seeks — proof of which
-/// resume path ran.
+/// A [`TableSource`] wrapper that counts pulls — proof of what the replay read.
 struct CountingSource<'a> {
     inner: TableSource<'a>,
     pulls: usize,
-    seeks: usize,
 }
 
 impl<'a> CountingSource<'a> {
     fn new(table: &'a Table) -> Self {
-        CountingSource { inner: TableSource::new(table), pulls: 0, seeks: 0 }
+        CountingSource { inner: TableSource::new(table), pulls: 0 }
     }
 }
 
@@ -49,17 +48,6 @@ impl RowSource for CountingSource<'_> {
     fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableChunk<'_>>> {
         self.pulls += 1;
         self.inner.next_chunk(max_rows)
-    }
-
-    fn as_seekable(&mut self) -> Option<&mut dyn SeekableSource> {
-        Some(self)
-    }
-}
-
-impl SeekableSource for CountingSource<'_> {
-    fn seek_to_row(&mut self, row: usize) -> IoResult<()> {
-        self.seeks += 1;
-        self.inner.as_seekable().expect("tables seek").seek_to_row(row)
     }
 }
 
@@ -109,9 +97,7 @@ fn cut_grid(stream: &[u8]) -> Vec<usize> {
 /// prefix, and one later, where it continues past it.
 const FLAKY_PULLS: [u64; 4] = [0, 2, 3, 6];
 
-/// A non-seekable source over `t` whose pulls fail transiently at
-/// [`FLAKY_PULLS`]. `FaultySource` does not forward `as_seekable`, so resume
-/// skips (or, for F², replays) the prefix by pulling it.
+/// A source over `t` whose pulls fail transiently at [`FLAKY_PULLS`].
 fn flaky(t: &Table) -> FaultySource<TableSource<'_>> {
     let plan = FLAKY_PULLS.iter().fold(FaultPlan::new(), |plan, &at| {
         plan.with(at, FaultKind::Transient(ErrorKind::TimedOut))
@@ -120,8 +106,8 @@ fn flaky(t: &Table) -> FaultySource<TableSource<'_>> {
 }
 
 /// Resume from every cut of the uninterrupted stream and demand byte identity,
-/// once from the seekable table and once from a [`flaky`] non-seekable source
-/// under a retrying engine.
+/// once from the table and once from a [`flaky`] source under a retrying
+/// engine.
 fn assert_resume_is_byte_exact<S>(label: &str, scheme: &S, t: &Table)
 where
     S: Scheme,
@@ -193,46 +179,41 @@ fn resume_repairs_a_crash_simulated_by_a_truncating_writer() {
     assert_eq!(store.get_ref(), &full);
 }
 
-#[test]
-fn seekable_sources_resume_with_zero_prefix_pulls_for_rederivable_backends() {
-    let t = fixture(23);
-    let scheme = DetScheme::new(MasterKey::from_seed(41));
-    let engine = engine();
-    let mut full = Vec::new();
-    engine.run_streaming(&scheme, &mut TableSource::new(&t), &mut full).unwrap();
-    // Keep two complete chunk frames (10 of 23 rows already encrypted).
-    let cut = frame_boundaries(&full)[3] as usize;
-    let mut store = Cursor::new(full[..cut].to_vec());
-    let mut source = CountingSource::new(&t);
-    engine.resume_streaming(&scheme, &mut source, &mut store).unwrap();
-    assert_eq!(store.get_ref(), &full, "fast-path resume must stay byte-identical");
-    assert_eq!(source.seeks, 1, "the prefix is skipped by one seek");
-    // Only the continuation is pulled: rows 10..23 in 5-row chunks, plus the
-    // exhausting pull — never the 2 prefix chunks.
-    assert_eq!(source.pulls, 4);
+/// The four backends of the paper under one master key.
+fn backends() -> Vec<(&'static str, Box<dyn Scheme>)> {
+    let master = MasterKey::from_seed(41);
+    vec![
+        (
+            "f2",
+            Box::new(F2::builder().alpha(0.5).seed(41).master_key(master.clone()).build().unwrap()),
+        ),
+        ("det", Box::new(DetScheme::new(master.clone()))),
+        ("prob", Box::new(ProbScheme::new(master, 41))),
+        ("paillier", Box::new(PaillierScheme::new(64, 41).unwrap())),
+    ]
 }
 
 #[test]
-fn f2_keeps_the_replaying_verification_even_over_a_seekable_source() {
+fn every_backend_replays_its_prefix_by_pulling_the_source_again() {
     let t = fixture(23);
-    let scheme = F2::builder().alpha(0.5).seed(41).build().unwrap();
     let engine = engine();
-    let mut full = Vec::new();
-    engine.run_streaming(&scheme, &mut TableSource::new(&t), &mut full).unwrap();
-    let cut = frame_boundaries(&full)[3] as usize;
-    let mut store = Cursor::new(full[..cut].to_vec());
-    let mut source = CountingSource::new(&t);
-    engine.resume_streaming(&scheme, &mut source, &mut store).unwrap();
-    assert_eq!(store.get_ref(), &full);
-    // F²'s per-chunk report depends on the data, so the prefix must be
-    // re-pulled and re-encrypted — the CRC check against the stored frames is
-    // what proves the source unchanged. 2 prefix pulls + 3 continuation + EOF.
-    assert_eq!(source.seeks, 0, "no seek: the replay is the verification");
-    assert_eq!(source.pulls, 6);
+    for (label, scheme) in backends() {
+        let mut full = Vec::new();
+        engine.run_streaming(scheme.as_ref(), &mut TableSource::new(&t), &mut full).unwrap();
+        let cut = frame_boundaries(&full)[3] as usize;
+        let mut store = Cursor::new(full[..cut].to_vec());
+        let mut source = CountingSource::new(&t);
+        engine.resume_streaming(scheme.as_ref(), &mut source, &mut store).unwrap();
+        assert_eq!(store.get_ref(), &full, "{label}: the resumed stream diverged");
+        // The prefix is re-pulled and re-encrypted: the CRC check against the
+        // stored frames is what proves the source unchanged. 2 prefix pulls +
+        // 3 continuation + EOF.
+        assert_eq!(source.pulls, 6, "{label}: unexpected pull count");
+    }
 }
 
 #[test]
-fn a_csv_source_resumes_byte_identically_through_the_seek_fast_path() {
+fn a_csv_source_resumes_byte_identically_at_every_cut() {
     let mut csv = String::from("account_id,amount\n");
     for i in 0..23 {
         csv.push_str(&format!("{},{}\n", 1000 + i, i * 7));
@@ -245,7 +226,7 @@ fn a_csv_source_resumes_byte_identically_through_the_seek_fast_path() {
     for cut in cut_grid(&full) {
         let mut store = Cursor::new(full[..cut].to_vec());
         // A fresh parser per attempt, as a restarted process would open one;
-        // the forward-only seek skips the already-encrypted prefix.
+        // the replay parses the already-encrypted prefix again.
         let mut source = CsvSource::new(csv.as_bytes(), CsvOptions::csv()).unwrap();
         engine
             .resume_streaming(&scheme, &mut source, &mut store)
@@ -255,28 +236,29 @@ fn a_csv_source_resumes_byte_identically_through_the_seek_fast_path() {
 }
 
 #[test]
-fn resume_refuses_a_changed_source_for_f2() {
-    // F² re-encrypts the prefix chunks during replay and checks them against the
+fn resume_refuses_a_changed_source_for_every_backend() {
+    // The replay re-encrypts the prefix chunks and checks them against the
     // stored frames: a source that no longer holds the original rows must be
     // rejected, not silently spliced into a frankenstream.
     let t = fixture(23);
-    let scheme = F2::builder().alpha(0.5).seed(41).build().unwrap();
-    let engine = engine();
-    let mut full = Vec::new();
-    engine.run_streaming(&scheme, &mut TableSource::new(&t), &mut full).unwrap();
-    let boundaries = frame_boundaries(&full);
-    // Keep two complete chunk frames (preamble, header, chunk 0, chunk 1) and
-    // tear the third mid-frame.
-    let cut = (boundaries[3] + boundaries[4]) as usize / 2;
-
     let mut changed = t.clone();
     changed.set_cell(2, 0, Value::Int(999_999_999)).unwrap();
-    let mut store = Cursor::new(full[..cut].to_vec());
-    let err =
-        engine.resume_streaming(&scheme, &mut TableSource::new(&changed), &mut store).unwrap_err();
-    assert!(err.to_string().contains("source changed"), "{err}");
-    // A refused resume touches nothing: the torn tail is still there.
-    assert_eq!(store.get_ref(), &full[..cut], "a refused resume modified the store");
+    let engine = engine();
+    for (label, scheme) in backends() {
+        let mut full = Vec::new();
+        engine.run_streaming(scheme.as_ref(), &mut TableSource::new(&t), &mut full).unwrap();
+        let boundaries = frame_boundaries(&full);
+        // Keep two complete chunk frames (preamble, header, chunk 0, chunk 1) and
+        // tear the third mid-frame.
+        let cut = (boundaries[3] + boundaries[4]) as usize / 2;
+        let mut store = Cursor::new(full[..cut].to_vec());
+        let err = engine
+            .resume_streaming(scheme.as_ref(), &mut TableSource::new(&changed), &mut store)
+            .unwrap_err();
+        assert!(err.to_string().contains("source changed"), "{label}: {err}");
+        // A refused resume touches nothing: the torn tail is still there.
+        assert_eq!(store.get_ref(), &full[..cut], "{label}: a refused resume modified the store");
+    }
 }
 
 #[test]

@@ -20,17 +20,12 @@
 //! Chunks are handed out as [`TableChunk`], either owned (parsed fresh) or borrowed
 //! (a view); [`TableChunk::view`] is the uniform way to consume one.
 //!
-//! Two robustness hooks matter to callers that retry or resume:
-//!
-//! * **Retry-safety.** The engine's pull-retry assumes a failed `next_chunk`
-//!   consumed nothing — true for [`TableSource`], but a transient read error in
-//!   the middle of a CSV record discards the record's partially consumed bytes.
-//!   [`CsvSource::with_retry`] absorbs transient errors *below* the parser (a
-//!   [`RetryingReader`] under the [`BufRead`] buffer), so the parser only ever
-//!   sees healed reads.
-//! * **Seekability.** [`SeekableSource`] lets crash-safe resume
-//!   (`f2_engine::Engine::resume_streaming`) skip the already-encrypted prefix
-//!   by seeking to the resume row instead of re-pulling from row 0.
+//! One robustness hook matters to callers that retry: the engine's pull-retry
+//! assumes a failed `next_chunk` consumed nothing — true for [`TableSource`], but a
+//! transient read error in the middle of a CSV record discards the record's
+//! partially consumed bytes. [`CsvSource::with_retry`] absorbs transient errors
+//! *below* the parser (a [`RetryingReader`] under the [`BufRead`] buffer), so the
+//! parser only ever sees healed reads.
 
 use crate::error::{IoError, IoResult};
 use crate::retry::{RetryPolicy, RetryingReader};
@@ -55,26 +50,6 @@ pub trait RowSource {
     /// Produce the next chunk of at most `max_rows` rows (`max_rows ≥ 1`), or `None`
     /// when the source is exhausted.
     fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableChunk<'_>>>;
-
-    /// The source as a [`SeekableSource`], when it supports seeking. The default
-    /// is `None`; resumable pipelines use this to skip an already-processed
-    /// prefix instead of re-pulling it row by row.
-    fn as_seekable(&mut self) -> Option<&mut dyn SeekableSource> {
-        None
-    }
-}
-
-/// A [`RowSource`] that can reposition itself so the next produced row is a
-/// given 0-based data row.
-///
-/// Contract: after `seek_to_row(n)` succeeds, the next `next_chunk` pull yields
-/// row `n` onward; seeking past the end of the data is an error. In-memory
-/// sources may seek anywhere; streaming sources ([`CsvSource`]) are
-/// **forward-only** — seeking behind the rows already produced is an error, not
-/// a rewind.
-pub trait SeekableSource: RowSource {
-    /// Position the source so the next produced row is data row `row` (0-based).
-    fn seek_to_row(&mut self, row: usize) -> IoResult<()>;
 }
 
 /// One chunk produced by a [`RowSource`]: parsed fresh (owned) or borrowed from an
@@ -128,6 +103,20 @@ impl<'a> TableSource<'a> {
     pub fn new(table: &'a Table) -> Self {
         TableSource { table, cursor: 0 }
     }
+
+    /// Position the source so the next produced row is data row `row` (0-based);
+    /// seeking past the end of the table is an error. A push-model client uses it
+    /// to re-send a resumed job from the rows the job already holds.
+    pub fn seek_to_row(&mut self, row: usize) -> IoResult<()> {
+        if row > self.table.row_count() {
+            return Err(IoError::Malformed(format!(
+                "seek to row {row} is past the table's {} rows",
+                self.table.row_count()
+            )));
+        }
+        self.cursor = row;
+        Ok(())
+    }
 }
 
 impl RowSource for TableSource<'_> {
@@ -147,23 +136,6 @@ impl RowSource for TableSource<'_> {
             .map_err(|e| IoError::Malformed(format!("table chunk range out of bounds: {e}")))?;
         self.cursor = end;
         Ok(Some(TableChunk::Borrowed(view)))
-    }
-
-    fn as_seekable(&mut self) -> Option<&mut dyn SeekableSource> {
-        Some(self)
-    }
-}
-
-impl SeekableSource for TableSource<'_> {
-    fn seek_to_row(&mut self, row: usize) -> IoResult<()> {
-        if row > self.table.row_count() {
-            return Err(IoError::Malformed(format!(
-                "seek to row {row} is past the table's {} rows",
-                self.table.row_count()
-            )));
-        }
-        self.cursor = row;
-        Ok(())
     }
 }
 
@@ -235,9 +207,6 @@ pub struct CsvSource<R: BufRead> {
     coerced_cells: u64,
     /// 1-based line of the most recently *started* record (header = line 1).
     line: u64,
-    /// Data rows already handed out through `next_chunk` (or skipped by
-    /// [`SeekableSource::seek_to_row`]) — the seek cursor.
-    rows_consumed: usize,
     exhausted: bool,
 }
 
@@ -278,7 +247,6 @@ impl<R: BufRead> CsvSource<R> {
                 .map_err(|e| IoError::Malformed(format!("empty schema rejected: {e}")))?,
             buffered: VecDeque::new(),
             line: 0,
-            rows_consumed: 0,
             exhausted: false,
             inferred_types: options.schema.is_none(),
             coerce_to_text: options.coerce_to_text,
@@ -428,12 +396,6 @@ impl<R: BufRead> CsvSource<R> {
     pub fn coerced_cells(&self) -> u64 {
         self.coerced_cells
     }
-
-    /// Data rows already produced through [`RowSource::next_chunk`] (or skipped
-    /// by [`SeekableSource::seek_to_row`]).
-    pub fn rows_consumed(&self) -> usize {
-        self.rows_consumed
-    }
 }
 
 impl<R: BufRead> RowSource for CsvSource<R> {
@@ -479,56 +441,9 @@ impl<R: BufRead> RowSource for CsvSource<R> {
         if records.is_empty() {
             return Ok(None);
         }
-        self.rows_consumed += records.len();
         let table = Table::new(self.schema.clone(), records)
             .map_err(|e| IoError::Malformed(format!("chunk assembly failed: {e}")))?;
         Ok(Some(TableChunk::Owned(table)))
-    }
-
-    fn as_seekable(&mut self) -> Option<&mut dyn SeekableSource> {
-        Some(self)
-    }
-}
-
-impl<R: BufRead> SeekableSource for CsvSource<R> {
-    /// Forward-only: skipped rows are read raw and checked for arity, but not
-    /// typed-parsed — a resume caller has already validated them on the first
-    /// pass, and skipping must not re-trip inference coercion or type errors.
-    fn seek_to_row(&mut self, row: usize) -> IoResult<()> {
-        if row < self.rows_consumed {
-            return Err(IoError::Malformed(format!(
-                "CsvSource is forward-only: cannot seek back to row {row} after producing {}",
-                self.rows_consumed
-            )));
-        }
-        while self.rows_consumed < row {
-            if self.buffered.pop_front().is_some() {
-                self.rows_consumed += 1;
-                continue;
-            }
-            if self.exhausted {
-                break;
-            }
-            match self.read_raw_record(self.schema.arity() != 1)? {
-                Some((line, fields)) => {
-                    if fields.len() != self.schema.arity() {
-                        return Err(arity_error(line, fields.len(), self.schema.arity()));
-                    }
-                    self.rows_consumed += 1;
-                }
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
-            }
-        }
-        if self.rows_consumed < row {
-            return Err(IoError::Malformed(format!(
-                "seek to row {row} is past the input's {} rows",
-                self.rows_consumed
-            )));
-        }
-        Ok(())
     }
 }
 
@@ -861,42 +776,14 @@ mod tests {
     }
 
     #[test]
-    fn table_source_seeks_anywhere_csv_source_seeks_forward() {
+    fn table_source_seeks_anywhere() {
         let t = f2_relation::table! { ["A"]; ["r0"], ["r1"], ["r2"], ["r3"], ["r4"] };
         let mut source = TableSource::new(&t);
-        let seekable = source.as_seekable().expect("tables are seekable");
-        seekable.seek_to_row(3).unwrap();
-        assert_eq!(source.next_chunk(10).unwrap().unwrap().row_count(), 2);
-        source.as_seekable().unwrap().seek_to_row(0).unwrap(); // rewind is fine
-        assert_eq!(source.next_chunk(10).unwrap().unwrap().row_count(), 5);
-        assert!(source.as_seekable().unwrap().seek_to_row(6).is_err());
-
-        let csv = "A,B\n1,a\n2,b\n3,c\n4,d\n5,e\n";
-        let mut source = CsvSource::new(csv.as_bytes(), CsvOptions::csv()).unwrap();
         source.seek_to_row(3).unwrap();
-        assert_eq!(source.rows_consumed(), 3);
-        let rest = concat(drain(&mut source, 10));
-        assert_eq!(rest.row_count(), 2);
-        assert_eq!(rest.cell(0, 0).unwrap(), &Value::Int(4));
-        // Forward-only: the rows are gone.
-        assert!(source.seek_to_row(1).is_err());
-        // Seeking to the current position is a no-op; past the end errors.
-        source.seek_to_row(5).unwrap();
-        let mut source = CsvSource::new(csv.as_bytes(), CsvOptions::csv()).unwrap();
-        assert!(source.seek_to_row(9).is_err());
-    }
-
-    #[test]
-    fn csv_seek_skips_past_the_inference_sample() {
-        // Seeking beyond the buffered inference sample must drop buffered rows
-        // *and* raw-skip the remainder, without typed parsing.
-        let csv =
-            format!("A\n{}\n", (1..=300).map(|i| i.to_string()).collect::<Vec<_>>().join("\n"));
-        let mut source = CsvSource::new(csv.as_bytes(), CsvOptions::csv()).unwrap();
-        source.seek_to_row(280).unwrap();
-        let rest = concat(drain(&mut source, 64));
-        assert_eq!(rest.row_count(), 20);
-        assert_eq!(rest.cell(0, 0).unwrap(), &Value::Int(281));
+        assert_eq!(source.next_chunk(10).unwrap().unwrap().row_count(), 2);
+        source.seek_to_row(0).unwrap(); // rewind is fine
+        assert_eq!(source.next_chunk(10).unwrap().unwrap().row_count(), 5);
+        assert!(source.seek_to_row(6).is_err());
     }
 
     #[test]

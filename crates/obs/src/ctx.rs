@@ -14,8 +14,7 @@
 //! request with counts ([`add_count`]) and a tenant ([`note_tenant`]) — all
 //! with **zero signature churn**: the engine and io layers never see a trace
 //! argument. When the guard completes, the accumulated per-stage breakdown
-//! becomes a [`TraceEntry`](crate::TraceEntry) in the owning
-//! [`TraceJournal`](crate::TraceJournal).
+//! becomes a [`TraceEntry`] in the owning [`TraceJournal`].
 //!
 //! When no guard is installed (every non-server code path), the hooks cost a
 //! thread-local load and an `Option` check — they never allocate, lock, or

@@ -4,7 +4,7 @@
 //! [`duplex`](crate::pipe::duplex) pipe end, a fault-injected wrapper) in the
 //! same framed, CRC-checked, retry-wrapped layers the server uses, and
 //! exposes one method per request. Typed server errors come back as the
-//! exact [`ServerError`](crate::ServerError) variant the server sent —
+//! exact [`ServerError`] variant the server sent —
 //! `Overloaded` carries its retry-after hint, `WrongChunk` the index to
 //! re-send from — so callers branch on variants, not on message strings.
 //!

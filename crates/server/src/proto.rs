@@ -17,7 +17,7 @@
 //! chunk of rows for a job token), `FINISH` (close the stream), `RESUME`
 //! (reattach to a persisted job), `METRICS` (fetch a Prometheus snapshot).
 //! Replies mirror them; errors travel as a `(code, a, b, message)` record
-//! that [`decode_error`] turns back into the exact [`ServerError`] variant.
+//! that `decode_error` turns back into the exact [`ServerError`] variant.
 
 use crate::error::{ServerError, ServerResult};
 use f2_engine::persist::{decode_table, put_schema, put_table, take_schema};

@@ -19,8 +19,8 @@
 //! restart re-derives the exact key schedule the original run used.
 //!
 //! lint: chunk-seed-authority — the per-job engine seed is derived here, once,
-//! in [`Sessions::engine_for`]; tokens are never reused across jobs
-//! ([`Sessions::allocate`] skips live *and* persisted tokens), so per-job seed
+//! in `Sessions::engine_for`; tokens are never reused across jobs
+//! (`Sessions::allocate` skips live *and* persisted tokens), so per-job seed
 //! domains stay disjoint exactly like per-chunk nonce domains.
 
 use crate::error::{ServerError, ServerResult};

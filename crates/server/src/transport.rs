@@ -5,7 +5,7 @@
 //! [`Read`]/[`Write`], a bounded I/O timeout (the idle-reaping backstop), and
 //! a [`Hangup`] handle another thread can use to kill the connection — the
 //! teeth behind request deadlines and the drain deadline. Both directions of
-//! a connection go through one [`Shared`] handle, so the frame reader and
+//! a connection go through one `Shared` handle, so the frame reader and
 //! frame sink can each own a clone while the underlying socket stays single.
 
 use std::io::{Read, Write};

@@ -11,7 +11,7 @@
 //! - a drain loses zero accepted jobs, and shed / deadline / drain events
 //!   are visible in the *served* Prometheus snapshot.
 
-use f2_core::{DetScheme, EncryptionReport, Scheme, SchemeOutcome, F2};
+use f2_core::{DetScheme, Scheme, SchemeOutcome, F2};
 use f2_crypto::MasterKey;
 use f2_engine::{chunk_seed, Engine, EngineConfig};
 use f2_io::TableSource;
@@ -243,7 +243,7 @@ fn push_through(
     };
     let mut source = TableSource::new(plan.data);
     if rows_done > 0 {
-        source.as_seekable().expect("table sources seek").seek_to_row(rows_done as usize)?;
+        source.seek_to_row(rows_done as usize)?;
     }
     let mut appends = 0;
     while let Some(chunk) = source.next_chunk(chunk_rows.max(1))? {
@@ -444,10 +444,6 @@ impl Scheme for SlowScheme {
         std::thread::sleep(self.delay);
         self.inner.encrypt_view(view)
     }
-
-    fn rederive_chunk_report(&self, rows: usize) -> Option<EncryptionReport> {
-        self.inner.rederive_chunk_report(rows)
-    }
 }
 
 /// An append that outlives its deadline gets the connection hung up, the
@@ -599,11 +595,7 @@ fn a_drain_preserves_half_finished_jobs_across_a_service_restart() {
         assert_eq!(ack.rows_done, chunk_rows as u64);
 
         let mut source = TableSource::new(&data);
-        source
-            .as_seekable()
-            .expect("table sources seek")
-            .seek_to_row(ack.rows_done as usize)
-            .expect("seek");
+        source.seek_to_row(ack.rows_done as usize).expect("seek");
         let mut next = ack.next_chunk;
         while let Some(chunk) = source.next_chunk(chunk_rows).expect("chunk") {
             next = client

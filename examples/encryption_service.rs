@@ -112,11 +112,7 @@ fn main() {
         resumed.next_chunk, resumed.rows_done
     );
     let mut source = TableSource::new(&lineitems);
-    source
-        .as_seekable()
-        .expect("table sources seek")
-        .seek_to_row(resumed.rows_done as usize)
-        .expect("seek");
+    source.seek_to_row(resumed.rows_done as usize).expect("seek");
     let mut next = resumed.next_chunk;
     while let Some(chunk) = source.next_chunk(chunk_rows).expect("chunk") {
         next = client.append(job.token, next, chunk.view().to_table()).expect("append").next_chunk;
@@ -153,11 +149,7 @@ fn main() {
     let mut client = Client::connect(TcpStream::connect(addr).expect("dial")).expect("connect");
     let resumed = retry_resume(&mut client, "acme", half.token, &parked);
     let mut source = TableSource::new(&parked);
-    source
-        .as_seekable()
-        .expect("table sources seek")
-        .seek_to_row(resumed.rows_done as usize)
-        .expect("seek");
+    source.seek_to_row(resumed.rows_done as usize).expect("seek");
     let mut next = resumed.next_chunk;
     while let Some(chunk) = source.next_chunk(chunk_rows).expect("chunk") {
         next = client.append(half.token, next, chunk.view().to_table()).expect("append").next_chunk;

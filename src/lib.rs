@@ -18,10 +18,9 @@
 //! * [`io`] — streaming dataset I/O: [`RowSource`] chunk producers ([`CsvSource`]
 //!   parses CSV/TSV with schema inference in constant memory, [`TableSource`] wraps
 //!   in-memory tables as zero-copy views) and the checksummed, compressed `F2WS` v2
-//!   frame stream ([`io::FrameSink`](f2_io::FrameSink) /
-//!   [`io::FrameReader`](f2_io::FrameReader)); plus the fault-tolerance toolkit:
-//!   [`RetryPolicy`] (bounded, deterministic-jitter retry of transient I/O
-//!   failures), frame-level damage recovery
+//!   frame stream ([`io::FrameSink`] / [`io::FrameReader`]); plus the
+//!   fault-tolerance toolkit: [`RetryPolicy`] (bounded, deterministic-jitter
+//!   retry of transient I/O failures), frame-level damage recovery
 //!   ([`io::FrameReader::recover`](f2_io::FrameReader::recover)), and the seeded
 //!   fault-injection harness ([`FaultPlan`] and friends) that makes failure paths
 //!   testable;
@@ -37,7 +36,7 @@
 //!   and worker panics surface as typed [`EngineError::WorkerPanicked`] errors
 //!   (see `docs/ROBUSTNESS.md`);
 //! * [`server`] — a supervised, multi-tenant encryption service over the engine's
-//!   push-model jobs: a typed, CRC-checked request protocol ([`server::proto`](f2_server::proto)),
+//!   push-model jobs: a typed, CRC-checked request protocol ([`server::proto`]),
 //!   a bounded worker pool with admission-queue load shedding (typed
 //!   [`Overloaded`](f2_server::ServerError::Overloaded) replies), per-request
 //!   deadlines fired by one watchdog thread, crash-resumable per-tenant jobs
@@ -49,8 +48,8 @@
 //! * [`datagen`] — TPC-H/TPC-C-style and synthetic workload generators used by the
 //!   evaluation;
 //! * [`obs`] — the zero-dependency telemetry layer: every pipeline stage records
-//!   into the process-wide [`obs::Registry`](f2_obs::Registry) (phase and chunk
-//!   latency histograms, frame and cipher counters), exportable as Prometheus text
+//!   into the process-wide [`obs::Registry`] (phase and chunk latency
+//!   histograms, frame and cipher counters), exportable as Prometheus text
 //!   or JSON via [`obs::Registry::write_prometheus`](f2_obs::Registry::write_prometheus) /
 //!   [`write_json`](f2_obs::Registry::write_json), and disableable at runtime for a
 //!   guaranteed-cheap no-op mode (see `docs/OBSERVABILITY.md`).

@@ -243,23 +243,19 @@ fn f2_builder_rejects_invalid_parameters() {
     assert!(F2::builder().alpha(f64::NAN).build().is_err());
     // ϖ must be ≥ 1.
     assert!(F2::builder().split_factor(0).build().is_err());
-    // min_real_rows must be ≥ 1.
-    assert!(F2::builder().min_real_rows(0).build().is_err());
     // config() surfaces the same validation without building a scheme.
     assert!(F2::builder().alpha(2.0).config().is_err());
     // The boundary values are accepted.
-    assert!(F2::builder().alpha(1.0).split_factor(1).min_real_rows(1).build().is_ok());
+    assert!(F2::builder().alpha(1.0).split_factor(1).build().is_ok());
 }
 
 #[test]
 fn f2_builder_parameters_reach_the_scheme() {
-    let scheme =
-        F2::builder().alpha(0.25).split_factor(3).seed(99).min_real_rows(4).build().unwrap();
+    let scheme = F2::builder().alpha(0.25).split_factor(3).seed(99).build().unwrap();
     let config = scheme.config();
     assert_eq!(config.alpha, 0.25);
     assert_eq!(config.split_factor, 3);
     assert_eq!(config.seed, 99);
-    assert_eq!(config.min_real_rows_per_instance, 4);
     assert_eq!(config.ecg_size(), 4);
 }
 

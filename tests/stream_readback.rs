@@ -73,7 +73,7 @@ fn read_back(scheme: &dyn Scheme, plain: &Table) {
         .unwrap_or_else(|e| panic!("{name}: resume_job: {e}"));
     assert_eq!(job.rows(), 128, "{name}: the first chunk survives the cut");
     let mut source = TableSource::new(plain);
-    source.as_seekable().expect("tables seek").seek_to_row(job.rows()).unwrap();
+    source.seek_to_row(job.rows()).unwrap();
     while let Some(chunk) = source.next_chunk(job.chunk_rows()).unwrap() {
         job.append_chunk(scheme, &chunk).unwrap_or_else(|e| panic!("{name}: append: {e}"));
     }
