@@ -60,7 +60,7 @@ fn bench_f2_phases(c: &mut Criterion) {
     });
 
     let scheme = F2::builder().alpha(0.2).split_factor(2).seed(7).build().expect("valid scheme");
-    group.bench_function("encrypt_chunk_512", |b| b.iter(|| scheme.encrypt(&chunk).unwrap()));
+    group.bench_function("encrypt_512_row_chunk", |b| b.iter(|| scheme.encrypt(&chunk).unwrap()));
 
     group.bench_function("engine_10k_1worker", |b| {
         b.iter(|| measure_engine(&scheme, &table, 1, CHUNK_ROWS, 7))

@@ -8,9 +8,11 @@
 //! can be written once against `&dyn Scheme` and run unchanged over every backend —
 //! including future ones (sharded, cached, async).
 //!
-//! * [`Scheme`] — `name` / `encrypt` / `decrypt`, the ground-truth row mapping
-//!   ([`Scheme::real_rows`]) the α-security experiment needs, and the chunking hooks
-//!   the streaming engine drives ([`Scheme::reseeded`], [`Scheme::encrypt_view`]);
+//! * [`Scheme`] — `name` / `encrypt_view` / `decrypt`, the ground-truth row mapping
+//!   ([`Scheme::real_rows`]) the α-security experiment needs, and the reseeding hook
+//!   the streaming engine drives ([`Scheme::reseeded`]). Each backend encrypts
+//!   through one body, [`Scheme::encrypt_view`], which sees a whole table and a
+//!   chunk of one alike; [`Scheme::encrypt`] is its provided whole-table wrapper;
 //! * [`SchemeOutcome`] — what every backend produces: the encrypted table, its
 //!   [`OwnerState`], and an [`EncryptionReport`];
 //! * [`OwnerState`] — the two owner-state shapes the backends keep (F²'s provenance
@@ -68,8 +70,21 @@ pub trait Scheme: Send + Sync {
     /// Short stable identifier used in reports and benchmark labels.
     fn name(&self) -> &str;
 
-    /// Encrypt a table, producing the server-visible table plus owner-side state.
-    fn encrypt(&self, table: &Table) -> Result<SchemeOutcome>;
+    /// Encrypt the rows `view` covers, producing the server-visible table plus
+    /// owner-side state — the one encryption body of every backend.
+    ///
+    /// The output depends only on the viewed rows (and the schema), never on the
+    /// rest of the parent table or on where the range sits in it: a chunk encrypts
+    /// exactly as a standalone table holding the same rows. The engine's
+    /// worker-count- and path-independence guarantees rest on this law.
+    fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome>;
+
+    /// Encrypt a whole table: [`Scheme::encrypt_view`] over a view of all its rows.
+    /// Backends implement `encrypt_view` only, so a table and a chunk of one run
+    /// the same body.
+    fn encrypt(&self, table: &Table) -> Result<SchemeOutcome> {
+        self.encrypt_view(&table.as_view())
+    }
 
     /// Recover the original table from an outcome produced by this scheme.
     fn decrypt(&self, outcome: &SchemeOutcome) -> Result<Table>;
@@ -89,20 +104,6 @@ pub trait Scheme: Send + Sync {
     /// return an unchanged clone. Key material is shared, never re-derived: a reseeded
     /// scheme's output stays decryptable by the original.
     fn reseeded(&self, seed: u64) -> Box<dyn Scheme>;
-
-    /// Encrypt one **borrowed chunk** of a larger table — the zero-copy entry point
-    /// the engine drives. Must produce exactly the bytes `Scheme::encrypt` would
-    /// produce for a standalone table holding the same rows (the engine's
-    /// worker-count- and path-independence guarantees rest on this equivalence).
-    ///
-    /// The default materialises the view ([`TableView::to_table`], which clones the
-    /// rows but inherits the chunk's dictionary-encoded index from the parent
-    /// instead of rebuilding it) and delegates to `Scheme::encrypt` — correct for
-    /// any backend. The cell-wise backends override it to encrypt straight off the
-    /// borrowed rows, cloning nothing.
-    fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
-        self.encrypt(&view.to_table())
-    }
 }
 
 /// One encrypted chunk's owner state, positioned inside the merged table, as handed to
@@ -124,9 +125,9 @@ pub struct ChunkState {
 /// cipher `⟨r, F_k(r) ⊕ p⟩`, reusing `r` across tables would XOR-leak plaintext
 /// relationships), while re-encrypting the same table stays reproducible per seed.
 ///
-/// Takes the relation as `(schema, rows)` so a whole [`Table`] and a borrowed
-/// [`TableView`] over the same rows fingerprint identically — which is what makes
-/// the engine's view path byte-identical to the materialised one.
+/// Takes the relation as `(schema, rows)` so a chunk of a larger table and a
+/// standalone table holding the same rows fingerprint identically — which is what
+/// keeps the probabilistic backends to the chunk law of [`Scheme::encrypt_view`].
 fn table_fingerprint(schema: &Schema, rows: &[Record]) -> u64 {
     use std::hash::{Hash, Hasher};
     // DefaultHasher with fixed keys: stable within and across runs of this binary.
@@ -450,8 +451,15 @@ impl Scheme for F2Scheme {
         "f2"
     }
 
-    fn encrypt(&self, table: &Table) -> Result<SchemeOutcome> {
-        crate::encryptor::encrypt(&self.config, &self.master, table)
+    /// The planner takes an owned `&Table`: a view of a whole table hands over its
+    /// parent, and any other range is materialised ([`TableView::to_table`], which
+    /// clones the rows but derives the chunk's columnar index from the parent's).
+    fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
+        if view.parent_range() == (0..view.parent().row_count()) {
+            crate::encryptor::encrypt(&self.config, &self.master, view.parent())
+        } else {
+            crate::encryptor::encrypt(&self.config, &self.master, &view.to_table())
+        }
     }
 
     fn decrypt(&self, outcome: &SchemeOutcome) -> Result<Table> {
@@ -497,13 +505,9 @@ impl Scheme for DetScheme {
         "deterministic-aes"
     }
 
-    fn encrypt(&self, table: &Table) -> Result<SchemeOutcome> {
-        let ciphers = self.ciphers(table.arity());
-        encrypt_cell_wise(
-            table.schema(),
-            table.rows(),
-            |attr, v| Ok(ciphers[attr].encrypt_value(v)),
-        )
+    fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
+        let ciphers = self.ciphers(view.arity());
+        encrypt_cell_wise(view.schema(), view.rows(), |attr, v| Ok(ciphers[attr].encrypt_value(v)))
     }
 
     fn decrypt(&self, outcome: &SchemeOutcome) -> Result<Table> {
@@ -515,12 +519,6 @@ impl Scheme for DetScheme {
     // encryption-time randomness, so there is nothing to reseed
     fn reseeded(&self, _seed: u64) -> Box<dyn Scheme> {
         Box::new(self.clone())
-    }
-
-    fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
-        // Zero-copy: encrypt straight off the borrowed rows.
-        let ciphers = self.ciphers(view.arity());
-        encrypt_cell_wise(view.schema(), view.rows(), |attr, v| Ok(ciphers[attr].encrypt_value(v)))
     }
 }
 
@@ -551,11 +549,15 @@ impl ProbScheme {
     fn ciphers(&self, arity: usize) -> Vec<ProbabilisticCipher> {
         (0..arity).map(|a| ProbabilisticCipher::new(&self.master.attribute_key(a))).collect()
     }
+}
 
-    /// The shared cell-wise path of `encrypt` and `encrypt_view`: encrypt `rows`
-    /// under a nonce stream seeded by the relation fingerprint. The caller hands in
-    /// whichever borrowed rows it has — no clone either way.
-    fn encrypt_rows(&self, schema: &Schema, rows: &[Record]) -> Result<SchemeOutcome> {
+impl Scheme for ProbScheme {
+    fn name(&self) -> &str {
+        "probabilistic-prf"
+    }
+
+    fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
+        let (schema, rows) = (view.schema(), view.rows());
         let ciphers = self.ciphers(schema.arity());
         // Fold the relation fingerprint into the seed: nonce streams must never
         // repeat across encryptions of different tables (two-time-pad otherwise).
@@ -565,16 +567,6 @@ impl ProbScheme {
             Ok(ciphers[attr].encrypt_value_to_cell_buffered(v, &mut rng, &mut scratch))
         })
     }
-}
-
-impl Scheme for ProbScheme {
-    fn name(&self) -> &str {
-        "probabilistic-prf"
-    }
-
-    fn encrypt(&self, table: &Table) -> Result<SchemeOutcome> {
-        self.encrypt_rows(table.schema(), table.rows())
-    }
 
     fn decrypt(&self, outcome: &SchemeOutcome) -> Result<Table> {
         let ciphers = self.ciphers(outcome.encrypted.arity());
@@ -583,12 +575,6 @@ impl Scheme for ProbScheme {
 
     fn reseeded(&self, seed: u64) -> Box<dyn Scheme> {
         Box::new(ProbScheme::new(self.master.clone(), seed))
-    }
-
-    fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
-        // Zero-copy: the fingerprint and the cell loop both run off the borrowed
-        // rows, so the output is byte-identical to encrypting a materialised copy.
-        self.encrypt_rows(view.schema(), view.rows())
     }
 }
 
@@ -937,10 +923,10 @@ impl Scheme for PaillierScheme {
         }
     }
 
-    fn encrypt(&self, table: &Table) -> Result<SchemeOutcome> {
+    fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
         match self.framing {
-            PaillierFraming::PerCell => self.encrypt_per_cell(table.schema(), table.rows()),
-            PaillierFraming::PackedRows => self.encrypt_packed(table.schema(), table.rows()),
+            PaillierFraming::PerCell => self.encrypt_per_cell(view.schema(), view.rows()),
+            PaillierFraming::PackedRows => self.encrypt_packed(view.schema(), view.rows()),
         }
     }
 
@@ -955,14 +941,6 @@ impl Scheme for PaillierScheme {
 
     fn reseeded(&self, seed: u64) -> Box<dyn Scheme> {
         Box::new(PaillierScheme { keypair: self.keypair.clone(), seed, framing: self.framing })
-    }
-
-    fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
-        // Zero-copy: both framings consume borrowed rows directly.
-        match self.framing {
-            PaillierFraming::PerCell => self.encrypt_per_cell(view.schema(), view.rows()),
-            PaillierFraming::PackedRows => self.encrypt_packed(view.schema(), view.rows()),
-        }
     }
 }
 

@@ -8,9 +8,10 @@
 //!
 //! * [`Engine::begin_job`] truncates a [`StreamStore`] and writes the preamble
 //!   and header frame.
-//! * [`StreamJob::append_chunk`] encrypts one chunk and appends its frame —
-//!   the caller must push full `chunk_rows` chunks until the final short one,
-//!   exactly like a source on the pull path (violations are typed errors).
+//! * [`StreamJob::append_chunk`] encrypts one chunk, a [`TableView`] (of a
+//!   whole table or a range of one), and appends its frame — the caller must
+//!   push full `chunk_rows` chunks until the final short one, exactly like a
+//!   source on the pull path (violations are typed errors).
 //! * [`StreamJob::finish`] writes the trailer and end marker and reports the
 //!   stream's [`StreamOutcome`].
 //! * [`Engine::resume_job`] reopens a store torn by a crash or disconnect and
@@ -31,10 +32,10 @@
 use crate::pipeline::{chunk_seed, merge_reports, ChunkRecord, Engine};
 use crate::stream::{encode_chunk, encode_header, encode_trailer, StreamOutcome};
 use crate::stream::{FRAME_CHUNK, FRAME_HEADER, FRAME_TRAILER};
-use f2_core::{EncryptionReport, F2Error, Result, Scheme, SchemeOutcome};
+use f2_core::{EncryptionReport, F2Error, Result, Scheme};
 use f2_io::frame::FrameSink;
-use f2_io::{IoError, RetryPolicy, RetryingWriter, RowSource, StreamStore, TableChunk};
-use f2_relation::Schema;
+use f2_io::{IoError, RetryPolicy, RetryingWriter, RowSource, StreamStore};
+use f2_relation::{Schema, TableView};
 use std::io::{SeekFrom, Write};
 use std::time::Instant;
 
@@ -152,15 +153,16 @@ impl<W: Write> StreamJob<W> {
         }
     }
 
-    /// Encrypt `chunk` and append its frame, returning the chunk's provenance
-    /// record. Every chunk must hold `1..=chunk_rows` rows, and a short chunk
-    /// must be the stream's last — an append after a short chunk is a typed
-    /// error, never silent damage (chunk boundaries would diverge from the
-    /// in-memory path's).
+    /// Encrypt `chunk` under its derived chunk seed and append its frame,
+    /// returning the chunk's provenance record. Every chunk must hold
+    /// `1..=chunk_rows` rows, and a short chunk must be the stream's last — an
+    /// append after a short chunk is a typed error, never silent damage (chunk
+    /// boundaries would diverge from the in-memory path's). A caller holding
+    /// an owned table appends `&table.as_view()`.
     pub fn append_chunk(
         &mut self,
         scheme: &dyn Scheme,
-        chunk: &TableChunk<'_>,
+        chunk: &TableView<'_>,
     ) -> Result<&ChunkRecord> {
         let chunk_len = chunk.row_count();
         let index = self.progress.chunks.len();
@@ -179,7 +181,7 @@ impl<W: Write> StreamJob<W> {
         }
         let seed = chunk_seed(self.seed, index as u64);
         let start = Instant::now();
-        let outcome = encrypt_chunk(scheme, seed, chunk)?;
+        let outcome = scheme.reseeded(seed).encrypt_view(chunk)?;
         let wall = start.elapsed();
         let (rows, encrypted_rows) = (self.progress.rows, self.progress.encrypted_rows);
         let record = ChunkRecord {
@@ -214,8 +216,8 @@ impl<W: Write> StreamJob<W> {
 
     /// Pull chunks from `source` until it is exhausted, appending each — the
     /// pull loop of [`Engine::run_streaming`] and [`Engine::resume_streaming`].
-    /// Each pulled chunk (the only live copy of its plaintext) drops before the
-    /// next pull.
+    /// Each pulled chunk is a view the source lends until the next pull, which
+    /// drops it before reading more rows: one chunk of plaintext at a time.
     pub(crate) fn pump(
         &mut self,
         scheme: &dyn Scheme,
@@ -280,23 +282,6 @@ impl<W: Write> StreamJob<W> {
     }
 }
 
-/// Encrypt one chunk under `seed`. Owned chunks (e.g. freshly parsed CSV rows)
-/// go straight through `encrypt` — materialising a view of an already-owned
-/// table would just clone its rows again; borrowed chunks take the zero-copy
-/// view path. The two are byte-identical by the `encrypt_view` contract
-/// (pinned by `tests/stream_parity.rs`).
-pub(crate) fn encrypt_chunk(
-    scheme: &dyn Scheme,
-    seed: u64,
-    chunk: &TableChunk<'_>,
-) -> Result<SchemeOutcome> {
-    let reseeded = scheme.reseeded(seed);
-    match chunk {
-        TableChunk::Owned(table) => reseeded.encrypt(table),
-        TableChunk::Borrowed(view) => reseeded.encrypt_view(view),
-    }
-}
-
 /// Pull the next chunk of at most `rows` rows from `source` under `retry` and
 /// hand it (`None` once the source is exhausted) to `use_chunk`. Retrying a
 /// pull is sound only because a failed `next_chunk` consumes nothing (see the
@@ -307,7 +292,7 @@ pub(crate) fn pull<T>(
     source: &mut dyn RowSource,
     rows: usize,
     retry: &RetryPolicy,
-    use_chunk: impl FnOnce(Option<TableChunk<'_>>) -> Result<T>,
+    use_chunk: impl FnOnce(Option<TableView<'_>>) -> Result<T>,
 ) -> Result<T> {
     let mut attempts = retry.begin();
     loop {

@@ -48,7 +48,7 @@
 //! first chunk frame (torn preamble or header) has no usable prefix and is
 //! restarted from scratch. Resumes are counted in `f2_engine_resume_total`.
 
-use crate::job::{encrypt_chunk, pull, truncate_store, StreamJob, StreamProgress};
+use crate::job::{pull, truncate_store, StreamJob, StreamProgress};
 use crate::pipeline::{ChunkRecord, Engine};
 use crate::stream::{
     decode_chunk, decode_chunk_record, decode_header, decrypt_chunk, encode_chunk,
@@ -306,7 +306,7 @@ fn pull_prefix_chunk(
              original source",
             chunk.row_count()
         ))),
-        Some(chunk) => encrypt_chunk(scheme, record.seed, &chunk),
+        Some(chunk) => scheme.reseeded(record.seed).encrypt_view(&chunk),
     })
 }
 

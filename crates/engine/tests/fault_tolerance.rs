@@ -121,9 +121,6 @@ impl Scheme for PanickyScheme {
     fn name(&self) -> &str {
         self.inner.name()
     }
-    fn encrypt(&self, table: &Table) -> f2_core::Result<SchemeOutcome> {
-        self.inner.encrypt(table)
-    }
     fn decrypt(&self, outcome: &SchemeOutcome) -> f2_core::Result<Table> {
         self.inner.decrypt(outcome)
     }

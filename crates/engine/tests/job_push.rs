@@ -8,7 +8,7 @@
 use f2_core::{DetScheme, PaillierScheme, ProbScheme, Scheme, F2};
 use f2_crypto::MasterKey;
 use f2_engine::{Engine, EngineConfig, StreamJob};
-use f2_io::{FrameReader, RowSource, StreamStore, TableChunk, TableSource};
+use f2_io::{FrameReader, RowSource, StreamStore, TableSource};
 use f2_relation::Table;
 use std::io::Cursor;
 
@@ -195,18 +195,14 @@ fn a_job_enforces_the_pull_paths_chunk_invariants() {
     let mut job = engine.begin_job(&scheme, t.schema(), Cursor::new(Vec::new())).unwrap();
 
     // An oversized chunk is rejected.
-    let err = job.append_chunk(&scheme, &TableChunk::Owned(t.clone())).unwrap_err();
+    let err = job.append_chunk(&scheme, &t.as_view()).unwrap_err();
     assert!(err.to_string().contains("expected 1..="), "{err}");
 
     // A short chunk is accepted once — and is final.
     let mut source = TableSource::new(&t);
     source.seek_to_row(10).unwrap();
     let short = source.next_chunk(5).unwrap().expect("3 rows remain");
-    let owned = TableChunk::Owned(match short {
-        TableChunk::Owned(table) => table,
-        TableChunk::Borrowed(view) => view.to_table(),
-    });
-    job.append_chunk(&scheme, &owned).unwrap();
-    let err = job.append_chunk(&scheme, &owned).unwrap_err();
+    job.append_chunk(&scheme, &short).unwrap();
+    let err = job.append_chunk(&scheme, &short).unwrap_err();
     assert!(err.to_string().contains("short chunk"), "{err}");
 }

@@ -23,9 +23,9 @@ use f2_crypto::MasterKey;
 use f2_engine::{Engine, EngineConfig};
 use f2_io::{
     CsvOptions, CsvSource, FaultKind, FaultPlan, FaultySource, FaultyWriter, FrameReader, IoResult,
-    RetryPolicy, RowSource, TableChunk, TableSource,
+    RetryPolicy, RowSource, TableSource,
 };
-use f2_relation::{Schema, Table, Value};
+use f2_relation::{Schema, Table, TableView, Value};
 use std::io::{Cursor, ErrorKind};
 
 /// A [`TableSource`] wrapper that counts pulls — proof of what the replay read.
@@ -45,7 +45,7 @@ impl RowSource for CountingSource<'_> {
         self.inner.schema()
     }
 
-    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableChunk<'_>>> {
+    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableView<'_>>> {
         self.pulls += 1;
         self.inner.next_chunk(max_rows)
     }

@@ -13,9 +13,9 @@ use f2_crypto::MasterKey;
 use f2_engine::persist::encode_state;
 use f2_engine::stream::{decrypt_streaming, load_streamed_outcome};
 use f2_engine::{Engine, EngineConfig};
-use f2_io::{CsvOptions, CsvSource, IoResult, RowSource, TableChunk, TableSource};
+use f2_io::{CsvOptions, CsvSource, IoResult, RowSource, TableSource};
 use f2_relation::csv::to_csv_string;
-use f2_relation::{Schema, Table};
+use f2_relation::{Schema, Table, TableView};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -148,7 +148,7 @@ impl RowSource for LockstepSource<'_> {
         self.inner.schema()
     }
 
-    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableChunk<'_>>> {
+    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableView<'_>>> {
         assert_eq!(max_rows, self.chunk_rows, "engine must request chunk_rows per pull");
         // Writes so far: 1 preamble + 1 header frame + 1 per finished chunk.
         let finished_chunks = self.writes.borrow().saturating_sub(2);
@@ -221,14 +221,14 @@ fn oversized_and_short_chunks_from_a_hostile_source_are_rejected() {
         fn schema(&self) -> &Schema {
             self.table.schema()
         }
-        fn next_chunk(&mut self, _max: usize) -> IoResult<Option<TableChunk<'_>>> {
+        fn next_chunk(&mut self, _max: usize) -> IoResult<Option<TableView<'_>>> {
             let start = self.step;
             self.step += 2; // always 2 rows, even though chunk_rows is 4
             if start >= self.table.row_count() {
                 return Ok(None);
             }
             let end = (start + 2).min(self.table.row_count());
-            Ok(Some(TableChunk::Borrowed(self.table.view(start..end).unwrap())))
+            Ok(Some(self.table.view(start..end).unwrap()))
         }
     }
     let t = fixture(12);

@@ -26,8 +26,8 @@
 //!   `Engine::resume_streaming` repairs).
 
 use crate::error::{IoError, IoResult};
-use crate::source::{RowSource, TableChunk};
-use f2_relation::Schema;
+use crate::source::RowSource;
+use f2_relation::{Schema, TableView};
 use std::io::{ErrorKind, Read, Write};
 
 /// Advance a splitmix64 state and return the next pseudo-random word. The same
@@ -349,7 +349,7 @@ impl<S: RowSource> RowSource for FaultySource<S> {
         self.inner.schema()
     }
 
-    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableChunk<'_>>> {
+    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableView<'_>>> {
         let attempt = self.attempts;
         self.attempts += 1;
         if let Some(kind) = self.plan.take_transient_touching(attempt, 1) {

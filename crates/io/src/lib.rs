@@ -48,4 +48,4 @@ pub use fault::{Fault, FaultKind, FaultPlan, FaultyReader, FaultySource, FaultyW
 pub use frame::{crc32, Frame, FrameReader, FrameSink};
 pub use recover::{SkippedRange, StreamStore};
 pub use retry::{RetryPolicy, RetryState, RetryingReader, RetryingWriter};
-pub use source::{CsvOptions, CsvSource, RowSource, TableChunk, TableSource};
+pub use source::{CsvOptions, CsvSource, RowSource, TableSource};

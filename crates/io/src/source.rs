@@ -17,8 +17,10 @@
 //! * [`TableSource`] — adapts an in-memory [`Table`]: chunks are borrowed
 //!   [`TableView`]s, so pumping a table through the streaming path clones nothing.
 //!
-//! Chunks are handed out as [`TableChunk`], either owned (parsed fresh) or borrowed
-//! (a view); [`TableChunk::view`] is the uniform way to consume one.
+//! Every chunk is a borrowed [`TableView`]: [`TableSource`] lends a range of the
+//! table it wraps, and [`CsvSource`] lends a whole-table view of the chunk it just
+//! parsed, which it drops at the start of the next pull — so a source never holds
+//! two chunks of plaintext, and consumers handle one chunk type.
 //!
 //! One robustness hook matters to callers that retry: the engine's pull-retry
 //! assumes a failed `next_chunk` consumed nothing — true for [`TableSource`], but a
@@ -30,7 +32,7 @@
 use crate::error::{IoError, IoResult};
 use crate::retry::{RetryPolicy, RetryingReader};
 use f2_relation::csv::{parse_typed_field, read_record, split_record};
-use f2_relation::{Attribute, DataType, Record, Schema, Table, TableView, Value};
+use f2_relation::{Attribute, DataType, Record, Schema, Table, TableView};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
@@ -48,36 +50,9 @@ pub trait RowSource {
     fn schema(&self) -> &Schema;
 
     /// Produce the next chunk of at most `max_rows` rows (`max_rows ≥ 1`), or `None`
-    /// when the source is exhausted.
-    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableChunk<'_>>>;
-}
-
-/// One chunk produced by a [`RowSource`]: parsed fresh (owned) or borrowed from an
-/// in-memory table (a zero-copy view).
-#[derive(Debug)]
-pub enum TableChunk<'a> {
-    /// A chunk materialised by the source (e.g. parsed from CSV).
-    Owned(Table),
-    /// A borrowed row range of a table the source wraps.
-    Borrowed(TableView<'a>),
-}
-
-impl TableChunk<'_> {
-    /// A uniform borrowed view of the chunk's rows.
-    pub fn view(&self) -> TableView<'_> {
-        match self {
-            TableChunk::Owned(table) => table.as_view(),
-            TableChunk::Borrowed(view) => view.clone(),
-        }
-    }
-
-    /// Rows in the chunk.
-    pub fn row_count(&self) -> usize {
-        match self {
-            TableChunk::Owned(table) => table.row_count(),
-            TableChunk::Borrowed(view) => view.row_count(),
-        }
-    }
+    /// when the source is exhausted. The chunk borrows the source until the next
+    /// pull.
+    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableView<'_>>>;
 }
 
 /// Validate the shared `max_rows ≥ 1` precondition of [`RowSource::next_chunk`].
@@ -124,7 +99,7 @@ impl RowSource for TableSource<'_> {
         self.table.schema()
     }
 
-    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableChunk<'_>>> {
+    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableView<'_>>> {
         check_max_rows(max_rows)?;
         if self.cursor >= self.table.row_count() {
             return Ok(None);
@@ -135,7 +110,7 @@ impl RowSource for TableSource<'_> {
             .view(self.cursor..end)
             .map_err(|e| IoError::Malformed(format!("table chunk range out of bounds: {e}")))?;
         self.cursor = end;
-        Ok(Some(TableChunk::Borrowed(view)))
+        Ok(Some(view))
     }
 }
 
@@ -146,18 +121,17 @@ impl RowSource for TableSource<'_> {
 pub struct CsvOptions {
     delimiter: u8,
     schema: Option<Schema>,
-    coerce_to_text: bool,
 }
 
 impl CsvOptions {
     /// Comma-separated values with type inference.
     pub fn csv() -> Self {
-        CsvOptions { delimiter: b',', schema: None, coerce_to_text: false }
+        CsvOptions { delimiter: b',', schema: None }
     }
 
     /// Tab-separated values with type inference.
     pub fn tsv() -> Self {
-        CsvOptions { delimiter: b'\t', schema: None, coerce_to_text: false }
+        CsvOptions { delimiter: b'\t', schema: None }
     }
 
     /// Use an explicit schema instead of inference: the header must have the same
@@ -170,20 +144,6 @@ impl CsvOptions {
     /// Use a custom single-byte delimiter.
     pub fn with_delimiter(mut self, delimiter: u8) -> Self {
         self.delimiter = delimiter;
-        self
-    }
-
-    /// In inference mode, widen a contradicting cell to text instead of failing.
-    ///
-    /// Type inference only sees the first [`INFERENCE_SAMPLE_ROWS`] rows; a later
-    /// row can contradict the inferred type and, by default, fails the pull with a
-    /// precise line-numbered error. With coercion on, such a cell is stored as
-    /// [`Value::Text`] holding the raw field verbatim and parsing continues;
-    /// [`CsvSource::coerced_cells`] counts how many cells were widened. Explicit
-    /// schemas ([`with_schema`](Self::with_schema)) stay strict regardless — a
-    /// declared type is a contract, not a guess.
-    pub fn coerce_to_text(mut self, coerce: bool) -> Self {
-        self.coerce_to_text = coerce;
         self
     }
 }
@@ -201,10 +161,8 @@ pub struct CsvSource<R: BufRead> {
     /// Whether the schema's types were inferred from a sample (vs declared by the
     /// caller) — decides how a type mismatch on a later row is explained.
     inferred_types: bool,
-    /// Widen inference-contradicting cells to text instead of erroring.
-    coerce_to_text: bool,
-    /// Cells widened to text under [`CsvOptions::coerce_to_text`].
-    coerced_cells: u64,
+    /// The chunk the last pull parsed, lent out as a view until the next pull.
+    chunk: Option<Table>,
     /// 1-based line of the most recently *started* record (header = line 1).
     line: u64,
     exhausted: bool,
@@ -249,8 +207,7 @@ impl<R: BufRead> CsvSource<R> {
             line: 0,
             exhausted: false,
             inferred_types: options.schema.is_none(),
-            coerce_to_text: options.coerce_to_text,
-            coerced_cells: 0,
+            chunk: None,
         };
         let (_, header) = source
             .read_raw_record(false)?
@@ -351,50 +308,31 @@ impl<R: BufRead> CsvSource<R> {
     }
 
     /// Parse one raw record under the source schema.
-    fn parse_record(&mut self, fields: &[String], line: u64) -> IoResult<Record> {
+    fn parse_record(&self, fields: &[String], line: u64) -> IoResult<Record> {
         if fields.len() != self.schema.arity() {
             return Err(arity_error(line, fields.len(), self.schema.arity()));
         }
-        // Only inferred types may be coerced: an explicit schema is a contract.
-        let coerce = self.inferred_types && self.coerce_to_text;
-        let mut coerced = 0u64;
         let mut values = Vec::with_capacity(fields.len());
         for (field, attr) in fields.iter().zip(self.schema.attributes()) {
-            let value = match parse_typed_field(field, attr) {
-                Ok(value) => value,
-                Err(_) if coerce => {
-                    coerced += 1;
-                    Value::text(field.clone())
-                }
-                Err(e) => {
-                    let remedy = if self.inferred_types {
-                        format!(
-                            "{:?} was inferred for column `{}` from the first {} rows and the \
-                             row on line {line} contradicts it; pass an explicit schema \
-                             (`CsvOptions::with_schema`) to override the inference, or set \
-                             `CsvOptions::coerce_to_text(true)` to widen such cells to text",
-                            attr.data_type, attr.name, INFERENCE_SAMPLE_ROWS
-                        )
-                    } else {
-                        format!(
-                            "column `{}` is declared {:?} by the explicit schema",
-                            attr.name, attr.data_type
-                        )
-                    };
-                    return Err(IoError::Csv { line, message: format!("{e} ({remedy})") });
-                }
-            };
+            let value = parse_typed_field(field, attr).map_err(|e| {
+                let remedy = if self.inferred_types {
+                    format!(
+                        "{:?} was inferred for column `{}` from the first {} rows and the row \
+                         on line {line} contradicts it; pass an explicit schema \
+                         (`CsvOptions::with_schema`) to override the inference",
+                        attr.data_type, attr.name, INFERENCE_SAMPLE_ROWS
+                    )
+                } else {
+                    format!(
+                        "column `{}` is declared {:?} by the explicit schema",
+                        attr.name, attr.data_type
+                    )
+                };
+                IoError::Csv { line, message: format!("{e} ({remedy})") }
+            })?;
             values.push(value);
         }
-        self.coerced_cells += coerced;
         Ok(Record::new(values))
-    }
-
-    /// How many cells were widened to [`Value::Text`] under
-    /// [`CsvOptions::coerce_to_text`] so far. Always zero with an explicit schema
-    /// or with coercion off.
-    pub fn coerced_cells(&self) -> u64 {
-        self.coerced_cells
     }
 }
 
@@ -403,7 +341,10 @@ impl<R: BufRead> RowSource for CsvSource<R> {
         &self.schema
     }
 
-    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableChunk<'_>>> {
+    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableView<'_>>> {
+        // Drop the previous chunk before parsing the next: one chunk of plaintext
+        // at a time.
+        self.chunk = None;
         check_max_rows(max_rows)?;
         if self.exhausted && self.buffered.is_empty() {
             return Ok(None);
@@ -443,7 +384,7 @@ impl<R: BufRead> RowSource for CsvSource<R> {
         }
         let table = Table::new(self.schema.clone(), records)
             .map_err(|e| IoError::Malformed(format!("chunk assembly failed: {e}")))?;
-        Ok(Some(TableChunk::Owned(table)))
+        Ok(Some(self.chunk.insert(table).as_view()))
     }
 }
 
@@ -477,7 +418,7 @@ mod tests {
         let mut chunks = Vec::new();
         while let Some(chunk) = source.next_chunk(max_rows).unwrap() {
             assert!(chunk.row_count() >= 1 && chunk.row_count() <= max_rows);
-            chunks.push(chunk.view().to_table());
+            chunks.push(chunk.to_table());
         }
         chunks
     }
@@ -499,8 +440,8 @@ mod tests {
         let mut source = TableSource::new(&t);
         assert_eq!(source.schema(), t.schema());
         let first = source.next_chunk(2).unwrap().unwrap();
-        assert!(matches!(&first, TableChunk::Borrowed(v) if v.parent_range() == (0..2)));
-        drop(first);
+        assert_eq!(first.parent_range(), 0..2);
+        assert!(std::ptr::eq(first.parent(), &t), "a borrowed range of the wrapped table");
         let sizes: Vec<usize> =
             std::iter::from_fn(|| source.next_chunk(2).unwrap().map(|c| c.row_count())).collect();
         assert_eq!(sizes, vec![2, 1]);
@@ -636,54 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn coerce_to_text_widens_contradicting_cells_and_continues() {
-        // Same shape as `errors_carry_line_numbers`: an Int column inferred from
-        // 300 rows, contradicted past the sample — but with coercion on the pull
-        // survives, the offending cell holds the raw field verbatim, and parsing
-        // runs to exhaustion.
-        let csv = format!(
-            "A\n{}\nnot-a-number\n9000\n",
-            (1..=300).map(|i| i.to_string()).collect::<Vec<_>>().join("\n")
-        );
-        let mut source =
-            CsvSource::new(csv.as_bytes(), CsvOptions::csv().coerce_to_text(true)).unwrap();
-        // The schema itself is untouched: the column stays Int, only the cell widens.
-        assert_eq!(source.schema().attribute(0).unwrap().data_type, DataType::Int);
-        let all = concat(drain(&mut source, 64));
-        assert_eq!(all.row_count(), 302);
-        assert_eq!(all.cell(299, 0).unwrap(), &Value::Int(300));
-        assert_eq!(all.cell(300, 0).unwrap(), &Value::text("not-a-number"));
-        assert_eq!(all.cell(301, 0).unwrap(), &Value::Int(9000));
-        assert_eq!(source.coerced_cells(), 1);
-        // Coercion off (the default) keeps the precise error and counts nothing.
-        let mut strict = CsvSource::new(csv.as_bytes(), CsvOptions::csv()).unwrap();
-        let err = loop {
-            match strict.next_chunk(64) {
-                Ok(Some(_)) => continue,
-                Ok(None) => panic!("the contradicting row must surface"),
-                Err(e) => break e,
-            }
-        };
-        assert!(matches!(err, IoError::Csv { line: 302, .. }), "{err}");
-        assert!(err.to_string().contains("coerce_to_text"), "{err}");
-        assert_eq!(strict.coerced_cells(), 0);
-    }
-
-    #[test]
-    fn coerce_to_text_never_applies_to_explicit_schemas() {
-        // A declared type is a contract: the flag is ignored, the error stays.
-        let schema = Schema::new(vec![Attribute::new("A", DataType::Int)]).unwrap();
-        let options = CsvOptions::csv().with_schema(schema).coerce_to_text(true);
-        let mut source = CsvSource::new("A\n1\nx\n".as_bytes(), options).unwrap();
-        let first = source.next_chunk(1).unwrap().expect("row 1 parses");
-        assert_eq!(first.row_count(), 1);
-        drop(first);
-        let err = source.next_chunk(1).unwrap_err();
-        assert!(err.to_string().contains("declared Int by the explicit schema"), "{err}");
-        assert_eq!(source.coerced_cells(), 0);
-    }
-
-    #[test]
     fn rows_parsed_before_a_mid_chunk_error_are_not_lost() {
         let schema = Schema::new(vec![Attribute::new("A", DataType::Int)]).unwrap();
         let csv = "A\n1\n2\nbad\n4\n";
@@ -694,7 +587,7 @@ mod tests {
         assert!(matches!(err, IoError::Csv { line: 4, .. }), "{err}");
         // A caller that resumes still receives the rows parsed before the error
         // (only the malformed record itself is consumed).
-        let chunk = source.next_chunk(3).unwrap().unwrap().view().to_table();
+        let chunk = source.next_chunk(3).unwrap().unwrap().to_table();
         assert_eq!(
             chunk.rows().iter().map(|r| r.get(0).unwrap().clone()).collect::<Vec<_>>(),
             vec![Value::Int(1), Value::Int(2), Value::Int(4)]

@@ -39,7 +39,7 @@ fn drain_concat(source: &mut dyn RowSource, max_rows: usize) -> Table {
     let mut all = Table::empty(source.schema().clone());
     while let Some(chunk) = source.next_chunk(max_rows).expect("valid chunk") {
         assert!(chunk.row_count() >= 1 && chunk.row_count() <= max_rows);
-        all.append(chunk.view().to_table()).expect("schemas agree");
+        all.append(chunk.to_table()).expect("schemas agree");
     }
     all
 }
@@ -167,7 +167,7 @@ proptest! {
             Ok(mut source) => loop {
                 match source.next_chunk(8) {
                     Ok(Some(chunk)) => {
-                        for (_, rec) in chunk.view().to_table().iter() {
+                        for (_, rec) in chunk.to_table().iter() {
                             prop_assert_eq!(rec.arity(), 2);
                         }
                     }

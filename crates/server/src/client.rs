@@ -214,7 +214,7 @@ impl<T: Read + Write> Client<T> {
         let mut source = TableSource::new(table);
         let mut chunk_index = 0_u64;
         while let Some(chunk) = source.next_chunk(chunk_rows)? {
-            self.append(opened.token, chunk_index, chunk.view().to_table())?;
+            self.append(opened.token, chunk_index, chunk.to_table())?;
             chunk_index = chunk_index.saturating_add(1);
         }
         self.finish(opened.token)
@@ -236,7 +236,7 @@ impl<T: Read + Write> Client<T> {
             trace.last_echo = None;
             ctx
         });
-        let (ty, payload) = request.encode_traced(ctx.as_ref());
+        let (ty, payload) = request.encode(ctx.as_ref());
         // A shedding or draining server replies and hangs up without reading
         // our request, so the write may fail while a typed reply already sits
         // buffered in the transport. Always attempt the read; surface the
@@ -244,7 +244,7 @@ impl<T: Read + Write> Client<T> {
         let wrote = self.sink.write_frame(ty, &payload);
         match self.frames.next_frame() {
             Ok(Some(frame)) => {
-                let (response, echo) = Response::decode_traced(frame.frame_type, &frame.payload)?;
+                let (response, echo) = Response::decode(frame.frame_type, &frame.payload)?;
                 if let Some(trace) = self.trace.as_mut() {
                     trace.last_echo = echo;
                 }

@@ -15,7 +15,6 @@ use crate::server::Core;
 use crate::session::{Checkout, LoadedJob, Sessions};
 use crate::transport::{Hangup, Shared, Transport};
 use f2_io::frame::{FrameReader, FrameSink};
-use f2_io::TableChunk;
 use f2_relation::{Schema, Table};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -64,7 +63,7 @@ fn run_connection(
         // Decode up front (the decoder is panic-free by construction) so a
         // wire trace context, if the client sent one, governs the whole
         // request; untraced requests get server-minted ids.
-        let decoded = Request::decode_traced(frame.frame_type, &frame.payload);
+        let decoded = Request::decode(frame.frame_type, &frame.payload);
         let wire_ctx = match &decoded {
             Ok((_, ctx)) => *ctx,
             Err(_) => None,
@@ -112,7 +111,7 @@ fn run_connection(
         // stay traceless (their encoder predates the field and old clients
         // must keep decoding them).
         let (ty, payload) = match &reply {
-            Ok(response) => response.encode_traced(wire_ctx.as_ref()),
+            Ok(response) => response.encode(wire_ctx.as_ref()),
             Err(error) => proto::encode_error(error),
         };
         sink.write_frame(ty, &payload)?;
@@ -228,7 +227,7 @@ fn handle_append(
         return Err(ServerError::WrongChunk { expected, got: chunk_index });
     }
     let scheme = Arc::clone(&entry.scheme);
-    match entry.job.append_chunk(scheme.as_ref(), &TableChunk::Owned(table)) {
+    match entry.job.append_chunk(scheme.as_ref(), &table.as_view()) {
         Ok(_) => Ok(Response::Append {
             rows: as_u64(entry.job.rows()),
             encrypted_rows: as_u64(entry.job.encrypted_rows()),

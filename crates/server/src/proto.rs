@@ -58,18 +58,21 @@ pub const MAX_SCHEMA_BYTES: usize = 64 * 1024;
 /// Tag byte introducing the optional trailing trace-context field.
 ///
 /// A traced message appends `TRACE_TAG | trace_id | request_id` (17 bytes)
-/// after its base fields. [`Request::encode`] / [`Response::encode`] never emit
-/// it, so untraced messages are byte-identical to the previous protocol
-/// revision; [`Request::decode_traced`] / [`Response::decode_traced`] accept
-/// either shape, which is what keeps old and new peers interoperable.
+/// after its base fields. [`Request::encode`] / [`Response::encode`] emit it
+/// only when given a context, so untraced messages are byte-identical to the
+/// previous protocol revision; [`Request::decode`] / [`Response::decode`]
+/// accept either shape, which is what keeps old and new peers interoperable.
 pub const TRACE_TAG: u8 = 0x01;
 
-/// Append the optional trace-context tail (tag + two little-endian `u64`s,
-/// matching [`Writer`]'s integer encoding).
-fn append_trace(payload: &mut Vec<u8>, ctx: &TraceCtx) {
-    payload.push(TRACE_TAG);
-    payload.extend_from_slice(&ctx.trace_id.to_le_bytes());
-    payload.extend_from_slice(&ctx.request_id.to_le_bytes());
+/// Append the optional trace-context tail (tag + two little-endian `u64`s)
+/// and finish the payload.
+fn finish_traced(mut w: Writer, ctx: Option<&TraceCtx>) -> Vec<u8> {
+    if let Some(ctx) = ctx {
+        w.put_u8(TRACE_TAG);
+        w.put_u64(ctx.trace_id);
+        w.put_u64(ctx.request_id);
+    }
+    w.finish()
 }
 
 /// Consume the optional trace-context tail. `None` when the payload ended at
@@ -127,79 +130,47 @@ pub enum Request {
 }
 
 impl Request {
-    /// Encode into `(frame_type, payload)` for a [`f2_io::FrameSink`].
+    /// Encode into `(frame_type, payload)` for a [`f2_io::FrameSink`], with the
+    /// trace-context tail when `ctx` is given.
     #[must_use]
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        match self {
+    pub fn encode(&self, ctx: Option<&TraceCtx>) -> (u8, Vec<u8>) {
+        let mut w = Writer::raw();
+        let frame_type = match self {
             Request::Open { tenant, schema } => {
-                let mut w = Writer::raw();
                 w.put_str(tenant);
                 w.put_bytes(&encode_schema(schema));
-                (REQ_OPEN, w.finish())
+                REQ_OPEN
             }
             Request::Append { token, chunk_index, table } => {
-                let mut w = Writer::raw();
                 w.put_u64(*token);
                 w.put_u64(*chunk_index);
                 put_table(&mut w, table);
-                (REQ_APPEND, w.finish())
+                REQ_APPEND
             }
             Request::Finish { token } => {
-                let mut w = Writer::raw();
                 w.put_u64(*token);
-                (REQ_FINISH, w.finish())
+                REQ_FINISH
             }
             Request::Resume { tenant, token, schema } => {
-                let mut w = Writer::raw();
                 w.put_str(tenant);
                 w.put_u64(*token);
                 w.put_bytes(&encode_schema(schema));
-                (REQ_RESUME, w.finish())
+                REQ_RESUME
             }
-            Request::Metrics => (REQ_METRICS, Writer::raw().finish()),
-        }
+            Request::Metrics => REQ_METRICS,
+        };
+        (frame_type, finish_traced(w, ctx))
     }
 
-    /// [`Request::encode`] plus the optional trace-context tail. `None`
-    /// produces exactly the untraced encoding.
-    #[must_use]
-    pub fn encode_traced(&self, ctx: Option<&TraceCtx>) -> (u8, Vec<u8>) {
-        let (frame_type, mut payload) = self.encode();
-        if let Some(ctx) = ctx {
-            append_trace(&mut payload, ctx);
-        }
-        (frame_type, payload)
-    }
-
-    /// Decode a request frame. Any structural violation — unknown type, short
-    /// payload, trailing bytes, over-cap field — is a
-    /// [`ServerError::BadRequest`]. A trace-context tail is also rejected;
-    /// trace-aware callers use [`Request::decode_traced`].
-    pub fn decode(frame_type: u8, payload: &[u8]) -> ServerResult<Request> {
+    /// Decode a request frame plus its optional trace-context tail. Any
+    /// structural violation — unknown type, short payload, trailing bytes,
+    /// over-cap field, a malformed tail — is a [`ServerError::BadRequest`].
+    pub fn decode(frame_type: u8, payload: &[u8]) -> ServerResult<(Request, Option<TraceCtx>)> {
         let mut r = Reader::raw(payload);
-        let request = Request::decode_body(frame_type, &mut r)?;
-        r.finish().map_err(bad)?;
-        Ok(request)
-    }
-
-    /// Decode a request frame plus its optional trace-context tail.
-    pub fn decode_traced(
-        frame_type: u8,
-        payload: &[u8],
-    ) -> ServerResult<(Request, Option<TraceCtx>)> {
-        let mut r = Reader::raw(payload);
-        let request = Request::decode_body(frame_type, &mut r)?;
-        let ctx = take_trace(&mut r)?;
-        r.finish().map_err(bad)?;
-        Ok((request, ctx))
-    }
-
-    /// Parse the base fields, leaving any trailing trace tail unconsumed.
-    fn decode_body(frame_type: u8, r: &mut Reader<'_>) -> ServerResult<Request> {
         let request = match frame_type {
             REQ_OPEN => {
-                let tenant = take_tenant(r)?;
-                let schema = take_schema_blob(r)?;
+                let tenant = take_tenant(&mut r)?;
+                let schema = take_schema_blob(&mut r)?;
                 Request::Open { tenant, schema }
             }
             REQ_APPEND => {
@@ -211,9 +182,9 @@ impl Request {
             }
             REQ_FINISH => Request::Finish { token: r.u64().map_err(bad)? },
             REQ_RESUME => {
-                let tenant = take_tenant(r)?;
+                let tenant = take_tenant(&mut r)?;
                 let token = r.u64().map_err(bad)?;
-                let schema = take_schema_blob(r)?;
+                let schema = take_schema_blob(&mut r)?;
                 Request::Resume { tenant, token, schema }
             }
             REQ_METRICS => Request::Metrics,
@@ -221,7 +192,9 @@ impl Request {
                 return Err(ServerError::BadRequest(format!("unknown request frame {other:#04x}")))
             }
         };
-        Ok(request)
+        let ctx = take_trace(&mut r)?;
+        r.finish().map_err(bad)?;
+        Ok((request, ctx))
     }
 }
 
@@ -271,84 +244,51 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encode into `(frame_type, payload)` for a [`f2_io::FrameSink`].
+    /// Encode into `(frame_type, payload)` for a [`f2_io::FrameSink`], with the
+    /// trace-context tail when `ctx` is given. The service echoes the request's
+    /// context on success replies so the client can confirm which trace the
+    /// server attributed its work to.
     #[must_use]
-    pub fn encode(&self) -> (u8, Vec<u8>) {
-        match self {
+    pub fn encode(&self, ctx: Option<&TraceCtx>) -> (u8, Vec<u8>) {
+        let mut w = Writer::raw();
+        let frame_type = match self {
             Response::Open { token, chunk_rows } => {
-                let mut w = Writer::raw();
                 w.put_u64(*token);
                 w.put_u64(*chunk_rows);
-                (RESP_OPEN, w.finish())
+                RESP_OPEN
             }
             Response::Append { rows, encrypted_rows, next_chunk } => {
-                let mut w = Writer::raw();
                 w.put_u64(*rows);
                 w.put_u64(*encrypted_rows);
                 w.put_u64(*next_chunk);
-                (RESP_APPEND, w.finish())
+                RESP_APPEND
             }
             Response::Finish { rows, encrypted_rows, chunks, bytes_written } => {
-                let mut w = Writer::raw();
                 w.put_u64(*rows);
                 w.put_u64(*encrypted_rows);
                 w.put_u64(*chunks);
                 w.put_u64(*bytes_written);
-                (RESP_FINISH, w.finish())
+                RESP_FINISH
             }
             Response::Resume { token, next_chunk, rows_done, chunk_rows } => {
-                let mut w = Writer::raw();
                 w.put_u64(*token);
                 w.put_u64(*next_chunk);
                 w.put_u64(*rows_done);
                 w.put_u64(*chunk_rows);
-                (RESP_RESUME, w.finish())
+                RESP_RESUME
             }
             Response::Metrics(text) => {
-                let mut w = Writer::raw();
                 w.put_bytes(text.as_bytes());
-                (RESP_METRICS, w.finish())
+                RESP_METRICS
             }
-        }
+        };
+        (frame_type, finish_traced(w, ctx))
     }
 
-    /// [`Response::encode`] plus the optional trace-context tail. The service
-    /// echoes the request's context on success replies so the client can
-    /// confirm which trace the server attributed its work to.
-    #[must_use]
-    pub fn encode_traced(&self, ctx: Option<&TraceCtx>) -> (u8, Vec<u8>) {
-        let (frame_type, mut payload) = self.encode();
-        if let Some(ctx) = ctx {
-            append_trace(&mut payload, ctx);
-        }
-        (frame_type, payload)
-    }
-
-    /// Decode a reply frame; [`RESP_ERR`] decodes to the carried
-    /// [`ServerError`]. A trace-context tail is rejected; trace-aware callers
-    /// use [`Response::decode_traced`].
-    pub fn decode(frame_type: u8, payload: &[u8]) -> ServerResult<Response> {
-        let (response, ctx) = Response::decode_with(frame_type, payload, false)?;
-        debug_assert!(ctx.is_none());
-        Ok(response)
-    }
-
-    /// Decode a reply frame plus its optional trace-context tail. Error
-    /// replies never carry one.
-    pub fn decode_traced(
-        frame_type: u8,
-        payload: &[u8],
-    ) -> ServerResult<(Response, Option<TraceCtx>)> {
-        Response::decode_with(frame_type, payload, true)
-    }
-
-    /// Shared reply parser; `accept_trace` selects whether a trace tail is a
-    /// valid suffix or trailing garbage.
-    fn decode_with(
-        frame_type: u8,
-        payload: &[u8],
-        accept_trace: bool,
-    ) -> ServerResult<(Response, Option<TraceCtx>)> {
+    /// Decode a reply frame plus its optional trace-context tail; [`RESP_ERR`]
+    /// decodes to the carried [`ServerError`] (error replies never carry a
+    /// tail).
+    pub fn decode(frame_type: u8, payload: &[u8]) -> ServerResult<(Response, Option<TraceCtx>)> {
         let mut r = Reader::raw(payload);
         let response = match frame_type {
             RESP_OPEN => {
@@ -385,7 +325,7 @@ impl Response {
                 return Err(ServerError::BadRequest(format!("unknown reply frame {other:#04x}")))
             }
         };
-        let ctx = if accept_trace { take_trace(&mut r)? } else { None };
+        let ctx = take_trace(&mut r)?;
         r.finish().map_err(bad)?;
         Ok((response, ctx))
     }
@@ -506,8 +446,8 @@ mod tests {
             Request::Metrics,
         ];
         for req in reqs {
-            let (ty, payload) = req.encode();
-            let back = Request::decode(ty, &payload).unwrap();
+            let (ty, payload) = req.encode(None);
+            let (back, _) = Request::decode(ty, &payload).unwrap();
             assert_eq!(format!("{req:?}"), format!("{back:?}"));
         }
     }
@@ -548,7 +488,7 @@ mod tests {
     #[test]
     fn hostile_payloads_decode_to_bad_request_never_panic() {
         // Truncations, trailing garbage, unknown types: all typed errors.
-        let (ty, good) = Request::Open { tenant: "t".into(), schema: schema() }.encode();
+        let (ty, good) = Request::Open { tenant: "t".into(), schema: schema() }.encode(None);
         for cut in 0..good.len() {
             let sliced = good.get(..cut).unwrap_or(&good);
             assert!(Request::decode(ty, sliced).is_err());
@@ -569,57 +509,54 @@ mod tests {
         let ctx = TraceCtx::new(0x1111_2222_3333_4444, 0x5555_6666_7777_8888);
         let req = Request::Finish { token: 7 };
         // Traceless encode is byte-identical to the previous protocol revision.
-        let (ty, plain) = req.encode();
-        let (ty_traced, traced) = req.encode_traced(Some(&ctx));
+        let (ty, plain) = req.encode(None);
+        let (ty_traced, traced) = req.encode(Some(&ctx));
         assert_eq!(ty, ty_traced);
         assert_eq!(traced.get(..plain.len()), Some(plain.as_slice()));
         assert_eq!(traced.len(), plain.len() + 17);
-        assert_eq!(req.encode_traced(None).1, plain);
-        // Both shapes decode through decode_traced.
-        let (_, none) = Request::decode_traced(ty, &plain).unwrap();
+        // Both shapes decode.
+        let (_, none) = Request::decode(ty, &plain).unwrap();
         assert!(none.is_none());
-        let (back, some) = Request::decode_traced(ty, &traced).unwrap();
+        let (back, some) = Request::decode(ty, &traced).unwrap();
         assert!(matches!(back, Request::Finish { token: 7 }));
         assert_eq!(some, Some(ctx));
-        // The strict decoder rejects the tail — exactly what an old server
-        // does when a new client sends a traced request.
-        assert!(Request::decode(ty, &traced).is_err());
         // Success replies echo the context; error replies never carry one.
         let resp = Response::Open { token: 1, chunk_rows: 64 };
-        let (rty, rtraced) = resp.encode_traced(Some(&ctx));
-        let (_, echo) = Response::decode_traced(rty, &rtraced).unwrap();
+        let (rty, rtraced) = resp.encode(Some(&ctx));
+        let (_, echo) = Response::decode(rty, &rtraced).unwrap();
         assert_eq!(echo, Some(ctx));
         let (ety, epayload) = encode_error(&ServerError::ShuttingDown);
-        assert!(Response::decode_traced(ety, &epayload).is_err());
+        assert!(Response::decode(ety, &epayload).is_err());
     }
 
     #[test]
     fn hostile_trace_tails_error_cleanly() {
         let ctx = TraceCtx::new(1, 2);
-        let (ty, plain) = Request::Finish { token: 3 }.encode();
-        let (_, traced) = Request::Finish { token: 3 }.encode_traced(Some(&ctx));
+        let (ty, plain) = Request::Finish { token: 3 }.encode(None);
+        let (_, traced) = Request::Finish { token: 3 }.encode(Some(&ctx));
         // Every truncation strictly inside the tail is an error; cutting the
         // whole tail off yields the valid untraced shape.
         for cut in plain.len() + 1..traced.len() {
             let sliced = traced.get(..cut).unwrap_or(&traced);
-            assert!(Request::decode_traced(ty, sliced).is_err(), "cut {cut}");
+            assert!(Request::decode(ty, sliced).is_err(), "cut {cut}");
         }
         // A wrong tag byte is rejected, as is trailing garbage after the tail.
         let mut wrong_tag = traced.clone();
         if let Some(tag) = wrong_tag.get_mut(plain.len()) {
             *tag = 0x7E;
         }
-        assert!(Request::decode_traced(ty, &wrong_tag).is_err());
+        assert!(Request::decode(ty, &wrong_tag).is_err());
         let mut overlong = traced.clone();
         overlong.push(0x00);
-        assert!(Request::decode_traced(ty, &overlong).is_err());
+        assert!(Request::decode(ty, &overlong).is_err());
     }
 
     #[test]
     fn append_roundtrips_its_table() {
         let t = f2_datagen::Dataset::Orders.generate(8, 3);
-        let (ty, payload) = Request::Append { token: 5, chunk_index: 2, table: t.clone() }.encode();
-        match Request::decode(ty, &payload).unwrap() {
+        let (ty, payload) =
+            Request::Append { token: 5, chunk_index: 2, table: t.clone() }.encode(None);
+        match Request::decode(ty, &payload).unwrap().0 {
             Request::Append { token: 5, chunk_index: 2, table } => assert_eq!(table, t),
             other => panic!("decoded {other:?}"),
         }

@@ -12,9 +12,9 @@
 //! Shutdown ([`ServiceHandle::shutdown`]) flips one flag: the accept loop
 //! stops, open/resume requests are refused with `ShuttingDown`, queued and
 //! in-flight connections drain up to `drain_deadline`, then stragglers are
-//! hung up. Jobs those stragglers held are parked resumable — their streams
+//! hung up. Jobs those stragglers held stay resumable — their streams
 //! already persist every acknowledged chunk, so a drain loses no accepted
-//! work.
+//! work and a restarted service reloads them.
 
 use crate::conn;
 use crate::deadline::Deadlines;
@@ -44,7 +44,7 @@ pub struct ServerConfig {
     /// Idle/half-open reaping: a connection silent this long is dropped.
     pub idle_timeout: Duration,
     /// How long a drain waits for in-flight connections before hanging them
-    /// up (their jobs park resumable).
+    /// up (their jobs stay resumable from their stores).
     pub drain_deadline: Duration,
     /// The backoff hint shed connections receive.
     pub retry_after: Duration,
@@ -451,7 +451,7 @@ fn reject(core: &Core, mut transport: Box<dyn Transport>, error: &ServerError) {
 }
 
 /// Wait for queued + in-flight connections to finish; past the deadline,
-/// hang stragglers up (their jobs park resumable) until everything is gone.
+/// hang stragglers up (their jobs stay resumable) until everything is gone.
 fn drain(core: &Core) {
     let deadline = Instant::now() + core.config.drain_deadline;
     loop {

@@ -9,8 +9,8 @@
 //! completed chunk frame already carries the chunk's `OwnerState` blob next
 //! to its ciphertext (that is how [`f2_engine::StreamJob`] persists). So
 //! "persist the job" is not a step the service can forget — it happened the
-//! moment the append's reply was written. Parking a job (after a panic, an
-//! engine error, or a drain) just drops the in-memory handle; the next
+//! moment the append's reply was written. Parking a job (after a panic or an
+//! engine error) just drops the in-memory handle; the next
 //! checkout reopens the store through [`Engine::resume_job`], which truncates
 //! any torn tail frame and replays the prefix byte-exactly.
 //!
@@ -233,7 +233,7 @@ enum JobSlot {
     Loaded(Box<LoadedJob>),
     /// A request on some connection holds it right now.
     CheckedOut,
-    /// Dropped after a failure or drain; the stream in the store is the
+    /// Dropped after a failure; the stream in the store is the
     /// truth. The next checkout reloads via [`Engine::resume_job`].
     Parked { tenant: String, schema: Schema },
 }

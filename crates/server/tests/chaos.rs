@@ -9,7 +9,9 @@
 //! - shed connections receive a typed `Overloaded` reply with the
 //!   configured retry-after hint;
 //! - a drain loses zero accepted jobs, and shed / deadline / drain events
-//!   are visible in the *served* Prometheus snapshot.
+//!   are visible in the *served* Prometheus snapshot;
+//! - a dropped connection leaves its job live, so resuming it replays
+//!   nothing.
 
 use f2_core::{DetScheme, Scheme, SchemeOutcome, F2};
 use f2_crypto::MasterKey;
@@ -23,6 +25,7 @@ use f2_server::{
     Transport,
 };
 use std::io::{Cursor, Read, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -251,7 +254,7 @@ fn push_through(
             // Simulated client crash: abandon the connection cold.
             return Err(ServerError::Disconnected);
         }
-        let ack = client.append(tok, next_chunk, chunk.view().to_table())?;
+        let ack = client.append(tok, next_chunk, chunk.to_table())?;
         next_chunk = ack.next_chunk;
         appends += 1;
     }
@@ -422,11 +425,6 @@ impl Scheme for SlowScheme {
         self.inner.name()
     }
 
-    fn encrypt(&self, data: &Table) -> f2_core::Result<SchemeOutcome> {
-        std::thread::sleep(self.delay);
-        self.inner.encrypt(data)
-    }
-
     fn decrypt(&self, outcome: &SchemeOutcome) -> f2_core::Result<Table> {
         self.inner.decrypt(outcome)
     }
@@ -563,7 +561,6 @@ fn a_drain_preserves_half_finished_jobs_across_a_service_restart() {
             .next_chunk(chunk_rows)
             .expect("chunk")
             .expect("rows")
-            .view()
             .to_table();
         client.append(opened.token, 0, first).expect("append");
 
@@ -599,7 +596,7 @@ fn a_drain_preserves_half_finished_jobs_across_a_service_restart() {
         let mut next = ack.next_chunk;
         while let Some(chunk) = source.next_chunk(chunk_rows).expect("chunk") {
             next = client
-                .append(token, next, chunk.view().to_table())
+                .append(token, next, chunk.to_table())
                 .expect("append after restart")
                 .next_chunk;
         }
@@ -620,6 +617,113 @@ fn a_drain_preserves_half_finished_jobs_across_a_service_restart() {
     let served = stores.snapshot(token).expect("job stream persisted");
     let expected = reference_stream(&scheme, &data, chunk_rows, token);
     assert_eq!(served, expected, "drain + restart must lose nothing");
+}
+
+// ───────────────────────── dropped connections ─────────────────────────
+
+/// A deterministic scheme that counts its encryptions across every reseeded
+/// clone — the record of what the service encrypted, replays included.
+struct CountingScheme {
+    inner: Arc<DetScheme>,
+    encryptions: Arc<AtomicUsize>,
+}
+
+impl Scheme for CountingScheme {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn encrypt_view(&self, view: &TableView<'_>) -> f2_core::Result<SchemeOutcome> {
+        self.encryptions.fetch_add(1, Ordering::SeqCst);
+        self.inner.encrypt_view(view)
+    }
+
+    fn decrypt(&self, outcome: &SchemeOutcome) -> f2_core::Result<Table> {
+        self.inner.decrypt(outcome)
+    }
+
+    fn reseeded(&self, _seed: u64) -> Box<dyn Scheme> {
+        // Deterministic backend: reseeding is the identity.
+        Box::new(CountingScheme {
+            inner: Arc::clone(&self.inner),
+            encryptions: Arc::clone(&self.encryptions),
+        })
+    }
+}
+
+/// A client that drops its connection mid-job without closing it leaves the
+/// job live, not parked: resuming on a new connection reports the job's
+/// counters without replaying (re-encrypting) its stored prefix, and the job
+/// still finishes byte-identical to a local run.
+#[test]
+fn a_dropped_connection_leaves_its_job_live_and_resume_replays_nothing() {
+    let det = Arc::new(DetScheme::new(MasterKey::from_seed(33)));
+    let encryptions = Arc::new(AtomicUsize::new(0));
+    let counting: Arc<dyn ServerScheme> =
+        Arc::new(CountingScheme { inner: Arc::clone(&det), encryptions: Arc::clone(&encryptions) });
+    let schemes = Arc::new(StaticTenants::new().with_tenant("acme", counting));
+    let stores = Arc::new(MemoryStores::new());
+    let config = ServerConfig {
+        workers: 2,
+        idle_timeout: Duration::from_secs(3),
+        retry: RetryPolicy::no_backoff(2),
+        chunk_rows: 8,
+        seed: SERVICE_SEED,
+        ..ServerConfig::default()
+    };
+    let chunk_rows = config.chunk_rows;
+    let service = Service::new(config, schemes, Arc::clone(&stores) as Arc<dyn StoreProvider>);
+    let handle = service.handle();
+    let (dial, acceptor) = channel_acceptor();
+    let data = table(24, 13);
+    let connect = || {
+        let (ours, theirs) = duplex();
+        dial.send(Box::new(theirs)).expect("dial");
+        Client::connect(ours).expect("connect")
+    };
+
+    let token = std::thread::scope(|s| {
+        let _drain_on_panic = ShutdownOnExit(handle.clone());
+        let server = s.spawn(|| service.run(acceptor));
+
+        // Open a job, append one chunk, and drop the connection cold.
+        let mut client = connect();
+        let opened = client.open("acme", data.schema()).expect("open");
+        let first = TableSource::new(&data)
+            .next_chunk(chunk_rows)
+            .expect("chunk")
+            .expect("rows")
+            .to_table();
+        client.append(opened.token, 0, first).expect("append");
+        assert_eq!(encryptions.load(Ordering::SeqCst), 1);
+        drop(client);
+
+        // The job is still live: resume reads its counters and replays nothing.
+        let mut client = connect();
+        let ack = client.resume("acme", opened.token, data.schema()).expect("resume");
+        assert_eq!(ack.next_chunk, 1);
+        assert_eq!(ack.rows_done, chunk_rows as u64);
+        assert_eq!(encryptions.load(Ordering::SeqCst), 1, "resume re-encrypted the prefix");
+
+        let mut source = TableSource::new(&data);
+        source.seek_to_row(ack.rows_done as usize).expect("seek");
+        let mut next = ack.next_chunk;
+        while let Some(chunk) = source.next_chunk(chunk_rows).expect("chunk") {
+            next = client.append(opened.token, next, chunk.to_table()).expect("append").next_chunk;
+        }
+        assert_eq!(encryptions.load(Ordering::SeqCst), 3, "one encryption per chunk");
+        let fin = client.finish(opened.token).expect("finish");
+        assert_eq!(fin.rows, data.row_count() as u64);
+        let _ = client.close();
+        handle.shutdown();
+        server.join().expect("server thread").expect("server ran");
+        opened.token
+    });
+
+    let served = stores.snapshot(token).expect("job stream persisted");
+    let plain: Arc<dyn ServerScheme> = det;
+    let expected = reference_stream(&plain, &data, chunk_rows, token);
+    assert_eq!(served, expected, "the resumed job diverged from a local run");
 }
 
 // ───────────────────────── real sockets ─────────────────────────

@@ -100,7 +100,7 @@ fn main() {
     let mut next = 0;
     for _ in 0..2 {
         let chunk = source.next_chunk(chunk_rows).expect("chunk").expect("rows");
-        next = client.append(job.token, next, chunk.view().to_table()).expect("append").next_chunk;
+        next = client.append(job.token, next, chunk.to_table()).expect("append").next_chunk;
     }
     drop(client); // crash: the socket dies mid-job
     println!("initech: client crashed after {next} chunks; reconnecting");
@@ -115,7 +115,7 @@ fn main() {
     source.seek_to_row(resumed.rows_done as usize).expect("seek");
     let mut next = resumed.next_chunk;
     while let Some(chunk) = source.next_chunk(chunk_rows).expect("chunk") {
-        next = client.append(job.token, next, chunk.view().to_table()).expect("append").next_chunk;
+        next = client.append(job.token, next, chunk.to_table()).expect("append").next_chunk;
     }
     let fin = client.finish(job.token).expect("finish");
     println!("initech: finished with {} rows across {} chunks", fin.rows, fin.chunks);
@@ -125,12 +125,8 @@ fn main() {
     let parked = Dataset::Orders.generate(96, 47);
     let mut client = Client::connect(TcpStream::connect(addr).expect("dial")).expect("connect");
     let half = client.open("acme", parked.schema()).expect("open");
-    let first = TableSource::new(&parked)
-        .next_chunk(chunk_rows)
-        .expect("chunk")
-        .expect("rows")
-        .view()
-        .to_table();
+    let first =
+        TableSource::new(&parked).next_chunk(chunk_rows).expect("chunk").expect("rows").to_table();
     client.append(half.token, 0, first).expect("append");
     handle.shutdown();
     server.join().expect("server thread").expect("graceful drain completed");
@@ -152,7 +148,7 @@ fn main() {
     source.seek_to_row(resumed.rows_done as usize).expect("seek");
     let mut next = resumed.next_chunk;
     while let Some(chunk) = source.next_chunk(chunk_rows).expect("chunk") {
-        next = client.append(half.token, next, chunk.view().to_table()).expect("append").next_chunk;
+        next = client.append(half.token, next, chunk.to_table()).expect("append").next_chunk;
     }
     let fin = client.finish(half.token).expect("finish after restart");
     println!(

@@ -141,7 +141,7 @@ pub use f2_engine::{
 };
 pub use f2_io::{
     CsvOptions, CsvSource, FaultKind, FaultPlan, FaultyReader, FaultySource, FaultyWriter,
-    RetryPolicy, RetryState, RowSource, SkippedRange, StreamStore, TableChunk, TableSource,
+    RetryPolicy, RetryState, RowSource, SkippedRange, StreamStore, TableSource,
 };
 pub use f2_relation::{AttrSet, Record, Schema, Table, TableView, Value};
 pub use f2_server::{ServerConfig, ServerError, Service, ServiceHandle};

@@ -1,14 +1,17 @@
 //! Backend-conformance suite for the pluggable [`Scheme`] API.
 //!
 //! Every backend must satisfy the same contract: `decrypt(encrypt(t))` is
-//! multiset-equal to `t`, every ciphertext cell is an opaque byte string, and no
-//! plaintext value survives in the encrypted table. The F² backend is swept across
+//! multiset-equal to `t`, every ciphertext cell is an opaque byte string, no
+//! plaintext value survives in the encrypted table, and the same rows encrypt to the
+//! same bytes whether they are a whole table or a chunk of a larger one (the chunk
+//! law of `Scheme::encrypt_view`). The F² backend is swept across
 //! the (α ∈ {1.0, 0.5, 0.2}) × (ϖ ∈ {1, 2, 3}) configuration grid; the baselines
 //! (deterministic AES, probabilistic PRF, Paillier) take no α/ϖ, so they are checked
 //! once per fixture. The suite runs on hand-written `table!` fixtures and on all
 //! three generated datasets.
 
 use f2::crypto::MasterKey;
+use f2::engine::persist::encode_state;
 use f2::relation::table;
 use f2::{DetScheme, PaillierScheme, ProbScheme, Scheme, SchemeOutcome, Table, F2};
 use f2_datagen::Dataset;
@@ -86,6 +89,22 @@ fn assert_conformance(scheme: &dyn Scheme, table: &Table, label: &str) {
         assert!(out_row < outcome.encrypted.row_count());
         assert!(orig_row < table.row_count());
     }
+    // 5. The chunk law: the same rows as the second half of a larger table encrypt
+    // exactly as the standalone table (for F², the range branch of `encrypt_view`
+    // against its whole-table branch).
+    let n = table.row_count();
+    let mut wider = table.clone();
+    wider.append(table.clone()).expect("same schema");
+    let chunk = scheme
+        .encrypt_view(&wider.view(n..2 * n).expect("the second half is in range"))
+        .unwrap_or_else(|e| panic!("{}: chunk encrypt failed on {label}: {e}", scheme.name()));
+    assert_eq!(chunk.encrypted, outcome.encrypted, "{}: chunk law on {label}", scheme.name());
+    assert_eq!(
+        encode_state(&chunk.state).expect("state encodes"),
+        encode_state(&outcome.state).expect("state encodes"),
+        "{}: chunk owner state on {label}",
+        scheme.name()
+    );
 }
 
 const ALPHA_GRID: [f64; 3] = [1.0, 0.5, 0.2];
