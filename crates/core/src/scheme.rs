@@ -453,7 +453,7 @@ impl Scheme for F2Scheme {
 
     /// The planner takes an owned `&Table`: a view of a whole table hands over its
     /// parent, and any other range is materialised ([`TableView::to_table`], which
-    /// clones the rows but derives the chunk's columnar index from the parent's).
+    /// clones the rows; the planner builds the chunk's columnar index from them).
     fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
         if view.parent_range() == (0..view.parent().row_count()) {
             crate::encryptor::encrypt(&self.config, &self.master, view.parent())

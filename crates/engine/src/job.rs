@@ -10,15 +10,17 @@
 //!   and header frame.
 //! * [`StreamJob::append_chunk`] encrypts one chunk, a [`TableView`] (of a
 //!   whole table or a range of one), and appends its frame — the caller must
-//!   push full `chunk_rows` chunks until the final short one, exactly like a
-//!   source on the pull path (violations are typed errors).
+//!   push chunks of the stream's schema, full `chunk_rows` chunks until the
+//!   final short one, exactly like a source on the pull path. Violations are
+//!   typed errors, refused by [`StreamJob::check_chunk`] before anything is
+//!   encrypted or written.
 //! * [`StreamJob::finish`] writes the trailer and end marker and reports the
 //!   stream's [`StreamOutcome`].
 //! * [`Engine::resume_job`] reopens a store torn by a crash or disconnect and
 //!   returns a job positioned at the next chunk index; the caller re-sends
 //!   rows from [`StreamJob::rows`] onward. It is the source-free entry point of
-//!   the one resume protocol (scan → replay → truncate → continue) described in
-//!   [`crate::resume`].
+//!   the one resume protocol (check and replay each stored chunk as it is read →
+//!   truncate → continue) described in [`crate::resume`].
 //!
 //! [`Engine::run_streaming`] is the same job driven by a pull loop over a
 //! [`RowSource`], and [`Engine::resume_streaming`] the same reopen followed by
@@ -48,6 +50,7 @@ use std::time::Instant;
 pub struct StreamJob<W: Write> {
     seed: u64,
     chunk_rows: usize,
+    schema: Schema,
     sink: FrameSink<RetryingWriter<W>>,
     progress: StreamProgress,
 }
@@ -128,6 +131,7 @@ impl Engine {
         Ok(StreamJob {
             seed: self.config().seed,
             chunk_rows: self.config().chunk_rows,
+            schema: schema.clone(),
             sink,
             progress: StreamProgress::start(),
         })
@@ -135,11 +139,12 @@ impl Engine {
 }
 
 impl<W: Write> StreamJob<W> {
-    /// Continue a stream whose first `bytes` bytes (`frames` frames, preamble
-    /// excluded) `writer` already holds and `progress` already accounts for;
-    /// `writer` must be positioned right after them.
+    /// Continue a stream of `schema` whose first `bytes` bytes (`frames`
+    /// frames, preamble excluded) `writer` already holds and `progress` already
+    /// accounts for; `writer` must be positioned right after them.
     pub(crate) fn resumed(
         engine: &Engine,
+        schema: &Schema,
         writer: W,
         bytes: u64,
         frames: u64,
@@ -148,37 +153,52 @@ impl<W: Write> StreamJob<W> {
         StreamJob {
             seed: engine.config().seed,
             chunk_rows: engine.config().chunk_rows,
+            schema: schema.clone(),
             sink: FrameSink::resume(engine.retry_policy().writer(writer), bytes, frames),
             progress,
         }
     }
 
+    /// Check that `chunk` may be appended next, without touching the job: it
+    /// must have the stream's schema and `1..=chunk_rows` rows, and no chunk may
+    /// follow a short one (chunk boundaries would diverge from the in-memory
+    /// path's). [`StreamJob::append_chunk`] runs this check first, so a refused
+    /// chunk leaves the job and its store as they were.
+    pub fn check_chunk(&self, chunk: &TableView<'_>) -> Result<()> {
+        let chunk_len = chunk.row_count();
+        let chunk_rows = self.chunk_rows;
+        if chunk.schema() != &self.schema {
+            return Err(F2Error::UnsupportedInput(
+                "chunk schema disagrees with the stream's schema".into(),
+            ));
+        }
+        if chunk_len == 0 || chunk_len > chunk_rows {
+            return Err(F2Error::UnsupportedInput(format!(
+                "chunk of {chunk_len} rows, expected 1..={chunk_rows}"
+            )));
+        }
+        if self.progress.chunks.last().is_some_and(|prev| prev.rows.len() != chunk_rows) {
+            return Err(F2Error::UnsupportedInput(
+                "chunk after a short chunk: only the stream's final chunk may be short \
+                 (chunk boundaries would diverge from the in-memory path)"
+                    .into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Encrypt `chunk` under its derived chunk seed and append its frame,
-    /// returning the chunk's provenance record. Every chunk must hold
-    /// `1..=chunk_rows` rows, and a short chunk must be the stream's last — an
-    /// append after a short chunk is a typed error, never silent damage (chunk
-    /// boundaries would diverge from the in-memory path's). A caller holding
-    /// an owned table appends `&table.as_view()`.
+    /// returning the chunk's provenance record. A chunk that
+    /// [`StreamJob::check_chunk`] refuses is a typed error, never silent
+    /// damage. A caller holding an owned table appends `&table.as_view()`.
     pub fn append_chunk(
         &mut self,
         scheme: &dyn Scheme,
         chunk: &TableView<'_>,
     ) -> Result<&ChunkRecord> {
+        self.check_chunk(chunk)?;
         let chunk_len = chunk.row_count();
         let index = self.progress.chunks.len();
-        let chunk_rows = self.chunk_rows;
-        if chunk_len == 0 || chunk_len > chunk_rows {
-            return Err(F2Error::UnsupportedInput(format!(
-                "source produced a {chunk_len}-row chunk (expected 1..={chunk_rows})"
-            )));
-        }
-        if self.progress.chunks.last().is_some_and(|prev| prev.rows.len() != chunk_rows) {
-            return Err(F2Error::UnsupportedInput(
-                "source produced a short chunk before the final one \
-                 (chunk boundaries would diverge from the in-memory path)"
-                    .into(),
-            ));
-        }
         let seed = chunk_seed(self.seed, index as u64);
         let start = Instant::now();
         let outcome = scheme.reseeded(seed).encrypt_view(chunk)?;

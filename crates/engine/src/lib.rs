@@ -26,9 +26,10 @@
 //!   a trailer. [`Engine::run_streaming`] drives a job from a
 //!   [`RowSource`](f2_io::RowSource), [`Engine::begin_job`] lets a caller push
 //!   chunks, and the frame layout lives in [`stream`].
-//! * [`resume`] — one crash-safe resume protocol (scan → replay → truncate →
-//!   continue) behind two entry points: [`Engine::resume_streaming`] with the
-//!   original source, [`Engine::resume_job`] without one.
+//! * [`resume`] — one crash-safe resume protocol (check and replay each stored
+//!   chunk as it is read → truncate → continue) behind two entry points:
+//!   [`Engine::resume_streaming`] with the original source, [`Engine::resume_job`]
+//!   without one.
 //! * [`stream`] and [`lossy`] — the readers: [`load_streamed_outcome`] and
 //!   [`decrypt_streaming`] for intact streams, [`decrypt_streaming_lossy`] for
 //!   damaged ones. A v2 stream is the one on-disk format, so a table encrypted in

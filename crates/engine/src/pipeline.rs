@@ -197,8 +197,8 @@ impl Engine {
             // is discarded with the catch.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 // A borrowed view, not a cloned sub-table: cell-wise backends encrypt
-                // straight off the parent's rows, and F² materialises with the
-                // chunk's dictionaries derived from the parent's index.
+                // straight off the parent's rows, and F² materialises the chunk's
+                // rows as a table of its own.
                 let chunk = table.view(range.clone())?;
                 let start = Instant::now();
                 let outcome = scheme

@@ -1,36 +1,36 @@
 //! Crash-safe resume of an interrupted `F2WS` v2 stream: one protocol, two
 //! entry points.
 //!
-//! lint: untrusted-input — the scan and replay below decode a possibly damaged
-//! stream.
+//! lint: untrusted-input — the pass below decodes a possibly damaged stream.
 //!
 //! A streaming encryption job that dies mid-write leaves a *prefix* of a valid
 //! stream behind: the preamble, the header frame, some number of complete
 //! chunk frames, and usually a torn frame at the tail. Resume turns that
 //! wreckage back into exactly the stream an uninterrupted run would have
-//! produced, in four steps:
+//! produced, in three steps:
 //!
-//! 1. **Scan** — walk the store's frames, validating the header against the
-//!    engine configuration, scheme, and schema, and each chunk record's
-//!    continuity and seed, until the first damage (torn or checksum-failing
-//!    frame) or the trailer. Only each chunk's record is decoded, never its
-//!    table.
-//! 2. **Replay** — rebuild the running report of the chunks the prefix holds,
-//!    the same way for every backend: re-encrypt each prefix chunk under its
-//!    stored, seed-verified chunk seed and require the rebuilt frame payload to
-//!    CRC-match the stored one. The plaintext it re-encrypts comes from the
-//!    source when one is given — proving the source unchanged since the
-//!    interrupted run — and otherwise from decrypting the stored chunk —
-//!    proving the store, owner state, and key material still agree. That
-//!    decryption is the readers' one chunk-decrypt step (see [`crate::stream`]):
-//!    it builds only the rows decryption reads, checks every cell, and refuses a
-//!    chunk whose decrypted rows disagree with its record.
-//! 3. **Truncate** — only once the replay has accepted the prefix, cut the
-//!    store back to the end of the last complete chunk frame; a torn tail is
-//!    unusable by construction, and a surviving trailer is rewritten rather
-//!    than trusted (its totals must cover the whole run). A refused resume
-//!    therefore leaves the store exactly as it found it.
-//! 4. **Continue** — hand back a [`StreamJob`] positioned at the next chunk,
+//! 1. **Check and replay each chunk as it is read** — validate the header
+//!    against the engine configuration, scheme, and schema, then read the
+//!    store's chunk frames once, in order. A frame joins the prefix when its
+//!    record continues the chunks before it (index, row ranges, and the chunk
+//!    size rule) under the seed this engine derives for its index; the pass
+//!    stops at the first damage (a torn or checksum-failing frame), at the
+//!    trailer, at a record that does not fit, or after a short chunk. Each
+//!    accepted chunk is replayed before the next frame is read: re-encrypted
+//!    under its recorded seed, the rebuilt frame payload must equal the stored
+//!    one byte for byte. The plaintext it re-encrypts comes from the source
+//!    when one is given — proving the source unchanged since the interrupted
+//!    run — and otherwise from decrypting the stored chunk — proving the store,
+//!    owner state, and key material still agree. That decryption is the
+//!    readers' one chunk-decrypt step (see [`crate::stream`]): it builds only
+//!    the rows decryption reads, checks every cell, and refuses a chunk whose
+//!    decrypted rows disagree with its record.
+//! 2. **Truncate** — only once the pass has accepted the prefix, cut the store
+//!    back to the end of the last accepted chunk frame; a torn tail is unusable
+//!    by construction, and a surviving trailer is rewritten rather than trusted
+//!    (its totals must cover the whole run). A refused resume therefore leaves
+//!    the store exactly as it found it.
+//! 3. **Continue** — hand back a [`StreamJob`] positioned at the next chunk,
 //!    so the remaining chunks, the trailer, and the end frame go through the
 //!    one writer every stream uses.
 //!
@@ -39,6 +39,7 @@
 //! replaying the prefix from it and continuing past it, while
 //! [`Engine::resume_job`] takes no source, replays the prefix from the store,
 //! and leaves the caller to append rows from [`StreamJob::rows`] onward.
+//! Either way the store is read once, and the pass holds one chunk at a time.
 //!
 //! The result is **byte-identical** to the uninterrupted stream at every
 //! interruption point (pinned per backend by `tests/resume_golden.rs` and
@@ -55,24 +56,10 @@ use crate::stream::{
     verify_chunk_seed, StreamOutcome, FRAME_CHUNK, FRAME_HEADER,
 };
 use f2_core::{F2Error, Result, Scheme, SchemeOutcome};
-use f2_io::frame::{crc32, FrameReader};
+use f2_io::frame::FrameReader;
 use f2_io::{IoError, RetryPolicy, RowSource, StreamStore};
 use f2_relation::Schema;
-use std::io::{Read, Seek, SeekFrom};
-
-/// The validated prefix of an interrupted stream: everything before the first
-/// damaged byte (or before the trailer, for a stream that only lost its tail).
-struct StreamPrefix {
-    /// Complete chunk records in order, continuity- and seed-verified.
-    records: Vec<ChunkRecord>,
-    /// CRC32 of each chunk frame's (decompressed) payload — what the replay
-    /// compares its re-encryptions against.
-    payload_crcs: Vec<u32>,
-    /// Store offset one past the last complete chunk frame: the resume point.
-    bytes: u64,
-    /// Frames in the prefix (header + chunks) — seeds the resumed sink's count.
-    frames: u64,
-}
+use std::io::{Read, SeekFrom};
 
 impl Engine {
     /// Resume an interrupted [`Engine::run_streaming`] job in `store`,
@@ -108,9 +95,9 @@ impl Engine {
     /// A store torn before its first chunk frame starts over from scratch
     /// (exactly [`Engine::begin_job`]); a readable header that contradicts the
     /// scheme, engine configuration, or `schema` is an error, not damage. No
-    /// source is needed: the prefix is verified by decrypting and
-    /// re-encrypting the stored chunks (see the [module docs](self)), which
-    /// catches a store/key mismatch before any byte of the store changes.
+    /// source is needed: each stored chunk is decrypted and re-encrypted as it
+    /// is read (see the [module docs](self)), which catches a store/key
+    /// mismatch before any byte of the store changes.
     pub fn resume_job<T: StreamStore>(
         &self,
         scheme: &dyn Scheme,
@@ -120,35 +107,90 @@ impl Engine {
         self.reopen(scheme, schema, store, None)
     }
 
-    /// The one reopen behind both entry points: scan → replay → truncate.
+    /// The one reopen behind both entry points: one pass over the stored
+    /// prefix that checks and replays each chunk frame as it reads it, then
+    /// the truncation. `source`, when given, supplies the plaintext and is
+    /// advanced past the prefix; otherwise the plaintext comes from decrypting
+    /// each stored chunk.
     fn reopen<T: StreamStore>(
         &self,
         scheme: &dyn Scheme,
         schema: &Schema,
         mut store: T,
-        source: Option<&mut dyn RowSource>,
+        mut source: Option<&mut dyn RowSource>,
     ) -> Result<StreamJob<T>> {
         crate::obs::resumes().inc();
         store.seek(SeekFrom::Start(0)).map_err(IoError::Io)?;
-        let Some(prefix) = self.scan_prefix(scheme, schema, &mut store)? else {
+        let Some(mut frames) = self.check_header(scheme, schema, &mut store)? else {
             // Nothing usable survives a torn preamble or header frame.
             return self.begin_job(scheme, schema, store);
         };
-        let progress = replay_prefix(scheme, &prefix, &mut store, source, &self.retry_policy())?;
-        truncate_store(&mut store, prefix.bytes)?;
-        Ok(StreamJob::resumed(self, store, prefix.bytes, prefix.frames, progress))
+        let (seed, chunk_rows) = (self.config().seed, self.config().chunk_rows);
+        let retry = self.retry_policy();
+        let mut progress = StreamProgress::start();
+        let mut bytes = frames.bytes_consumed();
+        // Only a full-sized chunk may be followed by another: a short chunk is
+        // the stream's final one, so the prefix cannot extend past it.
+        while progress.chunks.last().is_none_or(|prev| prev.rows.len() == chunk_rows) {
+            let payload = match frames.next_frame() {
+                Ok(Some(frame)) if frame.frame_type == FRAME_CHUNK => frame.payload,
+                // Trailer, end marker, unknown frame type, torn or damaged
+                // tail: the chunk prefix ends here — everything at and past
+                // this offset is rewritten by the resumed run.
+                _ => break,
+            };
+            let Ok(record) = decode_chunk_record(&payload) else { break };
+            if record.index != progress.chunks.len()
+                || record.rows.start != progress.rows
+                || record.output_rows.start != progress.encrypted_rows
+                || record.rows.is_empty()
+                || record.rows.len() > chunk_rows
+            {
+                break;
+            }
+            verify_chunk_seed(seed, record.index as u64, record.seed)?;
+            // `Scheme::decrypt` restores original row order (F² provenance rows
+            // are sorted by source index), so either way re-encrypting under the
+            // chunk's recorded seed must reproduce the stored bytes exactly.
+            let rebuilt = match source.as_deref_mut() {
+                Some(source) => pull_prefix_chunk(scheme, source, &record, &retry)?,
+                None => {
+                    let (_, state, table) = decode_chunk(&payload)?;
+                    let plain = decrypt_chunk(scheme, &record, state, table)?;
+                    scheme.reseeded(record.seed).encrypt(&plain)?
+                }
+            };
+            if encode_chunk(&record, &rebuilt)? != payload {
+                let cause = if source.is_some() {
+                    "re-encrypted from the source does not match the stored stream — the \
+                     source changed since the interrupted run"
+                } else {
+                    "re-encryption differs from the stored stream — the store was written \
+                     under different key material or scheme parameters than the resuming \
+                     scheme holds"
+                };
+                return Err(F2Error::UnsupportedInput(format!("chunk {} {cause}", record.index)));
+            }
+            progress.push(record, &rebuilt.report);
+            bytes = frames.bytes_consumed();
+        }
+        truncate_store(&mut store, bytes)?;
+        // The header frame and one frame per accepted chunk stay in the store.
+        let kept = 1 + progress.chunks.len() as u64;
+        Ok(StreamJob::resumed(self, schema, store, bytes, kept, progress))
     }
 
-    /// Scan the store for its intact prefix. `Ok(None)` means no usable prefix
+    /// Open the store's frames and check its header frame, returning the reader
+    /// positioned at the first chunk frame. `Ok(None)` means no usable prefix
     /// (torn preamble or header frame); a readable header that contradicts the
     /// engine configuration, scheme, or schema is a hard error — the caller
     /// would otherwise splice two different runs into one stream.
-    fn scan_prefix(
+    fn check_header<R: Read>(
         &self,
         scheme: &dyn Scheme,
         schema: &Schema,
-        reader: impl Read,
-    ) -> Result<Option<StreamPrefix>> {
+        reader: R,
+    ) -> Result<Option<FrameReader<R>>> {
         let Ok(mut frames) = FrameReader::new(reader) else { return Ok(None) };
         let header = match frames.next_frame() {
             Ok(Some(frame)) if frame.frame_type == FRAME_HEADER => frame,
@@ -180,108 +222,8 @@ impl Engine {
                     .into(),
             ));
         }
-
-        let mut records: Vec<ChunkRecord> = Vec::new();
-        let mut payload_crcs = Vec::new();
-        let mut bytes = frames.bytes_consumed();
-        let mut frame_count = 1u64;
-        loop {
-            // Only a full-sized chunk may be followed by another: a short chunk
-            // is the stream's final one, so the prefix cannot extend past it.
-            if records.last().is_some_and(|prev| prev.rows.len() != chunk_rows) {
-                break;
-            }
-            let frame = match frames.next_frame() {
-                Ok(Some(frame)) if frame.frame_type == FRAME_CHUNK => frame,
-                // Trailer, end marker, unknown frame type, torn or damaged
-                // tail: the chunk prefix ends here — everything at and past
-                // this offset is rewritten by the resumed run.
-                _ => break,
-            };
-            let Ok(record) = decode_chunk_record(&frame.payload) else { break };
-            let next_row = records.last().map_or(0, |prev| prev.rows.end);
-            let next_output = records.last().map_or(0, |prev| prev.output_rows.end);
-            if record.index != records.len()
-                || record.rows.start != next_row
-                || record.output_rows.start != next_output
-                || record.rows.is_empty()
-                || record.rows.len() > chunk_rows
-            {
-                break;
-            }
-            verify_chunk_seed(seed, record.index as u64, record.seed)?;
-            payload_crcs.push(crc32(&frame.payload));
-            records.push(record);
-            bytes = frames.bytes_consumed();
-            frame_count += 1;
-        }
-        Ok(Some(StreamPrefix { records, payload_crcs, bytes, frames: frame_count }))
+        Ok(Some(frames))
     }
-}
-
-/// Rebuild the running totals of a scanned prefix by re-encrypting and
-/// CRC-checking each of its chunks — the one replay behind both entry points.
-/// `source`, when given, supplies the plaintext and is advanced past the
-/// prefix; otherwise the plaintext comes from decrypting the chunks in `store`.
-fn replay_prefix<T: Read + Seek>(
-    scheme: &dyn Scheme,
-    prefix: &StreamPrefix,
-    store: &mut T,
-    source: Option<&mut dyn RowSource>,
-    retry: &RetryPolicy,
-) -> Result<StreamProgress> {
-    let covered = prefix.records.last().map_or(0, |last| last.rows.end);
-    let mut progress = StreamProgress::start();
-    // `Scheme::decrypt` restores original row order (F² provenance rows are
-    // sorted by source index), so either way re-encrypting under the chunk's
-    // recorded seed must reproduce the stored bytes exactly.
-    let mut plaintext = match source {
-        Some(source) => Plaintext::Source(source),
-        None => {
-            store.seek(SeekFrom::Start(0)).map_err(IoError::Io)?;
-            let mut frames = FrameReader::new(store)?;
-            // scan_prefix already validated the header frame; skip past it.
-            next_stored_frame(&mut frames, FRAME_HEADER)?;
-            Plaintext::Store(frames)
-        }
-    };
-    for (record, &stored_crc) in prefix.records.iter().zip(&prefix.payload_crcs) {
-        let reencrypted = match &mut plaintext {
-            Plaintext::Source(source) => {
-                pull_prefix_chunk(scheme, *source, record, covered, retry)?
-            }
-            Plaintext::Store(frames) => {
-                let frame = next_stored_frame(frames, FRAME_CHUNK)?;
-                let (stored, state, table) = decode_chunk(&frame)?;
-                let plain = decrypt_chunk(scheme, &stored, state, table)?;
-                scheme.reseeded(record.seed).encrypt(&plain)?
-            }
-        };
-        if crc32(&encode_chunk(record, &reencrypted)?) != stored_crc {
-            let cause = match plaintext {
-                Plaintext::Source(_) => {
-                    "re-encrypted from the source does not match the stored stream — the \
-                     source changed since the interrupted run"
-                }
-                Plaintext::Store(_) => {
-                    "re-encryption differs from the stored stream — the store was written \
-                     under different key material or scheme parameters than the resuming \
-                     scheme holds"
-                }
-            };
-            return Err(F2Error::UnsupportedInput(format!("chunk {} {cause}", record.index)));
-        }
-        progress.push(record.clone(), &reencrypted.report);
-    }
-    Ok(progress)
-}
-
-/// Where the replay gets the plaintext of each prefix chunk.
-enum Plaintext<'a, R: Read> {
-    /// The original source, pulled again.
-    Source(&'a mut dyn RowSource),
-    /// The stored chunk frames, decrypted.
-    Store(FrameReader<R>),
 }
 
 /// Pull one prefix chunk's rows again and re-encrypt them under the chunk's
@@ -291,15 +233,14 @@ fn pull_prefix_chunk(
     scheme: &dyn Scheme,
     source: &mut dyn RowSource,
     record: &ChunkRecord,
-    covered: usize,
     retry: &RetryPolicy,
 ) -> Result<SchemeOutcome> {
     let want = record.rows.len();
     pull(source, want, retry, |chunk| match chunk {
         None => Err(F2Error::UnsupportedInput(format!(
-            "source ended at row {} but the stream prefix covers {covered} rows — resume needs \
-             the original source, rewound to its first row",
-            record.rows.start
+            "source ended at row {} but stored chunk {} covers rows {:?} — resume needs the \
+             original source, rewound to its first row",
+            record.rows.start, record.index, record.rows
         ))),
         Some(chunk) if chunk.row_count() != want => Err(F2Error::UnsupportedInput(format!(
             "source produced {} rows where the stream prefix recorded {want} — resume needs the \
@@ -308,14 +249,4 @@ fn pull_prefix_chunk(
         ))),
         Some(chunk) => scheme.reseeded(record.seed).encrypt_view(&chunk),
     })
-}
-
-/// The payload of the store's next frame, which the scan saw as `frame_type`.
-fn next_stored_frame<R: Read>(frames: &mut FrameReader<R>, frame_type: u8) -> Result<Vec<u8>> {
-    match frames.next_frame()? {
-        Some(frame) if frame.frame_type == frame_type => Ok(frame.payload),
-        _ => Err(F2Error::UnsupportedInput(
-            "stream changed between prefix scan and replay (a scanned frame vanished)".into(),
-        )),
-    }
 }

@@ -28,8 +28,8 @@
 //! ```
 //!
 //! Every frame payload is encoded and decoded here and nowhere else: the writer,
-//! the resume scan and replay, the readers, and lossy salvage all go through the
-//! codec functions below.
+//! the resume pass, the readers, and lossy salvage all go through the codec
+//! functions below.
 //!
 //! Reading back:
 //!
@@ -204,8 +204,8 @@ fn decode_chunk_table(
     Ok(encrypted)
 }
 
-/// Decode only a chunk frame's leading record — what the resume scan reads,
-/// leaving the owner state and the table undecoded.
+/// Decode only a chunk frame's leading record — what the resume pass checks
+/// before it replays the chunk, leaving the owner state and the table undecoded.
 pub(crate) fn decode_chunk_record(payload: &[u8]) -> Result<ChunkRecord> {
     take_chunk_record(&mut Reader::raw(payload))
 }

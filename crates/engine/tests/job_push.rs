@@ -198,6 +198,13 @@ fn a_job_enforces_the_pull_paths_chunk_invariants() {
     let err = job.append_chunk(&scheme, &t.as_view()).unwrap_err();
     assert!(err.to_string().contains("expected 1..="), "{err}");
 
+    // A chunk of another schema is rejected before anything is encrypted.
+    let narrow = f2_relation::table! { ["OrderKey"]; ["1"], ["2"] };
+    assert_ne!(narrow.schema(), t.schema());
+    let err = job.append_chunk(&scheme, &narrow.as_view()).unwrap_err();
+    assert!(err.to_string().contains("schema"), "{err}");
+    assert_eq!((job.rows(), job.next_chunk_index()), (0, 0));
+
     // A short chunk is accepted once — and is final.
     let mut source = TableSource::new(&t);
     source.seek_to_row(10).unwrap();

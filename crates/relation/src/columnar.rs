@@ -65,16 +65,6 @@ impl ColumnDictionary {
         ColumnDictionary { values, ids }
     }
 
-    /// Assemble a dictionary from parts that already satisfy the invariants (`values`
-    /// in ascending [`Value`] order, `ids` dense indexes into it). Used by the
-    /// range-view derivation ([`crate::TableView::derived_columnar`]), which compacts
-    /// a parent dictionary by pure integer work.
-    pub(crate) fn from_parts(values: Vec<Value>, ids: Vec<u32>) -> Self {
-        debug_assert!(values.is_sorted());
-        debug_assert!(ids.iter().all(|&id| (id as usize) < values.len().max(1)));
-        ColumnDictionary { values, ids }
-    }
-
     /// Number of distinct values in the column.
     pub fn distinct_count(&self) -> usize {
         self.values.len()
@@ -218,13 +208,6 @@ impl ColumnarIndex {
     pub fn build(table: &Table) -> Self {
         let columns = (0..table.arity()).map(|a| ColumnDictionary::build(table, a)).collect();
         ColumnarIndex { columns, row_count: table.row_count() }
-    }
-
-    /// Assemble an index from per-column dictionaries that already satisfy the
-    /// invariants. Used by the range-view derivation.
-    pub(crate) fn from_columns(columns: Vec<ColumnDictionary>, row_count: usize) -> Self {
-        debug_assert!(columns.iter().all(|c| c.ids.len() == row_count));
-        ColumnarIndex { columns, row_count }
     }
 
     /// Rows covered.

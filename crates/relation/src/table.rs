@@ -55,22 +55,6 @@ impl Table {
         Ok(Table { schema, records, columns: OnceLock::new() })
     }
 
-    /// Assemble a table whose columnar index is already known (derived rather than
-    /// rebuilt — see [`crate::TableView::to_table`]). The caller guarantees `columns`
-    /// describes exactly `records`; the usual mutation rules apply afterwards (any
-    /// mutating method drops the seeded cache).
-    pub(crate) fn from_parts_with_columns(
-        schema: Schema,
-        records: Vec<Record>,
-        columns: ColumnarIndex,
-    ) -> Self {
-        debug_assert_eq!(columns.row_count(), records.len());
-        debug_assert!(records.iter().all(|r| r.arity() == schema.arity()));
-        let cell = OnceLock::new();
-        cell.set(Arc::new(columns)).expect("freshly created cell is empty");
-        Table { schema, records, columns: cell }
-    }
-
     /// The table's interned columnar index, built on first use and cached until the
     /// next mutation. This is the substrate of [`Table::partition`] and every other
     /// partition-shaped query.

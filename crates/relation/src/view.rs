@@ -1,28 +1,14 @@
 //! Borrowed row-range views over a [`Table`] — the zero-copy chunk substrate of the
 //! streaming engine.
 //!
-//! The engine shards a table into row-range chunks. Before this module existed every
-//! chunk was a cloned sub-`Table` (`rows[range].to_vec()`), and every chunk rebuilt
-//! its own [`ColumnarIndex`] from scratch — one `Value` hash per cell per chunk. A
-//! [`TableView`] removes both costs:
-//!
-//! * the rows are a **borrowed slice** of the parent's records — no clone at all for
-//!   consumers that iterate rows (the cell-wise encryption backends);
-//! * the view's columnar index is **derived from the parent's** by pure integer work
-//!   ([`TableView::derived_columnar`]): the parent's `row → id` arrays are sliced to
-//!   the range and compacted to dense local ids. Because parent ids are assigned in
-//!   ascending [`Value`] order, ascending *parent* ids restricted to the range are
-//!   ascending *local* values too, so the compacted dictionary satisfies every
-//!   invariant of a fresh [`ColumnarIndex::build`] — verified structurally by
-//!   `derived_columnar_matches_fresh_build` below and property-tested in
-//!   `crates/relation/tests/interned_equiv.rs`.
+//! The engine shards a table into row-range chunks. A [`TableView`] is a borrowed
+//! slice of the parent's records, so consumers that iterate rows (the cell-wise
+//! encryption backends) never clone a chunk.
 //!
 //! Consumers that genuinely need an owned `Table` (the F² encryptor pipeline, whose
 //! planning layers take `&Table`) call [`TableView::to_table`], which clones the
-//! range's records but pre-seeds the new table's columnar cache with the derived
-//! index — the per-chunk dictionary rebuild is gone even on that path.
+//! range's records; like any table, the copy builds its columnar index on first use.
 
-use crate::columnar::{ColumnDictionary, ColumnarIndex};
 use crate::{Record, RelationError, Result, RowId, Schema, Table, Value};
 use std::ops::Range;
 
@@ -113,47 +99,10 @@ impl<'a> TableView<'a> {
         self.rows().iter().map(Record::size_bytes).sum()
     }
 
-    /// Derive the view's [`ColumnarIndex`] from the parent's cached one: per column,
-    /// slice the parent's `row → id` array to the range and compact the ids that
-    /// actually occur to dense local ids (in ascending parent-id order, which *is*
-    /// ascending value order). No `Value` is hashed; the only value clones are the
-    /// distinct values present in the range, and the work is O(rows·log rows) *per
-    /// chunk* — independent of the parent's cardinality, so a unique-ID column over
-    /// millions of rows costs each chunk only its own slice. Builds the parent's
-    /// index first if it does not exist yet — that build is then shared by every
-    /// other view.
-    pub fn derived_columnar(&self) -> ColumnarIndex {
-        let parent = self.table.columnar();
-        let columns = (0..self.arity())
-            .map(|a| {
-                let col = parent.column(a);
-                let parent_ids = &col.ids()[self.range.clone()];
-                // The distinct parent ids of the range, ascending — ascending parent
-                // ids are ascending values, so positions in this list are exactly
-                // the dense, value-sorted local ids.
-                let mut distinct: Vec<u32> = parent_ids.to_vec();
-                distinct.sort_unstable();
-                distinct.dedup();
-                let values = distinct.iter().map(|&id| col.value_of(id).clone()).collect();
-                let ids = parent_ids
-                    .iter()
-                    .map(|&id| distinct.binary_search(&id).expect("id was collected above") as u32)
-                    .collect();
-                ColumnDictionary::from_parts(values, ids)
-            })
-            .collect();
-        ColumnarIndex::from_columns(columns, self.row_count())
-    }
-
-    /// Materialise the view as an owned [`Table`], cloning the range's records but
-    /// pre-seeding the table's columnar cache with [`TableView::derived_columnar`] —
-    /// the chunk never rebuilds its dictionaries from scratch.
+    /// Materialise the view as an owned [`Table`] by cloning the range's records.
     pub fn to_table(&self) -> Table {
-        Table::from_parts_with_columns(
-            self.schema().clone(),
-            self.rows().to_vec(),
-            self.derived_columnar(),
-        )
+        Table::new(self.schema().clone(), self.rows().to_vec())
+            .expect("a view's rows have its parent's arity")
     }
 }
 
@@ -206,30 +155,12 @@ mod tests {
     }
 
     #[test]
-    fn derived_columnar_matches_fresh_build() {
-        let t = sample();
-        for range in [0..5, 1..4, 2..2, 0..1, 3..5] {
-            let view = t.view(range.clone()).unwrap();
-            let derived = view.derived_columnar();
-            let fresh = ColumnarIndex::build(
-                &Table::new(t.schema().clone(), view.rows().to_vec()).unwrap(),
-            );
-            assert_eq!(derived.row_count(), fresh.row_count(), "{range:?}");
-            for a in 0..t.arity() {
-                assert_eq!(derived.column(a).values(), fresh.column(a).values(), "{range:?}/{a}");
-                assert_eq!(derived.column(a).ids(), fresh.column(a).ids(), "{range:?}/{a}");
-            }
-        }
-    }
-
-    #[test]
     fn to_table_equals_cloned_subtable_and_partitions_agree() {
         let t = sample();
         let view = t.view(1..5).unwrap();
         let materialised = view.to_table();
         let cloned = Table::new(t.schema().clone(), t.rows()[1..5].to_vec()).unwrap();
         assert_eq!(materialised, cloned);
-        // The pre-seeded index answers partition queries identically to a fresh one.
         for attrs in [AttrSet::single(0), AttrSet::single(1), AttrSet::from_indices([0, 1])] {
             assert_eq!(materialised.partition(attrs).classes(), cloned.partition(attrs).classes());
         }

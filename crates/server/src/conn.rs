@@ -214,20 +214,15 @@ fn handle_append(
     if rows > cap {
         return Err(ServerError::TooLarge { rows, cap });
     }
-    if rows == 0 {
-        return Err(ServerError::BadRequest("append carries no rows".into()));
-    }
-    if table.schema() != &entry.schema {
-        return Err(ServerError::BadRequest(
-            "append schema disagrees with the job's schema".into(),
-        ));
-    }
+    // A chunk the job refuses writes nothing: answer it and keep the job live.
+    let chunk = table.as_view();
+    entry.job.check_chunk(&chunk).map_err(|e| ServerError::BadRequest(e.to_string()))?;
     let expected = as_u64(entry.job.next_chunk_index());
     if chunk_index != expected {
         return Err(ServerError::WrongChunk { expected, got: chunk_index });
     }
     let scheme = Arc::clone(&entry.scheme);
-    match entry.job.append_chunk(scheme.as_ref(), &table.as_view()) {
+    match entry.job.append_chunk(scheme.as_ref(), &chunk) {
         Ok(_) => Ok(Response::Append {
             rows: as_u64(entry.job.rows()),
             encrypted_rows: as_u64(entry.job.encrypted_rows()),

@@ -10,8 +10,8 @@
 //!   configured retry-after hint;
 //! - a drain loses zero accepted jobs, and shed / deadline / drain events
 //!   are visible in the *served* Prometheus snapshot;
-//! - a dropped connection leaves its job live, so resuming it replays
-//!   nothing.
+//! - a dropped connection or a refused append leaves its job live, so
+//!   resuming it replays nothing.
 
 use f2_core::{DetScheme, Scheme, SchemeOutcome, F2};
 use f2_crypto::MasterKey;
@@ -619,7 +619,7 @@ fn a_drain_preserves_half_finished_jobs_across_a_service_restart() {
     assert_eq!(served, expected, "drain + restart must lose nothing");
 }
 
-// ───────────────────────── dropped connections ─────────────────────────
+// ───────────────────────── jobs that stay live ─────────────────────────
 
 /// A deterministic scheme that counts its encryptions across every reseeded
 /// clone — the record of what the service encrypted, replays included.
@@ -651,12 +651,19 @@ impl Scheme for CountingScheme {
     }
 }
 
-/// A client that drops its connection mid-job without closing it leaves the
-/// job live, not parked: resuming on a new connection reports the job's
-/// counters without replaying (re-encrypting) its stored prefix, and the job
-/// still finishes byte-identical to a local run.
-#[test]
-fn a_dropped_connection_leaves_its_job_live_and_resume_replays_nothing() {
+/// The chunk size of [`with_counting_service`]'s service.
+const LIVE_CHUNK_ROWS: usize = 8;
+
+/// Serve one tenant, `acme`, whose scheme counts its encryptions over a
+/// deterministic scheme, to `script` on [`LIVE_CHUNK_ROWS`]-row chunks.
+/// `script` dials new connections with the closure it is handed, reads the
+/// count from the counter, and returns its job's token. Returns the job's
+/// stored stream and the stream a local run over `data` writes, which must be
+/// equal.
+fn with_counting_service(
+    data: &Table,
+    script: impl FnOnce(&dyn Fn() -> Client<PipeEnd>, &AtomicUsize) -> u64,
+) -> (Vec<u8>, Vec<u8>) {
     let det = Arc::new(DetScheme::new(MasterKey::from_seed(33)));
     let encryptions = Arc::new(AtomicUsize::new(0));
     let counting: Arc<dyn ServerScheme> =
@@ -667,15 +674,13 @@ fn a_dropped_connection_leaves_its_job_live_and_resume_replays_nothing() {
         workers: 2,
         idle_timeout: Duration::from_secs(3),
         retry: RetryPolicy::no_backoff(2),
-        chunk_rows: 8,
+        chunk_rows: LIVE_CHUNK_ROWS,
         seed: SERVICE_SEED,
         ..ServerConfig::default()
     };
-    let chunk_rows = config.chunk_rows;
     let service = Service::new(config, schemes, Arc::clone(&stores) as Arc<dyn StoreProvider>);
     let handle = service.handle();
     let (dial, acceptor) = channel_acceptor();
-    let data = table(24, 13);
     let connect = || {
         let (ours, theirs) = duplex();
         dial.send(Box::new(theirs)).expect("dial");
@@ -685,7 +690,26 @@ fn a_dropped_connection_leaves_its_job_live_and_resume_replays_nothing() {
     let token = std::thread::scope(|s| {
         let _drain_on_panic = ShutdownOnExit(handle.clone());
         let server = s.spawn(|| service.run(acceptor));
+        let token = script(&connect, &encryptions);
+        handle.shutdown();
+        server.join().expect("server thread").expect("server ran");
+        token
+    });
 
+    let served = stores.snapshot(token).expect("job stream persisted");
+    let plain: Arc<dyn ServerScheme> = det;
+    (served, reference_stream(&plain, data, LIVE_CHUNK_ROWS, token))
+}
+
+/// A client that drops its connection mid-job without closing it leaves the
+/// job live, not parked: resuming on a new connection reports the job's
+/// counters without replaying (re-encrypting) its stored prefix, and the job
+/// still finishes byte-identical to a local run.
+#[test]
+fn a_dropped_connection_leaves_its_job_live_and_resume_replays_nothing() {
+    let data = table(24, 13);
+    let chunk_rows = LIVE_CHUNK_ROWS;
+    let (served, expected) = with_counting_service(&data, |connect, encryptions| {
         // Open a job, append one chunk, and drop the connection cold.
         let mut client = connect();
         let opened = client.open("acme", data.schema()).expect("open");
@@ -715,15 +739,44 @@ fn a_dropped_connection_leaves_its_job_live_and_resume_replays_nothing() {
         let fin = client.finish(opened.token).expect("finish");
         assert_eq!(fin.rows, data.row_count() as u64);
         let _ = client.close();
-        handle.shutdown();
-        server.join().expect("server thread").expect("server ran");
         opened.token
     });
-
-    let served = stores.snapshot(token).expect("job stream persisted");
-    let plain: Arc<dyn ServerScheme> = det;
-    let expected = reference_stream(&plain, &data, chunk_rows, token);
     assert_eq!(served, expected, "the resumed job diverged from a local run");
+}
+
+/// An append the job refuses (here, one after the job's short final chunk)
+/// writes nothing, so it leaves the job live: the refusal is a typed
+/// `BadRequest`, and a resume on a new connection reports the job's counters
+/// without replaying (re-encrypting) its stored prefix.
+#[test]
+fn a_refused_append_leaves_its_job_live_and_resume_replays_nothing() {
+    let data = table(5, 14); // one short chunk
+    let (served, expected) = with_counting_service(&data, |connect, encryptions| {
+        let mut client = connect();
+        let opened = client.open("acme", data.schema()).expect("open");
+        client.append(opened.token, 0, data.clone()).expect("short append");
+        assert_eq!(encryptions.load(Ordering::SeqCst), 1);
+        // No chunk may follow a short one: refused before anything is written.
+        match client.append(opened.token, 1, data.clone()) {
+            Err(ServerError::BadRequest(message)) => {
+                assert!(message.contains("short chunk"), "{message}");
+            }
+            other => panic!("expected a BadRequest refusal, got {other:?}"),
+        }
+        assert_eq!(encryptions.load(Ordering::SeqCst), 1);
+        drop(client);
+
+        // The job is still live: resume reads its counters and replays nothing.
+        let mut client = connect();
+        let ack = client.resume("acme", opened.token, data.schema()).expect("resume");
+        assert_eq!((ack.next_chunk, ack.rows_done), (1, data.row_count() as u64));
+        assert_eq!(encryptions.load(Ordering::SeqCst), 1, "resume re-encrypted the prefix");
+        let fin = client.finish(opened.token).expect("finish");
+        assert_eq!(fin.rows, data.row_count() as u64);
+        let _ = client.close();
+        opened.token
+    });
+    assert_eq!(served, expected, "the refused append changed the job's stream");
 }
 
 // ───────────────────────── real sockets ─────────────────────────

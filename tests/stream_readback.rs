@@ -2,19 +2,20 @@
 //!
 //! `decrypt_streaming` must hand back every chunk exactly as the plaintext rows
 //! its record covers, in order; salvage of an intact stream must call it
-//! lossless; and a store cut inside its second chunk frame must resume — with no
-//! source, replaying the stored prefix through the same chunk decryption — to
-//! the uninterrupted stream's bytes.
+//! lossless; and a store cut inside its second chunk frame must resume to the
+//! uninterrupted stream's bytes through both entry points: from the original
+//! source, and with no source, replaying the stored prefix through the same
+//! chunk decryption while reading the store only once.
 
 use f2::crypto::MasterKey;
 use f2::engine::stream::decrypt_streaming;
 use f2::io::FrameReader;
 use f2::{
-    decrypt_streaming_lossy, DetScheme, Engine, EngineConfig, ProbScheme, RowSource, Scheme, Table,
-    TableSource, F2,
+    decrypt_streaming_lossy, DetScheme, Engine, EngineConfig, ProbScheme, RowSource, Scheme,
+    StreamStore, Table, TableSource, F2,
 };
 use f2_datagen::Dataset;
-use std::io::Cursor;
+use std::io::{Cursor, Read, Seek, SeekFrom, Write};
 
 const SEED: u64 = 7;
 
@@ -30,6 +31,42 @@ fn frame_boundaries(stream: &[u8]) -> Vec<u64> {
         offsets.push(reader.bytes_consumed());
     }
     offsets
+}
+
+/// An in-memory store that counts the bytes read from it.
+struct CountingStore {
+    inner: Cursor<Vec<u8>>,
+    bytes_read: u64,
+}
+
+impl Read for CountingStore {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.bytes_read += n as u64;
+        Ok(n)
+    }
+}
+
+impl Write for CountingStore {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl Seek for CountingStore {
+    fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+        self.inner.seek(pos)
+    }
+}
+
+impl StreamStore for CountingStore {
+    fn set_len(&mut self, len: u64) -> std::io::Result<()> {
+        self.inner.set_len(len)
+    }
 }
 
 fn read_back(scheme: &dyn Scheme, plain: &Table) {
@@ -67,7 +104,13 @@ fn read_back(scheme: &dyn Scheme, plain: &Table) {
     // Cut inside the second chunk frame (frame 0 is the header) and resume.
     let boundaries = frame_boundaries(&stream);
     let cut = usize::try_from((boundaries[2] + boundaries[3]) / 2).unwrap();
-    let store = Cursor::new(stream[..cut].to_vec());
+    let mut store = Cursor::new(stream[..cut].to_vec());
+    engine()
+        .resume_streaming(scheme, &mut TableSource::new(plain), &mut store)
+        .unwrap_or_else(|e| panic!("{name}: resume_streaming: {e}"));
+    assert!(store.into_inner() == stream, "{name}: the stream resumed from its source differs");
+
+    let store = CountingStore { inner: Cursor::new(stream[..cut].to_vec()), bytes_read: 0 };
     let mut job = engine()
         .resume_job(scheme, plain.schema(), store)
         .unwrap_or_else(|e| panic!("{name}: resume_job: {e}"));
@@ -78,7 +121,9 @@ fn read_back(scheme: &dyn Scheme, plain: &Table) {
         job.append_chunk(scheme, &chunk).unwrap_or_else(|e| panic!("{name}: append: {e}"));
     }
     let (_, store) = job.finish_into_store().unwrap();
-    assert!(store.into_inner() == stream, "{name}: the resumed stream differs");
+    // The source-free resume checks and replays each stored frame as it reads it.
+    assert!(store.bytes_read <= cut as u64, "{name}: read {} of {cut} bytes", store.bytes_read);
+    assert!(store.inner.into_inner() == stream, "{name}: the resumed stream differs");
 }
 
 #[test]
