@@ -21,8 +21,8 @@
 //! `BENCH_report.json`, the repo's tracked perf-trajectory artifact.
 
 use f2_bench::{
-    backend_registry, backend_registry_with, engine_backends, measure_engine, measure_scheme_on,
-    secs, time_fd_discovery, EngineMeasurement, ENGINE_WORKER_GRID, REGISTRY_PAILLIER_BITS,
+    backend_registry, engine_backends, measure_engine, measure_scheme_on, secs, time_fd_discovery,
+    EngineMeasurement, ENGINE_WORKER_GRID, REGISTRY_PAILLIER_BITS,
 };
 use f2_core::{F2Scheme, PaillierScheme, Scheme, F2};
 use f2_datagen::Dataset;
@@ -303,8 +303,8 @@ fn security() {
 }
 
 /// The `engine` experiment: streaming-pipeline throughput across the worker grid on
-/// the synthetic 10k-row workload, plus the Paillier cell-framing comparison, printed
-/// as a table and written to `BENCH_report.json`.
+/// the synthetic 10k-row workload, plus the F², streaming, telemetry and Paillier
+/// breakdowns, printed as tables and written to `BENCH_report.json`.
 fn engine() {
     header("Engine — streaming pipeline throughput vs worker count (Synthetic)");
     let smoke = smoke();
@@ -352,22 +352,6 @@ fn engine() {
             );
             measurements.push((m, speedup, vs_single));
         }
-    }
-
-    // Paillier cell-framing comparison: chunk-per-ciphertext vs packed rows on the
-    // same sampled measurement policy the registry uses.
-    println!("\n{:<20} {:>8} {:>12} {:>14}", "paillier framing", "rows", "wall", "MB/s");
-    let (bits, sample) = if smoke { (64, 4) } else { (512, 8) };
-    let mut framing = Vec::new();
-    for backend in backend_registry_with(0.2, 2, 7, bits, sample) {
-        if !backend.scheme.name().starts_with("paillier") {
-            continue;
-        }
-        let bench_table = table.truncated(sample);
-        let m = measure_scheme_on(backend.scheme.as_ref(), &bench_table, "Synthetic");
-        let mb_s = m.plain_bytes as f64 / 1e6 / m.wall.as_secs_f64().max(1e-9);
-        println!("{:<20} {:>8} {:>12} {:>14.4}", m.scheme, m.rows, secs(m.wall), mb_s);
-        framing.push((m, mb_s));
     }
 
     // Per-phase F² breakdown (MAX / SSE / SYN / FP) on the pipeline's tracked
@@ -481,7 +465,6 @@ fn engine() {
         chunk_rows,
         host_cpus,
         &measurements,
-        &framing,
         &f2_phases,
         &streaming,
         &obs,
@@ -494,7 +477,7 @@ fn engine() {
 /// Encrypt throughputs (MB/s) of the committed PR-2 `BENCH_report.json` — the frozen
 /// pre-Montgomery baseline the ≥10× acceptance target and the CI bench-guard measure
 /// against. Do not update these when the engine gets faster; they are historical.
-const PR2_ENCRYPT_MB_S: [(&str, f64); 2] = [("paillier", 0.002561), ("paillier-packed", 0.009064)];
+const PR2_ENCRYPT_MB_S: [(&str, f64); 1] = [("paillier", 0.002561)];
 
 /// Rows the Paillier phase breakdown runs on (the PR-2 sampled workload, so the
 /// speedup column is apples-to-apples).
@@ -732,8 +715,8 @@ fn observability_overhead() -> ObservabilityOverhead {
     }
 }
 
-/// One framing's measured phases.
-struct PaillierFramingPhases {
+/// The per-cell framing's measured phases.
+struct FramingPhases {
     backend: String,
     encrypt: Duration,
     decrypt: Duration,
@@ -743,9 +726,10 @@ struct PaillierFramingPhases {
     speedup_vs_pr2: f64,
 }
 
-/// The `paillier` section of `BENCH_report.json`: keygen plus per-framing
-/// encrypt/decrypt wall clocks on the fixed sampled workload, and a same-run
-/// hardware calibration.
+/// The `paillier` section of `BENCH_report.json`: keygen plus the encrypt/decrypt
+/// wall clocks on the fixed sampled workload, and a same-run hardware calibration.
+/// The wall clocks sit in a `framings` list of one entry, `paillier`, the shape
+/// `bench_guard` scans.
 struct PaillierPhases {
     modulus_bits: usize,
     rows: usize,
@@ -757,7 +741,7 @@ struct PaillierPhases {
     /// slower CI runner does not fail the gate (nor a faster one mask a
     /// regression).
     calibration: Duration,
-    framings: Vec<PaillierFramingPhases>,
+    framings: Vec<FramingPhases>,
 }
 
 /// Time the fixed calibration workload: one 512-bit-exponent modular
@@ -798,10 +782,8 @@ fn paillier_phases(table: &Table) -> PaillierPhases {
     let keygen_start = Instant::now();
     let per_cell = PaillierScheme::new(REGISTRY_PAILLIER_BITS, 7).expect("valid modulus");
     let keygen = keygen_start.elapsed();
-    // `packed()` reuses the key pair, so keygen is paid (and timed) once.
-    let schemes = [per_cell.clone(), per_cell.packed()];
-    let mut framings = Vec::with_capacity(schemes.len());
-    for scheme in schemes {
+    let mut framings = Vec::new();
+    for scheme in [per_cell] {
         let mut encrypt = Duration::MAX;
         let mut decrypt = Duration::MAX;
         for _ in 0..PAILLIER_PHASE_ITERS {
@@ -820,7 +802,7 @@ fn paillier_phases(table: &Table) -> PaillierPhases {
             .find(|(name, _)| *name == scheme.name())
             .map(|&(_, v)| v)
             .expect("PR-2 baseline recorded for every framing");
-        framings.push(PaillierFramingPhases {
+        framings.push(FramingPhases {
             backend: scheme.name().to_owned(),
             encrypt,
             decrypt,
@@ -849,7 +831,6 @@ fn engine_json(
     chunk_rows: usize,
     host_cpus: usize,
     measurements: &[(EngineMeasurement, f64, f64)],
-    framing: &[(f2_bench::RunMeasurement, f64)],
     f2_phases: &F2Phases,
     streaming: &StreamingPhases,
     obs: &ObservabilityOverhead,
@@ -880,20 +861,6 @@ fn engine_json(
             vs_single
         );
         out.push_str(if i + 1 < measurements.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n  \"paillier_framing\": [\n");
-    for (i, (m, mb_s)) in framing.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{ \"backend\": \"{}\", \"rows\": {}, \"plain_bytes\": {}, \
-             \"wall_s\": {:.6}, \"throughput_mb_s\": {:.6} }}",
-            m.scheme,
-            m.rows,
-            m.plain_bytes,
-            m.wall.as_secs_f64(),
-            mb_s
-        );
-        out.push_str(if i + 1 < framing.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n  \"f2_phases\": {\n");
     let _ = writeln!(out, "    \"rows\": {},", f2_phases.rows);

@@ -132,11 +132,9 @@ pub const REGISTRY_PAILLIER_BITS: usize = 512;
 /// Rows Paillier is sampled on before extrapolating.
 pub const REGISTRY_PAILLIER_SAMPLE_ROWS: usize = 8;
 
-/// The paper's four backends (Figure 8) plus the packed-row Paillier framing, ready to
-/// be iterated by the report and the benches: F² (with the given α and ϖ),
-/// deterministic AES, probabilistic PRF, and 512-bit Paillier in both framings
-/// (sampled, see [`REGISTRY_PAILLIER_SAMPLE_ROWS`]). `paillier` vs `paillier-packed`
-/// on the same rows is the cell-batching comparison.
+/// The paper's four backends (Figure 8), ready to be iterated by the report and the
+/// benches: F² (with the given α and ϖ), deterministic AES, probabilistic PRF, and
+/// 512-bit Paillier (sampled, see [`REGISTRY_PAILLIER_SAMPLE_ROWS`]).
 pub fn backend_registry(alpha: f64, split: usize, seed: u64) -> Vec<RegisteredBackend> {
     backend_registry_with(alpha, split, seed, REGISTRY_PAILLIER_BITS, REGISTRY_PAILLIER_SAMPLE_ROWS)
 }
@@ -170,12 +168,6 @@ pub fn backend_registry_with(
             scheme: Box::new(PaillierScheme::new(paillier_bits, seed).expect("valid modulus")),
             sample_rows: Some(paillier_sample_rows),
         },
-        RegisteredBackend {
-            scheme: Box::new(
-                PaillierScheme::new(paillier_bits, seed).expect("valid modulus").packed(),
-            ),
-            sample_rows: Some(paillier_sample_rows),
-        },
     ]
 }
 
@@ -184,10 +176,10 @@ pub const ENGINE_WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
 /// The engine-capable backends measured by the streaming-throughput experiments.
 /// Paillier is excluded here — even on the Montgomery engine it is ~15–30× slower
-/// than the symmetric backends and would dominate the sweep's wall clock; its
-/// framing comparison lives in [`backend_registry`] and its per-phase breakdown in
-/// the report's `paillier` section. (It *is* engine-capable: each chunk worker's
-/// `encrypt` call batches the chunk through one blinding pool.)
+/// than the symmetric backends and would dominate the sweep's wall clock; it is
+/// measured in [`backend_registry`] and broken into phases in the report's
+/// `paillier` section. (It *is* engine-capable: each chunk worker's `encrypt` call
+/// batches the chunk through one blinding pool.)
 pub fn engine_backends(alpha: f64, split: usize, seed: u64) -> Vec<Box<dyn Scheme>> {
     let master = MasterKey::from_seed(seed);
     vec![
@@ -296,10 +288,7 @@ mod tests {
         // affair, and this test runs under the debug profile.
         let registry = backend_registry_with(0.5, 2, 1, 64, 4);
         let names: Vec<String> = registry.iter().map(|b| b.scheme.name().to_owned()).collect();
-        assert_eq!(
-            names,
-            ["f2", "deterministic-aes", "probabilistic-prf", "paillier", "paillier-packed"]
-        );
+        assert_eq!(names, ["f2", "deterministic-aes", "probabilistic-prf", "paillier"]);
         for backend in &registry {
             let m = backend.measure(&table, "Orders");
             assert_eq!(m.rows, 40, "{}", m.scheme);

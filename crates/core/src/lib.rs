@@ -74,7 +74,7 @@ pub use provenance::{Provenance, RowOrigin};
 pub use report::{EncryptionReport, OverheadBreakdown, StepTimings};
 pub use scheme::{
     CellWiseState, ChunkState, DetScheme, F2Builder, F2OwnerState, F2Scheme, OwnerState,
-    PaillierFraming, PaillierScheme, ProbScheme, Scheme, SchemeOutcome, F2,
+    PaillierScheme, ProbScheme, Scheme, SchemeOutcome, F2,
 };
 
 /// Result alias for F² operations.

@@ -401,14 +401,6 @@ impl F2Builder {
         self
     }
 
-    /// Draw the RNG seed from ambient entropy ([`f2_crypto::entropy_seed`]) instead of
-    /// the fixed default, so two builds of the same pipeline never share nonce
-    /// streams. Supply the master key explicitly ([`F2Builder::master_key`]) when the
-    /// ciphertext must remain decryptable across processes.
-    pub fn seed_from_entropy(self) -> Self {
-        self.seed(f2_crypto::entropy_seed())
-    }
-
     /// Supply the data owner's master key explicitly instead of deriving it from the
     /// seed.
     pub fn master_key(mut self, master: MasterKey) -> Self {
@@ -539,13 +531,6 @@ impl ProbScheme {
         ProbScheme { master, seed }
     }
 
-    /// Create the baseline with an ambient-entropy nonce seed
-    /// ([`f2_crypto::entropy_seed`]): the key still decrypts, but nonce streams differ
-    /// across runs.
-    pub fn from_entropy(master: MasterKey) -> Self {
-        Self::new(master, f2_crypto::entropy_seed())
-    }
-
     fn ciphers(&self, arity: usize) -> Vec<ProbabilisticCipher> {
         (0..arity).map(|a| ProbabilisticCipher::new(&self.master.attribute_key(a))).collect()
     }
@@ -580,29 +565,13 @@ impl Scheme for ProbScheme {
 
 // ─────────────────────────────── Paillier baseline ─────────────────────────────────
 
-/// How [`PaillierScheme`] maps relational cells onto Paillier plaintext chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PaillierFraming {
-    /// One ciphertext stream per cell: each cell's encoding is chunked and every chunk
-    /// is encrypted on its own. Simple, but a short cell (a few bytes) still costs a
-    /// whole modular exponentiation and a full ciphertext frame.
-    #[default]
-    PerCell,
-    /// Row packing: all cells of a row are length-prefixed, concatenated into one
-    /// plaintext stream, and *that* stream is chunked — so one ciphertext typically
-    /// carries several cells, cutting both the number of modular exponentiations and
-    /// the ciphertext bytes per row (see `bench_baselines` and `BENCH_report.json`).
-    PackedRows,
-}
-
 /// Textbook Paillier as a cell-wise backend (the paper's asymmetric probabilistic
 /// baseline of Figure 8).
 ///
-/// Each plaintext chunk, prefixed with a `0x01` marker byte, is an integer strictly
-/// below the modulus; chunks are framed at the key's fixed ciphertext width, so
-/// decryption is exact (no lossy folding). [`PaillierFraming`] selects whether chunks
-/// are cut per cell or across a whole packed row. Either way, all chunks of a table
-/// are encrypted in **one batch** over a per-table
+/// Each cell's encoding is cut into chunks; each chunk, prefixed with a `0x01` marker
+/// byte, is an integer strictly below the modulus, and chunks are framed at the key's
+/// fixed ciphertext width, so decryption is exact (no lossy folding). All chunks of a
+/// table are encrypted in **one batch** over a per-table
 /// [`RandomnessPool`] — the Montgomery-form blinding factors amortise the `rⁿ mod n²`
 /// exponentiations, which is also what makes per-chunk encryption cheap for the
 /// streaming engine's workers (each chunk is one `encrypt` call, hence one batch).
@@ -612,14 +581,12 @@ pub enum PaillierFraming {
 pub struct PaillierScheme {
     keypair: PaillierKeyPair,
     seed: u64,
-    framing: PaillierFraming,
 }
 
 impl PaillierScheme {
     /// Generate a key pair of the given modulus size (≥ 64 bits, so that at least one
-    /// plaintext byte fits per chunk) and build the scheme with the default
-    /// [`PaillierFraming::PerCell`] framing. The seed drives both key generation and
-    /// the per-encryption randomness.
+    /// plaintext byte fits per chunk) and build the scheme. The seed drives both key
+    /// generation and the per-encryption randomness.
     pub fn new(modulus_bits: usize, seed: u64) -> Result<Self> {
         if modulus_bits < 64 {
             return Err(F2Error::UnsupportedInput(format!(
@@ -629,12 +596,6 @@ impl PaillierScheme {
         let mut rng = StdRng::seed_from_u64(seed);
         let keypair = PaillierKeyPair::generate(modulus_bits, &mut rng)?;
         Self::with_keypair(keypair, seed)
-    }
-
-    /// [`PaillierScheme::new`] with the key-generation seed drawn from ambient
-    /// entropy ([`f2_crypto::entropy_seed`]).
-    pub fn from_entropy(modulus_bits: usize) -> Result<Self> {
-        Self::new(modulus_bits, f2_crypto::entropy_seed())
     }
 
     /// Build the scheme around an existing key pair. Rejects keys whose modulus is too
@@ -647,20 +608,7 @@ impl PaillierScheme {
                 keypair.public().modulus().bits()
             )));
         }
-        Ok(PaillierScheme { keypair, seed, framing: PaillierFraming::PerCell })
-    }
-
-    /// Switch to [`PaillierFraming::PackedRows`] (several cells per ciphertext chunk).
-    /// The scheme's [`Scheme::name`] changes to `paillier-packed` so reports and
-    /// benchmarks can show both framings side by side.
-    pub fn packed(mut self) -> Self {
-        self.framing = PaillierFraming::PackedRows;
-        self
-    }
-
-    /// The framing in use.
-    pub fn framing(&self) -> PaillierFraming {
-        self.framing
+        Ok(PaillierScheme { keypair, seed })
     }
 
     /// The key pair in use.
@@ -670,11 +618,10 @@ impl PaillierScheme {
 
     /// Cut a plaintext byte stream into marker-prefixed integer messages strictly
     /// below the modulus, appending them to `out`; returns how many messages the
-    /// stream produced. This is the shared framing step of both framings — the
-    /// messages of a whole table are collected first and encrypted in one
-    /// [`f2_crypto::PaillierPublicKey::encrypt_batch`] call, so the blinding
-    /// exponentiations amortise across the table (or, under the streaming engine,
-    /// across each chunk a worker encrypts).
+    /// stream produced. The messages of a whole table are collected first and
+    /// encrypted in one [`f2_crypto::PaillierPublicKey::encrypt_batch`] call, so the
+    /// blinding exponentiations amortise across the table (or, under the streaming
+    /// engine, across each chunk a worker encrypts).
     fn stream_messages(&self, stream: &[u8], out: &mut Vec<f2_crypto::BigUint>) -> usize {
         let chunk_size = self.keypair.public().plaintext_chunk_size();
         let before = out.len();
@@ -807,140 +754,23 @@ impl PaillierScheme {
             F2Error::UnsupportedInput("decrypted Paillier cell does not decode".into())
         })
     }
-
-    /// Append a varint length prefix: one byte for lengths below 255, else a `0xFF`
-    /// marker followed by the length as a `u32`. Cell encodings are typically a few
-    /// bytes, so the prefix overhead per cell is one byte — this matters because every
-    /// packed-stream byte costs modulus capacity.
-    fn put_packed_len(stream: &mut Vec<u8>, len: usize) {
-        if len < 0xFF {
-            stream.push(len as u8);
-        } else {
-            stream.push(0xFF);
-            stream.extend_from_slice(&(len as u32).to_le_bytes());
-        }
-    }
-
-    /// Read a varint length prefix written by [`PaillierScheme::put_packed_len`],
-    /// advancing `pos`. Errors (via `None`) on truncation.
-    fn take_packed_len(stream: &[u8], pos: &mut usize) -> Option<usize> {
-        let first = *stream.get(*pos)?;
-        *pos += 1;
-        if first < 0xFF {
-            return Some(first as usize);
-        }
-        let bytes: [u8; 4] = stream.get(*pos..*pos + 4)?.try_into().ok()?;
-        *pos += 4;
-        Some(u32::from_le_bytes(bytes) as usize)
-    }
-
-    /// Packed-rows encryption: one length-prefixed plaintext stream per row, chunked
-    /// across cell boundaries, all rows batch-encrypted through one blinding pool,
-    /// with the resulting frames dealt back over the row's cells in contiguous
-    /// blocks (so concatenating the cells recovers frame order).
-    fn encrypt_packed(&self, schema: &Schema, rows: &[Record]) -> Result<SchemeOutcome> {
-        let arity = schema.arity();
-        if arity == 0 {
-            return Err(F2Error::UnsupportedInput("table has no attributes".into()));
-        }
-        let width = self.keypair.public().ciphertext_width();
-        let mut rng = StdRng::seed_from_u64(self.seed ^ table_fingerprint(schema, rows));
-        let start = Instant::now();
-        let mut messages = Vec::new();
-        let mut row_counts = Vec::with_capacity(rows.len());
-        for rec in rows {
-            let mut stream = Vec::new();
-            for v in rec.values() {
-                let encoding = v.encode();
-                Self::put_packed_len(&mut stream, encoding.len());
-                stream.extend_from_slice(&encoding);
-            }
-            row_counts.push(self.stream_messages(&stream, &mut messages));
-        }
-        let ciphers = self.encrypt_messages(&messages, &mut rng)?;
-        let mut records = Vec::with_capacity(rows.len());
-        let mut cursor = 0usize;
-        for &frame_count in &row_counts {
-            let frames = Self::frames_from(&ciphers[cursor..cursor + frame_count], width);
-            cursor += frame_count;
-            let per_cell = frame_count.div_ceil(arity);
-            let mut values = Vec::with_capacity(arity);
-            for attr in 0..arity {
-                let lo = (attr * per_cell).min(frame_count) * width;
-                let hi = ((attr + 1) * per_cell).min(frame_count) * width;
-                values.push(Value::bytes(frames[lo..hi].to_vec()));
-            }
-            records.push(Record::new(values));
-        }
-        let encrypted = Table::new(schema.encrypted(), records)?;
-        Ok(Self::outcome(encrypted, schema, rows.len(), start))
-    }
-
-    /// Inverse of [`PaillierScheme::encrypt_packed`].
-    fn decrypt_packed(&self, outcome: &SchemeOutcome) -> Result<Table> {
-        let OwnerState::CellWise(state) = &outcome.state else {
-            return Err(wrong_state(self.name()));
-        };
-        let arity = outcome.encrypted.arity();
-        if state.plaintext_schema.arity() != arity {
-            return Err(F2Error::UnsupportedInput(
-                "owner-state schema arity differs from the encrypted table".into(),
-            ));
-        }
-        let malformed =
-            || F2Error::UnsupportedInput("packed Paillier row stream is malformed".into());
-        let mut records = Vec::with_capacity(outcome.encrypted.row_count());
-        for (_, rec) in outcome.encrypted.iter() {
-            let mut frames = Vec::new();
-            for cell in rec.values() {
-                frames.extend_from_slice(cell.as_bytes().ok_or_else(|| {
-                    F2Error::UnsupportedInput("Paillier cell is not a byte string".into())
-                })?);
-            }
-            let stream = self.decrypt_stream(&frames)?;
-            let mut pos = 0usize;
-            let mut values = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                let len = Self::take_packed_len(&stream, &mut pos).ok_or_else(malformed)?;
-                let encoding = stream.get(pos..pos + len).ok_or_else(malformed)?;
-                pos += len;
-                values.push(Value::decode(encoding).ok_or_else(malformed)?);
-            }
-            if pos != stream.len() {
-                return Err(malformed());
-            }
-            records.push(Record::new(values));
-        }
-        Ok(Table::new(state.plaintext_schema.clone(), records)?)
-    }
 }
 
 impl Scheme for PaillierScheme {
     fn name(&self) -> &str {
-        match self.framing {
-            PaillierFraming::PerCell => "paillier",
-            PaillierFraming::PackedRows => "paillier-packed",
-        }
+        "paillier"
     }
 
     fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
-        match self.framing {
-            PaillierFraming::PerCell => self.encrypt_per_cell(view.schema(), view.rows()),
-            PaillierFraming::PackedRows => self.encrypt_packed(view.schema(), view.rows()),
-        }
+        self.encrypt_per_cell(view.schema(), view.rows())
     }
 
     fn decrypt(&self, outcome: &SchemeOutcome) -> Result<Table> {
-        match self.framing {
-            PaillierFraming::PerCell => {
-                decrypt_cell_wise(self.name(), outcome, |_, cell| self.decrypt_cell(cell))
-            }
-            PaillierFraming::PackedRows => self.decrypt_packed(outcome),
-        }
+        decrypt_cell_wise(self.name(), outcome, |_, cell| self.decrypt_cell(cell))
     }
 
     fn reseeded(&self, seed: u64) -> Box<dyn Scheme> {
-        Box::new(PaillierScheme { keypair: self.keypair.clone(), seed, framing: self.framing })
+        Box::new(PaillierScheme { keypair: self.keypair.clone(), seed })
     }
 }
 
@@ -1052,34 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_paillier_roundtrips_and_is_smaller() {
-        let t = fixture();
-        let per_cell = PaillierScheme::new(64, 8).unwrap();
-        let packed = PaillierScheme::new(64, 8).unwrap().packed();
-        assert_eq!(packed.name(), "paillier-packed");
-        assert_eq!(packed.framing(), PaillierFraming::PackedRows);
-        assert_roundtrip(&packed, &t);
-        // Long and empty values cross cell boundaries inside one packed stream.
-        let awkward = table! {
-            ["Long", "Short", "Empty"];
-            ["a-rather-long-text-value-spanning-many-chunks", "x", ""],
-            ["", "y", "z"],
-        };
-        assert_roundtrip(&packed, &awkward);
-        // Packing cells shares chunk capacity, so the ciphertext shrinks — visible
-        // once the per-chunk capacity exceeds a typical cell (128-bit modulus: 14
-        // payload bytes per chunk vs one chunk per short cell).
-        let size = |s: &dyn Scheme| s.encrypt(&t).unwrap().encrypted.size_bytes();
-        assert!(
-            size(&PaillierScheme::new(128, 8).unwrap().packed())
-                < size(&PaillierScheme::new(128, 8).unwrap())
-        );
-        // A per-cell scheme fed a packed outcome errors instead of panicking.
-        let packed_outcome = packed.encrypt(&t).unwrap();
-        assert!(per_cell.decrypt(&packed_outcome).is_err());
-    }
-
-    #[test]
     fn reseeding_keeps_outcomes_decryptable_by_the_original_scheme() {
         let t = fixture();
         let master = MasterKey::from_seed(12);
@@ -1105,20 +907,6 @@ mod tests {
     }
 
     #[test]
-    fn entropy_constructors_draw_fresh_seeds() {
-        let a = F2::builder().seed_from_entropy().build().unwrap();
-        let b = F2::builder().seed_from_entropy().build().unwrap();
-        assert_ne!(a.config().seed, b.config().seed);
-        let master = MasterKey::from_seed(1);
-        let pa = ProbScheme::from_entropy(master.clone());
-        let pb = ProbScheme::from_entropy(master);
-        let t = fixture();
-        // Distinct entropy seeds ⇒ distinct nonce streams for the same table.
-        assert_ne!(pa.encrypt(&t).unwrap().encrypted, pb.encrypt(&t).unwrap().encrypted);
-        assert!(PaillierScheme::from_entropy(64).is_ok());
-    }
-
-    #[test]
     fn encrypt_view_is_byte_identical_to_encrypting_the_materialised_chunk() {
         let t = fixture();
         let master = MasterKey::from_seed(21);
@@ -1127,7 +915,6 @@ mod tests {
             Box::new(DetScheme::new(master.clone())),
             Box::new(ProbScheme::new(master, 21)),
             Box::new(PaillierScheme::new(64, 21).unwrap()),
-            Box::new(PaillierScheme::new(64, 21).unwrap().packed()),
         ];
         for scheme in &schemes {
             for range in [0..t.row_count(), 1..4, 2..2, 0..1] {

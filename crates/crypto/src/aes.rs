@@ -1,8 +1,10 @@
 //! AES-128 block cipher (FIPS-197), implemented from first principles.
 //!
-//! The S-box and its inverse are *derived* (multiplicative inverse in GF(2⁸) followed
-//! by the affine transform) rather than hard-coded, and the whole cipher is validated
-//! against the FIPS-197 appendix test vectors, so a table typo cannot silently corrupt
+//! Encryption only: every cipher built on it (the PRF, the deterministic and the
+//! probabilistic cell ciphers) runs the block cipher forwards, so there is no inverse
+//! cipher. The S-box is *derived* (multiplicative inverse in GF(2⁸) followed by the
+//! affine transform) rather than hard-coded, and the cipher is validated against
+//! FIPS-197 and AESAVS known-answer vectors, so a table typo cannot silently corrupt
 //! the scheme.
 
 /// Number of 32-bit words in an AES-128 key.
@@ -62,29 +64,10 @@ fn generate_sbox() -> [u8; 256] {
     sbox
 }
 
-fn invert_sbox(sbox: &[u8; 256]) -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    for (i, &v) in sbox.iter().enumerate() {
-        inv[v as usize] = i as u8;
-    }
-    inv
-}
-
-/// Derive the GF(2⁸) constant-multiplication table for `c` (used by MixColumns and
-/// its inverse). Like the S-box, derived rather than hard-coded, so the FIPS-197
-/// vector tests guard it.
-fn gf_mul_table(c: u8) -> [u8; 256] {
-    let mut t = [0u8; 256];
-    for (i, slot) in t.iter_mut().enumerate() {
-        *slot = gf_mul(i as u8, c);
-    }
-    t
-}
-
 /// Derive the four encryption T-tables (Rijndael's standard round linearisation:
 /// SubBytes + MixColumns fused into one 32-bit lookup per state byte, the three
 /// sibling tables being byte rotations of the first). Like the S-box they are
-/// *derived*, so the FIPS-197 vector tests guard them.
+/// *derived*, so the known-answer vector tests guard them.
 fn generate_enc_tables(sbox: &[u8; 256]) -> [[u32; 256]; 4] {
     let mut te = [[0u32; 256]; 4];
     for i in 0..256 {
@@ -98,16 +81,11 @@ fn generate_enc_tables(sbox: &[u8; 256]) -> [[u32; 256]; 4] {
     te
 }
 
-/// All key-independent AES tables, derived once per process: S-box and inverse, the
-/// fused encryption T-tables, and the InvMixColumns constant-multiplication tables.
+/// All key-independent AES tables, derived once per process: the S-box and the fused
+/// encryption T-tables.
 struct AesTables {
     sbox: [u8; 256],
-    inv_sbox: [u8; 256],
     te: [[u32; 256]; 4],
-    mul9: [u8; 256],
-    mul11: [u8; 256],
-    mul13: [u8; 256],
-    mul14: [u8; 256],
 }
 
 /// The shared, lazily-derived table set. Key expansion used to re-derive the S-box
@@ -117,30 +95,19 @@ fn tables() -> &'static AesTables {
     static TABLES: std::sync::OnceLock<AesTables> = std::sync::OnceLock::new();
     TABLES.get_or_init(|| {
         let sbox = generate_sbox();
-        AesTables {
-            sbox,
-            inv_sbox: invert_sbox(&sbox),
-            te: generate_enc_tables(&sbox),
-            mul9: gf_mul_table(9),
-            mul11: gf_mul_table(11),
-            mul13: gf_mul_table(13),
-            mul14: gf_mul_table(14),
-        }
+        AesTables { sbox, te: generate_enc_tables(&sbox) }
     })
 }
 
-/// An expanded AES-128 key, ready to encrypt or decrypt 16-byte blocks.
+/// An expanded AES-128 key, ready to encrypt 16-byte blocks.
 ///
-/// The encryption path (every PRF evaluation — the system's innermost loop) runs on
-/// fused T-tables: one round is 16 table lookups plus xors instead of byte-wise
-/// SubBytes/ShiftRows/MixColumns with bit-serial GF(2⁸) multiplications. Decryption
-/// (rare by comparison) keeps the byte-wise inverse rounds, with per-constant
-/// multiplication tables replacing `gf_mul` in InvMixColumns. The instance stores
-/// only the expanded key; all tables live in the process-wide `tables` cache.
+/// Encryption (every PRF evaluation — the system's innermost loop) runs on fused
+/// T-tables: one round is 16 table lookups plus xors instead of byte-wise
+/// SubBytes/ShiftRows/MixColumns with bit-serial GF(2⁸) multiplications. The instance
+/// stores only the expanded key; all tables live in the process-wide `tables` cache.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; NR + 1],
-    /// Round keys as big-endian column words, for the T-table encrypt path.
+    /// Round keys as big-endian column words.
     round_key_words: [[u32; 4]; NR + 1],
 }
 
@@ -174,58 +141,16 @@ impl Aes128 {
                 w[i][j] = w[i - NK][j] ^ temp[j];
             }
         }
-        let mut round_keys = [[0u8; 16]; NR + 1];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-        }
         let mut round_key_words = [[0u32; 4]; NR + 1];
-        for (r, rk) in round_keys.iter().enumerate() {
-            for c in 0..4 {
-                round_key_words[r][c] =
-                    u32::from_be_bytes(rk[4 * c..4 * c + 4].try_into().expect("4 bytes"));
+        for (r, rk) in round_key_words.iter_mut().enumerate() {
+            for (c, word) in rk.iter_mut().enumerate() {
+                *word = u32::from_be_bytes(w[4 * r + c]);
             }
         }
-        Aes128 { round_keys, round_key_words }
+        Aes128 { round_key_words }
     }
 
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for i in 0..16 {
-            state[i] ^= rk[i];
-        }
-    }
-
-    fn inv_sub_bytes(&self, state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = tables().inv_sbox[*b as usize];
-        }
-    }
-
-    /// State layout: column-major, state[r + 4c].
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
-            }
-        }
-    }
-
-    fn inv_mix_columns(&self, state: &mut [u8; 16]) {
-        let t = tables();
-        let (m9, m11, m13, m14) = (&t.mul9, &t.mul11, &t.mul13, &t.mul14);
-        for c in 0..4 {
-            let col = [state[4 * c], state[4 * c + 1], state[4 * c + 2], state[4 * c + 3]];
-            let [s0, s1, s2, s3] = col.map(usize::from);
-            state[4 * c] = m14[s0] ^ m11[s1] ^ m13[s2] ^ m9[s3];
-            state[4 * c + 1] = m9[s0] ^ m14[s1] ^ m11[s2] ^ m13[s3];
-            state[4 * c + 2] = m13[s0] ^ m9[s1] ^ m14[s2] ^ m11[s3];
-            state[4 * c + 3] = m11[s0] ^ m13[s1] ^ m9[s2] ^ m14[s3];
-        }
-    }
-
-    /// Encrypt one 16-byte block in place (T-table fast path).
+    /// Encrypt one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
         let (te, rk) = (&tables().te, &self.round_key_words);
         // State as big-endian column words (word j = column j, byte 0 = row 0).
@@ -272,20 +197,6 @@ impl Aes128 {
         }
     }
 
-    /// Decrypt one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        Self::add_round_key(block, &self.round_keys[NR]);
-        for round in (1..NR).rev() {
-            Self::inv_shift_rows(block);
-            self.inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[round]);
-            self.inv_mix_columns(block);
-        }
-        Self::inv_shift_rows(block);
-        self.inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
-    }
-
     /// Encrypt a copy of the block and return it.
     pub fn encrypt_block_copy(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut b = *block;
@@ -310,9 +221,11 @@ mod tests {
         assert_eq!(sbox[0x01], 0x7c);
         assert_eq!(sbox[0x53], 0xed);
         assert_eq!(sbox[0xff], 0x16);
-        let inv = invert_sbox(&sbox);
-        for i in 0..=255u8 {
-            assert_eq!(inv[sbox[i as usize] as usize], i);
+        // A permutation of the bytes: every output occurs exactly once.
+        let mut seen = [false; 256];
+        for &v in &sbox {
+            assert!(!seen[v as usize], "S-box repeats {v:#04x}");
+            seen[v as usize] = true;
         }
     }
 
@@ -327,37 +240,59 @@ mod tests {
         assert_eq!(gf_inv(0), 0);
     }
 
-    #[test]
-    fn fips197_appendix_b_vector() {
-        let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
-        let mut block: [u8; 16] = hex("3243f6a8885a308d313198a2e0370734").try_into().unwrap();
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("3925841d02dc09fbdc118597196a0b32"));
-    }
+    /// Known-answer vectors: (key, plaintext, ciphertext), hex.
+    const KNOWN_ANSWERS: [(&str, &str, &str); 7] = [
+        // FIPS-197 Appendix B.
+        (
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            "3243f6a8885a308d313198a2e0370734",
+            "3925841d02dc09fbdc118597196a0b32",
+        ),
+        // FIPS-197 Appendix C.1.
+        (
+            "000102030405060708090a0b0c0d0e0f",
+            "00112233445566778899aabbccddeeff",
+            "69c4e0d86a7b0430d8cdb78070b4c55a",
+        ),
+        // AESAVS VarTxt #0.
+        (
+            "00000000000000000000000000000000",
+            "80000000000000000000000000000000",
+            "3ad78e726c1ec02b7ebfe92b23d9ec34",
+        ),
+        // AESAVS GFSbox #0.
+        (
+            "00000000000000000000000000000000",
+            "f34481ec3cc627bacd5dc3fb08f273e6",
+            "0336763e966d92595a567cc9ce537f5e",
+        ),
+        // AESAVS KeySbox #0.
+        (
+            "10a58869d74be5a374cf867cfb473859",
+            "00000000000000000000000000000000",
+            "6d251e6944b051e04eaa6fb4dbf78465",
+        ),
+        // AESAVS VarKey #0.
+        (
+            "80000000000000000000000000000000",
+            "00000000000000000000000000000000",
+            "0edd33d3c621e546455bd8ba1418bec8",
+        ),
+        // All-zero key and block.
+        (
+            "00000000000000000000000000000000",
+            "00000000000000000000000000000000",
+            "66e94bd4ef8a2c3b884cfa59ca342b2e",
+        ),
+    ];
 
     #[test]
-    fn fips197_appendix_c_vector() {
-        let key: [u8; 16] = hex("000102030405060708090a0b0c0d0e0f").try_into().unwrap();
-        let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        let aes = Aes128::new(&key);
-        aes.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip_many_blocks() {
-        let aes = Aes128::new(&[7u8; 16]);
-        for i in 0..64u8 {
-            let mut block = [i; 16];
-            block[0] = i.wrapping_mul(17);
-            let orig = block;
+    fn known_answer_vectors() {
+        for (key, plaintext, ciphertext) in KNOWN_ANSWERS {
+            let aes = Aes128::new(&hex(key).try_into().unwrap());
+            let mut block: [u8; 16] = hex(plaintext).try_into().unwrap();
             aes.encrypt_block(&mut block);
-            assert_ne!(block, orig, "ciphertext must differ from plaintext");
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, orig);
+            assert_eq!(block.to_vec(), hex(ciphertext), "key {key}, plaintext {plaintext}");
         }
     }
 

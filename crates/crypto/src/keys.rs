@@ -26,7 +26,7 @@ pub fn splitmix64(x: u64) -> u64 {
 /// address-space layout), mixed through [`splitmix64`].
 ///
 /// The vendored offline `rand` shim has no OS entropy source, so this is the
-/// workspace-wide `from_entropy` substitute: good enough to make two runs of the same
+/// workspace's stand-in for an OS-seeded RNG: good enough to make two runs of the same
 /// binary draw different nonce streams, with no cryptographic claim (F²'s security
 /// rests on its AES-based PRF, not on seed secrecy). Successive calls never return the
 /// same seed, even within one clock tick.
@@ -96,12 +96,6 @@ impl MasterKey {
         MasterKey { root: SecretKey(bytes) }
     }
 
-    /// Derive a master key from ambient entropy (see [`entropy_seed`]) instead of a
-    /// caller-supplied RNG or a fixed seed.
-    pub fn from_entropy() -> Self {
-        Self::from_seed(entropy_seed())
-    }
-
     /// Deterministically derive a master key from a 64-bit seed. Intended for tests and
     /// reproducible benchmarks only — real deployments should use [`MasterKey::generate`].
     pub fn from_seed(seed: u64) -> Self {
@@ -131,27 +125,6 @@ impl MasterKey {
     /// Sub-key for the deterministic (AES baseline) encryption of attribute `attr`.
     pub fn deterministic_key(&self, attr: usize) -> SecretKey {
         self.derive(1, attr as u64)
-    }
-}
-
-/// Bundle of key material the data owner keeps private for one outsourced table.
-#[derive(Debug, Clone)]
-pub struct KeyMaterial {
-    /// The master key.
-    pub master: MasterKey,
-    /// Number of attributes of the outsourced table.
-    pub arity: usize,
-}
-
-impl KeyMaterial {
-    /// Create key material for a table with `arity` attributes.
-    pub fn new(master: MasterKey, arity: usize) -> Self {
-        KeyMaterial { master, arity }
-    }
-
-    /// All per-attribute probabilistic sub-keys, in attribute order.
-    pub fn attribute_keys(&self) -> Vec<SecretKey> {
-        (0..self.arity).map(|a| self.master.attribute_key(a)).collect()
     }
 }
 
@@ -191,25 +164,13 @@ mod tests {
     }
 
     #[test]
-    fn key_material_enumerates_attribute_keys() {
-        let km = KeyMaterial::new(MasterKey::from_seed(5), 4);
-        let keys = km.attribute_keys();
-        assert_eq!(keys.len(), 4);
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                assert_ne!(keys[i].as_bytes(), keys[j].as_bytes());
-            }
-        }
-    }
-
-    #[test]
     fn entropy_seeds_are_distinct() {
         // Two draws in the same nanosecond must still differ (monotonic counter).
         let a = entropy_seed();
         let b = entropy_seed();
         assert_ne!(a, b);
-        let ka = MasterKey::from_entropy();
-        let kb = MasterKey::from_entropy();
+        let ka = MasterKey::from_seed(entropy_seed());
+        let kb = MasterKey::from_seed(entropy_seed());
         assert_ne!(ka.root.as_bytes(), kb.root.as_bytes());
     }
 

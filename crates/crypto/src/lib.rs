@@ -6,7 +6,8 @@
 //! * **AES-128** ([`aes`]) — the block cipher underlying both the deterministic
 //!   baseline ("the AES baseline approach uses the well-known AES algorithm for the
 //!   deterministic encryption", §5.1) and the pseudorandom function of the
-//!   probabilistic scheme. Validated against the FIPS-197 test vectors.
+//!   probabilistic scheme. Both only encrypt blocks, so there is no inverse cipher.
+//!   Validated against FIPS-197 and AESAVS known-answer vectors.
 //! * **PRF-based probabilistic encryption** ([`prob`]) — the paper's cell cipher
 //!   `e = ⟨r, F_k(r) ⊕ p⟩` where `r` is a fresh random string and `F` a pseudorandom
 //!   function (§2.3, §3.2.2). `F_k` is instantiated as AES-128 in counter mode.
@@ -45,7 +46,7 @@ pub use aes::Aes128;
 pub use bigint::BigUint;
 pub use det::DeterministicCipher;
 pub use error::CryptoError;
-pub use keys::{entropy_seed, splitmix64, KeyMaterial, MasterKey, SecretKey};
+pub use keys::{entropy_seed, splitmix64, MasterKey, SecretKey};
 pub use montgomery::Montgomery;
 pub use paillier::{PaillierCiphertext, PaillierKeyPair, PaillierPublicKey, RandomnessPool};
 pub use prf::Prf;

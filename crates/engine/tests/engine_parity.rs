@@ -39,12 +39,6 @@ fn backends() -> Vec<Backend> {
         scheme: Box::new(PaillierScheme::new(64, 31).expect("modulus large enough")),
         fresh: Box::new(|| Box::new(PaillierScheme::new(64, 31).expect("modulus large enough"))),
     });
-    all.push(Backend {
-        scheme: Box::new(PaillierScheme::new(64, 37).expect("modulus large enough").packed()),
-        fresh: Box::new(|| {
-            Box::new(PaillierScheme::new(64, 37).expect("modulus large enough").packed())
-        }),
-    });
     all
 }
 

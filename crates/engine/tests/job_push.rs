@@ -120,7 +120,7 @@ fn assert_job_resume_is_byte_exact<S: Scheme>(label: &str, scheme: &S, t: &Table
 #[test]
 fn an_interrupted_job_resumes_sourcelessly_and_byte_exactly_at_every_cut() {
     // Every stored prefix chunk is decrypted and re-encrypted, and must
-    // CRC-match its frame at every cut — for both Paillier framings too.
+    // match its frame byte for byte at every cut, on every backend.
     let t = fixture(23);
     let master = MasterKey::from_seed(41);
     assert_job_resume_is_byte_exact(
@@ -130,9 +130,7 @@ fn an_interrupted_job_resumes_sourcelessly_and_byte_exactly_at_every_cut() {
     );
     assert_job_resume_is_byte_exact("det", &DetScheme::new(master.clone()), &t);
     assert_job_resume_is_byte_exact("prob", &ProbScheme::new(master, 41), &t);
-    let paillier = PaillierScheme::new(64, 41).unwrap();
-    assert_job_resume_is_byte_exact("paillier", &paillier, &t);
-    assert_job_resume_is_byte_exact("paillier-packed", &paillier.clone().packed(), &t);
+    assert_job_resume_is_byte_exact("paillier", &PaillierScheme::new(64, 41).unwrap(), &t);
 }
 
 #[test]

@@ -62,7 +62,6 @@ fn streaming_matches_in_memory_for_every_backend_and_worker_count() {
     assert_stream_parity("det", &DetScheme::new(master.clone()), &t);
     assert_stream_parity("prob", &ProbScheme::new(master, 41), &t);
     assert_stream_parity("paillier", &PaillierScheme::new(64, 41).unwrap(), &t);
-    assert_stream_parity("paillier-packed", &PaillierScheme::new(64, 41).unwrap().packed(), &t);
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //!
 //! The baseline (`LINT_baseline.json`) records *known debts* — findings that are
 //! tracked rather than silenced (the AES T-tables, the windowed-exponent branches).
-//! CI fails only on findings **not** covered by the baseline, so new code is held
-//! to the rules while the debt stays visible and enumerable.
+//! CI fails on findings **not** covered by the baseline, so new code is held to the
+//! rules while the debt stays visible and enumerable, and on baseline occurrences no
+//! finding matches any more, so a retired debt cannot silently cover its return.
 //!
 //! Baseline entries are keyed by `(rule, file, function, snippet)` with a count,
 //! *not* by line number: edits elsewhere in a file move lines constantly, and a
@@ -319,10 +320,11 @@ impl Baseline {
         out
     }
 
-    /// Split findings into `(baseline_covered, new)`. Per key, the first
-    /// `count` occurrences (in file/line order) are covered; any beyond that —
-    /// or any unknown key — are new.
-    pub fn partition<'a>(&self, findings: &'a [Finding]) -> (Vec<&'a Finding>, Vec<&'a Finding>) {
+    /// Match findings against the baseline. Per key, the first `count`
+    /// occurrences (in file/line order) are covered; any beyond that — or any
+    /// unknown key — are new, and any budget left once every finding is matched
+    /// is stale.
+    pub fn partition<'a>(&self, findings: &'a [Finding]) -> Partition<'a> {
         let mut remaining = self.entries.clone();
         let mut covered = Vec::new();
         let mut fresh = Vec::new();
@@ -335,8 +337,23 @@ impl Baseline {
                 _ => fresh.push(f),
             }
         }
-        (covered, fresh)
+        let mut stale: Vec<(BaselineKey, usize)> =
+            remaining.into_iter().filter(|&(_, left)| left > 0).collect();
+        stale.sort();
+        Partition { covered, fresh, stale }
     }
+}
+
+/// How a run's findings meet the baseline ([`Baseline::partition`]).
+#[derive(Debug)]
+pub struct Partition<'a> {
+    /// Findings within their key's baselined count.
+    pub covered: Vec<&'a Finding>,
+    /// Findings beyond their key's count, or under no key.
+    pub fresh: Vec<&'a Finding>,
+    /// Baseline keys with occurrences no finding matched, and how many, sorted
+    /// by key.
+    pub stale: Vec<(BaselineKey, usize)>,
 }
 
 /// Serialize the full report (`LINT_report.json`): every finding with its line,
@@ -402,10 +419,11 @@ mod tests {
         ];
         let base = Baseline::from_findings(&found[..2]);
         let reparsed = Baseline::parse(&base.to_json()).unwrap();
-        let (covered, fresh) = reparsed.partition(&found);
-        assert_eq!(covered.len(), 2);
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh[0].line, 30);
+        let matched = reparsed.partition(&found);
+        assert_eq!(matched.covered.len(), 2);
+        assert_eq!(matched.fresh.len(), 1);
+        assert_eq!(matched.fresh[0].line, 30);
+        assert!(matched.stale.is_empty());
     }
 
     #[test]
@@ -416,8 +434,23 @@ mod tests {
             finding(crate::rules::SECRET_BRANCH, "a.rs", 5, "if x"),
             finding(crate::rules::SECRET_BRANCH, "a.rs", 9, "if x"),
         ];
-        let (_, fresh) = base.partition(&two);
+        let fresh = base.partition(&two).fresh;
         assert_eq!(fresh.len(), 1);
         assert_eq!(fresh[0].line, 9);
+    }
+
+    #[test]
+    fn budget_no_finding_matches_is_stale() {
+        let two = vec![
+            finding(crate::rules::SECRET_INDEX, "a.rs", 5, "t[x]"),
+            finding(crate::rules::SECRET_INDEX, "a.rs", 9, "t[x]"),
+        ];
+        let base = Baseline::from_findings(&two);
+        let matched = base.partition(&two[..1]);
+        assert_eq!(matched.covered.len(), 1);
+        assert!(matched.fresh.is_empty());
+        assert_eq!(matched.stale, vec![(key_of(&two[0]), 1)]);
+        // Every occurrence matched: nothing is stale.
+        assert!(base.partition(&two).stale.is_empty());
     }
 }

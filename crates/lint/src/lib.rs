@@ -19,7 +19,8 @@
 //!
 //! * `cargo run -p f2-lint` — analyze, print diagnostics, write `LINT_report.json`.
 //! * `cargo run -p f2-lint -- --check` — same, but exit non-zero on findings not
-//!   covered by the committed `LINT_baseline.json` (the CI mode).
+//!   covered by the committed `LINT_baseline.json`, or on baseline entries no
+//!   finding matches any more (the CI mode).
 //! * `cargo run -p f2-lint -- --update-baseline` — accept current findings as the
 //!   new debt baseline.
 //!
@@ -48,6 +49,6 @@ pub mod rules;
 pub mod scope;
 
 pub use analyzer::{analyze, analyze_source, find_workspace_root, Analysis, REGISTRY_PATH};
-pub use baseline::{report_json, Baseline};
+pub use baseline::{report_json, Baseline, Partition};
 pub use registry::Registry;
 pub use rules::{CheckResult, FileFlags, Finding};

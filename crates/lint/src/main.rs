@@ -1,7 +1,8 @@
 //! `f2-lint` — the CLI wrapper over `f2_lint`.
 //!
 //! Exit codes: `0` clean (or debts all baselined), `1` findings not covered by the
-//! baseline in `--check` mode, `2` usage or I/O failure.
+//! baseline, or baseline entries no finding matches, in `--check` mode, `2` usage
+//! or I/O failure.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,7 +23,7 @@ fn usage() -> &'static str {
     "usage: f2-lint [--check] [--update-baseline] [--quiet] [--root <path>]\n\
      \n\
      Analyze the F² workspace against the repo lint rules.\n\
-       --check            exit 1 if any finding is not covered by LINT_baseline.json\n\
+       --check            exit 1 on a finding LINT_baseline.json does not cover, or on a stale entry in it\n\
        --update-baseline  rewrite LINT_baseline.json to cover current findings\n\
        --quiet            suppress per-finding diagnostics, print totals only\n\
        --root <path>      workspace root (default: nearest [workspace] Cargo.toml)"
@@ -47,7 +48,9 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn run() -> Result<bool, String> {
+/// Run the analysis; returns the number of new findings and of stale baseline
+/// occurrences.
+fn run() -> Result<(usize, usize), String> {
     let opts = parse_args()?;
     let root = match opts.root {
         Some(r) => r,
@@ -68,10 +71,15 @@ fn run() -> Result<bool, String> {
     } else {
         Baseline::default()
     };
-    let (covered, fresh) = baseline.partition(&analysis.findings);
+    let matched = baseline.partition(&analysis.findings);
+    let stale: usize = matched.stale.iter().map(|(_, left)| left).sum();
 
-    let report =
-        report_json(&analysis.findings, fresh.len(), analysis.files_scanned, analysis.allowed);
+    let report = report_json(
+        &analysis.findings,
+        matched.fresh.len(),
+        analysis.files_scanned,
+        analysis.allowed,
+    );
     let report_path = root.join(REPORT_FILE);
     std::fs::write(&report_path, report)
         .map_err(|e| format!("write {}: {e}", report_path.display()))?;
@@ -83,33 +91,48 @@ fn run() -> Result<bool, String> {
     }
 
     if !opts.quiet {
-        for f in &fresh {
+        for f in &matched.fresh {
             println!("error[{}]: {}", f.rule, f.message);
             println!("  --> {}:{} (in `{}`)", f.file, f.line, f.function);
             println!("   | {}", f.snippet);
         }
+        for ((rule, file, function, snippet), left) in &matched.stale {
+            println!("stale[{rule}]: {left} baselined occurrence(s) match no finding");
+            println!("  --> {file} (in `{function}`)");
+            println!("   | {snippet}");
+        }
     }
     println!(
-        "f2-lint: {} files, {} findings ({} baselined, {} new), {} allow-suppressed",
+        "f2-lint: {} files, {} findings ({} baselined, {} new), {} stale baseline \
+         occurrences, {} allow-suppressed",
         analysis.files_scanned,
         analysis.findings.len(),
-        covered.len(),
-        fresh.len(),
+        matched.covered.len(),
+        matched.fresh.len(),
+        stale,
         analysis.allowed,
     );
     if opts.update_baseline {
         println!("f2-lint: baseline rewritten with {} findings", analysis.findings.len());
     }
-    Ok(fresh.is_empty())
+    Ok((matched.fresh.len(), stale))
 }
 
 fn main() -> ExitCode {
     match run() {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => {
+        Ok((0, 0)) => ExitCode::SUCCESS,
+        Ok((fresh, stale)) => {
             let check = std::env::args().any(|a| a == "--check");
             if check {
-                eprintln!("f2-lint: new findings not covered by {BASELINE_FILE}");
+                if fresh > 0 {
+                    eprintln!("f2-lint: new findings not covered by {BASELINE_FILE}");
+                }
+                if stale > 0 {
+                    eprintln!(
+                        "f2-lint: stale {BASELINE_FILE} entries match no finding; \
+                         rewrite it with `cargo run -p f2-lint -- --update-baseline`"
+                    );
+                }
                 ExitCode::from(1)
             } else {
                 ExitCode::SUCCESS

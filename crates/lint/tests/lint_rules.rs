@@ -106,19 +106,19 @@ fn baseline_suppresses_known_findings_but_not_new_ones() {
 
     // A baseline built from today's findings covers all of them…
     let baseline = Baseline::from_findings(&result.findings);
-    let (covered, fresh) = baseline.partition(&result.findings);
-    assert_eq!(covered.len(), result.findings.len());
-    assert!(fresh.is_empty(), "{fresh:?}");
+    let matched = baseline.partition(&result.findings);
+    assert_eq!(matched.covered.len(), result.findings.len());
+    assert!(matched.fresh.is_empty(), "{:?}", matched.fresh);
 
     // …and it survives a JSON round trip.
     let reparsed = Baseline::parse(&baseline.to_json()).expect("baseline parses");
-    let (_, fresh) = reparsed.partition(&result.findings);
+    let fresh = reparsed.partition(&result.findings).fresh;
     assert!(fresh.is_empty(), "{fresh:?}");
 
     // A new violation seeded below the known ones is NOT covered.
     let seeded = format!("{src}\npub fn fresh_violation(buf: &[u8]) -> u8 {{\n    buf[7]\n}}\n");
     let seeded_result = analyze_source(label, &seeded, &Registry::default());
-    let (_, fresh) = reparsed.partition(&seeded_result.findings);
+    let fresh = reparsed.partition(&seeded_result.findings).fresh;
     assert_eq!(fresh.len(), 1, "{fresh:?}");
     assert_eq!(fresh[0].rule, "slice-index");
     assert_eq!(fresh[0].function, "fresh_violation");

@@ -1,6 +1,7 @@
-//! The lint must run clean over the live workspace modulo the committed baseline —
-//! the same invariant CI enforces with `cargo run -p f2-lint -- --check` — and a
-//! violation seeded into a watched module must surface with a file:line diagnostic.
+//! The lint must run clean over the live workspace modulo the committed baseline,
+//! with no baseline entry left stale — the same invariant CI enforces with
+//! `cargo run -p f2-lint -- --check` — and a violation seeded into a watched module
+//! must surface with a file:line diagnostic.
 
 use std::path::Path;
 
@@ -19,13 +20,28 @@ fn workspace_is_clean_modulo_the_committed_baseline() {
     let baseline_text =
         std::fs::read_to_string(root.join("LINT_baseline.json")).expect("committed baseline");
     let baseline = Baseline::parse(&baseline_text).expect("baseline parses");
-    let (_, fresh) = baseline.partition(&analysis.findings);
-    let rendered: Vec<String> =
-        fresh.iter().map(|f| format!("{}:{} [{}] {}", f.file, f.line, f.rule, f.message)).collect();
+    let matched = baseline.partition(&analysis.findings);
+    let rendered: Vec<String> = matched
+        .fresh
+        .iter()
+        .map(|f| format!("{}:{} [{}] {}", f.file, f.line, f.rule, f.message))
+        .collect();
     assert!(
         rendered.is_empty(),
         "new lint findings (fix them or run `cargo run -p f2-lint -- --update-baseline`):\n{}",
         rendered.join("\n")
+    );
+    let stale: Vec<String> = matched
+        .stale
+        .iter()
+        .map(|((rule, file, function, snippet), left)| {
+            format!("{file} `{function}` [{rule}] ×{left}: {snippet}")
+        })
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "stale baseline entries (run `cargo run -p f2-lint -- --update-baseline`):\n{}",
+        stale.join("\n")
     );
 }
 

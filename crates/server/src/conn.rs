@@ -64,6 +64,7 @@ fn run_connection(
         // wire trace context, if the client sent one, governs the whole
         // request; untraced requests get server-minted ids.
         let decoded = Request::decode(frame.frame_type, &frame.payload);
+        let undecodable = decoded.is_err();
         let wire_ctx = match &decoded {
             Ok((_, ctx)) => *ctx,
             Err(_) => None,
@@ -103,10 +104,11 @@ fn run_connection(
         if let Some(entry) = trace.complete(outcome_kind) {
             account(core, &entry, elapsed);
         }
-        // A malformed request or an internal failure ends the conversation
-        // after the typed reply; the client reconnects and resumes.
-        let close_after =
-            matches!(reply, Err(ServerError::BadRequest(_) | ServerError::Internal(_)));
+        // A request frame that does not decode, or an internal failure, ends
+        // the conversation after the typed reply; the client reconnects and
+        // resumes. A well-formed request a handler refuses (`BadRequest`) keeps
+        // the connection: the job and its store are unchanged.
+        let close_after = undecodable || matches!(reply, Err(ServerError::Internal(_)));
         // Success replies echo the request's trace context; error replies
         // stay traceless (their encoder predates the field and old clients
         // must keep decoding them).

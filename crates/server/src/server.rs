@@ -330,7 +330,7 @@ impl Service {
         schemes: Arc<dyn SchemeProvider>,
         stores: Arc<dyn StoreProvider>,
     ) -> Self {
-        let sessions = Sessions::new(config.seed, config.chunk_rows.max(1), 1);
+        let sessions = Sessions::new(config.seed, config.chunk_rows.max(1));
         let deadlines = Deadlines::new();
         let ids = f2_obs::IdSource::seeded(config.seed ^ 0x7261_6365_5F69_6473);
         Service {

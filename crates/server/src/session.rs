@@ -244,7 +244,6 @@ pub(crate) struct Sessions {
     next_token: AtomicU64,
     service_seed: u64,
     chunk_rows: usize,
-    workers: usize,
 }
 
 /// What `Sessions::checkout` hands back: either the live job, or the facts
@@ -255,22 +254,22 @@ pub(crate) enum Checkout {
 }
 
 impl Sessions {
-    pub(crate) fn new(service_seed: u64, chunk_rows: usize, workers: usize) -> Self {
+    pub(crate) fn new(service_seed: u64, chunk_rows: usize) -> Self {
         Sessions {
             jobs: Mutex::new(HashMap::new()),
             next_token: AtomicU64::new(1),
             service_seed,
             chunk_rows,
-            workers,
         }
     }
 
     /// The deterministic per-job engine. Seeded by token so a resume — even
     /// after a full process restart — re-derives the original key schedule.
+    /// Stream jobs encrypt one chunk at a time, so one worker.
     pub(crate) fn engine_for(&self, token: u64) -> ServerResult<Engine> {
         Engine::new(EngineConfig {
-            workers: self.workers.max(1),
-            chunk_rows: self.chunk_rows.max(1),
+            workers: 1,
+            chunk_rows: self.chunk_rows,
             seed: chunk_seed(self.service_seed, token),
         })
         .map_err(ServerError::from)

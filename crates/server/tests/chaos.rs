@@ -745,9 +745,10 @@ fn a_dropped_connection_leaves_its_job_live_and_resume_replays_nothing() {
 }
 
 /// An append the job refuses (here, one after the job's short final chunk)
-/// writes nothing, so it leaves the job live: the refusal is a typed
-/// `BadRequest`, and a resume on a new connection reports the job's counters
-/// without replaying (re-encrypting) its stored prefix.
+/// writes nothing, so it leaves the job live and the connection open: the
+/// refusal is a typed `BadRequest`, and a resume on the same connection
+/// reports the job's counters without replaying (re-encrypting) its stored
+/// prefix.
 #[test]
 fn a_refused_append_leaves_its_job_live_and_resume_replays_nothing() {
     let data = table(5, 14); // one short chunk
@@ -764,10 +765,9 @@ fn a_refused_append_leaves_its_job_live_and_resume_replays_nothing() {
             other => panic!("expected a BadRequest refusal, got {other:?}"),
         }
         assert_eq!(encryptions.load(Ordering::SeqCst), 1);
-        drop(client);
 
-        // The job is still live: resume reads its counters and replays nothing.
-        let mut client = connect();
+        // The connection and the job are still live: resume reads its counters
+        // and replays nothing.
         let ack = client.resume("acme", opened.token, data.schema()).expect("resume");
         assert_eq!((ack.next_chunk, ack.rows_done), (1, data.row_count() as u64));
         assert_eq!(encryptions.load(Ordering::SeqCst), 1, "resume re-encrypted the prefix");

@@ -132,8 +132,7 @@ pub use f2_server as server;
 
 pub use f2_core::{
     ChunkState, DetScheme, EncryptionReport, F2Builder, F2Config, F2Error, F2OwnerState, F2Scheme,
-    OwnerState, PaillierFraming, PaillierScheme, ProbScheme, Provenance, RowOrigin, Scheme,
-    SchemeOutcome, F2,
+    OwnerState, PaillierScheme, ProbScheme, Provenance, RowOrigin, Scheme, SchemeOutcome, F2,
 };
 pub use f2_engine::{
     decrypt_streaming_lossy, ChunkRecord, DamageReport, Engine, EngineConfig, EngineError,

@@ -240,20 +240,6 @@ fn paillier_conforms() {
 }
 
 #[test]
-fn packed_paillier_conforms() {
-    // The packed framing spreads one row's ciphertext frames across its cells, so the
-    // whole conformance contract (opaque cells, no plaintext survivors, exact
-    // roundtrip) must hold exactly as it does per cell.
-    let scheme = PaillierScheme::new(64, 53).expect("modulus large enough").packed();
-    for (i, t) in fixtures().iter().enumerate() {
-        assert_conformance(&scheme, t, &format!("fixture#{i}"));
-    }
-    for (t, name) in datagen_tables(12) {
-        assert_conformance(&scheme, &t, name);
-    }
-}
-
-#[test]
 fn f2_builder_rejects_invalid_parameters() {
     // α must lie in (0, 1].
     assert!(F2::builder().alpha(0.0).build().is_err());
@@ -286,13 +272,12 @@ fn backends_expose_distinct_names() {
         Box::new(DetScheme::new(master.clone())),
         Box::new(ProbScheme::new(master, 1)),
         Box::new(PaillierScheme::new(64, 1).unwrap()),
-        Box::new(PaillierScheme::new(64, 1).unwrap().packed()),
     ];
     let mut names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
-    assert_eq!(names.len(), 5);
+    assert_eq!(names.len(), 4);
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), 5, "backend names must be distinct");
+    assert_eq!(names.len(), 4, "backend names must be distinct");
 }
 
 #[test]
