@@ -417,8 +417,8 @@ fn engine() {
     // smoke mode like the sections above; `bench_guard` holds the ≤3% ceiling.
     let obs = observability_overhead();
     println!(
-        "\nTelemetry [{} rows, {} per chunk, best of {}]:",
-        obs.rows, obs.chunk_rows, obs.iters
+        "\nTelemetry [{} rows, {} per chunk, median of {} pairs]:",
+        obs.rows, obs.chunk_rows, obs.pairs
     );
     println!("{:<14} {:>12} {:>12} {:>10}", "telemetry", "wall", "MB/s", "overhead");
     println!("{:<14} {:>12} {:>12.2} {:>10}", "disabled", secs(obs.noop_wall), obs.noop_mb_s, "-");
@@ -428,6 +428,10 @@ fn engine() {
         secs(obs.instrumented_wall),
         obs.instrumented_mb_s,
         obs.overhead_frac * 100.0
+    );
+    println!(
+        "per-pair instrumented/no-op ratio: median {:.4}, quartiles {:.4}–{:.4}",
+        obs.ratio_median, obs.ratio_q1, obs.ratio_q3
     );
 
     // Per-phase Paillier breakdown (keygen / encrypt / decrypt) at the registry's
@@ -621,13 +625,15 @@ fn streaming_breakdown(f2_phases: &F2Phases) -> StreamingPhases {
     }
 }
 
-/// Runs per telemetry mode in [`observability_overhead`]; the fastest run on each
-/// side is compared, and the modes are interleaved so load drift on a shared CI
-/// host hits both alike. Nine pairs (not the 3-5 the other sections use) because
-/// this section estimates a ~1% *difference* between two ~100ms walls — per-side
-/// minima need to converge well below the ±3% single-run jitter of a busy 1-CPU
-/// runner for the `bench_guard` ceiling to hold without flaking.
-const OBS_OVERHEAD_ITERS: usize = 9;
+/// Pairs of runs (one per telemetry mode) in [`observability_overhead`]. Each
+/// pair's two runs are back to back, and which mode runs first alternates from
+/// pair to pair, so load drift on a shared CI host and whatever the first run of
+/// a pair pays hit both modes alike; the overhead is the median of the pairs'
+/// ratios. This section estimates a ~1% *difference* between two ~100 ms walls,
+/// and on a shared 2-vCPU host single pairs' ratios spread about ±5% between
+/// their quartiles: there the median of 9 pairs read up to 23%, the median of 25
+/// at most 3.4% (20 smoke runs).
+const OBS_OVERHEAD_PAIRS: usize = 25;
 
 /// The `observability` section of `BENCH_report.json`: the tracked F² workload
 /// pushed through the streaming pipeline — the most densely instrumented path, where
@@ -638,25 +644,31 @@ const OBS_OVERHEAD_ITERS: usize = 9;
 struct ObservabilityOverhead {
     rows: usize,
     chunk_rows: usize,
-    iters: usize,
+    pairs: usize,
     plain_bytes: usize,
+    /// Median wall of each mode's runs.
     noop_wall: Duration,
     instrumented_wall: Duration,
     noop_mb_s: f64,
     instrumented_mb_s: f64,
-    /// `max(0, instrumented_wall / noop_wall − 1)` — clamped so a faster
-    /// instrumented run (pure jitter) reads as zero overhead, not negative.
+    /// Median and quartiles of the per-pair `instrumented_wall / noop_wall` ratios.
+    ratio_median: f64,
+    ratio_q1: f64,
+    ratio_q3: f64,
+    /// `max(0, ratio_median − 1)` — clamped so a faster instrumented median (pure
+    /// jitter) reads as zero overhead, not negative.
     overhead_frac: f64,
 }
 
-/// Measure telemetry overhead: best-of-[`OBS_OVERHEAD_ITERS`] interleaved
-/// `run_streaming` runs per mode. The instrumented arm runs with the registry
-/// *and* the trace journal enabled, under an active request trace guard — the
-/// exact per-request shape the server puts every connection through (span
-/// stage attribution, counts, journal record) — so the ≤3% ceiling covers
-/// request tracing, not just bare metrics. The two modes' streams are checked
-/// byte-identical (artifact neutrality) and the instrumented stream is
-/// reloaded and decrypted, so a cheap-but-wrong telemetry path cannot pass.
+/// Measure telemetry overhead over [`OBS_OVERHEAD_PAIRS`] pairs of `run_streaming`
+/// runs, one per mode, alternating which mode runs first. The instrumented arm
+/// runs with the registry *and* the trace journal enabled, under an active
+/// request trace guard — the exact per-request shape the server puts every
+/// connection through (span stage attribution, counts, journal record) — so the
+/// ≤3% ceiling covers request tracing, not just bare metrics. The two modes'
+/// streams are checked byte-identical (artifact neutrality) and the instrumented
+/// stream is reloaded and decrypted, so a cheap-but-wrong telemetry path cannot
+/// pass.
 fn observability_overhead() -> ObservabilityOverhead {
     use f2_engine::stream::load_streamed_outcome;
     use f2_engine::{Engine, EngineConfig};
@@ -682,14 +694,21 @@ fn observability_overhead() -> ObservabilityOverhead {
         }
         (start.elapsed(), stream)
     };
-    let mut noop_wall = Duration::MAX;
-    let mut instrumented_wall = Duration::MAX;
+    let mut noop_walls = Vec::with_capacity(OBS_OVERHEAD_PAIRS);
+    let mut instrumented_walls = Vec::with_capacity(OBS_OVERHEAD_PAIRS);
+    let mut ratios = Vec::with_capacity(OBS_OVERHEAD_PAIRS);
     let mut streams: Option<(Vec<u8>, Vec<u8>)> = None;
-    for _ in 0..OBS_OVERHEAD_ITERS {
-        let (off_wall, off_stream) = run(false);
-        let (on_wall, on_stream) = run(true);
-        noop_wall = noop_wall.min(off_wall);
-        instrumented_wall = instrumented_wall.min(on_wall);
+    for pair in 0..OBS_OVERHEAD_PAIRS {
+        let ((off_wall, off_stream), (on_wall, on_stream)) = if pair % 2 == 0 {
+            let off = run(false);
+            (off, run(true))
+        } else {
+            let on = run(true);
+            (run(false), on)
+        };
+        ratios.push(on_wall.as_secs_f64() / off_wall.as_secs_f64().max(1e-9));
+        noop_walls.push(off_wall);
+        instrumented_walls.push(on_wall);
         streams.get_or_insert((off_stream, on_stream));
     }
     registry.set_enabled(true);
@@ -701,17 +720,26 @@ fn observability_overhead() -> ObservabilityOverhead {
     assert!(recovered.multiset_eq(&table), "observability round-trip failed");
     let plain_bytes = table.size_bytes();
     let mb = plain_bytes as f64 / 1e6;
+    // Nearest-rank quantiles; with an odd pair count the median is one run.
+    noop_walls.sort_unstable();
+    instrumented_walls.sort_unstable();
+    ratios.sort_by(f64::total_cmp);
+    let rank = |q: f64| ((OBS_OVERHEAD_PAIRS - 1) as f64 * q).round() as usize;
+    let quantile = |q: f64| ratios[rank(q)];
+    let (noop_wall, instrumented_wall) = (noop_walls[rank(0.5)], instrumented_walls[rank(0.5)]);
     ObservabilityOverhead {
         rows: F2_PHASE_ROWS,
         chunk_rows: F2_PHASE_CHUNK_ROWS,
-        iters: OBS_OVERHEAD_ITERS,
+        pairs: OBS_OVERHEAD_PAIRS,
         plain_bytes,
         noop_wall,
         instrumented_wall,
         noop_mb_s: mb / noop_wall.as_secs_f64().max(1e-9),
         instrumented_mb_s: mb / instrumented_wall.as_secs_f64().max(1e-9),
-        overhead_frac: (instrumented_wall.as_secs_f64() / noop_wall.as_secs_f64().max(1e-9) - 1.0)
-            .max(0.0),
+        ratio_median: quantile(0.5),
+        ratio_q1: quantile(0.25),
+        ratio_q3: quantile(0.75),
+        overhead_frac: (quantile(0.5) - 1.0).max(0.0),
     }
 }
 
@@ -889,13 +917,16 @@ fn engine_json(
     out.push_str("  },\n  \"observability\": {\n");
     let _ = writeln!(out, "    \"rows\": {},", obs.rows);
     let _ = writeln!(out, "    \"chunk_rows\": {},", obs.chunk_rows);
-    let _ = writeln!(out, "    \"iters\": {},", obs.iters);
+    let _ = writeln!(out, "    \"pairs\": {},", obs.pairs);
     let _ = writeln!(out, "    \"plain_bytes\": {},", obs.plain_bytes);
     let _ = writeln!(out, "    \"noop_wall_s\": {:.6},", obs.noop_wall.as_secs_f64());
     let _ =
         writeln!(out, "    \"instrumented_wall_s\": {:.6},", obs.instrumented_wall.as_secs_f64());
     let _ = writeln!(out, "    \"noop_mb_s\": {:.4},", obs.noop_mb_s);
     let _ = writeln!(out, "    \"instrumented_mb_s\": {:.4},", obs.instrumented_mb_s);
+    let _ = writeln!(out, "    \"ratio_median\": {:.4},", obs.ratio_median);
+    let _ = writeln!(out, "    \"ratio_q1\": {:.4},", obs.ratio_q1);
+    let _ = writeln!(out, "    \"ratio_q3\": {:.4},", obs.ratio_q3);
     let _ = writeln!(out, "    \"overhead_frac\": {:.4}", obs.overhead_frac);
     out.push_str("  },\n  \"paillier\": {\n");
     let _ = writeln!(out, "    \"modulus_bits\": {},", phases.modulus_bits);

@@ -7,18 +7,61 @@
 //! attribute (Definition 3.4). Classes of similar size are grouped together to minimise
 //! the copies the scaling phase has to add; when not enough collision-free classes are
 //! available, *fake* classes with values that do not exist in the dataset are added.
+//!
+//! A fake class holds no values, only the [`FakeRun`] of fresh-value counters the
+//! generator issued for it ([`ClassValues::Fake`]); its values are encoded when its
+//! ciphertexts are made. Fresh values collide with nothing, so no collision test
+//! ever reads them.
 
-use crate::fake::FreshValueGenerator;
+use crate::fake::{FakeRun, FreshValueGenerator, FRESH_ENCODED_LEN};
 use f2_relation::{EquivalenceClass, RowId, Value};
 use std::sync::Arc;
+
+/// The values of an equivalence class on its MAS attributes, in ascending
+/// attribute-index order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ClassValues {
+    /// A real class's representative tuple, shared (`Arc`) with its partition class,
+    /// so grouping and the split planner hand the same tuple to every derived
+    /// instance without per-instance clones.
+    Real(Arc<Vec<Value>>),
+    /// A fake class's fresh values, as the counters the generator issued for them.
+    Fake(FakeRun),
+}
+
+impl ClassValues {
+    /// Append the [`Value::encode`] bytes of the value at MAS position `pos` to `out`;
+    /// `fresh` is the generator that issued a fake class's run.
+    pub(crate) fn encode_into(&self, pos: usize, fresh: &FreshValueGenerator, out: &mut Vec<u8>) {
+        match self {
+            ClassValues::Real(values) => values[pos].encode_into(out),
+            ClassValues::Fake(run) => fresh.encode_run_value(*run, pos, out),
+        }
+    }
+
+    /// [`Value::encode`] length of the value at MAS position `pos`; exact for a fake
+    /// class while its counters are below 2³².
+    pub(crate) fn encoded_len(&self, pos: usize) -> usize {
+        match self {
+            ClassValues::Real(values) => values[pos].encoded_len(),
+            ClassValues::Fake(_) => FRESH_ENCODED_LEN,
+        }
+    }
+
+    /// The real representative tuple, or `None` for a fake class.
+    pub(crate) fn real(&self) -> Option<&[Value]> {
+        match self {
+            ClassValues::Real(values) => Some(values),
+            ClassValues::Fake(_) => None,
+        }
+    }
+}
 
 /// One member of an ECG: either a real equivalence class or a fake one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EcEntry {
-    /// The (plaintext) representative value on the MAS attributes, in ascending
-    /// attribute-index order. Shared (`Arc`) so grouping and the split planner can
-    /// hand the same tuple to every derived instance without per-instance clones.
-    pub representative: Arc<Vec<Value>>,
+    /// The class's values on the MAS attributes.
+    pub representative: ClassValues,
     /// The original rows belonging to the class (empty for fake classes).
     pub rows: Vec<RowId>,
     /// Size of the class when it is fake (real classes use `rows.len()`).
@@ -29,16 +72,16 @@ impl EcEntry {
     /// Build an entry from a real equivalence class.
     pub fn real(class: &EquivalenceClass) -> Self {
         EcEntry {
-            representative: class.representative.clone(),
+            representative: ClassValues::Real(class.representative.clone()),
             rows: class.rows.clone(),
             fake_size: 0,
         }
     }
 
-    /// Build a fake entry of the given size with fresh values.
+    /// Build a fake entry of the given size over `attr_count` fresh values.
     pub fn fake(size: usize, attr_count: usize, fresh: &mut FreshValueGenerator) -> Self {
         EcEntry {
-            representative: Arc::new(fresh.take(attr_count)),
+            representative: ClassValues::Fake(fresh.next_run(attr_count)),
             rows: Vec::new(),
             fake_size: size.max(1),
         }
@@ -46,7 +89,7 @@ impl EcEntry {
 
     /// Number of (real or virtual) tuples in the class — the paper's frequency `f`.
     pub fn size(&self) -> usize {
-        if self.rows.is_empty() {
+        if self.is_fake() {
             self.fake_size
         } else {
             self.rows.len()
@@ -55,13 +98,17 @@ impl EcEntry {
 
     /// True if the entry is a fake class added by grouping.
     pub fn is_fake(&self) -> bool {
-        self.rows.is_empty()
+        matches!(self.representative, ClassValues::Fake(_))
     }
 
     /// Collision test (Definition 3.4): two classes collide if they share a value on
-    /// any single attribute position.
+    /// any single attribute position. A fake class's values are fresh, so it
+    /// collides with no other class.
     pub fn collides_with(&self, other: &EcEntry) -> bool {
-        self.representative.iter().zip(other.representative.iter()).any(|(a, b)| a == b)
+        match (self.representative.real(), other.representative.real()) {
+            (Some(a), Some(b)) => a.iter().zip(b).any(|(x, y)| x == y),
+            _ => false,
+        }
     }
 }
 
@@ -368,12 +415,8 @@ mod tests {
         // C1 = (a1,b1) and C2 = (a1,b2) must not share a group (collision on a1);
         // likewise C2/C3 (b2) and C3/C4 (a2).
         for g in &groups {
-            let reps: Vec<&Vec<Value>> = g
-                .members
-                .iter()
-                .filter(|m| !m.is_fake())
-                .map(|m| m.representative.as_ref())
-                .collect();
+            let reps: Vec<&[Value]> =
+                g.members.iter().filter_map(|m| m.representative.real()).collect();
             for i in 0..reps.len() {
                 for j in (i + 1)..reps.len() {
                     assert!(
@@ -443,10 +486,17 @@ mod tests {
         let fake = EcEntry::fake(4, 3, &mut fresh);
         assert!(fake.is_fake());
         assert_eq!(fake.size(), 4);
-        assert_eq!(fake.representative.len(), 3);
+        assert_eq!(fresh.issued(), 3);
+        assert_eq!(fake.representative.real(), None);
+        let mut out = Vec::new();
+        fake.representative.encode_into(2, &fresh, &mut out);
+        let mut third = FreshValueGenerator::new();
+        third.next_run(2);
+        assert_eq!(out, third.next_value().encode());
         let real = EcEntry::real(&ec(&["a"], &[7]));
         assert!(!real.is_fake());
         assert_eq!(real.size(), 1);
         assert!(!fake.collides_with(&real));
+        assert!(real.collides_with(&real));
     }
 }

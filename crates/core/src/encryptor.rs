@@ -22,8 +22,9 @@
 //! record counts that the benchmark harness turns into the paper's figures.
 
 use crate::config::F2Config;
-use crate::fake::FreshValueGenerator;
-use crate::fpfd::plan_false_positive_elimination_witnessed;
+use crate::ecg::ClassValues;
+use crate::fake::{FreshValueGenerator, FRESH_ENCODED_LEN};
+use crate::fpfd::{false_positive_record_pairs, maximum_false_positives};
 use crate::provenance::{Provenance, RowOrigin};
 use crate::report::{EncryptionReport, OverheadBreakdown, StepTimings};
 use crate::sse::{build_mas_plan_from, MasPlan};
@@ -74,7 +75,8 @@ impl CellSlot {
 /// appended to one buffer, and cells and artificial rows store dense `u32` ids into
 /// it. [`CtArena::freeze`] turns the buffer into one shared allocation, so the
 /// output records hold `Bytes` slices of it: building, cloning and dropping a
-/// chunk's cells costs one allocation, not one per ciphertext.
+/// chunk's cells costs one allocation, not one per ciphertext. The call counts
+/// what its steps will append and reserves that once, so the buffer never grows.
 #[derive(Debug)]
 struct CtArena {
     buf: Vec<u8>,
@@ -86,18 +88,36 @@ struct CtArena {
 }
 
 impl CtArena {
-    fn with_capacity(cts: usize) -> CtArena {
-        CtArena {
-            buf: Vec::with_capacity(cts * (NONCE_LEN + 16)),
-            ends: Vec::with_capacity(cts),
-            plain: Vec::new(),
-        }
+    /// An empty arena with room for `cts` ciphertexts of `bytes` bytes in all
+    /// (capacity only).
+    fn with_capacity((cts, bytes): (usize, usize)) -> CtArena {
+        CtArena { buf: Vec::with_capacity(bytes), ends: Vec::with_capacity(cts), plain: Vec::new() }
+    }
+
+    /// Ciphertexts and bytes appended so far.
+    fn size(&self) -> (usize, usize) {
+        (self.ends.len(), self.buf.len())
     }
 
     /// Encrypt `value` into the arena.
     fn push(&mut self, cipher: &ProbabilisticCipher, value: &Value, rng: &mut StdRng) -> u32 {
         self.plain.clear();
         value.encode_into(&mut self.plain);
+        self.seal(cipher, rng)
+    }
+
+    /// Encrypt a class's value at MAS position `pos` into the arena; `fresh` issued
+    /// a fake class's counters.
+    fn push_class_value(
+        &mut self,
+        cipher: &ProbabilisticCipher,
+        values: &ClassValues,
+        pos: usize,
+        fresh: &FreshValueGenerator,
+        rng: &mut StdRng,
+    ) -> u32 {
+        self.plain.clear();
+        values.encode_into(pos, fresh, &mut self.plain);
         self.seal(cipher, rng)
     }
 
@@ -140,6 +160,80 @@ impl FrozenArena {
     }
 }
 
+/// The type-2 conflicts of §3.3.2, decided before any cell is assigned:
+/// `conflicts[mi][r]` is true when row `r`'s class in plan `mi` has more than one
+/// original tuple and the row already carries another such class's ciphertext on
+/// an attribute of `mi`. Such a row keeps its earlier assignment, and a companion
+/// row carries plan `mi`'s instance.
+fn type2_conflicts(plans: &[MasPlan], n: usize) -> Vec<Vec<bool>> {
+    // multi_attrs[r]: the attributes on which row r carries a multi-tuple class's
+    // ciphertext. A conflict leaves them as they are; so does a singleton class,
+    // which adopts what the row carries or takes cells nothing claimed.
+    let mut multi_attrs = vec![AttrSet::EMPTY; n];
+    plans
+        .iter()
+        .map(|plan| {
+            let mut conflicts = vec![false; n];
+            for inst in plan.instances.iter().filter(|inst| inst.ec_real_size > 1) {
+                for &r in &inst.rows {
+                    if multi_attrs[r].intersect(plan.mas).is_empty() {
+                        multi_attrs[r] = multi_attrs[r].union(plan.mas);
+                    } else {
+                        conflicts[r] = true;
+                    }
+                }
+            }
+            conflicts
+        })
+        .collect()
+}
+
+/// The ciphertexts and bytes one `encrypt` call appends to its arena, counted
+/// from the plans: one ciphertext per instance attribute; a fresh fill on every
+/// attribute outside its MAS for each scale copy, fake-class row and conflict
+/// companion; a fill on each conflicting row's attributes that no earlier MAS
+/// covers; the real cells no MAS covers; and Step 4's `k` pairs per false
+/// positive, whose first row encrypts every cell and second every cell off the
+/// shared LHS, all fresh values. Each ciphertext is a nonce plus its plaintext's
+/// encoding; the count is exact while fresh counters are below 2³².
+fn arena_size(
+    table: &Table,
+    plans: &[MasPlan],
+    conflicts: &[Vec<bool>],
+    false_positives: &[(usize, AttrSet)],
+    k: usize,
+) -> (usize, usize) {
+    let arity = table.arity();
+    let fill = NONCE_LEN + FRESH_ENCODED_LEN;
+    let (mut cts, mut bytes) = (0, 0);
+    let mut covered = AttrSet::EMPTY;
+    for (plan, conflicts) in plans.iter().zip(conflicts) {
+        let m = plan.mas.len();
+        for inst in &plan.instances {
+            cts += m;
+            bytes += (0..m).map(|pos| NONCE_LEN + inst.values.encoded_len(pos)).sum::<usize>();
+            let fills = (inst.scale_copies + inst.fake_rows) * (arity - m);
+            cts += fills;
+            bytes += fills * fill;
+        }
+        let conflict_rows = conflicts.iter().filter(|&&c| c).count();
+        let fills = conflict_rows * (plan.mas.difference(covered).len() + arity - m);
+        cts += fills;
+        bytes += fills * fill;
+        covered = covered.union(plan.mas);
+    }
+    let uncovered: Vec<usize> = (0..arity).filter(|&a| !covered.contains(a)).collect();
+    cts += table.row_count() * uncovered.len();
+    for record in table.rows() {
+        bytes +=
+            uncovered.iter().map(|&a| NONCE_LEN + record.values()[a].encoded_len()).sum::<usize>();
+    }
+    let fp_fills: usize = false_positives.iter().map(|(_, lhs)| k * (2 * arity - lhs.len())).sum();
+    cts += fp_fills;
+    bytes += fp_fills * fill;
+    (cts, bytes)
+}
+
 /// Encrypt a table with the full four-step F² pipeline under `config` and the
 /// owner's master key.
 pub(crate) fn encrypt(
@@ -180,12 +274,18 @@ pub(crate) fn encrypt(
         })
         .collect();
 
+    // Step 4's lattice walk reads only the partitions' witnesses and draws no
+    // fresh value, so it runs here: with the false positives known, the arena is
+    // sized once for every step.
+    let t_fp = Instant::now();
+    let false_positives = maximum_false_positives(table, &mas_witnesses);
+    let mut fp_time = t_fp.elapsed();
+
     // Every distinct ciphertext is materialised exactly once, in the arena; the
     // flat row-major cell buffer and the artificial rows hold dense ids into it.
-    // Capacity: one ciphertext per instance attribute plus headroom for the
-    // fresh fills of uncovered cells and artificial-row remainders.
-    let instance_cts: usize = plans.iter().map(|p| p.instances.len() * p.mas.len()).sum();
-    let mut arena = CtArena::with_capacity(instance_cts + n * arity / 2);
+    let conflicts = type2_conflicts(&plans, n);
+    let reserved = arena_size(table, &plans, &conflicts, &false_positives, config.ecg_size());
+    let mut arena = CtArena::with_capacity(reserved);
     let mut cells: Vec<CellSlot> = vec![CellSlot::EMPTY; n * arity];
     // Artificial rows under construction: arity-strided per-attribute ciphertext
     // ids (UNASSIGNED = filled with a fresh value in the finalisation pass).
@@ -208,22 +308,20 @@ pub(crate) fn encrypt(
         for (ii, inst) in plan.instances.iter().enumerate() {
             // One ciphertext per attribute, shared by every row of the instance.
             inst_cts.clear();
-            for (&a, v) in attrs.iter().zip(inst.values.iter()) {
-                inst_cts.push(arena.push(&ciphers[a], v, &mut rng));
+            for (pos, &a) in attrs.iter().enumerate() {
+                inst_cts.push(arena.push_class_value(
+                    &ciphers[a],
+                    &inst.values,
+                    pos,
+                    &fresh,
+                    &mut rng,
+                ));
             }
             let multi = inst.ec_real_size > 1;
 
             for &r in &inst.rows {
-                // Type-2 conflict (§3.3.2): the row is already claimed on some
-                // overlapping attribute by another MAS's multi-tuple class, and this
-                // class is multi-tuple too.
-                let conflict = multi
-                    && attrs.iter().any(|&a| {
-                        let slot = cells[r * arity + a];
-                        slot.is_assigned()
-                            && matches!(slot.source, CellSource::Instance { multi: true, .. })
-                    });
-                if conflict {
+                // A type-2 conflict (§3.3.2; see `type2_conflicts`).
+                if conflicts[mi][r] {
                     let t_conflict = Instant::now();
                     // The original row keeps its earlier assignment; its unassigned
                     // attributes of this MAS receive fresh values so its projection
@@ -338,16 +436,12 @@ pub(crate) fn encrypt(
             }
         }
     }
-    let sse_time = t_sse.elapsed().saturating_sub(syn_time);
+    let sse_time = t_sse.elapsed().saturating_sub(syn_time + fp_time);
 
     // ---- Step 4: FP ------------------------------------------------------------
     let t_fp = Instant::now();
-    let fp_plan = plan_false_positive_elimination_witnessed(
-        table,
-        &mas_witnesses,
-        config.ecg_size(),
-        &mut fresh,
-    );
+    let fp_plan =
+        false_positive_record_pairs(&false_positives, arity, config.ecg_size(), &mut fresh);
     let mut fp_rows = 0usize;
     for pair in &fp_plan.pairs {
         // Row 1: every cell freshly encrypted. Row 2: shares the *ciphertext id*
@@ -371,10 +465,15 @@ pub(crate) fn encrypt(
         extra_origins.push(RowOrigin::FalsePositive { mas_index: pair.mas_index });
         fp_rows += 2;
     }
-    let fp_time = t_fp.elapsed();
+    fp_time += t_fp.elapsed();
 
     // ---- Assemble the output table ----------------------------------------------
     let encrypted_schema = table.schema().encrypted();
+    debug_assert!(
+        fresh.issued() > u64::from(u32::MAX) || arena.size() == reserved,
+        "appended {:?} to an arena sized {reserved:?}",
+        arena.size()
+    );
     let arena = arena.freeze();
     let mut records = Vec::with_capacity(n + extra_origins.len());
     let mut origins = Vec::with_capacity(n + extra_origins.len());

@@ -57,29 +57,23 @@ pub fn plan_false_positive_elimination(
     k: usize,
     fresh: &mut FreshValueGenerator,
 ) -> FpPlan {
-    plan_false_positive_elimination_witnessed(
-        table,
-        &mas_sets
-            .iter()
-            .map(|&mas| (mas, table.columnar().group_witnesses(mas)))
-            .collect::<Vec<_>>(),
-        k,
-        fresh,
-    )
+    let mas_witnesses: Vec<(AttrSet, Vec<RowId>)> =
+        mas_sets.iter().map(|&mas| (mas, table.columnar().group_witnesses(mas))).collect();
+    let false_positives = maximum_false_positives(table, &mas_witnesses);
+    false_positive_record_pairs(&false_positives, table.arity(), k, fresh)
 }
 
-/// [`plan_false_positive_elimination`] with caller-supplied witness rows (one row per
-/// equivalence class of each MAS partition, any order). The encryptor already holds
-/// every `π_M` for the SSE step and passes `rows[0]` of each class, so Step 4 never
-/// regroups the table.
-pub fn plan_false_positive_elimination_witnessed(
+/// The maximum false-positive FDs of every MAS, as `(mas_index, lhs)` pairs in
+/// lattice order, from caller-supplied witness rows (one row per equivalence class
+/// of each MAS partition, any order). The encryptor already holds every `π_M` for
+/// the SSE step and passes `rows[0]` of each class, so Step 4 never regroups the
+/// table. Draws no fresh value, so the encryptor knows Step 4's output size before
+/// Steps 2 and 3 run.
+pub(crate) fn maximum_false_positives(
     table: &Table,
     mas_witnesses: &[(AttrSet, Vec<RowId>)],
-    k: usize,
-    fresh: &mut FreshValueGenerator,
-) -> FpPlan {
-    let arity = table.arity();
-    let mut plan = FpPlan::default();
+) -> Vec<(usize, AttrSet)> {
+    let mut false_positives = Vec::new();
     for (mas_index, (mas, witnesses)) in mas_witnesses.iter().enumerate() {
         let mas = *mas;
         if mas.len() < 2 {
@@ -113,24 +107,35 @@ pub fn plan_false_positive_elimination_witnessed(
                 .or_insert_with(|| lhs_groups(&rep_ids, &position_of, lhs));
             rhs_disagrees_within_groups(group_of, &rep_ids[position_of[&rhs]], &mut witness_scratch)
         });
+        false_positives.extend(violated_nodes.into_iter().map(|node| (mas_index, node.lhs)));
+    }
+    false_positives
+}
 
-        for node in violated_nodes {
-            plan.max_false_positives += 1;
-            for _ in 0..k {
-                // Shared fresh values on X; everything else fresh and distinct.
-                let mut shared: Vec<Option<Value>> = vec![None; arity];
-                for a in node.lhs.iter() {
-                    shared[a] = Some(fresh.next_value());
-                }
-                let make_row = |fresh: &mut FreshValueGenerator| {
-                    (0..arity)
-                        .map(|a| shared[a].clone().unwrap_or_else(|| fresh.next_value()))
-                        .collect::<Vec<Value>>()
-                };
-                let row1 = make_row(fresh);
-                let row2 = make_row(fresh);
-                plan.pairs.push(FpRecordPair { mas_index, shared_attrs: node.lhs, row1, row2 });
+/// The `k` artificial record pairs of arity `arity` that eliminate each of
+/// `false_positives` (from [`maximum_false_positives`]), over fresh values.
+pub(crate) fn false_positive_record_pairs(
+    false_positives: &[(usize, AttrSet)],
+    arity: usize,
+    k: usize,
+    fresh: &mut FreshValueGenerator,
+) -> FpPlan {
+    let mut plan = FpPlan { pairs: Vec::new(), max_false_positives: false_positives.len() };
+    for &(mas_index, lhs) in false_positives {
+        for _ in 0..k {
+            // Shared fresh values on X; everything else fresh and distinct.
+            let mut shared: Vec<Option<Value>> = vec![None; arity];
+            for a in lhs.iter() {
+                shared[a] = Some(fresh.next_value());
             }
+            let make_row = |fresh: &mut FreshValueGenerator| {
+                (0..arity)
+                    .map(|a| shared[a].clone().unwrap_or_else(|| fresh.next_value()))
+                    .collect::<Vec<Value>>()
+            };
+            let row1 = make_row(fresh);
+            let row2 = make_row(fresh);
+            plan.pairs.push(FpRecordPair { mas_index, shared_attrs: lhs, row1, row2 });
         }
     }
     plan

@@ -7,11 +7,10 @@
 //! actual ciphertexts and resolves conflicts between overlapping MASs.
 
 use crate::config::F2Config;
-use crate::ecg::Ecg;
+use crate::ecg::{ClassValues, Ecg};
 use crate::fake::FreshValueGenerator;
 use crate::split::plan_split;
-use f2_relation::{AttrSet, Partition, RowId, Table, Value};
-use std::sync::Arc;
+use f2_relation::{AttrSet, Partition, RowId, Table};
 
 /// Safety floor of the split: no equivalence class is split so far that an instance
 /// keeps fewer than this many *real* rows. The paper's proof of Theorem 3.7 relies on
@@ -22,11 +21,10 @@ const MIN_REAL_ROWS_PER_INSTANCE: usize = 2;
 /// One ciphertext instance of a MAS plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstancePlan {
-    /// Plaintext values on the MAS attributes (ascending attribute-index order).
-    /// Shared with the originating ECG member — instances of one class hand out the
-    /// same tuple, so splitting a class into ϖ instances costs ϖ pointer bumps, not
-    /// ϖ deep clones.
-    pub values: Arc<Vec<Value>>,
+    /// Plaintext values on the MAS attributes (ascending attribute-index order):
+    /// the originating ECG member's, so splitting a class into ϖ instances costs ϖ
+    /// pointer bumps (or counter copies, for a fake class), not ϖ deep clones.
+    pub values: ClassValues,
     /// Original rows assigned to this instance.
     pub rows: Vec<RowId>,
     /// Artificial copies added by the scaling phase (counted as SCALE overhead).

@@ -36,10 +36,13 @@
 //!   (two unequal neighbours rule out a run at three start positions at once, so
 //!   incompressible bytes are passed over three at a time) and one slicing-by-8
 //!   CRC-32 pass over the header and the wire bytes (eight table lookups per
-//!   8-byte word); reading makes the CRC pass, plus one decompression for a
-//!   compressed frame. How the passes run is not part of the format: a frame's
-//!   bytes are fixed by its type and payload, and `tests/frame_proptest.rs` pins
-//!   both kernels to bytewise reference implementations.
+//!   8-byte word). The CRC runs each 8 KiB block as four interleaved 2 KiB lanes,
+//!   whose independent lookup chains overlap, and folds the lanes together with a
+//!   GF(2) multiply; shorter inputs and tails take one lane. Reading makes the CRC
+//!   pass, plus one decompression for a compressed frame. How the passes run is
+//!   not part of the format: a frame's bytes are fixed by its type and payload,
+//!   and `tests/frame_proptest.rs` pins both kernels to bytewise reference
+//!   implementations.
 //!
 //! What the frames *mean* (header / chunk / trailer layout) is defined by the
 //! producer — the streaming engine (`f2_engine::stream`) for encrypted outcomes.
@@ -76,11 +79,21 @@ pub(crate) const FRAME_HEADER_BYTES: usize = 1 + 1 + 4 + 4 + 4;
 /// The reflected IEEE 802.3 polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
 
-/// The slicing-by-8 tables: `[0]` is the classic bytewise table of [`CRC_POLY`],
-/// and `[k]` advances each of its entries over `k` further zero bytes, so eight
-/// lookups fold one little-endian 8-byte word into the CRC state at once.
-fn crc_tables() -> &'static [[u32; 256]; 8] {
-    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+/// Bytes of one lane of the four-lane loop: a block is four lanes.
+const CRC_LANE: usize = 2048;
+
+/// The slicing-by-8 tables and the lane shift. `tables[0]` is the classic
+/// bytewise table of [`CRC_POLY`], and `tables[k]` advances each of its entries
+/// over `k` further zero bytes, so eight lookups fold one little-endian 8-byte
+/// word into the CRC state at once. `lane_shift` is x^(8·CRC_LANE) mod P: a
+/// state multiplied by it has passed over one lane of zero bytes.
+struct CrcTables {
+    tables: [[u32; 256]; 8],
+    lane_shift: u32,
+}
+
+fn crc_tables() -> &'static CrcTables {
+    static TABLES: OnceLock<CrcTables> = OnceLock::new();
     TABLES.get_or_init(|| {
         let mut base = [0u32; 256];
         for (byte, slot) in (0u8..=255).zip(&mut base) {
@@ -99,7 +112,14 @@ fn crc_tables() -> &'static [[u32; 256]; 8] {
             }
             prev = *table;
         }
-        tables
+        // The polynomial 1 (bit 31 in reflected order), carried over one lane of
+        // zero bytes.
+        let mut lane_shift = 1 << 31;
+        for _ in 0..CRC_LANE {
+            let [low, ..] = u32::to_le_bytes(lane_shift);
+            lane_shift = (lane_shift >> 8) ^ lookup(&base, low);
+        }
+        CrcTables { tables, lane_shift }
     })
 }
 
@@ -108,22 +128,81 @@ fn lookup(table: &[u32; 256], index: u8) -> u32 {
     table.get(usize::from(index)).copied().unwrap_or(0)
 }
 
-/// Fold `bytes` into a raw (pre-inversion) CRC-32 state: eight bytes per step
-/// through the slicing-by-8 tables, then the tail one byte at a time.
-fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    let [t0, t1, t2, t3, t4, t5, t6, t7] = crc_tables();
-    let (words, tail) = bytes.as_chunks::<8>();
-    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
-        let [c0, c1, c2, c3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
-        crc = lookup(t7, c0)
-            ^ lookup(t6, c1)
-            ^ lookup(t5, c2)
-            ^ lookup(t4, c3)
-            ^ lookup(t3, b4)
-            ^ lookup(t2, b5)
-            ^ lookup(t1, b6)
-            ^ lookup(t0, b7);
+/// `a · b mod P` for polynomials in reflected bit order (bit 31 holds x⁰).
+fn gf2_mul_mod(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    for bit in (0..32).rev() {
+        if a & (1 << bit) != 0 {
+            product ^= b;
+        }
+        // b ← b · x mod P
+        b = if b & 1 != 0 { (b >> 1) ^ CRC_POLY } else { b >> 1 };
     }
+    product
+}
+
+/// One slicing-by-8 step: fold `word` into the raw CRC state `crc`.
+#[inline(always)]
+fn crc32_word(tables: &[[u32; 256]; 8], crc: u32, word: [u8; 8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = tables;
+    let [b0, b1, b2, b3, b4, b5, b6, b7] = word;
+    let [c0, c1, c2, c3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+    lookup(t7, c0)
+        ^ lookup(t6, c1)
+        ^ lookup(t5, c2)
+        ^ lookup(t4, c3)
+        ^ lookup(t3, b4)
+        ^ lookup(t2, b5)
+        ^ lookup(t1, b6)
+        ^ lookup(t0, b7)
+}
+
+/// Fold `bytes` into a raw (pre-inversion) CRC-32 state. Each 8 KiB block runs
+/// as four 2 KiB lanes side by side, so four independent slicing-by-8 chains
+/// overlap their table loads: lane 0 continues the state, lanes 1–3 start from
+/// zero, and since the raw CRC is linear, the lanes fold back in order as
+/// `state · x^(8·CRC_LANE) ⊕ lane`. What is left after the last block, and any
+/// input shorter than one, runs through the one-chain loop.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let CrcTables { tables, lane_shift } = crc_tables();
+    let (lanes, tail) = bytes.as_chunks::<CRC_LANE>();
+    let (blocks, last_lanes) = lanes.as_chunks::<4>();
+    for [l0, l1, l2, l3] in blocks {
+        let mut states = [crc, 0, 0, 0];
+        for (((w0, w1), w2), w3) in
+            lane_words(l0).zip(lane_words(l1)).zip(lane_words(l2)).zip(lane_words(l3))
+        {
+            let [s0, s1, s2, s3] = states;
+            states = [
+                crc32_word(tables, s0, w0),
+                crc32_word(tables, s1, w1),
+                crc32_word(tables, s2, w2),
+                crc32_word(tables, s3, w3),
+            ];
+        }
+        let [s0, s1, s2, s3] = states;
+        let shift = |state| gf2_mul_mod(state, *lane_shift);
+        crc = shift(shift(shift(s0) ^ s1) ^ s2) ^ s3;
+    }
+    for lane in last_lanes {
+        crc = crc32_serial(tables, crc, lane);
+    }
+    crc32_serial(tables, crc, tail)
+}
+
+/// The words of one lane, in order.
+fn lane_words(lane: &[u8; CRC_LANE]) -> impl Iterator<Item = [u8; 8]> + '_ {
+    lane.as_chunks::<8>().0.iter().copied()
+}
+
+/// [`crc32_update`]'s one-chain loop: eight bytes per step through the
+/// slicing-by-8 tables, then the tail one byte at a time.
+fn crc32_serial(tables: &[[u32; 256]; 8], mut crc: u32, bytes: &[u8]) -> u32 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    for &word in words {
+        crc = crc32_word(tables, crc, word);
+    }
+    let [t0, ..] = tables;
     for &b in tail {
         let [low, ..] = crc.to_le_bytes();
         crc = (crc >> 8) ^ lookup(t0, low ^ b);
@@ -677,6 +756,23 @@ mod tests {
         for split in [0, 1, 7, 8, 9, 10, 17, 64, 299, 300] {
             let (prefix, wire) = bytes.split_at(split);
             assert_eq!(frame_crc(prefix, wire), crc32(&bytes), "split at {split}");
+        }
+        // Splits inside and at the edges of a four-lane block and of its lanes.
+        let block = 4 * CRC_LANE;
+        let bytes: Vec<u8> = (0..3 * block + 100).map(|i| (i * 131 + i / 7) as u8).collect();
+        for split in [1, 10, CRC_LANE - 1, CRC_LANE, block - 3, block, block + 5, 2 * block + 4097]
+        {
+            let (prefix, wire) = bytes.split_at(split);
+            assert_eq!(frame_crc(prefix, wire), crc32(&bytes), "split at {split}");
+        }
+    }
+
+    #[test]
+    fn the_lane_shift_carries_a_state_over_a_lane_of_zeros() {
+        let zeros = [0u8; CRC_LANE];
+        let CrcTables { tables, lane_shift } = crc_tables();
+        for state in [1 << 31, 1, 0xDEAD_BEEF, u32::MAX] {
+            assert_eq!(gf2_mul_mod(state, *lane_shift), crc32_serial(tables, state, &zeros));
         }
     }
 

@@ -105,6 +105,43 @@ fn crc32_matches_the_bytewise_reference_at_every_length_and_offset() {
     }
 }
 
+/// Inputs of 8 KiB or more run as four interleaved 2 KiB lanes per 8 KiB block,
+/// the rest one word at a time: lengths just around one, two and three blocks,
+/// from every start offset within a word, agree with the bytewise reference.
+#[test]
+fn crc32_matches_the_bytewise_reference_across_four_lane_blocks() {
+    const BLOCK: usize = 8192;
+    let bytes: Vec<u8> =
+        (0..3 * BLOCK as u32 + 80).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
+    for start in 0..8 {
+        for blocks in 1..=3 {
+            for len in (blocks * BLOCK - 9)..=(blocks * BLOCK + 9) {
+                let slice = &bytes[start..start + len];
+                assert_eq!(crc32(slice), reference_crc32(slice), "start {start}, len {len}");
+            }
+        }
+    }
+}
+
+/// A frame's checksum runs over its ten header bytes and then its wire payload,
+/// so a payload of a block or more has its four-lane blocks start ten bytes into
+/// the checksummed bytes: the split falls inside the first block.
+#[test]
+fn stored_checksums_of_multi_block_frames_match_the_bytewise_reference() {
+    for len in [8191, 8192, 8193, 8192 * 2 + 3, 8192 * 3 - 10] {
+        let bytes = noise(len);
+        let stream = write_stream(&[(1, bytes.clone())]);
+        let frame = &stream[7..];
+        let wire_len = u32::from_le_bytes(frame[2..6].try_into().unwrap()) as usize;
+        assert_eq!(wire_len, len, "noise stays raw");
+        let stored = u32::from_le_bytes(frame[10..14].try_into().unwrap());
+        let covered = [&frame[..10], &frame[14..14 + wire_len]].concat();
+        assert_eq!(stored, reference_crc32(&covered), "len {len}");
+        let read = read_stream(&stream).expect("own stream reads");
+        assert_eq!(read[0].payload, bytes);
+    }
+}
+
 #[test]
 fn rle_edge_cases_match_the_bytewise_reference() {
     let mut cases: Vec<Vec<u8>> = Vec::new();

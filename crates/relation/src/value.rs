@@ -120,9 +120,21 @@ impl Value {
     /// Serialize the value to a self-describing byte string. This is the plaintext fed
     /// to the probabilistic encryption scheme `e = ⟨r, F_k(r) ⊕ p⟩`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(1 + self.size_bytes());
+        let mut out = Vec::with_capacity(self.encoded_len());
         self.encode_into(&mut out);
         out
+    }
+
+    /// Length of the [`Value::encode`] byte string, computed without encoding.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Value::Null => 1,
+            Value::Int(_) => 9,
+            Value::Decimal { .. } => 10,
+            Value::Text(s) => 1 + s.len(),
+            Value::Date(_) => 5,
+            Value::Bytes(b) => 1 + b.len(),
+        }
     }
 
     /// Append the [`Value::encode`] byte string to `out` — the write-into-buffer form
@@ -482,6 +494,7 @@ mod tests {
         ];
         for v in cases {
             let enc = v.encode();
+            assert_eq!(enc.len(), v.encoded_len(), "{v:?}");
             let dec = Value::decode(&enc).expect("decode");
             assert_eq!(v, dec, "roundtrip failed for {v:?}");
         }
