@@ -307,7 +307,8 @@ impl<W: Write> StreamJob<W> {
 /// pull is sound only because a failed `next_chunk` consumes nothing (see the
 /// soundness notes in `f2_io::retry`); the budget is per pull, not per stream.
 /// The chunk borrows the source, so it is lent to a closure rather than
-/// returned — for the same reason [`RetryPolicy::run`] cannot wrap the pull.
+/// returned — for the same reason the pull makes its attempts inline under
+/// [`RetryPolicy::begin`].
 pub(crate) fn pull<T>(
     source: &mut dyn RowSource,
     rows: usize,

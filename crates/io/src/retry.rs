@@ -23,11 +23,17 @@
 //! Retrying is only sound at a layer where a failed operation consumed nothing.
 //! The `std` contracts guarantee exactly that for single `read`/`write` calls,
 //! so [`RetryingReader`] / [`RetryingWriter`] wrap a transport at that level;
-//! for [`RowSource`](crate::RowSource) pulls, [`RetryPolicy::run`] is safe when
-//! the source fails before consuming input (true of
+//! for [`RowSource`](crate::RowSource) pulls, [`RetryPolicy::begin`] is safe
+//! when the source fails before consuming input (true of
 //! [`FaultySource`](crate::FaultySource) and [`TableSource`](crate::TableSource);
 //! for [`CsvSource`](crate::CsvSource) over an unreliable device, wrap the raw
 //! reader in a [`RetryingReader`] *below* the parser instead).
+//!
+//! Retries live where a job's bytes are stored and read: the engine's stream
+//! store writer and its source pulls (both under `Engine::with_retry`), and
+//! [`CsvSource::with_retry`](crate::CsvSource::with_retry). A service
+//! connection does not retry: a transport error ends it, and the client
+//! reconnects and resumes the job.
 
 use crate::error::{IoError, IoResult};
 use crate::fault::splitmix64;
@@ -122,28 +128,16 @@ impl RetryPolicy {
         matches!(error, IoError::Io(e) if Self::is_transient(e.kind()))
     }
 
-    /// Run `op` under this policy: transient failures are absorbed (with backoff)
-    /// until the attempt budget runs out; the first fatal error — or the last
-    /// transient one — is returned as-is.
-    pub fn run<T>(&self, op: impl FnMut() -> IoResult<T>) -> IoResult<T> {
-        self.run_classified(op, Self::error_is_transient)
-    }
-
-    /// [`RetryPolicy::run`] for raw `std::io` operations.
-    pub fn run_io<T>(&self, op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-        self.run_classified(op, |e: &std::io::Error| Self::is_transient(e.kind()))
-    }
-
-    fn run_classified<T, E>(
-        &self,
-        mut op: impl FnMut() -> Result<T, E>,
-        transient: impl Fn(&E) -> bool,
-    ) -> Result<T, E> {
+    /// Run a raw `std::io` operation under this policy: transient failures are
+    /// absorbed (with backoff) until the attempt budget runs out; the first
+    /// fatal error — or the last transient one — is returned as-is.
+    pub fn run_io<T>(&self, mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
         let mut state = self.begin();
         loop {
             match op() {
                 Ok(value) => return Ok(value),
-                Err(error) => state.absorb_classified(error, &transient)?,
+                Err(error) => state
+                    .absorb_classified(error, |e: &std::io::Error| Self::is_transient(e.kind()))?,
             }
         }
     }
@@ -151,9 +145,8 @@ impl RetryPolicy {
     /// Start an incremental attempt tracker for call sites where the retried
     /// operation's success value borrows from its receiver — e.g. a
     /// [`RowSource`](crate::RowSource) pull returning a chunk that borrows the
-    /// source — so [`RetryPolicy::run`] cannot wrap it (the borrow would have to
-    /// escape the retry closure). Make the attempt inline and feed each failure
-    /// to [`RetryState::absorb`].
+    /// source, which a retried closure could not hand back. Make the attempt
+    /// inline and feed each failure to [`RetryState::absorb`].
     pub fn begin(&self) -> RetryState<'_> {
         RetryState { policy: self, failures: 0, rng: self.seed, prev: self.base_delay }
     }
@@ -193,9 +186,9 @@ fn duration_nanos(d: Duration) -> u64 {
 /// Incremental retry state created by [`RetryPolicy::begin`]: one value tracks
 /// one operation's attempt budget and backoff schedule, for call sites where
 /// the attempt itself must stay inline (its success value borrows from the
-/// receiver). Semantics are identical to [`RetryPolicy::run`]: the first fatal
-/// error — or the last transient one once the budget is spent — comes back out
-/// of [`RetryState::absorb`].
+/// receiver). Semantics are identical to [`RetryPolicy::run_io`]: the first
+/// fatal error — or the last transient one once the budget is spent — comes
+/// back out of [`RetryState::absorb`].
 #[derive(Debug)]
 pub struct RetryState<'p> {
     policy: &'p RetryPolicy,
@@ -316,13 +309,33 @@ mod tests {
         }));
     }
 
-    #[test]
-    fn run_absorbs_transients_within_budget_and_reports_the_last() {
-        let policy = RetryPolicy::no_backoff(3);
+    /// Drive `op` the way the engine's source pulls do: attempt inline, feed
+    /// each failure to [`RetryState::absorb`]. Returns the outcome and the
+    /// number of attempts made.
+    fn attempt(
+        policy: &RetryPolicy,
+        mut op: impl FnMut(u32) -> IoResult<u32>,
+    ) -> (IoResult<u32>, u32) {
+        let mut state = policy.begin();
         let mut calls = 0;
-        let out: IoResult<u32> = policy.run(|| {
+        loop {
             calls += 1;
-            if calls < 3 {
+            match op(calls) {
+                Ok(value) => return (Ok(value), calls),
+                Err(error) => {
+                    if let Err(error) = state.absorb(error) {
+                        return (Err(error), calls);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn absorb_takes_transients_within_budget_and_reports_the_last() {
+        let policy = RetryPolicy::no_backoff(3);
+        let (out, calls) = attempt(&policy, |call| {
+            if call < 3 {
                 Err(IoError::Io(std::io::Error::new(ErrorKind::TimedOut, "flaky")))
             } else {
                 Ok(99)
@@ -331,19 +344,13 @@ mod tests {
         assert_eq!(out.unwrap(), 99);
         assert_eq!(calls, 3);
         // Budget exhausted: the last transient error surfaces.
-        let mut calls = 0;
-        let out: IoResult<u32> = policy.run(|| {
-            calls += 1;
+        let (out, calls) = attempt(&policy, |_| {
             Err(IoError::Io(std::io::Error::new(ErrorKind::WouldBlock, "always")))
         });
         assert!(out.is_err());
         assert_eq!(calls, 3);
         // Fatal errors are not retried at all.
-        let mut calls = 0;
-        let out: IoResult<u32> = policy.run(|| {
-            calls += 1;
-            Err(IoError::BadMagic)
-        });
+        let (out, calls) = attempt(&policy, |_| Err(IoError::BadMagic));
         assert!(out.is_err());
         assert_eq!(calls, 1);
     }

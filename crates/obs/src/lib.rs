@@ -24,9 +24,6 @@
 //!    traces (per-stage durations, tenant, outcome, byte/row counts) that
 //!    `f2_server`'s `/tracez` endpoint renders.
 //!
-//! [`MetricsSnapshot`] is the read side: a total parser over Prometheus text
-//! expositions so clients assert on typed samples instead of grepping strings.
-//!
 //! # Artifact neutrality
 //!
 //! Instrumentation must never change what the pipeline produces. Nothing in this
@@ -51,7 +48,6 @@ mod export;
 mod journal;
 mod metrics;
 mod registry;
-mod snapshot;
 mod span;
 
 pub use ctx::{IdSource, TraceCtx, TraceGuard};
@@ -61,7 +57,6 @@ pub use metrics::{
     BUCKET_COUNT,
 };
 pub use registry::{global, install_process_metrics, Registry};
-pub use snapshot::{MetricsSample, MetricsSnapshot};
 pub use span::Span;
 
 /// Time a lexical scope into the global registry's `f2_span_seconds` histogram.

@@ -2,11 +2,13 @@
 //!
 //! [`Client`] wraps any `Read + Write` transport (a [`TcpStream`], a
 //! [`duplex`](crate::pipe::duplex) pipe end, a fault-injected wrapper) in the
-//! same framed, CRC-checked, retry-wrapped layers the server uses, and
-//! exposes one method per request. Typed server errors come back as the
-//! exact [`ServerError`] variant the server sent —
-//! `Overloaded` carries its retry-after hint, `WrongChunk` the index to
-//! re-send from — so callers branch on variants, not on message strings.
+//! same framed, CRC-checked layers the server uses, and exposes one method
+//! per request. Typed server errors come back as the exact [`ServerError`]
+//! variant the server sent — `Overloaded` carries its retry-after hint,
+//! `WrongChunk` the index to re-send from — so callers branch on variants,
+//! not on message strings. A transport error ends the conversation: the
+//! caller dials again and [`resume`](Client::resume)s, the one recovery path
+//! for every broken connection.
 //!
 //! [`TcpStream`]: std::net::TcpStream
 
@@ -14,8 +16,8 @@ use crate::error::{ServerError, ServerResult};
 use crate::proto::{Request, Response};
 use crate::transport::Shared;
 use f2_io::frame::{FrameReader, FrameSink};
-use f2_io::{RetryPolicy, RetryingReader, RetryingWriter, RowSource, TableSource};
-use f2_obs::{IdSource, MetricsSnapshot, TraceCtx};
+use f2_io::{RowSource, TableSource};
+use f2_obs::{IdSource, TraceCtx};
 use f2_relation::{Schema, Table};
 use std::io::{Read, Write};
 
@@ -79,24 +81,19 @@ struct ClientTrace {
 
 /// A blocking protocol client over any byte transport.
 pub struct Client<T: Read + Write> {
-    sink: FrameSink<RetryingWriter<Shared<T>>>,
-    frames: FrameReader<RetryingReader<Shared<T>>>,
+    sink: FrameSink<Shared<T>>,
+    frames: FrameReader<Shared<T>>,
     trace: Option<ClientTrace>,
 }
 
 impl<T: Read + Write> Client<T> {
-    /// Connect over `transport` with the default retry policy.
+    /// Connect over `transport`: exchange preambles with the server.
     pub fn connect(transport: T) -> ServerResult<Self> {
-        Self::connect_with(transport, &RetryPolicy::new(4))
-    }
-
-    /// Connect with an explicit retry policy for the transport I/O.
-    pub fn connect_with(transport: T, retry: &RetryPolicy) -> ServerResult<Self> {
         let shared = Shared::new(transport);
         let reader_shared = shared.clone();
-        match FrameSink::new(retry.writer(shared)) {
+        match FrameSink::new(shared) {
             Ok(sink) => {
-                let frames = FrameReader::new(retry.reader(reader_shared))?;
+                let frames = FrameReader::new(reader_shared)?;
                 Ok(Client { sink, frames, trace: None })
             }
             // A shedding or draining server rejects inline: it writes its
@@ -104,8 +101,8 @@ impl<T: Read + Write> Client<T> {
             // out. The reply is still buffered — surface it instead of the
             // raw broken-pipe error.
             Err(write_err) => {
-                let salvaged = FrameReader::new(retry.reader(reader_shared))
-                    .and_then(|mut frames| frames.next_frame());
+                let salvaged =
+                    FrameReader::new(reader_shared).and_then(|mut frames| frames.next_frame());
                 match salvaged {
                     Ok(Some(frame)) => match Response::decode(frame.frame_type, &frame.payload) {
                         Err(typed) => Err(typed),
@@ -190,19 +187,6 @@ impl<T: Read + Write> Client<T> {
                 Ok(ResumeAck { token, next_chunk, rows_done, chunk_rows })
             }
             other => Err(unexpected("resume", &other)),
-        }
-    }
-
-    /// Fetch the service's metrics as a typed, queryable snapshot.
-    pub fn metrics(&mut self) -> ServerResult<MetricsSnapshot> {
-        Ok(MetricsSnapshot::parse(&self.metrics_text()?))
-    }
-
-    /// Fetch the service's raw Prometheus text exposition.
-    pub fn metrics_text(&mut self) -> ServerResult<String> {
-        match self.request(&Request::Metrics)? {
-            Response::Metrics(text) => Ok(text),
-            other => Err(unexpected("metrics", &other)),
         }
     }
 

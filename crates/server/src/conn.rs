@@ -40,9 +40,8 @@ fn run_connection(
     hangup: &Arc<dyn Hangup>,
 ) -> ServerResult<()> {
     let shared = Shared::new(transport);
-    let mut sink = FrameSink::new(core.config.retry.writer(shared.clone()))?;
-    let mut frames =
-        FrameReader::new(core.config.retry.reader(shared))?.with_frame_cap(core.config.frame_cap);
+    let mut sink = FrameSink::new(shared.clone())?;
+    let mut frames = FrameReader::new(shared)?.with_frame_cap(core.config.frame_cap);
     loop {
         let frame = match frames.next_frame() {
             Ok(Some(frame)) => frame,
@@ -143,7 +142,6 @@ fn dispatch(core: &Core, request: Request) -> ServerResult<Response> {
         }
         Request::Finish { token } => handle_finish(core, token),
         Request::Resume { tenant, token, schema } => handle_resume(core, &tenant, token, &schema),
-        Request::Metrics => Ok(Response::Metrics(metrics_snapshot())),
     }
 }
 
@@ -154,7 +152,6 @@ fn request_kind(frame_type: u8) -> &'static str {
         proto::REQ_APPEND => "append",
         proto::REQ_FINISH => "finish",
         proto::REQ_RESUME => "resume",
-        proto::REQ_METRICS => "metrics",
         _ => "unknown",
     }
 }
@@ -172,14 +169,6 @@ fn account(core: &Core, entry: &f2_obs::TraceEntry, elapsed: Duration) {
     if elapsed >= core.config.slow_request_threshold {
         obs::slow_requests_total().inc();
     }
-}
-
-/// The served metrics snapshot: one `write_prometheus` render of the global
-/// registry — everything the process meters, not just the server crate.
-fn metrics_snapshot() -> String {
-    let mut buf = Vec::new();
-    let _ = f2_obs::global().write_prometheus(&mut buf);
-    String::from_utf8_lossy(&buf).into_owned()
 }
 
 fn handle_open(core: &Core, tenant: String, schema: &Schema) -> ServerResult<Response> {

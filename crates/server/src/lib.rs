@@ -6,15 +6,16 @@
 //! engine alone cannot give you:
 //!
 //! - **A typed, CRC-checked protocol** ([`proto`]) over the same `F2WS` frame
-//!   layer the encrypted streams use: open / append / finish / resume /
-//!   metrics requests, typed error replies, hostile-input-hardened parsing
-//!   (in f2-lint's `untrusted-input` scope).
+//!   layer the encrypted streams use: open / append / finish / resume
+//!   requests, typed error replies, hostile-input-hardened parsing (in
+//!   f2-lint's `untrusted-input` scope).
 //! - **Supervision** ([`server`]): a bounded worker pool behind a bounded
 //!   admission queue; past the high-water mark connections are shed with a
 //!   typed [`Overloaded`](ServerError::Overloaded) reply and a retry-after
 //!   hint. Every request runs under a monotonic deadline that one
 //!   [`deadline`] watchdog thread fires; idle connections are reaped by I/O
-//!   timeout.
+//!   timeout. Any transport error, a timed-out read included, ends the
+//!   connection; the client reconnects and resumes.
 //! - **Crash-safe tenancy** ([`session`]): each tenant's scheme encrypts its
 //!   own jobs; a job's durable state is its stream — every acknowledged
 //!   chunk is already persisted with its owner-state blob, so a dropped
@@ -26,12 +27,12 @@
 //!   with their jobs parked resumable, and the process exits. Accepted work
 //!   is never lost.
 //!
-//! Everything meters into [`f2_obs`]; a `metrics` request serves the global
-//! registry as one Prometheus snapshot, and an [`HttpServer`] ([`http`])
-//! serves `/metrics`, `/metrics.json`, `/healthz`, and `/tracez` to anything
-//! that speaks HTTP. Every request runs under a trace context — adopted from
-//! the client's optional wire trace field or minted by the service — so
-//! `/tracez` explains recent and slowest requests stage by stage.
+//! Everything meters into [`f2_obs`]; an [`HttpServer`] ([`http`]) serves the
+//! global registry on `/metrics` and `/metrics.json`, plus `/healthz` and
+//! `/tracez`, to anything that speaks HTTP. Every request runs under a trace
+//! context — adopted from the client's optional wire trace field or minted by
+//! the service — so `/tracez` explains recent and slowest requests stage by
+//! stage.
 //!
 //! ```
 //! use f2_server::{

@@ -15,9 +15,9 @@
 //!
 //! Request frames: `OPEN` (new session for a tenant + schema), `APPEND` (one
 //! chunk of rows for a job token), `FINISH` (close the stream), `RESUME`
-//! (reattach to a persisted job), `METRICS` (fetch a Prometheus snapshot).
-//! Replies mirror them; errors travel as a `(code, a, b, message)` record
-//! that `decode_error` turns back into the exact [`ServerError`] variant.
+//! (reattach to a persisted job). Replies mirror them; errors travel as a
+//! `(code, a, b, message)` record that `decode_error` turns back into the
+//! exact [`ServerError`] variant.
 
 use crate::error::{ServerError, ServerResult};
 use f2_engine::persist::{decode_table, put_schema, put_table, take_schema};
@@ -34,8 +34,6 @@ pub const REQ_APPEND: u8 = 0x11;
 pub const REQ_FINISH: u8 = 0x12;
 /// Request frame: reattach to a persisted job after a disconnect or restart.
 pub const REQ_RESUME: u8 = 0x13;
-/// Request frame: fetch the service's Prometheus metrics snapshot.
-pub const REQ_METRICS: u8 = 0x14;
 
 /// Reply frame for [`REQ_OPEN`].
 pub const RESP_OPEN: u8 = 0x20;
@@ -45,8 +43,6 @@ pub const RESP_APPEND: u8 = 0x21;
 pub const RESP_FINISH: u8 = 0x22;
 /// Reply frame for [`REQ_RESUME`].
 pub const RESP_RESUME: u8 = 0x23;
-/// Reply frame for [`REQ_METRICS`].
-pub const RESP_METRICS: u8 = 0x24;
 /// Reply frame carrying a typed [`ServerError`].
 pub const RESP_ERR: u8 = 0x2F;
 
@@ -125,8 +121,6 @@ pub enum Request {
         /// Schema the client believes the job carries.
         schema: Schema,
     },
-    /// Fetch a Prometheus text snapshot of the service's metrics.
-    Metrics,
 }
 
 impl Request {
@@ -157,7 +151,6 @@ impl Request {
                 w.put_bytes(&encode_schema(schema));
                 REQ_RESUME
             }
-            Request::Metrics => REQ_METRICS,
         };
         (frame_type, finish_traced(w, ctx))
     }
@@ -187,7 +180,6 @@ impl Request {
                 let schema = take_schema_blob(&mut r)?;
                 Request::Resume { tenant, token, schema }
             }
-            REQ_METRICS => Request::Metrics,
             other => {
                 return Err(ServerError::BadRequest(format!("unknown request frame {other:#04x}")))
             }
@@ -239,8 +231,6 @@ pub enum Response {
         /// Rows per chunk the job expects.
         chunk_rows: u64,
     },
-    /// Reply to [`Request::Metrics`]: a Prometheus text snapshot.
-    Metrics(String),
 }
 
 impl Response {
@@ -277,10 +267,6 @@ impl Response {
                 w.put_u64(*chunk_rows);
                 RESP_RESUME
             }
-            Response::Metrics(text) => {
-                w.put_bytes(text.as_bytes());
-                RESP_METRICS
-            }
         };
         (frame_type, finish_traced(w, ctx))
     }
@@ -311,11 +297,6 @@ impl Response {
                 rows_done: r.u64().map_err(bad)?,
                 chunk_rows: r.u64().map_err(bad)?,
             },
-            RESP_METRICS => {
-                let text = String::from_utf8(r.bytes().map_err(bad)?.to_vec())
-                    .map_err(|_| ServerError::BadRequest("metrics text is not UTF-8".into()))?;
-                Response::Metrics(text)
-            }
             RESP_ERR => {
                 let error = decode_error(&mut r)?;
                 r.finish().map_err(bad)?;
@@ -443,7 +424,6 @@ mod tests {
             Request::Open { tenant: "acme".into(), schema: schema() },
             Request::Finish { token: 7 },
             Request::Resume { tenant: "acme".into(), token: 9, schema: schema() },
-            Request::Metrics,
         ];
         for req in reqs {
             let (ty, payload) = req.encode(None);

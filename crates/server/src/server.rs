@@ -23,7 +23,7 @@ use crate::obs;
 use crate::proto;
 use crate::session::{SchemeProvider, Sessions, StoreProvider};
 use crate::transport::{Hangup, Transport};
-use f2_io::{FrameSink, RetryPolicy};
+use f2_io::FrameSink;
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,8 +56,6 @@ pub struct ServerConfig {
     /// Service seed; each job's engine seed derives deterministically from it
     /// and the job token, so resumes re-derive identical key schedules.
     pub seed: u64,
-    /// Retry policy wrapped around every connection's socket I/O.
-    pub retry: RetryPolicy,
     /// Requests at least this slow count into `f2_server_slow_requests_total`;
     /// `/tracez` keeps the slowest requests' per-stage breakdowns.
     pub slow_request_threshold: Duration,
@@ -78,7 +76,6 @@ impl Default for ServerConfig {
             chunk_rows: 512,
             frame_cap: 1 << 24,
             seed: 0xF2F2_5EED,
-            retry: RetryPolicy::new(4),
             slow_request_threshold: Duration::from_secs(1),
             tenant_label_cap: 32,
         }

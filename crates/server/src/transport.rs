@@ -27,9 +27,7 @@ pub trait Transport: Read + Write + Send {
 
     /// Bound every blocking read/write by `timeout` (`None` = block forever).
     /// Timed-out operations fail with [`std::io::ErrorKind::WouldBlock`] or
-    /// [`std::io::ErrorKind::TimedOut`] — both transient under
-    /// [`f2_io::RetryPolicy`], so a bounded number of retries separates a
-    /// hiccup from a dead peer.
+    /// [`std::io::ErrorKind::TimedOut`].
     fn set_io_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()>;
 }
 

@@ -7,28 +7,31 @@
 //!   single-process run of the same engine configuration, or stays
 //!   resumable until it does;
 //! - shed connections receive a typed `Overloaded` reply with the
-//!   configured retry-after hint;
+//!   configured retry-after hint, and new connections are served again once
+//!   the overload clears;
 //! - a drain loses zero accepted jobs, and shed / deadline / drain events
-//!   are visible in the *served* Prometheus snapshot;
+//!   are visible in the service's `/metrics` scrape;
 //! - a dropped connection or a refused append leaves its job live, so
-//!   resuming it replays nothing.
+//!   resuming it replays nothing;
+//! - a silent peer is hung up once `idle_timeout` passes: a transport error
+//!   ends a connection, and every recovery is a reconnect plus `resume`.
 
 use f2_core::{DetScheme, Scheme, SchemeOutcome, F2};
 use f2_crypto::MasterKey;
 use f2_engine::{chunk_seed, Engine, EngineConfig};
 use f2_io::TableSource;
-use f2_io::{FaultPlan, FaultyReader, FaultyWriter, RetryPolicy, RowSource};
+use f2_io::{FaultPlan, FaultyReader, FaultyWriter, FrameSink, RowSource};
 use f2_relation::{Table, TableView};
 use f2_server::{
-    channel_acceptor, duplex, Client, FinishAck, Hangup, MemoryStores, PipeEnd, SchemeProvider,
-    ServerConfig, ServerError, ServerScheme, Service, StaticTenants, StoreProvider, TcpAcceptor,
-    Transport,
+    channel_acceptor, duplex, http::respond, Client, FinishAck, Hangup, MemoryStores, PipeEnd,
+    SchemeProvider, ServerConfig, ServerError, ServerScheme, Service, StaticTenants, StoreProvider,
+    TcpAcceptor, Transport,
 };
 use std::io::{Cursor, Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ───────────────────────── fixtures ─────────────────────────
 
@@ -60,7 +63,6 @@ fn chaos_config() -> ServerConfig {
         chunk_rows: 8,
         frame_cap: 1 << 22,
         seed: SERVICE_SEED,
-        retry: RetryPolicy::no_backoff(3),
         slow_request_threshold: Duration::from_secs(1),
         tenant_label_cap: 32,
     }
@@ -108,6 +110,15 @@ fn metric_value(prometheus: &str, name: &str) -> f64 {
         .lines()
         .find_map(|line| line.strip_prefix(name).and_then(|rest| rest.trim().parse().ok()))
         .unwrap_or(0.0)
+}
+
+/// The body of one `/metrics` scrape of `service`: the response its
+/// [`HttpServer`](f2_server::HttpServer) would serve.
+fn scrape_metrics(service: &Service) -> String {
+    let response = respond(b"GET /metrics HTTP/1.1\r\n\r\n", &service.http_state());
+    let response = String::from_utf8(response).expect("utf-8 response");
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    response.split_once("\r\n\r\n").map(|(_, body)| body.to_string()).unwrap_or_default()
 }
 
 // ───────────── a fault-injected server-side transport ─────────────
@@ -333,7 +344,7 @@ fn eight_faulty_clients_complete_byte_identical_jobs() {
 
 /// With one worker held busy and a one-deep queue, excess connections are
 /// shed with a typed `Overloaded` carrying the configured retry-after hint —
-/// and the event shows up in a *served* metrics snapshot.
+/// and the event shows up in the service's `/metrics` scrape.
 #[test]
 fn excess_connections_are_shed_with_a_typed_overloaded_reply() {
     let schemes = Arc::new(StaticTenants::new().with_tenant("acme", det_scheme(7)));
@@ -346,7 +357,6 @@ fn excess_connections_are_shed_with_a_typed_overloaded_reply() {
         queue_depth: 1,
         idle_timeout: Duration::from_secs(30),
         retry_after: Duration::from_millis(37),
-        retry: RetryPolicy::no_backoff(2),
         seed: SERVICE_SEED,
         ..ServerConfig::default()
     };
@@ -354,6 +364,7 @@ fn excess_connections_are_shed_with_a_typed_overloaded_reply() {
     let service = Service::new(config, schemes, stores);
     let handle = service.handle();
     let (dial, acceptor) = channel_acceptor();
+    let schema = table(8, 1).schema().clone();
 
     std::thread::scope(|s| {
         let _drain_on_panic = ShutdownOnExit(handle.clone());
@@ -379,7 +390,7 @@ fn excess_connections_are_shed_with_a_typed_overloaded_reply() {
         for attempt in 0..6 {
             let (ours, theirs) = duplex();
             dial.send(Box::new(theirs)).expect("dial");
-            let outcome = Client::connect(ours).and_then(|mut c| c.metrics_text());
+            let outcome = Client::connect(ours).and_then(|mut c| c.open("acme", &schema));
             match outcome {
                 Err(ServerError::Overloaded { retry_after: hint }) => {
                     assert_eq!(hint, retry_after, "retry-after hint must be the configured one");
@@ -389,23 +400,27 @@ fn excess_connections_are_shed_with_a_typed_overloaded_reply() {
         }
         drop((idle_ours, queued_ours));
 
-        // Once the pool frees up, a served snapshot reports the shedding.
-        let mut reported = 0.0;
+        // Once the pool frees up, connections are admitted and served again…
+        let mut served = false;
         for _ in 0..100 {
             let (ours, theirs) = duplex();
             dial.send(Box::new(theirs)).expect("dial");
-            let served = Client::connect(ours).and_then(|mut c| {
-                let text = c.metrics_text()?;
+            let opened = Client::connect(ours).and_then(|mut c| {
+                let opened = c.open("acme", &schema)?;
                 let _ = c.close();
-                Ok(text)
+                Ok(opened)
             });
-            if let Ok(text) = served {
-                reported = metric_value(&text, "f2_server_shed_total");
+            if opened.is_ok() {
+                served = true;
                 break;
             }
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert!(reported >= 1.0, "served snapshot must report f2_server_shed_total >= 1");
+        assert!(served, "a request must be served once the overload clears");
+
+        // …and the scrape reports the shedding.
+        let reported = metric_value(&scrape_metrics(&service), "f2_server_shed_total");
+        assert!(reported >= 1.0, "the scrape must report f2_server_shed_total >= 1");
 
         handle.shutdown();
         server.join().expect("server thread").expect("server ran");
@@ -459,7 +474,6 @@ fn an_expired_deadline_hangs_up_but_never_corrupts_the_job() {
         workers: 2,
         request_deadline: Duration::from_millis(40),
         idle_timeout: Duration::from_secs(2),
-        retry: RetryPolicy::no_backoff(2),
         chunk_rows: 8,
         seed: SERVICE_SEED,
         ..ServerConfig::default()
@@ -489,20 +503,8 @@ fn an_expired_deadline_hangs_up_but_never_corrupts_the_job() {
         };
         let (token, _ack) = drive_to_completion(&plan);
 
-        // The expiry was metered, and serves in a snapshot.
-        let mut served = String::new();
-        for _ in 0..50 {
-            let (ours, theirs) = duplex();
-            dial.send(Box::new(theirs)).expect("dial");
-            let mut client = Client::connect(ours).expect("client preamble");
-            if let Ok(text) = client.metrics_text() {
-                served = text;
-                let _ = client.close();
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let after = metric_value(&served, "f2_server_deadline_expired_total");
+        // The expiry was metered, and the scrape serves it.
+        let after = metric_value(&scrape_metrics(&service), "f2_server_deadline_expired_total");
         assert!(
             after > before,
             "deadline expiries must be metered (before {before}, after {after})"
@@ -534,7 +536,6 @@ fn a_drain_preserves_half_finished_jobs_across_a_service_restart() {
         workers: 2,
         idle_timeout: Duration::from_secs(3),
         drain_deadline: Duration::from_millis(300),
-        retry: RetryPolicy::no_backoff(2),
         chunk_rows: 8,
         seed: SERVICE_SEED,
         ..ServerConfig::default()
@@ -602,12 +603,13 @@ fn a_drain_preserves_half_finished_jobs_across_a_service_restart() {
         }
         let fin = client.finish(token).expect("finish after restart");
         assert_eq!(fin.rows, data.row_count() as u64);
+        client.open("acme", data.schema()).expect("the connection serves requests after finish");
 
-        // Drain events from service A are visible in B's served snapshot.
-        let text = client.metrics_text().expect("metrics");
+        // Drain events from service A are visible in B's scrape.
+        let text = scrape_metrics(&service_b);
         assert!(
             metric_value(&text, "f2_server_drained_total") >= 1.0,
-            "served snapshot must report f2_server_drained_total >= 1"
+            "B's scrape must report f2_server_drained_total >= 1"
         );
         let _ = client.close();
         handle_b.shutdown();
@@ -673,7 +675,6 @@ fn with_counting_service(
     let config = ServerConfig {
         workers: 2,
         idle_timeout: Duration::from_secs(3),
-        retry: RetryPolicy::no_backoff(2),
         chunk_rows: LIVE_CHUNK_ROWS,
         seed: SERVICE_SEED,
         ..ServerConfig::default()
@@ -781,20 +782,15 @@ fn a_refused_append_leaves_its_job_live_and_resume_replays_nothing() {
 
 // ───────────────────────── real sockets ─────────────────────────
 
-/// The same service over real TCP: a client encrypts a table end-to-end and
-/// fetches metrics through the socket.
+/// The same service over real TCP: a client encrypts a table end-to-end, and
+/// the service's `/metrics` scrape counts the requests.
 #[test]
 fn the_service_speaks_tcp() {
     let scheme = f2_scheme(77);
     let schemes = Arc::new(StaticTenants::new().with_tenant("acme", Arc::clone(&scheme)));
     let stores = Arc::new(MemoryStores::new());
-    let config = ServerConfig {
-        workers: 2,
-        chunk_rows: 8,
-        seed: SERVICE_SEED,
-        retry: RetryPolicy::no_backoff(2),
-        ..ServerConfig::default()
-    };
+    let config =
+        ServerConfig { workers: 2, chunk_rows: 8, seed: SERVICE_SEED, ..ServerConfig::default() };
     let chunk_rows = config.chunk_rows;
     let service = Service::new(config, schemes, Arc::clone(&stores) as Arc<dyn StoreProvider>);
     let handle = service.handle();
@@ -810,10 +806,11 @@ fn the_service_speaks_tcp() {
         let ack = client.encrypt_table("acme", &data).expect("encrypt over TCP");
         assert_eq!(ack.rows, 20);
         assert_eq!(ack.chunks, 3);
-        let text = client.metrics_text().expect("metrics over TCP");
+        client.open("acme", data.schema()).expect("the connection serves requests after finish");
+        let text = scrape_metrics(&service);
         assert!(
             metric_value(&text, "f2_server_requests_total") >= 1.0,
-            "served snapshot must count requests"
+            "the scrape must count requests"
         );
         let _ = client.close();
         handle.shutdown();
@@ -825,4 +822,47 @@ fn the_service_speaks_tcp() {
         (1..10).find_map(|t| stores.snapshot(t).map(|b| (t, b))).expect("a job stream persisted");
     let expected = reference_stream(&scheme, &data, chunk_rows, token);
     assert_eq!(bytes, expected);
+}
+
+/// `idle_timeout` is the whole idle budget: a TCP client that sends nothing,
+/// and one that stops after the F2WS preamble, are each hung up within twice
+/// the timeout — a timed-out read ends the connection, it is not retried.
+#[test]
+fn silent_peers_are_hung_up_once_the_idle_timeout_passes() {
+    let schemes = Arc::new(StaticTenants::new().with_tenant("acme", det_scheme(7)));
+    let stores = Arc::new(MemoryStores::new());
+    let idle_timeout = Duration::from_millis(300);
+    let config = ServerConfig { idle_timeout, ..ServerConfig::default() };
+    let service = Service::new(config, schemes, stores);
+    let handle = service.handle();
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
+    let addr = acceptor.local_addr().expect("local addr");
+
+    std::thread::scope(|s| {
+        let _drain_on_panic = ShutdownOnExit(handle.clone());
+        let server = s.spawn(|| service.run(acceptor));
+        let dial = || {
+            let socket = std::net::TcpStream::connect(addr).expect("connect");
+            // A backstop so a server that never hangs up fails the test
+            // instead of hanging it.
+            socket.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+            socket
+        };
+        let silent = (dial(), Instant::now());
+        let mut preamble_only = dial();
+        let _ = FrameSink::new(&mut preamble_only).expect("send the preamble");
+        let preamble_only = (preamble_only, Instant::now());
+        for (what, (mut socket, since)) in [("silent", silent), ("preamble-only", preamble_only)] {
+            // The server's preamble, then EOF once it hangs up.
+            let mut received = Vec::new();
+            socket.read_to_end(&mut received).expect("the server hangs up");
+            let waited = since.elapsed();
+            assert!(
+                waited < 2 * idle_timeout,
+                "{what} client hung up after {waited:?}, idle_timeout is {idle_timeout:?}"
+            );
+        }
+        handle.shutdown();
+        server.join().expect("server thread").expect("server ran");
+    });
 }

@@ -118,13 +118,6 @@ fn trace_ids_flow_client_to_server_to_tracez() {
     assert!(json.starts_with("HTTP/1.1 200 OK\r\n"), "{json}");
     assert!(body_of(&json).starts_with("{\"metrics\":["), "{json}");
 
-    // The typed snapshot the client fetches in-band agrees with the scrape.
-    let snapshot = client.metrics().expect("typed metrics");
-    assert!(snapshot.total("f2_server_requests_total") >= 1.0);
-    assert!(
-        snapshot.value_with("f2_server_requests_total", &[("tenant", "acme")]).unwrap_or(0.0)
-            >= 1.0
-    );
     client.close().expect("clean close");
 
     // Unknown routes 404 without disturbing the listener.

@@ -1,9 +1,9 @@
 //! The supervised encryption service end to end: multi-tenant jobs over real
 //! TCP, a client crash healed by byte-exact resume, a graceful drain that
 //! parks a half-finished job, and a service restart that finishes it — with
-//! the whole story visible in the served Prometheus snapshot, on the HTTP
-//! scrape endpoints (`/metrics`, `/healthz`, `/tracez`), and in per-request
-//! trace ids that travel client → server → trace journal.
+//! the whole story visible on the HTTP scrape endpoints (`/metrics`,
+//! `/healthz`, `/tracez`) and in per-request trace ids that travel client →
+//! server → trace journal.
 //!
 //! Run with `cargo run --release --example encryption_service`.
 
@@ -131,16 +131,23 @@ fn main() {
     handle.shutdown();
     server.join().expect("server thread").expect("graceful drain completed");
     drop(client);
+    http_handle.stop();
+    http_thread.join().expect("http thread").expect("http listener exits cleanly");
     println!("service A drained; job {} parked resumable", half.token);
 
     // ── 4. A fresh service over the same stores finishes the parked job ────
     let service =
         Service::new(config, tenants as Arc<dyn SchemeProvider>, stores as Arc<dyn StoreProvider>);
     let handle = service.handle();
+    let http =
+        f2::server::HttpServer::bind("127.0.0.1:0", service.http_state()).expect("bind http");
+    let http_addr = http.local_addr().expect("http addr");
+    let http_handle = http.handle();
+    let http_thread = std::thread::spawn(move || http.run());
     let acceptor = TcpAcceptor::bind("127.0.0.1:0").expect("bind");
     let addr = acceptor.local_addr().expect("local addr");
     let server = std::thread::spawn(move || service.run(acceptor));
-    println!("service B listening on {addr}");
+    println!("service B listening on {addr}, scrape endpoints on http://{http_addr}");
 
     let mut client = Client::connect(TcpStream::connect(addr).expect("dial")).expect("connect");
     let resumed = retry_resume(&mut client, "acme", half.token, &parked);
@@ -155,20 +162,14 @@ fn main() {
         "restart: job {} finished with {} rows — zero accepted work lost",
         half.token, fin.rows
     );
+    client.close().expect("clean close");
 
-    // ── 5. The whole story, as the service itself reports it ───────────────
-    let snapshot = client.metrics().expect("metrics");
-    println!(
-        "\ntyped snapshot: {} requests total, {} from tenant acme",
-        snapshot.total("f2_server_requests_total"),
-        snapshot.value_with("f2_server_requests_total", &[("tenant", "acme")]).unwrap_or(0.0),
-    );
-    let text = client.metrics_text().expect("metrics text");
-    println!("served Prometheus snapshot (f2_server_* series):");
-    for line in text.lines().filter(|l| l.starts_with("f2_server_")) {
+    // ── 5. The whole story, as service B's `/metrics` scrape reports it ────
+    let metrics = http_get(http_addr, "/metrics");
+    println!("\nscraped Prometheus snapshot (f2_server_* series):");
+    for line in metrics.lines().filter(|l| l.starts_with("f2_server_")) {
         println!("  {line}");
     }
-    client.close().expect("clean close");
     http_handle.stop();
     http_thread.join().expect("http thread").expect("http listener exits cleanly");
     handle.shutdown();
