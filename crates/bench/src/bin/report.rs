@@ -772,10 +772,11 @@ struct PaillierPhases {
     framings: Vec<FramingPhases>,
 }
 
-/// Time the fixed calibration workload: one 512-bit-exponent modular
-/// exponentiation over a 1024-bit odd modulus (the shape of the Paillier `n²`
-/// hot-path operation), deterministic operands, best of [`PAILLIER_PHASE_ITERS`].
-fn calibration_modpow() -> Duration {
+/// The fixed calibration workload: one 512-bit-exponent modular exponentiation
+/// over a 1024-bit odd modulus (the shape of the Paillier `n²` hot-path
+/// operation), with deterministic operands. Each call of the returned closure
+/// times one run.
+fn calibration_modpow() -> impl Fn() -> Duration {
     use f2_crypto::BigUint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -786,14 +787,13 @@ fn calibration_modpow() -> Duration {
     }
     let base = BigUint::random_bits(1023, &mut rng);
     let exp = BigUint::random_bits(512, &mut rng);
-    let mut best = Duration::MAX;
-    for _ in 0..PAILLIER_PHASE_ITERS {
+    move || {
         let start = Instant::now();
         let out = base.mod_pow(&exp, &modulus);
-        best = best.min(start.elapsed());
+        let elapsed = start.elapsed();
         assert!(!out.is_zero(), "calibration workload degenerated");
+        elapsed
     }
-    best
 }
 
 /// Times one phase is re-measured; the minimum wall clock is recorded. The guard
@@ -805,32 +805,44 @@ const PAILLIER_PHASE_ITERS: usize = 5;
 /// rows of `table` (best of [`PAILLIER_PHASE_ITERS`] runs per phase). Decryption
 /// output is verified against the plaintext, so a silently-wrong fast path cannot
 /// masquerade as a fast one.
+///
+/// The calibration is timed once right before each encrypt run, in the same
+/// loop, and its best run is recorded too: a change of host speed during the
+/// loop then reaches both factors of the guard's `encrypt_mb_s ×
+/// calibration_modpow_s` alike instead of only one of them.
 fn paillier_phases(table: &Table) -> PaillierPhases {
     let sample = table.truncated(PAILLIER_PHASE_ROWS);
     let keygen_start = Instant::now();
-    let per_cell = PaillierScheme::new(REGISTRY_PAILLIER_BITS, 7).expect("valid modulus");
+    let scheme = PaillierScheme::new(REGISTRY_PAILLIER_BITS, 7).expect("valid modulus");
     let keygen = keygen_start.elapsed();
-    let mut framings = Vec::new();
-    for scheme in [per_cell] {
-        let mut encrypt = Duration::MAX;
-        let mut decrypt = Duration::MAX;
-        for _ in 0..PAILLIER_PHASE_ITERS {
-            let enc_start = Instant::now();
-            let outcome = scheme.encrypt(&sample).expect("paillier encrypt");
-            encrypt = encrypt.min(enc_start.elapsed());
-            let dec_start = Instant::now();
-            let recovered = scheme.decrypt(&outcome).expect("paillier decrypt");
-            decrypt = decrypt.min(dec_start.elapsed());
-            assert!(recovered.multiset_eq(&sample), "{}: bad roundtrip", scheme.name());
-        }
-        let mb = sample.size_bytes() as f64 / 1e6;
-        let encrypt_mb_s = mb / encrypt.as_secs_f64().max(1e-9);
-        let pr2 = PR2_ENCRYPT_MB_S
-            .iter()
-            .find(|(name, _)| *name == scheme.name())
-            .map(|&(_, v)| v)
-            .expect("PR-2 baseline recorded for every framing");
-        framings.push(FramingPhases {
+    let time_calibration = calibration_modpow();
+    let mut calibration = Duration::MAX;
+    let mut encrypt = Duration::MAX;
+    let mut decrypt = Duration::MAX;
+    for _ in 0..PAILLIER_PHASE_ITERS {
+        calibration = calibration.min(time_calibration());
+        let enc_start = Instant::now();
+        let outcome = scheme.encrypt(&sample).expect("paillier encrypt");
+        encrypt = encrypt.min(enc_start.elapsed());
+        let dec_start = Instant::now();
+        let recovered = scheme.decrypt(&outcome).expect("paillier decrypt");
+        decrypt = decrypt.min(dec_start.elapsed());
+        assert!(recovered.multiset_eq(&sample), "{}: bad roundtrip", scheme.name());
+    }
+    let mb = sample.size_bytes() as f64 / 1e6;
+    let encrypt_mb_s = mb / encrypt.as_secs_f64().max(1e-9);
+    let pr2 = PR2_ENCRYPT_MB_S
+        .iter()
+        .find(|(name, _)| *name == scheme.name())
+        .map(|&(_, v)| v)
+        .expect("PR-2 baseline recorded for every framing");
+    PaillierPhases {
+        modulus_bits: REGISTRY_PAILLIER_BITS,
+        rows: sample.row_count(),
+        plain_bytes: sample.size_bytes(),
+        keygen,
+        calibration,
+        framings: vec![FramingPhases {
             backend: scheme.name().to_owned(),
             encrypt,
             decrypt,
@@ -838,15 +850,7 @@ fn paillier_phases(table: &Table) -> PaillierPhases {
             decrypt_mb_s: mb / decrypt.as_secs_f64().max(1e-9),
             pr2_encrypt_mb_s: pr2,
             speedup_vs_pr2: encrypt_mb_s / pr2,
-        });
-    }
-    PaillierPhases {
-        modulus_bits: REGISTRY_PAILLIER_BITS,
-        rows: sample.row_count(),
-        plain_bytes: sample.size_bytes(),
-        keygen,
-        calibration: calibration_modpow(),
-        framings,
+        }],
     }
 }
 

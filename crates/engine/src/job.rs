@@ -47,11 +47,19 @@ use std::time::Instant;
 /// See the [module docs](self) for the contract. The job owns the writer
 /// (through the engine's retrying writer) until [`StreamJob::finish`] closes
 /// the stream.
+///
+/// Between appends a job keeps two buffers: the encoded payload of its last
+/// chunk and, inside its [`FrameSink`], the frame built from it. Each chunk is
+/// encoded and framed in place in them, so each is as large as the job's
+/// largest chunk so far, and both are dropped when [`StreamJob::finish`]
+/// closes the stream.
 pub struct StreamJob<W: Write> {
     seed: u64,
     chunk_rows: usize,
     schema: Schema,
     sink: FrameSink<RetryingWriter<W>>,
+    /// The chunk payload [`encode_chunk`] writes each chunk into.
+    payload: Vec<u8>,
     progress: StreamProgress,
 }
 
@@ -133,6 +141,7 @@ impl Engine {
             chunk_rows: self.config().chunk_rows,
             schema: schema.clone(),
             sink,
+            payload: Vec::new(),
             progress: StreamProgress::start(),
         })
     }
@@ -141,7 +150,9 @@ impl Engine {
 impl<W: Write> StreamJob<W> {
     /// Continue a stream of `schema` whose first `bytes` bytes (`frames`
     /// frames, preamble excluded) `writer` already holds and `progress` already
-    /// accounts for; `writer` must be positioned right after them.
+    /// accounts for; `writer` must be positioned right after them. `payload` is
+    /// the buffer the reopen pass encoded its replayed chunks in, kept as the
+    /// job's chunk payload buffer.
     pub(crate) fn resumed(
         engine: &Engine,
         schema: &Schema,
@@ -149,12 +160,14 @@ impl<W: Write> StreamJob<W> {
         bytes: u64,
         frames: u64,
         progress: StreamProgress,
+        payload: Vec<u8>,
     ) -> Self {
         StreamJob {
             seed: engine.config().seed,
             chunk_rows: engine.config().chunk_rows,
             schema: schema.clone(),
             sink: FrameSink::resume(engine.retry_policy().writer(writer), bytes, frames),
+            payload,
             progress,
         }
     }
@@ -212,20 +225,20 @@ impl<W: Write> StreamJob<W> {
             worker: 0,
             wall,
         };
-        let payload = {
+        {
             let _serialize = f2_obs::span!("engine.chunk.serialize");
-            encode_chunk(&record, &outcome)?
-        };
+            encode_chunk(&record, &outcome, &mut self.payload)?;
+        }
         {
             let _write = f2_obs::span!("engine.chunk.write");
-            self.sink.write_frame(FRAME_CHUNK, &payload)?;
+            self.sink.write_frame(FRAME_CHUNK, &self.payload)?;
         }
         crate::obs::chunk_encrypted(chunk_len, record.output_rows.len(), wall);
         // Attribute this chunk's volume to the active request trace, if any (the
         // server runs each request under one); no-ops otherwise.
         f2_obs::ctx::add_count("rows", chunk_len as u64);
         f2_obs::ctx::add_count("encrypted_rows", record.output_rows.len() as u64);
-        f2_obs::ctx::add_count("chunk_bytes", payload.len() as u64);
+        f2_obs::ctx::add_count("chunk_bytes", self.payload.len() as u64);
         self.progress.push(record, &outcome.report);
         // `outcome` (the only live copy of the chunk's ciphertext) drops on return.
         self.progress

@@ -128,6 +128,9 @@ impl Engine {
         let (seed, chunk_rows) = (self.config().seed, self.config().chunk_rows);
         let retry = self.retry_policy();
         let mut progress = StreamProgress::start();
+        // The replay's re-encoded chunks go here, and the resumed job keeps the
+        // buffer as its own chunk payload buffer.
+        let mut rebuilt_payload = Vec::new();
         let mut bytes = frames.bytes_consumed();
         // Only a full-sized chunk may be followed by another: a short chunk is
         // the stream's final one, so the prefix cannot extend past it.
@@ -160,7 +163,8 @@ impl Engine {
                     scheme.reseeded(record.seed).encrypt(&plain)?
                 }
             };
-            if encode_chunk(&record, &rebuilt)? != payload {
+            encode_chunk(&record, &rebuilt, &mut rebuilt_payload)?;
+            if rebuilt_payload != payload {
                 let cause = if source.is_some() {
                     "re-encrypted from the source does not match the stored stream — the \
                      source changed since the interrupted run"
@@ -177,7 +181,7 @@ impl Engine {
         truncate_store(&mut store, bytes)?;
         // The header frame and one frame per accepted chunk stay in the store.
         let kept = 1 + progress.chunks.len() as u64;
-        Ok(StreamJob::resumed(self, schema, store, bytes, kept, progress))
+        Ok(StreamJob::resumed(self, schema, store, bytes, kept, progress, rebuilt_payload))
     }
 
     /// Open the store's frames and check its header frame, returning the reader

@@ -12,7 +12,9 @@
 //! in-memory path would use ([`chunk_seed`]), and appends the result to the stream
 //! before pulling the next chunk — at no point does more than one chunk of
 //! plaintext or ciphertext exist in memory (the **single-in-flight** guarantee; the
-//! source side is equally bounded, see `f2_io::CsvSource`). It is a
+//! source side is equally bounded, see `f2_io::CsvSource`), besides the written
+//! bytes of the last chunk, which stay in the job's two kept buffers until the
+//! next chunk is encoded over them. It is a
 //! [`StreamJob`](crate::StreamJob) — the one writer of v2 streams — driven by a
 //! pull loop. Because chunk seeds are a pure function of the engine seed and the
 //! chunk index, the stream's chunks carry **exactly** the ciphertext bytes and
@@ -92,12 +94,14 @@ pub struct StreamOutcome {
 impl Engine {
     /// Encrypt a [`RowSource`] chunk by chunk into an `F2WS` v2 frame stream.
     ///
-    /// Peak memory is bounded by one chunk (plaintext + its ciphertext + one frame
-    /// buffer) plus the per-chunk [`ChunkRecord`]s — independent of the dataset
-    /// size. The configured worker count is deliberately not used here: reading
-    /// ahead `workers` chunks would trade the memory bound for parallelism, and the
-    /// in-memory [`Engine::encrypt`] already covers the all-in-RAM parallel case
-    /// with byte-identical output (same seeds, same chunk boundaries).
+    /// Peak memory is bounded by one chunk (plaintext + its ciphertext) plus the
+    /// job's two kept buffers — one encoded chunk payload and one frame, each
+    /// sized to the largest chunk so far and dropped at `finish` — plus the
+    /// per-chunk [`ChunkRecord`]s, independent of the dataset size. The configured
+    /// worker count is deliberately not used here: reading ahead `workers` chunks
+    /// would trade the memory bound for parallelism, and the in-memory
+    /// [`Engine::encrypt`] already covers the all-in-RAM parallel case with
+    /// byte-identical output (same seeds, same chunk boundaries).
     ///
     /// The source must hand out **full chunks** (`chunk_rows` rows until the final
     /// partial chunk), which every `f2_io` source does; a short chunk mid-stream
@@ -168,14 +172,22 @@ pub(crate) fn decode_header(payload: &[u8]) -> Result<StreamHeader> {
     Ok(StreamHeader { scheme, seed, chunk_rows, schema })
 }
 
-/// Lay out one chunk frame's payload: the chunk's record, its owner state, and
-/// its encrypted rows.
-pub(crate) fn encode_chunk(record: &ChunkRecord, outcome: &SchemeOutcome) -> Result<Vec<u8>> {
-    let mut w = Writer::raw();
+/// Lay out one chunk frame's payload in `payload`, replacing what it held: the
+/// chunk's record, its owner state, and its encrypted rows. The buffer keeps its
+/// capacity, so a writer that passes the same one for every chunk allocates only
+/// when a chunk outgrows all before it.
+pub(crate) fn encode_chunk(
+    record: &ChunkRecord,
+    outcome: &SchemeOutcome,
+    payload: &mut Vec<u8>,
+) -> Result<()> {
+    let state = encode_state(&outcome.state)?;
+    let mut w = Writer::raw_in(std::mem::take(payload));
     put_chunk_record(&mut w, record);
-    w.put_bytes(&encode_state(&outcome.state)?);
+    w.put_bytes(&state);
     put_table(&mut w, &outcome.encrypted);
-    Ok(w.finish())
+    *payload = w.finish();
+    Ok(())
 }
 
 /// Inverse of [`encode_chunk`]: the record, the owner-state blob, and the

@@ -25,6 +25,11 @@
 //! * **Compression.** Frames whose payload shrinks under the varint-RLE byte
 //!   compressor ([`rle_compress`]) are stored compressed (`FLAG_RLE`); incompressible
 //!   payloads are stored raw, so the worst case costs nothing but the flag bit.
+//!   A [`FrameSink`] writes the RLE tokens straight behind the frame's header, in
+//!   the one frame buffer it keeps, and copies the raw payload there instead once
+//!   a token would keep them from coming out shorter: each frame is built in
+//!   place and written with one call, and no buffer is allocated once the sink
+//!   has written its largest frame.
 //! * **Bounded allocation.** Both `wire_len` and `raw_len` are validated against
 //!   [`MAX_FRAME_BYTES`] before any buffer is sized, so a corrupted length errors
 //!   instead of attempting a multi-gigabyte allocation.
@@ -344,30 +349,39 @@ fn put_literals(out: &mut Vec<u8>, literals: &[u8]) {
 /// and length-prefixed table encodings; incompressible payloads cost nothing because
 /// they are stored raw.
 pub fn rle_compress(raw: &[u8]) -> Option<Vec<u8>> {
-    // A useful output is shorter than `raw`, so it fits this one buffer; each
+    let mut out = Vec::with_capacity(raw.len());
+    rle_compress_into(raw, &mut out).then_some(out)
+}
+
+/// Append [`rle_compress`]'s tokens for `raw` to `out` and say whether they came
+/// out strictly shorter than `raw`. On `false` the compression was abandoned
+/// part-way: `out` holds a prefix of the token stream past its old length, which
+/// the caller discards.
+fn rle_compress_into(raw: &[u8], out: &mut Vec<u8>) -> bool {
+    // A useful output is shorter than `raw`, so it ends before `limit`; each
     // token is measured before it is written, and the first one that would not
     // fit settles the answer before any of its bytes are copied.
-    let mut out = Vec::with_capacity(raw.len());
+    let limit = out.len() + raw.len();
     let mut literal_start = 0usize;
     while let Some((start, byte)) = next_run(raw, literal_start) {
         let tail = raw.get(start..).unwrap_or(&[]);
         let run = tail.iter().position(|&b| b != byte).unwrap_or(tail.len());
         let literals = raw.get(literal_start..start).unwrap_or(&[]);
         let run_token = ((run as u64) << 1) | 1;
-        if out.len() + literal_token_len(literals) + varint_len(run_token) + 1 >= raw.len() {
-            return None;
+        if out.len() + literal_token_len(literals) + varint_len(run_token) + 1 >= limit {
+            return false;
         }
-        put_literals(&mut out, literals);
-        put_varint(&mut out, run_token);
+        put_literals(out, literals);
+        put_varint(out, run_token);
         out.push(byte);
         literal_start = start + run;
     }
     let literals = raw.get(literal_start..).unwrap_or(&[]);
-    if out.len() + literal_token_len(literals) >= raw.len() {
-        return None;
+    if out.len() + literal_token_len(literals) >= limit {
+        return false;
     }
-    put_literals(&mut out, literals);
-    Some(out)
+    put_literals(out, literals);
+    true
 }
 
 /// Decompress a [`rle_compress`] token stream, validating that it produces exactly
@@ -410,9 +424,16 @@ pub fn rle_decompress(packed: &[u8], raw_len: usize) -> IoResult<Vec<u8>> {
 /// exactly one frame with exactly one `write_all` call on the underlying writer (so
 /// a frame is never partially interleaved with other writers of the same pipe), and
 /// [`FrameSink::finish`] appends the [`FRAME_END`] terminator and flushes.
+///
+/// The sink keeps one frame buffer for its whole life: each frame is built in it
+/// (header, then the wire payload) and written from it, so the buffer grows to the
+/// largest frame written and is dropped with the sink at [`FrameSink::finish`].
 #[derive(Debug)]
 pub struct FrameSink<W: Write> {
     writer: W,
+    /// The frame being built: [`FRAME_HEADER_BYTES`] header bytes, then the wire
+    /// payload. Reused by every frame.
+    frame: Vec<u8>,
     bytes_written: u64,
     frames: u64,
 }
@@ -424,7 +445,7 @@ impl<W: Write> FrameSink<W> {
         let [v0, v1] = STREAM_VERSION.to_le_bytes();
         let preamble = [m0, m1, m2, m3, v0, v1, KIND_STREAM];
         writer.write_all(&preamble)?;
-        Ok(FrameSink { writer, bytes_written: preamble.len() as u64, frames: 0 })
+        Ok(FrameSink { writer, frame: Vec::new(), bytes_written: preamble.len() as u64, frames: 0 })
     }
 
     /// Reopen a sink mid-stream: `writer` must be positioned right after the last
@@ -434,7 +455,12 @@ impl<W: Write> FrameSink<W> {
     /// (`f2_engine::Engine::resume_job`) builds on, so the resumed stream's
     /// byte totals match an uninterrupted run exactly.
     pub fn resume(writer: W, bytes_already: u64, frames_already: u64) -> Self {
-        FrameSink { writer, bytes_written: bytes_already, frames: frames_already }
+        FrameSink {
+            writer,
+            frame: Vec::new(),
+            bytes_written: bytes_already,
+            frames: frames_already,
+        }
     }
 
     /// Append one frame. `frame_type` must not be [`FRAME_END`] (that frame is
@@ -446,18 +472,25 @@ impl<W: Write> FrameSink<W> {
         if payload.len() > MAX_FRAME_BYTES {
             return Err(IoError::Oversized { declared: payload.len(), cap: MAX_FRAME_BYTES });
         }
-        let compressed = rle_compress(payload);
-        let (wire, flags): (&[u8], u8) = match &compressed {
-            Some(packed) => (packed, FLAG_RLE),
-            None => (payload, 0),
+        self.start_frame();
+        // Compressed tokens stay shorter than the payload, so one reservation
+        // holds either form of the frame.
+        self.frame.reserve(payload.len());
+        let flags = if rle_compress_into(payload, &mut self.frame) {
+            FLAG_RLE
+        } else {
+            self.frame.truncate(FRAME_HEADER_BYTES);
+            self.frame.extend_from_slice(payload);
+            0
         };
-        self.emit(frame_type, flags, wire, payload.len())
+        self.emit(frame_type, flags, payload.len())
     }
 
     /// Close the stream: write the end frame, flush, and hand back the writer plus
     /// the total bytes written (preamble, every frame header, and the end frame).
     pub fn finish(mut self) -> IoResult<(W, u64)> {
-        self.emit(FRAME_END, 0, &[], 0)?;
+        self.start_frame();
+        self.emit(FRAME_END, 0, 0)?;
         self.writer.flush()?;
         Ok((self.writer, self.bytes_written))
     }
@@ -472,26 +505,36 @@ impl<W: Write> FrameSink<W> {
         self.frames
     }
 
-    fn emit(&mut self, frame_type: u8, flags: u8, wire: &[u8], raw_len: usize) -> IoResult<()> {
+    /// Empty the frame buffer down to a zeroed header, keeping its capacity.
+    fn start_frame(&mut self) {
+        self.frame.clear();
+        self.frame.resize(FRAME_HEADER_BYTES, 0);
+    }
+
+    /// Fill in the header of the frame built in the frame buffer — type, flags,
+    /// lengths, and the checksum — and write the whole frame with one
+    /// `write_all`.
+    fn emit(&mut self, frame_type: u8, flags: u8, raw_len: usize) -> IoResult<()> {
         let encode_len = |len: usize| {
             u32::try_from(len)
                 .map_err(|_| IoError::Oversized { declared: len, cap: MAX_FRAME_BYTES })
+        };
+        let Some((header, wire)) = self.frame.split_first_chunk_mut::<FRAME_HEADER_BYTES>() else {
+            return Err(IoError::Malformed("frame buffer holds no header".into()));
         };
         let [w0, w1, w2, w3] = encode_len(wire.len())?.to_le_bytes();
         let [r0, r1, r2, r3] = encode_len(raw_len)?.to_le_bytes();
         // The checksum covers the header fields plus the payload, so a flip in *any*
         // frame byte (not just the payload) is caught.
         let prefix = [frame_type, flags, w0, w1, w2, w3, r0, r1, r2, r3];
-        let crc = frame_crc(&prefix, wire);
-        let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + wire.len());
-        buf.extend_from_slice(&prefix);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf.extend_from_slice(wire);
-        self.writer.write_all(&buf)?;
-        self.bytes_written += buf.len() as u64;
+        let [c0, c1, c2, c3] = frame_crc(&prefix, wire).to_le_bytes();
+        *header = [frame_type, flags, w0, w1, w2, w3, r0, r1, r2, r3, c0, c1, c2, c3];
+        self.writer.write_all(&self.frame)?;
+        let frame_len = self.frame.len() as u64;
+        self.bytes_written += frame_len;
         self.frames += 1;
         crate::obs::frames_written().inc();
-        crate::obs::bytes_written().add(buf.len() as u64);
+        crate::obs::bytes_written().add(frame_len);
         f2_obs::ctx::add_count("io_frames", 1);
         if flags & FLAG_RLE != 0 {
             crate::obs::compressed_frames().inc();
@@ -876,6 +919,42 @@ mod tests {
         assert_eq!(reader.next_frame().unwrap().unwrap().payload, b"");
         assert!(reader.next_frame().unwrap().is_none());
         assert!(reader.next_frame().unwrap().is_none()); // idempotent after END
+    }
+
+    /// A writer that counts the `write` calls reaching it.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write_on_the_underlying_writer() {
+        let mut sink = FrameSink::new(CountingWriter { writes: 0, bytes: Vec::new() }).unwrap();
+        assert_eq!(sink.writer.writes, 1, "the preamble is one write");
+        let noise: Vec<u8> = (0..5000u32).map(|i| (i * 7 + 1) as u8).collect();
+        // Compressed and raw, long and short, and empty, in an order that makes
+        // the kept frame buffer shrink and grow.
+        let payloads = [vec![0u8; 5000], noise, b"short".to_vec(), Vec::new(), vec![3u8; 9000]];
+        for (index, payload) in payloads.iter().enumerate() {
+            sink.write_frame(2, payload).unwrap();
+            assert_eq!(sink.writer.writes, 2 + index, "frame {index} is one write");
+            assert_eq!(sink.writer.bytes.len() as u64, sink.bytes_written());
+        }
+        let (writer, total) = sink.finish().unwrap();
+        assert_eq!(writer.writes, 2 + payloads.len(), "the end frame is one write");
+        assert_eq!(writer.bytes.len() as u64, total);
     }
 
     #[test]

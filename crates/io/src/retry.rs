@@ -231,13 +231,6 @@ pub struct RetryingReader<R: Read> {
     policy: RetryPolicy,
 }
 
-impl<R: Read> RetryingReader<R> {
-    /// Unwrap the underlying reader.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
 impl<R: Read> Read for RetryingReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let inner = &mut self.inner;
@@ -259,11 +252,6 @@ impl<W: Write> RetryingWriter<W> {
     /// Unwrap the underlying writer.
     pub fn into_inner(self) -> W {
         self.inner
-    }
-
-    /// The underlying writer, borrowed.
-    pub fn get_ref(&self) -> &W {
-        &self.inner
     }
 }
 

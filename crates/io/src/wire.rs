@@ -107,6 +107,15 @@ impl Writer {
         Writer::default()
     }
 
+    /// Start a bare payload, like [`Writer::raw`], in the caller's `buf`: it is
+    /// emptied but keeps its capacity, and [`Writer::finish`] hands it back, so a
+    /// caller encoding one payload after another reuses one buffer for all of
+    /// them.
+    pub fn raw_in(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Writer { buf }
+    }
+
     /// Append a raw byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

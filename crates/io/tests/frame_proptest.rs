@@ -2,7 +2,8 @@
 //! trip exactly (through the RLE compressor when it engages), every truncation
 //! errors, and every single-bit flip is caught by the frame checksums. The
 //! word-at-a-time CRC-32 and RLE kernels are checked against plain bytewise
-//! reference implementations, kept below as oracles.
+//! reference implementations, kept below as oracles, and so is every frame a
+//! sink builds in the one buffer it reuses.
 
 use f2_io::frame::{rle_compress, rle_decompress};
 use f2_io::{crc32, Frame, FrameReader, FrameSink, IoResult};
@@ -94,6 +95,65 @@ fn noise(n: usize) -> Vec<u8> {
     (0..n).map(|i| (i * 7 + 1) as u8).collect()
 }
 
+/// A payload whose compression gives up on its last token, a literal one: the
+/// literal token of 5 bytes (6) and the 4-run (2) fit in the 16 bytes, and the
+/// closing literal token of 7 bytes (8) makes the tokens exactly as long.
+fn abandoned_on_last_literal() -> Vec<u8> {
+    [noise(5), vec![0u8; 4], noise(7)].concat()
+}
+
+/// A payload whose compression gives up on its last token, a run one: the
+/// 64-byte literal token costs 66 bytes, and the closing 4-run (2) makes the
+/// tokens exactly as long as the 68-byte payload.
+fn abandoned_on_last_run() -> Vec<u8> {
+    [noise(64), vec![0u8; 4]].concat()
+}
+
+/// The frame a writer built from scratch holds for `payload`: the oracle's RLE
+/// tokens when they are shorter, the payload otherwise, behind the header fields
+/// and the bytewise CRC-32 over those fields and the wire bytes.
+fn reference_frame(frame_type: u8, payload: &[u8]) -> Vec<u8> {
+    let (flags, wire) = match reference_rle_compress(payload) {
+        Some(packed) => (1u8, packed),
+        None => (0u8, payload.to_vec()),
+    };
+    let mut frame = vec![frame_type, flags];
+    frame.extend_from_slice(&(wire.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let crc = reference_crc32(&[frame.as_slice(), &wire].concat());
+    frame.extend_from_slice(&crc.to_le_bytes());
+    frame.extend_from_slice(&wire);
+    frame
+}
+
+/// The stream of `frames` built frame by frame from the oracles: the preamble,
+/// each frame, and the empty end frame.
+fn reference_stream(frames: &[(u8, Vec<u8>)]) -> Vec<u8> {
+    let mut stream = b"F2WS\x02\x00\x05".to_vec();
+    for (frame_type, payload) in frames {
+        stream.extend_from_slice(&reference_frame(*frame_type, payload));
+    }
+    stream.extend_from_slice(&reference_frame(0, &[]));
+    stream
+}
+
+/// One payload of a sequence written through one sink: short runs and noise,
+/// long runs, long random bytes, a payload abandoned on its last token, or the
+/// empty payload.
+fn mixed_payload() -> impl Strategy<Value = Vec<u8>> {
+    let long_runs = vec((0u8..=255, 100usize..1500), 1..6);
+    (0u8..6, payload(), long_runs, vec(0u8..=255, 0..6000)).prop_map(
+        |(kind, short, long_runs, random)| match kind {
+            0 => short,
+            1 => long_runs.into_iter().flat_map(|(b, n)| std::iter::repeat_n(b, n)).collect(),
+            2 => random,
+            3 => abandoned_on_last_literal(),
+            4 => abandoned_on_last_run(),
+            _ => Vec::new(),
+        },
+    )
+}
+
 #[test]
 fn crc32_matches_the_bytewise_reference_at_every_length_and_offset() {
     let bytes: Vec<u8> = (0..72u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
@@ -177,6 +237,40 @@ fn rle_edge_cases_match_the_bytewise_reference() {
     assert_eq!(rle_compress(&one_shorter).map(|p| p.len()), Some(one_shorter.len() - 1));
 }
 
+/// One sink writes long then short, compressible then incompressible payloads,
+/// payloads abandoned on their last token, and the empty payload, all through
+/// the one frame buffer it keeps: every frame equals the frame built from
+/// scratch, so no byte of an earlier, longer or compressed frame survives into
+/// a later one.
+#[test]
+fn a_reused_frame_buffer_leaves_no_stale_bytes() {
+    let payloads = [
+        vec![0u8; 5000],
+        noise(10),
+        noise(6000),
+        [vec![1u8; 40], noise(3)].concat(),
+        abandoned_on_last_literal(),
+        vec![7u8; 2000],
+        abandoned_on_last_run(),
+        Vec::new(),
+        vec![0xEEu8; 3000],
+        noise(1),
+        // One byte shorter compressed than raw.
+        [vec![0u8; 4], noise(63)].concat(),
+    ];
+    let compressed: Vec<bool> = payloads.iter().map(|p| rle_compress(p).is_some()).collect();
+    assert_eq!(
+        compressed,
+        [true, false, false, true, false, true, false, false, true, false, true],
+        "each payload takes the branch it is here for"
+    );
+    let frames: Vec<(u8, Vec<u8>)> = payloads.into_iter().map(|p| (2, p)).collect();
+    assert_eq!(write_stream(&frames), reference_stream(&frames));
+    // The oracle stream reads back to the payloads, so it is a stream at all.
+    let read = read_stream(&reference_stream(&frames)).expect("oracle stream reads");
+    assert!(read.iter().zip(&frames).all(|(got, (_, payload))| &got.payload == payload));
+}
+
 fn write_stream(frames: &[(u8, Vec<u8>)]) -> Vec<u8> {
     let mut sink = FrameSink::new(Vec::new()).expect("sink opens");
     for (frame_type, payload) in frames {
@@ -225,6 +319,13 @@ proptest! {
             rest = &rest[14 + wire_len..];
         }
         prop_assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn one_sink_writes_every_frame_as_built_from_scratch(
+        frames in vec((1u8..=255, mixed_payload()), 1..10),
+    ) {
+        prop_assert_eq!(write_stream(&frames), reference_stream(&frames));
     }
 
     #[test]
