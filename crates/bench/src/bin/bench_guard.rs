@@ -32,6 +32,9 @@
 //! timed in the same run) must stay at or under 3%. No baseline is
 //! consulted for this check — the ratio is host-independent by construction.
 //!
+//! A failing run ends with one line naming every check that failed: a floor, the
+//! ceiling, or a section or number missing from a report.
+//!
 //! Parsing is a small anchored scanner rather than a JSON parser: the offline
 //! vendor set has no JSON crate, and `report` writes the document with a fixed
 //! shape (`"backend": "<name>",` … `"encrypt_mb_s": <num>`).
@@ -135,17 +138,42 @@ fn main() -> ExitCode {
     let baseline = read(baseline_path);
     let fresh = read(fresh_path);
 
-    let Some(base_section) = paillier_section(&baseline) else {
+    if paillier_section(&baseline).is_none() {
         println!(
             "bench_guard: baseline {baseline_path} has no \"paillier\" section \
              (pre-guard report); passing"
         );
         return ExitCode::SUCCESS;
-    };
-    let Some(fresh_section) = paillier_section(&fresh) else {
+    }
+    if paillier_section(&fresh).is_none() {
         eprintln!("bench_guard: fresh report {fresh_path} is missing the \"paillier\" section");
         return ExitCode::from(2);
-    };
+    }
+    let failures = failed_checks(&baseline, &fresh, max_regression);
+    if failures.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("{}", closing_line(&failures, baseline_path));
+    ExitCode::FAILURE
+}
+
+/// The guard's last line when checks failed: every failed check, by name.
+fn closing_line(failures: &[String], baseline_path: &str) -> String {
+    format!(
+        "bench_guard: {} check(s) failed against {baseline_path}: {}",
+        failures.len(),
+        failures.join("; ")
+    )
+}
+
+/// Run every check of a fresh report against the baseline, printing one line per
+/// check, and name each check that failed. Both reports must hold a `paillier`
+/// section.
+fn failed_checks(baseline: &str, fresh: &str, max_regression: f64) -> Vec<String> {
+    let base_section = paillier_section(baseline).expect("main checked the baseline's section");
+    let fresh_section = paillier_section(fresh).expect("main checked the fresh section");
+    let floor_failure =
+        |name: &str| format!("{name} floor ({:.0}% below the baseline)", max_regression * 100.0);
 
     // Hardware normalization: multiply each side's MB/s by its own same-run
     // calibration seconds, cancelling the host's absolute speed.
@@ -161,7 +189,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut failed = false;
+    let mut failures = Vec::new();
     for backend in FRAMINGS {
         let Some(base) = framing_encrypt_mb_s(base_section, backend) else {
             println!("bench_guard: baseline has no `{backend}` framing; skipping it");
@@ -169,7 +197,7 @@ fn main() -> ExitCode {
         };
         let Some(now) = framing_encrypt_mb_s(fresh_section, backend) else {
             eprintln!("bench_guard: fresh report has no `{backend}` framing");
-            failed = true;
+            failures.push(format!("`{backend}` framing missing from the fresh report"));
             continue;
         };
         let base = base * base_scale;
@@ -180,23 +208,23 @@ fn main() -> ExitCode {
             "bench_guard: {backend:<18} baseline {base:>12.6} {unit} | now {now:>12.6} {unit} \
              | floor {floor:>12.6} | {verdict}"
         );
-        failed |= now < floor;
+        if now < floor {
+            failures.push(floor_failure(backend));
+        }
     }
     // F² engine floor: same normalization, same tolerance. A baseline predating the
     // `f2_phases` section passes vacuously (bootstrap); a fresh report without it is
     // an error — the generator always emits it.
-    match (f2_phases_section(&baseline), f2_phases_section(&fresh)) {
+    match (f2_phases_section(baseline), f2_phases_section(fresh)) {
         (None, _) => {
             println!(
-                "bench_guard: baseline {baseline_path} has no \"f2_phases\" section \
+                "bench_guard: baseline has no \"f2_phases\" section \
                  (pre-guard report); skipping the f2 floor"
             );
         }
         (Some(_), None) => {
-            eprintln!(
-                "bench_guard: fresh report {fresh_path} is missing the \"f2_phases\" section"
-            );
-            failed = true;
+            eprintln!("bench_guard: fresh report is missing the \"f2_phases\" section");
+            failures.push("\"f2_phases\" section missing from the fresh report".into());
         }
         (Some(base_f2), Some(fresh_f2)) => {
             match (f2_throughput_mb_s(base_f2), f2_throughput_mb_s(fresh_f2)) {
@@ -210,11 +238,13 @@ fn main() -> ExitCode {
                          | floor {floor:>12.6} | {verdict}",
                         "f2-engine"
                     );
-                    failed |= now < floor;
+                    if now < floor {
+                        failures.push(floor_failure("f2-engine"));
+                    }
                 }
                 _ => {
                     eprintln!("bench_guard: f2_phases section lacks throughput_mb_s");
-                    failed = true;
+                    failures.push("\"f2_phases\" section lacks throughput_mb_s".into());
                 }
             }
         }
@@ -224,18 +254,16 @@ fn main() -> ExitCode {
     // same fixed workload, same normalization and tolerance. Bootstrap rule as for
     // `f2_phases`: missing in the baseline passes, missing in the fresh report
     // fails (the generator always emits it).
-    match (streaming_section(&baseline), streaming_section(&fresh)) {
+    match (streaming_section(baseline), streaming_section(fresh)) {
         (None, _) => {
             println!(
-                "bench_guard: baseline {baseline_path} has no \"streaming\" section \
+                "bench_guard: baseline has no \"streaming\" section \
                  (pre-streaming report); skipping the streaming floor"
             );
         }
         (Some(_), None) => {
-            eprintln!(
-                "bench_guard: fresh report {fresh_path} is missing the \"streaming\" section"
-            );
-            failed = true;
+            eprintln!("bench_guard: fresh report is missing the \"streaming\" section");
+            failures.push("\"streaming\" section missing from the fresh report".into());
         }
         (Some(base_s), Some(fresh_s)) => {
             match (f2_throughput_mb_s(base_s), f2_throughput_mb_s(fresh_s)) {
@@ -249,11 +277,13 @@ fn main() -> ExitCode {
                          | floor {floor:>12.6} | {verdict}",
                         "f2-streaming"
                     );
-                    failed |= now < floor;
+                    if now < floor {
+                        failures.push(floor_failure("f2-streaming"));
+                    }
                 }
                 _ => {
                     eprintln!("bench_guard: streaming section lacks throughput_mb_s");
-                    failed = true;
+                    failures.push("\"streaming\" section lacks throughput_mb_s".into());
                 }
             }
         }
@@ -263,7 +293,7 @@ fn main() -> ExitCode {
     // `observability` section compares instrumented vs no-op wall clock measured in
     // the same run, so host speed cancels and no baseline is needed. A fresh report
     // without the section fails (the generator always emits it).
-    match observability_section(&fresh).map(obs_overhead_frac) {
+    match observability_section(fresh).map(obs_overhead_frac) {
         Some(Some(frac)) => {
             let verdict = if frac > OBS_MAX_OVERHEAD_FRAC { "REGRESSION" } else { "ok" };
             println!(
@@ -272,29 +302,24 @@ fn main() -> ExitCode {
                 frac * 100.0,
                 OBS_MAX_OVERHEAD_FRAC * 100.0
             );
-            failed |= frac > OBS_MAX_OVERHEAD_FRAC;
+            if frac > OBS_MAX_OVERHEAD_FRAC {
+                failures.push(format!(
+                    "f2-telemetry ceiling (overhead {:.2}% above {:.0}%)",
+                    frac * 100.0,
+                    OBS_MAX_OVERHEAD_FRAC * 100.0
+                ));
+            }
         }
         Some(None) => {
             eprintln!("bench_guard: observability section lacks overhead_frac");
-            failed = true;
+            failures.push("\"observability\" section lacks overhead_frac".into());
         }
         None => {
-            eprintln!(
-                "bench_guard: fresh report {fresh_path} is missing the \"observability\" section"
-            );
-            failed = true;
+            eprintln!("bench_guard: fresh report is missing the \"observability\" section");
+            failures.push("\"observability\" section missing from the fresh report".into());
         }
     }
-
-    if failed {
-        eprintln!(
-            "bench_guard: hot-path throughput regressed more than \
-             {:.0}% vs {baseline_path}",
-            max_regression * 100.0
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    failures
 }
 
 #[cfg(test)]
@@ -381,6 +406,37 @@ mod tests {
         // leak into the ceiling check.
         assert!(!section.contains("paillier"));
         assert!(observability_section("{ \"engine\": [] }").is_none());
+    }
+
+    #[test]
+    fn the_closing_line_names_only_the_checks_that_failed() {
+        // The sample against itself passes every check it holds.
+        assert!(failed_checks(SAMPLE, SAMPLE, DEFAULT_MAX_REGRESSION).is_empty());
+
+        // A telemetry breach alone is named as the ceiling, not as a throughput
+        // regression.
+        let noisy = SAMPLE.replace("\"overhead_frac\": 0.0136", "\"overhead_frac\": 0.0319");
+        let failures = failed_checks(SAMPLE, &noisy, DEFAULT_MAX_REGRESSION);
+        assert_eq!(failures, ["f2-telemetry ceiling (overhead 3.19% above 3%)"]);
+        let line = closing_line(&failures, "base.json");
+        assert_eq!(
+            line,
+            "bench_guard: 1 check(s) failed against base.json: \
+             f2-telemetry ceiling (overhead 3.19% above 3%)"
+        );
+        assert!(!line.contains("throughput"));
+
+        // A slower engine and a missing section are both listed, in check order.
+        let broken = SAMPLE
+            .replace("\"throughput_mb_s\": 6.7500", "\"throughput_mb_s\": 5.0000")
+            .replace("\"observability\": {", "\"observability_gone\": {");
+        assert_eq!(
+            failed_checks(SAMPLE, &broken, DEFAULT_MAX_REGRESSION),
+            [
+                "f2-engine floor (20% below the baseline)",
+                "\"observability\" section missing from the fresh report",
+            ]
+        );
     }
 
     #[test]

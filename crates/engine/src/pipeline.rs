@@ -57,6 +57,13 @@ pub struct EngineConfig {
     /// produced 20 such false positives and a single 1,000-row chunk none.
     /// Pick `chunk_rows ≥ row count` when the provider must discover exactly
     /// the plaintext's FDs.
+    ///
+    /// **Threads:** a chunk of at least 65,536 cells (`chunk_rows × arity`)
+    /// builds its columnar index on up to `available_parallelism()` threads of
+    /// its own ([`f2_relation::ColumnarIndex::build`]), so up to `workers ×`
+    /// that many builds can be live at once. With 2 workers on a 2-vCPU host,
+    /// 10,000-row chunks of the 50,000-row Synthetic table (70,000 cells each)
+    /// left encryption speed flat and raised the process's peak RSS by 14–25%.
     pub chunk_rows: usize,
     /// Engine seed: per-chunk scheme seeds derive from it via [`chunk_seed`]. Use
     /// [`f2_crypto::entropy_seed`] when reproducibility is not required.

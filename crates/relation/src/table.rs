@@ -57,7 +57,11 @@ impl Table {
 
     /// The table's interned columnar index, built on first use and cached until the
     /// next mutation. This is the substrate of [`Table::partition`] and every other
-    /// partition-shaped query.
+    /// partition-shaped query. On a table of at least 65,536 cells the first call
+    /// builds the columns on up to `available_parallelism()` threads (never more
+    /// than the arity), the calling thread among them; see [`ColumnarIndex::build`].
+    /// The cap holds per call: threads that build indexes at once (an engine's
+    /// workers on large chunks, say) each start their own helpers.
     pub fn columnar(&self) -> &ColumnarIndex {
         self.columns.get_or_init(|| Arc::new(ColumnarIndex::build(self)))
     }

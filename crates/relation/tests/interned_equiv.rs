@@ -7,7 +7,13 @@
 //! and the direct stripped path must match `compute_generic().stripped()`. Tables are
 //! drawn with small value pools (including cross-type collisions, `Null`, ciphertext-
 //! shaped `Bytes` and the order key's edge cases) so duplicate projections are common.
+//!
+//! The drawn tables stay far below the sizes at which a column's build switches to
+//! sorting (past a 4,096-cell probe window that is at least 7/8 distinct) and a
+//! table's build to several threads (65,536 cells), so fixed tables past both sizes
+//! pin those paths too.
 
+use f2_relation::columnar::{PARALLEL_MIN_CELLS, PROBE_CELLS, SORT_MIN_DISTINCT};
 use f2_relation::{AttrSet, Partition, Record, Schema, StrippedPartition, Table, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -218,5 +224,115 @@ proptest! {
         let attrs = attrs_for(&materialised, mask);
         let (p, q) = (materialised.partition(attrs), standalone.partition(attrs));
         prop_assert_eq!(p.classes(), q.classes());
+    }
+}
+
+/// Rows of the fixed large table: 4 columns × 20,000 rows is past the threaded-build
+/// size (65,536 cells), and every column is longer than the 4,096-cell probe window.
+const LARGE_ROWS: usize = 20_000;
+
+/// A fixed pseudo-random `u64` per index (splitmix64).
+fn mix(i: u64) -> u64 {
+    let mut z = i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A ciphertext-shaped cell: 16 bytes whose first 8 are shared by each group of
+/// four consecutive indexes, so order keys tie and `Value::cmp` settles them; every
+/// 64th cell is the bare 8-byte head, a proper prefix of its group mates.
+fn cipher_cell(index: u64) -> Value {
+    let mut bytes = mix(index / 4).to_be_bytes().to_vec();
+    if !index.is_multiple_of(64) {
+        bytes.extend(mix(index).to_be_bytes());
+    }
+    Value::bytes(bytes)
+}
+
+/// The fixed large table, one column per shape:
+/// 0. ciphertext-shaped `Bytes`, mostly distinct (the sort strategy), where every
+///    16th row repeats the cell five rows back;
+/// 1. few distinct values of mixed type, drawn from `value_from` (the hash
+///    strategy throughout);
+/// 2. 100 values repeated through the probe window, every value unique after it
+///    (the hash strategy, though the rest is all new);
+/// 3. mixed types, mostly distinct (the sort strategy): Ints, Decimals of four
+///    scales, Texts sharing their first 8 bytes, Dates and `Bytes`, with every 16th
+///    cell an edge value from `value_from`.
+fn large_table() -> Table {
+    let records = (0..LARGE_ROWS as u64)
+        .map(|row| {
+            let cipher = cipher_cell(if row % 16 == 15 { row - 5 } else { row });
+            let few = value_from((mix(row) % 256) as u8);
+            let switch = if row < PROBE_CELLS as u64 {
+                Value::Int((row % 100) as i64)
+            } else {
+                Value::Int(row as i64)
+            };
+            let m = mix(row ^ 0xABCD);
+            let mixed = match row % 16 {
+                0 => value_from(m as u8),
+                1..=3 => Value::Int(m as i64 >> 20),
+                4..=6 => Value::Decimal { digits: m as i64 >> 40, scale: (row % 4) as u8 },
+                7..=10 => Value::text(format!("abcdefgh{}", m % 50_000)),
+                11..=12 => Value::Date((m % 40_000) as i32 - 20_000),
+                _ => cipher_cell(m % 100_000),
+            };
+            Record::new(vec![cipher, few, switch, mixed])
+        })
+        .collect();
+    let schema = Schema::from_names(["cipher", "few", "switch", "mixed"]).expect("schema");
+    Table::new(schema, records).expect("consistent arity")
+}
+
+/// Distinct values among a column's first `n` cells.
+fn distinct_in_first(table: &Table, attr: usize, n: usize) -> usize {
+    let head: std::collections::HashSet<&Value> =
+        table.rows()[..n].iter().map(|rec| rec.get(attr).expect("arity")).collect();
+    head.len()
+}
+
+#[test]
+fn large_columns_intern_like_a_sort_and_dedup() {
+    let table = large_table();
+    // The table reaches the threaded build, and its shapes the strategies they are
+    // meant to.
+    const { assert!(LARGE_ROWS > PROBE_CELLS) };
+    assert!(LARGE_ROWS * table.arity() >= PARALLEL_MIN_CELLS);
+    let window: Vec<usize> =
+        (0..table.arity()).map(|a| distinct_in_first(&table, a, PROBE_CELLS)).collect();
+    assert!(window[0] >= SORT_MIN_DISTINCT && window[3] >= SORT_MIN_DISTINCT, "{window:?}");
+    assert!(window[1] < SORT_MIN_DISTINCT && window[2] < SORT_MIN_DISTINCT, "{window:?}");
+
+    let index = table.columnar();
+    assert_eq!(index.arity(), table.arity());
+    assert_eq!(index.row_count(), LARGE_ROWS);
+    for attr in 0..table.arity() {
+        let column: Vec<&Value> = table.rows().iter().map(|rec| rec.get(attr).unwrap()).collect();
+        let mut oracle: Vec<Value> = column.iter().map(|&v| v.clone()).collect();
+        oracle.sort();
+        oracle.dedup();
+        let dictionary = index.column(attr);
+        assert_eq!(dictionary.values(), &oracle[..], "dictionary of column {attr}");
+        assert_eq!(dictionary.ids().len(), LARGE_ROWS);
+        for (row, (&id, &cell)) in dictionary.ids().iter().zip(&column).enumerate() {
+            assert_eq!(dictionary.value_of(id), cell, "column {attr}, row {row}");
+        }
+    }
+}
+
+#[test]
+fn large_partitions_match_generic_on_singles_and_pairs() {
+    let table = large_table();
+    let arity = table.arity();
+    let singles = (0..arity).map(AttrSet::single);
+    let pairs = (0..arity).flat_map(|a| (a + 1..arity).map(move |b| AttrSet::from_indices([a, b])));
+    for attrs in singles.chain(pairs) {
+        let generic = Partition::compute_generic(&table, attrs);
+        let interned = Partition::compute(&table, attrs);
+        assert_eq!(interned.classes(), generic.classes(), "partition of {attrs:?}");
+        assert_eq!(interned.row_count(), generic.row_count());
+        assert_eq!(StrippedPartition::for_attrs(&table, attrs), generic.stripped(), "{attrs:?}");
     }
 }

@@ -48,7 +48,9 @@ pub struct ServerConfig {
     pub drain_deadline: Duration,
     /// The backoff hint shed connections receive.
     pub retry_after: Duration,
-    /// Rows per chunk for every job this service runs.
+    /// Rows per chunk for every job this service runs. A chunk of at least
+    /// 65,536 cells builds its columnar index on threads of its own, beside
+    /// the `workers` (see [`EngineConfig::chunk_rows`](f2_engine::EngineConfig::chunk_rows)).
     pub chunk_rows: usize,
     /// Per-connection frame memory cap (bytes); larger frames are refused
     /// before allocation.
