@@ -27,6 +27,11 @@
 //! that pull loop, so a pushed stream is **byte-identical** to a pulled one over
 //! the same rows, scheme, and engine configuration — there is only one encoder.
 //!
+//! A job never retries: an error from the source, the scheme, or the writer
+//! fails the call, and resume finishes a stream left unfinished. Transient I/O
+//! errors are retried only where a failed call consumed nothing, by the owner
+//! of the reader or writer (see `f2_io::retry`).
+//!
 //! This is the substrate `f2_server` builds its crash-resumable, multi-tenant
 //! job sessions on; it is equally usable directly for incremental encryption
 //! pipelines that materialize rows in batches.
@@ -36,7 +41,7 @@ use crate::stream::{encode_chunk, encode_header, encode_trailer, StreamOutcome};
 use crate::stream::{FRAME_CHUNK, FRAME_HEADER, FRAME_TRAILER};
 use f2_core::{EncryptionReport, F2Error, Result, Scheme};
 use f2_io::frame::FrameSink;
-use f2_io::{IoError, RetryPolicy, RetryingWriter, RowSource, StreamStore};
+use f2_io::{IoError, RowSource, StreamStore};
 use f2_relation::{Schema, TableView};
 use std::io::{SeekFrom, Write};
 use std::time::Instant;
@@ -45,8 +50,7 @@ use std::time::Instant;
 /// jobs opened with [`Engine::begin_job`] or [`Engine::resume_job`]).
 ///
 /// See the [module docs](self) for the contract. The job owns the writer
-/// (through the engine's retrying writer) until [`StreamJob::finish`] closes
-/// the stream.
+/// until [`StreamJob::finish`] closes the stream.
 ///
 /// Between appends a job keeps two buffers: the encoded payload of its last
 /// chunk and, inside its [`FrameSink`], the frame built from it. Each chunk is
@@ -57,7 +61,7 @@ pub struct StreamJob<W: Write> {
     seed: u64,
     chunk_rows: usize,
     schema: Schema,
-    sink: FrameSink<RetryingWriter<W>>,
+    sink: FrameSink<W>,
     /// The chunk payload [`encode_chunk`] writes each chunk into.
     payload: Vec<u8>,
     progress: StreamProgress,
@@ -128,11 +132,7 @@ impl Engine {
         if schema.arity() == 0 {
             return Err(F2Error::UnsupportedInput("schema has no attributes".into()));
         }
-        // Transient write failures are absorbed *below* the frame layer: a failed
-        // raw `write` is guaranteed to have written nothing, so retrying it is
-        // exact, whereas retrying a whole `write_frame` could duplicate the bytes
-        // a partially-successful `write_all` already pushed out.
-        let mut sink = FrameSink::new(self.retry_policy().writer(writer))?;
+        let mut sink = FrameSink::new(writer)?;
         let header =
             encode_header(scheme.name(), self.config().seed, self.config().chunk_rows, schema);
         sink.write_frame(FRAME_HEADER, &header)?;
@@ -166,7 +166,7 @@ impl<W: Write> StreamJob<W> {
             seed: engine.config().seed,
             chunk_rows: engine.config().chunk_rows,
             schema: schema.clone(),
-            sink: FrameSink::resume(engine.retry_policy().writer(writer), bytes, frames),
+            sink: FrameSink::resume(writer, bytes, frames),
             payload,
             progress,
         }
@@ -251,17 +251,10 @@ impl<W: Write> StreamJob<W> {
     /// pull loop of [`Engine::run_streaming`] and [`Engine::resume_streaming`].
     /// Each pulled chunk is a view the source lends until the next pull, which
     /// drops it before reading more rows: one chunk of plaintext at a time.
-    pub(crate) fn pump(
-        &mut self,
-        scheme: &dyn Scheme,
-        source: &mut dyn RowSource,
-        retry: &RetryPolicy,
-    ) -> Result<()> {
-        let chunk_rows = self.chunk_rows;
-        while pull(source, chunk_rows, retry, |chunk| match chunk {
-            Some(chunk) => self.append_chunk(scheme, &chunk).map(|_| true),
-            None => Ok(false),
-        })? {}
+    pub(crate) fn pump(&mut self, scheme: &dyn Scheme, source: &mut dyn RowSource) -> Result<()> {
+        while let Some(chunk) = pull(source, self.chunk_rows)? {
+            self.append_chunk(scheme, &chunk)?;
+        }
         Ok(())
     }
 
@@ -279,7 +272,7 @@ impl<W: Write> StreamJob<W> {
         crate::obs::stream_bytes_total().add(bytes_written);
         let StreamProgress { chunks, rows, encrypted_rows, report } = self.progress;
         let outcome = StreamOutcome { chunks, rows, encrypted_rows, bytes_written, report };
-        Ok((outcome, writer.into_inner()))
+        Ok((outcome, writer))
     }
 
     /// Plaintext rows encrypted so far — the row index the next append's
@@ -315,31 +308,17 @@ impl<W: Write> StreamJob<W> {
     }
 }
 
-/// Pull the next chunk of at most `rows` rows from `source` under `retry` and
-/// hand it (`None` once the source is exhausted) to `use_chunk`. Retrying a
-/// pull is sound only because a failed `next_chunk` consumes nothing (see the
-/// soundness notes in `f2_io::retry`); the budget is per pull, not per stream.
-/// The chunk borrows the source, so it is lent to a closure rather than
-/// returned — for the same reason the pull makes its attempts inline under
-/// [`RetryPolicy::begin`].
-pub(crate) fn pull<T>(
-    source: &mut dyn RowSource,
+/// Pull the next chunk of at most `rows` rows from `source` (`None` once the
+/// source is exhausted). An error fails the job: the source may have consumed
+/// input before it failed, so the stream is finished by resume, never by
+/// pulling again.
+pub(crate) fn pull<'s>(
+    source: &'s mut dyn RowSource,
     rows: usize,
-    retry: &RetryPolicy,
-    use_chunk: impl FnOnce(Option<TableView<'_>>) -> Result<T>,
-) -> Result<T> {
-    let mut attempts = retry.begin();
-    loop {
-        let attempt = {
-            // Span covers source I/O plus chunk assembly (e.g. CSV parsing).
-            let _pull = f2_obs::span!("engine.chunk.pull");
-            source.next_chunk(rows)
-        };
-        match attempt {
-            Ok(chunk) => return use_chunk(chunk),
-            Err(error) => attempts.absorb(error)?,
-        }
-    }
+) -> Result<Option<TableView<'s>>> {
+    // Span covers source I/O plus chunk assembly (e.g. CSV parsing).
+    let _pull = f2_obs::span!("engine.chunk.pull");
+    Ok(source.next_chunk(rows)?)
 }
 
 /// Cut `store` to `len` bytes and position it there, where a (re)opened job

@@ -16,7 +16,6 @@
 //! one as far as the decryptor is concerned.
 
 use f2_core::{ChunkState, EncryptionReport, F2Error, OwnerState, Result, Scheme, SchemeOutcome};
-use f2_io::RetryPolicy;
 use f2_relation::Table;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -126,7 +125,6 @@ pub struct EngineOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     config: EngineConfig,
-    retry: Option<RetryPolicy>,
 }
 
 /// What one worker records for one finished chunk.
@@ -140,37 +138,12 @@ impl Engine {
     /// Create an engine, validating the configuration.
     pub fn new(config: EngineConfig) -> Result<Self> {
         config.validate()?;
-        Ok(Engine { config, retry: None })
+        Ok(Engine { config })
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// Opt the *streaming* paths into transient-failure retries: source pulls
-    /// and sink writes of every stream job ([`Engine::run_streaming`],
-    /// [`Engine::resume_streaming`], [`Engine::begin_job`],
-    /// [`Engine::resume_job`]) run under `policy`
-    /// (bounded attempts, deterministic backoff — see [`RetryPolicy`]). The
-    /// in-memory [`Engine::encrypt`] does no I/O and is unaffected. Without
-    /// this, every I/O error is final — the fault-free hot path pays nothing.
-    #[must_use]
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// The streaming retry policy, if one was opted into via
-    /// [`Engine::with_retry`].
-    pub fn retry(&self) -> Option<&RetryPolicy> {
-        self.retry.as_ref()
-    }
-
-    /// The policy streaming I/O runs under: the opted-in one, or a single
-    /// attempt.
-    pub(crate) fn retry_policy(&self) -> RetryPolicy {
-        self.retry.clone().unwrap_or_else(RetryPolicy::disabled)
     }
 
     /// Encrypt `table` with `scheme`, chunked and (for `workers > 1`) in parallel.

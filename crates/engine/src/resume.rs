@@ -57,7 +57,7 @@ use crate::stream::{
 };
 use f2_core::{F2Error, Result, Scheme, SchemeOutcome};
 use f2_io::frame::FrameReader;
-use f2_io::{IoError, RetryPolicy, RowSource, StreamStore};
+use f2_io::{IoError, RowSource, StreamStore};
 use f2_relation::Schema;
 use std::io::{Read, SeekFrom};
 
@@ -82,7 +82,7 @@ impl Engine {
     ) -> Result<StreamOutcome> {
         let schema = source.schema().clone();
         let mut job = self.reopen(scheme, &schema, store, Some(&mut *source))?;
-        job.pump(scheme, source, &self.retry_policy())?;
+        job.pump(scheme, source)?;
         job.finish()
     }
 
@@ -126,7 +126,6 @@ impl Engine {
             return self.begin_job(scheme, schema, store);
         };
         let (seed, chunk_rows) = (self.config().seed, self.config().chunk_rows);
-        let retry = self.retry_policy();
         let mut progress = StreamProgress::start();
         // The replay's re-encoded chunks go here, and the resumed job keeps the
         // buffer as its own chunk payload buffer.
@@ -156,7 +155,7 @@ impl Engine {
             // are sorted by source index), so either way re-encrypting under the
             // chunk's recorded seed must reproduce the stored bytes exactly.
             let rebuilt = match source.as_deref_mut() {
-                Some(source) => pull_prefix_chunk(scheme, source, &record, &retry)?,
+                Some(source) => pull_prefix_chunk(scheme, source, &record)?,
                 None => {
                     let (_, state, table) = decode_chunk(&payload)?;
                     let plain = decrypt_chunk(scheme, &record, state, table)?;
@@ -237,10 +236,9 @@ fn pull_prefix_chunk(
     scheme: &dyn Scheme,
     source: &mut dyn RowSource,
     record: &ChunkRecord,
-    retry: &RetryPolicy,
 ) -> Result<SchemeOutcome> {
     let want = record.rows.len();
-    pull(source, want, retry, |chunk| match chunk {
+    match pull(source, want)? {
         None => Err(F2Error::UnsupportedInput(format!(
             "source ended at row {} but stored chunk {} covers rows {:?} — resume needs the \
              original source, rewound to its first row",
@@ -252,5 +250,5 @@ fn pull_prefix_chunk(
             chunk.row_count()
         ))),
         Some(chunk) => scheme.reseeded(record.seed).encrypt_view(&chunk),
-    })
+    }
 }

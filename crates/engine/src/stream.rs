@@ -106,6 +106,12 @@ impl Engine {
     /// The source must hand out **full chunks** (`chunk_rows` rows until the final
     /// partial chunk), which every `f2_io` source does; a short chunk mid-stream
     /// would shift chunk boundaries away from the in-memory path's and is rejected.
+    ///
+    /// An error from the source or the writer fails the run and leaves a prefix
+    /// of the stream that [`Engine::resume_streaming`] finishes. To absorb
+    /// transient I/O errors instead, read CSV through
+    /// [`CsvSource::with_retry`](f2_io::CsvSource::with_retry) and hand in a
+    /// [`RetryPolicy::writer`](f2_io::RetryPolicy::writer).
     pub fn run_streaming<W: Write>(
         &self,
         scheme: &dyn Scheme,
@@ -113,7 +119,7 @@ impl Engine {
         writer: W,
     ) -> Result<StreamOutcome> {
         let mut job = self.open_job(scheme, source.schema(), writer)?;
-        job.pump(scheme, source, &self.retry_policy())?;
+        job.pump(scheme, source)?;
         job.finish()
     }
 }

@@ -1,110 +1,117 @@
-//! Engine-level fault tolerance: an [`Engine`] carrying a [`RetryPolicy`]
-//! absorbs transient source and writer faults without changing a single output
-//! byte; without one (the default), the first fault fails the run — fault
-//! tolerance is opt-in so the fault-free hot path stays untouched. And a panic
-//! inside an encryption worker is contained to a typed
+//! Engine-level fault tolerance. A stream job retries nothing itself: whoever
+//! owns a reader or a writer wraps it in a [`RetryPolicy`] where a failed call
+//! consumed nothing (a CSV reader under [`CsvSource::with_retry`], a writer
+//! under [`RetryPolicy::writer`]), and the faults it absorbs change no output
+//! byte. A fault that outlasts the policy fails the run, and
+//! `resume_streaming` finishes the stream byte-identically. And a panic inside
+//! an encryption worker is contained to a typed
 //! [`EngineError::WorkerPanicked`], never a poisoned engine or an aborted
 //! process.
 
 use f2_core::{DetScheme, Scheme, SchemeOutcome, F2};
 use f2_crypto::MasterKey;
 use f2_engine::{Engine, EngineConfig, EngineError};
-use f2_io::{FaultKind, FaultPlan, FaultySource, FaultyWriter, RetryPolicy, TableSource};
+use f2_io::{
+    CsvOptions, CsvSource, FaultKind, FaultPlan, FaultyReader, FaultyWriter, FrameReader,
+    RetryPolicy, TableSource,
+};
 use f2_relation::{Table, TableView};
-use std::io::ErrorKind;
+use std::io::{Cursor, ErrorKind};
 
 fn fixture(rows: usize) -> Table {
     f2_datagen::Dataset::Orders.generate(rows, 77)
 }
 
-fn clean_stream<S: Scheme>(engine: &Engine, scheme: &S, t: &Table) -> Vec<u8> {
-    let mut stream = Vec::new();
-    engine.run_streaming(scheme, &mut TableSource::new(t), &mut stream).unwrap();
-    stream
+/// 400 Orders rows in 100-row chunks: their CSV rendering outgrows twice the 8 KiB
+/// buffer [`CsvSource::with_retry`] fills at construction, so a fault in its
+/// second half fires while the run pulls.
+struct Setup {
+    table: Table,
+    csv: String,
+    scheme: DetScheme,
+    engine: Engine,
+    golden: Vec<u8>,
+}
+
+fn setup() -> Setup {
+    let table = fixture(400);
+    let csv = f2_relation::csv::to_csv_string(&table);
+    assert!(csv.len() > 2 * 8192, "{} CSV bytes", csv.len());
+    let scheme = DetScheme::new(MasterKey::from_seed(41));
+    let engine = Engine::new(EngineConfig { workers: 1, chunk_rows: 100, seed: 41 }).unwrap();
+    let mut golden = Vec::new();
+    engine.run_streaming(&scheme, &mut TableSource::new(&table), &mut golden).unwrap();
+    Setup { table, csv, scheme, engine, golden }
+}
+
+impl Setup {
+    fn options(&self) -> CsvOptions {
+        CsvOptions::csv().with_schema(self.table.schema().clone())
+    }
+
+    /// A CSV source whose reader replays `plan` under `policy`.
+    fn flaky(&self, plan: FaultPlan, policy: RetryPolicy) -> CsvSource<impl std::io::BufRead + '_> {
+        CsvSource::with_retry(FaultyReader::new(self.csv.as_bytes(), plan), self.options(), policy)
+            .unwrap()
+    }
 }
 
 #[test]
-fn a_retrying_engine_absorbs_transient_source_faults_byte_exactly() {
-    let t = fixture(23);
-    let scheme = DetScheme::new(MasterKey::from_seed(41));
-    let config = EngineConfig { workers: 1, chunk_rows: 5, seed: 41 };
-    let engine = Engine::new(config).unwrap();
-    let golden = clean_stream(&engine, &scheme, &t);
-
-    let retrying = Engine::new(config).unwrap().with_retry(RetryPolicy::no_backoff(4));
-    assert!(retrying.retry().is_some_and(RetryPolicy::is_enabled));
+fn transient_read_faults_under_the_csv_parser_are_absorbed_byte_exactly() {
+    let s = setup();
+    let len = s.csv.len() as u64;
     let plan = FaultPlan::new()
-        .with(0, FaultKind::Transient(ErrorKind::TimedOut))
-        .with(2, FaultKind::Transient(ErrorKind::ConnectionReset))
-        .with(5, FaultKind::Transient(ErrorKind::WouldBlock));
-    let mut source = FaultySource::new(TableSource::new(&t), plan);
+        .with(len / 2, FaultKind::Transient(ErrorKind::TimedOut))
+        .with(len / 2, FaultKind::Transient(ErrorKind::ConnectionReset))
+        .with(len - 1, FaultKind::Transient(ErrorKind::WouldBlock));
+    let mut source = s.flaky(plan, RetryPolicy::no_backoff(4));
     let mut stream = Vec::new();
-    retrying.run_streaming(&scheme, &mut source, &mut stream).unwrap();
-    assert_eq!(stream, golden, "absorbed faults must not change the stream bytes");
-    // 5 chunk pulls + the final empty pull + 3 retried attempts.
-    assert_eq!(source.attempts(), 9);
+    s.engine.run_streaming(&s.scheme, &mut source, &mut stream).unwrap();
+    assert_eq!(stream, s.golden, "absorbed faults must not change the stream bytes");
 }
 
 #[test]
-fn a_retrying_engine_absorbs_transient_writer_faults_byte_exactly() {
-    let t = fixture(23);
-    let scheme = DetScheme::new(MasterKey::from_seed(41));
-    let config = EngineConfig { workers: 1, chunk_rows: 5, seed: 41 };
-    let engine = Engine::new(config).unwrap();
-    let golden = clean_stream(&engine, &scheme, &t);
-
-    let retrying = Engine::new(config).unwrap().with_retry(RetryPolicy::no_backoff(4));
+fn transient_writer_faults_under_a_retrying_writer_are_absorbed_byte_exactly() {
+    let s = setup();
+    let len = s.golden.len() as u64;
     let plan = FaultPlan::new()
         .with(3, FaultKind::Transient(ErrorKind::TimedOut))
-        .with(golden.len() as u64 / 2, FaultKind::Transient(ErrorKind::ConnectionAborted))
-        .with(golden.len() as u64 / 3, FaultKind::ShortWrite(2));
-    let mut writer = FaultyWriter::new(Vec::new(), plan);
-    retrying.run_streaming(&scheme, &mut TableSource::new(&t), &mut writer).unwrap();
-    assert_eq!(writer.into_inner(), golden);
+        .with(len / 2, FaultKind::Transient(ErrorKind::ConnectionAborted))
+        .with(len / 3, FaultKind::ShortWrite(2));
+    let mut writer = RetryPolicy::no_backoff(4).writer(FaultyWriter::new(Vec::new(), plan));
+    s.engine.run_streaming(&s.scheme, &mut TableSource::new(&s.table), &mut writer).unwrap();
+    assert_eq!(writer.into_inner().into_inner(), s.golden);
 }
 
 #[test]
-fn without_a_policy_the_first_transient_fault_is_fatal() {
-    let t = fixture(23);
-    let scheme = DetScheme::new(MasterKey::from_seed(41));
-    let engine = Engine::new(EngineConfig { workers: 1, chunk_rows: 5, seed: 41 }).unwrap();
-    assert!(engine.retry().is_none(), "fault tolerance is opt-in");
-    let plan = FaultPlan::new().with(1, FaultKind::Transient(ErrorKind::TimedOut));
-    let mut source = FaultySource::new(TableSource::new(&t), plan);
-    let err = engine.run_streaming(&scheme, &mut source, Vec::new()).unwrap_err();
-    assert!(err.to_string().contains("injected transient source fault"), "{err}");
-}
+fn a_fault_burst_past_the_budget_fails_the_run_and_resume_finishes_it() {
+    let s = setup();
+    // Three faults on one read: they outlast a single attempt and a budget of
+    // three, and a budget of four heals them.
+    let burst = || {
+        (0..3).fold(FaultPlan::new(), |plan, _| {
+            plan.with(s.csv.len() as u64 / 2, FaultKind::Transient(ErrorKind::TimedOut))
+        })
+    };
+    for budget in [1, 3] {
+        let mut store = Cursor::new(Vec::new());
+        let mut source = s.flaky(burst(), RetryPolicy::no_backoff(budget));
+        let err = s.engine.run_streaming(&s.scheme, &mut source, &mut store).unwrap_err();
+        assert!(err.to_string().contains("injected transient read fault"), "{budget}: {err}");
+        // The run left the header and the chunks it finished.
+        let prefix = store.get_ref();
+        assert!(s.golden.starts_with(prefix) && prefix.len() < s.golden.len(), "{budget}");
+        let mut frames = FrameReader::new(&prefix[..]).unwrap();
+        assert!(frames.next_frame().unwrap().is_some() && frames.next_frame().unwrap().is_some());
 
-#[test]
-fn an_exhausted_pull_budget_fails_the_run() {
-    let t = fixture(23);
-    let scheme = DetScheme::new(MasterKey::from_seed(41));
-    let engine = Engine::new(EngineConfig { workers: 1, chunk_rows: 5, seed: 41 })
-        .unwrap()
-        .with_retry(RetryPolicy::no_backoff(3));
-    // Four consecutive faulted attempts before chunk 1 arrives: one more than
-    // the budget absorbs. (Fault offsets are attempt indices, so a burst means
-    // consecutive indices.)
-    let mut plan = FaultPlan::new();
-    for at in [1u64, 2, 3, 4] {
-        plan.push(at, FaultKind::Transient(ErrorKind::TimedOut));
+        let mut clean = CsvSource::new(s.csv.as_bytes(), s.options()).unwrap();
+        s.engine.resume_streaming(&s.scheme, &mut clean, &mut store).unwrap();
+        assert_eq!(store.into_inner(), s.golden, "budget {budget}: resume diverged");
     }
-    let mut source = FaultySource::new(TableSource::new(&t), plan);
-    let err = engine.run_streaming(&scheme, &mut source, Vec::new()).unwrap_err();
-    assert!(err.to_string().contains("injected transient source fault"), "{err}");
-
-    // The same burst under a per-chunk budget that covers it succeeds — and the
-    // budget resets between chunks, so four bursts of two faults all pass.
-    let engine = Engine::new(EngineConfig { workers: 1, chunk_rows: 5, seed: 41 })
-        .unwrap()
-        .with_retry(RetryPolicy::no_backoff(3));
-    let mut plan = FaultPlan::new();
-    for pull in [0u64, 1, 2, 3] {
-        plan.push(pull * 3, FaultKind::Transient(ErrorKind::TimedOut));
-        plan.push(pull * 3 + 1, FaultKind::Transient(ErrorKind::TimedOut));
-    }
-    let mut source = FaultySource::new(TableSource::new(&t), plan);
-    engine.run_streaming(&scheme, &mut source, Vec::new()).unwrap();
+    let mut stream = Vec::new();
+    let mut source = s.flaky(burst(), RetryPolicy::no_backoff(4));
+    s.engine.run_streaming(&s.scheme, &mut source, &mut stream).unwrap();
+    assert_eq!(stream, s.golden);
 }
 
 // ── Worker panic containment ───────────────────────────────────────────────────────

@@ -7,9 +7,8 @@
 //! Robustness code is only trustworthy if its failure paths are *exercised*, and
 //! real storage fails rarely and unreproducibly. This module makes failure a
 //! first-class, deterministic input: a [`FaultPlan`] is an explicit schedule of
-//! faults pinned to byte offsets (or pull indices, for sources), and the
-//! [`FaultyReader`] / [`FaultyWriter`] / [`FaultySource`] wrappers replay that
-//! schedule exactly. [`FaultPlan::random`] derives a plan from a seed with a
+//! faults pinned to byte offsets, and the [`FaultyReader`] / [`FaultyWriter`]
+//! wrappers replay that schedule exactly. [`FaultPlan::random`] derives a plan from a seed with a
 //! splitmix64 generator, so a failing property test shrinks to a one-line repro.
 //!
 //! Four fault kinds cover the failure model of `docs/ROBUSTNESS.md`:
@@ -25,9 +24,6 @@
 //!   writers silently lose the tail (a crash mid-stream — what
 //!   `Engine::resume_streaming` repairs).
 
-use crate::error::{IoError, IoResult};
-use crate::source::RowSource;
-use f2_relation::{Schema, TableView};
 use std::io::{ErrorKind, Read, Write};
 
 /// Advance a splitmix64 state and return the next pseudo-random word. The same
@@ -42,7 +38,7 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// What goes wrong when a fault fires. See the [module docs](self) for the
-/// semantics of each kind on readers, writers, and sources.
+/// semantics of each kind on readers and writers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Fail the operation touching the offset once with this error kind, then heal.
@@ -57,12 +53,11 @@ pub enum FaultKind {
     Truncate,
 }
 
-/// One scheduled fault: a [`FaultKind`] pinned to a position. For byte streams
-/// ([`FaultyReader`] / [`FaultyWriter`]) `at` is a byte offset; for
-/// [`FaultySource`] it is the 0-based `next_chunk` call index.
+/// One scheduled fault: a [`FaultKind`] pinned to a byte offset of the stream
+/// a [`FaultyReader`] or [`FaultyWriter`] carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
-    /// Byte offset (streams) or pull index (sources) the fault is pinned to.
+    /// Byte offset the fault is pinned to.
     pub at: u64,
     /// What goes wrong there.
     pub kind: FaultKind,
@@ -313,56 +308,9 @@ impl<W: Write> Write for FaultyWriter<W> {
     }
 }
 
-// ── FaultySource ───────────────────────────────────────────────────────────────────
-
-/// A [`RowSource`] wrapper that injects transient failures into `next_chunk`
-/// pulls. The plan's offsets are interpreted as 0-based pull-attempt indices;
-/// only [`FaultKind::Transient`] faults apply (others are ignored). A faulted
-/// pull fails *before* delegating, so a retried pull sees the source exactly as
-/// the failed one did — the wrapper is pull-retry-safe by construction.
-#[derive(Debug)]
-pub struct FaultySource<S> {
-    inner: S,
-    plan: FaultPlan,
-    attempts: u64,
-}
-
-impl<S> FaultySource<S> {
-    /// Wrap a source with a fault schedule keyed by pull index.
-    pub fn new(inner: S, plan: FaultPlan) -> Self {
-        FaultySource { inner, plan, attempts: 0 }
-    }
-
-    /// Pull attempts made so far (failed ones included).
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
-
-    /// Unwrap the underlying source.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: RowSource> RowSource for FaultySource<S> {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn next_chunk(&mut self, max_rows: usize) -> IoResult<Option<TableView<'_>>> {
-        let attempt = self.attempts;
-        self.attempts += 1;
-        if let Some(kind) = self.plan.take_transient_touching(attempt, 1) {
-            return Err(IoError::Io(std::io::Error::new(kind, "injected transient source fault")));
-        }
-        self.inner.next_chunk(max_rows)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::TableSource;
     use std::io::Cursor;
 
     #[test]
@@ -413,19 +361,5 @@ mod tests {
         writer.write_all(b"abcdefgh").unwrap(); // producer sees success
         assert_eq!(writer.position(), 8);
         assert_eq!(writer.into_inner(), b"abcd".to_vec());
-    }
-
-    #[test]
-    fn source_faults_fire_on_the_scheduled_pull_and_heal() {
-        let table = f2_relation::table! { ["A"]; ["r0"], ["r1"], ["r2"], ["r3"] };
-        let plan = FaultPlan::new().with(1, FaultKind::Transient(ErrorKind::ConnectionReset));
-        let mut source = FaultySource::new(TableSource::new(&table), plan);
-        assert_eq!(source.next_chunk(2).unwrap().unwrap().row_count(), 2);
-        let err = source.next_chunk(2).unwrap_err();
-        assert!(matches!(err, IoError::Io(ref e) if e.kind() == ErrorKind::ConnectionReset));
-        // The retried pull delivers the rows the faulted pull would have.
-        assert_eq!(source.next_chunk(2).unwrap().unwrap().row_count(), 2);
-        assert!(source.next_chunk(2).unwrap().is_none());
-        assert_eq!(source.attempts(), 4);
     }
 }

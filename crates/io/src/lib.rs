@@ -21,11 +21,12 @@
 //!   owner-state codecs.
 //! * [`fault`] / [`retry`] — the fault-tolerance substrate: deterministic,
 //!   seeded fault injection ([`FaultPlan`] replayed by [`FaultyReader`] /
-//!   [`FaultyWriter`] / [`FaultySource`]) and bounded retry with deterministic
-//!   decorrelated-jitter backoff ([`RetryPolicy`], [`RetryingReader`] /
-//!   [`RetryingWriter`]). [`FrameReader::recover`] resynchronizes a damaged
-//!   stream to its next intact frame; see `docs/ROBUSTNESS.md` for the failure
-//!   model end to end.
+//!   [`FaultyWriter`]) and bounded retry with deterministic decorrelated-jitter
+//!   backoff ([`RetryPolicy`], [`RetryingReader`] / [`RetryingWriter`]), which
+//!   retries single reads and writes, the one layer where a failed call consumed
+//!   nothing. [`FrameReader::recover`] resynchronizes a damaged stream to its
+//!   next intact frame; see `docs/ROBUSTNESS.md` for the failure model end to
+//!   end.
 //!
 //! The engine composes these into end-to-end streaming encryption
 //! (`f2_engine::Engine::run_streaming`): CSV/table source in, checksummed encrypted
@@ -44,8 +45,8 @@ pub mod source;
 pub mod wire;
 
 pub use error::{IoError, IoResult};
-pub use fault::{Fault, FaultKind, FaultPlan, FaultyReader, FaultySource, FaultyWriter};
+pub use fault::{Fault, FaultKind, FaultPlan, FaultyReader, FaultyWriter};
 pub use frame::{crc32, Frame, FrameReader, FrameSink};
 pub use recover::{SkippedRange, StreamStore};
-pub use retry::{RetryPolicy, RetryState, RetryingReader, RetryingWriter};
+pub use retry::{RetryPolicy, RetryingReader, RetryingWriter};
 pub use source::{CsvOptions, CsvSource, RowSource, TableSource};

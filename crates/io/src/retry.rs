@@ -10,7 +10,6 @@
 //! | `Interrupted`¹, `WouldBlock`, `TimedOut`      | transient      |
 //! | `ConnectionReset`, `ConnectionAborted`        | transient      |
 //! | everything else (`NotFound`, `BrokenPipe`, …) | fatal          |
-//! | non-I/O [`IoError`]s (checksum, malformed, …) | fatal          |
 //!
 //! ¹ `std`'s `read_exact` / `write_all` loops absorb `Interrupted` before this
 //! layer ever sees it; it is classified here for callers issuing raw reads.
@@ -22,20 +21,14 @@
 //!
 //! Retrying is only sound at a layer where a failed operation consumed nothing.
 //! The `std` contracts guarantee exactly that for single `read`/`write` calls,
-//! so [`RetryingReader`] / [`RetryingWriter`] wrap a transport at that level;
-//! for [`RowSource`](crate::RowSource) pulls, [`RetryPolicy::begin`] is safe
-//! when the source fails before consuming input (true of
-//! [`FaultySource`](crate::FaultySource) and [`TableSource`](crate::TableSource);
-//! for [`CsvSource`](crate::CsvSource) over an unreliable device, wrap the raw
-//! reader in a [`RetryingReader`] *below* the parser instead).
-//!
-//! Retries live where a job's bytes are stored and read: the engine's stream
-//! store writer and its source pulls (both under `Engine::with_retry`), and
-//! [`CsvSource::with_retry`](crate::CsvSource::with_retry). A service
-//! connection does not retry: a transport error ends it, and the client
-//! reconnects and resumes the job.
+//! so [`RetryingReader`] / [`RetryingWriter`] wrap a transport at that level,
+//! and nothing above it retries: whoever owns a reader or a writer wraps it
+//! ([`CsvSource::with_retry`](crate::CsvSource::with_retry) puts the reader
+//! under the CSV parser; a [`RetryPolicy::writer`] can be handed to the
+//! engine's `run_streaming`). An error that gets past them fails the stream job,
+//! which resume then finishes. A service connection does not retry either: a
+//! transport error ends it, and the client reconnects and resumes the job.
 
-use crate::error::{IoError, IoResult};
 use crate::fault::splitmix64;
 use std::io::{ErrorKind, Read, Write};
 use std::time::Duration;
@@ -55,13 +48,6 @@ pub struct RetryPolicy {
     pub seed: u64,
 }
 
-impl Default for RetryPolicy {
-    /// Four attempts with millisecond-scale jittered backoff.
-    fn default() -> Self {
-        RetryPolicy::new(4)
-    }
-}
-
 impl RetryPolicy {
     /// A policy of `max_attempts` total attempts with millisecond-scale backoff
     /// (2 ms base, 250 ms cap).
@@ -71,17 +57,6 @@ impl RetryPolicy {
             base_delay: Duration::from_millis(2),
             max_delay: Duration::from_millis(250),
             seed: 0xF2_0DE1,
-        }
-    }
-
-    /// A single attempt, no backoff: every error is final. The engine's default —
-    /// fault tolerance is opt-in so the fault-free hot path stays untouched.
-    pub fn disabled() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            seed: 0,
         }
     }
 
@@ -103,11 +78,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Whether this policy ever retries.
-    pub fn is_enabled(&self) -> bool {
-        self.max_attempts > 1
-    }
-
     /// Whether an [`ErrorKind`] is worth retrying (see the classification table
     /// in the [module docs](self)).
     pub fn is_transient(kind: ErrorKind) -> bool {
@@ -121,34 +91,27 @@ impl RetryPolicy {
         )
     }
 
-    /// Whether an [`IoError`] is worth retrying: only transport-level
-    /// [`IoError::Io`] with a transient kind. Data damage (checksum, truncation,
-    /// malformed) is *never* transient — retrying cannot un-corrupt bytes.
-    pub fn error_is_transient(error: &IoError) -> bool {
-        matches!(error, IoError::Io(e) if Self::is_transient(e.kind()))
-    }
-
     /// Run a raw `std::io` operation under this policy: transient failures are
     /// absorbed (with backoff) until the attempt budget runs out; the first
     /// fatal error — or the last transient one — is returned as-is.
     pub fn run_io<T>(&self, mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
-        let mut state = self.begin();
+        let (mut failures, mut rng, mut prev) = (0u32, self.seed, self.base_delay);
         loop {
-            match op() {
+            let error = match op() {
                 Ok(value) => return Ok(value),
-                Err(error) => state
-                    .absorb_classified(error, |e: &std::io::Error| Self::is_transient(e.kind()))?,
+                Err(error) => error,
+            };
+            failures = failures.saturating_add(1);
+            if failures >= self.max_attempts.max(1) || !Self::is_transient(error.kind()) {
+                return Err(error);
+            }
+            crate::obs::retries().inc();
+            let delay = self.next_delay(&mut rng, prev);
+            prev = delay.max(self.base_delay);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
             }
         }
-    }
-
-    /// Start an incremental attempt tracker for call sites where the retried
-    /// operation's success value borrows from its receiver — e.g. a
-    /// [`RowSource`](crate::RowSource) pull returning a chunk that borrows the
-    /// source, which a retried closure could not hand back. Make the attempt
-    /// inline and feed each failure to [`RetryState::absorb`].
-    pub fn begin(&self) -> RetryState<'_> {
-        RetryState { policy: self, failures: 0, rng: self.seed, prev: self.base_delay }
     }
 
     /// Next decorrelated-jitter delay: `min(cap, uniform(base, 3·prev))`. Public
@@ -181,43 +144,6 @@ impl RetryPolicy {
 
 fn duration_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Incremental retry state created by [`RetryPolicy::begin`]: one value tracks
-/// one operation's attempt budget and backoff schedule, for call sites where
-/// the attempt itself must stay inline (its success value borrows from the
-/// receiver). Semantics are identical to [`RetryPolicy::run_io`]: the first
-/// fatal error — or the last transient one once the budget is spent — comes
-/// back out of [`RetryState::absorb`].
-#[derive(Debug)]
-pub struct RetryState<'p> {
-    policy: &'p RetryPolicy,
-    failures: u32,
-    rng: u64,
-    prev: Duration,
-}
-
-impl RetryState<'_> {
-    /// Absorb one failed attempt: sleeps the backoff delay and returns `Ok(())`
-    /// ("try again"), or hands the error back once it is fatal or the attempt
-    /// budget is exhausted.
-    pub fn absorb(&mut self, error: IoError) -> IoResult<()> {
-        self.absorb_classified(error, RetryPolicy::error_is_transient)
-    }
-
-    fn absorb_classified<E>(&mut self, error: E, transient: impl Fn(&E) -> bool) -> Result<(), E> {
-        self.failures = self.failures.saturating_add(1);
-        if self.failures >= self.policy.max_attempts.max(1) || !transient(&error) {
-            return Err(error);
-        }
-        crate::obs::retries().inc();
-        let delay = self.policy.next_delay(&mut self.rng, self.prev);
-        self.prev = delay.max(self.policy.base_delay);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        Ok(())
-    }
 }
 
 // ── Retrying transports ────────────────────────────────────────────────────────────
@@ -283,48 +209,32 @@ mod tests {
             ErrorKind::ConnectionAborted,
         ] {
             assert!(RetryPolicy::is_transient(kind), "{kind:?}");
-            assert!(RetryPolicy::error_is_transient(&IoError::Io(std::io::Error::new(kind, "x"))));
         }
         for kind in [ErrorKind::NotFound, ErrorKind::BrokenPipe, ErrorKind::UnexpectedEof] {
             assert!(!RetryPolicy::is_transient(kind), "{kind:?}");
         }
-        // Data damage is never transient.
-        assert!(!RetryPolicy::error_is_transient(&IoError::BadMagic));
-        assert!(!RetryPolicy::error_is_transient(&IoError::Checksum {
-            frame: 0,
-            stored: 1,
-            computed: 2
-        }));
     }
 
-    /// Drive `op` the way the engine's source pulls do: attempt inline, feed
-    /// each failure to [`RetryState::absorb`]. Returns the outcome and the
-    /// number of attempts made.
+    /// Run `op` under `policy`, handing it the 1-based call number. Returns the
+    /// outcome and the number of calls made.
     fn attempt(
         policy: &RetryPolicy,
-        mut op: impl FnMut(u32) -> IoResult<u32>,
-    ) -> (IoResult<u32>, u32) {
-        let mut state = policy.begin();
+        mut op: impl FnMut(u32) -> std::io::Result<u32>,
+    ) -> (std::io::Result<u32>, u32) {
         let mut calls = 0;
-        loop {
+        let out = policy.run_io(|| {
             calls += 1;
-            match op(calls) {
-                Ok(value) => return (Ok(value), calls),
-                Err(error) => {
-                    if let Err(error) = state.absorb(error) {
-                        return (Err(error), calls);
-                    }
-                }
-            }
-        }
+            op(calls)
+        });
+        (out, calls)
     }
 
     #[test]
-    fn absorb_takes_transients_within_budget_and_reports_the_last() {
+    fn run_io_takes_transients_within_budget_and_reports_the_last() {
         let policy = RetryPolicy::no_backoff(3);
         let (out, calls) = attempt(&policy, |call| {
             if call < 3 {
-                Err(IoError::Io(std::io::Error::new(ErrorKind::TimedOut, "flaky")))
+                Err(std::io::Error::new(ErrorKind::TimedOut, "flaky"))
             } else {
                 Ok(99)
             }
@@ -332,14 +242,15 @@ mod tests {
         assert_eq!(out.unwrap(), 99);
         assert_eq!(calls, 3);
         // Budget exhausted: the last transient error surfaces.
-        let (out, calls) = attempt(&policy, |_| {
-            Err(IoError::Io(std::io::Error::new(ErrorKind::WouldBlock, "always")))
+        let (out, calls) = attempt(&policy, |call| {
+            Err(std::io::Error::new(ErrorKind::WouldBlock, format!("call {call}")))
         });
-        assert!(out.is_err());
+        assert_eq!(out.unwrap_err().to_string(), "call 3");
         assert_eq!(calls, 3);
         // Fatal errors are not retried at all.
-        let (out, calls) = attempt(&policy, |_| Err(IoError::BadMagic));
-        assert!(out.is_err());
+        let (out, calls) =
+            attempt(&policy, |_| Err(std::io::Error::new(ErrorKind::NotFound, "gone")));
+        assert_eq!(out.unwrap_err().kind(), ErrorKind::NotFound);
         assert_eq!(calls, 1);
     }
 
@@ -391,13 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_policy_fails_on_the_first_transient() {
+    fn a_single_attempt_fails_on_the_first_transient() {
         let plan = FaultPlan::new().with(3, FaultKind::Transient(ErrorKind::TimedOut));
         let mut reader =
-            RetryPolicy::disabled().reader(FaultyReader::new(Cursor::new(vec![0u8; 16]), plan));
+            RetryPolicy::no_backoff(1).reader(FaultyReader::new(Cursor::new(vec![0u8; 16]), plan));
         let mut out = Vec::new();
         assert!(reader.read_to_end(&mut out).is_err());
-        assert!(!RetryPolicy::disabled().is_enabled());
-        assert!(RetryPolicy::default().is_enabled());
     }
 }

@@ -22,12 +22,13 @@
 //! parsed, which it drops at the start of the next pull — so a source never holds
 //! two chunks of plaintext, and consumers handle one chunk type.
 //!
-//! One robustness hook matters to callers that retry: the engine's pull-retry
-//! assumes a failed `next_chunk` consumed nothing — true for [`TableSource`], but a
-//! transient read error in the middle of a CSV record discards the record's
-//! partially consumed bytes. [`CsvSource::with_retry`] absorbs transient errors
-//! *below* the parser (a [`RetryingReader`] under the [`BufRead`] buffer), so the
-//! parser only ever sees healed reads.
+//! A failed pull never loses rows: the rows a [`CsvSource`] pull parsed before
+//! its error go back to the source. A malformed record costs only itself, and
+//! the next pull goes on after it. A failed read is different: the reader has
+//! consumed part of a record, so the source fails for good and the stream is
+//! finished by resume from a reopened source. [`CsvSource::with_retry`] absorbs
+//! transient read errors *below* the parser (a [`RetryingReader`] under the
+//! [`BufRead`] buffer), where a failed read has consumed nothing.
 
 use crate::error::{IoError, IoResult};
 use crate::retry::{RetryPolicy, RetryingReader};
@@ -44,7 +45,9 @@ pub const INFERENCE_SAMPLE_ROWS: usize = 256;
 ///
 /// Contract: chunks are consecutive, non-overlapping row ranges of the underlying
 /// dataset, each holding at least one and at most `max_rows` rows; after the first
-/// `None` the source is exhausted and keeps returning `None`.
+/// `None` the source is exhausted and keeps returning `None`. A pull that fails
+/// may have consumed input, so it is not retried: the engine fails the stream
+/// job, and resume finishes the stream from a reopened source.
 pub trait RowSource {
     /// The schema every produced chunk conforms to.
     fn schema(&self) -> &Schema;
@@ -156,7 +159,8 @@ pub struct CsvSource<R: BufRead> {
     reader: R,
     delimiter: u8,
     schema: Schema,
-    /// Rows consumed during schema inference, served before fresh parsing resumes.
+    /// Rows consumed during schema inference or handed back by a failed pull,
+    /// served before fresh parsing resumes.
     buffered: VecDeque<Record>,
     /// Whether the schema's types were inferred from a sample (vs declared by the
     /// caller) — decides how a type mismatch on a later row is explained.
@@ -166,6 +170,9 @@ pub struct CsvSource<R: BufRead> {
     /// 1-based line of the most recently *started* record (header = line 1).
     line: u64,
     exhausted: bool,
+    /// Line of the record a failed read stopped inside: no later pull can tell
+    /// where the next record starts.
+    failed_at: Option<u64>,
 }
 
 impl CsvSource<BufReader<std::fs::File>> {
@@ -178,14 +185,14 @@ impl CsvSource<BufReader<std::fs::File>> {
 
 impl<R: Read> CsvSource<BufReader<RetryingReader<R>>> {
     /// Wrap an unbuffered reader with a [`RetryingReader`] *under* the
-    /// [`BufRead`] buffer, making the source safe to pull-retry.
+    /// [`BufRead`] buffer, so transient read errors are retried where a failed
+    /// `read` has consumed nothing.
     ///
     /// The layering is the point: a record's bytes are accumulated across
-    /// `read` calls, so a transient error surfacing *above* the buffer discards
-    /// the partially consumed record — a retried pull then resumes mid-record
-    /// and corrupts or drops rows. With the retry below the buffer, transient
-    /// errors are healed before the parser ever sees a byte, and a failed pull
-    /// really has consumed nothing (the engine pull-retry's assumption).
+    /// `read` calls, so an error surfacing *above* the buffer leaves part of a
+    /// record consumed, and the source fails every later pull. With the retry
+    /// below the buffer, transient errors are healed before the parser ever
+    /// sees a byte; only an error that outlasts the policy fails the source.
     pub fn with_retry(reader: R, options: CsvOptions, policy: RetryPolicy) -> IoResult<Self> {
         Self::new(BufReader::new(policy.reader(reader)), options)
     }
@@ -206,6 +213,7 @@ impl<R: BufRead> CsvSource<R> {
             buffered: VecDeque::new(),
             line: 0,
             exhausted: false,
+            failed_at: None,
             inferred_types: options.schema.is_none(),
             chunk: None,
         };
@@ -334,6 +342,25 @@ impl<R: BufRead> CsvSource<R> {
         }
         Ok(Record::new(values))
     }
+
+    /// Parse records into `records` until it holds `max_rows` or the input
+    /// ends, serving the buffered rows first.
+    fn fill_chunk(&mut self, records: &mut Vec<Record>, max_rows: usize) -> IoResult<()> {
+        while records.len() < max_rows {
+            if let Some(buffered) = self.buffered.pop_front() {
+                records.push(buffered);
+                continue;
+            }
+            if self.exhausted {
+                break;
+            }
+            match self.read_raw_record(self.schema.arity() != 1)? {
+                Some((line, fields)) => records.push(self.parse_record(&fields, line)?),
+                None => self.exhausted = true,
+            }
+        }
+        Ok(())
+    }
 }
 
 impl<R: BufRead> RowSource for CsvSource<R> {
@@ -346,38 +373,26 @@ impl<R: BufRead> RowSource for CsvSource<R> {
         // at a time.
         self.chunk = None;
         check_max_rows(max_rows)?;
-        if self.exhausted && self.buffered.is_empty() {
-            return Ok(None);
+        if let Some(line) = self.failed_at {
+            return Err(IoError::Csv {
+                line,
+                message: "an earlier read failed inside this record, so the source cannot \
+                          go on; resume from a reopened source"
+                    .into(),
+            });
         }
         let mut records = Vec::with_capacity(max_rows.min(4096));
-        while records.len() < max_rows {
-            if let Some(buffered) = self.buffered.pop_front() {
-                records.push(buffered);
-                continue;
+        if let Err(e) = self.fill_chunk(&mut records, max_rows) {
+            // Hand the chunk's already-parsed rows back before surfacing the
+            // error: a caller that pulls past a malformed record still receives
+            // every valid row (only the malformed record itself is consumed).
+            for record in records.into_iter().rev() {
+                self.buffered.push_front(record);
             }
-            if self.exhausted {
-                break;
+            if matches!(e, IoError::Io(_)) {
+                self.failed_at = Some(self.line + 1);
             }
-            match self.read_raw_record(self.schema.arity() != 1)? {
-                Some((line, fields)) => match self.parse_record(&fields, line) {
-                    Ok(record) => records.push(record),
-                    Err(e) => {
-                        // Hand the chunk's already-parsed rows back before
-                        // surfacing the error: a caller that treats the error as
-                        // fatal loses nothing, and one that resumes pulling still
-                        // receives every valid row (only the malformed record
-                        // itself is consumed).
-                        for record in records.into_iter().rev() {
-                            self.buffered.push_front(record);
-                        }
-                        return Err(e);
-                    }
-                },
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
-            }
+            return Err(e);
         }
         if records.is_empty() {
             return Ok(None);
@@ -578,21 +593,32 @@ mod tests {
 
     #[test]
     fn rows_parsed_before_a_mid_chunk_error_are_not_lost() {
-        let schema = Schema::new(vec![Attribute::new("A", DataType::Int)]).unwrap();
-        let csv = "A\n1\n2\nbad\n4\n";
-        let mut source =
-            CsvSource::new(csv.as_bytes(), CsvOptions::csv().with_schema(schema)).unwrap();
-        // Rows 1 and 2 parse, then `bad` errors mid-chunk (chunk size 3).
-        let err = source.next_chunk(3).unwrap_err();
-        assert!(matches!(err, IoError::Csv { line: 4, .. }), "{err}");
-        // A caller that resumes still receives the rows parsed before the error
-        // (only the malformed record itself is consumed).
-        let chunk = source.next_chunk(3).unwrap().unwrap().to_table();
-        assert_eq!(
-            chunk.rows().iter().map(|r| r.get(0).unwrap().clone()).collect::<Vec<_>>(),
-            vec![Value::Int(1), Value::Int(2), Value::Int(4)]
-        );
-        assert!(source.next_chunk(3).unwrap().is_none());
+        // A cell that does not parse under its type, and a quote inside an
+        // unquoted field: either record fails its pull mid-chunk, at line 4.
+        let int = Schema::new(vec![Attribute::new("A", DataType::Int)]).unwrap();
+        let sized = Schema::new(vec![
+            Attribute::new("size", DataType::Int),
+            Attribute::new("label", DataType::Text),
+        ])
+        .unwrap();
+        for (csv, schema, max_rows) in [
+            ("A\n1\n2\nbad\n4\n", int, 3),
+            ("size,label\n1,a\n2,b\n3,6\"x\" pipe\n4,d\n", sized, 10),
+        ] {
+            let mut source =
+                CsvSource::new(csv.as_bytes(), CsvOptions::csv().with_schema(schema)).unwrap();
+            let err = source.next_chunk(max_rows).unwrap_err();
+            assert!(matches!(err, IoError::Csv { line: 4, .. }), "{err}");
+            // A caller that resumes still receives the rows parsed before the error
+            // (only the malformed record itself is consumed).
+            let chunk = source.next_chunk(max_rows).unwrap().unwrap().to_table();
+            assert_eq!(
+                chunk.rows().iter().map(|r| r.get(0).unwrap().clone()).collect::<Vec<_>>(),
+                vec![Value::Int(1), Value::Int(2), Value::Int(4)],
+                "{csv:?}"
+            );
+            assert!(source.next_chunk(max_rows).unwrap().is_none());
+        }
     }
 
     #[test]
@@ -640,11 +666,11 @@ mod tests {
     }
 
     #[test]
-    fn pull_level_retry_over_an_unprotected_reader_corrupts_rows() {
+    fn every_pull_after_a_failed_read_fails() {
         use crate::fault::{FaultKind, FaultPlan, FaultyReader};
-        // The same fault against the *old* layering — retry above the parser,
-        // as the engine's chunk-level pull-retry does — loses the partially
-        // consumed record: the documented debt `with_retry` retires.
+        // The same fault with no retry below the parser: the failed refill leaves
+        // part of a record consumed, so pulling on would lose or split rows. The
+        // pull reports the read error and every later one names the record's line.
         let mut csv = String::from("id,tag\n");
         for i in 0..1500 {
             csv.push_str(&format!("{i:06},row-{i:06}\n"));
@@ -655,17 +681,22 @@ mod tests {
             CsvOptions::csv(),
         )
         .unwrap();
-        let mut rows = 0usize;
-        let mut pull_errors = 0usize;
-        loop {
+        let mut rows = 0u64;
+        let err = loop {
             match source.next_chunk(64) {
-                Ok(Some(chunk)) => rows += chunk.row_count(),
-                Ok(None) => break,
-                Err(_) => pull_errors += 1, // retry the pull, as the engine would
+                Ok(Some(chunk)) => rows += chunk.row_count() as u64,
+                Ok(None) => panic!("the read fault must surface"),
+                Err(e) => break e,
             }
+        };
+        assert!(matches!(err, IoError::Io(ref e) if e.kind() == std::io::ErrorKind::TimedOut));
+        for _ in 0..3 {
+            let err = source.next_chunk(64).unwrap_err();
+            // The failed record is in the failed chunk: data row `rows` is on line `rows + 2`.
+            let IoError::Csv { line, .. } = err else { panic!("{err}") };
+            assert!((rows + 2..rows + 2 + 64).contains(&line), "line {line} after {rows} rows");
+            assert!(err.to_string().contains("an earlier read failed"), "{err}");
         }
-        assert!(pull_errors > 0, "the transient fault must surface to the pull loop");
-        assert!(rows < 1500, "the record split across the failed refill is lost ({rows} rows)");
     }
 
     #[test]

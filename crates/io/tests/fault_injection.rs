@@ -1,14 +1,13 @@
 //! Integration tests of the fault-injection harness against the retry and
 //! recovery layers: seeded [`FaultPlan`]s drive [`FaultyReader`] /
-//! [`FaultyWriter`] / [`FaultySource`] wrappers, and the suite asserts that
+//! [`FaultyWriter`] wrappers, and the suite asserts that
 //! [`RetryPolicy`]-wrapped transports absorb exactly the transient faults,
 //! propagate fatal ones, and that the frame layer's recovery resynchronizes
 //! across injected corruption — all deterministically reproducible from the
 //! plan's seed.
 
 use f2_io::{
-    FaultKind, FaultPlan, FaultyReader, FaultySource, FaultyWriter, FrameReader, FrameSink,
-    RetryPolicy, RowSource, TableSource,
+    FaultKind, FaultPlan, FaultyReader, FaultyWriter, FrameReader, FrameSink, RetryPolicy,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -56,10 +55,10 @@ fn retrying_writer_absorbs_transients_and_short_writes() {
 }
 
 #[test]
-fn a_disabled_policy_propagates_the_first_transient_fault() {
+fn a_single_attempt_policy_propagates_the_first_transient_fault() {
     let data = [7u8; 64];
     let plan = FaultPlan::new().with(0, FaultKind::Transient(ErrorKind::TimedOut));
-    let mut reader = RetryPolicy::disabled().reader(FaultyReader::new(&data[..], plan));
+    let mut reader = RetryPolicy::no_backoff(1).reader(FaultyReader::new(&data[..], plan));
     let err = reader.read_to_end(&mut Vec::new()).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::TimedOut);
 }
@@ -99,9 +98,9 @@ fn an_exhausted_retry_budget_surfaces_the_last_transient_error() {
 
 #[test]
 fn frames_written_through_faulty_retrying_transport_read_back_exactly() {
-    // The composition the engine uses: FrameSink over RetryingWriter over the
-    // raw (here: faulty) transport. The injected transients and short writes
-    // must be invisible in the finished stream.
+    // The composition a caller hands the engine: FrameSink over RetryingWriter
+    // over the raw (here: faulty) transport. The injected transients and short
+    // writes must be invisible in the finished stream.
     let payloads: Vec<Vec<u8>> =
         (0..6).map(|i| (0..200 + i * 37).map(|b| (b % 251) as u8).collect()).collect();
     let clean = golden_stream(&payloads);
@@ -152,35 +151,6 @@ fn recovery_resynchronizes_across_injected_bit_flips() {
     assert_eq!(recovered, payloads.len() - 1, "exactly the flipped frame is lost");
     assert_eq!(reader.skipped_ranges().len(), 1);
     assert!(reader.ended(), "the stream still ends cleanly after recovery");
-}
-
-#[test]
-fn source_pull_retries_deliver_every_chunk_exactly_once() {
-    let table = f2_relation::table! {
-        ["A"]; ["r0"], ["r1"], ["r2"], ["r3"], ["r4"], ["r5"]
-    };
-    // Fault pulls 0 and 2; FaultySource fails *before* delegating, so a retried
-    // pull sees the source exactly as the failed one did.
-    let plan = FaultPlan::new()
-        .with(0, FaultKind::Transient(ErrorKind::TimedOut))
-        .with(2, FaultKind::Transient(ErrorKind::ConnectionReset));
-    let mut source = FaultySource::new(TableSource::new(&table), plan);
-    let policy = RetryPolicy::no_backoff(3);
-
-    let mut rows_seen = 0usize;
-    let mut state = policy.begin();
-    loop {
-        match source.next_chunk(2) {
-            Ok(None) => break,
-            Ok(Some(chunk)) => {
-                rows_seen += chunk.row_count();
-                state = policy.begin(); // per-chunk budget, as in the engine
-            }
-            Err(error) => state.absorb(error).expect("transient pull faults are absorbed"),
-        }
-    }
-    assert_eq!(rows_seen, table.row_count(), "each chunk delivered exactly once");
-    assert!(matches!(source.next_chunk(2), Ok(None)));
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! Fault-tolerant streaming end to end: encrypt through an engine that retries
-//! transient I/O faults, crash the job mid-stream, resume it byte-exactly, then
-//! salvage what survives of a bit-rotted copy.
+//! Fault-tolerant streaming end to end: absorb transient I/O faults where
+//! they happen, below the CSV parser and below the frame writer; crash the job
+//! mid-stream and resume it byte-exactly; then salvage what survives of a
+//! bit-rotted copy.
 //!
 //! Every fault below is injected deterministically from a seeded `FaultPlan`,
 //! exactly as the fault-injection test suite does — see `docs/ROBUSTNESS.md`
@@ -11,40 +12,49 @@
 use f2::crypto::MasterKey;
 use f2::datagen::Dataset;
 use f2::{
-    decrypt_streaming_lossy, DetScheme, Engine, EngineConfig, FaultKind, FaultPlan, FaultySource,
-    FaultyWriter, RetryPolicy, TableSource,
+    decrypt_streaming_lossy, CsvOptions, CsvSource, DetScheme, Engine, EngineConfig, FaultKind,
+    FaultPlan, FaultyReader, FaultyWriter, RetryPolicy, TableSource,
 };
 use std::io::{Cursor, ErrorKind};
 
 fn main() {
     let data = Dataset::Orders.generate(2_000, 42);
     let scheme = DetScheme::new(MasterKey::from_seed(2026));
-    let config = EngineConfig { workers: 4, chunk_rows: 256, seed: 2026 };
+    let engine = Engine::new(EngineConfig { workers: 4, chunk_rows: 256, seed: 2026 })
+        .expect("valid config");
 
     // ── 1. Retry: transient faults cost a retry, not the job ───────────────────────
-    // Three transient source faults and a flaky writer; the retrying engine
-    // produces the exact bytes a fault-free run would.
-    let clean_engine = Engine::new(config).expect("valid config");
+    // The owner of each reader and writer retries where a failed call consumed
+    // nothing: three transient faults on the CSV reader, under the parser, and
+    // a flaky writer, under the frame layer. The run produces the exact bytes
+    // a fault-free run would.
     let mut golden = Vec::new();
-    clean_engine
+    engine
         .run_streaming(&scheme, &mut TableSource::new(&data), &mut golden)
         .expect("fault-free run");
 
-    let engine = Engine::new(config).expect("valid config").with_retry(RetryPolicy::new(4));
-    let source_plan = FaultPlan::new()
-        .with(0, FaultKind::Transient(ErrorKind::TimedOut))
-        .with(3, FaultKind::Transient(ErrorKind::ConnectionReset))
-        .with(6, FaultKind::Transient(ErrorKind::WouldBlock));
+    let csv = f2::relation::csv::to_csv_string(&data);
+    let len = csv.len() as u64;
+    let reader_plan = FaultPlan::new()
+        .with(len / 4, FaultKind::Transient(ErrorKind::TimedOut))
+        .with(len / 2, FaultKind::Transient(ErrorKind::ConnectionReset))
+        .with(len * 3 / 4, FaultKind::Transient(ErrorKind::WouldBlock));
     let writer_plan = FaultPlan::new()
         .with(golden.len() as u64 / 3, FaultKind::Transient(ErrorKind::TimedOut))
         .with(golden.len() as u64 / 2, FaultKind::ShortWrite(7));
-    let mut source = FaultySource::new(TableSource::new(&data), source_plan);
-    let mut writer = FaultyWriter::new(Vec::new(), writer_plan);
+    let policy = RetryPolicy::new(4);
+    let mut source = CsvSource::with_retry(
+        FaultyReader::new(csv.as_bytes(), reader_plan),
+        CsvOptions::csv().with_schema(data.schema().clone()),
+        policy.clone(),
+    )
+    .expect("CSV header parses");
+    let mut writer = policy.writer(FaultyWriter::new(Vec::new(), writer_plan));
     let outcome = engine.run_streaming(&scheme, &mut source, &mut writer).expect("retries absorb");
-    let stream = writer.into_inner();
+    let stream = writer.into_inner().into_inner();
     assert_eq!(stream, golden);
     println!(
-        "Retry: {} chunks / {} rows streamed through 5 injected faults — byte-identical \
+        "Retry: {} chunks / {} CSV rows streamed through 5 injected faults — byte-identical \
          to the fault-free run ({} bytes)",
         outcome.chunks.len(),
         outcome.rows,

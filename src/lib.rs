@@ -20,7 +20,8 @@
 //!   in-memory tables as zero-copy views) and the checksummed, compressed `F2WS` v2
 //!   frame stream ([`io::FrameSink`] / [`io::FrameReader`]); plus the
 //!   fault-tolerance toolkit: [`RetryPolicy`] (bounded, deterministic-jitter
-//!   retry of transient I/O failures), frame-level damage recovery
+//!   retry of transient failures of single reads and writes, wrapped around a
+//!   reader or writer by its owner), frame-level damage recovery
 //!   ([`io::FrameReader::recover`](f2_io::FrameReader::recover)), and the seeded
 //!   fault-injection harness ([`FaultPlan`] and friends) that makes failure paths
 //!   testable;
@@ -139,8 +140,8 @@ pub use f2_engine::{
     EngineOutcome, StreamOutcome,
 };
 pub use f2_io::{
-    CsvOptions, CsvSource, FaultKind, FaultPlan, FaultyReader, FaultySource, FaultyWriter,
-    RetryPolicy, RetryState, RowSource, SkippedRange, StreamStore, TableSource,
+    CsvOptions, CsvSource, FaultKind, FaultPlan, FaultyReader, FaultyWriter, RetryPolicy,
+    RowSource, SkippedRange, StreamStore, TableSource,
 };
 pub use f2_relation::{AttrSet, Record, Schema, Table, TableView, Value};
 pub use f2_server::{ServerConfig, ServerError, Service, ServiceHandle};

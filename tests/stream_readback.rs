@@ -5,17 +5,20 @@
 //! lossless; and a store cut inside its second chunk frame must resume to the
 //! uninterrupted stream's bytes through both entry points: from the original
 //! source, and with no source, replaying the stored prefix through the same
-//! chunk decryption while reading the store only once.
+//! chunk decryption while reading the store only once. A CSV rendering of the
+//! rows whose reads fail transiently streams the same bytes under a retrying
+//! reader, and without one fails the run, which resume then finishes.
 
 use f2::crypto::MasterKey;
 use f2::engine::stream::decrypt_streaming;
 use f2::io::FrameReader;
 use f2::{
-    decrypt_streaming_lossy, DetScheme, Engine, EngineConfig, ProbScheme, RowSource, Scheme,
-    StreamStore, Table, TableSource, F2,
+    decrypt_streaming_lossy, CsvOptions, CsvSource, DetScheme, Engine, EngineConfig, FaultKind,
+    FaultPlan, FaultyReader, ProbScheme, RetryPolicy, RowSource, Scheme, StreamStore, Table,
+    TableSource, F2,
 };
 use f2_datagen::Dataset;
-use std::io::{Cursor, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Cursor, ErrorKind, Read, Seek, SeekFrom, Write};
 
 const SEED: u64 = 7;
 
@@ -69,7 +72,16 @@ impl StreamStore for CountingStore {
     }
 }
 
-fn read_back(scheme: &dyn Scheme, plain: &Table) {
+/// `csv` with two transient faults on the read that reaches three quarters of
+/// the way in.
+fn flaky(csv: &str) -> FaultyReader<&[u8]> {
+    let at = csv.len() as u64 * 3 / 4;
+    let fault = FaultKind::Transient(ErrorKind::TimedOut);
+    FaultyReader::new(csv.as_bytes(), FaultPlan::new().with(at, fault).with(at, fault))
+}
+
+/// `csv` is `plain` rendered as CSV.
+fn read_back(scheme: &dyn Scheme, plain: &Table, csv: &str) {
     let name = scheme.name();
     let mut stream = Vec::new();
     let outcome = engine()
@@ -124,15 +136,37 @@ fn read_back(scheme: &dyn Scheme, plain: &Table) {
     // The source-free resume checks and replays each stored frame as it reads it.
     assert!(store.bytes_read <= cut as u64, "{name}: read {} of {cut} bytes", store.bytes_read);
     assert!(store.inner.into_inner() == stream, "{name}: the resumed stream differs");
+
+    // The retries belong under the CSV parser, where a failed read consumed nothing.
+    let options = || CsvOptions::csv().with_schema(plain.schema().clone());
+    let mut source = CsvSource::with_retry(flaky(csv), options(), RetryPolicy::no_backoff(3))
+        .unwrap_or_else(|e| panic!("{name}: open: {e}"));
+    let mut retried = Vec::new();
+    engine()
+        .run_streaming(scheme, &mut source, &mut retried)
+        .unwrap_or_else(|e| panic!("{name}: retried run: {e}"));
+    assert!(retried == stream, "{name}: the retried CSV stream differs");
+    // Without them the run fails, and resume from a clean source finishes the stream.
+    let mut source = CsvSource::new(BufReader::new(flaky(csv)), options()).unwrap();
+    let mut store = Cursor::new(Vec::new());
+    let err = engine().run_streaming(scheme, &mut source, &mut store).unwrap_err();
+    assert!(err.to_string().contains("injected transient read fault"), "{name}: {err}");
+    assert!(store.get_ref().len() < stream.len(), "{name}: the failed run wrote it all");
+    let mut source = CsvSource::new(csv.as_bytes(), options()).unwrap();
+    engine()
+        .resume_streaming(scheme, &mut source, &mut store)
+        .unwrap_or_else(|e| panic!("{name}: resume after the fault: {e}"));
+    assert!(store.into_inner() == stream, "{name}: the stream resumed after the fault differs");
 }
 
 #[test]
 fn streams_read_back_chunk_by_chunk_salvage_losslessly_and_resume_byte_identically() {
     let plain = Dataset::Orders.generate(512, 42);
+    let csv = f2::relation::csv::to_csv_string(&plain);
     let f2 = F2::builder().alpha(0.2).split_factor(2).seed(SEED).build().unwrap();
-    read_back(&f2, &plain);
-    read_back(&DetScheme::new(MasterKey::from_seed(SEED)), &plain);
-    read_back(&ProbScheme::new(MasterKey::from_seed(SEED), SEED), &plain);
+    read_back(&f2, &plain, &csv);
+    read_back(&DetScheme::new(MasterKey::from_seed(SEED)), &plain, &csv);
+    read_back(&ProbScheme::new(MasterKey::from_seed(SEED), SEED), &plain, &csv);
 }
 
 /// FNV-1a over `bytes`, continuing from `h`.
