@@ -43,9 +43,13 @@ fn bench_baselines(c: &mut Criterion) {
     group.bench_function("prf_probabilistic_per_cell", |b| {
         let cipher = f2_crypto::ProbabilisticCipher::new(&MasterKey::from_seed(7).attribute_key(0));
         let mut rng = StdRng::seed_from_u64(7);
-        let mut scratch = f2_crypto::CellScratch::default();
-        let v = Value::text("4-NOT SPECIFIED");
-        b.iter(|| cipher.encrypt_value_to_cell_buffered(&v, &mut rng, &mut scratch));
+        let plain = Value::text("4-NOT SPECIFIED").encode();
+        let mut buf = Vec::new();
+        b.iter(|| {
+            buf.clear();
+            cipher.append_cell(&plain, &mut rng, &mut buf);
+            buf.len()
+        });
     });
 
     group.finish();

@@ -45,9 +45,13 @@ fn bench_components(c: &mut Criterion) {
     group.bench_function("prf_cell_encrypt", |b| {
         let cipher = ProbabilisticCipher::new(&MasterKey::from_seed(7).attribute_key(0));
         let mut rng = StdRng::seed_from_u64(7);
-        let mut scratch = f2_crypto::CellScratch::default();
-        let v = f2_relation::Value::text("1-URGENT");
-        b.iter(|| cipher.encrypt_value_to_cell_buffered(&v, &mut rng, &mut scratch))
+        let plain = f2_relation::Value::text("1-URGENT").encode();
+        let mut buf = Vec::new();
+        b.iter(|| {
+            buf.clear();
+            cipher.append_cell(&plain, &mut rng, &mut buf);
+            buf.len()
+        })
     });
 
     group.finish();

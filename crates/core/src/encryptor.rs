@@ -49,7 +49,8 @@ enum CellSource {
     Fresh,
 }
 
-/// Sentinel ciphertext id marking a still-unassigned cell.
+/// The id no ciphertext has: the arena hands out ids below it, and the assembly
+/// marks a cell it has not assigned yet with it.
 const UNASSIGNED: u32 = u32::MAX;
 
 /// One cell of the flat row-major assembly buffer: the id of a ciphertext in the
@@ -71,14 +72,15 @@ impl CellSlot {
     }
 }
 
-/// The ciphertext arena of one `encrypt` call: every distinct ciphertext is
-/// appended to one buffer, and cells and artificial rows store dense `u32` ids into
-/// it. [`CtArena::freeze`] turns the buffer into one shared allocation, so the
-/// output records hold `Bytes` slices of it: building, cloning and dropping a
-/// chunk's cells costs one allocation, not one per ciphertext. The call counts
-/// what its steps will append and reserves that once, so the buffer never grows.
+/// The ciphertext arena of one `encrypt` call, on every backend: every
+/// ciphertext is appended to one buffer and named by a dense `u32` id, in the
+/// order of appending. [`CtArena::freeze`] adopts the buffer as one shared
+/// `Bytes` without copying it, and the output cells are views of it, so building,
+/// cloning and dropping a chunk's cells costs the buffer's two allocations (the
+/// bytes and their shared handle), not one or two per ciphertext. Each caller
+/// counts what it will append and reserves that once, so the buffer never grows.
 #[derive(Debug)]
-struct CtArena {
+pub(crate) struct CtArena {
     buf: Vec<u8>,
     /// `ends[id]` is where ciphertext `id` ends in `buf`; it starts where `id - 1`
     /// ends.
@@ -90,20 +92,43 @@ struct CtArena {
 impl CtArena {
     /// An empty arena with room for `cts` ciphertexts of `bytes` bytes in all
     /// (capacity only).
-    fn with_capacity((cts, bytes): (usize, usize)) -> CtArena {
+    pub(crate) fn with_capacity((cts, bytes): (usize, usize)) -> CtArena {
         CtArena { buf: Vec::with_capacity(bytes), ends: Vec::with_capacity(cts), plain: Vec::new() }
     }
 
     /// Ciphertexts and bytes appended so far.
-    fn size(&self) -> (usize, usize) {
+    pub(crate) fn size(&self) -> (usize, usize) {
         (self.ends.len(), self.buf.len())
+    }
+
+    /// Append one ciphertext and return its id: `encode` writes its plaintext
+    /// into a scratch buffer the arena keeps, and `seal` appends the ciphertext of
+    /// those bytes to the arena's buffer.
+    pub(crate) fn push_with(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>),
+        seal: impl FnOnce(&[u8], &mut Vec<u8>),
+    ) -> u32 {
+        let id = self.ends.len();
+        assert!(id < UNASSIGNED as usize, "ciphertext arena overflow");
+        self.plain.clear();
+        encode(&mut self.plain);
+        seal(&self.plain, &mut self.buf);
+        self.ends.push(self.buf.len());
+        id as u32
+    }
+
+    /// Share the buffer: the frozen arena adopts it without a copy.
+    pub(crate) fn freeze(self) -> FrozenArena {
+        FrozenArena { buf: Bytes::from(self.buf), ends: self.ends }
     }
 
     /// Encrypt `value` into the arena.
     fn push(&mut self, cipher: &ProbabilisticCipher, value: &Value, rng: &mut StdRng) -> u32 {
-        self.plain.clear();
-        value.encode_into(&mut self.plain);
-        self.seal(cipher, rng)
+        self.push_with(
+            |plain| value.encode_into(plain),
+            |plain, out| cipher.append_cell(plain, rng, out),
+        )
     }
 
     /// Encrypt a class's value at MAS position `pos` into the arena; `fresh` issued
@@ -116,9 +141,10 @@ impl CtArena {
         fresh: &FreshValueGenerator,
         rng: &mut StdRng,
     ) -> u32 {
-        self.plain.clear();
-        values.encode_into(pos, fresh, &mut self.plain);
-        self.seal(cipher, rng)
+        self.push_with(
+            |plain| values.encode_into(pos, fresh, plain),
+            |plain, out| cipher.append_cell(plain, rng, out),
+        )
     }
 
     /// Encrypt the generator's next fresh value into the arena.
@@ -128,32 +154,22 @@ impl CtArena {
         fresh: &mut FreshValueGenerator,
         rng: &mut StdRng,
     ) -> u32 {
-        self.plain.clear();
-        fresh.next_encoded(&mut self.plain);
-        self.seal(cipher, rng)
-    }
-
-    fn seal(&mut self, cipher: &ProbabilisticCipher, rng: &mut StdRng) -> u32 {
-        let id = self.ends.len();
-        assert!(id < UNASSIGNED as usize, "ciphertext arena overflow");
-        cipher.append_cell(&self.plain, rng, &mut self.buf);
-        self.ends.push(self.buf.len());
-        id as u32
-    }
-
-    fn freeze(self) -> FrozenArena {
-        FrozenArena { buf: Bytes::from(self.buf), ends: self.ends }
+        self.push_with(
+            |plain| fresh.next_encoded(plain),
+            |plain, out| cipher.append_cell(plain, rng, out),
+        )
     }
 }
 
 /// A [`CtArena`] whose buffer is shared: each ciphertext is a slice of it.
-struct FrozenArena {
+pub(crate) struct FrozenArena {
     buf: Bytes,
     ends: Vec<usize>,
 }
 
 impl FrozenArena {
-    fn get(&self, id: u32) -> Value {
+    /// Ciphertext `id` as a cell: a view of the shared buffer.
+    pub(crate) fn get(&self, id: u32) -> Value {
         let id = id as usize;
         let start = if id == 0 { 0 } else { self.ends[id - 1] };
         Value::Bytes(self.buf.slice(start..self.ends[id]))
@@ -517,6 +533,29 @@ mod tests {
     use super::*;
     use crate::{F2Scheme, Scheme, F2};
     use f2_relation::{table, Schema};
+
+    #[test]
+    fn frozen_cells_are_views_of_the_adopted_buffer() {
+        let mut arena = CtArena::with_capacity((3, 7));
+        let heap = arena.buf.as_ptr();
+        let ids: Vec<u32> = [&b"ab"[..], b"", b"cdefg"]
+            .into_iter()
+            .map(|plain| {
+                arena.push_with(|p| p.extend_from_slice(plain), |p, out| out.extend_from_slice(p))
+            })
+            .collect();
+        assert_eq!(ids, [0, 1, 2]);
+        assert_eq!(arena.size(), (3, 7));
+        let frozen = arena.freeze();
+        let cells: Vec<Value> = ids.iter().map(|&id| frozen.get(id)).collect();
+        assert_eq!(
+            cells,
+            [Value::bytes(b"ab".to_vec()), Value::bytes(vec![]), Value::bytes(b"cdefg".to_vec())]
+        );
+        // No copy: the reserved buffer is the one the cells view.
+        assert_eq!(cells[0].as_bytes().map(<[u8]>::as_ptr), Some(heap));
+        assert_eq!(cells[2].as_bytes().map(<[u8]>::as_ptr), Some(heap.wrapping_add(2)));
+    }
 
     fn small_table() -> Table {
         table! {

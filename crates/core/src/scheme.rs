@@ -38,8 +38,10 @@
 //! ```
 
 use crate::config::F2Config;
+use crate::encryptor::CtArena;
 use crate::report::{EncryptionReport, OverheadBreakdown, StepTimings};
 use crate::{F2Error, Result};
+use f2_crypto::ciphertext::NONCE_LEN;
 use f2_crypto::{
     DeterministicCipher, MasterKey, PaillierCiphertext, PaillierKeyPair, ProbabilisticCipher,
     RandomnessPool,
@@ -291,31 +293,51 @@ fn wrong_state(scheme: &str) -> F2Error {
 
 /// Encrypt a relation cell by cell and package the result as a [`SchemeOutcome`].
 ///
-/// Used by every baseline backend, for whole tables and for borrowed chunk views
-/// alike (the rows come in as a slice, so a view costs no clone). Baselines have no
-/// MAX/SYN/FP phases, so the whole cell-encryption wall time is recorded under
-/// [`StepTimings::sse`] and the overhead breakdown contains no artificial rows.
+/// Used by the deterministic and probabilistic backends, for whole tables and for
+/// borrowed chunk views alike (the rows come in as a slice, so a view costs no
+/// clone). `seal(attr, plaintext, out)` appends the ciphertext of one cell's
+/// encoding to `out`. Every cell of the call goes into one [`CtArena`] buffer,
+/// reserved up front (each cell is a nonce plus its plaintext), and the output
+/// cells are views of it, exactly as F²'s are.
 fn encrypt_cell_wise(
     schema: &Schema,
     rows: &[Record],
-    mut encrypt_cell: impl FnMut(usize, &Value) -> Result<Value>,
+    mut seal: impl FnMut(usize, &[u8], &mut Vec<u8>),
 ) -> Result<SchemeOutcome> {
     if schema.arity() == 0 {
         return Err(F2Error::UnsupportedInput("table has no attributes".into()));
     }
     let start = Instant::now();
-    let mut records = Vec::with_capacity(rows.len());
+    let bytes = rows.iter().flat_map(Record::values).map(|v| NONCE_LEN + v.encoded_len()).sum();
+    let mut arena = CtArena::with_capacity((rows.len() * schema.arity(), bytes));
     for rec in rows {
-        let mut values = Vec::with_capacity(schema.arity());
         for (attr, v) in rec.values().iter().enumerate() {
-            values.push(encrypt_cell(attr, v)?);
+            arena.push_with(|plain| v.encode_into(plain), |plain, out| seal(attr, plain, out));
         }
-        records.push(Record::new(values));
     }
+    debug_assert_eq!(arena.size().1, bytes, "every cell is a nonce plus its plaintext");
+    cell_wise_outcome(schema, rows.len(), arena, start)
+}
+
+/// Package a cell-wise encryption of `rows` rows, whose cells `arena` holds in
+/// row-major order, as a [`SchemeOutcome`]. Baselines have no MAX/SYN/FP phases, so
+/// the wall time since `start` is recorded under [`StepTimings::sse`] and the
+/// overhead breakdown contains no artificial rows.
+fn cell_wise_outcome(
+    schema: &Schema,
+    rows: usize,
+    arena: CtArena,
+    start: Instant,
+) -> Result<SchemeOutcome> {
+    let cells = arena.freeze();
+    let mut ids = 0u32..;
+    let records = (0..rows)
+        .map(|_| Record::new(ids.by_ref().take(schema.arity()).map(|id| cells.get(id)).collect()))
+        .collect();
     let encrypted = Table::new(schema.encrypted(), records)?;
     let report = EncryptionReport {
         timings: StepTimings { sse: start.elapsed(), ..StepTimings::default() },
-        overhead: OverheadBreakdown { original_rows: rows.len(), ..OverheadBreakdown::default() },
+        overhead: OverheadBreakdown { original_rows: rows, ..OverheadBreakdown::default() },
         ..EncryptionReport::default()
     };
     Ok(SchemeOutcome {
@@ -499,7 +521,9 @@ impl Scheme for DetScheme {
 
     fn encrypt_view(&self, view: &TableView<'_>) -> Result<SchemeOutcome> {
         let ciphers = self.ciphers(view.arity());
-        encrypt_cell_wise(view.schema(), view.rows(), |attr, v| Ok(ciphers[attr].encrypt_value(v)))
+        encrypt_cell_wise(view.schema(), view.rows(), |attr, plain, out| {
+            ciphers[attr].append_cell(plain, out);
+        })
     }
 
     fn decrypt(&self, outcome: &SchemeOutcome) -> Result<Table> {
@@ -547,9 +571,8 @@ impl Scheme for ProbScheme {
         // Fold the relation fingerprint into the seed: nonce streams must never
         // repeat across encryptions of different tables (two-time-pad otherwise).
         let mut rng = StdRng::seed_from_u64(self.seed ^ table_fingerprint(schema, rows));
-        let mut scratch = f2_crypto::CellScratch::default();
-        encrypt_cell_wise(schema, rows, |attr, v| {
-            Ok(ciphers[attr].encrypt_value_to_cell_buffered(v, &mut rng, &mut scratch))
+        encrypt_cell_wise(schema, rows, |attr, plain, out| {
+            ciphers[attr].append_cell(plain, &mut rng, out);
         })
     }
 
@@ -653,20 +676,18 @@ impl PaillierScheme {
         Ok(self.keypair.public().encrypt_batch(messages, &mut pool)?)
     }
 
-    /// Serialize a run of ciphertexts as fixed-width frames.
-    fn frames_from(ciphers: &[PaillierCiphertext], width: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ciphers.len() * width);
+    /// Append a run of ciphertexts to `out` as fixed-width frames.
+    fn append_frames(ciphers: &[PaillierCiphertext], width: usize, out: &mut Vec<u8>) {
         for c in ciphers {
             let bytes = c.to_bytes_be();
             debug_assert!(bytes.len() <= width);
             out.resize(out.len() + width - bytes.len(), 0);
             out.extend_from_slice(&bytes);
         }
-        out
     }
 
     /// Inverse of the [`PaillierScheme::stream_messages`] → `encrypt_batch` →
-    /// [`PaillierScheme::frames_from`] pipeline: decrypt a sequence of fixed-width
+    /// [`PaillierScheme::append_frames`] pipeline: decrypt a sequence of fixed-width
     /// frames back to the original byte stream.
     fn decrypt_stream(&self, bytes: &[u8]) -> Result<Vec<u8>> {
         let width = self.keypair.public().ciphertext_width();
@@ -692,26 +713,11 @@ impl PaillierScheme {
         Ok(stream)
     }
 
-    /// Package an encrypted table as a cell-wise [`SchemeOutcome`] (whole wall time
-    /// under [`StepTimings::sse`], no artificial rows — same shape as
-    /// [`encrypt_cell_wise`]).
-    fn outcome(encrypted: Table, schema: &Schema, rows: usize, start: Instant) -> SchemeOutcome {
-        let report = EncryptionReport {
-            timings: StepTimings { sse: start.elapsed(), ..StepTimings::default() },
-            overhead: OverheadBreakdown { original_rows: rows, ..OverheadBreakdown::default() },
-            ..EncryptionReport::default()
-        };
-        SchemeOutcome {
-            encrypted,
-            state: OwnerState::CellWise(CellWiseState { plaintext_schema: schema.clone() }),
-            report,
-        }
-    }
-
     /// Per-cell framing: each cell's encoding is chunked on its own; every chunk of
-    /// the relation is then encrypted in one batch through a shared blinding pool.
-    /// Rows come in as a borrowed slice, so whole tables and chunk views share this
-    /// path clone-free.
+    /// the relation is then encrypted in one batch through a shared blinding pool,
+    /// and each cell's frames are appended to one [`CtArena`] buffer, whose views
+    /// are the output cells. Rows come in as a borrowed slice, so whole tables and
+    /// chunk views share this path clone-free.
     fn encrypt_per_cell(&self, schema: &Schema, rows: &[Record]) -> Result<SchemeOutcome> {
         let arity = schema.arity();
         if arity == 0 {
@@ -722,27 +728,21 @@ impl PaillierScheme {
         let start = Instant::now();
         let mut messages = Vec::new();
         let mut cell_counts = Vec::with_capacity(rows.len() * arity);
-        for rec in rows {
-            for v in rec.values() {
-                cell_counts.push(self.stream_messages(&v.encode(), &mut messages));
-            }
+        let mut plain = Vec::new();
+        for v in rows.iter().flat_map(Record::values) {
+            plain.clear();
+            v.encode_into(&mut plain);
+            cell_counts.push(self.stream_messages(&plain, &mut messages));
         }
         let ciphers = self.encrypt_messages(&messages, &mut rng)?;
-        let mut records = Vec::with_capacity(rows.len());
-        let mut cursor = 0usize;
-        let mut counts = cell_counts.iter();
-        for _ in 0..rows.len() {
-            let mut values = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                let count = *counts.next().expect("one chunk count per cell");
-                values
-                    .push(Value::bytes(Self::frames_from(&ciphers[cursor..cursor + count], width)));
-                cursor += count;
-            }
-            records.push(Record::new(values));
+        let mut arena = CtArena::with_capacity((cell_counts.len(), ciphers.len() * width));
+        let mut rest = &ciphers[..];
+        for count in cell_counts {
+            let (cell, tail) = rest.split_at(count);
+            arena.push_with(|_| {}, |_, out| Self::append_frames(cell, width, out));
+            rest = tail;
         }
-        let encrypted = Table::new(schema.encrypted(), records)?;
-        Ok(Self::outcome(encrypted, schema, rows.len(), start))
+        cell_wise_outcome(schema, rows.len(), arena, start)
     }
 
     fn decrypt_cell(&self, cell: &Value) -> Result<Value> {

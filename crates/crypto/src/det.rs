@@ -41,8 +41,11 @@ impl DeterministicCipher {
         }
     }
 
-    /// Deterministically encrypt raw plaintext bytes.
-    pub fn encrypt_bytes(&self, plaintext: &[u8]) -> Vec<u8> {
+    /// Append the deterministic cell of `plaintext` (a [`Value::encode`] byte
+    /// string) to `out`: its synthetic IV, then the body masked under it. This is
+    /// the one cell encoder; the deterministic backend appends all cells of a call
+    /// to one buffer and hands them out as slices of it.
+    pub fn append_cell(&self, plaintext: &[u8], out: &mut Vec<u8>) {
         // Synthetic IV: a PRF over the full plaintext, folded into one block.
         let mut iv = [0u8; 16];
         for (i, b) in plaintext.iter().enumerate() {
@@ -57,14 +60,13 @@ impl DeterministicCipher {
         }
         let siv = self.cipher.encrypt_block_copy(&len_block);
         // Mask the body with a keystream seeded by the synthetic IV.
-        let body = self.mask_prf.mask(&siv, plaintext);
-        let mut out = Vec::with_capacity(NONCE_LEN + body.len());
+        let body = out.len() + NONCE_LEN;
         out.extend_from_slice(&siv);
-        out.extend_from_slice(&body);
-        out
+        out.resize(body + plaintext.len(), 0);
+        self.mask_prf.mask_into(&siv, plaintext, &mut out[body..]);
     }
 
-    /// Decrypt bytes produced by [`DeterministicCipher::encrypt_bytes`].
+    /// Decrypt the bytes of a cell [`DeterministicCipher::append_cell`] made.
     pub fn decrypt_bytes(&self, ciphertext: &[u8]) -> Result<Vec<u8>> {
         if ciphertext.len() < NONCE_LEN {
             return Err(CryptoError::InvalidCiphertext(
@@ -74,11 +76,6 @@ impl DeterministicCipher {
         let mut siv = [0u8; 16];
         siv.copy_from_slice(&ciphertext[..NONCE_LEN]);
         Ok(self.mask_prf.mask(&siv, &ciphertext[NONCE_LEN..]))
-    }
-
-    /// Encrypt a relational [`Value`] into a ciphertext cell.
-    pub fn encrypt_value(&self, value: &Value) -> Value {
-        Value::bytes(self.encrypt_bytes(&value.encode()))
     }
 
     /// Decrypt a ciphertext cell back to the original [`Value`].
@@ -99,14 +96,42 @@ mod tests {
         DeterministicCipher::new(&SecretKey::from_bytes([0xAB; 16]))
     }
 
+    /// One cell in a buffer of its own.
+    fn encrypt_bytes(c: &DeterministicCipher, plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        c.append_cell(plaintext, &mut out);
+        out
+    }
+
+    fn encrypt_value(c: &DeterministicCipher, v: &Value) -> Value {
+        Value::bytes(encrypt_bytes(c, &v.encode()))
+    }
+
     #[test]
     fn deterministic_equal_plaintexts_equal_ciphertexts() {
         let c = cipher();
-        let a = c.encrypt_value(&Value::text("a1"));
-        let b = c.encrypt_value(&Value::text("a1"));
+        let a = encrypt_value(&c, &Value::text("a1"));
+        let b = encrypt_value(&c, &Value::text("a1"));
         assert_eq!(a, b, "deterministic encryption must preserve equality");
-        let other = c.encrypt_value(&Value::text("a2"));
+        let other = encrypt_value(&c, &Value::text("a2"));
         assert_ne!(a, other);
+    }
+
+    #[test]
+    fn cells_appended_to_one_buffer_are_the_cells_on_their_own() {
+        let c = cipher();
+        let values = [Value::Null, Value::text("x".repeat(200)), Value::Int(7), Value::text("")];
+        let mut buf = vec![0xAA];
+        let mut ends = vec![buf.len()];
+        for v in &values {
+            c.append_cell(&v.encode(), &mut buf);
+            ends.push(buf.len());
+        }
+        assert_eq!(buf[0], 0xAA, "earlier bytes stay");
+        for (v, span) in values.iter().zip(ends.windows(2)) {
+            assert_eq!(buf[span[0]..span[1]], encrypt_bytes(&c, &v.encode())[..]);
+            assert_eq!(c.decrypt_value(&Value::bytes(buf[span[0]..span[1]].to_vec())).unwrap(), *v);
+        }
     }
 
     #[test]
@@ -118,7 +143,7 @@ mod tests {
             Value::text("Zipcode determines City"),
             Value::money(10_000),
         ] {
-            let e = c.encrypt_value(&v);
+            let e = encrypt_value(&c, &v);
             assert_eq!(c.decrypt_value(&e).unwrap(), v);
         }
     }
@@ -127,14 +152,14 @@ mod tests {
     fn different_keys_differ() {
         let a = DeterministicCipher::new(&SecretKey::from_bytes([1u8; 16]));
         let b = DeterministicCipher::new(&SecretKey::from_bytes([2u8; 16]));
-        assert_ne!(a.encrypt_value(&Value::Int(5)), b.encrypt_value(&Value::Int(5)));
+        assert_ne!(encrypt_value(&a, &Value::Int(5)), encrypt_value(&b, &Value::Int(5)));
     }
 
     #[test]
     fn similar_plaintexts_produce_unrelated_ciphertexts() {
         let c = cipher();
-        let a = c.encrypt_bytes(b"aaaaaaaaaaaaaaaa");
-        let b = c.encrypt_bytes(b"aaaaaaaaaaaaaaab");
+        let a = encrypt_bytes(&c, b"aaaaaaaaaaaaaaaa");
+        let b = encrypt_bytes(&c, b"aaaaaaaaaaaaaaab");
         // SIV differs, so the whole ciphertext (including the first block) differs.
         assert_ne!(&a[..16], &b[..16]);
     }

@@ -50,7 +50,7 @@ pub use keys::{entropy_seed, splitmix64, MasterKey, SecretKey};
 pub use montgomery::Montgomery;
 pub use paillier::{PaillierCiphertext, PaillierKeyPair, PaillierPublicKey, RandomnessPool};
 pub use prf::Prf;
-pub use prob::{CellScratch, ProbabilisticCipher};
+pub use prob::ProbabilisticCipher;
 
 /// Result alias for cryptographic operations.
 pub type Result<T> = std::result::Result<T, CryptoError>;

@@ -22,45 +22,17 @@ pub struct ProbabilisticCipher {
 /// Plaintext bodies up to this many bytes decrypt into a stack buffer.
 const INLINE_PLAIN: usize = 128;
 
-/// Reusable buffers for [`ProbabilisticCipher::encrypt_value_to_cell_buffered`]:
-/// holds the encoded plaintext and the framed cell between cells so per-cell
-/// encryption performs exactly one allocation (the refcounted buffer the cell
-/// keeps). One scratch per encryption loop.
-#[derive(Debug, Default)]
-pub struct CellScratch {
-    plain: Vec<u8>,
-    cell: Vec<u8>,
-}
-
 impl ProbabilisticCipher {
     /// Create a cipher from a secret key.
     pub fn new(key: &SecretKey) -> Self {
         ProbabilisticCipher { prf: Prf::new(key) }
     }
 
-    /// Encrypt a relational [`Value`] (the plaintext is its self-describing
-    /// encoding) into one ciphertext cell, through a caller-owned scratch buffer:
-    /// the value is encoded into the reused scratch and framed by
-    /// [`ProbabilisticCipher::append_cell`], and the cell copies the frame into the
-    /// one allocation it keeps. The cell-wise probabilistic backend calls this in a
-    /// loop with one scratch.
-    pub fn encrypt_value_to_cell_buffered(
-        &self,
-        value: &Value,
-        rng: &mut impl Rng,
-        scratch: &mut CellScratch,
-    ) -> Value {
-        scratch.plain.clear();
-        value.encode_into(&mut scratch.plain);
-        scratch.cell.clear();
-        self.append_cell(&scratch.plain, rng, &mut scratch.cell);
-        Value::bytes(bytes::Bytes::copy_from_slice(&scratch.cell))
-    }
-
     /// Append the cell `r ‖ F_k(r) ⊕ p` to `out`, where `p` is `plaintext` (a
     /// [`Value::encode`] byte string) and `r` is drawn fresh from `rng`. This is the
-    /// one cell encoder: every cell this cipher produces is framed here. Bulk
-    /// encryptors append many cells to one buffer and hand them out as slices of it.
+    /// one cell encoder: every cell this cipher produces is framed here. The
+    /// encryptors append all cells of a call to one buffer and hand them out as
+    /// slices of it.
     pub fn append_cell(&self, plaintext: &[u8], rng: &mut impl Rng, out: &mut Vec<u8>) {
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill_bytes(&mut nonce);
@@ -102,16 +74,17 @@ mod tests {
         ProbabilisticCipher::new(&SecretKey::from_bytes([3u8; 16]))
     }
 
-    /// One cell through the buffered form, with a scratch of its own.
+    /// One cell in a buffer of its own.
     fn cell(c: &ProbabilisticCipher, v: &Value, rng: &mut StdRng) -> Value {
-        c.encrypt_value_to_cell_buffered(v, rng, &mut CellScratch::default())
+        let mut out = Vec::new();
+        c.append_cell(&v.encode(), rng, &mut out);
+        Value::bytes(out)
     }
 
     #[test]
     fn roundtrip_values() {
         let c = cipher();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut scratch = CellScratch::default();
         for v in [
             Value::Null,
             Value::Int(12345),
@@ -120,7 +93,7 @@ mod tests {
             Value::Date(42),
             Value::bytes(vec![0u8; 40]),
         ] {
-            let ct = c.encrypt_value_to_cell_buffered(&v, &mut rng, &mut scratch);
+            let ct = cell(&c, &v, &mut rng);
             assert_eq!(c.decrypt_cell(&ct).unwrap(), v);
         }
     }
@@ -174,13 +147,12 @@ mod tests {
     }
 
     #[test]
-    fn append_cell_frames_like_the_cell_forms() {
-        // Cells appended back to back to one buffer are the bytes the one-cell
-        // form produces from the same RNG draws.
+    fn cells_appended_to_one_buffer_are_the_cells_on_their_own() {
+        // Cells appended back to back to one buffer are the bytes each cell has
+        // in a buffer of its own, from the same RNG draws.
         let c = cipher();
         let values = [Value::Null, Value::text("x".repeat(200)), Value::Int(7), Value::text("")];
         let (mut a, mut b) = (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
-        let mut scratch = CellScratch::default();
         let mut buf = vec![0xAA];
         let mut ends = vec![buf.len()];
         for v in &values {
@@ -189,10 +161,9 @@ mod tests {
         }
         assert_eq!(buf[0], 0xAA, "earlier bytes stay");
         for (v, span) in values.iter().zip(ends.windows(2)) {
-            let cell = &buf[span[0]..span[1]];
-            let one = c.encrypt_value_to_cell_buffered(v, &mut b, &mut scratch);
-            assert_eq!(Some(cell), one.as_bytes());
-            assert_eq!(c.decrypt_cell(&Value::bytes(cell.to_vec())).unwrap(), *v);
+            let appended = &buf[span[0]..span[1]];
+            assert_eq!(Some(appended), cell(&c, v, &mut b).as_bytes());
+            assert_eq!(c.decrypt_cell(&Value::bytes(appended.to_vec())).unwrap(), *v);
         }
     }
 

@@ -27,7 +27,7 @@ use crate::stream::{FRAME_CHUNK, FRAME_HEADER, FRAME_TRAILER};
 use f2_core::{F2Error, Result, Scheme};
 use f2_io::frame::{Frame, FrameReader};
 use f2_io::SkippedRange;
-use f2_relation::Table;
+use f2_relation::{Bytes, Table};
 use std::io::Read;
 
 /// What a [`decrypt_streaming_lossy`] salvage run recovered and what it lost.
@@ -137,7 +137,7 @@ pub fn decrypt_streaming_lossy<R: Read>(
                 }
                 report.header_recovered = true;
             }
-            FRAME_CHUNK => match salvage_chunk(scheme, &frame) {
+            FRAME_CHUNK => match salvage_chunk(scheme, frame) {
                 Some((index, plain)) => {
                     indices_seen = indices_seen.max(index + 1);
                     report.chunks_recovered += 1;
@@ -199,8 +199,9 @@ pub fn decrypt_streaming_lossy<R: Read>(
 /// cell, a state of another backend or one that disagrees with the chunk's
 /// rows, ciphertext that fails to decrypt, or fewer or more plaintext rows
 /// than the chunk's record covers).
-fn salvage_chunk(scheme: &dyn Scheme, frame: &Frame) -> Option<(usize, Table)> {
-    let (record, state, table) = decode_chunk(&frame.payload).ok()?;
-    let plain = decrypt_chunk(scheme, &record, state, table).ok()?;
+fn salvage_chunk(scheme: &dyn Scheme, frame: Frame) -> Option<(usize, Table)> {
+    let payload = Bytes::from(frame.payload);
+    let (record, state, table) = decode_chunk(&payload).ok()?;
+    let plain = decrypt_chunk(scheme, &record, state, &table).ok()?;
     Some((record.index, plain))
 }

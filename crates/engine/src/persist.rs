@@ -19,7 +19,8 @@
 use crate::wire::{Reader, WireError, WireResult, Writer};
 use f2_core::scheme::CellWiseState;
 use f2_core::{EncryptionReport, F2OwnerState, OwnerState, Provenance, Result, RowOrigin};
-use f2_relation::{AttrSet, Attribute, DataType, Record, Schema, Table, Value};
+use f2_relation::{AttrSet, Attribute, Bytes, DataType, Record, Schema, Table, Value};
+use std::ops::Range;
 use std::time::Duration;
 
 /// Wire kind tag: an F² owner state.
@@ -101,19 +102,23 @@ fn put_table_body(w: &mut Writer, table: &Table) {
     }
 }
 
-/// Inverse of [`encode_table`].
+/// Inverse of [`encode_table`]. The blob is copied into one shared buffer, and
+/// its byte-string cells are views of that copy.
 pub fn decode_table(bytes: &[u8]) -> Result<Table> {
-    decode_table_rows(bytes, None).map(|(table, _)| table)
+    decode_table_rows(&Bytes::copy_from_slice(bytes), None).map(|(table, _)| table)
 }
 
-/// [`decode_table`] that builds only the rows `selected` names — ascending row
-/// indices, or every row for `None` — and returns them with the blob's row count.
-/// Every other cell is still read and checked ([`Value::is_valid_encoding`]), so a
-/// blob refused under one selection is refused under every selection; a selected
-/// row the blob does not hold (or a selection out of order) is refused too.
-pub fn decode_table_rows(bytes: &[u8], selected: Option<&[usize]>) -> Result<(Table, usize)> {
+/// The one table decoder: it builds only the rows `selected` names — ascending
+/// row indices, or every row for `None` — and returns them with the blob's row
+/// count. Every other cell is still read and checked ([`Value::is_valid_encoding`]),
+/// so a blob refused under one selection is refused under every selection; a
+/// selected row the blob does not hold (or a selection out of order) is refused
+/// too. A built byte-string cell (a ciphertext) is a view of `blob`, taken at the
+/// reader's offset ([`Value::decode_view`]), so it copies nothing and keeps the
+/// buffer `blob` views alive; every other value is built from its bytes.
+pub fn decode_table_rows(blob: &Bytes, selected: Option<&[usize]>) -> Result<(Table, usize)> {
     let undecodable = || WireError::Malformed("cell encoding does not decode to a value".into());
-    let mut r = Reader::versioned(bytes, KIND_TABLE)?;
+    let mut r = Reader::versioned(blob, KIND_TABLE)?;
     let schema = take_schema(&mut r)?;
     let arity = schema.arity();
     // Every cell carries at least its 4-byte length prefix; `arity.max(1)` keeps the
@@ -126,7 +131,8 @@ pub fn decode_table_rows(bytes: &[u8], selected: Option<&[usize]>) -> Result<(Ta
         if wanted.as_mut().is_none_or(|wanted| wanted.next_if_eq(&row).is_some()) {
             let mut values = Vec::with_capacity(arity);
             for _ in 0..arity {
-                values.push(Value::decode(r.bytes()?).ok_or_else(undecodable)?);
+                let cell = take_range(&mut r, blob)?;
+                values.push(Value::decode_view(blob, cell).ok_or_else(undecodable)?);
             }
             records.push(Record::new(values));
         } else {
@@ -145,6 +151,15 @@ pub fn decode_table_rows(bytes: &[u8], selected: Option<&[usize]>) -> Result<(Ta
         .into());
     }
     Ok((Table::new(schema, records)?, rows))
+}
+
+/// Read a length-prefixed byte string from `r`, a reader over `buf`, and return
+/// where it lies in `buf`: it ends where the reader now stands. A caller holding
+/// `buf` in a shared buffer takes its view with a checked `get` of this range.
+pub(crate) fn take_range(r: &mut Reader<'_>, buf: &[u8]) -> WireResult<Range<usize>> {
+    let len = r.bytes()?.len();
+    let end = buf.len().saturating_sub(r.remaining());
+    Ok(end.saturating_sub(len)..end)
 }
 
 // ── field codecs ───────────────────────────────────────────────────────────────────

@@ -16,6 +16,7 @@
 //! one as far as the decryptor is concerned.
 
 use f2_core::{ChunkState, EncryptionReport, F2Error, OwnerState, Result, Scheme, SchemeOutcome};
+use f2_relation::columnar::POOL_THREAD_PREFIX;
 use f2_relation::Table;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -57,12 +58,15 @@ pub struct EngineConfig {
     /// Pick `chunk_rows ≥ row count` when the provider must discover exactly
     /// the plaintext's FDs.
     ///
-    /// **Threads:** a chunk of at least 65,536 cells (`chunk_rows × arity`)
-    /// builds its columnar index on up to `available_parallelism()` threads of
-    /// its own ([`f2_relation::ColumnarIndex::build`]), so up to `workers ×`
-    /// that many builds can be live at once. With 2 workers on a 2-vCPU host,
-    /// 10,000-row chunks of the 50,000-row Synthetic table (70,000 cells each)
-    /// left encryption speed flat and raised the process's peak RSS by 14–25%.
+    /// **Threads:** with 2 or more `workers`, [`Engine::encrypt`] runs its
+    /// chunks on pool threads ([`f2_relation::columnar::POOL_THREAD_PREFIX`]),
+    /// so a chunk of at least 65,536 cells (`chunk_rows × arity`) builds its
+    /// columnar index on the worker that encrypts it and starts no helpers: on
+    /// a 2-vCPU host, helpers under each of 2 workers on 10,000-row chunks of
+    /// the 50,000-row Synthetic table (70,000 cells each) left encryption speed
+    /// flat and raised the process's peak RSS by 14–25%. With one worker the
+    /// chunks run on the caller's thread, whose builds keep their helpers
+    /// ([`f2_relation::ColumnarIndex::build`]).
     pub chunk_rows: usize,
     /// Engine seed: per-chunk scheme seeds derive from it via [`chunk_seed`]. Use
     /// [`f2_crypto::entropy_seed`] when reproducibility is not required.
@@ -196,10 +200,14 @@ impl Engine {
         if workers <= 1 {
             run_worker(0);
         } else {
+            // Named as pool threads, so a chunk index they build starts no helpers.
             std::thread::scope(|scope| {
                 let run_worker = &run_worker;
                 for worker in 0..workers {
-                    scope.spawn(move || run_worker(worker));
+                    std::thread::Builder::new()
+                        .name(format!("{POOL_THREAD_PREFIX}engine-{worker}"))
+                        .spawn_scoped(scope, move || run_worker(worker))
+                        .expect("failed to spawn thread");
                 }
             });
         }
@@ -369,6 +377,47 @@ mod tests {
         assert!(run.chunks.is_empty());
         let no_attrs = Table::empty(Schema::new(vec![]).unwrap());
         assert!(engine.encrypt(&det, &no_attrs).is_err());
+    }
+
+    /// A backend that builds each chunk's columnar index, records how many threads
+    /// built it, and encrypts none of the chunk's rows.
+    #[derive(Clone, Default)]
+    struct IndexProbe(std::sync::Arc<Mutex<Vec<usize>>>);
+
+    impl Scheme for IndexProbe {
+        fn name(&self) -> &str {
+            "index-probe"
+        }
+
+        fn encrypt_view(&self, view: &f2_relation::TableView<'_>) -> Result<SchemeOutcome> {
+            self.0.lock().unwrap().push(view.to_table().columnar().threads());
+            DetScheme::new(MasterKey::from_seed(1)).encrypt(&Table::empty(view.schema().clone()))
+        }
+
+        fn decrypt(&self, _: &SchemeOutcome) -> Result<Table> {
+            unreachable!("the probe is only encrypted with")
+        }
+
+        fn reseeded(&self, _: u64) -> Box<dyn Scheme> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn chunk_indexes_built_by_the_worker_pool_start_no_helpers() {
+        // 10,000-row Synthetic chunks: 70,000 cells each, past the threshold.
+        let table = f2_datagen::Dataset::Synthetic.generate(20_000, 3);
+        let chunk_rows = 10_000;
+        assert!(chunk_rows * table.arity() >= f2_relation::columnar::PARALLEL_MIN_CELLS);
+        let probe = IndexProbe::default();
+        let engine = Engine::new(EngineConfig { workers: 2, chunk_rows, seed: 1 }).unwrap();
+        engine.encrypt(&probe, &table).unwrap();
+        assert_eq!(*probe.0.lock().unwrap(), [1, 1], "each worker builds on its own thread");
+        // The same build on this thread still fans out.
+        let fan_out =
+            std::thread::available_parallelism().map_or(1, |n| n.get()).min(table.arity());
+        let chunk = table.view(0..chunk_rows).unwrap().to_table();
+        assert_eq!(chunk.columnar().threads(), fan_out);
     }
 
     #[test]

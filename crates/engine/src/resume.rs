@@ -58,7 +58,7 @@ use crate::stream::{
 use f2_core::{F2Error, Result, Scheme, SchemeOutcome};
 use f2_io::frame::FrameReader;
 use f2_io::{IoError, RowSource, StreamStore};
-use f2_relation::Schema;
+use f2_relation::{Bytes, Schema};
 use std::io::{Read, SeekFrom};
 
 impl Engine {
@@ -135,7 +135,7 @@ impl Engine {
         // the stream's final one, so the prefix cannot extend past it.
         while progress.chunks.last().is_none_or(|prev| prev.rows.len() == chunk_rows) {
             let payload = match frames.next_frame() {
-                Ok(Some(frame)) if frame.frame_type == FRAME_CHUNK => frame.payload,
+                Ok(Some(frame)) if frame.frame_type == FRAME_CHUNK => Bytes::from(frame.payload),
                 // Trailer, end marker, unknown frame type, torn or damaged
                 // tail: the chunk prefix ends here — everything at and past
                 // this offset is rewritten by the resumed run.
@@ -158,12 +158,12 @@ impl Engine {
                 Some(source) => pull_prefix_chunk(scheme, source, &record)?,
                 None => {
                     let (_, state, table) = decode_chunk(&payload)?;
-                    let plain = decrypt_chunk(scheme, &record, state, table)?;
+                    let plain = decrypt_chunk(scheme, &record, state, &table)?;
                     scheme.reseeded(record.seed).encrypt(&plain)?
                 }
             };
             encode_chunk(&record, &rebuilt, &mut rebuilt_payload)?;
-            if rebuilt_payload != payload {
+            if *rebuilt_payload != *payload {
                 let cause = if source.is_some() {
                     "re-encrypted from the source does not match the stored stream — the \
                      source changed since the interrupted run"

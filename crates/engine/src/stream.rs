@@ -45,7 +45,9 @@
 //! The readers that decrypt — [`decrypt_streaming`], lossy salvage
 //! ([`crate::lossy`]) and the source-free resume replay ([`crate::resume`]) — share
 //! one chunk-decrypt step: decode the owner state, select the rows its decryption
-//! reads ([`OwnerState::select_read_rows`]), decode just those rows, decrypt. For
+//! reads ([`OwnerState::select_read_rows`]), decode just those rows, decrypt. Every
+//! reader turns a chunk frame's payload into one `Bytes` without a copy, and each
+//! decoded ciphertext cell is a view of it. For
 //! F² that builds only the real rows and their conflict companions, skipping the
 //! scale copies, fake classes and false-positive records that make up most of a
 //! chunk at small α. Every other cell is still read and checked, so a malformed
@@ -55,15 +57,15 @@
 
 use crate::job::StreamProgress;
 use crate::persist::{
-    decode_state, decode_table_rows, encode_state, put_report, put_schema, put_table, take_report,
-    take_schema,
+    decode_state, decode_table_rows, encode_state, put_report, put_schema, put_table, take_range,
+    take_report, take_schema,
 };
 use crate::pipeline::{chunk_seed, ChunkRecord, Engine};
 use crate::wire::{Reader, Writer};
 use f2_core::{ChunkState, EncryptionReport, F2Error, OwnerState, Result, Scheme, SchemeOutcome};
 use f2_io::frame::FrameReader;
 use f2_io::RowSource;
-use f2_relation::{Schema, Table};
+use f2_relation::{Bytes, Schema, Table};
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -197,12 +199,17 @@ pub(crate) fn encode_chunk(
 }
 
 /// Inverse of [`encode_chunk`]: the record, the owner-state blob, and the
-/// undecoded table blob ([`decode_chunk_table`] decodes it).
-pub(crate) fn decode_chunk(payload: &[u8]) -> Result<(ChunkRecord, &[u8], &[u8])> {
+/// undecoded table blob ([`decode_chunk_table`] decodes it) as a view of the
+/// payload, so the cells decoded from it are views of the payload too.
+pub(crate) fn decode_chunk(payload: &Bytes) -> Result<(ChunkRecord, &[u8], Bytes)> {
     let mut r = Reader::raw(payload);
     let record = take_chunk_record(&mut r)?;
     let state = r.bytes()?;
-    let table = r.bytes()?;
+    let table = take_range(&mut r, payload)?;
+    let table = match payload.get(table.clone()) {
+        Some(_) => payload.slice(table),
+        None => return Err(malformed("table blob outside its chunk payload")),
+    };
     r.finish()?;
     Ok((record, state, table))
 }
@@ -212,7 +219,7 @@ pub(crate) fn decode_chunk(payload: &[u8]) -> Result<(ChunkRecord, &[u8], &[u8])
 /// output range.
 fn decode_chunk_table(
     record: &ChunkRecord,
-    table: &[u8],
+    table: &Bytes,
     selected: Option<&[usize]>,
 ) -> Result<Table> {
     let (encrypted, rows) = decode_table_rows(table, selected)?;
@@ -239,7 +246,7 @@ pub(crate) fn decrypt_chunk(
     scheme: &dyn Scheme,
     record: &ChunkRecord,
     state: &[u8],
-    table: &[u8],
+    table: &Bytes,
 ) -> Result<Table> {
     let (rows, state) = decode_state(state)?.select_read_rows(record.output_rows.len())?;
     let encrypted = decode_chunk_table(record, table, rows.as_deref())?;
@@ -321,11 +328,13 @@ fn take_chunk_record(r: &mut Reader<'_>) -> Result<ChunkRecord> {
 /// validated against `scheme`, every chunk goes to `on_chunk` (in order, with its
 /// decoded record, owner state blob, and undecoded table blob), and the header and
 /// trailer come back to the caller. Shared by [`load_streamed_outcome`] and
-/// [`decrypt_streaming`] so both enforce the same structure.
+/// [`decrypt_streaming`] so both enforce the same structure. Each chunk frame's
+/// payload becomes one [`Bytes`] without a copy, and the table blob is a view of
+/// it.
 fn walk_stream<R: Read>(
     scheme_name: &str,
     reader: R,
-    mut on_chunk: impl FnMut(ChunkRecord, &[u8], &[u8]) -> Result<()>,
+    mut on_chunk: impl FnMut(ChunkRecord, &[u8], &Bytes) -> Result<()>,
 ) -> Result<(StreamHeader, Trailer)> {
     let mut frames = FrameReader::new(reader)?;
     let first = frames.next_frame()?.ok_or_else(|| malformed("empty stream (no header frame)"))?;
@@ -353,7 +362,8 @@ fn walk_stream<R: Read>(
             .ok_or_else(|| malformed("stream ended without a trailer frame"))?;
         match frame.frame_type {
             FRAME_CHUNK => {
-                let (record, state, table) = decode_chunk(&frame.payload)?;
+                let payload = Bytes::from(frame.payload);
+                let (record, state, table) = decode_chunk(&payload)?;
                 if record.index != chunk_count {
                     return Err(malformed(&format!(
                         "chunk {} arrived at position {chunk_count}",
@@ -369,7 +379,7 @@ fn walk_stream<R: Read>(
                 }
                 next_row = record.rows.end;
                 next_output_row = record.output_rows.end;
-                on_chunk(record, state, table)?;
+                on_chunk(record, state, &table)?;
                 chunk_count += 1;
             }
             FRAME_TRAILER => break decode_trailer(&frame.payload)?,
@@ -393,6 +403,10 @@ fn walk_stream<R: Read>(
 /// [`OwnerState::merge`] — the same fold the in-memory path runs, so the loaded
 /// outcome is artifact-identical to [`Engine::encrypt`]'s. The owner states are not
 /// checked against `scheme` here: its `decrypt` refuses a state of another backend.
+///
+/// Memory: the loaded table's ciphertext cells are views of their chunk frames'
+/// payloads, not copies, so each payload (its cells' length prefixes and its owner
+/// state blob included) stays in memory for as long as a cell of its chunk does.
 pub fn load_streamed_outcome<R: Read>(
     scheme: &dyn Scheme,
     reader: R,
@@ -436,8 +450,10 @@ pub fn load_streamed_outcome<R: Read>(
 
 /// Decrypt a v2 stream **chunk by chunk**: each chunk's ciphertext is decrypted with
 /// its own (chunk-local) owner state and handed to `emit` as a plaintext [`Table`],
-/// so peak memory is one chunk regardless of the dataset size. Returns the total
-/// number of plaintext rows emitted.
+/// so peak memory is one chunk regardless of the dataset size: the chunk's frame
+/// payload, whose views are the ciphertext cells decryption reads (no cell is
+/// copied), plus the plaintext rows it decrypts to. Returns the total number of
+/// plaintext rows emitted.
 pub fn decrypt_streaming<R: Read>(
     scheme: &dyn Scheme,
     reader: R,
@@ -653,9 +669,10 @@ mod tests {
             let mut payload = frame.payload;
             if frame.frame_type == FRAME_CHUNK {
                 if let Some(edit) = edit.take() {
-                    let (mut record, state, table) = decode_chunk(&payload).unwrap();
+                    let shared = Bytes::copy_from_slice(&payload);
+                    let (mut record, state, table) = decode_chunk(&shared).unwrap();
                     let (mut state, mut table) =
-                        (decode_state(state).unwrap(), decode_table(table).unwrap());
+                        (decode_state(state).unwrap(), decode_table(&table).unwrap());
                     assert_eq!(chunk_payload(&record, &state, &table, None), payload);
                     let bad_cell = edit(&mut record, &mut state, &mut table);
                     payload = chunk_payload(&record, &state, &table, bad_cell);
@@ -664,6 +681,41 @@ mod tests {
             sink.write_frame(frame.frame_type, &payload).unwrap();
         }
         sink.finish().unwrap().0
+    }
+
+    #[test]
+    fn decoded_ciphertext_cells_are_views_of_their_frame_payload() {
+        let (scheme, stream) = orders_stream();
+        let mut frames = FrameReader::new(&stream[..]).unwrap();
+        let mut chunks = 0;
+        while let Some(frame) = frames.next_frame().unwrap() {
+            if frame.frame_type != FRAME_CHUNK {
+                continue;
+            }
+            let payload = Bytes::from(frame.payload);
+            let heap = payload.as_ptr_range();
+            let (record, state, table) = decode_chunk(&payload).unwrap();
+            let (read, _) =
+                decode_state(state).unwrap().select_read_rows(record.output_rows.len()).unwrap();
+            // Every row, and the rows decryption reads, alike.
+            for selected in [None, read.as_deref()] {
+                let decoded = decode_chunk_table(&record, &table, selected).unwrap();
+                assert!(decoded.row_count() > 0);
+                for (_, row) in decoded.iter() {
+                    for cell in row.values() {
+                        let cell = cell.as_bytes().expect("every cell is ciphertext");
+                        let range = cell.as_ptr_range();
+                        assert!(heap.start <= range.start && range.end <= heap.end, "a view");
+                    }
+                }
+            }
+            assert_eq!(
+                decrypt_chunk(&scheme, &record, state, &table).unwrap().row_count(),
+                record.rows.len()
+            );
+            chunks += 1;
+        }
+        assert_eq!(chunks, 3);
     }
 
     fn provenance(state: &mut OwnerState) -> &mut f2_core::Provenance {

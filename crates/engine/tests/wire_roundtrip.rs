@@ -2,13 +2,15 @@
 //! states round-trip exactly, corrupt or truncated blobs always decode to an
 //! error — never a panic and never a silently wrong value — and the selective
 //! table decoder builds exactly the selected rows of what the full decoder builds,
-//! refusing every blob the full decoder refuses.
+//! refusing every blob the full decoder refuses. A blob held as a view of a larger
+//! payload decodes exactly like a copy of it, its byte-string cells viewing the
+//! payload.
 
 use f2_core::{Scheme, SchemeOutcome, F2};
 use f2_engine::persist::{
     decode_state, decode_table, decode_table_rows, encode_state, encode_table,
 };
-use f2_relation::{Record, Schema, Table, Value};
+use f2_relation::{Bytes, Record, Schema, Table, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -51,6 +53,11 @@ fn selections(rows: usize, mask: u64) -> [Vec<usize>; 3] {
     [Vec::new(), selection(rows, mask), (0..rows).collect()]
 }
 
+/// [`decode_table_rows`] of a blob held in a buffer of its own.
+fn decode_rows(blob: &[u8], selected: Option<&[usize]>) -> f2_core::Result<(Table, usize)> {
+    decode_table_rows(&Bytes::copy_from_slice(blob), selected)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -64,18 +71,18 @@ proptest! {
         let table = table_from(arity, cells);
         let blob = encode_table(&table);
         for rows in selections(table.row_count(), mask) {
-            let (selected, count) = decode_table_rows(&blob, Some(&rows)).expect("own encoding");
+            let (selected, count) = decode_rows(&blob, Some(&rows)).expect("own encoding");
             prop_assert_eq!(count, table.row_count());
             prop_assert_eq!(selected, only_rows(&table, &rows));
         }
-        let (all, count) = decode_table_rows(&blob, None).expect("own encoding");
+        let (all, count) = decode_rows(&blob, None).expect("own encoding");
         prop_assert_eq!((all, count), (table.clone(), table.row_count()));
         // A selection the table cannot satisfy is refused, not truncated.
         let past_the_end = [table.row_count()];
-        prop_assert!(decode_table_rows(&blob, Some(&past_the_end)).is_err());
+        prop_assert!(decode_rows(&blob, Some(&past_the_end)).is_err());
         if table.row_count() >= 2 {
-            prop_assert!(decode_table_rows(&blob, Some(&[1, 0])).is_err());
-            prop_assert!(decode_table_rows(&blob, Some(&[1, 1])).is_err());
+            prop_assert!(decode_rows(&blob, Some(&[1, 0])).is_err());
+            prop_assert!(decode_rows(&blob, Some(&[1, 1])).is_err());
         }
     }
 
@@ -94,7 +101,7 @@ proptest! {
         let cut = (blob.len() as u64 * cut_per_mille / 1000) as usize;
         prop_assert!(decode_table(&blob[..cut]).is_err());
         for rows in selections(table.row_count(), mask) {
-            prop_assert!(decode_table_rows(&blob[..cut], Some(&rows)).is_err());
+            prop_assert!(decode_rows(&blob[..cut], Some(&rows)).is_err());
         }
 
         let mut corrupt = blob.clone();
@@ -103,7 +110,7 @@ proptest! {
         match decode_table(&corrupt) {
             Err(_) => {
                 for rows in selections(table.row_count(), mask) {
-                    prop_assert!(decode_table_rows(&corrupt, Some(&rows)).is_err());
+                    prop_assert!(decode_rows(&corrupt, Some(&rows)).is_err());
                 }
             }
             // A flip the full decoder accepts (inside a byte string, say): every
@@ -111,11 +118,52 @@ proptest! {
             Ok(decoded) => {
                 for rows in selections(decoded.row_count(), mask) {
                     let (selected, count) =
-                        decode_table_rows(&corrupt, Some(&rows)).expect("full decode accepted it");
+                        decode_rows(&corrupt, Some(&rows)).expect("full decode accepted it");
                     prop_assert_eq!(count, decoded.row_count());
                     prop_assert_eq!(selected, only_rows(&decoded, &rows));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_blob_viewed_in_its_payload_decodes_like_a_copy_of_it(
+        arity in 1usize..5,
+        cells in vec((0u8..=255, 0u64..=u64::MAX), 0..40),
+        head in vec(0u8..=255, 0..12),
+        tail in vec(0u8..=255, 0..12),
+        cut_per_mille in 0u64..1500,
+        flip_pos in 0u64..u64::MAX,
+        flip_mask in 0u8..=255,
+        mask in 0u64..=u64::MAX,
+    ) {
+        let cells: Vec<(u8, i64)> = cells.into_iter().map(|(v, p)| (v, p as i64)).collect();
+        let table = table_from(arity, cells);
+        // Intact (a cut past the end), cut short, or with a byte flipped.
+        let mut blob = encode_table(&table);
+        blob.truncate((blob.len() as u64 * cut_per_mille / 1000) as usize);
+        if let Some(len) = std::num::NonZeroU64::new(blob.len() as u64) {
+            blob[(flip_pos % len) as usize] ^= flip_mask;
+        }
+        let payload = Bytes::from([&head[..], &blob, &tail].concat());
+        let view = payload.slice(head.len()..head.len() + blob.len());
+        let copy = Bytes::copy_from_slice(&blob);
+        let heap = payload.as_ptr_range();
+        let rows = decode_table(&blob).map_or(table.row_count(), |t| t.row_count());
+        let [none, sampled, all] = selections(rows, mask);
+        for selected in [None, Some(&none[..]), Some(&sampled[..]), Some(&all[..])] {
+            let from_view = decode_table_rows(&view, selected).map_err(|e| e.to_string());
+            let from_copy = decode_table_rows(&copy, selected).map_err(|e| e.to_string());
+            if let Ok((decoded, _)) = &from_view {
+                for (_, record) in decoded.iter() {
+                    for cell in record.values().iter().filter_map(Value::as_bytes) {
+                        let inside = heap.start <= cell.as_ptr()
+                            && cell.as_ptr_range().end <= heap.end;
+                        prop_assert!(inside, "a byte-string cell is a view of the payload");
+                    }
+                }
+            }
+            prop_assert_eq!(from_view, from_copy);
         }
     }
 

@@ -56,12 +56,18 @@
 //! A table of at least 65,536 cells builds its columns on
 //! `min(available_parallelism(), arity)` threads, the calling thread among them.
 //! Each thread takes the next column nobody has taken, so no more column builds are
-//! live at once than there are threads. The cap holds per build: threads that
-//! build indexes at the same time (an engine's workers on large chunks) each start
-//! helpers of their own. On a 2-vCPU host the F² ciphertext of the
+//! live at once than there are threads. On a 2-vCPU host the F² ciphertext of the
 //! 50,000-row Synthetic table (72,892 rows × 7, 65,245–69,085 distinct per column)
 //! builds 1.8–3.1× faster this way than hashing every column on one thread (medians
 //! of 15 cold builds, five alternating rounds).
+//!
+//! A build on a worker of a pool — a thread whose name starts with
+//! [`POOL_THREAD_PREFIX`], as the engine's `Engine::encrypt` workers and the
+//! server's workers are named — builds every column on its caller. The pool's
+//! other workers already keep the cores busy, so helpers started under them only
+//! add threads: with 2 engine workers on a 2-vCPU host, 10,000-row Synthetic
+//! chunks (70,000 cells) encrypted no faster with helpers and raised peak RSS
+//! 14–25%.
 //!
 //! The generic value-keyed implementations are retained as equivalence oracles and
 //! exercised against this module by the property tests in
@@ -296,12 +302,23 @@ fn element<'v>(distinct: &'v [Value], rest: &[&'v Value], key: u128) -> &'v Valu
 /// cells) built no faster on two (1.1–1.3 ms against 1.1 ms).
 pub const PARALLEL_MIN_CELLS: usize = 1 << 16;
 
+/// The name prefix of a worker-pool thread. A columnar index built on a thread so
+/// named starts no helper threads (see the [module docs](self)); the engine's and
+/// the server's worker pools name their threads with it.
+pub const POOL_THREAD_PREFIX: &str = "f2-pool-";
+
+/// Whether the calling thread is a worker of a pool ([`POOL_THREAD_PREFIX`]).
+fn on_pool_thread() -> bool {
+    std::thread::current().name().is_some_and(|name| name.starts_with(POOL_THREAD_PREFIX))
+}
+
 /// Build every column dictionary of `table` on up to `threads` threads, the
-/// calling one among them: each thread takes the next column nobody has taken
-/// until none is left, so at most `threads` builds are live at once. A helper the
-/// OS refuses to start is left out, and the calling thread builds the columns no
-/// helper takes; with `threads` 1 it builds them all, in order, and starts none.
-fn build_columns_on(table: &Table, threads: usize) -> Vec<ColumnDictionary> {
+/// calling one among them, and return them with the number of threads that
+/// built them: each thread takes the next column nobody has taken until none is
+/// left, so at most `threads` builds are live at once. A helper the OS refuses to
+/// start is left out, and the calling thread builds the columns no helper takes;
+/// with `threads` 1 it builds them all, in order, and starts none.
+fn build_columns_on(table: &Table, threads: usize) -> (Vec<ColumnDictionary>, usize) {
     let arity = table.arity();
     // The counter only hands out column numbers; the built columns come back
     // through `join`, which orders them after the helper's writes.
@@ -316,18 +333,19 @@ fn build_columns_on(table: &Table, threads: usize) -> Vec<ColumnDictionary> {
             built.push((attr, ColumnDictionary::build(table, attr)));
         }
     };
-    let mut built = std::thread::scope(|scope| {
+    let (mut built, threads) = std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..threads)
             .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, work).ok())
             .collect();
+        let threads = 1 + helpers.len();
         let mut built = work();
         for helper in helpers {
             built.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
         }
-        built
+        (built, threads)
     });
     built.sort_unstable_by_key(|&(attr, _)| attr);
-    built.into_iter().map(|(_, column)| column).collect()
+    (built.into_iter().map(|(_, column)| column).collect(), threads)
 }
 
 /// Dense `row → group` labelling of a table projection: rows share a group id iff
@@ -346,6 +364,7 @@ pub struct RowGroups {
 pub struct ColumnarIndex {
     columns: Vec<ColumnDictionary>,
     row_count: usize,
+    threads: usize,
 }
 
 impl ColumnarIndex {
@@ -353,15 +372,22 @@ impl ColumnarIndex {
     /// which hashes the column's first 4,096 cells and then hashes or sorts the rest
     /// (see the [module docs](self#build-cost)). A table of at least 65,536 cells
     /// builds its columns on up to `min(available_parallelism(), arity)` threads,
-    /// the calling thread among them.
+    /// the calling thread among them, unless the caller is a worker-pool thread
+    /// ([`POOL_THREAD_PREFIX`]), which builds them all itself.
     pub fn build(table: &Table) -> Self {
         let arity = table.arity();
-        let threads = if table.row_count() * arity < PARALLEL_MIN_CELLS {
+        let threads = if table.row_count() * arity < PARALLEL_MIN_CELLS || on_pool_thread() {
             1
         } else {
             std::thread::available_parallelism().map_or(1, |n| n.get()).min(arity)
         };
-        ColumnarIndex { columns: build_columns_on(table, threads), row_count: table.row_count() }
+        let (columns, threads) = build_columns_on(table, threads);
+        ColumnarIndex { columns, row_count: table.row_count(), threads }
+    }
+
+    /// Threads that built the index, the calling one included.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Rows covered.
@@ -680,7 +706,8 @@ mod tests {
             (0..t.arity()).map(|a| ColumnDictionary::build(&t, a)).collect();
         // 8 threads on 3 columns: the helpers past the arity find no column left.
         for threads in [1, 2, 3, 8] {
-            let built = build_columns_on(&t, threads);
+            let (built, started) = build_columns_on(&t, threads);
+            assert!((1..=threads).contains(&started), "{threads} threads");
             assert_eq!(built.len(), serial.len(), "{threads} threads");
             for (attr, (got, want)) in built.iter().zip(&serial).enumerate() {
                 assert_eq!(got.values(), want.values(), "{threads} threads, column {attr}");

@@ -9,6 +9,7 @@ use bytes::Bytes;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 /// A single cell value.
 ///
@@ -37,10 +38,11 @@ pub enum Value {
     Bytes(Bytes),
 }
 
-// A cell is three words plus the tag: `Bytes` is a buffer pointer and length
-// plus a `u32` view offset and length. Tables hold one `Value` per cell, so a
-// wider variant would grow every table in memory.
-const _: () = assert!(std::mem::size_of::<Value>() == 32);
+// A cell is three words: `String` is the largest variant, and the tag fits in
+// its niche; `Bytes` is a thin buffer pointer plus a `u32` view offset and
+// length. Tables hold one `Value` per cell, so a wider variant would grow every
+// table in memory.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Value {
     /// Build a text value.
@@ -199,6 +201,17 @@ impl Value {
             }
             5 => Some(Value::Bytes(Bytes::copy_from_slice(rest))),
             _ => None,
+        }
+    }
+
+    /// [`Value::decode`] of the encoding at `range` of `buf`, except that a
+    /// byte-string value is a view of `buf` ([`Bytes::slice`]) instead of a copy.
+    /// Returns `None` on malformed input and on a range outside `buf`.
+    pub fn decode_view(buf: &Bytes, range: Range<usize>) -> Option<Value> {
+        let encoding = buf.get(range.clone())?;
+        match encoding.first() {
+            Some(5) => Some(Value::Bytes(buf.slice(range.start + 1..range.end))),
+            _ => Value::decode(encoding),
         }
     }
 
@@ -498,6 +511,42 @@ mod tests {
             let dec = Value::decode(&enc).expect("decode");
             assert_eq!(v, dec, "roundtrip failed for {v:?}");
         }
+    }
+
+    #[test]
+    fn decode_view_decodes_like_decode_and_views_byte_strings() {
+        let cases = [
+            Value::Null,
+            Value::Int(-77),
+            Value::money(999),
+            Value::text("hello"),
+            Value::Date(19000),
+            Value::bytes(vec![0, 1, 2, 255]),
+            Value::bytes(vec![]),
+        ];
+        let mut buf = vec![0xEE];
+        let mut ranges = Vec::new();
+        for v in &cases {
+            let start = buf.len();
+            v.encode_into(&mut buf);
+            ranges.push(start..buf.len());
+        }
+        let buf = Bytes::from(buf);
+        let heap = buf.as_ptr_range();
+        for (v, range) in cases.iter().zip(ranges) {
+            let decoded = Value::decode_view(&buf, range.clone()).expect("own encoding");
+            assert_eq!(&decoded, v);
+            assert_eq!(Some(decoded.clone()), Value::decode(&buf[range.clone()]));
+            if let Some(body) = decoded.as_bytes() {
+                assert_eq!(body.as_ptr(), heap.start.wrapping_add(range.start + 1), "a view");
+            }
+        }
+        // Garbage, and ranges outside the buffer, are refused.
+        assert_eq!(Value::decode_view(&buf, 0..1), None);
+        assert_eq!(Value::decode_view(&buf, 1..1), None);
+        assert_eq!(Value::decode_view(&buf, buf.len()..buf.len() + 1), None);
+        let (start, end) = (3, 2);
+        assert_eq!(Value::decode_view(&buf, start..end), None);
     }
 
     #[test]

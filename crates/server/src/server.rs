@@ -24,6 +24,7 @@ use crate::proto;
 use crate::session::{SchemeProvider, Sessions, StoreProvider};
 use crate::transport::{Hangup, Transport};
 use f2_io::FrameSink;
+use f2_relation::columnar::POOL_THREAD_PREFIX;
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,9 +49,12 @@ pub struct ServerConfig {
     pub drain_deadline: Duration,
     /// The backoff hint shed connections receive.
     pub retry_after: Duration,
-    /// Rows per chunk for every job this service runs. A chunk of at least
-    /// 65,536 cells builds its columnar index on threads of its own, beside
-    /// the `workers` (see [`EngineConfig::chunk_rows`](f2_engine::EngineConfig::chunk_rows)).
+    /// Rows per chunk for every job this service runs.
+    ///
+    /// **Threads:** the `workers` are pool threads, so a chunk of at least
+    /// 65,536 cells builds its columnar index on the worker that encrypts it
+    /// and starts no threads beside them (see
+    /// [`EngineConfig::chunk_rows`](f2_engine::EngineConfig::chunk_rows)).
     pub chunk_rows: usize,
     /// Per-connection frame memory cap (bytes); larger frames are refused
     /// before allocation.
@@ -374,8 +378,10 @@ impl Service {
         let core = &*self.core;
         std::thread::scope(|scope| {
             for index in 0..core.config.workers.max(1) {
+                // Named as pool threads, so a chunk index they build starts no
+                // helpers.
                 let spawned = std::thread::Builder::new()
-                    .name(format!("f2-server-worker-{index}"))
+                    .name(format!("{POOL_THREAD_PREFIX}server-{index}"))
                     .spawn_scoped(scope, move || {
                         while let Some(transport) = core.queue.pop() {
                             conn::serve(core, transport);
