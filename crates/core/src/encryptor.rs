@@ -12,7 +12,10 @@
 //!    equivalence classes of size > 1 in two overlapping MASs, it is replaced by two
 //!    tuples as in §3.3.2 (the original keeps the first MAS's assignment, a companion
 //!    row carries the second's); when one side is a singleton class it simply adopts
-//!    the other's ciphertext;
+//!    the other's ciphertext. The scale copies and fake rows of a singleton class
+//!    mirror its row: once every MAS is assigned, they copy the row's final cells on
+//!    the class's MAS, so the instance keeps one value combination whichever MAS put
+//!    each cell there;
 //! 4. **FP** — insert artificial record pairs that re-violate false-positive FDs
 //!    ([`crate::fpfd`]).
 //!
@@ -39,38 +42,9 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::time::Instant;
 
-/// Where an already-assigned ciphertext cell of an original row came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CellSource {
-    /// Assigned from a MAS plan instance; `multi` records whether the originating
-    /// equivalence class had more than one original tuple.
-    Instance { mas: usize, instance: usize, multi: bool },
-    /// Filled with a fresh value during conflict resolution.
-    Fresh,
-}
-
 /// The id no ciphertext has: the arena hands out ids below it, and the assembly
 /// marks a cell it has not assigned yet with it.
 const UNASSIGNED: u32 = u32::MAX;
-
-/// One cell of the flat row-major assembly buffer: the id of a ciphertext in the
-/// shared arena (every distinct ciphertext is materialised exactly once; rows of the
-/// same instance reference the same id) plus its provenance. `Copy`, 3 words — the
-/// former `Vec<Vec<Option<CellState>>>` row-of-vecs carried one heap allocation per
-/// row and a cloned `Value` per cell.
-#[derive(Debug, Clone, Copy)]
-struct CellSlot {
-    ct: u32,
-    source: CellSource,
-}
-
-impl CellSlot {
-    const EMPTY: CellSlot = CellSlot { ct: UNASSIGNED, source: CellSource::Fresh };
-
-    fn is_assigned(self) -> bool {
-        self.ct != UNASSIGNED
-    }
-}
 
 /// The ciphertext arena of one `encrypt` call, on every backend: every
 /// ciphertext is appended to one buffer and named by a dense `u32` id, in the
@@ -302,26 +276,24 @@ pub(crate) fn encrypt(
     let conflicts = type2_conflicts(&plans, n);
     let reserved = arena_size(table, &plans, &conflicts, &false_positives, config.ecg_size());
     let mut arena = CtArena::with_capacity(reserved);
-    let mut cells: Vec<CellSlot> = vec![CellSlot::EMPTY; n * arity];
+    let mut cells: Vec<u32> = vec![UNASSIGNED; n * arity];
     // Artificial rows under construction: arity-strided per-attribute ciphertext
     // ids (UNASSIGNED = filled with a fresh value in the finalisation pass).
     let mut extra_cells: Vec<u32> = Vec::new();
     let mut extra_origins: Vec<RowOrigin> = Vec::new();
-    // Extra rows of each real singleton instance — the only instances a later
-    // MAS's class can make adopt its ciphertext — so the adoption reaches the
-    // instance's scale copies too.
-    let mut instance_extras: HashMap<(usize, usize), Range<usize>> = HashMap::new();
+    // The extra rows of each real singleton instance, with its row and MAS: they
+    // mirror the row's final cells on the MAS once every MAS is assigned.
+    let mut mirrors: Vec<(Range<usize>, usize, AttrSet)> = Vec::new();
     let mut patches: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
     let mut syn_rows = 0usize;
     let mut group_rows = 0usize;
     let mut scale_rows = 0usize;
     // Per-instance ciphertext ids (arena-contiguous), reused across instances.
     let mut inst_cts: Vec<u32> = Vec::new();
-    let mut copy_cts: Vec<u32> = Vec::new();
 
     for (mi, plan) in plans.iter().enumerate() {
         let attrs: Vec<usize> = plan.mas.iter().collect();
-        for (ii, inst) in plan.instances.iter().enumerate() {
+        for inst in &plan.instances {
             // One ciphertext per attribute, shared by every row of the instance.
             inst_cts.clear();
             for (pos, &a) in attrs.iter().enumerate() {
@@ -343,11 +315,9 @@ pub(crate) fn encrypt(
                     // attributes of this MAS receive fresh values so its projection
                     // does not partially join this instance.
                     for &a in &attrs {
-                        if !cells[r * arity + a].is_assigned() {
-                            cells[r * arity + a] = CellSlot {
-                                ct: arena.push_fresh(&ciphers[a], &mut fresh, &mut rng),
-                                source: CellSource::Fresh,
-                            };
+                        if cells[r * arity + a] == UNASSIGNED {
+                            cells[r * arity + a] =
+                                arena.push_fresh(&ciphers[a], &mut fresh, &mut rng);
                             // The row's real ciphertext for this attribute lives on
                             // the companion row created below.
                             patches.entry(r).or_default().push((a, n + extra_origins.len()));
@@ -365,61 +335,31 @@ pub(crate) fn encrypt(
                     syn_time += t_conflict.elapsed();
                     continue;
                 }
+                // A multi-tuple class overrides what a singleton class or a fresh
+                // fill put on the row; a singleton class adopts whatever an earlier
+                // MAS assigned (no conflict, §3.3.2).
                 for (pos, &a) in attrs.iter().enumerate() {
-                    let slot = cells[r * arity + a];
-                    if !slot.is_assigned() {
-                        cells[r * arity + a] = CellSlot {
-                            ct: inst_cts[pos],
-                            source: CellSource::Instance { mas: mi, instance: ii, multi },
-                        };
-                    } else if multi {
-                        // The earlier owner was a singleton class (or a fresh
-                        // filler): it adopts this instance's ciphertext. Any
-                        // scale copies of the earlier singleton instance adopt
-                        // it too, so its frequency stays homogeneous.
-                        if let CellSource::Instance { mas, instance, multi: false } = slot.source {
-                            if let Some(extras) = instance_extras.get(&(mas, instance)) {
-                                for er in extras.clone() {
-                                    extra_cells[er * arity + a] = inst_cts[pos];
-                                }
-                            }
-                        }
-                        cells[r * arity + a] = CellSlot {
-                            ct: inst_cts[pos],
-                            source: CellSource::Instance { mas: mi, instance: ii, multi },
-                        };
+                    let cell = &mut cells[r * arity + a];
+                    if *cell == UNASSIGNED || multi {
+                        *cell = inst_cts[pos];
                     }
-                    // Otherwise this class is a singleton: it adopts whatever the
-                    // earlier MAS assigned (no conflict, §3.3.2).
                 }
             }
 
-            // Scaling copies and fake-EC rows are entirely artificial rows. They
-            // must mirror what the instance's rows actually carry: a singleton
-            // class may have *adopted* another MAS's ciphertext on the overlap
-            // (the no-conflict case of §3.3.2), in which case its copies adopt it
-            // too so the instance keeps one homogeneous value combination.
-            copy_cts.clear();
-            if inst.rows.len() == 1 && !multi {
-                let r = inst.rows[0];
-                for (pos, &a) in attrs.iter().enumerate() {
-                    let slot = cells[r * arity + a];
-                    copy_cts.push(if slot.is_assigned() { slot.ct } else { inst_cts[pos] });
-                }
-            } else {
-                copy_cts.extend_from_slice(&inst_cts);
-            }
+            // Scaling copies and fake-EC rows are entirely artificial rows that
+            // carry the instance's ciphertexts on the MAS; those of a real
+            // singleton class mirror its row instead (below).
             let extra_count = inst.scale_copies + inst.fake_rows;
             if extra_count > 0 {
-                if !multi && !inst.rows.is_empty() {
+                if !multi && inst.rows.len() == 1 {
                     let first = extra_origins.len();
-                    instance_extras.insert((mi, ii), first..first + extra_count);
+                    mirrors.push((first..first + extra_count, inst.rows[0], plan.mas));
                 }
                 for c in 0..extra_count {
                     let base = extra_cells.len();
                     extra_cells.resize(base + arity, UNASSIGNED);
                     for (pos, &a) in attrs.iter().enumerate() {
-                        extra_cells[base + a] = copy_cts[pos];
+                        extra_cells[base + a] = inst_cts[pos];
                     }
                     let origin = if c < inst.scale_copies {
                         scale_rows += 1;
@@ -434,14 +374,25 @@ pub(crate) fn encrypt(
         }
     }
 
+    // The mirror rule. A singleton class's row may adopt another MAS's ciphertext
+    // on the overlap, and a later MAS's multi-tuple class may override that cell
+    // again, so the row's cells on its MAS are final only now. Its scale copies
+    // and fake rows take them, so the instance keeps one value combination on
+    // the whole MAS, whichever MAS or fresh fill put each cell there.
+    for (extras, r, mas) in mirrors {
+        for er in extras {
+            for a in mas.iter() {
+                extra_cells[er * arity + a] = cells[r * arity + a];
+            }
+        }
+    }
+
     // Finalisation: encrypt the cells not covered by any MAS (unique attributes)
     // and fill the artificial rows' remaining attributes with fresh values.
     for r in 0..n {
         for a in 0..arity {
-            let slot = &mut cells[r * arity + a];
-            if !slot.is_assigned() {
-                let ct = arena.push(&ciphers[a], table.cell(r, a)?, &mut rng);
-                *slot = CellSlot { ct, source: CellSource::Fresh };
+            if cells[r * arity + a] == UNASSIGNED {
+                cells[r * arity + a] = arena.push(&ciphers[a], table.cell(r, a)?, &mut rng);
             }
         }
     }
@@ -495,7 +446,7 @@ pub(crate) fn encrypt(
     let mut origins = Vec::with_capacity(n + extra_origins.len());
     for r in 0..n {
         records.push(Record::new(
-            cells[r * arity..(r + 1) * arity].iter().map(|slot| arena.get(slot.ct)).collect(),
+            cells[r * arity..(r + 1) * arity].iter().map(|&id| arena.get(id)).collect(),
         ));
         origins.push(RowOrigin::Real { original_row: r });
     }
