@@ -1,7 +1,9 @@
 //! Per-phase micro-benchmarks of the F² planning stack on the interned columnar
 //! core: MAX discovery, MAS partitioning, plan building (ECG grouping + split), the
-//! false-positive planner, one full chunk encryption, and the chunked 10k-row engine
-//! run tracked by the `f2_phases` section of `BENCH_report.json`.
+//! false-positive planner, one full chunk encryption, the chunked 10k-row engine
+//! run tracked by the `f2_phases` section of `BENCH_report.json`, and a whole-table
+//! decryption of a merged engine outcome (split over threads as `Scheme::decrypt`
+//! splits any job past `DECRYPT_PARALLEL_MIN_CELLS`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use f2_bench::measure_engine;
@@ -11,6 +13,7 @@ use f2_core::fpfd::plan_false_positive_elimination;
 use f2_core::sse::build_mas_plan;
 use f2_core::{Scheme, F2};
 use f2_datagen::Dataset;
+use f2_engine::{Engine, EngineConfig};
 use f2_fd::mas::find_mas;
 use f2_relation::Partition;
 
@@ -65,6 +68,16 @@ fn bench_f2_phases(c: &mut Criterion) {
     group.bench_function("engine_10k_1worker", |b| {
         b.iter(|| measure_engine(&scheme, &table, 1, CHUNK_ROWS, 7))
     });
+
+    // The merged outcome of 20,000 Synthetic rows encrypted as `outsource-synthetic`
+    // encrypts its table: 2 workers, 512-row chunks.
+    let engine = Engine::new(EngineConfig { workers: 2, chunk_rows: CHUNK_ROWS, seed: 7 })
+        .expect("valid engine config");
+    let merged = engine
+        .encrypt(&scheme, &Dataset::Synthetic.generate(20_000, 42))
+        .expect("engine run")
+        .outcome;
+    group.bench_function("decrypt_20k_merged", |b| b.iter(|| scheme.decrypt(&merged).unwrap()));
 
     group.finish();
 }

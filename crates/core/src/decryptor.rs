@@ -6,15 +6,25 @@
 //! equivalence classes, conflict companions, false-positive records) are dropped, and
 //! cells that conflict resolution replaced with fresh values are patched back from
 //! their companion rows.
+//!
+//! Each real row decrypts independently of every other, so the rows are split into
+//! contiguous ranges of original rows and decrypted as
+//! [`decrypt_rows`](crate::scheme::decrypt_rows) splits any backend's rows.
 
-use crate::provenance::RowOrigin;
+use crate::provenance::{Provenance, RowOrigin};
+use crate::scheme::decrypt_rows;
 use crate::{F2Error, F2OwnerState, OwnerState, Result};
 use f2_crypto::{MasterKey, ProbabilisticCipher};
-use f2_relation::{Record, Table};
+use f2_relation::Table;
 
 /// Recover the original table exactly from `encrypted` under the owner's `state`.
 /// The `Real` rows must name each original row `0..n` exactly once; they come back
 /// in that order, each patched from its conflict companions.
+///
+/// The provenance is checked first, in one pass. Then the original rows are
+/// decrypted in contiguous ranges, split over threads by [`decrypt_rows`], and
+/// last the conflict patches are applied in one walk over
+/// [`Provenance::patches`].
 pub(crate) fn recover_original(
     master: &MasterKey,
     encrypted: &Table,
@@ -34,35 +44,46 @@ pub(crate) fn recover_original(
             "plaintext schema arity differs from the encrypted table".into(),
         ));
     }
+    let carriers = real_row_carriers(provenance)?;
     let ciphers: Vec<ProbabilisticCipher> =
         (0..arity).map(|a| ProbabilisticCipher::new(&master.attribute_key(a))).collect();
+    let rows = encrypted.rows();
+    let mut records = decrypt_rows(
+        carriers.len(),
+        arity,
+        |original_row| &rows[carriers[original_row]],
+        |a, cell| Ok(ciphers[a].decrypt_cell(cell)?),
+    )?;
+    // Patch cells replaced during conflict resolution from their companions. A
+    // patch of a row that no `Real` row names is never read.
+    for (&original_row, patches) in &provenance.patches {
+        let Some(record) = records.get_mut(original_row) else { continue };
+        for &(attr, companion_row) in patches {
+            let companion_cell = encrypted.cell(companion_row, attr)?;
+            record.set(attr, ciphers[attr].decrypt_cell(companion_cell)?);
+        }
+    }
+    Ok(Table::new(plaintext_schema.clone(), records)?)
+}
+
+/// The output row that carries each original row `0..n`, for the `n` `Real` rows
+/// of `provenance`, checked in one pass over them: each must name a distinct
+/// original row below `n`, so every one is named exactly once.
+fn real_row_carriers(provenance: &Provenance) -> Result<Vec<usize>> {
     let real = provenance.real_rows();
     let n = real.len();
-    let mut rows: Vec<Option<Record>> = (0..n).map(|_| None).collect();
+    let mut carriers = vec![usize::MAX; n];
     for (out_row, original_row) in real {
         // n distinct slots below n for n real rows: every slot gets filled.
-        let Some(slot) = rows.get_mut(original_row).filter(|slot| slot.is_none()) else {
+        let Some(slot) = carriers.get_mut(original_row).filter(|slot| **slot == usize::MAX) else {
             return Err(F2Error::ProvenanceMismatch(format!(
                 "real rows must name each original row 0..{n} once, but output row \
                  {out_row} names row {original_row} out of range or again"
             )));
         };
-        let rec = encrypted.row(out_row)?;
-        let mut values = Vec::with_capacity(arity);
-        for (a, cell) in rec.values().iter().enumerate() {
-            values.push(ciphers[a].decrypt_cell(cell)?);
-        }
-        // Patch cells replaced during conflict resolution from their companions.
-        if let Some(patches) = provenance.patches.get(&original_row) {
-            for &(attr, companion_row) in patches {
-                let companion_cell = encrypted.cell(companion_row, attr)?;
-                values[attr] = ciphers[attr].decrypt_cell(companion_cell)?;
-            }
-        }
-        *slot = Some(Record::new(values));
+        *slot = out_row;
     }
-    let records = rows.into_iter().flatten().collect();
-    Ok(Table::new(plaintext_schema.clone(), records)?)
+    Ok(carriers)
 }
 
 impl OwnerState {

@@ -46,6 +46,7 @@ use f2_crypto::{
     DeterministicCipher, MasterKey, PaillierCiphertext, PaillierKeyPair, ProbabilisticCipher,
     RandomnessPool,
 };
+use f2_relation::parallel::{run_parts, threads_for};
 use f2_relation::{AttrSet, Record, Schema, Table, TableView, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,6 +90,19 @@ pub trait Scheme: Send + Sync {
     }
 
     /// Recover the original table from an outcome produced by this scheme.
+    ///
+    /// **Threads.** Every backend decrypts its rows in contiguous ranges through
+    /// [`f2_relation::parallel::run_parts`], under the one thread rule that also
+    /// governs a cold columnar index build: a job of fewer than
+    /// [`DECRYPT_PARALLEL_MIN_CELLS`] cells (8,192), or one whose caller is a
+    /// worker-pool thread ([`f2_relation::parallel::POOL_THREAD_PREFIX`]), runs
+    /// on the caller alone; a larger one runs on `min(available_parallelism(),
+    /// rows)` threads, the caller among them. The threshold comes from paired
+    /// one- and two-thread runs on a 2-vCPU host (see the constant): two threads
+    /// gained 1.34–1.65× from 7,168 cells, but only 1.14–1.24× on the 512-row
+    /// chunks stream readers decrypt, which stay on one thread. Every thread
+    /// count returns the same table, and for a bad cell or row the same error as
+    /// one thread does.
     fn decrypt(&self, outcome: &SchemeOutcome) -> Result<Table>;
 
     /// Ground truth for the frequency-analysis game: `(output_row, original_row)`
@@ -347,26 +361,79 @@ fn cell_wise_outcome(
     })
 }
 
-/// Decrypt a cell-wise outcome back to the original table.
+/// Decryption jobs of at least this many cells split their rows over several
+/// threads: the decrypt threshold of the one thread rule of
+/// [`f2_relation::parallel`]. A job's cells are the ones it decrypts, its rows
+/// times its arity (for F², its real rows).
+///
+/// Measured on a shared 2-vCPU host, with F² outcomes of one-worker
+/// `Engine::encrypt` runs decrypted by a long-lived thread, one thread against two
+/// in 31 alternating pairs per size: two threads lost or broke even at 1,792–2,304
+/// cells, gained 1.14–1.24× at 3,584–4,608 cells (the 512-row chunks the stream
+/// readers decrypt) and 1.34–1.65× at 7,168–28,672 cells. A later set lost 12–17%
+/// at 5,376–7,168 cells, when the host lent its second vCPU only in part (two
+/// spinning processes got about 1.6 vCPUs then).
+/// Splitting costs a job about 60 µs (spawning and joining a scoped thread about
+/// 35 µs, `available_parallelism` about 24 µs), so the threshold sits above the
+/// 512-row chunks, where that is 8–22% of the job, and the chunks stay on one
+/// thread. The merged 72,892 × 7 F² outcome of the 50,000-row Synthetic table
+/// (350,000 cells) decrypts in 32 ms on two threads against 60 ms on one, with
+/// telemetry off.
+pub const DECRYPT_PARALLEL_MIN_CELLS: usize = 1 << 13;
+
+/// Parts per thread of a split decryption: the ranges are short enough that a
+/// thread that starts late, or shares its core, takes fewer of them.
+const DECRYPT_PARTS_PER_THREAD: usize = 4;
+
+/// Decrypt `rows` rows of `arity` cells each, in row order: `row(i)` is the
+/// ciphertext record of row `i`, and `decrypt_cell(attr, cell)` decrypts one of its
+/// cells. Contiguous ranges of rows run as the parts of [`run_parts`], on the
+/// threads [`threads_for`] grants a job of `rows × arity` cells under
+/// [`DECRYPT_PARALLEL_MIN_CELLS`], so one thread runs them all below it and on a
+/// pool thread. The first error in row order is returned, whichever thread met
+/// it, so every thread count returns the same records or the same error.
+pub(crate) fn decrypt_rows<'t>(
+    rows: usize,
+    arity: usize,
+    row: impl Fn(usize) -> &'t Record + Sync,
+    decrypt_cell: impl Fn(usize, &Value) -> Result<Value> + Sync,
+) -> Result<Vec<Record>> {
+    let threads = threads_for(rows * arity, DECRYPT_PARALLEL_MIN_CELLS, rows);
+    let part_rows = rows.div_ceil(threads * DECRYPT_PARTS_PER_THREAD).max(1);
+    let (parts, _) = run_parts(rows.div_ceil(part_rows), threads, |part| -> Result<_> {
+        let start = part * part_rows;
+        let mut records = Vec::with_capacity(part_rows);
+        for i in start..rows.min(start + part_rows) {
+            let mut values = Vec::with_capacity(arity);
+            for (attr, cell) in row(i).values().iter().enumerate() {
+                values.push(decrypt_cell(attr, cell)?);
+            }
+            records.push(Record::new(values));
+        }
+        Ok(records)
+    });
+    let mut records = Vec::with_capacity(rows);
+    for part in parts {
+        records.extend(part?);
+    }
+    Ok(records)
+}
+
+/// Decrypt a cell-wise outcome back to the original table, its rows split as
+/// [`decrypt_rows`] splits them.
 fn decrypt_cell_wise(
     scheme: &str,
     outcome: &SchemeOutcome,
-    mut decrypt_cell: impl FnMut(usize, &Value) -> Result<Value>,
+    decrypt_cell: impl Fn(usize, &Value) -> Result<Value> + Sync,
 ) -> Result<Table> {
     let OwnerState::CellWise(state) = &outcome.state else { return Err(wrong_state(scheme)) };
-    if state.plaintext_schema.arity() != outcome.encrypted.arity() {
+    let (rows, arity) = (outcome.encrypted.rows(), outcome.encrypted.arity());
+    if state.plaintext_schema.arity() != arity {
         return Err(F2Error::UnsupportedInput(
             "owner-state schema arity differs from the encrypted table".into(),
         ));
     }
-    let mut records = Vec::with_capacity(outcome.encrypted.row_count());
-    for (_, rec) in outcome.encrypted.iter() {
-        let mut values = Vec::with_capacity(outcome.encrypted.arity());
-        for (attr, cell) in rec.values().iter().enumerate() {
-            values.push(decrypt_cell(attr, cell)?);
-        }
-        records.push(Record::new(values));
-    }
+    let records = decrypt_rows(rows.len(), arity, |i| &rows[i], decrypt_cell)?;
     Ok(Table::new(state.plaintext_schema.clone(), records)?)
 }
 

@@ -16,7 +16,7 @@
 //! one as far as the decryptor is concerned.
 
 use f2_core::{ChunkState, EncryptionReport, F2Error, OwnerState, Result, Scheme, SchemeOutcome};
-use f2_relation::columnar::POOL_THREAD_PREFIX;
+use f2_relation::parallel::POOL_THREAD_PREFIX;
 use f2_relation::Table;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -59,7 +59,7 @@ pub struct EngineConfig {
     /// the plaintext's FDs.
     ///
     /// **Threads:** with 2 or more `workers`, [`Engine::encrypt`] runs its
-    /// chunks on pool threads ([`f2_relation::columnar::POOL_THREAD_PREFIX`]),
+    /// chunks on pool threads ([`f2_relation::parallel::POOL_THREAD_PREFIX`]),
     /// so a chunk of at least 65,536 cells (`chunk_rows × arity`) builds its
     /// columnar index on the worker that encrypts it and starts no helpers: on
     /// a 2-vCPU host, helpers under each of 2 workers on 10,000-row chunks of

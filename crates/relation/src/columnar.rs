@@ -53,31 +53,30 @@
 //! sort compares integers and follows no pointer. Both give the same dictionary and
 //! ids.
 //!
-//! A table of at least 65,536 cells builds its columns on
-//! `min(available_parallelism(), arity)` threads, the calling thread among them.
-//! Each thread takes the next column nobody has taken, so no more column builds are
-//! live at once than there are threads. On a 2-vCPU host the F² ciphertext of the
-//! 50,000-row Synthetic table (72,892 rows × 7, 65,245–69,085 distinct per column)
-//! builds 1.8–3.1× faster this way than hashing every column on one thread (medians
-//! of 15 cold builds, five alternating rounds).
+//! A table of at least 65,536 cells ([`PARALLEL_MIN_CELLS`]) builds its columns on
+//! `min(available_parallelism(), arity)` threads, the calling thread among them,
+//! through [`run_parts`] with one part per column: each thread takes the next
+//! column nobody has taken, so no more column builds are live at once than there
+//! are threads. On a 2-vCPU host the F² ciphertext of the 50,000-row Synthetic
+//! table (72,892 rows × 7, 65,245–69,085 distinct per column) builds 1.8–3.1×
+//! faster this way than hashing every column on one thread (medians of 15 cold
+//! builds, five alternating rounds).
 //!
 //! A build on a worker of a pool — a thread whose name starts with
-//! [`POOL_THREAD_PREFIX`], as the engine's `Engine::encrypt` workers and the
-//! server's workers are named — builds every column on its caller. The pool's
-//! other workers already keep the cores busy, so helpers started under them only
-//! add threads: with 2 engine workers on a 2-vCPU host, 10,000-row Synthetic
-//! chunks (70,000 cells) encrypted no faster with helpers and raised peak RSS
-//! 14–25%.
+//! [`POOL_THREAD_PREFIX`](crate::parallel::POOL_THREAD_PREFIX), as the engine's
+//! `Engine::encrypt` workers and the server's workers are named — builds every
+//! column on its caller. Both rules are the one thread rule of [`crate::parallel`],
+//! which `Scheme::decrypt` follows too.
 //!
 //! The generic value-keyed implementations are retained as equivalence oracles and
 //! exercised against this module by the property tests in
 //! `crates/relation/tests/interned_equiv.rs`.
 
 use crate::hash::{fast_map_with_capacity, FastHasher, FastMap};
+use crate::parallel::{run_parts, threads_for};
 use crate::{AttrSet, EquivalenceClass, Partition, RowId, StrippedPartition, Table, Value};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One attribute's dictionary: its distinct values in ascending order, plus the
 /// column-major `row → id` array.
@@ -293,7 +292,8 @@ fn element<'v>(distinct: &'v [Value], rest: &[&'v Value], key: u128) -> &'v Valu
     }
 }
 
-/// Tables of at least this many cells build their columns on several threads.
+/// Tables of at least this many cells build their columns on several threads
+/// (the index build's threshold under the one thread rule of [`crate::parallel`]).
 /// Measured on a 2-vCPU host (medians of 31 cold builds): spawning and joining a
 /// scoped thread takes about 40 µs and `available_parallelism` about 20 µs. Two
 /// threads built Customer's 4,096 rows × 21 (86,016 cells) in 4.0 ms against
@@ -302,50 +302,11 @@ fn element<'v>(distinct: &'v [Value], rest: &[&'v Value], key: u128) -> &'v Valu
 /// cells) built no faster on two (1.1–1.3 ms against 1.1 ms).
 pub const PARALLEL_MIN_CELLS: usize = 1 << 16;
 
-/// The name prefix of a worker-pool thread. A columnar index built on a thread so
-/// named starts no helper threads (see the [module docs](self)); the engine's and
-/// the server's worker pools name their threads with it.
-pub const POOL_THREAD_PREFIX: &str = "f2-pool-";
-
-/// Whether the calling thread is a worker of a pool ([`POOL_THREAD_PREFIX`]).
-fn on_pool_thread() -> bool {
-    std::thread::current().name().is_some_and(|name| name.starts_with(POOL_THREAD_PREFIX))
-}
-
-/// Build every column dictionary of `table` on up to `threads` threads, the
-/// calling one among them, and return them with the number of threads that
-/// built them: each thread takes the next column nobody has taken until none is
-/// left, so at most `threads` builds are live at once. A helper the OS refuses to
-/// start is left out, and the calling thread builds the columns no helper takes;
-/// with `threads` 1 it builds them all, in order, and starts none.
+/// Build every column dictionary of `table` on up to `threads` threads through
+/// [`run_parts`], one part per column, and return them in column order with the
+/// number of threads that built them.
 fn build_columns_on(table: &Table, threads: usize) -> (Vec<ColumnDictionary>, usize) {
-    let arity = table.arity();
-    // The counter only hands out column numbers; the built columns come back
-    // through `join`, which orders them after the helper's writes.
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut built = Vec::new();
-        loop {
-            let attr = next.fetch_add(1, Ordering::Relaxed);
-            if attr >= arity {
-                return built;
-            }
-            built.push((attr, ColumnDictionary::build(table, attr)));
-        }
-    };
-    let (mut built, threads) = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads)
-            .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, work).ok())
-            .collect();
-        let threads = 1 + helpers.len();
-        let mut built = work();
-        for helper in helpers {
-            built.extend(helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
-        }
-        (built, threads)
-    });
-    built.sort_unstable_by_key(|&(attr, _)| attr);
-    (built.into_iter().map(|(_, column)| column).collect(), threads)
+    run_parts(table.arity(), threads, |attr| ColumnDictionary::build(table, attr))
 }
 
 /// Dense `row → group` labelling of a table projection: rows share a group id iff
@@ -373,14 +334,11 @@ impl ColumnarIndex {
     /// (see the [module docs](self#build-cost)). A table of at least 65,536 cells
     /// builds its columns on up to `min(available_parallelism(), arity)` threads,
     /// the calling thread among them, unless the caller is a worker-pool thread
-    /// ([`POOL_THREAD_PREFIX`]), which builds them all itself.
+    /// ([`POOL_THREAD_PREFIX`](crate::parallel::POOL_THREAD_PREFIX)), which builds
+    /// them all itself: the one thread rule of [`crate::parallel`].
     pub fn build(table: &Table) -> Self {
         let arity = table.arity();
-        let threads = if table.row_count() * arity < PARALLEL_MIN_CELLS || on_pool_thread() {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get()).min(arity)
-        };
+        let threads = threads_for(table.row_count() * arity, PARALLEL_MIN_CELLS, arity);
         let (columns, threads) = build_columns_on(table, threads);
         ColumnarIndex { columns, row_count: table.row_count(), threads }
     }

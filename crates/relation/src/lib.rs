@@ -46,6 +46,7 @@ pub mod columnar;
 pub mod csv;
 pub mod error;
 pub mod hash;
+pub mod parallel;
 pub mod partition;
 pub mod record;
 pub mod schema;

@@ -60,7 +60,7 @@ impl Table {
     /// partition-shaped query. On a table of at least 65,536 cells the first call
     /// builds the columns on up to `available_parallelism()` threads (never more
     /// than the arity), the calling thread among them; see [`ColumnarIndex::build`].
-    /// A worker-pool thread ([`POOL_THREAD_PREFIX`](crate::columnar::POOL_THREAD_PREFIX))
+    /// A worker-pool thread ([`POOL_THREAD_PREFIX`](crate::parallel::POOL_THREAD_PREFIX))
     /// builds all the columns itself.
     pub fn columnar(&self) -> &ColumnarIndex {
         self.columns.get_or_init(|| Arc::new(ColumnarIndex::build(self)))

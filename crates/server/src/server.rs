@@ -24,7 +24,7 @@ use crate::proto;
 use crate::session::{SchemeProvider, Sessions, StoreProvider};
 use crate::transport::{Hangup, Transport};
 use f2_io::FrameSink;
-use f2_relation::columnar::POOL_THREAD_PREFIX;
+use f2_relation::parallel::POOL_THREAD_PREFIX;
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -378,8 +378,8 @@ impl Service {
         let core = &*self.core;
         std::thread::scope(|scope| {
             for index in 0..core.config.workers.max(1) {
-                // Named as pool threads, so a chunk index they build starts no
-                // helpers.
+                // Named as pool threads, so a chunk index they build, or a chunk
+                // a resume replay decrypts, starts no helpers.
                 let spawned = std::thread::Builder::new()
                     .name(format!("{POOL_THREAD_PREFIX}server-{index}"))
                     .spawn_scoped(scope, move || {
